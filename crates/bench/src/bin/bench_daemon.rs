@@ -585,120 +585,92 @@ fn main() {
             if kill_now {
                 println!("{:>8} member 1 killed mid-point: failover service by survivors", "");
             }
-            let after: Vec<DvStats> = servers.iter().map(DvServer::stats).collect();
-            // Per-daemon deltas plus the cluster-wide roll-up.
-            let d_at = |i: usize, f: fn(&DvStats) -> u64| {
-                f(&after[i]).saturating_sub(f(&before[i]))
-            };
-            let d = |f: fn(&DvStats) -> u64| -> u64 {
-                (0..servers.len()).map(|i| d_at(i, f)).sum()
-            };
-            let (fast, slow) = (d(|s| s.acquired_fast), d(|s| s.acquired_slow));
-            let (misses, fallbacks) = (d(|s| s.misses), d(|s| s.hit_fallbacks));
-            // Roll-up counters: every DvStats field reaches the JSON
-            // line (simlint's stats check pins this contract).
-            let hits = d(|s| s.hits);
-            let restarts = d(|s| s.restarts);
-            let scheduled_steps = d(|s| s.scheduled_steps);
-            let produced_steps = d(|s| s.produced_steps);
-            let evictions = d(|s| s.evictions);
-            let failures = d(|s| s.failures);
-            let accept_retries = d(|s| s.accept_retries);
-            let takeover_pins_handed_back = d(|s| s.takeover_pins_handed_back);
-            // Agent-quality counters (all zero for prefetch-off runs).
-            let prefetch_launches = d(|s| s.prefetch_launches);
-            let prefetch_hits = d(|s| s.prefetch_hits);
-            let pollution_resets = d(|s| s.pollution_resets);
-            let kills = d(|s| s.kills);
-            let digest_replayed = d(|s| s.digest_replayed);
-            let digest_dropped = d(|s| s.digest_dropped);
-            // Durability counters (all zero with the WAL off).
-            let wal_appends = d(|s| s.wal_appends);
-            let wal_replayed = d(|s| s.wal_replayed);
-            let pins_recovered = d(|s| s.pins_recovered);
-            let leases_expired = d(|s| s.leases_expired);
-            let client_reconnects = d(|s| s.client_reconnects);
-            // Failover counters (all zero outside degraded runs).
-            let takeover_acquires = d(|s| s.takeover_acquires);
-            let takeover_intervals_primed = d(|s| s.takeover_intervals_primed);
-            // Supervision counters (all zero without --sim-faults:
-            // the retry tier must stay off the hot path).
-            let sim_retries = d(|s| s.sim_retries);
-            let sims_hung_killed = d(|s| s.sims_hung_killed);
-            let intervals_poisoned = d(|s| s.intervals_poisoned);
-            let corrupt_outputs = d(|s| s.corrupt_outputs);
-            // Effect-tier counters (all zero with --effect-helpers 0).
-            let effects_offloaded = d(|s| s.effects_offloaded);
-            let helper_queue_full = d(|s| s.helper_queue_full);
-            let wal_syncs = d(|s| s.wal_syncs);
-            let per_class = |ns: fn(&DvStats) -> u64, ops: fn(&DvStats) -> u64| {
-                d(ns).checked_div(d(ops)).unwrap_or(0)
-            };
-            let effect_spawn_ns = per_class(|s| s.effect_spawn_ns, |s| s.effect_spawn_ops);
-            let effect_spawn_ops = d(|s| s.effect_spawn_ops);
-            let effect_wal_ns = per_class(|s| s.effect_wal_ns, |s| s.effect_wal_ops);
-            let effect_wal_ops = d(|s| s.effect_wal_ops);
-            let effect_evict_ns = per_class(|s| s.effect_evict_ns, |s| s.effect_evict_ops);
-            let effect_evict_ops = d(|s| s.effect_evict_ops);
-            let effect_read_ns = per_class(|s| s.effect_read_ns, |s| s.effect_read_ops);
-            let effect_read_ops = d(|s| s.effect_read_ops);
-            let transitions = d(|s| s.lock_transitions);
-            let hold_per_transition =
-                d(|s| s.lock_hold_ns).checked_div(transitions).unwrap_or(0);
-            let wait_per_transition =
-                d(|s| s.lock_wait_ns).checked_div(transitions).unwrap_or(0);
+            // Per-daemon counter deltas plus the cluster-wide roll-up.
+            let deltas: Vec<DvStats> = servers
+                .iter()
+                .zip(&before)
+                .map(|(server, before)| server.stats().delta(before))
+                .collect();
+            let mut d = DvStats::default();
+            for delta in &deltas {
+                d.accumulate(delta);
+            }
+            // Derived ratios: the only per-field arithmetic here. Every
+            // raw counter reaches the JSON line through `DvStats::iter`.
+            let per = |total: u64, n: u64| total.checked_div(n).unwrap_or(0);
+            let effect_spawn_ns = per(d.effect_spawn_ns, d.effect_spawn_ops);
+            let effect_wal_ns = per(d.effect_wal_ns, d.effect_wal_ops);
+            let effect_evict_ns = per(d.effect_evict_ns, d.effect_evict_ops);
+            let effect_read_ns = per(d.effect_read_ns, d.effect_read_ops);
+            let hold_per_transition = per(d.lock_hold_ns, d.lock_transitions);
+            let wait_per_transition = per(d.lock_wait_ns, d.lock_transitions);
             let rtps = point.round_trips as f64 / point.elapsed;
             println!(
-                "{n:>8} {:>12} {rtps:>9.0} {:>9.1} {:>9.1} {fast:>10} {slow:>10} {misses:>8} \
-                 {fallbacks:>8} {hold_per_transition:>9}",
-                point.round_trips, point.p50_us, point.p99_us
+                "{n:>8} {:>12} {rtps:>9.0} {:>9.1} {:>9.1} {:>10} {:>10} {:>8} {:>8} \
+                 {hold_per_transition:>9}",
+                point.round_trips,
+                point.p50_us,
+                point.p99_us,
+                d.acquired_fast,
+                d.acquired_slow,
+                d.misses,
+                d.hit_fallbacks
             );
             if spec.prefetch {
                 println!(
-                    "{:>8} agents: {prefetch_launches} launches, {prefetch_hits} prefetch \
-                     hits, {pollution_resets} pollution resets, {kills} kills, digest \
-                     {digest_replayed} replayed / {digest_dropped} dropped",
-                    ""
+                    "{:>8} agents: {} launches, {} prefetch hits, {} pollution resets, \
+                     {} kills, digest {} replayed / {} dropped",
+                    "",
+                    d.prefetch_launches,
+                    d.prefetch_hits,
+                    d.pollution_resets,
+                    d.kills,
+                    d.digest_replayed,
+                    d.digest_dropped
                 );
             }
             if durable {
                 println!(
-                    "{:>8} wal: {wal_appends} appends, {wal_replayed} replayed, \
-                     {pins_recovered} pins recovered, {leases_expired} leases expired, \
-                     {client_reconnects} reconnects",
-                    ""
+                    "{:>8} wal: {} appends, {} replayed, {} pins recovered, \
+                     {} leases expired, {} reconnects",
+                    "",
+                    d.wal_appends,
+                    d.wal_replayed,
+                    d.pins_recovered,
+                    d.leases_expired,
+                    d.client_reconnects
                 );
             }
             if degraded {
                 println!(
-                    "{:>8} failover: {takeover_acquires} takeover acquires, \
-                     {takeover_intervals_primed} intervals primed on takers",
-                    ""
+                    "{:>8} failover: {} takeover acquires, {} intervals primed on takers",
+                    "", d.takeover_acquires, d.takeover_intervals_primed
                 );
             }
             if sim_faults > 0 {
                 println!(
-                    "{:>8} supervision: {corrupt_outputs} corrupt outputs rejected, \
-                     {sim_retries} sim retries, {sims_hung_killed} hung kills, \
-                     {intervals_poisoned} intervals poisoned",
-                    ""
+                    "{:>8} supervision: {} corrupt outputs rejected, {} sim retries, \
+                     {} hung kills, {} intervals poisoned",
+                    "",
+                    d.corrupt_outputs,
+                    d.sim_retries,
+                    d.sims_hung_killed,
+                    d.intervals_poisoned
                 );
             }
-            if effects_offloaded > 0 {
+            if d.effects_offloaded > 0 {
                 println!(
-                    "{:>8} effects: {effects_offloaded} offloaded, {helper_queue_full} \
-                     queue-full stalls, {wal_syncs} wal syncs; ns/op spawn {effect_spawn_ns} \
-                     wal {effect_wal_ns} evict {effect_evict_ns} read {effect_read_ns}",
-                    ""
+                    "{:>8} effects: {} offloaded, {} queue-full stalls, {} wal syncs; \
+                     ns/op spawn {effect_spawn_ns} wal {effect_wal_ns} evict {effect_evict_ns} \
+                     read {effect_read_ns}",
+                    "", d.effects_offloaded, d.helper_queue_full, d.wal_syncs
                 );
             }
             // Per-daemon acquire rates: how evenly the interval hash
             // spread the load across the cluster.
-            let per_daemon: Vec<f64> = (0..servers.len())
-                .map(|i| {
-                    (d_at(i, |s| s.acquired_fast) + d_at(i, |s| s.acquired_slow)) as f64
-                        / point.elapsed
-                })
+            let per_daemon: Vec<f64> = deltas
+                .iter()
+                .map(|m| (m.acquired_fast + m.acquired_slow) as f64 / point.elapsed)
                 .collect();
             if cluster > 1 {
                 let shares = per_daemon
@@ -714,46 +686,24 @@ fn main() {
                 .map(|r| format!("{r:.1}"))
                 .collect::<Vec<_>>()
                 .join(", ");
+            // Every counter's delta under its field name, straight from
+            // the registry: a new `DvStats` row shows up here by itself.
+            let counters = d
+                .iter()
+                .map(|(name, delta)| format!("\"{name}\": {delta}"))
+                .collect::<Vec<_>>()
+                .join(", ");
             lines.push(format!(
                 "    {{\"workload\": \"{}\", \"prefetch\": {}, \"cluster\": {cluster}, \
-                 \"degraded\": {degraded}, \
+                 \"degraded\": {degraded}, \"durable\": {durable}, \
+                 \"sim_faults\": {sim_faults}, \
                  \"clients\": {n}, \"secs\": {:.3}, \
                  \"round_trips\": {}, \"rtps\": {rtps:.1}, \"p50_us\": {:.1}, \
-                 \"p99_us\": {:.1}, \"acquired_fast\": {fast}, \"acquired_slow\": {slow}, \
-                 \"misses\": {misses}, \"hit_fallbacks\": {fallbacks}, \
-                 \"hits\": {hits}, \"restarts\": {restarts}, \
-                 \"scheduled_steps\": {scheduled_steps}, \
-                 \"produced_steps\": {produced_steps}, \
-                 \"evictions\": {evictions}, \"failures\": {failures}, \
-                 \"accept_retries\": {accept_retries}, \
-                 \"prefetch_launches\": {prefetch_launches}, \
-                 \"prefetch_hits\": {prefetch_hits}, \
-                 \"pollution_resets\": {pollution_resets}, \"kills\": {kills}, \
-                 \"digest_replayed\": {digest_replayed}, \
-                 \"digest_dropped\": {digest_dropped}, \
-                 \"durable\": {durable}, \"wal_appends\": {wal_appends}, \
-                 \"wal_replayed\": {wal_replayed}, \
-                 \"pins_recovered\": {pins_recovered}, \
-                 \"leases_expired\": {leases_expired}, \
-                 \"client_reconnects\": {client_reconnects}, \
-                 \"takeover_acquires\": {takeover_acquires}, \
-                 \"takeover_intervals_primed\": {takeover_intervals_primed}, \
-                 \"takeover_pins_handed_back\": {takeover_pins_handed_back}, \
-                 \"sim_faults\": {sim_faults}, \"sim_retries\": {sim_retries}, \
-                 \"sims_hung_killed\": {sims_hung_killed}, \
-                 \"intervals_poisoned\": {intervals_poisoned}, \
-                 \"corrupt_outputs\": {corrupt_outputs}, \
-                 \"effects_offloaded\": {effects_offloaded}, \
-                 \"helper_queue_full\": {helper_queue_full}, \
-                 \"wal_syncs\": {wal_syncs}, \
+                 \"p99_us\": {:.1}, {counters}, \
                  \"effect_spawn_ns_per_op\": {effect_spawn_ns}, \
-                 \"effect_spawn_ops\": {effect_spawn_ops}, \
                  \"effect_wal_ns_per_op\": {effect_wal_ns}, \
-                 \"effect_wal_ops\": {effect_wal_ops}, \
                  \"effect_evict_ns_per_op\": {effect_evict_ns}, \
-                 \"effect_evict_ops\": {effect_evict_ops}, \
                  \"effect_read_ns_per_op\": {effect_read_ns}, \
-                 \"effect_read_ops\": {effect_read_ops}, \
                  \"lock_hold_ns_per_transition\": {hold_per_transition}, \
                  \"lock_wait_ns_per_transition\": {wait_per_transition}, \
                  \"per_daemon_acquires_per_sec\": [{per_daemon_json}], \

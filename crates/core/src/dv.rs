@@ -67,6 +67,7 @@ use simkit::lockrank;
 use simkit::{Dur, SimTime};
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies an analysis client session.
 pub type ClientId = u64;
@@ -245,224 +246,232 @@ pub enum DvAction {
     },
 }
 
-/// Lifetime counters (Fig. 5 reports `simulated_steps` as bars and
-/// `restarts` as points).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DvStats {
+/// The counter registry. One row per counter: its doc comment, who
+/// counts it, and its name. Everything that used to be threaded by hand
+/// comes from this table — the [`DvStats`] struct, [`DvStats::FIELDS`],
+/// the `accumulate`/`delta` roll-ups, the `(name, value)` iterator the
+/// JSON emitters walk, and the daemon's atomic mirror — so a counter
+/// cannot be missing from any of them.
+///
+/// * `dv` rows are incremented by the [`DataVirtualizer`] state machine
+///   itself; a daemon snapshot is the sum over its shards.
+/// * `daemon` rows are incremented by the daemon around the state
+///   machine. Each gets an `AtomicU64` of the same name in
+///   `DaemonCounters`, whose `overlay` copies them into a snapshot.
+/// * `external` rows are read at snapshot time from the structure that
+///   already owns the count (the hit index, the write-ahead log); the
+///   daemon's snapshot assigns them explicitly.
+macro_rules! dv_stats {
+    ($($(#[$doc:meta])* $kind:ident $name:ident,)*) => {
+        /// Lifetime counters (Fig. 5 reports `simulated_steps` as bars
+        /// and `restarts` as points). Generated from the `dv_stats!`
+        /// table: adding a counter is one row there plus its increment
+        /// site.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct DvStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl DvStats {
+            /// Every counter's name, in table order.
+            pub const FIELDS: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            /// Adds `other`'s counters into `self` (shard/context
+            /// roll-ups).
+            pub fn accumulate(&mut self, other: &DvStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// The counters' growth since `before` (saturating, so a
+            /// snapshot pair taken across a daemon restart reads zero
+            /// instead of wrapping).
+            pub fn delta(&self, before: &DvStats) -> DvStats {
+                DvStats {
+                    $($name: self.$name.saturating_sub(before.$name),)*
+                }
+            }
+
+            /// `(name, value)` of every counter, in table order.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                Self::FIELDS.iter().copied().zip([$(self.$name),*])
+            }
+
+            /// A value per counter from its index in [`Self::FIELDS`].
+            #[cfg(test)]
+            fn from_fn(f: impl Fn(usize) -> u64) -> DvStats {
+                let mut stats = DvStats::default();
+                let fields = [$(&mut stats.$name),*];
+                for (index, field) in fields.into_iter().enumerate() {
+                    *field = f(index);
+                }
+                stats
+            }
+        }
+
+        daemon_counters!([] $($kind $name,)*);
+    };
+}
+
+/// Filters the `daemon` rows out of the counter table and generates
+/// their atomic mirror.
+macro_rules! daemon_counters {
+    ([$($acc:ident)*] daemon $name:ident, $($rest:tt)*) => {
+        daemon_counters!([$($acc)* $name] $($rest)*);
+    };
+    ([$($acc:ident)*] dv $name:ident, $($rest:tt)*) => {
+        daemon_counters!([$($acc)*] $($rest)*);
+    };
+    ([$($acc:ident)*] external $name:ident, $($rest:tt)*) => {
+        daemon_counters!([$($acc)*] $($rest)*);
+    };
+    ([$($name:ident)*]) => {
+        /// The daemon-side half of [`DvStats`]: one relaxed atomic per
+        /// `daemon` row of the counter table, bumped lock-free from
+        /// reactor shards and effect helpers and copied into a
+        /// snapshot by [`overlay`](Self::overlay).
+        #[derive(Default)]
+        pub(crate) struct DaemonCounters {
+            $(pub(crate) $name: AtomicU64,)*
+        }
+
+        impl DaemonCounters {
+            /// Writes every mirrored counter into `into` (the state
+            /// machine never counts these rows, so this is an
+            /// assignment, not a sum).
+            pub(crate) fn overlay(&self, into: &mut DvStats) {
+                $(into.$name = self.$name.load(Ordering::Relaxed);)*
+            }
+
+            /// Sets every mirrored counter from the like-named field.
+            #[cfg(test)]
+            fn store(&self, from: &DvStats) {
+                $(self.$name.store(from.$name, Ordering::Relaxed);)*
+            }
+        }
+    };
+}
+
+dv_stats! {
     /// Cache hits on acquire.
-    pub hits: u64,
+    dv hits,
     /// Cache misses on acquire.
-    pub misses: u64,
+    dv misses,
     /// Simulations launched (the paper's "restarts").
-    pub restarts: u64,
+    dv restarts,
     /// Of which prefetch launches.
-    pub prefetch_launches: u64,
+    dv prefetch_launches,
     /// Output steps scheduled for production across all launches.
-    pub scheduled_steps: u64,
+    dv scheduled_steps,
     /// Output steps actually produced (`FileProduced` events).
-    pub produced_steps: u64,
+    dv produced_steps,
     /// Cache evictions.
-    pub evictions: u64,
+    dv evictions,
     /// Simulations killed (§IV-C).
-    pub kills: u64,
+    dv kills,
     /// Pollution resets of all prefetch agents (§IV-C).
-    pub pollution_resets: u64,
+    dv pollution_resets,
     /// Simulations that failed.
-    pub failures: u64,
+    dv failures,
     /// Hit acquires served on the daemon's lock-free fast path (never
     /// took a DV lock). Zero outside the daemon: the DV state machine
     /// itself only ever sees slow-path events.
-    pub acquired_fast: u64,
+    external acquired_fast,
     /// Acquires that went through a DV shard lock (misses, hits in
     /// prefetching contexts, and fast-path fallbacks).
-    pub acquired_slow: u64,
+    daemon acquired_slow,
     /// Fast-path attempts that raced an eviction and fell back to the
     /// locked path (the epoch/generation check fired).
-    pub hit_fallbacks: u64,
+    external hit_fallbacks,
     /// Nanoseconds daemon threads spent *waiting* for DV shard locks.
-    pub lock_wait_ns: u64,
+    daemon lock_wait_ns,
     /// Nanoseconds daemon threads spent *holding* DV shard locks.
-    pub lock_hold_ns: u64,
+    daemon lock_hold_ns,
     /// Number of timed DV-lock acquisitions behind the two counters
     /// above.
-    pub lock_transitions: u64,
+    daemon lock_transitions,
     /// Transient accept-loop failures (EMFILE/ECONNABORTED) that were
     /// retried with backoff instead of killing the listener. Counted
     /// daemon-wide and mirrored into every context's snapshot.
-    pub accept_retries: u64,
+    daemon accept_retries,
     /// Access records replayed into the prefetch agents out-of-band
     /// (digest drains). Each record is counted once, by the shard that
     /// owns its key.
-    pub digest_replayed: u64,
+    dv digest_replayed,
     /// Access records lost to digest-ring overflow before they reached
     /// the agents (the lossiness half of the observation contract;
     /// counted at the recording side and mirrored into snapshots).
-    pub digest_dropped: u64,
+    dv digest_dropped,
     /// Replayed accesses of keys a prefetch agent had planned that were
     /// materialized when observed — the numerator of the prefetch hit
     /// rate. Approximate by design: replay happens after the fact, so a
     /// pollution miss whose key was re-produced before the drain can
     /// sneak in.
-    pub prefetch_hits: u64,
+    dv prefetch_hits,
     /// Write-ahead-log records appended (daemon-wide, mirrored into
     /// snapshots like `accept_retries`). Zero when durability is off.
-    pub wal_appends: u64,
+    external wal_appends,
     /// Write-ahead-log records replayed at the last recovery startup.
-    pub wal_replayed: u64,
+    external wal_replayed,
     /// Pins re-established from the WAL after a restart
     /// ([`DataVirtualizer::restore_pin`]).
-    pub pins_recovered: u64,
+    dv pins_recovered,
     /// Recovered client leases that expired before the client
     /// re-asserted (their pins were released via `ClientGone`).
-    pub leases_expired: u64,
+    daemon leases_expired,
     /// Clients that reconnected after a dropped connection (hellos
     /// carrying a prior-epoch claim).
-    pub client_reconnects: u64,
+    daemon client_reconnects,
     /// Takeover acquires accepted on behalf of a dead cluster member
     /// (degraded-mode serving; daemon-wide, mirrored into snapshots).
-    pub takeover_acquires: u64,
+    daemon takeover_acquires,
     /// Foreign intervals whose residency was rebuilt from the storage
     /// area to serve takeover acquires.
-    pub takeover_intervals_primed: u64,
+    daemon takeover_intervals_primed,
     /// Takeover pin counts drained by `HandBack` after the dead member
     /// restarted.
-    pub takeover_pins_handed_back: u64,
+    daemon takeover_pins_handed_back,
     /// Demand launches re-enqueued with backoff after a production
     /// failure (the supervision tier's retries; never prefetches).
-    pub sim_retries: u64,
+    dv sim_retries,
     /// Simulations killed by the hang watchdog (stalled past the
     /// alpha/tau-derived deadline). Disjoint from `kills`, which counts
     /// §IV-C prefetch kills.
-    pub sims_hung_killed: u64,
+    dv sims_hung_killed,
     /// Restart intervals quarantined after exhausting their attempt
     /// budget.
-    pub intervals_poisoned: u64,
+    dv intervals_poisoned,
     /// Produced files rejected (and deleted) by the integrity gate.
-    pub corrupt_outputs: u64,
+    dv corrupt_outputs,
     /// Blocking effect jobs reactor shard threads handed to the effect
     /// tier's helper pool instead of executing inline (daemon-side,
     /// mirrored into snapshots; zero in inline compatibility mode).
-    pub effects_offloaded: u64,
+    daemon effects_offloaded,
     /// Submissions that found their per-shard effect queue full and
     /// parked until a helper freed space (backpressure events, not
     /// drops).
-    pub helper_queue_full: u64,
+    daemon helper_queue_full,
     /// WAL `fdatasync` calls (group fsync folds many appends into one;
     /// compare against `wal_appends` for the batching factor).
-    pub wal_syncs: u64,
+    external wal_syncs,
     /// Helper-side nanoseconds executing job-control effect jobs
     /// (launch/kill commits).
-    pub effect_spawn_ns: u64,
+    daemon effect_spawn_ns,
     /// Job-control effect jobs executed.
-    pub effect_spawn_ops: u64,
+    daemon effect_spawn_ops,
     /// Helper-side nanoseconds executing WAL-only effect jobs (durable
     /// outboxes, fast-pin windows, departures).
-    pub effect_wal_ns: u64,
+    daemon effect_wal_ns,
     /// WAL-only effect jobs executed.
-    pub effect_wal_ops: u64,
+    daemon effect_wal_ops,
     /// Helper-side nanoseconds executing eviction effect jobs.
-    pub effect_evict_ns: u64,
+    daemon effect_evict_ns,
     /// Eviction effect jobs executed.
-    pub effect_evict_ops: u64,
+    daemon effect_evict_ops,
     /// Helper-side nanoseconds executing storage-read effect jobs
     /// (simulator output verification, Bitrep re-reads).
-    pub effect_read_ns: u64,
+    daemon effect_read_ns,
     /// Storage-read effect jobs executed.
-    pub effect_read_ops: u64,
-}
-
-impl DvStats {
-    /// Adds `other`'s counters into `self` (shard/context roll-ups).
-    pub fn accumulate(&mut self, other: &DvStats) {
-        let DvStats {
-            hits,
-            misses,
-            restarts,
-            prefetch_launches,
-            scheduled_steps,
-            produced_steps,
-            evictions,
-            kills,
-            pollution_resets,
-            failures,
-            acquired_fast,
-            acquired_slow,
-            hit_fallbacks,
-            lock_wait_ns,
-            lock_hold_ns,
-            lock_transitions,
-            accept_retries,
-            digest_replayed,
-            digest_dropped,
-            prefetch_hits,
-            wal_appends,
-            wal_replayed,
-            pins_recovered,
-            leases_expired,
-            client_reconnects,
-            takeover_acquires,
-            takeover_intervals_primed,
-            takeover_pins_handed_back,
-            sim_retries,
-            sims_hung_killed,
-            intervals_poisoned,
-            corrupt_outputs,
-            effects_offloaded,
-            helper_queue_full,
-            wal_syncs,
-            effect_spawn_ns,
-            effect_spawn_ops,
-            effect_wal_ns,
-            effect_wal_ops,
-            effect_evict_ns,
-            effect_evict_ops,
-            effect_read_ns,
-            effect_read_ops,
-        } = other;
-        self.hits += hits;
-        self.misses += misses;
-        self.restarts += restarts;
-        self.prefetch_launches += prefetch_launches;
-        self.scheduled_steps += scheduled_steps;
-        self.produced_steps += produced_steps;
-        self.evictions += evictions;
-        self.kills += kills;
-        self.pollution_resets += pollution_resets;
-        self.failures += failures;
-        self.acquired_fast += acquired_fast;
-        self.acquired_slow += acquired_slow;
-        self.hit_fallbacks += hit_fallbacks;
-        self.lock_wait_ns += lock_wait_ns;
-        self.lock_hold_ns += lock_hold_ns;
-        self.lock_transitions += lock_transitions;
-        self.accept_retries += accept_retries;
-        self.digest_replayed += digest_replayed;
-        self.digest_dropped += digest_dropped;
-        self.prefetch_hits += prefetch_hits;
-        self.wal_appends += wal_appends;
-        self.wal_replayed += wal_replayed;
-        self.pins_recovered += pins_recovered;
-        self.leases_expired += leases_expired;
-        self.client_reconnects += client_reconnects;
-        self.takeover_acquires += takeover_acquires;
-        self.takeover_intervals_primed += takeover_intervals_primed;
-        self.takeover_pins_handed_back += takeover_pins_handed_back;
-        self.sim_retries += sim_retries;
-        self.sims_hung_killed += sims_hung_killed;
-        self.intervals_poisoned += intervals_poisoned;
-        self.corrupt_outputs += corrupt_outputs;
-        self.effects_offloaded += effects_offloaded;
-        self.helper_queue_full += helper_queue_full;
-        self.wal_syncs += wal_syncs;
-        self.effect_spawn_ns += effect_spawn_ns;
-        self.effect_spawn_ops += effect_spawn_ops;
-        self.effect_wal_ns += effect_wal_ns;
-        self.effect_wal_ops += effect_wal_ops;
-        self.effect_evict_ns += effect_evict_ns;
-        self.effect_evict_ops += effect_evict_ops;
-        self.effect_read_ns += effect_read_ns;
-        self.effect_read_ops += effect_read_ops;
-    }
+    daemon effect_read_ops,
 }
 
 struct ClientState {
@@ -2165,6 +2174,44 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// The counter table's generated pieces agree with each other over
+    /// every field: a distinct value per counter survives the
+    /// iterator, `accumulate`, `delta` and the daemon mirror.
+    #[test]
+    fn stats_registry_pieces_agree_over_all_fields() {
+        let a = DvStats::from_fn(|i| i as u64 + 1);
+        let b = DvStats::from_fn(|i| 1000 * (i as u64 + 1));
+        let names: Vec<&str> = a.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, DvStats::FIELDS);
+        let n = DvStats::FIELDS.len() as u64;
+        let values = |s: &DvStats| s.iter().map(|(_, v)| v).collect::<Vec<u64>>();
+        assert_eq!(values(&a), (1..=n).collect::<Vec<u64>>());
+
+        let mut sum = a.clone();
+        sum.accumulate(&b);
+        assert_eq!(values(&sum), (1..=n).map(|v| 1001 * v).collect::<Vec<u64>>());
+        assert_eq!(sum.delta(&b), a);
+        assert_eq!(sum.delta(&a), b);
+        assert_eq!(a.delta(&sum), DvStats::default(), "delta saturates at zero");
+
+        // The mirror carries exactly the `daemon` rows: stored from
+        // `b`, its overlay onto `a` rewrites those fields to `b`'s
+        // values and leaves every other field alone.
+        let mirror = DaemonCounters::default();
+        mirror.store(&b);
+        let mut snap = a.clone();
+        mirror.overlay(&mut snap);
+        for ((name, got), (kept, mirrored)) in snap.iter().zip(values(&a).into_iter().zip(values(&b))) {
+            assert!(got == kept || got == mirrored, "{name}: {got}");
+        }
+        assert_eq!(snap.lock_wait_ns, b.lock_wait_ns, "daemon row is mirrored");
+        assert_eq!(snap.effect_read_ops, b.effect_read_ops, "daemon row is mirrored");
+        assert_eq!(snap.hits, a.hits, "dv row is not");
+        assert_eq!(snap.wal_syncs, a.wal_syncs, "external row is not");
+        let mirrored = snap.delta(&a).iter().filter(|(_, v)| *v > 0).count();
+        assert_eq!(mirrored * 8, std::mem::size_of::<DaemonCounters>());
     }
 
     /// Drives production of everything a Launch action covers,

@@ -54,8 +54,18 @@ impl VirtualFs {
         if let Some((k, reason)) = status.failed.first() {
             return Err(io::Error::other(format!("acquire of step {k} failed: {reason}")));
         }
-        let bytes = self.storage.read(filename)?;
-        Dataset::decode(&bytes).map_err(io::Error::other)
+        let opened = self
+            .storage
+            .read(filename)
+            .and_then(|bytes| Dataset::decode(&bytes).map_err(io::Error::other));
+        if opened.is_err() {
+            // The acquire pinned the step, but a failed open hands the
+            // caller nothing to `close`: drop the pin here (flushed, as
+            // in `close`) or it stays unevictable for the whole
+            // session. The read/decode error is the one to surface.
+            let _ = self.client.release(key).and_then(|()| self.client.flush());
+        }
+        opened
     }
 
     /// Transparent `close`: releases the pin taken by

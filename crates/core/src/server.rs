@@ -184,8 +184,8 @@
 
 use crate::driver::SimDriver;
 use crate::dv::{
-    ClientId, DataVirtualizer, DvAction, DvEvent, DvRouter, DvStats, EventRoute, FailCode,
-    ShardedDv, SimId,
+    ClientId, DaemonCounters, DataVirtualizer, DvAction, DvEvent, DvRouter, DvStats, EventRoute,
+    FailCode, ShardedDv, SimId,
 };
 use crate::model::{ContextCfg, StepMath};
 use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY};
@@ -485,33 +485,6 @@ impl ConnLocal {
     }
 }
 
-/// DV-lock timing/contention counters (satellite instrumentation of
-/// the shard locks; surfaced through [`DvStats`]).
-#[derive(Default)]
-struct LockPerf {
-    wait_ns: AtomicU64,
-    hold_ns: AtomicU64,
-    transitions: AtomicU64,
-    acquired_slow: AtomicU64,
-}
-
-/// Effect-tier counters (surfaced through [`DvStats`]): how often shard
-/// threads offloaded blocking work, how often they hit queue
-/// backpressure, and per-class helper-side execution latency.
-#[derive(Default)]
-struct EffectPerf {
-    offloaded: AtomicU64,
-    queue_full: AtomicU64,
-    spawn_ns: AtomicU64,
-    spawn_ops: AtomicU64,
-    wal_ns: AtomicU64,
-    wal_ops: AtomicU64,
-    evict_ns: AtomicU64,
-    evict_ops: AtomicU64,
-    read_ns: AtomicU64,
-    read_ops: AtomicU64,
-}
-
 /// Latency class of one effect job, decided from its dominant blocking
 /// operation (a commit carrying both a launch and evictions counts as
 /// `Spawn` — job control is the costliest and rarest class).
@@ -521,20 +494,6 @@ enum EffectClass {
     Wal,
     Evict,
     Read,
-}
-
-impl EffectPerf {
-    fn record(&self, class: EffectClass, elapsed: Duration) {
-        let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        let (ns_ctr, ops_ctr) = match class {
-            EffectClass::Spawn => (&self.spawn_ns, &self.spawn_ops),
-            EffectClass::Wal => (&self.wal_ns, &self.wal_ops),
-            EffectClass::Evict => (&self.evict_ns, &self.evict_ops),
-            EffectClass::Read => (&self.read_ns, &self.read_ops),
-        };
-        ns_ctr.fetch_add(ns, Ordering::Relaxed);
-        ops_ctr.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// One unit of blocking work submitted by a reactor shard to the effect
@@ -603,17 +562,15 @@ struct CtxRuntime {
     /// connections record their access streams and the daemon replays
     /// them under the shard locks (layer 1a of the hierarchy).
     digest: bool,
-    perf: LockPerf,
-    effects: EffectPerf,
+    /// Every daemon-counted [`DvStats`] row (lock timing, effect tier,
+    /// recovery, takeover, accept retries), overlaid into snapshots.
+    counters: DaemonCounters,
     reactor: Arc<Reactor>,
     ledger: Mutex<LaunchLedger>,
     driver: Arc<dyn SimDriver>,
     storage: StorageArea,
     launcher: Arc<dyn JobLauncher>,
     checksums: HashMap<u64, u64>,
-    /// Daemon-wide accept-retry counter (shared with [`Inner`]), so
-    /// context snapshots surface it through [`DvStats`].
-    accept_retries: Arc<AtomicU64>,
     /// Tier 1b: the write-ahead pin/lease log (`None` for non-durable
     /// contexts — the hot path pays one `Option` check). Lock order:
     /// any DV shard lock → WAL lock; never held across I/O other than
@@ -630,22 +587,12 @@ struct CtxRuntime {
     /// must reconnect and re-assert, else its restored pins are
     /// released. Entries leave via re-assertion or expiry (reaper).
     leases: Mutex<HashMap<u64, Instant>>,
-    /// Sessions that handshook with a prior-epoch claim (reconnects).
-    client_reconnects: AtomicU64,
-    /// Recovery leases expired without re-assertion.
-    leases_expired: AtomicU64,
     /// Foreign restart intervals whose residency this member has
     /// rebuilt from the shared storage area to serve takeover acquires
     /// for a dead member. Lock order: this lock is taken *before* any
     /// shard lock (priming locks shards one at a time beneath it) and
     /// never while one is held.
     takeover_primed: Mutex<HashSet<u64>>,
-    /// Takeover acquires accepted (degraded-mode serving).
-    takeover_acquires: AtomicU64,
-    /// Foreign intervals primed for takeover serving.
-    takeover_intervals_primed: AtomicU64,
-    /// Takeover pin counts drained by `HandBack`.
-    takeover_pins_handed_back: AtomicU64,
 }
 
 struct Inner {
@@ -664,8 +611,6 @@ struct Inner {
     /// Notified whenever sims complete or die, so shutdown's quiesce
     /// wait is event-driven instead of a sleep poll.
     quiesce: (StdMutex<()>, Condvar),
-    /// Transient accept failures retried with backoff (EMFILE etc.).
-    accept_retries: Arc<AtomicU64>,
     /// The effect-execution tier (empty in inline compatibility mode,
     /// `effect_helpers == Some(0)`). Set once during startup — after
     /// `Inner` exists (the executor captures a `Weak<Inner>`) and
@@ -789,13 +734,14 @@ impl CtxRuntime {
         let t2 = Instant::now();
         drop(core);
         drop(rank);
-        self.perf
-            .wait_ns
+        let counters = &self.counters;
+        counters
+            .lock_wait_ns
             .fetch_add((t1 - t0).as_nanos() as u64, Ordering::Relaxed);
-        self.perf
-            .hold_ns
+        counters
+            .lock_hold_ns
             .fetch_add((t2 - t1).as_nanos() as u64, Ordering::Relaxed);
-        self.perf.transitions.fetch_add(1, Ordering::Relaxed);
+        counters.lock_transitions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Applies one event to its owning shard (or fans it out), and
@@ -983,14 +929,14 @@ impl CtxRuntime {
                     let Some(ctx) = self.weak_self.upgrade() else {
                         return;
                     };
-                    self.effects.offloaded.fetch_add(1, Ordering::Relaxed);
+                    self.counters.effects_offloaded.fetch_add(1, Ordering::Relaxed);
                     let job = EffectJob::Commit {
                         ctx,
                         fx: Box::new(std::mem::take(fx)),
                         wal_logged: false,
                     };
                     if pool.submit(shard, job) {
-                        self.effects.queue_full.fetch_add(1, Ordering::Relaxed);
+                        self.counters.helper_queue_full.fetch_add(1, Ordering::Relaxed);
                     }
                 } else {
                     self.flush_outbox(fx);
@@ -1252,17 +1198,31 @@ impl CtxRuntime {
             gone
         };
         for client in expired {
-            self.leases_expired.fetch_add(1, Ordering::Relaxed);
+            self.counters.leases_expired.fetch_add(1, Ordering::Relaxed);
             self.stage_client_gone(fx, client);
             self.transition(inner, DvEvent::ClientGone { client }, fx);
             self.commit(inner, fx);
         }
     }
 
-    /// Merged statistics snapshot: shard totals plus the fast-path and
-    /// lock counters the shards never see. Also returns the active-sim
-    /// total observed in the same per-shard lock acquisitions, so a
-    /// Status reply is self-consistent per shard.
+    /// Counts one executed effect job and its helper-side latency
+    /// under its class.
+    fn record_effect(&self, class: EffectClass, elapsed: Duration) {
+        let c = &self.counters;
+        let (ns, ops) = match class {
+            EffectClass::Spawn => (&c.effect_spawn_ns, &c.effect_spawn_ops),
+            EffectClass::Wal => (&c.effect_wal_ns, &c.effect_wal_ops),
+            EffectClass::Evict => (&c.effect_evict_ns, &c.effect_evict_ops),
+            EffectClass::Read => (&c.effect_read_ns, &c.effect_read_ops),
+        };
+        ns.fetch_add(elapsed.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
+        ops.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Merged statistics snapshot: shard totals, the daemon-side
+    /// counters, and the counts other structures own. Also returns the
+    /// active-sim total observed in the same per-shard lock
+    /// acquisitions, so a Status reply is self-consistent per shard.
     fn stats_snapshot_with_active(&self) -> (DvStats, u64) {
         let mut total = DvStats::default();
         let mut active = 0u64;
@@ -1272,15 +1232,11 @@ impl CtxRuntime {
             total.accumulate(core.dv.stats());
             active += core.dv.active_sims() as u64;
         }
+        self.counters.overlay(&mut total);
         let fast_hits = self.fast.fast_hits();
         total.hits += fast_hits;
         total.acquired_fast = fast_hits;
         total.hit_fallbacks = self.fast.race_fallbacks();
-        total.acquired_slow = self.perf.acquired_slow.load(Ordering::Relaxed);
-        total.lock_wait_ns = self.perf.wait_ns.load(Ordering::Relaxed);
-        total.lock_hold_ns = self.perf.hold_ns.load(Ordering::Relaxed);
-        total.lock_transitions = self.perf.transitions.load(Ordering::Relaxed);
-        total.accept_retries = self.accept_retries.load(Ordering::Relaxed);
         if let Some(wal) = &self.wal {
             let _rank = lockrank::held(lockrank::WAL);
             let w = wal.lock();
@@ -1288,21 +1244,6 @@ impl CtxRuntime {
             total.wal_syncs = w.log.syncs();
         }
         total.wal_replayed = self.wal_replayed;
-        total.client_reconnects = self.client_reconnects.load(Ordering::Relaxed);
-        total.leases_expired = self.leases_expired.load(Ordering::Relaxed);
-        total.takeover_acquires = self.takeover_acquires.load(Ordering::Relaxed);
-        total.takeover_intervals_primed = self.takeover_intervals_primed.load(Ordering::Relaxed);
-        total.takeover_pins_handed_back = self.takeover_pins_handed_back.load(Ordering::Relaxed);
-        total.effects_offloaded = self.effects.offloaded.load(Ordering::Relaxed);
-        total.helper_queue_full = self.effects.queue_full.load(Ordering::Relaxed);
-        total.effect_spawn_ns = self.effects.spawn_ns.load(Ordering::Relaxed);
-        total.effect_spawn_ops = self.effects.spawn_ops.load(Ordering::Relaxed);
-        total.effect_wal_ns = self.effects.wal_ns.load(Ordering::Relaxed);
-        total.effect_wal_ops = self.effects.wal_ops.load(Ordering::Relaxed);
-        total.effect_evict_ns = self.effects.evict_ns.load(Ordering::Relaxed);
-        total.effect_evict_ops = self.effects.evict_ops.load(Ordering::Relaxed);
-        total.effect_read_ns = self.effects.read_ns.load(Ordering::Relaxed);
-        total.effect_read_ops = self.effects.read_ops.load(Ordering::Relaxed);
         (total, active)
     }
 
@@ -1462,7 +1403,7 @@ impl CtxRuntime {
                     }
                 }
                 if slow_keys > 0 {
-                    self.perf
+                    self.counters
                         .acquired_slow
                         .fetch_add(slow_keys, Ordering::Relaxed);
                     // Piggyback the digest drain on a request that took
@@ -1526,7 +1467,7 @@ impl CtxRuntime {
                     (inner.pool.get(), crate::reactor::current_shard())
                 {
                     if let Some(ctx) = self.weak_self.upgrade() {
-                        self.effects.offloaded.fetch_add(1, Ordering::Relaxed);
+                        self.counters.effects_offloaded.fetch_add(1, Ordering::Relaxed);
                         let job = EffectJob::BitrepRead {
                             ctx,
                             client,
@@ -1534,7 +1475,7 @@ impl CtxRuntime {
                             key,
                         };
                         if pool.submit(shard, job) {
-                            self.effects.queue_full.fetch_add(1, Ordering::Relaxed);
+                            self.counters.helper_queue_full.fetch_add(1, Ordering::Relaxed);
                         }
                         return true;
                     }
@@ -1679,7 +1620,7 @@ impl CtxRuntime {
                     // pins now instead of leaving them to the reaper's
                     // next pass (we just took the lease entry it would
                     // have acted on).
-                    self.leases_expired.fetch_add(1, Ordering::Relaxed);
+                    self.counters.leases_expired.fetch_add(1, Ordering::Relaxed);
                     self.stage_client_gone(fx, prior_client);
                     self.transition(inner, DvEvent::ClientGone { client: prior_client }, fx);
                 }
@@ -1793,7 +1734,7 @@ impl CtxRuntime {
             self.flush_outbox(fx);
             return;
         }
-        self.takeover_acquires.fetch_add(1, Ordering::Relaxed);
+        self.counters.takeover_acquires.fetch_add(1, Ordering::Relaxed);
         let mut slow_keys = 0u64;
         for &key in &keys {
             if self.steps.valid_key(key) {
@@ -1872,7 +1813,9 @@ impl CtxRuntime {
             local.scratch.clear();
         }
         if slow_keys > 0 {
-            self.perf.acquired_slow.fetch_add(slow_keys, Ordering::Relaxed);
+            self.counters
+                .acquired_slow
+                .fetch_add(slow_keys, Ordering::Relaxed);
         }
         self.commit(inner, fx);
     }
@@ -1905,7 +1848,9 @@ impl CtxRuntime {
             }
         }
         primed.insert(interval);
-        self.takeover_intervals_primed.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .takeover_intervals_primed
+            .fetch_add(1, Ordering::Relaxed);
         evicted
     }
 
@@ -1943,7 +1888,9 @@ impl CtxRuntime {
             }
             self.transition(inner, DvEvent::Release { client, key }, fx);
         }
-        self.takeover_pins_handed_back.fetch_add(released, Ordering::Relaxed);
+        self.counters
+            .takeover_pins_handed_back
+            .fetch_add(released, Ordering::Relaxed);
         fx.outbox.push((client, Response::HandedBack { req_id, released }));
         self.commit(inner, fx);
     }
@@ -2106,9 +2053,9 @@ impl CtxRuntime {
     fn submit_sim_event(&self, inner: &Inner, sim: SimId, event: SimWireEvent, fx: &mut Effects) {
         if let (Some(pool), Some(shard)) = (inner.pool.get(), crate::reactor::current_shard()) {
             if let Some(ctx) = self.weak_self.upgrade() {
-                self.effects.offloaded.fetch_add(1, Ordering::Relaxed);
+                self.counters.effects_offloaded.fetch_add(1, Ordering::Relaxed);
                 if pool.submit(shard, EffectJob::SimEvent { ctx, sim, event }) {
-                    self.effects.queue_full.fetch_add(1, Ordering::Relaxed);
+                    self.counters.helper_queue_full.fetch_add(1, Ordering::Relaxed);
                 }
                 return;
             }
@@ -2190,7 +2137,7 @@ impl CtxRuntime {
 ///    same code the inline path uses (`commit_inline`,
 ///    `apply_sim_event`, `bitrep_response`), with its WAL pass skipped
 ///    where phase 1 already covered it. Per-class latency lands in the
-///    owning context's [`EffectPerf`].
+///    owning context's `DaemonCounters` (`record_effect`).
 ///
 /// Helpers themselves call `commit` → `commit_inline` recursively (a
 /// launch failure feeding back as `SimFailed`, a reap): those nested
@@ -2235,12 +2182,12 @@ fn execute_effect_batch(inner: &Inner, mut jobs: Vec<EffectJob>) {
                     EffectClass::Wal
                 };
                 ctx.commit_inline(inner, &mut fx, wal_logged);
-                ctx.effects.record(class, t0.elapsed());
+                ctx.record_effect(class, t0.elapsed());
             }
             EffectJob::SimEvent { ctx, sim, event } => {
                 let mut fx = Effects::default();
                 ctx.apply_sim_event(inner, sim, event, &mut fx);
-                ctx.effects.record(EffectClass::Read, t0.elapsed());
+                ctx.record_effect(EffectClass::Read, t0.elapsed());
             }
             EffectJob::BitrepRead {
                 ctx,
@@ -2251,7 +2198,7 @@ fn execute_effect_batch(inner: &Inner, mut jobs: Vec<EffectJob>) {
                 let mut fx = Effects::default();
                 fx.outbox.push((client, ctx.bitrep_response(req_id, key)));
                 ctx.flush_outbox(&mut fx);
-                ctx.effects.record(EffectClass::Read, t0.elapsed());
+                ctx.record_effect(EffectClass::Read, t0.elapsed());
             }
         }
     }
@@ -2315,7 +2262,6 @@ impl DvServer {
 
         let mut contexts = HashMap::new();
         let mut prime_work: Vec<(Arc<CtxRuntime>, Vec<u64>)> = Vec::new();
-        let accept_retries = Arc::new(AtomicU64::new(0));
         // Client ids must never collide with a recovered instance's
         // (their pins live on under the old ids until re-asserted or
         // lease-expired); recovery raises the floor past every id the
@@ -2452,25 +2398,18 @@ impl DvServer {
                 steps,
                 fast,
                 digest,
-                perf: LockPerf::default(),
-                effects: EffectPerf::default(),
+                counters: DaemonCounters::default(),
                 reactor: Arc::clone(&reactor),
                 ledger: Mutex::new(LaunchLedger::default()),
                 driver: config.driver,
                 storage: config.storage,
                 launcher: config.launcher,
                 checksums: config.checksums,
-                accept_retries: Arc::clone(&accept_retries),
                 wal,
                 epoch,
                 wal_replayed,
                 leases: Mutex::new(leases),
-                client_reconnects: AtomicU64::new(0),
-                leases_expired: AtomicU64::new(0),
                 takeover_primed: Mutex::new(HashSet::new()),
-                takeover_acquires: AtomicU64::new(0),
-                takeover_intervals_primed: AtomicU64::new(0),
-                takeover_pins_handed_back: AtomicU64::new(0),
             });
             prime_work.push((Arc::clone(&runtime), evicted));
             let previous = contexts.insert(name.clone(), runtime);
@@ -2487,7 +2426,6 @@ impl DvServer {
             accept_wake,
             reap_signal: (StdMutex::new(false), Condvar::new()),
             quiesce: (StdMutex::new(()), Condvar::new()),
-            accept_retries,
             pool: std::sync::OnceLock::new(),
         });
 
@@ -2586,7 +2524,11 @@ impl DvServer {
                             // thread. Back off and re-enter the epoll
                             // wait; shutdown still interrupts via the
                             // eventfd after at most one backoff window.
-                            inner.accept_retries.fetch_add(1, Ordering::Relaxed);
+                            // Daemon-wide, so every context's
+                            // snapshot carries it.
+                            for ctx in inner.contexts.values() {
+                                ctx.counters.accept_retries.fetch_add(1, Ordering::Relaxed);
+                            }
                             std::thread::sleep(backoff);
                             backoff = (backoff * 2).min(BACKOFF_MAX);
                             break;
@@ -2878,7 +2820,10 @@ impl crate::reactor::Handler for EpollConn {
                         // reconnecting session (it will follow up with
                         // a Reassert).
                         if prior_epoch.is_some() {
-                            runtime.client_reconnects.fetch_add(1, Ordering::Relaxed);
+                            runtime
+                                .counters
+                                .client_reconnects
+                                .fetch_add(1, Ordering::Relaxed);
                         }
                         let client = self.inner.next_client.fetch_add(1, Ordering::SeqCst);
                         // Route first, then greet: a notification can

@@ -5,6 +5,13 @@
 //! keeps the dependency budget (no serde format crate) and makes the
 //! wire format explicit and testable.
 //!
+//! The whole protocol is one table (the `frames!` invocation below):
+//! each row names a frame, its tag byte and its typed fields, and the
+//! enums, the [`tag`] constants, `encode_into`, `decode` and the
+//! `TAGS` name lists are generated from it. The byte layout of each
+//! field type — and every bounds check on hostile input — lives once,
+//! in that type's private `Field` impl.
+//!
 //! Two client kinds speak it: *analysis* clients (DVLib, §III-C) issue
 //! `Acquire`/`Release`/`Bitrep`; *simulator* clients (spawned
 //! re-simulations) report `SimStarted`/`FileProduced`/`SimFinished` —
@@ -50,847 +57,501 @@ pub struct Membership {
     pub steps_hash: u64,
 }
 
-/// Client → DV messages.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Session setup: who am I, which simulation context.
-    Hello {
-        /// Client kind.
-        kind: ClientKind,
-        /// Context name (§II "Simulation Contexts").
-        context: String,
-        /// Cluster-membership claim, verified by the daemon at hello
-        /// time (`None` skips the handshake check).
-        membership: Option<Membership>,
-        /// Recovery-epoch claim, Membership-style: `Some(e)` marks a
-        /// *reconnect* — the client previously held a session under
-        /// daemon epoch `e` and intends to re-assert pins. Fresh
-        /// sessions send `None`. The daemon counts reconnects and
-        /// answers its current epoch in [`Response::HelloOk`].
-        epoch: Option<u64>,
-    },
-    /// Request output steps (`SIMFS_Acquire`): the DV answers one
-    /// `Ready`/`Failed` per key; `Queued` may precede them.
-    Acquire {
-        /// Client-chosen request id echoed in responses.
-        req_id: u64,
-        /// Requested output-step keys.
-        keys: Vec<u64>,
-    },
-    /// Release one output step (`SIMFS_Release` / intercepted close).
-    Release {
-        /// Released key.
-        key: u64,
-    },
-    /// Bit-reproducibility check (`SIMFS_Bitrep`).
-    Bitrep {
-        /// Request id echoed in the response.
-        req_id: u64,
-        /// Key to verify.
-        key: u64,
-    },
-    /// Simulator: one output step was closed/published.
-    FileProduced {
-        /// Produced key.
-        key: u64,
-        /// File size in bytes.
-        size: u64,
-    },
-    /// Simulator: restart loaded, production begins.
-    SimStarted,
-    /// Simulator: assigned range complete.
-    SimFinished,
-    /// Analysis: request the context's runtime statistics (profiling
-    /// support, §III-C).
-    Status {
-        /// Request id echoed in the response.
-        req_id: u64,
-    },
-    /// Analysis: a lossy digest of the client's access stream since the
-    /// last digest — `(key, epoch, ready)` records in observation order
-    /// plus the count of records the client's bounded log had to drop.
-    /// Sent by clustered DVLib sessions so every member's prefetch
-    /// agents observe the full (pre-routing) sequence; epochs come from
-    /// the *client's* monotonic clock, so only their differences carry
-    /// meaning (consumption-time gaps), and `ready` marks epochs that
-    /// are true ready points (see
-    /// [`AccessRecord::ready`](crate::prefetch::AccessRecord::ready)).
-    /// Fire-and-forget: no response.
-    AccessDigest {
-        /// Records the client-side log dropped since the last digest.
-        dropped: u64,
-        /// `(key, epoch_ns, ready)` in observation order.
-        records: Vec<(u64, u64, bool)>,
-    },
-    /// Analysis: re-assert pins held before a connection drop. Sent
-    /// right after a reconnect hello: `prior_client`/`prior_epoch`
-    /// name the dead session, `keys` list its held pins (repeated per
-    /// pin count). The daemon transfers whatever restart recovery
-    /// restored under the prior id to this session and answers
-    /// per-key in [`Response::Reasserted`]; anything it no longer
-    /// holds comes back `gone` with a reason, so the client can
-    /// re-acquire instead of trusting a phantom pin.
-    Reassert {
-        /// Request id echoed in the response.
-        req_id: u64,
-        /// The client id of the dropped session.
-        prior_client: u64,
-        /// The daemon epoch the dropped session ran under.
-        prior_epoch: u64,
-        /// Pinned keys to re-assert, one entry per held pin count.
-        keys: Vec<u64>,
-    },
-    /// Analysis: acquire keys belonging to a *dead* cluster member at
-    /// its deterministic taker. The taker daemon verifies that
-    /// `dead_member` routes every key to that member (and is not
-    /// itself), lazily rebuilds residency for the foreign interval from
-    /// the shared storage area, and serves the keys under its own
-    /// budget — answering `Ready`/`Failed`/`Queued` per key exactly
-    /// like [`Request::Acquire`]. Untagged foreign-interval acquires
-    /// stay hard-rejected; this tag is the client's explicit assertion
-    /// that it observed the member down and routed by the successor
-    /// rule.
-    TakeoverAcquire {
-        /// Client-chosen request id echoed in responses.
-        req_id: u64,
-        /// The member index the client observed down.
-        dead_member: u32,
-        /// The takeover epoch the client routed under (diagnostic: the
-        /// taker echoes it in rejections so split routing is visible).
-        origin_epoch: u64,
-        /// Foreign-interval keys to acquire.
-        keys: Vec<u64>,
-    },
-    /// Analysis: the dead member is back — release this session's
-    /// takeover pins on its keys so normal routing can resume. `keys`
-    /// lists the pins to drain, one entry per held pin count (the
-    /// client re-acquires at the restarted home member *before* sending
-    /// this, so the residency veto never lapses). Answered by
-    /// [`Response::HandedBack`].
-    HandBack {
-        /// Request id echoed in the response.
-        req_id: u64,
-        /// The member whose intervals are being handed back.
-        dead_member: u32,
-        /// Takeover-pinned keys to release, repeated per pin count.
-        keys: Vec<u64>,
-    },
-    /// Orderly goodbye.
-    Bye,
-}
-
-/// DV → client messages.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// Session accepted.
-    HelloOk {
-        /// DV-assigned client id.
-        client_id: u64,
-        /// The daemon's current recovery epoch (0 when durability is
-        /// off). Clients carry it back in reconnect hellos and
-        /// re-assertions.
-        epoch: u64,
-    },
-    /// `key` is on disk and pinned for this client.
-    Ready {
-        /// Originating request id.
-        req_id: u64,
-        /// Ready key.
-        key: u64,
-    },
-    /// `key` cannot be served.
-    Failed {
-        /// Originating request id.
-        req_id: u64,
-        /// Failed key.
-        key: u64,
-        /// Machine-readable failure classification (stable; unknown
-        /// values decode as [`FailCode::Other`]).
-        code: FailCode,
-        /// Reason string (surfaced in `SIMFS_Status`).
-        reason: String,
-    },
-    /// `key` is being produced; estimated wait attached (§III-C status
-    /// information).
-    Queued {
-        /// Originating request id.
-        req_id: u64,
-        /// Pending key.
-        key: u64,
-        /// Estimated wait in milliseconds.
-        est_wait_ms: u64,
-    },
-    /// Result of a `Bitrep` check.
-    BitrepResult {
-        /// Originating request id.
-        req_id: u64,
-        /// Verified key.
-        key: u64,
-        /// File checksum matches the recorded one.
-        matches: bool,
-        /// A recorded checksum existed for this key.
-        known: bool,
-    },
-    /// Context runtime statistics (answer to `Status`).
-    StatusInfo {
-        /// Originating request id.
-        req_id: u64,
-        /// Cache hits so far.
-        hits: u64,
-        /// Cache misses so far.
-        misses: u64,
-        /// Re-simulations launched.
-        restarts: u64,
-        /// Output steps produced.
-        produced_steps: u64,
-        /// Currently running re-simulations.
-        active_sims: u64,
-    },
-    /// Answer to a [`Request::Reassert`]: which pins were restored to
-    /// the new session and which are gone (with per-key reasons).
-    Reasserted {
-        /// Originating request id.
-        req_id: u64,
-        /// The daemon's current recovery epoch.
-        epoch: u64,
-        /// Keys whose pins now belong to the new session (one entry
-        /// per transferred pin count).
-        restored: Vec<u64>,
-        /// Keys the daemon no longer holds pinned for the prior
-        /// session, each with a descriptive reason.
-        gone: Vec<(u64, String)>,
-    },
-    /// Answer to a [`Request::HandBack`]: how many takeover pin counts
-    /// the daemon drained for this session.
-    HandedBack {
-        /// Originating request id.
-        req_id: u64,
-        /// Pin-release counts applied, one per listed key occurrence
-        /// (a release of a key the session did not hold is a DV no-op
-        /// but still counts — the client lists exactly its held pins).
-        released: u64,
-    },
-    /// Protocol-level error; the session is closed after this.
-    Error {
-        /// Description.
-        message: String,
-    },
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_string(buf: &mut &[u8]) -> io::Result<String> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("truncated string length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(corrupt("truncated string body"));
-    }
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| corrupt("invalid UTF-8"))
-}
-
-/// The wire-tag registry: every frame-discriminator byte, by name.
-///
-/// `cargo run -p simlint` parses this module and enforces that each
-/// constant is unique within its family, appears in both the matching
-/// `encode_into` and `decode` below (encode/decode arm symmetry), and
-/// is exercised by name in `tests/wire_fuzz.rs`. Add a new frame by
-/// adding its constant here first; the lint fails until every site
-/// exists.
-pub mod tag {
-    /// `Request::Hello`.
-    pub const REQ_HELLO: u8 = 0;
-    /// `Request::Acquire`.
-    pub const REQ_ACQUIRE: u8 = 1;
-    /// `Request::Release`.
-    pub const REQ_RELEASE: u8 = 2;
-    /// `Request::Bitrep`.
-    pub const REQ_BITREP: u8 = 3;
-    /// `Request::FileProduced`.
-    pub const REQ_FILE_PRODUCED: u8 = 4;
-    /// `Request::SimStarted`.
-    pub const REQ_SIM_STARTED: u8 = 5;
-    /// `Request::SimFinished`.
-    pub const REQ_SIM_FINISHED: u8 = 6;
-    /// `Request::Bye`.
-    pub const REQ_BYE: u8 = 7;
-    /// `Request::Status`.
-    pub const REQ_STATUS: u8 = 8;
-    /// `Request::AccessDigest`.
-    pub const REQ_ACCESS_DIGEST: u8 = 9;
-    /// `Request::Reassert`.
-    pub const REQ_REASSERT: u8 = 10;
-    /// `Request::TakeoverAcquire`.
-    pub const REQ_TAKEOVER_ACQUIRE: u8 = 11;
-    /// `Request::HandBack`.
-    pub const REQ_HAND_BACK: u8 = 12;
-
-    /// `Response::HelloOk`.
-    pub const RESP_HELLO_OK: u8 = 0;
-    /// `Response::Ready`.
-    pub const RESP_READY: u8 = 1;
-    /// `Response::Failed`.
-    pub const RESP_FAILED: u8 = 2;
-    /// `Response::Queued`.
-    pub const RESP_QUEUED: u8 = 3;
-    /// `Response::BitrepResult`.
-    pub const RESP_BITREP_RESULT: u8 = 4;
-    /// `Response::Error`.
-    pub const RESP_ERROR: u8 = 5;
-    /// `Response::StatusInfo`.
-    pub const RESP_STATUS_INFO: u8 = 6;
-    /// `Response::Reasserted`.
-    pub const RESP_REASSERTED: u8 = 7;
-    /// `Response::HandedBack`.
-    pub const RESP_HANDED_BACK: u8 = 8;
-}
-
 fn corrupt(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("wire: {msg}"))
 }
 
-impl Request {
-    /// Encodes into a frame body (no length prefix).
-    pub fn encode(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(32);
-        self.encode_into(&mut buf);
-        buf
-    }
+/// The byte layout of one field type. Decoders take the unread rest of
+/// the frame body and must fail with `InvalidData` — never panic, never
+/// allocate from an unchecked length — on anything short or unknown.
+trait Field: Sized {
+    /// Encoded size when every value has the same one: lets
+    /// `Vec<Self>` check a claimed count against the bytes actually
+    /// present *before* allocating for it.
+    const FIXED: Option<usize>;
+    fn put(&self, buf: &mut BytesMut);
+    fn get(buf: &mut &[u8]) -> io::Result<Self>;
+}
 
-    /// Appends the frame body to `buf` without allocating.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        match self {
-            Request::Hello {
-                kind,
-                context,
-                membership,
-                epoch,
-            } => {
-                buf.put_u8(tag::REQ_HELLO);
-                match kind {
-                    ClientKind::Analysis => buf.put_u8(0),
-                    ClientKind::Simulator { sim_id } => {
-                        buf.put_u8(1);
-                        buf.put_u64_le(*sim_id);
-                    }
+macro_rules! int_field {
+    ($($ty:ident: $size:literal, $put:ident, $get:ident;)*) => {$(
+        impl Field for $ty {
+            const FIXED: Option<usize> = Some($size);
+            fn put(&self, buf: &mut BytesMut) {
+                buf.$put(*self);
+            }
+            fn get(buf: &mut &[u8]) -> io::Result<$ty> {
+                if buf.remaining() < $size {
+                    return Err(corrupt(concat!("truncated ", stringify!($ty))));
                 }
-                put_string(buf, context);
-                match membership {
-                    None => buf.put_u8(0),
-                    Some(m) => {
-                        buf.put_u8(1);
-                        buf.put_u32_le(m.index);
-                        buf.put_u32_le(m.size);
-                        buf.put_u64_le(m.steps_hash);
-                    }
-                }
-                match epoch {
-                    None => buf.put_u8(0),
-                    Some(e) => {
-                        buf.put_u8(1);
-                        buf.put_u64_le(*e);
-                    }
-                }
-            }
-            Request::Acquire { req_id, keys } => {
-                buf.put_u8(tag::REQ_ACQUIRE);
-                buf.put_u64_le(*req_id);
-                buf.put_u32_le(keys.len() as u32);
-                for k in keys {
-                    buf.put_u64_le(*k);
-                }
-            }
-            Request::Release { key } => {
-                buf.put_u8(tag::REQ_RELEASE);
-                buf.put_u64_le(*key);
-            }
-            Request::Bitrep { req_id, key } => {
-                buf.put_u8(tag::REQ_BITREP);
-                buf.put_u64_le(*req_id);
-                buf.put_u64_le(*key);
-            }
-            Request::FileProduced { key, size } => {
-                buf.put_u8(tag::REQ_FILE_PRODUCED);
-                buf.put_u64_le(*key);
-                buf.put_u64_le(*size);
-            }
-            Request::SimStarted => buf.put_u8(tag::REQ_SIM_STARTED),
-            Request::SimFinished => buf.put_u8(tag::REQ_SIM_FINISHED),
-            Request::Bye => buf.put_u8(tag::REQ_BYE),
-            Request::Status { req_id } => {
-                buf.put_u8(tag::REQ_STATUS);
-                buf.put_u64_le(*req_id);
-            }
-            Request::AccessDigest { dropped, records } => {
-                buf.put_u8(tag::REQ_ACCESS_DIGEST);
-                buf.put_u64_le(*dropped);
-                buf.put_u32_le(records.len() as u32);
-                for (key, epoch, ready) in records {
-                    buf.put_u64_le(*key);
-                    buf.put_u64_le(*epoch);
-                    buf.put_u8(u8::from(*ready));
-                }
-            }
-            Request::Reassert {
-                req_id,
-                prior_client,
-                prior_epoch,
-                keys,
-            } => {
-                buf.put_u8(tag::REQ_REASSERT);
-                buf.put_u64_le(*req_id);
-                buf.put_u64_le(*prior_client);
-                buf.put_u64_le(*prior_epoch);
-                buf.put_u32_le(keys.len() as u32);
-                for k in keys {
-                    buf.put_u64_le(*k);
-                }
-            }
-            Request::TakeoverAcquire {
-                req_id,
-                dead_member,
-                origin_epoch,
-                keys,
-            } => {
-                buf.put_u8(tag::REQ_TAKEOVER_ACQUIRE);
-                buf.put_u64_le(*req_id);
-                buf.put_u32_le(*dead_member);
-                buf.put_u64_le(*origin_epoch);
-                buf.put_u32_le(keys.len() as u32);
-                for k in keys {
-                    buf.put_u64_le(*k);
-                }
-            }
-            Request::HandBack {
-                req_id,
-                dead_member,
-                keys,
-            } => {
-                buf.put_u8(tag::REQ_HAND_BACK);
-                buf.put_u64_le(*req_id);
-                buf.put_u32_le(*dead_member);
-                buf.put_u32_le(keys.len() as u32);
-                for k in keys {
-                    buf.put_u64_le(*k);
-                }
+                Ok(buf.$get())
             }
         }
-    }
+    )*};
+}
 
-    /// Decodes a frame body.
-    pub fn decode(mut buf: &[u8]) -> io::Result<Request> {
-        if buf.is_empty() {
-            return Err(corrupt("empty request frame"));
-        }
-        let tag = buf.get_u8();
-        let req = match tag {
-            tag::REQ_HELLO => {
-                if buf.remaining() < 1 {
-                    return Err(corrupt("truncated hello"));
-                }
-                let kind = match buf.get_u8() {
-                    0 => ClientKind::Analysis,
-                    1 => {
-                        if buf.remaining() < 8 {
-                            return Err(corrupt("truncated sim id"));
-                        }
-                        ClientKind::Simulator {
-                            sim_id: buf.get_u64_le(),
-                        }
-                    }
-                    k => return Err(corrupt(&format!("unknown client kind {k}"))),
-                };
-                let context = get_string(&mut buf)?;
-                if buf.remaining() < 1 {
-                    return Err(corrupt("truncated membership flag"));
-                }
-                let membership = match buf.get_u8() {
-                    0 => None,
-                    1 => {
-                        if buf.remaining() < 16 {
-                            return Err(corrupt("truncated membership"));
-                        }
-                        Some(Membership {
-                            index: buf.get_u32_le(),
-                            size: buf.get_u32_le(),
-                            steps_hash: buf.get_u64_le(),
-                        })
-                    }
-                    f => return Err(corrupt(&format!("unknown membership flag {f}"))),
-                };
-                if buf.remaining() < 1 {
-                    return Err(corrupt("truncated epoch flag"));
-                }
-                let epoch = match buf.get_u8() {
-                    0 => None,
-                    1 => {
-                        if buf.remaining() < 8 {
-                            return Err(corrupt("truncated epoch"));
-                        }
-                        Some(buf.get_u64_le())
-                    }
-                    f => return Err(corrupt(&format!("unknown epoch flag {f}"))),
-                };
-                Request::Hello {
-                    kind,
-                    context,
-                    membership,
-                    epoch,
-                }
-            }
-            tag::REQ_ACQUIRE => {
-                if buf.remaining() < 12 {
-                    return Err(corrupt("truncated acquire"));
-                }
-                let req_id = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n * 8 {
-                    return Err(corrupt("truncated acquire keys"));
-                }
-                let keys = (0..n).map(|_| buf.get_u64_le()).collect();
-                Request::Acquire { req_id, keys }
-            }
-            tag::REQ_RELEASE => {
-                if buf.remaining() < 8 {
-                    return Err(corrupt("truncated release"));
-                }
-                Request::Release {
-                    key: buf.get_u64_le(),
-                }
-            }
-            tag::REQ_BITREP => {
-                if buf.remaining() < 16 {
-                    return Err(corrupt("truncated bitrep"));
-                }
-                Request::Bitrep {
-                    req_id: buf.get_u64_le(),
-                    key: buf.get_u64_le(),
-                }
-            }
-            tag::REQ_FILE_PRODUCED => {
-                if buf.remaining() < 16 {
-                    return Err(corrupt("truncated file-produced"));
-                }
-                Request::FileProduced {
-                    key: buf.get_u64_le(),
-                    size: buf.get_u64_le(),
-                }
-            }
-            tag::REQ_SIM_STARTED => Request::SimStarted,
-            tag::REQ_SIM_FINISHED => Request::SimFinished,
-            tag::REQ_BYE => Request::Bye,
-            tag::REQ_STATUS => {
-                if buf.remaining() < 8 {
-                    return Err(corrupt("truncated status"));
-                }
-                Request::Status {
-                    req_id: buf.get_u64_le(),
-                }
-            }
-            tag::REQ_ACCESS_DIGEST => {
-                if buf.remaining() < 12 {
-                    return Err(corrupt("truncated access digest"));
-                }
-                let dropped = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n * 17 {
-                    return Err(corrupt("truncated access digest records"));
-                }
-                let records = (0..n)
-                    .map(|_| (buf.get_u64_le(), buf.get_u64_le(), buf.get_u8() != 0))
-                    .collect();
-                Request::AccessDigest { dropped, records }
-            }
-            tag::REQ_REASSERT => {
-                if buf.remaining() < 28 {
-                    return Err(corrupt("truncated reassert"));
-                }
-                let req_id = buf.get_u64_le();
-                let prior_client = buf.get_u64_le();
-                let prior_epoch = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n * 8 {
-                    return Err(corrupt("truncated reassert keys"));
-                }
-                let keys = (0..n).map(|_| buf.get_u64_le()).collect();
-                Request::Reassert {
-                    req_id,
-                    prior_client,
-                    prior_epoch,
-                    keys,
-                }
-            }
-            tag::REQ_TAKEOVER_ACQUIRE => {
-                if buf.remaining() < 24 {
-                    return Err(corrupt("truncated takeover acquire"));
-                }
-                let req_id = buf.get_u64_le();
-                let dead_member = buf.get_u32_le();
-                let origin_epoch = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n * 8 {
-                    return Err(corrupt("truncated takeover acquire keys"));
-                }
-                let keys = (0..n).map(|_| buf.get_u64_le()).collect();
-                Request::TakeoverAcquire {
-                    req_id,
-                    dead_member,
-                    origin_epoch,
-                    keys,
-                }
-            }
-            tag::REQ_HAND_BACK => {
-                if buf.remaining() < 16 {
-                    return Err(corrupt("truncated hand-back"));
-                }
-                let req_id = buf.get_u64_le();
-                let dead_member = buf.get_u32_le();
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n * 8 {
-                    return Err(corrupt("truncated hand-back keys"));
-                }
-                let keys = (0..n).map(|_| buf.get_u64_le()).collect();
-                Request::HandBack {
-                    req_id,
-                    dead_member,
-                    keys,
-                }
-            }
-            t => return Err(corrupt(&format!("unknown request tag {t}"))),
-        };
-        if buf.has_remaining() {
-            return Err(corrupt("trailing bytes in request"));
-        }
-        Ok(req)
+int_field! {
+    u8: 1, put_u8, get_u8;
+    u32: 4, put_u32_le, get_u32_le;
+    u64: 8, put_u64_le, get_u64_le;
+}
+
+impl Field for bool {
+    const FIXED: Option<usize> = Some(1);
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(u8::from(*self));
+    }
+    fn get(buf: &mut &[u8]) -> io::Result<bool> {
+        Ok(u8::get(buf)? != 0)
     }
 }
 
-impl Response {
-    /// Encodes into a frame body (no length prefix).
-    pub fn encode(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(32);
-        self.encode_into(&mut buf);
-        buf
+impl Field for FailCode {
+    const FIXED: Option<usize> = Some(1);
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(self.as_u8());
     }
+    fn get(buf: &mut &[u8]) -> io::Result<FailCode> {
+        Ok(FailCode::from_u8(u8::get(buf)?))
+    }
+}
 
-    /// Appends the frame body to `buf` without allocating.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+impl Field for String {
+    const FIXED: Option<usize> = None;
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        buf.put_slice(self.as_bytes());
+    }
+    fn get(buf: &mut &[u8]) -> io::Result<String> {
+        let len = u32::get(buf)? as usize;
+        if buf.remaining() < len {
+            return Err(corrupt("truncated string body"));
+        }
+        let mut raw = vec![0u8; len];
+        buf.copy_to_slice(&mut raw);
+        String::from_utf8(raw).map_err(|_| corrupt("invalid UTF-8"))
+    }
+}
+
+/// A presence flag byte (0 absent, 1 present), then the value.
+impl<T: Field> Field for Option<T> {
+    const FIXED: Option<usize> = None;
+    fn put(&self, buf: &mut BytesMut) {
         match self {
-            Response::HelloOk { client_id, epoch } => {
-                buf.put_u8(tag::RESP_HELLO_OK);
-                buf.put_u64_le(*client_id);
-                buf.put_u64_le(*epoch);
-            }
-            Response::Ready { req_id, key } => {
-                buf.put_u8(tag::RESP_READY);
-                buf.put_u64_le(*req_id);
-                buf.put_u64_le(*key);
-            }
-            Response::Failed {
-                req_id,
-                key,
-                code,
-                reason,
-            } => {
-                buf.put_u8(tag::RESP_FAILED);
-                buf.put_u64_le(*req_id);
-                buf.put_u64_le(*key);
-                buf.put_u8(code.as_u8());
-                put_string(buf, reason);
-            }
-            Response::Queued {
-                req_id,
-                key,
-                est_wait_ms,
-            } => {
-                buf.put_u8(tag::RESP_QUEUED);
-                buf.put_u64_le(*req_id);
-                buf.put_u64_le(*key);
-                buf.put_u64_le(*est_wait_ms);
-            }
-            Response::BitrepResult {
-                req_id,
-                key,
-                matches,
-                known,
-            } => {
-                buf.put_u8(tag::RESP_BITREP_RESULT);
-                buf.put_u64_le(*req_id);
-                buf.put_u64_le(*key);
-                buf.put_u8(u8::from(*matches));
-                buf.put_u8(u8::from(*known));
-            }
-            Response::Error { message } => {
-                buf.put_u8(tag::RESP_ERROR);
-                put_string(buf, message);
-            }
-            Response::StatusInfo {
-                req_id,
-                hits,
-                misses,
-                restarts,
-                produced_steps,
-                active_sims,
-            } => {
-                buf.put_u8(tag::RESP_STATUS_INFO);
-                buf.put_u64_le(*req_id);
-                buf.put_u64_le(*hits);
-                buf.put_u64_le(*misses);
-                buf.put_u64_le(*restarts);
-                buf.put_u64_le(*produced_steps);
-                buf.put_u64_le(*active_sims);
-            }
-            Response::Reasserted {
-                req_id,
-                epoch,
-                restored,
-                gone,
-            } => {
-                buf.put_u8(tag::RESP_REASSERTED);
-                buf.put_u64_le(*req_id);
-                buf.put_u64_le(*epoch);
-                buf.put_u32_le(restored.len() as u32);
-                for k in restored {
-                    buf.put_u64_le(*k);
-                }
-                buf.put_u32_le(gone.len() as u32);
-                for (k, reason) in gone {
-                    buf.put_u64_le(*k);
-                    put_string(buf, reason);
-                }
-            }
-            Response::HandedBack { req_id, released } => {
-                buf.put_u8(tag::RESP_HANDED_BACK);
-                buf.put_u64_le(*req_id);
-                buf.put_u64_le(*released);
+            None => buf.put_u8(0),
+            Some(v) => {
+                buf.put_u8(1);
+                v.put(buf);
             }
         }
     }
+    fn get(buf: &mut &[u8]) -> io::Result<Option<T>> {
+        match u8::get(buf)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(buf)?)),
+            f => Err(corrupt(&format!("unknown presence flag {f}"))),
+        }
+    }
+}
 
-    /// Decodes a frame body.
-    pub fn decode(mut buf: &[u8]) -> io::Result<Response> {
-        if buf.is_empty() {
-            return Err(corrupt("empty response frame"));
+/// A `u32` count, then the elements.
+impl<T: Field> Field for Vec<T> {
+    const FIXED: Option<usize> = None;
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        for v in self {
+            v.put(buf);
         }
-        let tag = buf.get_u8();
-        let resp = match tag {
-            tag::RESP_HELLO_OK => {
-                if buf.remaining() < 16 {
-                    return Err(corrupt("truncated hello-ok"));
-                }
-                Response::HelloOk {
-                    client_id: buf.get_u64_le(),
-                    epoch: buf.get_u64_le(),
-                }
+    }
+    fn get(buf: &mut &[u8]) -> io::Result<Vec<T>> {
+        let n = u32::get(buf)? as usize;
+        let mut out = match T::FIXED {
+            Some(size) if buf.remaining() < n.saturating_mul(size) => {
+                return Err(corrupt("truncated list"));
             }
-            tag::RESP_READY => {
-                if buf.remaining() < 16 {
-                    return Err(corrupt("truncated ready"));
-                }
-                Response::Ready {
-                    req_id: buf.get_u64_le(),
-                    key: buf.get_u64_le(),
-                }
-            }
-            tag::RESP_FAILED => {
-                if buf.remaining() < 17 {
-                    return Err(corrupt("truncated failed"));
-                }
-                Response::Failed {
-                    req_id: buf.get_u64_le(),
-                    key: buf.get_u64_le(),
-                    code: FailCode::from_u8(buf.get_u8()),
-                    reason: get_string(&mut buf)?,
-                }
-            }
-            tag::RESP_QUEUED => {
-                if buf.remaining() < 24 {
-                    return Err(corrupt("truncated queued"));
-                }
-                Response::Queued {
-                    req_id: buf.get_u64_le(),
-                    key: buf.get_u64_le(),
-                    est_wait_ms: buf.get_u64_le(),
-                }
-            }
-            tag::RESP_BITREP_RESULT => {
-                if buf.remaining() < 18 {
-                    return Err(corrupt("truncated bitrep result"));
-                }
-                Response::BitrepResult {
-                    req_id: buf.get_u64_le(),
-                    key: buf.get_u64_le(),
-                    matches: buf.get_u8() != 0,
-                    known: buf.get_u8() != 0,
-                }
-            }
-            tag::RESP_ERROR => Response::Error {
-                message: get_string(&mut buf)?,
-            },
-            tag::RESP_STATUS_INFO => {
-                if buf.remaining() < 48 {
-                    return Err(corrupt("truncated status info"));
-                }
-                Response::StatusInfo {
-                    req_id: buf.get_u64_le(),
-                    hits: buf.get_u64_le(),
-                    misses: buf.get_u64_le(),
-                    restarts: buf.get_u64_le(),
-                    produced_steps: buf.get_u64_le(),
-                    active_sims: buf.get_u64_le(),
-                }
-            }
-            tag::RESP_REASSERTED => {
-                if buf.remaining() < 20 {
-                    return Err(corrupt("truncated reasserted"));
-                }
-                let req_id = buf.get_u64_le();
-                let epoch = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n * 8 {
-                    return Err(corrupt("truncated reasserted keys"));
-                }
-                let restored = (0..n).map(|_| buf.get_u64_le()).collect();
-                if buf.remaining() < 4 {
-                    return Err(corrupt("truncated reasserted gone count"));
-                }
-                let n_gone = buf.get_u32_le() as usize;
-                let mut gone = Vec::with_capacity(n_gone.min(1024));
-                for _ in 0..n_gone {
-                    if buf.remaining() < 8 {
-                        return Err(corrupt("truncated reasserted gone key"));
-                    }
-                    let k = buf.get_u64_le();
-                    gone.push((k, get_string(&mut buf)?));
-                }
-                Response::Reasserted {
-                    req_id,
-                    epoch,
-                    restored,
-                    gone,
-                }
-            }
-            tag::RESP_HANDED_BACK => {
-                if buf.remaining() < 16 {
-                    return Err(corrupt("truncated handed-back"));
-                }
-                Response::HandedBack {
-                    req_id: buf.get_u64_le(),
-                    released: buf.get_u64_le(),
-                }
-            }
-            t => return Err(corrupt(&format!("unknown response tag {t}"))),
+            Some(_) => Vec::with_capacity(n),
+            // Variable-size elements: the count cannot be checked up
+            // front, so cap what a hostile one can reserve and let the
+            // per-element checks reject the short body.
+            None => Vec::with_capacity(n.min(1024)),
         };
-        if buf.has_remaining() {
-            return Err(corrupt("trailing bytes in response"));
+        for _ in 0..n {
+            out.push(T::get(buf)?);
         }
-        Ok(resp)
+        Ok(out)
+    }
+}
+
+const fn fixed_sum(sizes: &[Option<usize>]) -> Option<usize> {
+    let mut total = 0;
+    let mut i = 0;
+    while i < sizes.len() {
+        match sizes[i] {
+            Some(size) => total += size,
+            None => return None,
+        }
+        i += 1;
+    }
+    Some(total)
+}
+
+macro_rules! tuple_field {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Field),+> Field for ($($t,)+) {
+            const FIXED: Option<usize> = fixed_sum(&[$($t::FIXED),+]);
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$i.put(buf);)+
+            }
+            fn get(buf: &mut &[u8]) -> io::Result<Self> {
+                Ok(($($t::get(buf)?,)+))
+            }
+        }
+    };
+}
+
+tuple_field!(A.0, B.1);
+tuple_field!(A.0, B.1, C.2);
+
+/// A kind byte (0 analysis, 1 simulator), then the simulator's id.
+impl Field for ClientKind {
+    const FIXED: Option<usize> = None;
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            ClientKind::Analysis => buf.put_u8(0),
+            ClientKind::Simulator { sim_id } => {
+                buf.put_u8(1);
+                sim_id.put(buf);
+            }
+        }
+    }
+    fn get(buf: &mut &[u8]) -> io::Result<ClientKind> {
+        match u8::get(buf)? {
+            0 => Ok(ClientKind::Analysis),
+            1 => Ok(ClientKind::Simulator { sim_id: u64::get(buf)? }),
+            k => Err(corrupt(&format!("unknown client kind {k}"))),
+        }
+    }
+}
+
+impl Field for Membership {
+    const FIXED: Option<usize> = <(u32, u32, u64)>::FIXED;
+    fn put(&self, buf: &mut BytesMut) {
+        (self.index, self.size, self.steps_hash).put(buf);
+    }
+    fn get(buf: &mut &[u8]) -> io::Result<Membership> {
+        let (index, size, steps_hash) = Field::get(buf)?;
+        Ok(Membership { index, size, steps_hash })
+    }
+}
+
+/// The frame table. Each family is `enum Name { rows }` and each row
+/// is `Variant = TAG_CONST @ byte { field: Type, .. }` (no braces for a
+/// frame without fields); the fields go on the wire in the order
+/// written. Generates the enum, its [`tag`] constants,
+/// `encode`/`encode_into`/`decode` and `TAGS`.
+macro_rules! frames {
+    ($(
+        $(#[$emeta:meta])*
+        enum $name:ident {$(
+            $(#[$vmeta:meta])*
+            $variant:ident = $tag:ident @ $byte:literal
+            $({$(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty,
+            )*})?,
+        )*}
+    )*) => {
+        /// The wire-tag registry: every frame-discriminator byte, by
+        /// name, generated from the frame table. Two rows of one family
+        /// sharing a byte do not compile (the second `decode` arm would
+        /// be unreachable, which is denied), and
+        /// `tests/wire_fuzz.rs::tag_registry` fails until its examples
+        /// name exactly the rows of `Request::TAGS`/`Response::TAGS`.
+        pub mod tag {$($(
+            #[doc = concat!("`", stringify!($name), "::", stringify!($variant), "`.")]
+            pub const $tag: u8 = $byte;
+        )*)*}
+
+        $(
+            $(#[$emeta])*
+            #[derive(Clone, Debug, PartialEq, Eq)]
+            pub enum $name {$(
+                $(#[$vmeta])*
+                $variant $({$(
+                    $(#[$fmeta])*
+                    $field: $ty,
+                )*})?,
+            )*}
+
+            impl $name {
+                /// Every frame of this family as `(tag constant name,
+                /// tag byte)`, in table order.
+                pub const TAGS: &'static [(&'static str, u8)] =
+                    &[$((stringify!($tag), tag::$tag)),*];
+
+                /// Encodes into a frame body (no length prefix).
+                pub fn encode(&self) -> BytesMut {
+                    let mut buf = BytesMut::with_capacity(32);
+                    self.encode_into(&mut buf);
+                    buf
+                }
+
+                /// Appends the frame body to `buf` without allocating.
+                pub fn encode_into(&self, buf: &mut BytesMut) {
+                    match self {$(
+                        $name::$variant $({ $($field),* })? => {
+                            buf.put_u8(tag::$tag);
+                            $($($field.put(buf);)*)?
+                        }
+                    )*}
+                }
+
+                /// Decodes a frame body.
+                #[deny(unreachable_patterns)]
+                pub fn decode(mut buf: &[u8]) -> io::Result<$name> {
+                    if buf.is_empty() {
+                        return Err(corrupt(concat!("empty ", stringify!($name), " frame")));
+                    }
+                    let frame = match buf.get_u8() {
+                        $(tag::$tag => $name::$variant $({$(
+                            $field: <$ty as Field>::get(&mut buf)?,
+                        )*})?,)*
+                        t => return Err(corrupt(&format!(concat!("unknown ", stringify!($name), " tag {}"), t))),
+                    };
+                    if buf.has_remaining() {
+                        return Err(corrupt(concat!("trailing bytes in ", stringify!($name))));
+                    }
+                    Ok(frame)
+                }
+            }
+        )*
+    };
+}
+
+frames! {
+    /// Client → DV messages.
+    enum Request {
+        /// Session setup: who am I, which simulation context.
+        Hello = REQ_HELLO @ 0 {
+            /// Client kind.
+            kind: ClientKind,
+            /// Context name (§II "Simulation Contexts").
+            context: String,
+            /// Cluster-membership claim, verified by the daemon at hello
+            /// time (`None` skips the handshake check).
+            membership: Option<Membership>,
+            /// Recovery-epoch claim, Membership-style: `Some(e)` marks a
+            /// *reconnect* — the client previously held a session under
+            /// daemon epoch `e` and intends to re-assert pins. Fresh
+            /// sessions send `None`. The daemon counts reconnects and
+            /// answers its current epoch in [`Response::HelloOk`].
+            epoch: Option<u64>,
+        },
+        /// Request output steps (`SIMFS_Acquire`): the DV answers one
+        /// `Ready`/`Failed` per key; `Queued` may precede them.
+        Acquire = REQ_ACQUIRE @ 1 {
+            /// Client-chosen request id echoed in responses.
+            req_id: u64,
+            /// Requested output-step keys.
+            keys: Vec<u64>,
+        },
+        /// Release one output step (`SIMFS_Release` / intercepted close).
+        Release = REQ_RELEASE @ 2 {
+            /// Released key.
+            key: u64,
+        },
+        /// Bit-reproducibility check (`SIMFS_Bitrep`).
+        Bitrep = REQ_BITREP @ 3 {
+            /// Request id echoed in the response.
+            req_id: u64,
+            /// Key to verify.
+            key: u64,
+        },
+        /// Simulator: one output step was closed/published.
+        FileProduced = REQ_FILE_PRODUCED @ 4 {
+            /// Produced key.
+            key: u64,
+            /// File size in bytes.
+            size: u64,
+        },
+        /// Simulator: restart loaded, production begins.
+        SimStarted = REQ_SIM_STARTED @ 5,
+        /// Simulator: assigned range complete.
+        SimFinished = REQ_SIM_FINISHED @ 6,
+        /// Analysis: request the context's runtime statistics (profiling
+        /// support, §III-C).
+        Status = REQ_STATUS @ 8 {
+            /// Request id echoed in the response.
+            req_id: u64,
+        },
+        /// Analysis: a lossy digest of the client's access stream since the
+        /// last digest — `(key, epoch, ready)` records in observation order
+        /// plus the count of records the client's bounded log had to drop.
+        /// Sent by clustered DVLib sessions so every member's prefetch
+        /// agents observe the full (pre-routing) sequence; epochs come from
+        /// the *client's* monotonic clock, so only their differences carry
+        /// meaning (consumption-time gaps), and `ready` marks epochs that
+        /// are true ready points (see
+        /// [`AccessRecord::ready`](crate::prefetch::AccessRecord::ready)).
+        /// Fire-and-forget: no response.
+        AccessDigest = REQ_ACCESS_DIGEST @ 9 {
+            /// Records the client-side log dropped since the last digest.
+            dropped: u64,
+            /// `(key, epoch_ns, ready)` in observation order.
+            records: Vec<(u64, u64, bool)>,
+        },
+        /// Analysis: re-assert pins held before a connection drop. Sent
+        /// right after a reconnect hello: `prior_client`/`prior_epoch`
+        /// name the dead session, `keys` list its held pins (repeated per
+        /// pin count). The daemon transfers whatever restart recovery
+        /// restored under the prior id to this session and answers
+        /// per-key in [`Response::Reasserted`]; anything it no longer
+        /// holds comes back `gone` with a reason, so the client can
+        /// re-acquire instead of trusting a phantom pin.
+        Reassert = REQ_REASSERT @ 10 {
+            /// Request id echoed in the response.
+            req_id: u64,
+            /// The client id of the dropped session.
+            prior_client: u64,
+            /// The daemon epoch the dropped session ran under.
+            prior_epoch: u64,
+            /// Pinned keys to re-assert, one entry per held pin count.
+            keys: Vec<u64>,
+        },
+        /// Analysis: acquire keys belonging to a *dead* cluster member at
+        /// its deterministic taker. The taker daemon verifies that
+        /// `dead_member` routes every key to that member (and is not
+        /// itself), lazily rebuilds residency for the foreign interval from
+        /// the shared storage area, and serves the keys under its own
+        /// budget — answering `Ready`/`Failed`/`Queued` per key exactly
+        /// like [`Request::Acquire`]. Untagged foreign-interval acquires
+        /// stay hard-rejected; this tag is the client's explicit assertion
+        /// that it observed the member down and routed by the successor
+        /// rule.
+        TakeoverAcquire = REQ_TAKEOVER_ACQUIRE @ 11 {
+            /// Client-chosen request id echoed in responses.
+            req_id: u64,
+            /// The member index the client observed down.
+            dead_member: u32,
+            /// The takeover epoch the client routed under (diagnostic: the
+            /// taker echoes it in rejections so split routing is visible).
+            origin_epoch: u64,
+            /// Foreign-interval keys to acquire.
+            keys: Vec<u64>,
+        },
+        /// Analysis: the dead member is back — release this session's
+        /// takeover pins on its keys so normal routing can resume. `keys`
+        /// lists the pins to drain, one entry per held pin count (the
+        /// client re-acquires at the restarted home member *before* sending
+        /// this, so the residency veto never lapses). Answered by
+        /// [`Response::HandedBack`].
+        HandBack = REQ_HAND_BACK @ 12 {
+            /// Request id echoed in the response.
+            req_id: u64,
+            /// The member whose intervals are being handed back.
+            dead_member: u32,
+            /// Takeover-pinned keys to release, repeated per pin count.
+            keys: Vec<u64>,
+        },
+        /// Orderly goodbye.
+        Bye = REQ_BYE @ 7,
+    }
+
+    /// DV → client messages.
+    enum Response {
+        /// Session accepted.
+        HelloOk = RESP_HELLO_OK @ 0 {
+            /// DV-assigned client id.
+            client_id: u64,
+            /// The daemon's current recovery epoch (0 when durability is
+            /// off). Clients carry it back in reconnect hellos and
+            /// re-assertions.
+            epoch: u64,
+        },
+        /// `key` is on disk and pinned for this client.
+        Ready = RESP_READY @ 1 {
+            /// Originating request id.
+            req_id: u64,
+            /// Ready key.
+            key: u64,
+        },
+        /// `key` cannot be served.
+        Failed = RESP_FAILED @ 2 {
+            /// Originating request id.
+            req_id: u64,
+            /// Failed key.
+            key: u64,
+            /// Machine-readable failure classification (stable; unknown
+            /// values decode as [`FailCode::Other`]).
+            code: FailCode,
+            /// Reason string (surfaced in `SIMFS_Status`).
+            reason: String,
+        },
+        /// `key` is being produced; estimated wait attached (§III-C status
+        /// information).
+        Queued = RESP_QUEUED @ 3 {
+            /// Originating request id.
+            req_id: u64,
+            /// Pending key.
+            key: u64,
+            /// Estimated wait in milliseconds.
+            est_wait_ms: u64,
+        },
+        /// Result of a `Bitrep` check.
+        BitrepResult = RESP_BITREP_RESULT @ 4 {
+            /// Originating request id.
+            req_id: u64,
+            /// Verified key.
+            key: u64,
+            /// File checksum matches the recorded one.
+            matches: bool,
+            /// A recorded checksum existed for this key.
+            known: bool,
+        },
+        /// Context runtime statistics (answer to `Status`).
+        StatusInfo = RESP_STATUS_INFO @ 6 {
+            /// Originating request id.
+            req_id: u64,
+            /// Cache hits so far.
+            hits: u64,
+            /// Cache misses so far.
+            misses: u64,
+            /// Re-simulations launched.
+            restarts: u64,
+            /// Output steps produced.
+            produced_steps: u64,
+            /// Currently running re-simulations.
+            active_sims: u64,
+        },
+        /// Answer to a [`Request::Reassert`]: which pins were restored to
+        /// the new session and which are gone (with per-key reasons).
+        Reasserted = RESP_REASSERTED @ 7 {
+            /// Originating request id.
+            req_id: u64,
+            /// The daemon's current recovery epoch.
+            epoch: u64,
+            /// Keys whose pins now belong to the new session (one entry
+            /// per transferred pin count).
+            restored: Vec<u64>,
+            /// Keys the daemon no longer holds pinned for the prior
+            /// session, each with a descriptive reason.
+            gone: Vec<(u64, String)>,
+        },
+        /// Answer to a [`Request::HandBack`]: how many takeover pin counts
+        /// the daemon drained for this session.
+        HandedBack = RESP_HANDED_BACK @ 8 {
+            /// Originating request id.
+            req_id: u64,
+            /// Pin-release counts applied, one per listed key occurrence
+            /// (a release of a key the session did not hold is a DV no-op
+            /// but still counts — the client lists exactly its held pins).
+            released: u64,
+        },
+        /// Protocol-level error; the session is closed after this.
+        Error = RESP_ERROR @ 5 {
+            /// Description.
+            message: String,
+        },
     }
 }
 

@@ -280,6 +280,28 @@ fn transparent_mode_open_read_close() {
     vfs.finalize().unwrap();
 }
 
+/// A failed `open` must not leave its pin behind: the caller has no
+/// handle to `close`, so a leaked pin would veto eviction of the step
+/// for the rest of the session.
+#[test]
+fn failed_open_of_corrupt_resident_file_releases_its_pin() {
+    let fx = start_daemon("vfs-corrupt", 1000, 4);
+    let client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    let mut vfs = VirtualFs::new(client, fx.driver.clone(), fx.storage.clone());
+    let name = "out-000007.sdf";
+    // Materialize the step, then damage the resident file on disk.
+    vfs.open(name).unwrap();
+    vfs.close(name).unwrap();
+    std::fs::write(fx.storage.path_for(name).unwrap(), b"not an sdf file").unwrap();
+    // The acquire is a hit (the DV still believes the step resident)
+    // and pins it; the decode then fails.
+    assert!(vfs.open(name).is_err());
+    // A status round trip orders this check after the release frame.
+    vfs.session().status().unwrap();
+    assert_eq!(fx.server.fast_pinned("test-ctx", 7), Some(false));
+    vfs.finalize().unwrap();
+}
+
 #[test]
 fn daemon_restart_reprimes_existing_files() {
     let fx = start_daemon("prime", 1000, 4);

@@ -3,9 +3,8 @@
 //! literals or lifetimes. No dependencies, by policy — this crate must
 //! build in the vendored-offline environment.
 
-/// Token kinds the checks care about. Literal *contents* are kept for
-/// strings (the stats check searches JSON keys inside format strings)
-/// and discarded for chars.
+/// Token kinds the checks care about. Literal contents are discarded:
+/// no check reads inside a string or char.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Tok {
     /// Identifier or keyword.
@@ -15,8 +14,8 @@ pub enum Tok {
     Num(String),
     /// Any single punctuation character: `{ } ( ) [ ] . ; , : = ...`.
     Punct(char),
-    /// String literal (normal, raw, byte); `text` is the body.
-    Str(String),
+    /// String literal (normal, raw, byte).
+    Str,
     /// Char literal.
     Char,
     /// Lifetime (`'a`).
@@ -118,9 +117,8 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
                     k += 1;
                 }
                 if k < n && b[k] == '"' {
-                    let body_start = k + 1;
                     let tok_line = line;
-                    let mut m = body_start;
+                    let mut m = k + 1;
                     'raw: while m < n {
                         if b[m] == '\n' {
                             line += 1;
@@ -132,7 +130,7 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
                             }
                             if h == hashes {
                                 toks.push(Token {
-                                    tok: Tok::Str(b[body_start..m].iter().collect()),
+                                    tok: Tok::Str,
                                     line: tok_line,
                                 });
                                 i = m + 1 + hashes;
@@ -151,7 +149,6 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
         // Normal (and byte) strings.
         if c == '"' || (c == 'b' && i + 1 < n && b[i + 1] == '"') {
             let mut j = if c == 'b' { i + 2 } else { i + 1 };
-            let body_start = j;
             let tok_line = line;
             while j < n {
                 if b[j] == '\\' {
@@ -167,7 +164,7 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
                 j += 1;
             }
             toks.push(Token {
-                tok: Tok::Str(b[body_start..j.min(n)].iter().collect()),
+                tok: Tok::Str,
                 line: tok_line,
             });
             i = (j + 1).min(n);

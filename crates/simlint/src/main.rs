@@ -22,7 +22,7 @@ fn main() -> ExitCode {
     let report = simlint::run_all(&root);
     if report.findings.is_empty() {
         println!(
-            "simlint: clean — {} files checked (lock hierarchy, blocking denylist, wire tags, stats, unsafe hygiene)",
+            "simlint: clean — {} files checked (lock hierarchy, blocking denylist, unsafe hygiene)",
             report.files_scanned
         );
         return ExitCode::SUCCESS;

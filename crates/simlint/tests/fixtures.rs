@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use simlint::{lockcheck, registry, statscheck, unsafecheck, wirecheck};
+use simlint::{lockcheck, registry, unsafecheck};
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -63,41 +63,6 @@ fn fixture_blocking_under_lock_is_caught() {
     // Blocking under wal (blocking: yes) and effects-after-release are
     // clean.
     assert_eq!(findings.len(), 2, "{findings:?}");
-}
-
-#[test]
-fn fixture_duplicate_wire_tag_is_caught() {
-    let wire = include_str!("../fixtures/dup_wire_tag.rs");
-    // Fuzz side names every tag, so only the duplicate fires.
-    let fuzz = "fn t() { use tag::{REQ_HELLO, REQ_PIN, REQ_UNPIN, RESP_OK}; }";
-    let findings = wirecheck::check("wire.rs", wire, "fuzz.rs", fuzz);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].message.contains("duplicate"));
-    assert!(findings[0].message.contains("REQ_PIN") && findings[0].message.contains("REQ_UNPIN"));
-}
-
-#[test]
-fn fixture_unfuzzed_tag_is_caught() {
-    let wire = include_str!("../fixtures/unfuzzed_tag.rs");
-    // REQ_PIN is encoded and decoded but missing from the fuzz tests.
-    let fuzz = "fn t() { use tag::{REQ_HELLO, RESP_OK}; }";
-    let findings = wirecheck::check("wire.rs", wire, "fuzz.rs", fuzz);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].message.contains("REQ_PIN"));
-    assert!(findings[0].message.contains("not exercised"));
-}
-
-#[test]
-fn fixture_missing_accumulate_field_is_caught() {
-    let dv = include_str!("../fixtures/missing_accumulate_field.rs");
-    // Bench emits all three fields, so only the accumulate side fires.
-    let bench = r#"fn emit() { println!("{{\"hits\":{},\"misses\":{},\"evictions\":{}}}", h, m, e); }"#;
-    let findings = statscheck::check("dv.rs", dv, "bench.rs", bench);
-    assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings.iter().any(|f| f.message.contains("`..`")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("`evictions`") && f.message.contains("accumulate")));
 }
 
 #[test]
@@ -163,7 +128,7 @@ fn clean_tree_self_run() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // Sanity: the run actually visited the tree (registry files, wire,
-    // stats pair, and every crate src file).
+    // Sanity: the run actually visited the tree (registry files and
+    // every crate src file).
     assert!(report.files_scanned > 40, "only {} files", report.files_scanned);
 }
