@@ -196,7 +196,6 @@ fn start_daemon(
     prefetch: bool,
     durable: bool,
     faults: SimFaultSpec,
-    effect_helpers: Option<usize>,
 ) -> (DvServer, StorageArea) {
     let storage = StorageArea::create(dir, u64::MAX).unwrap();
     let size = step_bytes(1).len() as u64;
@@ -218,8 +217,8 @@ fn start_daemon(
         )
         .with_faults(faults),
     );
-    let server = DvServer::start_tuned(
-        vec![ServerConfig {
+    let server = DvServer::start(
+        ServerConfig {
             ctx,
             driver: Arc::new(
                 PatternDriver::new("out-", ".sdf", 6)
@@ -235,9 +234,8 @@ fn start_daemon(
             } else {
                 DurabilityCfg::default()
             },
-        }],
+        },
         "127.0.0.1:0",
-        simfs_core::server::DaemonTuning { effect_helpers, ..Default::default() },
     )
     .unwrap();
     (server, storage)
@@ -431,9 +429,6 @@ fn main() {
     let mut durable = false;
     let mut degraded = false;
     let mut sim_faults = 0u64;
-    // None = auto (one helper per reactor shard); Some(0) = inline
-    // compatibility mode, pricing the pre-effect-tier daemon.
-    let mut effect_helpers: Option<usize> = None;
     let mut specs = vec![
         RunSpec { workload: Workload::Uniform, prefetch: false },
         RunSpec { workload: Workload::HitHeavy, prefetch: false },
@@ -469,9 +464,6 @@ fn main() {
             "--dv-shards" => dv_shards = val.parse().expect("bad --dv-shards"),
             "--cluster" => cluster = val.parse().expect("bad --cluster"),
             "--sim-faults" => sim_faults = val.parse().expect("bad --sim-faults"),
-            "--effect-helpers" => {
-                effect_helpers = Some(val.parse().expect("bad --effect-helpers"));
-            }
             "--workloads" => {
                 specs = val.split(',').map(|s| RunSpec::parse(s.trim())).collect();
             }
@@ -508,7 +500,6 @@ fn main() {
                     spec.prefetch,
                     durable,
                     SimFaultSpec { crash_quota: 0, corrupt_every: sim_faults, ..Default::default() },
-                    effect_helpers,
                 )
                 .0
             })

@@ -63,5 +63,5 @@ pub use dv::{
 };
 pub use model::{ContextCfg, StepMath};
 pub use replay::{replay, ReplayStats};
-pub use server::{DaemonTuning, DvServer, ServerConfig};
+pub use server::{DvServer, ServerConfig};
 pub use vharness::{AnalysisResult, VirtualExperiment};

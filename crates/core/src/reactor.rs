@@ -53,17 +53,12 @@
 //! to the effect-execution tier ([`crate::effectpool`]) instead of
 //! running inline, and the completions come back through the same
 //! inbox + eventfd wakeup path as any other cross-thread send
-//! ([`Reactor::send_bytes`] from a helper thread). When the reactor is
-//! started with `mark_nonblocking` ([`Reactor::start_tuned`], set by
-//! the daemon whenever the effect pool is active), every shard thread
+//! ([`Reactor::send_bytes`] from a helper thread). Every shard thread
 //! registers itself with [`simkit::lockrank::mark_thread_nonblocking`],
 //! so any blocking primitive that slips back onto a shard thread
 //! panics in debug builds. A submitting handler that finds its effect
 //! queue full parks until the helper frees space — backpressure on the
-//! miss path, never on the pure-hit path (hits submit nothing). In
-//! compatibility mode (pool size 0) effects run inline as they did
-//! before the tier existed, and the head-of-line cost of a miss behind
-//! hits on the same shard returns with them.
+//! miss path, never on the pure-hit path (hits submit nothing).
 //!
 //! # Lifecycle
 //!
@@ -128,8 +123,8 @@ thread_local! {
 /// `None` on every other thread (accept loop, reaper, effect-pool
 /// helpers, tests). The daemon uses this to decide whether an effect
 /// must be submitted to the helper pool (shard threads are
-/// non-blocking when the pool is active) or may execute inline
-/// (helpers, the reaper, and the main thread are blocking-permitted).
+/// non-blocking) or may execute in place (helpers, the reaper, and the
+/// main thread are blocking-permitted).
 pub fn current_shard() -> Option<usize> {
     let s = CURRENT_SHARD.with(|c| c.get());
     (s != usize::MAX).then_some(s)
@@ -237,17 +232,11 @@ pub struct Reactor {
 
 impl Reactor {
     /// Starts `shards` reactor threads (clamped to `1..=`[`MAX_SHARDS`]).
+    /// Each registers itself with
+    /// [`simkit::lockrank::mark_thread_nonblocking`], so any blocking
+    /// primitive (WAL fsync, launcher, eviction delete) executed on a
+    /// shard thread panics in debug builds.
     pub fn start(shards: usize) -> io::Result<Arc<Reactor>> {
-        Self::start_tuned(shards, false)
-    }
-
-    /// [`start`](Self::start), plus the non-blocking contract: when
-    /// `mark_nonblocking` is set, every shard thread registers itself
-    /// with [`simkit::lockrank::mark_thread_nonblocking`] so any
-    /// blocking primitive (WAL fsync, launcher, eviction delete)
-    /// executed on a shard thread panics in debug builds. The daemon
-    /// sets it whenever the effect pool is active.
-    pub fn start_tuned(shards: usize, mark_nonblocking: bool) -> io::Result<Arc<Reactor>> {
         let shards = shards.clamp(1, MAX_SHARDS);
         let mut handles = Vec::with_capacity(shards);
         let mut epolls = Vec::with_capacity(shards);
@@ -274,9 +263,7 @@ impl Reactor {
             std::thread::Builder::new()
                 .name(format!("dv-reactor-{idx}"))
                 .spawn(move || {
-                    if mark_nonblocking {
-                        lockrank::mark_thread_nonblocking();
-                    }
+                    lockrank::mark_thread_nonblocking();
                     run_shard(&reactor, idx, &epoll)
                 })?;
         }

@@ -45,28 +45,42 @@
 //! accept + reaper) regardless of client count.
 //!
 //! Alongside the reactor runs the **effect-execution tier**
-//! ([`crate::effectpool`]): a pool of helper threads (one per reactor
-//! shard by default, [`DaemonTuning::effect_helpers`]) fed by bounded
-//! per-shard queues. With the pool active, reactor shard threads are
+//! ([`crate::effectpool`]): one helper thread per reactor shard, each
+//! draining that shard's bounded queue. Reactor shard threads are
 //! *non-blocking by contract* — they register with
 //! [`simkit::lockrank::mark_thread_nonblocking`] and every blocking
 //! effect site asserts it is not on one. A transition still collects
-//! its `Effects` under the shard lock exactly as before, but `commit`
-//! now routes any outbox that needs blocking work — sim launch/kill,
-//! WAL append + fsync, eviction deletes, storage reads — to the
-//! helpers; pure socket-frame outboxes (the hit hot path) are flushed
-//! inline because frame sends are wait-free into per-connection
-//! buffers. Helpers drain a queue in FIFO order and in batches, which
-//! both preserves the sim wire-event order a simulator connection
-//! produced (`FileProduced` before `SimFinished`) and opens the WAL
-//! **group-fsync** window: one `fsync` covers every pin record in the
-//! batch ([`DvStats::wal_syncs`] vs [`DvStats::wal_appends`] is the
-//! evidence). A full queue parks the *submitting* shard thread on the
-//! queue condvar — backpressure, counted in
+//! its `Effects` under the shard lock, but `commit` routes any outbox
+//! that needs blocking work — sim launch/kill, WAL append + fsync,
+//! eviction deletes, storage reads — through `offload`, the one door
+//! into the tier; pure socket-frame outboxes (the hit hot path) are
+//! flushed in place because frame sends are wait-free into
+//! per-connection buffers. Helpers drain a queue in FIFO order and in
+//! batches, which both preserves the sim wire-event order a simulator
+//! connection produced (`FileProduced` before `SimFinished`) and opens
+//! the WAL **group-fsync** window: one `fsync` covers every pin record
+//! in the batch ([`DvStats::wal_syncs`] vs [`DvStats::wal_appends`] is
+//! the evidence). A full queue parks the *submitting* shard thread on
+//! the queue condvar — backpressure, counted in
 //! [`DvStats::helper_queue_full`], bounds memory instead of dropping
-//! effects. Setting `effect_helpers = Some(0)` restores the old inline
-//! behaviour (compatibility mode; the equivalence tests pin that both
-//! modes produce identical client-visible outcomes).
+//! effects. Helper and reaper threads may block and never submit: their
+//! commits run in place (`commit_inline`).
+//!
+//! **Simulator lifecycle: one writer.** A re-simulation's `SimStarted`
+//! / `FileProduced` / `SimFinished` / `SimFailed` events reach the DV
+//! from exactly one source. Once a simulator has said `Hello`, that
+//! source is its session — protocol frames, plus `SimFailed` if the
+//! connection drops before `SimFinished` — and every one of them rides
+//! the session's single FIFO effect queue, so none can overtake
+//! another. The launcher's exit report (the reaper thread's
+//! `reap_exits`, its only caller) becomes a DV event only for a job
+//! that exited without ever connecting (bad restart file, scheduler
+//! rejection); for a connected job it merely retires the ledger entry,
+//! so a process exit can never race the sim's own still-queued
+//! `FileProduced` frames. The remaining `SimFailed` sources name sims
+//! that cannot have a session: a `launch()` that returned an error,
+//! and the DV's own supervision verdicts (hang watchdog, corrupt
+//! output), which are internal to the state machine.
 //!
 //! Beneath the reactor, each context's control plane is layered so that
 //! the §IV hot path — an acquire of an already-virtualized step — gets
@@ -156,13 +170,11 @@
 //! buffer, resolves actions into an `Effects` value and unlocks;
 //! response encoding and socket writes happen outside every DV lock on
 //! the shard thread, while job spawning, file deletion and WAL fsyncs
-//! are submitted to the effect tier (or run inline in compatibility
-//! mode). All responses of one transition for one destination coalesce
-//! into a single [`wire::FrameBatch`] write. Deferred eviction deletes
-//! re-check the cache under the owning shard lock so an overlapping
-//! re-production cannot lose its file to a stale eviction — the
-//! re-check happens on the helper thread, under the same shard lock,
-//! so the guarantee is unchanged.
+//! are submitted to the effect tier. All responses of one transition
+//! for one destination coalesce into a single [`wire::FrameBatch`]
+//! write. Deferred eviction deletes re-check the cache under the
+//! owning shard lock, on the helper thread, so an overlapping
+//! re-production cannot lose its file to a stale eviction.
 //!
 //! Three observable consequences of the lock-minimized design:
 //! responses to *different* requests of one client may interleave
@@ -187,6 +199,7 @@ use crate::dv::{
     ClientId, DaemonCounters, DataVirtualizer, DvAction, DvEvent, DvRouter, DvStats, EventRoute,
     FailCode, ShardedDv, SimId,
 };
+use crate::effectpool::EffectPool;
 use crate::model::{ContextCfg, StepMath};
 use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY};
 use crate::reactor::{ConnCtx, Reactor};
@@ -194,7 +207,7 @@ use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLIN};
 use crate::wire::{self, ClientKind, FrameBatch, Request, Response};
 use parking_lot::Mutex;
 use simbatch::{JobId, JobLauncher, SpawnSpec};
-use simcache::{u64_map, HitIndex, U64Map, U64Set};
+use simcache::{u64_map, HitIndex, U64Map};
 use simkit::lockrank;
 use simkit::SimTime;
 use simstore::walog::{self, WalRecord, WalState, WriteAheadLog};
@@ -205,7 +218,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::RangeInclusive;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 pub use crate::dv::ClusterMember;
@@ -303,38 +317,11 @@ pub struct ServerConfig {
     pub durability: DurabilityCfg,
 }
 
-/// Thread-topology knobs of one daemon process (every context in the
-/// daemon shares the reactor and the effect tier). The defaults are
-/// what [`DvServer::start`] uses; [`DvServer::start_tuned`] takes an
-/// explicit value — tests pin shard counts with it, benchmarks sweep
-/// helper counts, and `effect_helpers: Some(0)` is the inline
-/// compatibility mode the equivalence tests run against.
-#[derive(Clone, Copy, Debug)]
-pub struct DaemonTuning {
-    /// Reactor event-loop threads; `0` picks `min(cores, 8)` (the
-    /// reactor clamps to `1..=`[`crate::reactor::MAX_SHARDS`]).
-    pub reactor_shards: usize,
-    /// Effect-tier helper threads. `None` matches the reactor shard
-    /// count (one helper per submission queue); `Some(0)` disables the
-    /// tier entirely — effects run inline on shard threads as they did
-    /// before the tier existed, and the non-blocking thread contract is
-    /// not enforced.
-    pub effect_helpers: Option<usize>,
-    /// Per-shard effect queue capacity; a submitting shard thread parks
-    /// once its queue holds this many unexecuted effects
-    /// (backpressure — effects are never dropped).
-    pub effect_queue_cap: usize,
-}
-
-impl Default for DaemonTuning {
-    fn default() -> DaemonTuning {
-        DaemonTuning {
-            reactor_shards: 0,
-            effect_helpers: None,
-            effect_queue_cap: 256,
-        }
-    }
-}
+/// Per-shard effect queue capacity: a submitting shard thread parks
+/// once its queue holds this many unexecuted effects (backpressure —
+/// effects are never dropped). `effectpool.queue_full` reads 0 on every
+/// `simfs_bench` workload at this value.
+const EFFECT_QUEUE_CAP: usize = 256;
 
 /// Hit-index lock shards (per context). Sixteen spreads neighbouring
 /// step keys over distinct read-write locks at negligible cost.
@@ -359,31 +346,39 @@ struct DvCore {
     actions: Vec<DvAction>,
 }
 
-/// Job-control ledger: serializes launch/kill effects (only those) and
-/// cancels launches whose kill won the race to the launcher.
-#[derive(Default)]
-struct LaunchLedger {
-    /// Sims whose `Launch` action has been collected (registered under
-    /// the owning DV shard lock) but not yet picked up by an effector
-    /// thread. Lets a racing kill tell "launch still in flight" (cancel
-    /// it) from "sim already completed" (drop it), so `cancelled` stays
-    /// bounded.
-    pending_launch: U64Set,
-    /// Sims currently inside a `launcher.launch()` call (the ledger
-    /// lock is dropped for the I/O; this set covers the gap).
-    launching: U64Set,
-    /// Sims handed to the launcher and not yet known-complete.
-    launched: U64Set,
-    /// Sims killed before their launch was effected.
-    cancelled: U64Set,
+/// How far a collected launch has got.
+#[derive(Clone, Copy, PartialEq)]
+enum JobStage {
+    /// `Launch` action collected (registered under the owning DV shard
+    /// lock), not yet picked up by an effector thread.
+    Pending,
+    /// Inside a `launcher.launch()` call (the ledger lock is dropped
+    /// for the I/O; this stage covers the gap).
+    Launching,
+    /// Handed to the launcher; its exit has not been reported yet.
+    Launched,
 }
 
-impl LaunchLedger {
-    /// Any job somewhere between "launch collected" and "known
-    /// complete" — the condition under which the reaper must poll.
-    fn jobs_in_flight(&self) -> bool {
-        !(self.pending_launch.is_empty() && self.launching.is_empty() && self.launched.is_empty())
-    }
+/// One job between "launch collected" and "exit reaped".
+struct LedgerJob {
+    stage: JobStage,
+    /// Killed before its launch was effected: the effector drops (or
+    /// takes straight back down) the launch instead of recording it.
+    cancelled: bool,
+    /// The simulator said `Hello`: its session is the only source of
+    /// its lifecycle events from here on, and the launcher's exit
+    /// report only retires this entry.
+    connected: bool,
+}
+
+/// Job-control ledger: serializes launch/kill bookkeeping (only that),
+/// cancels launches whose kill won the race to the launcher, and keeps
+/// every job in flight for the reaper until the launcher has reported
+/// its exit (or `kill` reaped it) — a protocol `SimFinished` does not
+/// retire the entry, the child's exit does.
+#[derive(Default)]
+struct LaunchLedger {
+    jobs: U64Map<LedgerJob>,
 }
 
 /// Everything a DV transition wants done once its shard lock is
@@ -399,8 +394,9 @@ struct Effects {
     kills: Vec<SimId>,
     /// Output steps to delete from the storage area.
     evicts: Vec<u64>,
-    /// Sims known complete (finished/failed): drop their ledger entry.
-    completed: Vec<SimId>,
+    /// A sim finished or failed in this transition: shutdown's quiesce
+    /// wait and the reaper's supervision timer must re-check.
+    sims_retired: bool,
     /// Reusable per-destination write batches.
     batches: Vec<(ClientId, FrameBatch)>,
     /// Durable contexts only: explicit WAL records this transition must
@@ -412,7 +408,7 @@ struct Effects {
 
 impl Effects {
     fn has_job_control(&self) -> bool {
-        !self.launches.is_empty() || !self.kills.is_empty() || !self.completed.is_empty()
+        !self.launches.is_empty() || !self.kills.is_empty()
     }
 }
 
@@ -485,6 +481,14 @@ impl ConnLocal {
     }
 }
 
+/// Which ownership rule and WAL tag an acquire is served under: a
+/// member's own keys, or a dead member's keys this member took over.
+#[derive(Clone, Copy)]
+enum AcquireMode {
+    Native,
+    Takeover { dead_member: u32, origin_epoch: u64 },
+}
+
 /// Latency class of one effect job, decided from its dominant blocking
 /// operation (a commit carrying both a launch and evictions counts as
 /// `Spawn` — job control is the costliest and rarest class).
@@ -497,30 +501,27 @@ enum EffectClass {
 }
 
 /// One unit of blocking work submitted by a reactor shard to the effect
-/// tier. Jobs carry their context so one pool serves every context in
-/// the daemon; per-shard queue FIFO plus static queue→helper assignment
+/// tier. Jobs carry their daemon and context so one pool serves every
+/// context; per-shard queue FIFO plus static queue→helper assignment
 /// preserve the submission order of any single connection.
-enum EffectJob {
+struct EffectJob {
+    inner: Arc<Inner>,
+    ctx: Arc<CtxRuntime>,
+    work: EffectWork,
+}
+
+enum EffectWork {
     /// A collected `Effects` value whose execution needs blocking
     /// operations (WAL fsync, launcher, eviction deletes). `wal_logged`
     /// is set by the batch executor once the group-fsync pass has
     /// appended the outbox's pin records.
-    Commit {
-        ctx: Arc<CtxRuntime>,
-        fx: Box<Effects>,
-        wal_logged: bool,
-    },
+    Commit { fx: Box<Effects>, wal_logged: bool },
     /// A simulator protocol event: output verification (storage read)
     /// plus the resulting transition and commit run on the helper.
-    SimEvent {
-        ctx: Arc<CtxRuntime>,
-        sim: SimId,
-        event: SimWireEvent,
-    },
+    SimEvent { sim: SimId, event: SimWireEvent },
     /// A `Bitrep` re-read: storage read + checksum compare, reply sent
     /// from the helper through the reactor registry.
     BitrepRead {
-        ctx: Arc<CtxRuntime>,
         client: ClientId,
         req_id: u64,
         key: u64,
@@ -545,7 +546,7 @@ struct CtxRuntime {
     /// via `Arc::new_cyclic`), so methods running on shard threads can
     /// package `self` into an [`EffectJob`] without threading the `Arc`
     /// through every call site.
-    weak_self: std::sync::Weak<CtxRuntime>,
+    weak_self: Weak<CtxRuntime>,
     /// One lock per key-range shard; index `s` owns the restart
     /// intervals with `interval % n == s` (of the intervals this
     /// cluster member owns).
@@ -611,11 +612,12 @@ struct Inner {
     /// Notified whenever sims complete or die, so shutdown's quiesce
     /// wait is event-driven instead of a sleep poll.
     quiesce: (StdMutex<()>, Condvar),
-    /// The effect-execution tier (empty in inline compatibility mode,
-    /// `effect_helpers == Some(0)`). Set once during startup — after
-    /// `Inner` exists (the executor captures a `Weak<Inner>`) and
-    /// before the accept loop admits any connection.
-    pool: std::sync::OnceLock<crate::effectpool::EffectPool<EffectJob>>,
+    /// Back-reference to this daemon's own `Arc`, so a shard thread
+    /// can hand the daemon to the [`EffectJob`] it submits.
+    weak_self: Weak<Inner>,
+    /// The effect-execution tier: one bounded queue and one helper per
+    /// reactor shard.
+    pool: EffectPool<EffectJob>,
 }
 
 impl Inner {
@@ -700,14 +702,21 @@ impl CtxRuntime {
         if fx.launches.len() > launches_before {
             // Register in-flight launches while the shard lock is still
             // held: any kill of these sims is collected strictly later,
-            // so it will find them here (or in `launched`) and never
-            // mistake a live launch for a completed sim. Launch events
-            // are rare (one per re-simulation), so the extra lock is
-            // off the hit path. Lock order: shard → ledger, always.
+            // so it will find them in the ledger and never mistake a
+            // live launch for a completed sim. Launch events are rare
+            // (one per re-simulation), so the extra lock is off the hit
+            // path. Lock order: shard → ledger, always.
             let _rank = lockrank::held(lockrank::LEDGER);
             let mut ledger = self.ledger.lock();
             for (sim, _, _) in &fx.launches[launches_before..] {
-                ledger.pending_launch.insert(*sim);
+                ledger.jobs.insert(
+                    *sim,
+                    LedgerJob {
+                        stage: JobStage::Pending,
+                        cancelled: false,
+                        connected: false,
+                    },
+                );
             }
         }
     }
@@ -831,37 +840,28 @@ impl CtxRuntime {
             let _rank = lockrank::held(lockrank::LEDGER);
             let mut ledger = self.ledger.lock();
             for sim in fx.kills.drain(..) {
-                if ledger.launched.remove(&sim) {
-                    to_kill.push(sim);
-                } else if ledger.pending_launch.contains(&sim)
-                    || ledger.launching.contains(&sim)
-                {
+                match ledger.jobs.get_mut(&sim) {
+                    Some(job) if job.stage == JobStage::Launched => {
+                        ledger.jobs.remove(&sim);
+                        to_kill.push(sim);
+                    }
                     // Kill won the race against a launch another thread
                     // has collected but not yet effected: cancel it.
-                    ledger.cancelled.insert(sim);
+                    Some(job) => job.cancelled = true,
+                    // Already exited and reaped: nothing to kill and
+                    // nothing to remember.
+                    None => {}
                 }
-                // Neither pending, launching nor launched: the sim
-                // already finished or failed; nothing to kill and
-                // nothing to remember.
             }
             for (sim, keys, level) in fx.launches.drain(..) {
-                ledger.pending_launch.remove(&sim);
-                if ledger.cancelled.remove(&sim) {
-                    continue;
-                }
-                ledger.launching.insert(sim);
-                to_launch.push((sim, keys, level));
-            }
-            for sim in fx.completed.drain(..) {
-                if ledger.launching.contains(&sim) {
-                    // Completed before its launching thread finalized
-                    // (possible with in-process launchers): route
-                    // through `cancelled` so finalization below does
-                    // not record a dead sim as launched.
-                    ledger.cancelled.insert(sim);
+                let cancelled = ledger.jobs.get_mut(&sim).is_none_or(|job| {
+                    job.stage = JobStage::Launching;
+                    job.cancelled
+                });
+                if cancelled {
+                    ledger.jobs.remove(&sim);
                 } else {
-                    ledger.launched.remove(&sim);
-                    ledger.cancelled.remove(&sim);
+                    to_launch.push((sim, keys, level));
                 }
             }
         }
@@ -886,19 +886,20 @@ impl CtxRuntime {
             let kill_now = {
                 let _rank = lockrank::held(lockrank::LEDGER);
                 let mut ledger = self.ledger.lock();
-                ledger.launching.remove(&sim);
-                if !launched {
-                    ledger.cancelled.remove(&sim);
-                    failed.push(sim);
-                    false
-                } else if ledger.cancelled.remove(&sim) {
-                    // A kill (or an early completion) landed while the
-                    // launcher ran: take the job straight back down.
-                    true
-                } else {
-                    ledger.launched.insert(sim);
-                    false
+                let cancelled = ledger.jobs.get(&sim).is_some_and(|job| job.cancelled);
+                if !launched || cancelled {
+                    ledger.jobs.remove(&sim);
+                } else if let Some(job) = ledger.jobs.get_mut(&sim) {
+                    // (No entry: an in-process job ran to its exit and
+                    // was reaped while `launch()` was still returning.)
+                    job.stage = JobStage::Launched;
                 }
+                if !launched {
+                    failed.push(sim);
+                }
+                // A kill landed while the launcher ran: take the job
+                // straight back down.
+                launched && cancelled
             };
             if kill_now {
                 let _ = self.launcher.kill(JobId(sim));
@@ -912,39 +913,47 @@ impl CtxRuntime {
     }
 
     /// Effects everything a transition collected. On a reactor shard
-    /// thread with the effect tier active, blocking effects (WAL fsync,
-    /// job control, eviction deletes) are packaged into an
-    /// [`EffectJob::Commit`] and submitted to the shard's effect queue
-    /// — the shard thread never waits on disk or the launcher, and the
-    /// helper executes the job with identical semantics via
-    /// [`commit_inline`](Self::commit_inline). A purely non-durable
-    /// outbox (hit-path `Failed`s, `Queued`, status) still flushes
-    /// inline: socket staging is non-blocking. Everywhere else (reaper,
-    /// helper threads, inline compatibility mode) the commit executes
-    /// in place.
+    /// thread, an outbox that needs blocking work (WAL fsync, job
+    /// control, eviction deletes) goes to the effect tier — the shard
+    /// thread never waits on disk or the launcher — while a pure
+    /// response outbox (hit-path `Failed`s, `Queued`, status) flushes in
+    /// place: socket staging is non-blocking. Helper and reaper threads
+    /// may block and must not submit (a helper parked on its own full
+    /// queue would never drain it), so their commits run in place.
     fn commit(&self, inner: &Inner, fx: &mut Effects) {
-        if let Some(pool) = inner.pool.get() {
-            if let Some(shard) = crate::reactor::current_shard() {
-                if self.commit_needs_helper(fx) {
-                    let Some(ctx) = self.weak_self.upgrade() else {
-                        return;
-                    };
-                    self.counters.effects_offloaded.fetch_add(1, Ordering::Relaxed);
-                    let job = EffectJob::Commit {
-                        ctx,
-                        fx: Box::new(std::mem::take(fx)),
-                        wal_logged: false,
-                    };
-                    if pool.submit(shard, job) {
-                        self.counters.helper_queue_full.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    self.flush_outbox(fx);
-                }
-                return;
-            }
+        if crate::reactor::current_shard().is_none() {
+            self.commit_inline(inner, fx, false);
+        } else if self.commit_needs_helper(fx) {
+            let fx = Box::new(std::mem::take(fx));
+            self.offload(inner, EffectWork::Commit { fx, wal_logged: false });
+        } else {
+            self.flush_outbox(fx);
         }
-        self.commit_inline(inner, fx, false);
+    }
+
+    /// The one door into the effect tier: on a reactor shard thread
+    /// `work` is queued FIFO behind everything that shard submitted
+    /// before it; on any other thread (which may block) it runs in
+    /// place.
+    fn offload(&self, inner: &Inner, work: EffectWork) {
+        let (Some(daemon), Some(ctx)) = (inner.weak_self.upgrade(), self.weak_self.upgrade())
+        else {
+            return;
+        };
+        let job = EffectJob {
+            inner: daemon,
+            ctx,
+            work,
+        };
+        match crate::reactor::current_shard() {
+            Some(shard) => {
+                self.counters.effects_offloaded.fetch_add(1, Ordering::Relaxed);
+                if inner.pool.submit(shard, job) {
+                    self.counters.helper_queue_full.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            None => execute_effect_batch(vec![job]),
+        }
     }
 
     /// Does executing `fx` involve a blocking operation (and so belong
@@ -965,14 +974,14 @@ impl CtxRuntime {
     /// The commit loop itself: socket writes, job control, evictions.
     /// Launch failures feed back as `SimFailed` events until
     /// quiescence. Never holds a DV shard lock while doing I/O; runs on
-    /// blocking-permitted threads only when the effect tier is active.
-    /// `wal_logged` skips the first iteration's WAL pass when the batch
-    /// executor already group-fsynced this commit's pin records.
+    /// blocking-permitted threads only. `wal_logged` skips the first
+    /// iteration's WAL pass when the batch executor already
+    /// group-fsynced this commit's pin records.
     fn commit_inline(&self, inner: &Inner, fx: &mut Effects, mut wal_logged: bool) {
         let mut failed: Vec<SimId> = Vec::new();
         let mut sims_retired = false;
         loop {
-            sims_retired |= !fx.kills.is_empty() || !fx.completed.is_empty();
+            sims_retired |= !fx.kills.is_empty() || std::mem::take(&mut fx.sims_retired);
             if !wal_logged {
                 self.wal_log_outbox(fx);
             }
@@ -1022,7 +1031,7 @@ impl CtxRuntime {
                 break;
             }
             for sim in failed.drain(..) {
-                fx.completed.push(sim);
+                fx.sims_retired = true;
                 self.transition(inner, DvEvent::SimFailed { sim }, fx);
             }
         }
@@ -1139,11 +1148,11 @@ impl CtxRuntime {
     /// Drains a connection's buffered fast-path pin window into the
     /// WAL: net out acquire/release pairs that cancelled within the
     /// window, then hand the survivors to `commit` as explicit
-    /// `wal_records` — appended and fsynced inline, or by the effect
-    /// tier's group-fsync pass when the pool is active. Called when the
-    /// frame handler returns — after the replies, so a crash can lose a
-    /// fast pin's record (the re-assertion protocol re-acquires it) but
-    /// the log never claims a pin the client does not hold longer than
+    /// `wal_records` — appended and fsynced by the effect tier's
+    /// group-fsync pass. Called when the frame handler returns — after
+    /// the replies, so a crash can lose a fast pin's record (the
+    /// re-assertion protocol re-acquires it) but the log never claims a
+    /// pin the client does not hold longer than
     /// one window. The effect tier stretches "one window" by its queue
     /// latency, which the same re-assertion protocol already covers.
     /// No-op without durability.
@@ -1263,190 +1272,13 @@ impl CtxRuntime {
     ) -> bool {
         match req {
             Request::Acquire { req_id, keys } => {
-                let mut slow_keys = 0u64;
-                let mut rejected = false;
-                let mut polluted = false;
-                // Observation is a record, not a lock acquisition: in
-                // prefetching contexts every locally observed key —
-                // fast or slow — lands in the connection's digest log,
-                // stamped with one epoch per request (a multi-key
-                // acquire is one consumption point).
-                let digest_on = self.digest && local.observe_local;
-                let epoch = if digest_on { inner.now().as_nanos() } else { 0 };
-                for &key in &keys {
-                    // Layer 0 (clusters only): ownership. A key whose
-                    // interval hashes to another daemon is refused — a
-                    // correctly routing DVLib never sends one, and
-                    // accepting it would double-produce the interval
-                    // under a foreign budget slice. Invalid keys are
-                    // exempt (no member owns them): they fall through
-                    // to the DV for the same timeline error every
-                    // daemon reports.
-                    if self.cluster.is_clustered()
-                        && self.steps.valid_key(key)
-                        && !self.cluster.owns_key(&self.steps, key)
-                    {
-                        fx.outbox.push((
-                            client,
-                            Response::Failed {
-                                req_id,
-                                key,
-                                code: FailCode::Other,
-                                reason: format!(
-                                    "key {key} belongs to cluster member {} (this is {} of {})",
-                                    self.router_member_of(key),
-                                    self.cluster.index,
-                                    self.cluster.size
-                                ),
-                            },
-                        ));
-                        rejected = true;
-                        continue;
-                    }
-                    // Layer 1: the lock-free hit path. A resident key is
-                    // pinned through the concurrent index (the pin is
-                    // eviction-visible before we reply) and answered
-                    // straight into this connection's output buffer —
-                    // no DV lock, no routing table.
-                    if self.fast.try_hit_pin(key) {
-                        *local.fast_pins.entry(key).or_insert(0) += 1;
-                        if self.wal.is_some() {
-                            local.wal_pending.push(WalRecord::PinAcquire {
-                                client,
-                                key,
-                                epoch: self.epoch,
-                            });
-                        }
-                        if digest_on {
-                            // Served instantly: the epoch is a true
-                            // ready point.
-                            local.log.push(AccessRecord {
-                                client,
-                                key,
-                                epoch,
-                                ready: true,
-                            });
-                        }
-                        local.scratch.push_response(&Response::Ready { req_id, key });
-                        continue;
-                    }
-                    // Layer 2: the locked path, one shard lock per key
-                    // (multi-key requests may span shards).
-                    slow_keys += 1;
-                    let now = inner.now();
-                    let s = self.router.shard_of_key(key);
-                    let mut resolved = true;
-                    self.with_shard(
-                        s,
-                        fx,
-                        |core| {
-                            // Register interest before handling so a
-                            // concurrent production cannot race past
-                            // the notification.
-                            core.pending.entry((client, key)).or_default().push(req_id);
-                            let DvCore { dv, actions, .. } = core;
-                            dv.handle_into(now, DvEvent::Acquire { client, key }, actions);
-                        },
-                        |core, fx| {
-                            polluted |= core.dv.take_pollution_signal();
-                            // Still pending after collect? Tell the
-                            // client it is queued, with the wait
-                            // estimate (§III-C).
-                            if core.pending.contains_key(&(client, key)) {
-                                resolved = false;
-                                let est = core
-                                    .dv
-                                    .estimate_wait(key)
-                                    .map_or(0, |d| d.as_nanos() / 1_000_000);
-                                fx.outbox.push((
-                                    client,
-                                    Response::Queued {
-                                        req_id,
-                                        key,
-                                        est_wait_ms: est,
-                                    },
-                                ));
-                            }
-                        },
-                    );
-                    if digest_on {
-                        // A key that stayed pending blocks the client
-                        // until production: its acquire-time epoch is
-                        // not a ready point, so replay must not sample
-                        // the following gap as consumption time.
-                        local.log.push(AccessRecord {
-                            client,
-                            key,
-                            epoch,
-                            ready: resolved,
-                        });
-                    }
-                }
-                if !local.scratch.is_empty() {
-                    cx.write(local.scratch.as_bytes());
-                    local.scratch.clear();
-                }
-                if polluted {
-                    // A §IV-C pollution reset fired in one shard; every
-                    // shard holds its own replica of each client's
-                    // agents, so the reset must reach them all (and set
-                    // their stale-window discards) before the drain
-                    // below replays anything. One lock at a time, as
-                    // always.
-                    for s in 0..self.shards.len() {
-                        self.with_shard(
-                            s,
-                            fx,
-                            |core| core.dv.apply_pollution_reset(),
-                            |_, _| {},
-                        );
-                    }
-                }
-                if slow_keys > 0 {
-                    self.counters
-                        .acquired_slow
-                        .fetch_add(slow_keys, Ordering::Relaxed);
-                    // Piggyback the digest drain on a request that took
-                    // shard locks anyway; pure-hit streams drain from
-                    // the reactor tick instead.
-                    self.drain_digest(inner, local, fx);
-                } else if digest_on && local.log.len() >= DIGEST_HIGH_WATER {
-                    // Adaptive drain: a saturated pure-hit stream can
-                    // overflow the ring between 20 ms ticks; once it
-                    // passes the high-water mark, pay the shard locks
-                    // now instead of dropping the oldest records.
-                    self.drain_digest(inner, local, fx);
-                }
-                if slow_keys > 0 || rejected {
-                    self.commit(inner, fx);
-                } else if !fx.outbox.is_empty() || fx.has_job_control() || !fx.evicts.is_empty() {
-                    // The adaptive drain above may have planned
-                    // prefetch launches; effect them.
-                    self.commit(inner, fx);
-                }
+                self.serve_acquire(inner, client, req_id, &keys, AcquireMode::Native, local, cx, fx);
                 true
             }
             Request::Release { key } => {
-                if self.wal.is_some() {
-                    local.wal_pending.push(WalRecord::PinRelease {
-                        client,
-                        key,
-                        epoch: self.epoch,
-                    });
+                if self.release_key(inner, client, key, local, fx) {
+                    self.commit(inner, fx);
                 }
-                // Fast pins are released with index atomics alone; pins
-                // taken through the DV (miss productions) release
-                // through the owning shard.
-                if let Some(n) = local.fast_pins.get_mut(&key) {
-                    *n -= 1;
-                    if *n == 0 {
-                        local.fast_pins.remove(&key);
-                    }
-                    self.fast.unpin(key, 1);
-                    return true;
-                }
-                self.transition(inner, DvEvent::Release { client, key }, fx);
-                self.commit(inner, fx);
                 true
             }
             Request::Reassert {
@@ -1459,29 +1291,18 @@ impl CtxRuntime {
                 true
             }
             Request::Bitrep { req_id, key } => {
-                // Pure storage I/O: never touches a DV lock. With the
-                // effect tier active the read runs on a helper and the
-                // reply routes back through the reactor registry; the
-                // shard thread moves straight to its next frame.
-                if let (Some(pool), Some(shard)) =
-                    (inner.pool.get(), crate::reactor::current_shard())
-                {
-                    if let Some(ctx) = self.weak_self.upgrade() {
-                        self.counters.effects_offloaded.fetch_add(1, Ordering::Relaxed);
-                        let job = EffectJob::BitrepRead {
-                            ctx,
-                            client,
-                            req_id,
-                            key,
-                        };
-                        if pool.submit(shard, job) {
-                            self.counters.helper_queue_full.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return true;
-                    }
-                }
-                fx.outbox.push((client, self.bitrep_response(req_id, key)));
-                self.flush_outbox(fx);
+                // Pure storage I/O: never touches a DV lock. The read
+                // runs on a helper and the reply routes back through
+                // the reactor registry; the shard thread moves straight
+                // to its next frame.
+                self.offload(
+                    inner,
+                    EffectWork::BitrepRead {
+                        client,
+                        req_id,
+                        key,
+                    },
+                );
                 true
             }
             Request::Status { req_id } => {
@@ -1527,21 +1348,45 @@ impl CtxRuntime {
                 origin_epoch,
                 keys,
             } => {
-                self.handle_takeover_acquire(
-                    inner,
-                    client,
-                    req_id,
+                let mode = AcquireMode::Takeover {
                     dead_member,
                     origin_epoch,
-                    keys,
-                    local,
-                    cx,
-                    fx,
-                );
+                };
+                if let Some(reason) = self.takeover_claim_error(dead_member, origin_epoch) {
+                    for key in keys {
+                        fx.outbox.push((
+                            client,
+                            Response::Failed {
+                                req_id,
+                                key,
+                                code: FailCode::Other,
+                                reason: reason.clone(),
+                            },
+                        ));
+                    }
+                    self.flush_outbox(fx);
+                } else {
+                    self.counters.takeover_acquires.fetch_add(1, Ordering::Relaxed);
+                    self.serve_acquire(inner, client, req_id, &keys, mode, local, cx, fx);
+                }
                 true
             }
+            // Drains this session's takeover pins for a restarted
+            // member: one release per listed key occurrence, journaled
+            // like native releases. The client re-acquires at the
+            // restarted home member *before* sending this, so the
+            // residency veto never lapses across the hand-back;
+            // releases of keys the session does not hold are DV no-ops.
             Request::HandBack { req_id, keys, .. } => {
-                self.handle_hand_back(inner, client, req_id, keys, local, fx);
+                let released = keys.len() as u64;
+                for key in keys {
+                    self.release_key(inner, client, key, local, fx);
+                }
+                self.counters
+                    .takeover_pins_handed_back
+                    .fetch_add(released, Ordering::Relaxed);
+                fx.outbox.push((client, Response::HandedBack { req_id, released }));
+                self.commit(inner, fx);
                 true
             }
             Request::Bye => false,
@@ -1678,32 +1523,11 @@ impl CtxRuntime {
         self.commit(inner, fx);
     }
 
-    /// Serves an explicit takeover acquire: keys of a *dead* member's
-    /// intervals, asserted down by the client and routed here by the
-    /// successor rule. The request-level claim is validated (this
-    /// member must not be the "dead" one; the index must exist), then
-    /// per key: a valid key must actually route to the dead member.
-    /// First touch of a foreign interval rebuilds its residency from
-    /// the shared storage area (the recovery rescan, scoped to one
-    /// interval); from there keys serve exactly like native acquires —
-    /// fast path, shard transitions, re-simulation under *this*
-    /// member's budget — with pins journaled under the takeover tag.
-    /// Takeover keys skip digest observation: this member's prefetch
-    /// agents must not learn trajectories it will hand back.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_takeover_acquire(
-        &self,
-        inner: &Inner,
-        client: ClientId,
-        req_id: u64,
-        dead_member: u32,
-        origin_epoch: u64,
-        keys: Vec<u64>,
-        local: &mut ConnLocal,
-        cx: &mut ConnCtx<'_>,
-        fx: &mut Effects,
-    ) {
-        let reject_all = if !self.cluster.is_clustered() {
+    /// Validates the request-level claim of a takeover acquire: this
+    /// daemon must be clustered, the "dead" index must exist, and it
+    /// must not be this (evidently live) member.
+    fn takeover_claim_error(&self, dead_member: u32, origin_epoch: u64) -> Option<String> {
+        if !self.cluster.is_clustered() {
             Some("takeover acquire on an unclustered daemon".to_string())
         } else if dead_member >= self.cluster.size {
             Some(format!(
@@ -1718,80 +1542,142 @@ impl CtxRuntime {
             ))
         } else {
             None
-        };
-        if let Some(reason) = reject_all {
-            for key in keys {
+        }
+    }
+
+    /// Layer 0 (clusters only), the ownership rule: why `key` may not
+    /// be served under `mode`, if it may not. A native acquire must
+    /// name a key this member owns — a correctly routing DVLib never
+    /// sends another, and accepting one would double-produce the
+    /// interval under a foreign budget slice; a takeover acquire must
+    /// name a key the asserted-dead member owns. Invalid keys are exempt
+    /// (no member owns them): they fall through to the DV for the same
+    /// timeline error every daemon reports.
+    fn ownership_error(&self, key: u64, mode: AcquireMode) -> Option<String> {
+        if !self.cluster.is_clustered() || !self.steps.valid_key(key) {
+            return None;
+        }
+        let owner = self.router_member_of(key);
+        let (me, size) = (self.cluster.index, self.cluster.size);
+        match mode {
+            AcquireMode::Native if owner == me => None,
+            AcquireMode::Native => Some(format!(
+                "key {key} belongs to cluster member {owner} (this is {me} of {size})"
+            )),
+            AcquireMode::Takeover { dead_member, .. } if owner == dead_member => None,
+            AcquireMode::Takeover { .. } if owner == me => Some(format!(
+                "key {key} belongs to this member ({owner}); \
+                 acquire it without the takeover tag"
+            )),
+            AcquireMode::Takeover {
+                dead_member,
+                origin_epoch,
+            } => Some(format!(
+                "key {key} belongs to member {owner}, not to dead member \
+                 {dead_member} (takeover epoch {origin_epoch})"
+            )),
+        }
+    }
+
+    /// Serves one acquire request, native or takeover, key by key:
+    /// ownership rule → lock-free fast pin → shard transition →
+    /// `Queued`. A takeover acquire names keys of a *dead* member's
+    /// intervals, asserted down by the client and routed here by the
+    /// successor rule: first touch of a foreign interval rebuilds its
+    /// residency from the shared storage area (the recovery rescan,
+    /// scoped to one interval), and from there its keys serve exactly
+    /// like native ones — re-simulation under *this* member's budget —
+    /// with pins journaled under the takeover tag. Takeover keys skip
+    /// digest observation: this member's prefetch agents must not learn
+    /// trajectories it will hand back.
+    #[allow(clippy::too_many_arguments)]
+    fn serve_acquire(
+        &self,
+        inner: &Inner,
+        client: ClientId,
+        req_id: u64,
+        keys: &[u64],
+        mode: AcquireMode,
+        local: &mut ConnLocal,
+        cx: &mut ConnCtx<'_>,
+        fx: &mut Effects,
+    ) {
+        let takeover = matches!(mode, AcquireMode::Takeover { .. });
+        let mut slow_keys = 0u64;
+        let mut polluted = false;
+        // Observation is a record, not a lock acquisition: in
+        // prefetching contexts every locally observed key — fast or
+        // slow — lands in the connection's digest log, stamped with one
+        // epoch per request (a multi-key acquire is one consumption
+        // point).
+        let digest_on = self.digest && local.observe_local && !takeover;
+        let epoch = if digest_on { inner.now().as_nanos() } else { 0 };
+        for &key in keys {
+            if let Some(reason) = self.ownership_error(key, mode) {
                 fx.outbox.push((
                     client,
                     Response::Failed {
                         req_id,
                         key,
                         code: FailCode::Other,
-                        reason: reason.clone(),
+                        reason,
                     },
                 ));
+                continue;
             }
-            self.flush_outbox(fx);
-            return;
-        }
-        self.counters.takeover_acquires.fetch_add(1, Ordering::Relaxed);
-        let mut slow_keys = 0u64;
-        for &key in &keys {
-            if self.steps.valid_key(key) {
-                let owner = self.router_member_of(key);
-                if owner != dead_member {
-                    let reason = if owner == self.cluster.index {
-                        format!(
-                            "key {key} belongs to this member ({owner}); \
-                             acquire it without the takeover tag"
-                        )
-                    } else {
-                        format!(
-                            "key {key} belongs to member {owner}, not to dead member \
-                             {dead_member} (takeover epoch {origin_epoch})"
-                        )
-                    };
-                    fx.outbox.push((
-                        client,
-                        Response::Failed {
-                            req_id,
-                            key,
-                            code: FailCode::Other,
-                            reason,
-                        },
-                    ));
-                    continue;
-                }
+            if takeover && self.steps.valid_key(key) {
                 fx.evicts
                     .extend(self.prime_takeover_interval(self.steps.interval_of(key)));
             }
-            // Invalid keys fall through to the DV for the same timeline
-            // error every daemon reports.
+            // Layer 1: the lock-free hit path. A resident key is pinned
+            // through the concurrent index (the pin is eviction-visible
+            // before we reply) and answered straight into this
+            // connection's output buffer — no DV lock, no routing
+            // table.
             if self.fast.try_hit_pin(key) {
                 *local.fast_pins.entry(key).or_insert(0) += 1;
                 if self.wal.is_some() {
-                    local.wal_pending.push(WalRecord::TakeoverPin {
+                    let wal_epoch = self.epoch;
+                    local.wal_pending.push(if takeover {
+                        WalRecord::TakeoverPin { client, key, epoch: wal_epoch }
+                    } else {
+                        WalRecord::PinAcquire { client, key, epoch: wal_epoch }
+                    });
+                }
+                if digest_on {
+                    // Served instantly: the epoch is a true ready point.
+                    local.log.push(AccessRecord {
                         client,
                         key,
-                        epoch: self.epoch,
+                        epoch,
+                        ready: true,
                     });
                 }
                 local.scratch.push_response(&Response::Ready { req_id, key });
                 continue;
             }
+            // Layer 2: the locked path, one shard lock per key
+            // (multi-key requests may span shards).
             slow_keys += 1;
             let now = inner.now();
             let s = self.router.shard_of_key(key);
+            let mut resolved = true;
             self.with_shard(
                 s,
                 fx,
                 |core| {
+                    // Register interest before handling so a concurrent
+                    // production cannot race past the notification.
                     core.pending.entry((client, key)).or_default().push(req_id);
                     let DvCore { dv, actions, .. } = core;
                     dv.handle_into(now, DvEvent::Acquire { client, key }, actions);
                 },
                 |core, fx| {
+                    polluted |= core.dv.take_pollution_signal();
+                    // Still pending after collect? Tell the client it
+                    // is queued, with the wait estimate (§III-C).
                     if core.pending.contains_key(&(client, key)) {
+                        resolved = false;
                         let est = core
                             .dv
                             .estimate_wait(key)
@@ -1807,17 +1693,92 @@ impl CtxRuntime {
                     }
                 },
             );
+            if digest_on {
+                // A key that stayed pending blocks the client until
+                // production: its acquire-time epoch is not a ready
+                // point, so replay must not sample the following gap as
+                // consumption time.
+                local.log.push(AccessRecord {
+                    client,
+                    key,
+                    epoch,
+                    ready: resolved,
+                });
+            }
         }
         if !local.scratch.is_empty() {
             cx.write(local.scratch.as_bytes());
             local.scratch.clear();
         }
+        if polluted {
+            // A §IV-C pollution reset fired in one shard; every shard
+            // holds its own replica of each client's agents, so the
+            // reset must reach them all (and set their stale-window
+            // discards) before the drain below replays anything. One
+            // lock at a time, as always.
+            for s in 0..self.shards.len() {
+                self.with_shard(
+                    s,
+                    fx,
+                    |core| core.dv.apply_pollution_reset(),
+                    |_, _| {},
+                );
+            }
+        }
         if slow_keys > 0 {
             self.counters
                 .acquired_slow
                 .fetch_add(slow_keys, Ordering::Relaxed);
+            // Piggyback the digest drain on a request that took shard
+            // locks anyway; pure-hit streams drain from the reactor
+            // tick instead.
+            self.drain_digest(inner, local, fx);
+        } else if digest_on && local.log.len() >= DIGEST_HIGH_WATER {
+            // Adaptive drain: a saturated pure-hit stream can overflow
+            // the ring between 20 ms ticks; once it passes the
+            // high-water mark, pay the shard locks now instead of
+            // dropping the oldest records.
+            self.drain_digest(inner, local, fx);
         }
-        self.commit(inner, fx);
+        // A pure-hit request collected nothing (its replies went out
+        // through `local.scratch`); anything else — transitions,
+        // rejections, prefetch launches an adaptive drain planned,
+        // evictions a takeover priming decided — is effected here.
+        if slow_keys > 0 || !fx.outbox.is_empty() || fx.has_job_control() || !fx.evicts.is_empty()
+        {
+            self.commit(inner, fx);
+        }
+    }
+
+    /// Releases one pin of `key` held by this session and journals it:
+    /// fast pins go back with index atomics alone, pins taken through
+    /// the DV (miss productions) release through the owning shard.
+    /// Returns whether a transition was collected (the caller commits).
+    fn release_key(
+        &self,
+        inner: &Inner,
+        client: ClientId,
+        key: u64,
+        local: &mut ConnLocal,
+        fx: &mut Effects,
+    ) -> bool {
+        if self.wal.is_some() {
+            local.wal_pending.push(WalRecord::PinRelease {
+                client,
+                key,
+                epoch: self.epoch,
+            });
+        }
+        if let Some(n) = local.fast_pins.get_mut(&key) {
+            *n -= 1;
+            if *n == 0 {
+                local.fast_pins.remove(&key);
+            }
+            self.fast.unpin(key, 1);
+            return false;
+        }
+        self.transition(inner, DvEvent::Release { client, key }, fx);
+        true
     }
 
     /// Rebuilds cache residency for one foreign restart interval from
@@ -1852,47 +1813,6 @@ impl CtxRuntime {
             .takeover_intervals_primed
             .fetch_add(1, Ordering::Relaxed);
         evicted
-    }
-
-    /// Drains this session's takeover pins for a restarted member: one
-    /// release per listed key occurrence, journaled like native
-    /// releases. The client re-acquires at the restarted home member
-    /// *before* sending this, so the residency veto never lapses across
-    /// the hand-back; releases of keys the session does not hold are DV
-    /// no-ops.
-    fn handle_hand_back(
-        &self,
-        inner: &Inner,
-        client: ClientId,
-        req_id: u64,
-        keys: Vec<u64>,
-        local: &mut ConnLocal,
-        fx: &mut Effects,
-    ) {
-        let released = keys.len() as u64;
-        for &key in &keys {
-            if self.wal.is_some() {
-                local.wal_pending.push(WalRecord::PinRelease {
-                    client,
-                    key,
-                    epoch: self.epoch,
-                });
-            }
-            if let Some(n) = local.fast_pins.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    local.fast_pins.remove(&key);
-                }
-                self.fast.unpin(key, 1);
-                continue;
-            }
-            self.transition(inner, DvEvent::Release { client, key }, fx);
-        }
-        self.counters
-            .takeover_pins_handed_back
-            .fetch_add(released, Ordering::Relaxed);
-        fx.outbox.push((client, Response::HandedBack { req_id, released }));
-        self.commit(inner, fx);
     }
 
     /// Drains the connection's access log into the prefetch agents
@@ -1966,7 +1886,7 @@ impl CtxRuntime {
 
     /// Computes a `Bitrep` reply: read the materialized file, checksum
     /// it, compare against the recorded reference. Blocking (storage
-    /// read) — runs on a helper when the effect tier is active.
+    /// read) — runs on a helper.
     fn bitrep_response(&self, req_id: u64, key: u64) -> Response {
         lockrank::assert_blocking_ok("bitrep-read");
         let name = self.driver.filename_of(key);
@@ -2021,19 +1941,17 @@ impl CtxRuntime {
         Ok(())
     }
 
-    /// Processes one simulator request; `false` ends the session. With
-    /// the effect tier active the event is submitted to this shard's
-    /// effect queue — output verification (a storage read), the
-    /// transition and the commit all run on a helper, and per-shard
-    /// queue FIFO keeps the sim's events in wire order (`FileProduced`
-    /// before `SimFinished`).
+    /// Processes one simulator request; `false` ends the session. The
+    /// event goes to this shard's effect queue — output verification (a
+    /// storage read), the transition and the commit all run on a
+    /// helper, and per-shard queue FIFO keeps the sim's events in wire
+    /// order (`FileProduced` before `SimFinished`).
     fn handle_simulator_request(
         &self,
         inner: &Inner,
         sim: SimId,
         req: Request,
         finished: &mut bool,
-        fx: &mut Effects,
     ) -> bool {
         let event = match req {
             Request::SimStarted => SimWireEvent::Started,
@@ -2044,29 +1962,14 @@ impl CtxRuntime {
             }
             _ => return false, // Bye or protocol error: drop the session
         };
-        self.submit_sim_event(inner, sim, event, fx);
+        self.offload(inner, EffectWork::SimEvent { sim, event });
         !*finished
     }
 
-    /// Routes one simulator event: to the effect tier on an active-pool
-    /// shard thread, inline everywhere else.
-    fn submit_sim_event(&self, inner: &Inner, sim: SimId, event: SimWireEvent, fx: &mut Effects) {
-        if let (Some(pool), Some(shard)) = (inner.pool.get(), crate::reactor::current_shard()) {
-            if let Some(ctx) = self.weak_self.upgrade() {
-                self.counters.effects_offloaded.fetch_add(1, Ordering::Relaxed);
-                if pool.submit(shard, EffectJob::SimEvent { ctx, sim, event }) {
-                    self.counters.helper_queue_full.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-        }
-        self.apply_sim_event(inner, sim, event, fx);
-    }
-
     /// Verifies (where the event claims output), transitions and
-    /// commits one simulator event. Runs on a helper thread when the
-    /// effect tier is active, inline otherwise.
-    fn apply_sim_event(&self, inner: &Inner, sim: SimId, event: SimWireEvent, fx: &mut Effects) {
+    /// commits one simulator event (on a helper thread).
+    fn apply_sim_event(&self, inner: &Inner, sim: SimId, event: SimWireEvent) {
+        let mut fx = Effects::default();
         let event = match event {
             SimWireEvent::Started => DvEvent::SimStarted { sim },
             SimWireEvent::Produced { key, size } => match self.verify_produced(key) {
@@ -2081,43 +1984,62 @@ impl CtxRuntime {
                 }
             },
             SimWireEvent::Finished => {
-                fx.completed.push(sim);
+                fx.sims_retired = true;
                 DvEvent::SimFinished { sim }
             }
             SimWireEvent::Failed => {
-                fx.completed.push(sim);
+                fx.sims_retired = true;
                 DvEvent::SimFailed { sim }
             }
         };
-        self.transition(inner, event, fx);
-        self.commit(inner, fx);
+        self.transition(inner, event, &mut fx);
+        self.commit(inner, &mut fx);
+    }
+
+    /// A simulator said `Hello`: from here on its session is the only
+    /// writer of its lifecycle events (module doc, "one writer"), and
+    /// the reaper ignores its exit status.
+    fn simulator_connected(&self, sim: SimId) {
+        let _rank = lockrank::held(lockrank::LEDGER);
+        if let Some(job) = self.ledger.lock().jobs.get_mut(&sim) {
+            job.connected = true;
+        }
     }
 
     /// Tears down a simulator session; a connection dying before
     /// `SimFinished` means the re-simulation failed. The failure event
     /// rides the same per-shard effect queue as the session's protocol
     /// events, so it cannot overtake a still-queued `FileProduced`.
-    fn simulator_disconnect(&self, inner: &Inner, sim: SimId, finished: bool, fx: &mut Effects) {
+    fn simulator_disconnect(&self, inner: &Inner, sim: SimId, finished: bool) {
         if !finished {
-            self.submit_sim_event(inner, sim, SimWireEvent::Failed, fx);
+            self.offload(inner, EffectWork::SimEvent { sim, event: SimWireEvent::Failed });
         }
-        // Collect any already-exited jobs while we are here (launchers
-        // report each exit exactly once, so the results must be applied,
-        // not dropped — a discarded exit would hang its waiters forever).
-        self.reap_exits(inner, fx);
     }
 
-    /// Drains the launcher's exited jobs and applies them as DV events.
-    /// Unknown sims (already finished via the protocol) are no-ops
-    /// inside the DV.
+    /// Drains the launcher's exited jobs (reaper thread only). Every
+    /// exit retires its ledger entry; it becomes a DV event only for a
+    /// job that never connected — a connected sim's session has
+    /// reported (or will report, from its effect queue) everything the
+    /// DV needs, and an exit applied here could overtake it. Launchers
+    /// report each exit exactly once, so an orphan's result must be
+    /// applied, not dropped: a discarded exit would hang its waiters
+    /// forever.
     fn reap_exits(&self, inner: &Inner, fx: &mut Effects) {
         for (job, success) in self.launcher.reap() {
+            let orphan = {
+                let _rank = lockrank::held(lockrank::LEDGER);
+                self.ledger.lock().jobs.remove(&job.0)
+            }
+            .is_some_and(|entry| !entry.connected);
+            if !orphan {
+                continue;
+            }
             let event = if success {
                 DvEvent::SimFinished { sim: job.0 }
             } else {
                 DvEvent::SimFailed { sim: job.0 }
             };
-            fx.completed.push(job.0);
+            fx.sims_retired = true;
             self.transition(inner, event, fx);
             self.commit(inner, fx);
         }
@@ -2130,34 +2052,30 @@ impl CtxRuntime {
 /// 1. **Group fsync.** Every WAL append the batch carries — `Ready` pin
 ///    records and explicit `wal_records` of `Commit` jobs — is written
 ///    first, then each dirty context syncs *once*. Write-ahead ordering
-///    is preserved batch-wide: no frame of any job goes on the wire
-///    before every pin record of the batch is durable (strictly
-///    stronger than the per-commit ordering the inline path provides).
-/// 2. **Execution in submission order.** Each job then runs through the
-///    same code the inline path uses (`commit_inline`,
-///    `apply_sim_event`, `bitrep_response`), with its WAL pass skipped
-///    where phase 1 already covered it. Per-class latency lands in the
-///    owning context's `DaemonCounters` (`record_effect`).
+///    holds batch-wide: no frame of any job goes on the wire before
+///    every pin record of the batch is durable.
+/// 2. **Execution in submission order.** Each job then runs
+///    (`commit_inline`, `apply_sim_event`, `bitrep_response`), with its
+///    WAL pass skipped where phase 1 already covered it. Per-class
+///    latency lands in the owning context's `DaemonCounters`
+///    (`record_effect`).
 ///
-/// Helpers themselves call `commit` → `commit_inline` recursively (a
-/// launch failure feeding back as `SimFailed`, a reap): those nested
-/// commits run inline on the helper — `current_shard()` is `None` here
-/// — so a helper never submits to the pool and backpressure cannot
-/// deadlock.
-fn execute_effect_batch(inner: &Inner, mut jobs: Vec<EffectJob>) {
+/// Helpers themselves call `commit` recursively (a launch failure
+/// feeding back as `SimFailed`, a sim event's transition): those nested
+/// commits run in place — `current_shard()` is `None` here — so a
+/// helper never submits to the pool and backpressure cannot deadlock.
+fn execute_effect_batch(mut jobs: Vec<EffectJob>) {
     let mut dirty: Vec<Arc<CtxRuntime>> = Vec::new();
-    for job in &mut jobs {
-        if let EffectJob::Commit { ctx, fx, wal_logged } = job {
-            if let Some(wal) = &ctx.wal {
-                if !fx.outbox.is_empty() || !fx.wal_records.is_empty() {
-                    let _rank = lockrank::held(lockrank::WAL);
-                    let mut w = wal.lock();
-                    if ctx.wal_append_outbox(&mut w, fx) && !dirty.iter().any(|c| Arc::ptr_eq(c, ctx)) {
-                        dirty.push(Arc::clone(ctx));
-                    }
+    for EffectJob { ctx, work, .. } in &mut jobs {
+        if let (EffectWork::Commit { fx, wal_logged }, Some(wal)) = (work, &ctx.wal) {
+            if !fx.outbox.is_empty() || !fx.wal_records.is_empty() {
+                let _rank = lockrank::held(lockrank::WAL);
+                let mut w = wal.lock();
+                if ctx.wal_append_outbox(&mut w, fx) && !dirty.iter().any(|c| Arc::ptr_eq(c, ctx)) {
+                    dirty.push(Arc::clone(ctx));
                 }
-                *wal_logged = true;
             }
+            *wal_logged = true;
         }
     }
     for ctx in &dirty {
@@ -2166,14 +2084,10 @@ fn execute_effect_batch(inner: &Inner, mut jobs: Vec<EffectJob>) {
             wal.lock().sync_and_compact(ctx.epoch);
         }
     }
-    for job in jobs {
+    for EffectJob { inner, ctx, work } in jobs {
         let t0 = Instant::now();
-        match job {
-            EffectJob::Commit {
-                ctx,
-                mut fx,
-                wal_logged,
-            } => {
+        let class = match work {
+            EffectWork::Commit { mut fx, wal_logged } => {
                 let class = if fx.has_job_control() {
                     EffectClass::Spawn
                 } else if !fx.evicts.is_empty() {
@@ -2181,16 +2095,14 @@ fn execute_effect_batch(inner: &Inner, mut jobs: Vec<EffectJob>) {
                 } else {
                     EffectClass::Wal
                 };
-                ctx.commit_inline(inner, &mut fx, wal_logged);
-                ctx.record_effect(class, t0.elapsed());
+                ctx.commit_inline(&inner, &mut fx, wal_logged);
+                class
             }
-            EffectJob::SimEvent { ctx, sim, event } => {
-                let mut fx = Effects::default();
-                ctx.apply_sim_event(inner, sim, event, &mut fx);
-                ctx.record_effect(EffectClass::Read, t0.elapsed());
+            EffectWork::SimEvent { sim, event } => {
+                ctx.apply_sim_event(&inner, sim, event);
+                EffectClass::Read
             }
-            EffectJob::BitrepRead {
-                ctx,
+            EffectWork::BitrepRead {
                 client,
                 req_id,
                 key,
@@ -2198,9 +2110,10 @@ fn execute_effect_batch(inner: &Inner, mut jobs: Vec<EffectJob>) {
                 let mut fx = Effects::default();
                 fx.outbox.push((client, ctx.bitrep_response(req_id, key)));
                 ctx.flush_outbox(&mut fx);
-                ctx.record_effect(EffectClass::Read, t0.elapsed());
+                EffectClass::Read
             }
-        }
+        };
+        ctx.record_effect(class, t0.elapsed());
     }
 }
 
@@ -2220,44 +2133,19 @@ impl DvServer {
 
     /// Binds and starts a daemon serving several simulation contexts
     /// (§II) on one address; clients route by context name at hello
-    /// time. Thread topology takes [`DaemonTuning::default`]: auto
-    /// reactor shards, effect tier on with one helper per shard.
+    /// time. Thread topology is fixed: `min(cores, 8)` reactor shards
+    /// and one effect helper per shard.
     ///
     /// # Panics
     /// Panics on duplicate context names — a configuration error.
     pub fn start_multi(configs: Vec<ServerConfig>, bind: &str) -> io::Result<DvServer> {
-        Self::start_tuned(configs, bind, DaemonTuning::default())
-    }
-
-    /// [`start_multi`](Self::start_multi) with explicit thread-topology
-    /// knobs (reactor shard count, effect-tier helper count and queue
-    /// capacity — see [`DaemonTuning`]).
-    ///
-    /// # Panics
-    /// Panics on duplicate context names — a configuration error.
-    pub fn start_tuned(
-        configs: Vec<ServerConfig>,
-        bind: &str,
-        tuning: DaemonTuning,
-    ) -> io::Result<DvServer> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
 
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let reactor_shards = if tuning.reactor_shards == 0 {
-            cores
-        } else {
-            tuning.reactor_shards
-        };
-        // Helper default: one per reactor shard, so every submission
-        // queue has a dedicated drainer and per-queue FIFO is an
-        // execution order. The reactor's shard threads are marked
-        // non-blocking exactly when the tier will be there to take the
-        // blocking work off them.
-        let reactor = Reactor::start_tuned(reactor_shards, tuning.effect_helpers != Some(0))?;
-        let effect_helpers = tuning.effect_helpers.unwrap_or(reactor.shard_count());
+        let reactor = Reactor::start(cores)?;
         let accept_wake = EventFd::new()?;
 
         let mut contexts = HashMap::new();
@@ -2416,7 +2304,17 @@ impl DvServer {
             assert!(previous.is_none(), "duplicate context name {name:?}");
         }
 
-        let inner = Arc::new(Inner {
+        // The effect tier: one bounded queue per reactor shard, each
+        // drained by its own helper thread, so per-queue FIFO is an
+        // execution order. Jobs carry the daemon they belong to; the
+        // pool itself holds no reference to it.
+        let pool = EffectPool::start(
+            reactor.shard_count(),
+            reactor.shard_count(),
+            EFFECT_QUEUE_CAP,
+            Arc::new(execute_effect_batch),
+        )?;
+        let inner = Arc::new_cyclic(|weak_self| Inner {
             contexts,
             epoch: Instant::now(),
             addr,
@@ -2426,28 +2324,9 @@ impl DvServer {
             accept_wake,
             reap_signal: (StdMutex::new(false), Condvar::new()),
             quiesce: (StdMutex::new(()), Condvar::new()),
-            pool: std::sync::OnceLock::new(),
+            weak_self: weak_self.clone(),
+            pool,
         });
-
-        // The effect tier: one bounded queue per reactor shard, drained
-        // by helper threads running `execute_effect_batch`. Built
-        // before the accept loop admits any connection; the executor
-        // holds only a weak reference, so the pool does not keep the
-        // daemon alive.
-        if effect_helpers > 0 {
-            let weak = Arc::downgrade(&inner);
-            let pool = crate::effectpool::EffectPool::start(
-                inner.reactor.shard_count(),
-                effect_helpers,
-                tuning.effect_queue_cap.max(1),
-                Arc::new(move |jobs| {
-                    if let Some(inner) = weak.upgrade() {
-                        execute_effect_batch(&inner, jobs);
-                    }
-                }),
-            )?;
-            let _ = inner.pool.set(pool);
-        }
 
         // Delete whatever the priming evicted (storage shrunk between
         // runs).
@@ -2621,9 +2500,7 @@ impl DvServer {
         // Drain the effect tier: queued effects (WAL appends, pending
         // replies, evictions) execute before the helpers join — the
         // tier never drops work it accepted.
-        if let Some(pool) = self.inner.pool.get() {
-            pool.shutdown();
-        }
+        self.inner.pool.shutdown();
         // Release the reaper from its idle park.
         {
             let _rank = lockrank::held(lockrank::REAP_SIGNAL);
@@ -2660,7 +2537,7 @@ fn run_reaper(inner: &Arc<Inner>) {
                 }
                 let busy = inner.contexts.values().any(|rt| {
                     let _ledger_rank = lockrank::held(lockrank::LEDGER);
-                    rt.ledger.lock().jobs_in_flight()
+                    !rt.ledger.lock().jobs.is_empty()
                 });
                 if busy {
                     break;
@@ -2729,6 +2606,10 @@ struct EpollConn {
     state: ConnState,
 }
 
+// Every connection's state lives in its boxed handler, and the large
+// variant is the common one (analysis sessions): boxing it again would
+// only add a pointer chase to the hit path.
+#[allow(clippy::large_enum_variant)]
 enum ConnState {
     /// Awaiting the Hello frame.
     Handshake,
@@ -2742,7 +2623,6 @@ enum ConnState {
         runtime: Arc<CtxRuntime>,
         sim: SimId,
         finished: bool,
-        fx: Effects,
     },
     /// Torn down; any further frame closes the connection.
     Done,
@@ -2859,11 +2739,11 @@ impl crate::reactor::Handler for EpollConn {
                                 epoch: runtime.epoch,
                             },
                         );
+                        runtime.simulator_connected(sim_id);
                         self.state = ConnState::Simulator {
                             runtime,
                             sim: sim_id,
                             finished: false,
-                            fx: Effects::default(),
                         };
                     }
                 }
@@ -2882,7 +2762,7 @@ impl crate::reactor::Handler for EpollConn {
                 // Tier 1b: the frame's fast-path pin window becomes
                 // durable once the replies are staged (slow-path pins
                 // were logged before their sends, inside commit) — via
-                // the effect tier's group-fsync pass when active.
+                // the effect tier's group-fsync pass.
                 if keep {
                     runtime.wal_drain_local(&self.inner, local, fx);
                 }
@@ -2892,12 +2772,11 @@ impl crate::reactor::Handler for EpollConn {
                 runtime,
                 sim,
                 finished,
-                fx,
             } => {
                 let Ok(req) = Request::decode(frame) else {
                     return false;
                 };
-                runtime.handle_simulator_request(&self.inner, *sim, req, finished, fx)
+                runtime.handle_simulator_request(&self.inner, *sim, req, finished)
             }
             ConnState::Done => false,
         }
@@ -2943,8 +2822,7 @@ impl crate::reactor::Handler for EpollConn {
                 runtime,
                 sim,
                 finished,
-                mut fx,
-            } => runtime.simulator_disconnect(&self.inner, sim, finished, &mut fx),
+            } => runtime.simulator_disconnect(&self.inner, sim, finished),
         }
     }
 }
@@ -2977,9 +2855,16 @@ pub struct SimFaultSpec {
     pub corrupt_every: u64,
     /// Synchronous latency of each `launch()` call itself (the cost a
     /// real scheduler submission or `fork` would charge the calling
-    /// thread). The head-of-line regression tests use it to make an
-    /// inline-executed launch visibly stall its reactor shard.
+    /// thread). The head-of-line regression test uses it to show a slow
+    /// launch stalling only its effect helper, never its reactor shard.
     pub launch_delay: std::time::Duration,
+}
+
+/// One launched sim thread: its kill flag, and the handle whose result
+/// is the job's success (it reached the daemon and ran to the end).
+struct SimThread {
+    killed: Arc<AtomicBool>,
+    handle: JoinHandle<bool>,
 }
 
 /// In-process simulator launcher: "launches" jobs as threads that
@@ -2996,7 +2881,9 @@ pub struct ThreadSimLauncher {
     step_delay: std::time::Duration,
     /// Restart latency before the first step (simulates `alpha_sim`).
     restart_delay: std::time::Duration,
-    kill_flags: Mutex<HashMap<JobId, Arc<AtomicBool>>>,
+    /// Unreaped sim threads. Entries leave through `kill` or `reap`,
+    /// like [`simbatch::ProcessLauncher`]'s children.
+    running: Mutex<HashMap<JobId, SimThread>>,
     faults: SimFaultSpec,
     /// Sim ids that already crashed (each id fails at most once).
     crashed_sims: Arc<Mutex<HashSet<u64>>>,
@@ -3018,7 +2905,7 @@ impl ThreadSimLauncher {
             name_of: Arc::new(name_of),
             step_delay,
             restart_delay,
-            kill_flags: Mutex::new(HashMap::new()),
+            running: Mutex::new(HashMap::new()),
             faults: SimFaultSpec::default(),
             crashed_sims: Arc::new(Mutex::new(HashSet::new())),
             corrupted_keys: Arc::new(Mutex::new(HashSet::new())),
@@ -3067,7 +2954,7 @@ impl JobLauncher for ThreadSimLauncher {
             .to_string();
 
         let killed = Arc::new(AtomicBool::new(false));
-        self.kill_flags.lock().insert(job, Arc::clone(&killed));
+        let kill_requested = Arc::clone(&killed);
         let make_bytes = Arc::clone(&self.make_bytes);
         let name_of = Arc::clone(&self.name_of);
         let (restart_delay, step_delay) = (self.restart_delay, self.step_delay);
@@ -3078,7 +2965,7 @@ impl JobLauncher for ThreadSimLauncher {
         };
         let corrupted_keys = Arc::clone(&self.corrupted_keys);
 
-        std::thread::spawn(move || {
+        let handle = std::thread::spawn(move || {
             let run = || -> io::Result<()> {
                 let mut stream = TcpStream::connect(&addr)?;
                 wire::write_frame(
@@ -3103,7 +2990,7 @@ impl JobLauncher for ThreadSimLauncher {
                 }
                 let area = StorageArea::create(&data_dir, u64::MAX)?;
                 for key in start..=stop {
-                    if killed.load(Ordering::SeqCst) {
+                    if kill_requested.load(Ordering::SeqCst) {
                         // Killed: vanish without SimFinished; the server
                         // treats the drop as SimFailed — unless the DV
                         // already removed the sim (the normal kill path).
@@ -3126,19 +3013,32 @@ impl JobLauncher for ThreadSimLauncher {
                 wire::write_frame(&mut stream, &Request::SimFinished.encode())?;
                 Ok(())
             };
-            let _ = run();
+            run().is_ok()
         });
+        self.running.lock().insert(job, SimThread { killed, handle });
         Ok(simbatch::JobHandle { job, pid: 0 })
     }
 
     fn kill(&self, job: JobId) -> io::Result<()> {
-        if let Some(flag) = self.kill_flags.lock().remove(&job) {
-            flag.store(true, Ordering::SeqCst);
+        if let Some(sim) = self.running.lock().remove(&job) {
+            sim.killed.store(true, Ordering::SeqCst);
         }
         Ok(())
     }
 
     fn reap(&self) -> Vec<(JobId, bool)> {
-        Vec::new()
+        let mut running = self.running.lock();
+        let done: Vec<JobId> = running
+            .iter()
+            .filter(|(_, sim)| sim.handle.is_finished())
+            .map(|(job, _)| *job)
+            .collect();
+        done.into_iter()
+            .map(|job| {
+                let sim = running.remove(&job).expect("collected under this lock");
+                // A sim thread that panicked counts as a failed job.
+                (job, sim.handle.join().unwrap_or(false))
+            })
+            .collect()
     }
 }

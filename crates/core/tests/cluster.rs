@@ -329,6 +329,39 @@ fn member_rejects_foreign_interval() {
     // A key it does own works normally (interval 1 → keys 5..=8).
     let status = client.acquire(&[6]).unwrap();
     assert!(status.ok(), "{status:?}");
+    // The same ownership rule and serve path under the other acquire
+    // mode. Key 6 is resident now, so a native re-acquire is one
+    // `Ready` and no `Queued`; member 2 (member 1's ring successor, same
+    // storage area), asked to take key 6 over from a "dead" member 1,
+    // primes interval 1 from the shared files and must answer in the
+    // same shape, launching nothing. Keys the takeover tag does not
+    // cover are refused per key: 2 is member 0's, 10 is the taker's own.
+    let native = client.acquire(&[6]).unwrap();
+    let (taker, _) = start_member(&dir, ClusterMember::new(2, 3), 1000, 6, 2);
+    let mut tc = SimfsClient::connect(taker.addr(), "test-ctx").unwrap();
+    let mut req = tc.takeover_acquire_nb(&[6, 2, 10], 1, 1).unwrap();
+    let taken = tc.wait(&mut req).unwrap();
+    assert_eq!(native.ready, vec![6]);
+    assert_eq!(taken.ready, native.ready);
+    assert_eq!(
+        (native.est_wait, taken.est_wait),
+        (None, None),
+        "a resident key is never Queued"
+    );
+    assert!(native.failed.is_empty());
+    let refused = |key: u64, why: &str| {
+        taken
+            .failed
+            .iter()
+            .any(|(k, e)| *k == key && e.reason.contains(why))
+    };
+    assert_eq!(taken.failed.len(), 2, "{taken:?}");
+    assert!(refused(2, "not to dead member 1"), "{taken:?}");
+    assert!(refused(10, "without the takeover tag"), "{taken:?}");
+    assert_eq!(taker.stats().restarts, 0, "a primed resident key must not launch");
+    assert_eq!(taker.stats().takeover_intervals_primed, 1);
+    tc.finalize().unwrap();
+    taker.shutdown();
     client.finalize().unwrap();
     server.shutdown();
     drop(server);

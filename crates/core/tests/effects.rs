@@ -1,21 +1,21 @@
-//! Effect-execution tier tests: pooled vs inline equivalence,
-//! head-of-line blocking, queue backpressure, supervision with helpers
-//! on, and the saturated-stream digest guarantee.
-//!
-//! The daemon's default is pool ON (one helper per reactor shard);
-//! `effect_helpers: Some(0)` is the inline compatibility mode these
-//! tests use as the counterfactual.
+//! Effect-execution tier tests: client-visible outcomes pinned against
+//! the pre-tier daemon's recorded results, head-of-line isolation,
+//! queue backpressure, supervision on helper threads, the simulator
+//! lifecycle's single writer, and the saturated-stream digest
+//! guarantee. All run the shipping topology (`DvServer::start`): one
+//! effect helper per reactor shard, `min(cores, 8)` shards.
 
 use simbatch::ParallelismMap;
 use simfs_core::client::SimfsClient;
 use simfs_core::driver::{PatternDriver, SimDriver};
 use simfs_core::model::{ContextCfg, StepMath};
 use simfs_core::server::{
-    ClusterMember, DaemonTuning, DurabilityCfg, DvServer, ServerConfig, SimFaultSpec,
-    ThreadSimLauncher,
+    ClusterMember, DurabilityCfg, DvServer, ServerConfig, SimFaultSpec, ThreadSimLauncher,
 };
+use simfs_core::wire::{self, ClientKind, Request, Response};
 use simstore::{Data, Dataset, StorageArea};
 use std::collections::HashMap;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,7 +39,6 @@ struct FixtureCfg {
     prefetch: bool,
     faults: SimFaultSpec,
     supervisor: Option<simfs_core::model::SupervisorCfg>,
-    tuning: DaemonTuning,
 }
 
 impl Default for FixtureCfg {
@@ -50,13 +49,11 @@ impl Default for FixtureCfg {
             prefetch: false,
             faults: SimFaultSpec::default(),
             supervisor: None,
-            tuning: DaemonTuning::default(),
         }
     }
 }
 
-/// One-DV-shard daemon over a fresh storage area with explicit
-/// [`DaemonTuning`] — the knob under test here.
+/// One-DV-shard daemon over a fresh storage area.
 fn start_daemon(tag: &str, cfg: FixtureCfg) -> Fixture {
     let dir = std::env::temp_dir().join(format!(
         "simfs-effects-{}-{}-{:?}",
@@ -91,8 +88,8 @@ fn start_daemon(tag: &str, cfg: FixtureCfg) -> Fixture {
         )
         .with_faults(cfg.faults),
     );
-    let server = DvServer::start_tuned(
-        vec![ServerConfig {
+    let server = DvServer::start(
+        ServerConfig {
             ctx,
             driver,
             storage: storage.clone(),
@@ -101,9 +98,8 @@ fn start_daemon(tag: &str, cfg: FixtureCfg) -> Fixture {
             dv_shards: 1,
             cluster: ClusterMember::SOLO,
             durability: DurabilityCfg::default(),
-        }],
+        },
         "127.0.0.1:0",
-        cfg.tuning,
     )
     .unwrap();
     Fixture {
@@ -132,240 +128,289 @@ fn settle(client: &mut SimfsClient) {
     }
 }
 
-/// The pooled ≡ inline contract, end to end over real sockets: the
-/// same deterministic request sequence driven through a default
-/// (effect-pool) daemon and through an inline (`effect_helpers =
-/// Some(0)`) daemon must produce identical client-visible outcomes —
-/// per-request ready/failed sets, identical
-/// hit/miss/restart/production/eviction totals after quiescence, and
-/// identical final storage listings. The effect tier may only change
-/// *where* effects execute, never *what* they do.
+/// A hand-rolled analysis session (Hello done): lets a test pipeline
+/// frames on one connection and see every reply frame, which the
+/// one-request-at-a-time `SimfsClient` cannot.
+fn raw_connect(addr: SocketAddr) -> TcpStream {
+    let mut sock = TcpStream::connect(addr).unwrap();
+    sock.set_nodelay(true).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    raw_send(
+        &mut sock,
+        &Request::Hello {
+            kind: ClientKind::Analysis,
+            context: "test-ctx".into(),
+            membership: None,
+            epoch: None,
+        },
+    );
+    match raw_recv(&mut sock) {
+        Response::HelloOk { .. } => sock,
+        other => panic!("expected HelloOk, got {other:?}"),
+    }
+}
+
+fn raw_send(sock: &mut TcpStream, req: &Request) {
+    wire::write_frame(sock, &req.encode()).unwrap();
+}
+
+fn raw_recv(sock: &mut TcpStream) -> Response {
+    let frame = wire::read_frame(sock)
+        .expect("reply never arrived")
+        .expect("EOF before reply");
+    Response::decode(&frame).unwrap()
+}
+
+/// The pooled ≡ inline contract, end to end over real sockets: a
+/// deterministic request sequence must produce exactly the
+/// client-visible outcomes the inline daemon (effects executed on the
+/// reactor shard thread, before the effect tier was the only path)
+/// produced for it — per-request ready/failed sets, the
+/// hit/miss/restart/production/failure/eviction totals after
+/// quiescence, and the final storage listing. The literals below were
+/// recorded from that daemon at the commit that deleted it (stable over
+/// repeated runs). The effect tier may only change *where* effects
+/// execute, never *what* they do.
 #[test]
 fn pooled_and_inline_daemons_serve_identical_outcomes() {
     // A cache of 12 steps (3 intervals at B = 4) forces evictions
     // mid-sequence, exercising the pooled delete path; every acquire
     // is blocking and settled before the next op, so the eviction
-    // decisions are deterministic on both sides.
-    let mk = |tag: &str, helpers: Option<usize>| {
-        start_daemon(
-            tag,
-            FixtureCfg {
-                cache_steps: 12,
-                tuning: DaemonTuning {
-                    effect_helpers: helpers,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-    };
-    let pooled = mk("eq-pooled", None);
-    let inline = mk("eq-inline", Some(0));
+    // decisions are deterministic.
+    let pooled = start_daemon(
+        "eq-pooled",
+        FixtureCfg {
+            cache_steps: 12,
+            ..Default::default()
+        },
+    );
     let mut pc = SimfsClient::connect(pooled.server.addr(), "test-ctx").unwrap();
-    let mut ic = SimfsClient::connect(inline.server.addr(), "test-ctx").unwrap();
 
     enum Op {
-        Acquire(&'static [u64]),
+        /// Keys, then the inline daemon's (ready, failed) sets.
+        Acquire(&'static [u64], &'static [u64], &'static [u64]),
         Release(u64),
     }
     let ops = [
-        Op::Acquire(&[2]),
-        Op::Acquire(&[6]),
-        Op::Acquire(&[2]), // hit
+        Op::Acquire(&[2], &[2], &[]),
+        Op::Acquire(&[6], &[6], &[]),
+        Op::Acquire(&[2], &[2], &[]), // hit
         Op::Release(2),
-        Op::Acquire(&[10]),
+        Op::Acquire(&[10], &[10], &[]),
         Op::Release(6),
         Op::Release(2),
-        Op::Acquire(&[14]), // pressure: evicts an unpinned interval
-        Op::Acquire(&[18]),
-        Op::Acquire(&[9999]), // out of timeline: typed failure
+        Op::Acquire(&[14], &[14], &[]), // pressure: evicts an unpinned interval
+        Op::Acquire(&[18], &[18], &[]),
+        Op::Acquire(&[9999], &[], &[9999]), // out of timeline: typed failure
         Op::Release(10),
-        Op::Acquire(&[22, 26]),
-        Op::Acquire(&[6]), // may re-miss after eviction — same on both
+        Op::Acquire(&[22, 26], &[22, 26], &[]),
+        Op::Acquire(&[6], &[6], &[]), // re-misses after eviction
     ];
     for (i, op) in ops.iter().enumerate() {
         match op {
-            Op::Acquire(keys) => {
+            Op::Acquire(keys, want_ready, want_failed) => {
                 let got = pc.acquire(keys).unwrap();
-                let want = ic.acquire(keys).unwrap();
                 assert_eq!(
                     sorted(got.ready.clone()),
-                    sorted(want.ready.clone()),
-                    "op {i}: ready sets diverge"
+                    *want_ready,
+                    "op {i}: ready set diverges"
                 );
                 let got_failed: Vec<u64> = got.failed.iter().map(|(k, _)| *k).collect();
-                let want_failed: Vec<u64> = want.failed.iter().map(|(k, _)| *k).collect();
-                assert_eq!(
-                    sorted(got_failed),
-                    sorted(want_failed),
-                    "op {i}: failed sets diverge"
-                );
+                assert_eq!(sorted(got_failed), *want_failed, "op {i}: failed set diverges");
                 settle(&mut pc);
-                settle(&mut ic);
             }
-            Op::Release(key) => {
-                pc.release(*key).unwrap();
-                ic.release(*key).unwrap();
-            }
+            Op::Release(key) => pc.release(*key).unwrap(),
         }
     }
     pc.finalize().unwrap();
-    ic.finalize().unwrap();
 
-    // Give queued eviction deletes on the pooled side time to land
-    // before comparing the on-disk listings.
+    // Give queued eviction deletes time to land before comparing the
+    // on-disk listing.
     std::thread::sleep(Duration::from_millis(200));
     let ps = pooled.server.stats();
-    let is = inline.server.stats();
-    for (name, p, i) in [
-        ("hits", ps.hits, is.hits),
-        ("misses", ps.misses, is.misses),
-        ("restarts", ps.restarts, is.restarts),
-        ("produced_steps", ps.produced_steps, is.produced_steps),
-        ("failures", ps.failures, is.failures),
-        ("evictions", ps.evictions, is.evictions),
+    for (name, got, inline) in [
+        ("hits", ps.hits, 1),
+        ("misses", ps.misses, 8),
+        ("restarts", ps.restarts, 8),
+        ("produced_steps", ps.produced_steps, 32),
+        ("failures", ps.failures, 0),
+        ("evictions", ps.evictions, 19),
     ] {
-        assert_eq!(p, i, "{name} diverges: pooled {p} vs inline {i}");
+        assert_eq!(got, inline, "{name} diverges: pooled {got} vs inline {inline}");
     }
-    assert!(ps.evictions > 0, "sequence never evicted: {ps:?}");
     assert!(
         ps.effects_offloaded > 0,
-        "pooled daemon never used its helpers: {ps:?}"
+        "daemon never used its helpers: {ps:?}"
     );
-    assert_eq!(is.effects_offloaded, 0, "inline daemon offloaded: {is:?}");
-    let mut plist = pooled.storage.list().unwrap();
-    let mut ilist = inline.storage.list().unwrap();
-    plist.sort();
-    ilist.sort();
-    assert_eq!(plist, ilist, "final storage listings diverge");
+    let inline_listing: Vec<String> = [6, 7, 8, 11, 14, 15, 18, 19, 22, 23, 26, 27]
+        .iter()
+        .map(|k| format!("out-{k:06}.sdf"))
+        .collect();
+    assert_eq!(
+        pooled.storage.list().unwrap(),
+        inline_listing,
+        "final storage listing diverges"
+    );
 }
 
-/// Drives the head-of-line scenario: a single-reactor-shard daemon, a
-/// slow miss (600 ms synchronous `launch()`) issued from one
-/// connection, then timed pure-hit acquires from a second connection.
-/// Returns the worst observed hit latency.
-fn worst_hit_latency_behind_slow_miss(tag: &str, helpers: Option<usize>) -> Duration {
+/// Head-of-line isolation, on one connection so the slow miss and the
+/// hits share a reactor shard whatever the shard count: a miss whose
+/// `launch()` takes 600 ms is in flight while ten pure-hit acquires are
+/// timed behind it. The launch sleeps on the shard's effect helper, so
+/// the hits must stay fast; executed on the shard thread itself (the
+/// daemon before the effect tier) the same launch stalled every one of
+/// them for its full duration.
+#[test]
+fn slow_miss_does_not_block_hits_with_effect_pool() {
     let fx = start_daemon(
-        tag,
+        "hol-pooled",
         FixtureCfg {
             faults: SimFaultSpec {
                 launch_delay: Duration::from_millis(600),
                 ..Default::default()
             },
-            tuning: DaemonTuning {
-                reactor_shards: 1,
-                effect_helpers: helpers,
+            ..Default::default()
+        },
+    );
+    // Warm key 2 so the timed acquires are pure fast-path hits. The
+    // warm-up miss pays the launch delay once, before timing starts.
+    let mut warm = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    let status = warm.acquire(&[2]).unwrap();
+    assert!(status.ok(), "{status:?}");
+    settle(&mut warm);
+
+    let mut sock = raw_connect(fx.server.addr());
+    raw_send(&mut sock, &Request::Acquire { req_id: 1, keys: vec![30] });
+    // `Queued` is flushed by the same helper job that then enters the
+    // launch: once it is here, the 600 ms launch is under way.
+    match raw_recv(&mut sock) {
+        Response::Queued { req_id: 1, key: 30, .. } => {}
+        other => panic!("expected Queued for the miss, got {other:?}"),
+    }
+    let mut worst = Duration::ZERO;
+    for req_id in 2..12 {
+        let t0 = Instant::now();
+        raw_send(&mut sock, &Request::Acquire { req_id, keys: vec![2] });
+        match raw_recv(&mut sock) {
+            Response::Ready { req_id: got, key: 2 } if got == req_id => {}
+            other => panic!("hit {req_id} answered with {other:?}"),
+        }
+        worst = worst.max(t0.elapsed());
+        raw_send(&mut sock, &Request::Release { key: 2 });
+    }
+    assert!(
+        worst < Duration::from_millis(200),
+        "hits stalled behind the slow miss, worst was {worst:?}"
+    );
+    // The miss itself completes once its launch returns.
+    match raw_recv(&mut sock) {
+        Response::Ready { req_id: 1, key: 30 } => {}
+        other => panic!("expected Ready for the miss, got {other:?}"),
+    }
+    raw_send(&mut sock, &Request::Bye);
+    warm.finalize().unwrap();
+}
+
+/// Overflowing the real effect queue from one connection must park the
+/// submitting shard thread — backpressure, not loss. One miss whose
+/// `launch()` takes 300 ms occupies the shard's helper; 400 pipelined
+/// `Bitrep`s (one effect job each) pile up behind it, past the queue's
+/// capacity. Every reply must still arrive, in order, nothing may
+/// deadlock, and the stall must be visible in `helper_queue_full`.
+#[test]
+fn saturated_effect_queue_applies_backpressure_without_loss() {
+    use std::io::Write;
+    let fx = start_daemon(
+        "saturate",
+        FixtureCfg {
+            faults: SimFaultSpec {
+                launch_delay: Duration::from_millis(300),
                 ..Default::default()
             },
             ..Default::default()
         },
     );
-    let addr = fx.server.addr();
-    // Warm key 2 so the timed acquires are pure fast-path hits. The
-    // warm-up miss pays the launch delay once, before timing starts.
-    let mut hitter = SimfsClient::connect(addr, "test-ctx").unwrap();
-    let status = hitter.acquire(&[2]).unwrap();
-    assert!(status.ok(), "{status:?}");
-    settle(&mut hitter);
-
-    // The miss client blocks in acquire() for the whole launch delay,
-    // so it runs on its own thread; with one reactor shard its
-    // `launch()` stalls the entire daemon front-end in inline mode.
-    let misser = std::thread::spawn(move || {
-        let mut mc = SimfsClient::connect(addr, "test-ctx").unwrap();
-        let status = mc.acquire(&[30]).unwrap();
-        assert!(status.ok(), "{status:?}");
-        mc.finalize().unwrap();
-    });
-    // Let the miss frame reach the daemon and enter its transition.
-    std::thread::sleep(Duration::from_millis(100));
-    let mut worst = Duration::ZERO;
-    for _ in 0..10 {
-        let t0 = Instant::now();
-        let status = hitter.acquire(&[2]).unwrap();
-        assert!(status.ok(), "{status:?}");
-        worst = worst.max(t0.elapsed());
-        hitter.release(2).unwrap();
+    let mut sock = raw_connect(fx.server.addr());
+    const BURST: u64 = 400;
+    let mut pipelined = Vec::new();
+    let miss = Request::Acquire { req_id: 0, keys: vec![2] };
+    let bitreps = (1..=BURST).map(|req_id| Request::Bitrep { req_id, key: 30 });
+    for req in std::iter::once(miss).chain(bitreps) {
+        let body = req.encode();
+        pipelined.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        pipelined.extend_from_slice(&body);
     }
-    misser.join().unwrap();
-    hitter.finalize().unwrap();
-    worst
-}
+    sock.write_all(&pipelined).unwrap();
 
-/// Inline counterfactual: with the pool disabled, the slow miss's
-/// synchronous `launch()` runs on the only reactor shard thread and
-/// hits queue behind it — the regression the effect tier exists to
-/// fix. This test *demonstrates the failure mode*; its partner below
-/// shows the pool removing it.
-#[test]
-fn slow_miss_blocks_hits_without_effect_pool() {
-    let worst = worst_hit_latency_behind_slow_miss("hol-inline", Some(0));
+    // Per-queue FIFO: the miss's `Queued`, then every Bitrep reply in
+    // submission order (key 30 was never materialized, so each is a
+    // typed `Failed`), with the miss's `Ready` landing once its sim has
+    // produced — somewhere among them.
+    let (mut next_bitrep, mut queued, mut ready) = (1, false, false);
+    while next_bitrep <= BURST || !ready {
+        match raw_recv(&mut sock) {
+            Response::Queued { req_id: 0, key: 2, .. } => queued = true,
+            Response::Ready { req_id: 0, key: 2 } => ready = true,
+            Response::Failed { req_id, key: 30, .. } => {
+                assert_eq!(req_id, next_bitrep, "Bitrep replies must arrive in order");
+                next_bitrep += 1;
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert!(queued, "the miss was never acknowledged as queued");
+    let stats = fx.server.stats();
+    assert_eq!(stats.failures, 0, "{stats:?}");
+    assert_eq!(stats.restarts, 1, "{stats:?}");
+    assert!(stats.effects_offloaded > BURST, "{stats:?}");
     assert!(
-        worst >= Duration::from_millis(200),
-        "inline mode should stall hits behind the 600 ms launch, worst was {worst:?}"
+        stats.helper_queue_full >= 1,
+        "queue never filled — backpressure untested: {stats:?}"
     );
+    raw_send(&mut sock, &Request::Release { key: 2 });
+    raw_send(&mut sock, &Request::Bye);
 }
 
-/// With the pool on (default helpers), the launch executes on a helper
-/// thread and concurrent hits on the same reactor shard stay fast.
+/// The simulator lifecycle has one writer. Twelve short sims are
+/// launched by one commit whose `launch()` calls take 100 ms each, all
+/// on the helper of the requesting connection's queue; every sim whose
+/// own connection landed on that queue (all of them on one shard, every
+/// `shards`-th otherwise — connections are placed round-robin) has its
+/// `FileProduced`/`SimFinished` events parked behind the remaining
+/// launches while its thread exits and the reaper collects the exit. An
+/// exit turned into `SimFinished` there overtakes the sim's own queued
+/// productions, and the DV writes a finished sim off as failed and
+/// retries it. The exit of a sim that said `Hello` must be ignored.
 #[test]
-fn slow_miss_does_not_block_hits_with_effect_pool() {
-    let worst = worst_hit_latency_behind_slow_miss("hol-pooled", None);
-    assert!(
-        worst < Duration::from_millis(200),
-        "pooled hits stalled behind the slow miss, worst was {worst:?}"
-    );
-}
-
-/// Overflowing a tiny effect queue (capacity 2, one helper, 20 ms per
-/// launch) must park the submitting shard thread — backpressure, not
-/// loss: every acquire still completes, nothing deadlocks, and the
-/// stall is visible in `helper_queue_full`.
-#[test]
-fn saturated_effect_queue_applies_backpressure_without_loss() {
+fn finished_sim_is_not_failed_by_its_own_exit() {
     let fx = start_daemon(
-        "saturate",
+        "one-writer",
         FixtureCfg {
+            smax: 16,
             faults: SimFaultSpec {
-                launch_delay: Duration::from_millis(20),
+                launch_delay: Duration::from_millis(100),
                 ..Default::default()
-            },
-            tuning: DaemonTuning {
-                reactor_shards: 1,
-                effect_helpers: Some(1),
-                effect_queue_cap: 2,
             },
             ..Default::default()
         },
     );
     let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
-    // Eight misses in distinct restart intervals (B = 4) as one merged
-    // request: the single commit carries eight 20 ms launches, keeping
-    // the lone helper busy ~160 ms while the sims' ~48 protocol events
-    // flood the capacity-2 queue and park the submitting shard thread.
-    let keys: Vec<u64> = (0..8).map(|i| 1 + i * 4).collect();
-    let mut req = client.acquire_nb(&keys).unwrap();
-    let status = client.wait(&mut req).unwrap();
+    // One key in each of twelve restart intervals (B = 4).
+    let keys: Vec<u64> = (0..12).map(|i| 2 + i * 4).collect();
+    let status = client.acquire(&keys).unwrap();
     assert!(status.ok(), "{status:?}");
     assert_eq!(sorted(status.ready.clone()), keys);
+    settle(&mut client);
     let stats = fx.server.stats();
-    assert_eq!(stats.failures, 0, "{stats:?}");
-    assert_eq!(stats.restarts, 8, "{stats:?}");
-    assert!(stats.effects_offloaded > 0, "{stats:?}");
-    assert!(
-        stats.helper_queue_full >= 1,
-        "queue never filled — backpressure untested: {stats:?}"
-    );
-    for &k in &keys {
-        client.release(k).unwrap();
-    }
+    assert_eq!(stats.failures, 0, "a finished sim was failed: {stats:?}");
+    assert_eq!(stats.sim_retries, 0, "{stats:?}");
+    assert_eq!(stats.restarts, keys.len() as u64, "{stats:?}");
     client.finalize().unwrap();
 }
 
 /// The PR 8 supervision ladder (transient crash retry + output
-/// integrity) pinned against an explicitly pooled daemon: retries and
-/// corrupt-output kills are themselves effects now, and must survive
-/// the move onto helper threads.
+/// integrity) on the default topology: retries and corrupt-output
+/// kills are themselves effects, executed on helper threads.
 #[test]
 fn fault_supervision_holds_with_effect_pool() {
     let fx = start_daemon(
@@ -383,10 +428,6 @@ fn fault_supervision_holds_with_effect_pool() {
                 quarantine: simkit::Dur::from_secs(2),
                 ..Default::default()
             }),
-            tuning: DaemonTuning {
-                effect_helpers: Some(2),
-                ..Default::default()
-            },
             ..Default::default()
         },
     );

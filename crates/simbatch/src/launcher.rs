@@ -73,7 +73,9 @@ pub trait JobLauncher: Send + Sync {
     fn kill(&self, job: JobId) -> io::Result<()>;
 
     /// Reaps finished children; returns the jobs that exited and whether
-    /// they succeeded.
+    /// they succeeded. Every launched job must be reported exactly once
+    /// unless `kill` retired it first: the daemon keeps a job in flight
+    /// (and its reaper polling) until then.
     fn reap(&self) -> Vec<(JobId, bool)>;
 }
 

@@ -170,9 +170,8 @@ mod imp {
         CHECKS.fetch_add(1, Ordering::Relaxed);
         if thread_is_nonblocking() {
             panic!(
-                "blocking operation '{what}' on a non-blocking thread (a reactor shard with \
-                 the effect pool active); submit it through the effect tier — \
-                 see crates/core/LOCKS.md",
+                "blocking operation '{what}' on a non-blocking thread (a reactor shard); \
+                 submit it through the effect tier — see crates/core/LOCKS.md",
             );
         }
         let offender = STACK.with(|s| {

@@ -12,6 +12,7 @@
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A bounded directory of output/restart step files.
 #[derive(Clone, Debug)]
@@ -62,10 +63,20 @@ impl StorageArea {
     }
 
     /// Atomically publishes `bytes` as `name` (write temp + rename);
-    /// returns the byte size.
+    /// returns the byte size. Every call writes through a temp file of
+    /// its own (pid + process-wide counter), so overlapping producers of
+    /// one step — a retry racing the attempt it replaced, in this
+    /// process or another — cannot truncate or rename each other's; the
+    /// last rename wins whole. The temp name matches no driver's
+    /// `key_of` pattern, so a crash's litter is never primed as a step.
     pub fn publish(&self, name: &str, bytes: &[u8]) -> io::Result<u64> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.path_for(name)?;
-        let tmp = path.with_extension("tmp-publish");
+        let tmp = path.with_extension(format!(
+            "tmp-publish-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(bytes)?;
@@ -183,6 +194,36 @@ mod tests {
         assert_eq!(area.read("f").unwrap(), b"newer");
         // No temp litter.
         assert_eq!(area.list().unwrap(), vec!["f"]);
+        fs::remove_dir_all(area.root()).unwrap();
+    }
+
+    /// Two overlapping producers of one step (a retry racing the attempt
+    /// it replaced) must never fail each other's publish or expose a
+    /// torn file: with a shared temp name the loser's `rename` hit
+    /// ENOENT and a reader could see the other writer's truncation.
+    #[test]
+    fn concurrent_publishers_of_one_name_never_fail_or_tear() {
+        let area = temp_area();
+        let payloads = [vec![0xAAu8; 4096], vec![0x55u8; 6000]];
+        area.publish("step", &payloads[0]).unwrap();
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let (area, payloads) = (&area, &payloads);
+                scope.spawn(move || {
+                    for round in 0..500 {
+                        area.publish("step", payload)
+                            .unwrap_or_else(|e| panic!("publish {round} failed: {e}"));
+                        let seen = area.read("step").unwrap();
+                        assert!(
+                            payloads.contains(&seen),
+                            "round {round}: torn read of {} bytes",
+                            seen.len()
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(area.list().unwrap(), vec!["step"], "temp litter left behind");
         fs::remove_dir_all(area.root()).unwrap();
     }
 

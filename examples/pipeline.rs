@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Coarse-stage step content: a pure function of the key.
@@ -39,8 +40,13 @@ fn coarse_bytes(key: u64) -> Vec<u8> {
 struct FineLauncher {
     coarse_addr: OnceLock<SocketAddr>,
     coarse_storage: StorageArea,
-    kills: Mutex<HashMap<JobId, Arc<std::sync::atomic::AtomicBool>>>,
+    /// Unreaped sim threads: kill flag plus the handle whose result is
+    /// the job's success (the launcher contract: `reap` reports every
+    /// exit once, which is how the daemon retires its ledger entry).
+    running: Mutex<HashMap<JobId, SimThread>>,
 }
+
+type SimThread = (Arc<std::sync::atomic::AtomicBool>, JoinHandle<bool>);
 
 impl JobLauncher for FineLauncher {
     fn launch(&self, job: JobId, spec: &SpawnSpec) -> io::Result<JobHandle> {
@@ -62,9 +68,9 @@ impl JobLauncher for FineLauncher {
         let coarse_addr = *self.coarse_addr.get().expect("coarse daemon up");
         let coarse_storage = self.coarse_storage.clone();
         let killed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        self.kills.lock().unwrap().insert(job, Arc::clone(&killed));
+        let kill_requested = Arc::clone(&killed);
 
-        std::thread::spawn(move || {
+        let handle = std::thread::spawn(move || {
             let run = || -> io::Result<()> {
                 let area = StorageArea::create(&data_dir, u64::MAX)?;
                 let mut session = SimulatorSession::connect(&addr, "fine", sim_id)?;
@@ -74,7 +80,7 @@ impl JobLauncher for FineLauncher {
                 std::thread::sleep(Duration::from_millis(10));
                 session.started()?;
                 for key in start..=stop {
-                    if killed.load(std::sync::atomic::Ordering::SeqCst) {
+                    if kill_requested.load(std::sync::atomic::Ordering::SeqCst) {
                         return Ok(());
                     }
                     // Fine step k needs coarse step ceil(k/2): acquire
@@ -107,20 +113,32 @@ impl JobLauncher for FineLauncher {
                 }
                 session.finished()
             };
-            let _ = run();
+            run().is_ok()
         });
+        self.running.lock().unwrap().insert(job, (killed, handle));
         Ok(JobHandle { job, pid: 0 })
     }
 
     fn kill(&self, job: JobId) -> io::Result<()> {
-        if let Some(flag) = self.kills.lock().unwrap().remove(&job) {
+        if let Some((flag, _)) = self.running.lock().unwrap().remove(&job) {
             flag.store(true, std::sync::atomic::Ordering::SeqCst);
         }
         Ok(())
     }
 
     fn reap(&self) -> Vec<(JobId, bool)> {
-        Vec::new()
+        let mut running = self.running.lock().unwrap();
+        let done: Vec<JobId> = running
+            .iter()
+            .filter(|(_, (_, handle))| handle.is_finished())
+            .map(|(job, _)| *job)
+            .collect();
+        done.into_iter()
+            .map(|job| {
+                let (_, handle) = running.remove(&job).expect("collected under this lock");
+                (job, handle.join().unwrap_or(false))
+            })
+            .collect()
     }
 }
 
@@ -160,7 +178,7 @@ fn main() -> io::Result<()> {
     let fine_launcher = Arc::new(FineLauncher {
         coarse_addr: OnceLock::new(),
         coarse_storage: coarse_storage.clone(),
-        kills: Mutex::new(HashMap::new()),
+        running: Mutex::new(HashMap::new()),
     });
     fine_launcher.coarse_addr.set(coarse.addr()).unwrap();
     let fine_ctx = ContextCfg::new("fine", StepMath::new(1, 16, 128), 1024, 1 << 20)

@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// In-process launcher around a [`simulators::SimKind`] kernel.
@@ -30,7 +31,15 @@ pub struct KernelLauncher {
     tau: Duration,
     /// Emulated restart latency.
     alpha: Duration,
-    kills: Mutex<HashMap<JobId, Arc<AtomicBool>>>,
+    /// Unreaped sim threads. Entries leave through `kill` or `reap`.
+    running: Mutex<HashMap<JobId, SimThread>>,
+}
+
+/// One launched sim thread: its kill flag, and the handle whose result
+/// is the job's success.
+struct SimThread {
+    killed: Arc<AtomicBool>,
+    handle: JoinHandle<bool>,
 }
 
 impl KernelLauncher {
@@ -44,7 +53,7 @@ impl KernelLauncher {
             dr,
             tau,
             alpha,
-            kills: Mutex::new(HashMap::new()),
+            running: Mutex::new(HashMap::new()),
         }
     }
 
@@ -75,13 +84,10 @@ impl JobLauncher for KernelLauncher {
             .to_string();
 
         let killed = Arc::new(AtomicBool::new(false));
-        self.kills
-            .lock()
-            .expect("kernel launcher lock")
-            .insert(job, Arc::clone(&killed));
+        let kill_requested = Arc::clone(&killed);
 
         let (kind, dd, dr, tau, alpha) = (self.kind, self.dd, self.dr, self.tau, self.alpha);
-        std::thread::spawn(move || {
+        let handle = std::thread::spawn(move || {
             let run = || -> io::Result<()> {
                 let area = StorageArea::create(&data_dir, u64::MAX)?;
                 let b = dr / dd;
@@ -113,7 +119,7 @@ impl JobLauncher for KernelLauncher {
                 } else {
                     let stop_t = stop * dd;
                     while sim.timestep() < stop_t {
-                        if killed.load(Ordering::SeqCst) {
+                        if kill_requested.load(Ordering::SeqCst) {
                             return Ok(()); // vanish: DV already dropped us
                         }
                         sim.step();
@@ -125,19 +131,36 @@ impl JobLauncher for KernelLauncher {
                 }
                 session.finished()
             };
-            let _ = run();
+            run().is_ok()
         });
+        self.running
+            .lock()
+            .expect("kernel launcher lock")
+            .insert(job, SimThread { killed, handle });
         Ok(JobHandle { job, pid: 0 })
     }
 
     fn kill(&self, job: JobId) -> io::Result<()> {
-        if let Some(flag) = self.kills.lock().expect("kernel launcher lock").remove(&job) {
-            flag.store(true, Ordering::SeqCst);
+        let entry = self.running.lock().expect("kernel launcher lock").remove(&job);
+        if let Some(sim) = entry {
+            sim.killed.store(true, Ordering::SeqCst);
         }
         Ok(())
     }
 
     fn reap(&self) -> Vec<(JobId, bool)> {
-        Vec::new()
+        let mut running = self.running.lock().expect("kernel launcher lock");
+        let done: Vec<JobId> = running
+            .iter()
+            .filter(|(_, sim)| sim.handle.is_finished())
+            .map(|(job, _)| *job)
+            .collect();
+        done.into_iter()
+            .map(|job| {
+                let sim = running.remove(&job).expect("collected under this lock");
+                // A sim thread that panicked counts as a failed job.
+                (job, sim.handle.join().unwrap_or(false))
+            })
+            .collect()
     }
 }

@@ -60,12 +60,13 @@ fn subprocess_resimulation_end_to_end() {
             "--seed".into(), "11".into(),
         ],
     ));
+    let launcher = Arc::new(ProcessLauncher::new());
     let server = DvServer::start(
         ServerConfig {
             ctx,
             driver: driver.clone(),
             storage: storage.clone(),
-            launcher: Arc::new(ProcessLauncher::new()),
+            launcher: launcher.clone(),
             checksums,
             dv_shards: 1,
             cluster: ClusterMember::SOLO,
@@ -104,6 +105,29 @@ fn subprocess_resimulation_end_to_end() {
     }
     let stats = server.stats();
     assert!(stats.restarts >= 2, "two intervals => at least two jobs");
+
+    // Once the walk settles, every child must be reaped without a
+    // further launch to nudge the reaper: a protocol `SimFinished`
+    // leaves the job in flight until the launcher reports its exit.
+    // And no clean exit may be mistaken for a failure — the exit of a
+    // sim that said Hello is not a lifecycle event.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while client.status().unwrap().active_sims > 0 {
+        assert!(std::time::Instant::now() < deadline, "sims never settled");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(500);
+    while launcher.live() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{} children unreaped ten reaper polls after the last sim finished",
+            launcher.live()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let stats = server.stats();
+    assert_eq!(stats.failures, 0, "{stats:?}");
+    assert_eq!(stats.sim_retries, 0, "{stats:?}");
 
     client.finalize().unwrap();
     server.shutdown();
