@@ -1192,6 +1192,18 @@ fn start_supervised_daemon(
     faults: simfs_core::server::SimFaultSpec,
     supervisor: simfs_core::model::SupervisorCfg,
 ) -> Fixture {
+    start_supervised_daemon_producing(tag, faults, supervisor, step_bytes)
+}
+
+/// [`start_supervised_daemon`] whose simulators publish
+/// `make_bytes(key)` — the hook for output that is wrong in ways the
+/// launcher's own fault spec does not script.
+fn start_supervised_daemon_producing(
+    tag: &str,
+    faults: simfs_core::server::SimFaultSpec,
+    supervisor: simfs_core::model::SupervisorCfg,
+    make_bytes: impl Fn(u64) -> Vec<u8> + Send + Sync + 'static,
+) -> Fixture {
     let dir = std::env::temp_dir().join(format!(
         "simfs-daemon-{}-{}-{:?}",
         tag,
@@ -1216,7 +1228,7 @@ fn start_supervised_daemon(
         .collect();
     let launcher = Arc::new(
         ThreadSimLauncher::new(
-            step_bytes,
+            make_bytes,
             |key| PatternDriver::new("out-", ".sdf", 6).filename_of(key),
             Duration::from_millis(2),
             Duration::from_millis(1),
@@ -1303,6 +1315,54 @@ fn corrupt_output_is_deleted_killed_and_reproduced() {
     let bytes = fx.storage.read(&fx.driver.filename_of(7)).unwrap();
     simstore::Dataset::decode(&bytes).expect("resident file must verify");
     assert_eq!(simstore::fnv1a64(&bytes), simstore::fnv1a64(&step_bytes(7)));
+    client.finalize().unwrap();
+}
+
+#[test]
+fn sealed_malformed_output_is_rejected_and_the_daemon_survives() {
+    // Key 7's first production is a container a simulator sealed
+    // correctly — the footer matches — around a body that claims
+    // u32::MAX variables. The footer is no reason to trust a count:
+    // the gate's structural walk must call it corrupt (it used to size
+    // an allocation by it and abort the whole daemon), and from there
+    // the corrupt-output path runs as for any other bad file.
+    let sealed_huge_n_vars = || {
+        let mut bytes = b"SDF1".to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes()); // version
+        bytes.extend_from_slice(&7u64.to_le_bytes()); // step
+        bytes.extend_from_slice(&7f64.to_le_bytes()); // simtime
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // n_attrs
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // n_vars
+        let footer = simstore::xxh64(&bytes);
+        bytes.extend_from_slice(&footer.to_le_bytes());
+        bytes
+    };
+    let malformed_served = std::sync::atomic::AtomicBool::new(false);
+    let fx = start_supervised_daemon_producing(
+        "sealed-malformed",
+        simfs_core::server::SimFaultSpec::default(),
+        test_supervisor(),
+        move |key| {
+            if key == 7 && !malformed_served.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                sealed_huge_n_vars()
+            } else {
+                step_bytes(key)
+            }
+        },
+    );
+    let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    let status = client.acquire(&[7]).unwrap();
+    assert!(status.ok(), "{status:?}");
+    assert_eq!(status.ready, vec![7]);
+    let stats = fx.server.stats();
+    assert_eq!(stats.corrupt_outputs, 1, "{stats:?}");
+    assert_eq!(stats.sim_retries, 1, "{stats:?}");
+    assert_eq!(stats.intervals_poisoned, 0, "{stats:?}");
+    let bytes = fx.storage.read(&fx.driver.filename_of(7)).unwrap();
+    assert_eq!(bytes, step_bytes(7));
+    // Still serving: an untouched interval re-simulates as usual.
+    let status = client.acquire(&[12]).unwrap();
+    assert!(status.ok(), "{status:?}");
     client.finalize().unwrap();
 }
 

@@ -5,28 +5,44 @@
 //! The paper interposes on netCDF/HDF5/ADIOS (Table I); we provide an
 //! equivalent self-describing format with the interception-relevant
 //! property set: open/create/read/close boundaries, named variables,
-//! attributes, and a content checksum for `SIMFS_Bitrep`.
+//! attributes, a canonical encoding for `SIMFS_Bitrep` to digest, and
+//! an integrity footer.
 //!
 //! ## Layout (all little-endian)
 //!
 //! ```text
 //! magic    [u8;4]  = "SDF1"
-//! version  u32     = 1
+//! version  u32     = 2
 //! step     u64     output-step index
 //! simtime  f64     simulated physical time
 //! n_attrs  u32     then n_attrs × (string key, string value)
 //! n_vars   u32     then n_vars × variable
 //! variable: string name, u8 dtype, u8 ndims, ndims × u64 dims, payload
-//! footer   u64     FNV-1a of every preceding byte
+//! footer   u64     XXH64 (seed 0) of every preceding byte
 //! string:  u32 length + UTF-8 bytes
 //! ```
 //!
 //! Attributes are stored in key order (`BTreeMap`), making the encoding
 //! canonical: equal datasets encode to equal bytes, which is what makes
 //! bitwise-reproducibility checks meaningful.
+//!
+//! Version 1 differed only in the footer (FNV-1a). It is not read: a v1
+//! container is rejected as `Corrupt("unsupported version 1")` — the
+//! version is compared before the footer so that it is. Output
+//! steps are re-simulable by construction and restart files are
+//! rewritten by `--init`, so a second reader would only be a second
+//! path to keep correct.
+//!
+//! ## One walk
+//!
+//! [`Dataset::decode`] and [`verify`] run the same bounds-checked
+//! structural walk over borrowed views of the input: magic, version and
+//! footer first, then every count and length is checked against the
+//! bytes that remain before it is trusted. `decode` owns what the walk yields; `verify`
+//! drops it, allocating nothing.
 
-use crate::checksum::fnv1a64;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::checksum::xxh64;
+use bytes::{BufMut, Bytes};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -34,7 +50,9 @@ use std::io::{self, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SDF1";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// Header (magic, version, step, simtime), two counts and the footer.
+const MIN_LEN: usize = 4 + 4 + 8 + 8 + 4 + 4 + 8;
 
 /// Element type of an SDF variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -246,7 +264,9 @@ impl Dataset {
         if self.vars.iter().any(|v| v.name == name) {
             return Err(SdfError::DuplicateVariable(name));
         }
-        let expected: u64 = dims.iter().product();
+        // A product past `u64` can match no payload: report it as the
+        // largest shape rather than wrap (release) or panic (debug).
+        let expected = dims_product(dims.iter().copied()).unwrap_or(u64::MAX);
         let actual = data.len() as u64;
         if expected != actual {
             return Err(SdfError::ShapeMismatch { expected, actual });
@@ -267,7 +287,7 @@ impl Dataset {
 
     /// Encodes to the canonical byte representation (with footer digest).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_size_hint());
+        let mut buf = Vec::with_capacity(self.encoded_size_hint());
         buf.put_slice(MAGIC);
         buf.put_u32_le(VERSION);
         buf.put_u64_le(self.step_index);
@@ -282,31 +302,17 @@ impl Dataset {
             put_string(&mut buf, &var.name);
             buf.put_u8(var.data.dtype().tag());
             buf.put_u8(var.dims.len() as u8);
-            for &d in &var.dims {
-                buf.put_u64_le(d);
-            }
+            put_elems(&mut buf, &var.dims, u64::to_le_bytes);
             match &var.data {
-                Data::F64(v) => {
-                    for &x in v {
-                        buf.put_f64_le(x);
-                    }
-                }
-                Data::F32(v) => {
-                    for &x in v {
-                        buf.put_f32_le(x);
-                    }
-                }
-                Data::I64(v) => {
-                    for &x in v {
-                        buf.put_i64_le(x);
-                    }
-                }
+                Data::F64(v) => put_elems(&mut buf, v, f64::to_le_bytes),
+                Data::F32(v) => put_elems(&mut buf, v, f32::to_le_bytes),
+                Data::I64(v) => put_elems(&mut buf, v, i64::to_le_bytes),
                 Data::U8(v) => buf.put_slice(v),
             }
         }
-        let digest = fnv1a64(&buf);
+        let digest = xxh64(&buf);
         buf.put_u64_le(digest);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     fn encoded_size_hint(&self) -> usize {
@@ -326,78 +332,15 @@ impl Dataset {
     /// Decodes from bytes, verifying magic, version, shapes, and footer
     /// checksum.
     pub fn decode(bytes: &[u8]) -> Result<Dataset, SdfError> {
-        if bytes.len() < MAGIC.len() + 4 + 8 + 8 + 4 + 4 + 8 {
-            return Err(SdfError::Corrupt("container too short".into()));
-        }
-        let (content, footer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
-        let computed = fnv1a64(content);
-        if stored != computed {
-            return Err(SdfError::ChecksumMismatch { stored, computed });
-        }
-
-        let mut buf = content;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(SdfError::Corrupt(format!("bad magic {magic:?}")));
-        }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(SdfError::Corrupt(format!("unsupported version {version}")));
-        }
-        let step_index = buf.get_u64_le();
-        let sim_time = buf.get_f64_le();
-
-        let n_attrs = buf.get_u32_le();
         let mut attrs = BTreeMap::new();
-        for _ in 0..n_attrs {
-            let k = get_string(&mut buf)?;
-            let v = get_string(&mut buf)?;
-            attrs.insert(k, v);
-        }
-
-        let n_vars = buf.get_u32_le();
-        let mut vars = Vec::with_capacity(n_vars as usize);
-        for _ in 0..n_vars {
-            let name = get_string(&mut buf)?;
-            if buf.remaining() < 2 {
-                return Err(SdfError::Corrupt("truncated variable header".into()));
-            }
-            let dtype = DType::from_tag(buf.get_u8())?;
-            let ndims = buf.get_u8() as usize;
-            if buf.remaining() < ndims * 8 {
-                return Err(SdfError::Corrupt("truncated dims".into()));
-            }
-            let mut dims = Vec::with_capacity(ndims);
-            for _ in 0..ndims {
-                dims.push(buf.get_u64_le());
-            }
-            let n_elems = dims.iter().product::<u64>() as usize;
-            let payload_bytes = n_elems
-                .checked_mul(dtype.elem_size())
-                .ok_or_else(|| SdfError::Corrupt("element count overflow".into()))?;
-            if buf.remaining() < payload_bytes {
-                return Err(SdfError::Corrupt("truncated payload".into()));
-            }
-            let data = match dtype {
-                DType::F64 => Data::F64((0..n_elems).map(|_| buf.get_f64_le()).collect()),
-                DType::F32 => Data::F32((0..n_elems).map(|_| buf.get_f32_le()).collect()),
-                DType::I64 => Data::I64((0..n_elems).map(|_| buf.get_i64_le()).collect()),
-                DType::U8 => {
-                    let mut v = vec![0u8; n_elems];
-                    buf.copy_to_slice(&mut v);
-                    Data::U8(v)
-                }
-            };
-            vars.push(Variable { name, dims, data });
-        }
-        if buf.has_remaining() {
-            return Err(SdfError::Corrupt(format!(
-                "{} trailing bytes",
-                buf.remaining()
-            )));
-        }
+        let mut vars = Vec::new();
+        let (step_index, sim_time) = walk(
+            bytes,
+            |k, v| {
+                attrs.insert(k.to_owned(), v.to_owned());
+            },
+            |var| vars.push(var.to_variable()),
+        )?;
         Ok(Dataset {
             step_index,
             sim_time,
@@ -426,8 +369,9 @@ impl Dataset {
         Dataset::decode(&bytes)
     }
 
-    /// The content digest (footer value) of the canonical encoding —
-    /// what `SIMFS_Bitrep` compares.
+    /// The footer value of the canonical encoding: equal datasets have
+    /// equal digests. (What `SIMFS_Bitrep` records is the driver's
+    /// whole-file checksum of the encoding, not this.)
     pub fn digest(&self) -> u64 {
         let encoded = self.encode();
         let (_, footer) = encoded.split_at(encoded.len() - 8);
@@ -443,11 +387,174 @@ pub fn looks_like_sdf(bytes: &[u8]) -> bool {
 
 /// Structural verification of an encoded SDF container: footer
 /// checksum, magic, version, shapes, truncation. Exactly the checks
-/// [`Dataset::decode`] performs, discarding the decoded dataset — the
-/// daemon's output-integrity gate calls this on every produced file
-/// before declaring it resident.
+/// [`Dataset::decode`] performs — the same walk — without building the
+/// dataset: the daemon's output-integrity gate calls this on every
+/// produced file before declaring it resident.
 pub fn verify(bytes: &[u8]) -> Result<(), SdfError> {
-    Dataset::decode(bytes).map(|_| ())
+    walk(bytes, |_, _| {}, |_| {}).map(|_| ())
+}
+
+/// One variable as the walk sees it, borrowed from the input.
+struct VarView<'a> {
+    name: &'a str,
+    dtype: DType,
+    /// `ndims` little-endian `u64`s; their product is overflow-checked.
+    dims: &'a [u8],
+    /// Exactly `product(dims) × elem_size` bytes.
+    payload: &'a [u8],
+}
+
+impl VarView<'_> {
+    fn to_variable(&self) -> Variable {
+        Variable {
+            name: self.name.to_owned(),
+            dims: get_elems(self.dims, u64::from_le_bytes),
+            data: match self.dtype {
+                DType::F64 => Data::F64(get_elems(self.payload, f64::from_le_bytes)),
+                DType::F32 => Data::F32(get_elems(self.payload, f32::from_le_bytes)),
+                DType::I64 => Data::I64(get_elems(self.payload, i64::from_le_bytes)),
+                DType::U8 => Data::U8(self.payload.to_vec()),
+            },
+        }
+    }
+}
+
+/// The structural walk behind [`Dataset::decode`] and [`verify`].
+/// Compares magic and version, checks the footer over all of `bytes`
+/// before any field is used, then hands every attribute and variable
+/// to the callbacks as borrowed views; returns `(step, simtime)`. Only an
+/// error allocates (its message), and nothing is read or sized from a
+/// count before that count is checked against the bytes that remain —
+/// a sealed container is still input from outside the process.
+fn walk<'a>(
+    bytes: &'a [u8],
+    mut on_attr: impl FnMut(&'a str, &'a str),
+    mut on_var: impl FnMut(VarView<'a>),
+) -> Result<(u64, f64), SdfError> {
+    if bytes.len() < MIN_LEN {
+        return Err(SdfError::Corrupt("container too short".into()));
+    }
+    let (content, footer) = bytes.split_at(bytes.len() - 8);
+    let mut cur = Cursor(content);
+    // Compared with constants, not trusted: a file that is not ours or
+    // predates this version (whose footer was another function) is
+    // named as such instead of being called damaged.
+    let magic = cur.take(MAGIC.len(), "magic")?;
+    if magic != MAGIC {
+        return Err(SdfError::Corrupt(format!("bad magic {magic:?}")));
+    }
+    let version = cur.u32("version")?;
+    if version != VERSION {
+        return Err(SdfError::Corrupt(format!("unsupported version {version}")));
+    }
+    let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
+    let computed = xxh64(content);
+    if stored != computed {
+        return Err(SdfError::ChecksumMismatch { stored, computed });
+    }
+    let step_index = cur.u64("step index")?;
+    let sim_time = f64::from_bits(cur.u64("simulated time")?);
+
+    // An attribute is at least its two length prefixes.
+    for _ in 0..cur.count("n_attrs", 8)? {
+        on_attr(cur.str()?, cur.str()?);
+    }
+    // A variable is at least a name length, a dtype and an ndims.
+    for _ in 0..cur.count("n_vars", 6)? {
+        let name = cur.str()?;
+        let [tag, ndims] = cur.array("variable header")?;
+        let dtype = DType::from_tag(tag)?;
+        let dims = cur.take(usize::from(ndims) * 8, "dims")?;
+        let sizes = dims.as_chunks::<8>().0.iter().map(|d| u64::from_le_bytes(*d));
+        let payload_bytes = dims_product(sizes)
+            .and_then(|n| usize::try_from(n).ok())
+            .and_then(|n| n.checked_mul(dtype.elem_size()))
+            .ok_or_else(|| SdfError::Corrupt("element count overflow".into()))?;
+        let payload = cur.take(payload_bytes, "payload")?;
+        on_var(VarView {
+            name,
+            dtype,
+            dims,
+            payload,
+        });
+    }
+    if !cur.0.is_empty() {
+        return Err(SdfError::Corrupt(format!("{} trailing bytes", cur.0.len())));
+    }
+    Ok((step_index, sim_time))
+}
+
+/// Read cursor over the checksummed body: every read is a length check
+/// first, so no input can make it panic.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SdfError> {
+        let (head, rest) = self
+            .0
+            .split_at_checked(n)
+            .ok_or_else(|| SdfError::Corrupt(format!("truncated {what}")))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], SdfError> {
+        let raw = self.take(N, what)?;
+        Ok(raw.try_into().expect("take returned N bytes"))
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, SdfError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, SdfError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// A `u32` element count whose elements take at least `min_each`
+    /// bytes apiece: one that the remaining bytes cannot hold is
+    /// rejected here, before anything loops or sizes a buffer by it.
+    fn count(&mut self, what: &str, min_each: usize) -> Result<u32, SdfError> {
+        let n = self.u32(what)?;
+        if n as usize > self.0.len() / min_each {
+            return Err(SdfError::Corrupt(format!(
+                "{what} {n} exceeds the {} bytes that remain",
+                self.0.len()
+            )));
+        }
+        Ok(n)
+    }
+
+    fn str(&mut self) -> Result<&'a str, SdfError> {
+        let len = self.u32("string length")? as usize;
+        let raw = self.take(len, "string body")?;
+        std::str::from_utf8(raw).map_err(|_| SdfError::Corrupt("invalid UTF-8 string".into()))
+    }
+}
+
+/// Product of the dimension sizes, `None` on `u64` overflow.
+fn dims_product(dims: impl IntoIterator<Item = u64>) -> Option<u64> {
+    dims.into_iter().try_fold(1u64, u64::checked_mul)
+}
+
+/// Appends `src` as `N`-byte little-endian elements in one pass: one
+/// resize, then a fixed-width chunked copy the compiler lowers to a
+/// `memcpy` on little-endian targets.
+fn put_elems<T: Copy, const N: usize>(
+    buf: &mut Vec<u8>,
+    src: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    let start = buf.len();
+    buf.resize(start + src.len() * N, 0);
+    for (dst, &x) in buf[start..].as_chunks_mut::<N>().0.iter_mut().zip(src) {
+        *dst = to_le(x);
+    }
+}
+
+/// The inverse of [`put_elems`]; `raw.len()` is a multiple of `N`.
+fn get_elems<T, const N: usize>(raw: &[u8], from_le: impl Fn([u8; N]) -> T) -> Vec<T> {
+    raw.as_chunks::<N>().0.iter().map(|c| from_le(*c)).collect()
 }
 
 fn tmp_sibling(path: &Path) -> std::path::PathBuf {
@@ -459,22 +566,9 @@ fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
+fn put_string(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
-}
-
-fn get_string(buf: &mut &[u8]) -> Result<String, SdfError> {
-    if buf.remaining() < 4 {
-        return Err(SdfError::Corrupt("truncated string length".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(SdfError::Corrupt("truncated string body".into()));
-    }
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| SdfError::Corrupt("invalid UTF-8 string".into()))
 }
 
 #[cfg(test)]
@@ -540,19 +634,137 @@ mod tests {
         assert!(Dataset::decode(truncated).is_err());
     }
 
+    /// Appends the footer a producer would: what the checksum cannot
+    /// catch is what the structural walk must.
+    fn seal(mut content: Vec<u8>) -> Vec<u8> {
+        let digest = xxh64(&content);
+        content.put_u64_le(digest);
+        content
+    }
+
+    /// `encoded` with its footer recomputed after an in-place edit.
+    fn reseal(mut encoded: Vec<u8>) -> Vec<u8> {
+        encoded.truncate(encoded.len() - 8);
+        seal(encoded)
+    }
+
+    /// Magic, version, step 0, time 0: the fixed part of a hand-built
+    /// container.
+    fn header() -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.put_u32_le(VERSION);
+        buf.put_u64_le(0);
+        buf.put_f64_le(0.0);
+        buf
+    }
+
+    /// Both entry points must reject `bytes` as `Corrupt` mentioning
+    /// `needle` — not panic, not allocate by a forged count.
+    fn assert_corrupt(bytes: &[u8], needle: &str) {
+        for result in [Dataset::decode(bytes).map(|_| ()), verify(bytes)] {
+            match result {
+                Err(SdfError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected corrupt ({needle}), got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn bad_magic_rejected() {
         let mut bytes = sample().encode().to_vec();
         bytes[0] = b'X';
         // fix checksum so magic check is what fails
-        let n = bytes.len();
-        let digest = crate::checksum::fnv1a64(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&digest.to_le_bytes());
-        match Dataset::decode(&bytes) {
-            Err(SdfError::Corrupt(msg)) => assert!(msg.contains("magic")),
-            other => panic!("expected corrupt magic, got {other:?}"),
-        }
+        assert_corrupt(&reseal(bytes), "magic");
     }
+
+    #[test]
+    fn v1_container_is_rejected_by_version() {
+        // What PR ≤ 13 wrote: version 1 under an FNV-1a footer. It is
+        // old, not damaged, and the error must say so — as must one
+        // sealed with today's footer.
+        let mut v1 = sample().encode().to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let n = v1.len() - 8;
+        let fnv = crate::checksum::fnv1a64(&v1[..n]);
+        v1[n..].copy_from_slice(&fnv.to_le_bytes());
+        assert_corrupt(&v1, "unsupported version 1");
+        assert_corrupt(&reseal(v1), "unsupported version 1");
+    }
+
+    #[test]
+    fn sealed_huge_n_vars_is_corrupt_not_an_allocation() {
+        // Was: `Vec::with_capacity(u32::MAX)` variables — a 343 GB
+        // request that aborted the daemon from its integrity gate.
+        let mut body = header();
+        body.put_u32_le(0);
+        body.put_u32_le(u32::MAX);
+        assert_corrupt(&seal(body), "n_vars");
+    }
+
+    #[test]
+    fn sealed_attrs_consuming_the_body_is_corrupt_not_an_underflow() {
+        // Was: `get_u32_le` on an empty cursor — a panic.
+        let mut body = header();
+        body.put_u32_le(1);
+        put_string(&mut body, "k");
+        put_string(&mut body, "v");
+        assert_corrupt(&seal(body), "truncated n_vars");
+    }
+
+    #[test]
+    fn sealed_overflowing_dims_are_corrupt_not_an_empty_variable() {
+        // Was: 2^63 × 2 wrapped to 0 elements and the variable was
+        // accepted (release) or the multiply panicked (debug).
+        let dims = vec![1u64 << 63, 2];
+        let mut body = header();
+        body.put_u32_le(0);
+        body.put_u32_le(1);
+        put_string(&mut body, "v");
+        body.put_u8(DType::U8.tag());
+        body.put_u8(dims.len() as u8);
+        put_elems(&mut body, &dims, u64::to_le_bytes);
+        assert_corrupt(&seal(body), "element count overflow");
+        // ... and the in-memory constructor agrees.
+        assert!(matches!(
+            Dataset::new(0, 0.0).add_var("v", dims, Data::U8(Vec::new())),
+            Err(SdfError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn golden_v2_encoding_is_pinned() {
+        // The on-disk format, byte for byte: attributes plus one
+        // variable of every dtype. If this changes, VERSION must too.
+        let mut ds = Dataset::new(3, 0.5);
+        ds.set_attr("sim", "heat2d");
+        ds.set_attr("dx", "0.1");
+        ds.add_var("a", vec![2], Data::F64(vec![1.0, -2.5])).unwrap();
+        ds.add_var("b", vec![1, 2], Data::F32(vec![0.5, 9.0])).unwrap();
+        ds.add_var("c", vec![2], Data::I64(vec![-1, i64::MAX])).unwrap();
+        ds.add_var("d", vec![3], Data::U8(vec![0, 7, 255])).unwrap();
+        let encoded = ds.encode();
+        let hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_V2);
+        assert_eq!(Dataset::decode(&encoded).unwrap(), ds);
+        verify(&encoded).unwrap();
+    }
+
+    /// Cross-checked once against a layout built from the module doc
+    /// and an independent XXH64; one line per field group.
+    const GOLDEN_V2: &str = concat!(
+        "53444631", "02000000", "0300000000000000", "000000000000e03f", // header
+        "02000000", "020000006478", "03000000302e31", // attrs: dx = 0.1
+        "0300000073696d", "060000006865617432" ,"64", // sim = heat2d
+        "04000000", // n_vars
+        "0100000061", "0001", "0200000000000000", // a: f64 [2]
+        "000000000000f03f", "00000000000004c0",
+        "0100000062", "0102", "0100000000000000", "0200000000000000", // b: f32 [1, 2]
+        "0000003f", "00001041",
+        "0100000063", "0201", "0200000000000000", // c: i64 [2]
+        "ffffffffffffffff", "ffffffffffffff7f",
+        "0100000064", "0301", "0300000000000000", "0007ff", // d: u8 [3]
+        "a29f16e5693ddb7c", // footer: XXH64 = 0x7cdb3d69e5169fa2
+    );
 
     #[test]
     fn shape_validation() {

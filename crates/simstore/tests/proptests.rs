@@ -1,8 +1,56 @@
 //! Property tests: SDF roundtrips for arbitrary datasets, checksum
-//! stability, corruption detection.
+//! stability, corruption detection, and the structural walk's
+//! behaviour on sealed-but-malformed containers.
 
 use proptest::prelude::*;
-use simstore::{crc32, fnv1a64, Data, Dataset, Fnv1a};
+use simstore::{fnv1a64, sdf, xxh64, Data, Dataset, Fnv1a};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Largest single allocation the current thread has requested
+    /// (const-initialised and destructor-free, so the allocator may
+    /// touch it at any point in a thread's life).
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, recording each thread's largest request so
+/// `sdf_sealed_malformed_never_panics_or_overallocates` can see what a
+/// decode tried to reserve (an over-committing OS would happily
+/// "succeed" a multi-gigabyte `with_capacity`).
+struct RecordingAlloc;
+
+fn record_alloc(size: usize) {
+    let _ = LARGEST_ALLOC.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping only
+// touches a `Cell<usize>` and never allocates.
+unsafe impl GlobalAlloc for RecordingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record_alloc(layout.size());
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record_alloc(layout.size());
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr`/`layout` came from this allocator, i.e. `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record_alloc(new_size);
+        // SAFETY: `ptr`/`layout` came from this allocator, i.e. `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: RecordingAlloc = RecordingAlloc;
 
 fn arb_data() -> impl Strategy<Value = (Vec<u64>, Data)> {
     // Shapes with ≤ 3 dims and ≤ 64 total elements, matching payload.
@@ -41,8 +89,100 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
         })
 }
 
+/// `(offset, width)` of every structural field of `ds.encode()` — the
+/// counts, lengths, tags and dims a reader must not trust — derived
+/// from the layout in the `sdf` module doc, not from the codec.
+fn structural_fields(ds: &Dataset) -> Vec<(usize, usize)> {
+    let mut fields = Vec::new();
+    let mut at = 4 + 4 + 8 + 8; // magic, version, step, simtime
+    fn string(at: &mut usize, fields: &mut Vec<(usize, usize)>, s: &str) {
+        fields.push((*at, 4));
+        *at += 4 + s.len();
+    }
+    fields.push((at, 4)); // n_attrs
+    at += 4;
+    for (k, v) in ds.attrs() {
+        string(&mut at, &mut fields, k);
+        string(&mut at, &mut fields, v);
+    }
+    fields.push((at, 4)); // n_vars
+    at += 4;
+    for var in ds.vars() {
+        string(&mut at, &mut fields, &var.name);
+        fields.push((at, 1)); // dtype tag
+        fields.push((at + 1, 1)); // ndims
+        at += 2;
+        for _ in &var.dims {
+            fields.push((at, 8));
+            at += 8;
+        }
+        at += var.data.len() * var.data.dtype().elem_size();
+    }
+    assert_eq!(at + 8, ds.encode().len(), "layout drifted from the module doc");
+    fields
+}
+
+/// How to damage a container before re-sealing it.
+#[derive(Clone, Debug)]
+enum Damage {
+    /// Overwrite the chosen structural field with `value` (truncated to
+    /// the field's width).
+    Field { which: prop::sample::Index, value: u64 },
+    /// Cut the body (header included) at the chosen point.
+    Truncate { at: prop::sample::Index },
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    // Values near the honest ones keep the walk going deeper; the
+    // extremes are the counts that used to size allocations.
+    let value = prop_oneof![
+        0u64..16,
+        any::<u64>(),
+        Just(u64::from(u32::MAX)),
+        Just(1u64 << 63),
+    ];
+    prop_oneof![
+        3 => (any::<prop::sample::Index>(), value)
+            .prop_map(|(which, value)| Damage::Field { which, value }),
+        1 => any::<prop::sample::Index>().prop_map(|at| Damage::Truncate { at }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn sdf_sealed_malformed_never_panics_or_overallocates(ds in arb_dataset(), damage in arb_damage()) {
+        let mut bytes = ds.encode().to_vec();
+        bytes.truncate(bytes.len() - 8);
+        match damage {
+            Damage::Field { which, value } => {
+                let fields = structural_fields(&ds);
+                let (at, width) = fields[which.index(fields.len())];
+                bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            }
+            Damage::Truncate { at } => bytes.truncate(at.index(bytes.len() + 1)),
+        }
+        // Re-seal: the footer matches, so only the walk stands between
+        // these bytes and the reader.
+        let digest = xxh64(&bytes);
+        bytes.extend_from_slice(&digest.to_le_bytes());
+
+        LARGEST_ALLOC.with(|largest| largest.set(0));
+        let decoded = Dataset::decode(&bytes);
+        let verified = sdf::verify(&bytes);
+        let largest = LARGEST_ALLOC.with(Cell::get);
+
+        // Same walk, same verdict, same words.
+        prop_assert_eq!(
+            format!("{:?}", decoded.as_ref().map(|_| ())),
+            format!("{:?}", verified)
+        );
+        // Whatever a field claims, nothing is sized beyond a small
+        // multiple of the bytes actually present (the multiple covers
+        // `Variable` headers outweighing their 6-byte encodings).
+        prop_assert!(largest <= 64 * bytes.len(), "allocated {} for {} bytes", largest, bytes.len());
+    }
 
     #[test]
     fn sdf_roundtrip(ds in arb_dataset()) {
@@ -85,6 +225,6 @@ proptest! {
         let shorter = &data[..data.len() - 1];
         // Not cryptographic, but these should essentially never collide
         // on a one-byte extension.
-        prop_assert!(fnv1a64(shorter) != fnv1a64(&data) || crc32(shorter) != crc32(&data));
+        prop_assert!(fnv1a64(shorter) != fnv1a64(&data) || xxh64(shorter) != xxh64(&data));
     }
 }
