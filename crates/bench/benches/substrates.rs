@@ -1,14 +1,21 @@
 //! Substrate benchmarks: SDF encode/decode/verify (the data-plane cost
 //! of every produced step and every resident open) and the two digests
 //! behind them, simulator stepping (what a re-simulation spends its
-//! `tau_sim` on), and trace generation.
+//! `tau_sim` on), trace generation, and the transport under the
+//! reactor: one acquire-sized echo round trip over each socket family
+//! `simfs_core::net` chooses between.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use simfs_core::reactor::{ConnCtx, Handler, Reactor};
+use simfs_core::wire::{self, FrameBatch, Request, Response};
 use simkit::SeedSeq;
 use simstore::{fnv1a64, sdf, xxh64, Data, Dataset};
 use simtrace::EcmwfSpec;
 use simulators::{build_sim, SimKind};
 use std::hint::black_box;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 
 fn bench_sdf(c: &mut Criterion) {
     let mut ds = Dataset::new(7, 1.25);
@@ -71,5 +78,69 @@ fn bench_traces(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_sdf, bench_checksum, bench_simulators, bench_traces);
+/// Null handler: every frame is answered with one `Ready`, no DV
+/// behind it — what is left is the socket, the wake and the framing.
+struct Echo;
+
+impl Handler for Echo {
+    fn on_frame(&mut self, _frame: &[u8], cx: &mut ConnCtx<'_>) -> bool {
+        let mut reply = FrameBatch::new();
+        reply.push_response(&Response::Ready { req_id: 1, key: 1 });
+        cx.write(reply.as_bytes());
+        true
+    }
+
+    fn on_close(&mut self) {}
+}
+
+/// One blocking request/response exchange, as DVLib's `acquire` does it.
+fn echo_round_trip(stream: &mut (impl Read + Write), body: &[u8]) -> usize {
+    wire::write_frame(stream, body).unwrap();
+    wire::read_frame(stream).unwrap().expect("echo").len()
+}
+
+/// Acquire-sized echo round trips through the shipping `Reactor`, once
+/// over a loopback `TcpStream` pair and once over a `UnixStream` pair:
+/// the two arms of `simfs_core::net`, same frames, same reactor, same
+/// handler. (`simfs_bench`'s `probe.reactor.echo_*` brings its own
+/// `TcpStream` and so measures the first arm only.)
+fn bench_transport(c: &mut Criterion) {
+    let reactor = Reactor::start(1).unwrap();
+    let body = Request::Acquire {
+        req_id: 1,
+        keys: vec![1],
+    }
+    .encode();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut tcp = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    tcp.set_nodelay(true).unwrap();
+    let (served, _) = listener.accept().unwrap();
+    served.set_nodelay(true).unwrap();
+    served.set_nonblocking(true).unwrap();
+    reactor.submit(served, Box::new(Echo));
+
+    let (mut unix, served) = UnixStream::pair().unwrap();
+    served.set_nonblocking(true).unwrap();
+    reactor.submit(served, Box::new(Echo));
+
+    let mut group = c.benchmark_group("transport");
+    group.bench_function("echo_rtt_tcp", |b| {
+        b.iter(|| black_box(echo_round_trip(&mut tcp, &body)))
+    });
+    group.bench_function("echo_rtt_unix", |b| {
+        b.iter(|| black_box(echo_round_trip(&mut unix, &body)))
+    });
+    group.finish();
+    reactor.shutdown();
+}
+
+criterion_group!(
+    benches,
+    bench_sdf,
+    bench_checksum,
+    bench_simulators,
+    bench_traces,
+    bench_transport
+);
 criterion_main!(benches);

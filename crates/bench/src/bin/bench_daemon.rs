@@ -58,14 +58,18 @@
 //!
 //! Per point it records throughput, p50/p99 round-trip latency, and the
 //! daemon's control-plane counter deltas: fast-path vs slow-path
-//! acquires, epoch fallbacks, misses, and DV-lock wait/hold time. The
-//! JSON summary seeds the perf trajectory in `BENCH_daemon.json`.
+//! acquires, epoch fallbacks, misses, and DV-lock wait/hold time — and
+//! the `"transport"` its clients' connections rode (`local`: the
+//! daemon's abstract Unix socket, which is what in-process daemons on
+//! 127.0.0.1 get; `tcp`; `mixed`). The JSON summary seeds the perf
+//! trajectory in `BENCH_daemon.json`.
 
 use simbatch::ParallelismMap;
 use simfs_core::client::{DvCluster, SimfsClient};
 use simfs_core::driver::{PatternDriver, SimDriver};
 use simfs_core::dv::DvStats;
 use simfs_core::model::{ContextCfg, StepMath};
+use simfs_core::net::Transport;
 use simfs_core::server::{
     ClusterMember, DurabilityCfg, DvServer, ServerConfig, SimFaultSpec, ThreadSimLauncher,
 };
@@ -268,6 +272,14 @@ impl Session {
         }
     }
 
+    /// The transport of every connection this session holds.
+    fn transports(&self) -> Vec<Transport> {
+        match self {
+            Session::Single(c) => vec![c.transport()],
+            Session::Cluster(c, _) => c.transports(),
+        }
+    }
+
     fn acquire_release(&mut self, key: u64) {
         match self {
             Session::Single(c) => {
@@ -343,6 +355,9 @@ struct Point {
     elapsed: f64,
     p50_us: f64,
     p99_us: f64,
+    /// What the clients' connections rode: `"local"` (the daemon's
+    /// abstract Unix socket), `"tcp"`, or `"mixed"`.
+    transport: &'static str,
 }
 
 fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
@@ -375,8 +390,9 @@ fn run_point(
         let start = start.clone();
         let cdf = Arc::clone(&cdf);
         let addrs = Arc::clone(&addrs);
-        handles.push(std::thread::spawn(move || -> Vec<u64> {
+        handles.push(std::thread::spawn(move || -> (Vec<u64>, Vec<Transport>) {
             let mut client = Session::connect(&addrs, steps, failover);
+            let transports = client.transports();
             let mut rng = Rng(0x9E37_79B9 ^ ((c as u64 + 1) * 0x1234_5677));
             // Uniform keeps PR 2's deterministic stride walk so the
             // ladder stays comparable across releases.
@@ -398,7 +414,7 @@ fn run_point(
                 };
             }
             client.finalize();
-            lat_ns
+            (lat_ns, transports)
         }));
     }
     start.wait();
@@ -407,9 +423,16 @@ fn run_point(
     stop.store(true, Ordering::Relaxed);
     let elapsed = t0.elapsed().as_secs_f64();
     let mut all_ns: Vec<u64> = Vec::new();
+    let mut transports: Vec<Transport> = Vec::new();
     for handle in handles {
-        all_ns.extend(handle.join().unwrap());
+        let (lat_ns, rode) = handle.join().unwrap();
+        all_ns.extend(lat_ns);
+        transports.extend(rode);
     }
+    let transport = match transports.first() {
+        Some(first) if transports.iter().all(|t| t == first) => first.as_str(),
+        _ => "mixed",
+    };
     let round_trips = all_ns.len() as u64;
     all_ns.sort_unstable();
     Point {
@@ -417,6 +440,7 @@ fn run_point(
         elapsed,
         p50_us: percentile_us(&all_ns, 0.50),
         p99_us: percentile_us(&all_ns, 0.99),
+        transport,
     }
 }
 
@@ -687,7 +711,7 @@ fn main() {
             lines.push(format!(
                 "    {{\"workload\": \"{}\", \"prefetch\": {}, \"cluster\": {cluster}, \
                  \"degraded\": {degraded}, \"durable\": {durable}, \
-                 \"sim_faults\": {sim_faults}, \
+                 \"sim_faults\": {sim_faults}, \"transport\": \"{}\", \
                  \"clients\": {n}, \"secs\": {:.3}, \
                  \"round_trips\": {}, \"rtps\": {rtps:.1}, \"p50_us\": {:.1}, \
                  \"p99_us\": {:.1}, {counters}, \
@@ -699,7 +723,7 @@ fn main() {
                  \"lock_wait_ns_per_transition\": {wait_per_transition}, \
                  \"per_daemon_acquires_per_sec\": [{per_daemon_json}], \
                  \"daemon_threads_before_clients\": {daemon_threads}}}",
-                workload.name(), spec.prefetch,
+                workload.name(), spec.prefetch, point.transport,
                 point.elapsed, point.round_trips, point.p50_us, point.p99_us
             ));
         }

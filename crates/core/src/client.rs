@@ -41,15 +41,40 @@
 //! mid-request EOF still surfaces as `UnexpectedEof`. Dropping a
 //! session without `Bye` is also safe: the daemon maps the hangup to
 //! `ClientGone` (releasing pins) or `SimFailed` exactly as before.
+//!
+//! # Transport and write-side recovery
+//!
+//! Every dial goes through [`crate::net::dial`]: a loopback target
+//! rides the daemon's abstract Unix socket, anything else TCP, and a
+//! reconnect re-runs the same choice from the session's TCP address
+//! ([`SimfsClient::transport`] says which arm answered). The two arms
+//! report a dead peer at different moments: loopback TCP buffers the
+//! first write after the peer died and the error surfaces at the next
+//! *read*; a Unix socket — and TCP from the second write after an RST
+//! on — fails the *write* itself with `EPIPE`. Auto-reconnect
+//! therefore covers both sides: every public call that writes
+//! (`acquire_nb`, `takeover_acquire_nb`, `release`'s bounded flush,
+//! `flush`, and the request/response calls) goes through one
+//! recovering send — redial, re-assert, re-send the request frame.
+//! Frames that were merely *staged* (releases) belong to the dead
+//! session, whose pins the daemon drops wholesale, and are discarded.
+//! With auto-reconnect off the raw error surfaces, as before.
+//!
+//! A call that waits for a reply parks in `poll`, not in `read`
+//! ([`crate::net::Stream::wait_readable`]): a Unix-socket reader asleep
+//! in `read` is woken once, for nothing, every time the daemon consumes
+//! the request it just sent, and a timed wait needs no socket option
+//! set and cleared around it.
 
 use crate::dv::{DvRouter, FailCode};
 use crate::model::StepMath;
+use crate::net::{self, Stream, Transport};
 use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY};
 use crate::wire::{self, ClientKind, FrameBatch, FrameReader, Membership, Request, Response};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// Typed deadline error: the payload of an
@@ -264,10 +289,10 @@ impl AcquireRequest {
 /// An analysis session with the DV daemon (`SIMFS_Context`).
 pub struct SimfsClient {
     /// Write half (a second handle to the same socket).
-    stream: TcpStream,
+    stream: Stream,
     /// Buffered read half: drains multiple queued response frames per
     /// syscall; a read timeout never loses a partially received frame.
-    reader: FrameReader<TcpStream>,
+    reader: FrameReader<Stream>,
     client_id: u64,
     context: String,
     next_req: u64,
@@ -286,8 +311,9 @@ pub struct SimfsClient {
     /// reconnect whether it is talking to the same instance (pins are
     /// gone) or a recovered one (pins may be re-asserted).
     epoch: u64,
-    /// The resolved peer address, kept for reconnects.
-    addr: Option<SocketAddr>,
+    /// The daemon's TCP address, whichever transport answered: a
+    /// reconnect dials it afresh and so re-runs the transport choice.
+    addr: SocketAddr,
     /// The membership claim of the original handshake, replayed on
     /// reconnect.
     membership: Option<Membership>,
@@ -329,8 +355,7 @@ impl SimfsClient {
         context: &str,
         membership: Option<Membership>,
     ) -> io::Result<SimfsClient> {
-        let stream = TcpStream::connect(addr)?;
-        let peer = stream.peer_addr().ok();
+        let (stream, addr) = net::dial_any(addr)?;
         let (stream, reader, client_id, epoch) =
             Self::handshake(stream, context, membership, None)?;
         Ok(SimfsClient {
@@ -342,7 +367,7 @@ impl SimfsClient {
             stray: Vec::new(),
             pending_out: FrameBatch::new(),
             epoch,
-            addr: peer,
+            addr,
             membership,
             held: HashMap::new(),
             auto_reconnect: false,
@@ -357,12 +382,11 @@ impl SimfsClient {
     /// The hello exchange over an already-connected socket.
     /// `prior_epoch` is `Some` on reconnects (the daemon counts them).
     fn handshake(
-        mut stream: TcpStream,
+        mut stream: Stream,
         context: &str,
         membership: Option<Membership>,
         prior_epoch: Option<u64>,
-    ) -> io::Result<(TcpStream, FrameReader<TcpStream>, u64, u64)> {
-        stream.set_nodelay(true)?;
+    ) -> io::Result<(Stream, FrameReader<Stream>, u64, u64)> {
         let mut reader = FrameReader::new(stream.try_clone()?);
         wire::write_frame(
             &mut stream,
@@ -431,6 +455,13 @@ impl SimfsClient {
         self.epoch
     }
 
+    /// Which transport the current connection rides: the daemon's
+    /// abstract Unix socket (same host) or TCP. Re-decided at every
+    /// reconnect.
+    pub fn transport(&self) -> Transport {
+        self.stream.transport()
+    }
+
     /// Whether `err` should trigger recovery, and recovery is possible.
     fn try_recover(&mut self, err: &io::Error, op: &'static str) -> bool {
         if !self.auto_reconnect || self.recovering || !is_disconnect(err) {
@@ -447,9 +478,6 @@ impl SimfsClient {
     /// and re-acquires the ones the daemon reports gone. The session's
     /// identity (client id, epoch) is replaced on success.
     fn recover_session(&mut self, op: &'static str) -> io::Result<()> {
-        let addr = self.addr.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotConnected, "no address to reconnect to")
-        })?;
         let prior_client = self.client_id;
         let prior_epoch = self.epoch;
         // Everything staged or buffered belongs to the dead session:
@@ -462,7 +490,7 @@ impl SimfsClient {
         let deadline = Instant::now() + window;
         let mut delay = RECONNECT_MIN_DELAY;
         let (stream, reader, client_id, epoch) = loop {
-            let attempt = TcpStream::connect_timeout(&addr, RECONNECT_CONNECT_TIMEOUT)
+            let attempt = net::dial(&self.addr, Some(RECONNECT_CONNECT_TIMEOUT))
                 .and_then(|s| Self::handshake(s, &self.context, self.membership, Some(prior_epoch)));
             match attempt {
                 Ok(session) => break session,
@@ -571,10 +599,32 @@ impl SimfsClient {
     }
 
     /// Sends `req` together with any staged fire-and-forget frames in
-    /// one write.
+    /// one write; a failed write surfaces raw (recovery's own traffic,
+    /// re-sends after a recovery, the goodbye).
     fn send(&mut self, req: &Request) -> io::Result<()> {
         self.pending_out.push_request(req);
         self.flush_pending()
+    }
+
+    /// The write path of every public call: delivers what is staged,
+    /// `req` (if any) last, in one write — and when that write finds
+    /// the connection dead and auto-reconnect is on, recovers the
+    /// session and sends `req` again. What was only staged belonged to
+    /// the dead session and is gone with it
+    /// ([`recover_session`](Self::recover_session) drops it). A dead
+    /// peer shows at the write on a Unix socket, and on TCP from the
+    /// second write after its RST.
+    fn deliver(&mut self, req: Option<&Request>, op: &'static str) -> io::Result<()> {
+        if let Some(req) = req {
+            self.pending_out.push_request(req);
+        }
+        let Err(e) = self.flush_pending() else {
+            return Ok(());
+        };
+        if !self.try_recover(&e, op) {
+            return Err(e);
+        }
+        req.map_or(Ok(()), |req| self.send(req))
     }
 
     /// Stages a fire-and-forget frame to ride the next coalesced write
@@ -597,10 +647,13 @@ impl SimfsClient {
     pub fn acquire_nb(&mut self, keys: &[u64]) -> io::Result<AcquireRequest> {
         let req_id = self.next_req;
         self.next_req += 1;
-        self.send(&Request::Acquire {
-            req_id,
-            keys: keys.to_vec(),
-        })?;
+        self.deliver(
+            Some(&Request::Acquire {
+                req_id,
+                keys: keys.to_vec(),
+            }),
+            "acquire",
+        )?;
         Ok(AcquireRequest {
             req_id,
             outstanding: keys.iter().copied().collect(),
@@ -633,12 +686,15 @@ impl SimfsClient {
     ) -> io::Result<AcquireRequest> {
         let req_id = self.next_req;
         self.next_req += 1;
-        self.send(&Request::TakeoverAcquire {
-            req_id,
-            dead_member,
-            origin_epoch,
-            keys: keys.to_vec(),
-        })?;
+        self.deliver(
+            Some(&Request::TakeoverAcquire {
+                req_id,
+                dead_member,
+                origin_epoch,
+                keys: keys.to_vec(),
+            }),
+            "takeover_acquire",
+        )?;
         Ok(AcquireRequest {
             req_id,
             outstanding: keys.iter().copied().collect(),
@@ -760,42 +816,31 @@ impl SimfsClient {
         // Anything still staged must be on the wire before we wait for
         // responses (a buffered request would deadlock the wait).
         self.flush_pending()?;
-        // Drain already-buffered frames without touching the socket (or
-        // its timeout configuration).
-        if let Some(body) = self.reader.pop_buffered()? {
-            return Response::decode(&body).map(Some);
-        }
-        let Some(t) = timeout else {
-            return match self.reader.read_frame()? {
-                Some(body) => Response::decode(&body).map(Some),
-                None => Err(io::Error::new(
+        loop {
+            // Drain already-buffered frames without touching the socket.
+            if let Some(body) = self.reader.pop_buffered()? {
+                return Response::decode(&body).map(Some);
+            }
+            // The session parks here, not in the read (the reasons are
+            // `Stream::wait_readable`'s).
+            if !self.reader.get_ref().wait_readable(timeout)? {
+                return Ok(None);
+            }
+            if self.reader.fill_once()? == 0 {
+                return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "daemon closed the session",
-                )),
-            };
-        };
-        // Timed probe: exactly one read syscall, so a frame arriving in
-        // pieces cannot stretch the wait past one timeout window
-        // (read_frame loops and would re-arm the timeout per chunk).
-        self.reader.get_ref().set_read_timeout(Some(t))?;
-        let result = self.reader.fill_once();
-        self.reader.get_ref().set_read_timeout(None)?;
-        match result {
-            Ok(0) => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "daemon closed the session",
-            )),
-            Ok(_) => match self.reader.pop_buffered()? {
-                Some(body) => Response::decode(&body).map(Some),
-                None => Ok(None),
-            },
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
+                ));
             }
-            Err(e) => Err(e),
+            // Timed probe: exactly one wait and one read, so a frame
+            // arriving in pieces cannot stretch the wait past one
+            // timeout window.
+            if timeout.is_some() {
+                return match self.reader.pop_buffered()? {
+                    Some(body) => Response::decode(&body).map(Some),
+                    None => Ok(None),
+                };
+            }
         }
     }
 
@@ -921,14 +966,14 @@ impl SimfsClient {
         // Cap the staging buffer: a pathological release-only loop
         // still reaches the daemon in bounded batches.
         if self.pending_out.as_bytes().len() >= 16 * 1024 {
-            self.flush_pending()?;
+            self.deliver(None, "release")?;
         }
         Ok(())
     }
 
     /// Delivers any staged fire-and-forget frames now.
     pub fn flush(&mut self) -> io::Result<()> {
-        self.flush_pending()
+        self.deliver(None, "flush")
     }
 
     /// Sends a request and blocks for the response that resolves it,
@@ -941,14 +986,8 @@ impl SimfsClient {
         req: &Request,
         mut matcher: impl FnMut(Response) -> io::Result<CallStep<T>>,
     ) -> io::Result<T> {
+        self.deliver(Some(req), op)?;
         let mut deadline = self.op_timeout.map(|t| Instant::now() + t);
-        if let Err(e) = self.send(req) {
-            if !self.try_recover(&e, op) {
-                return Err(e);
-            }
-            self.send(req)?;
-            deadline = self.op_timeout.map(|t| Instant::now() + t);
-        }
         loop {
             let chunk = deadline.map(|d| {
                 d.saturating_duration_since(Instant::now())
@@ -1331,6 +1370,12 @@ impl DvCluster {
         self.members.len()
     }
 
+    /// [`SimfsClient::transport`] of every member session, in member
+    /// order (a cluster across hosts mixes the two).
+    pub fn transports(&self) -> Vec<Transport> {
+        self.members.iter().map(SimfsClient::transport).collect()
+    }
+
     /// Fans [`SimfsClient::set_auto_reconnect`] out to every member:
     /// a member daemon that dies and comes back (e.g. restarted with
     /// `--recover`) is redialed and its pins re-asserted instead of
@@ -1418,12 +1463,10 @@ impl DvCluster {
         successor_taker(dead, self.members.len(), &self.down)
     }
 
-    /// One quick liveness probe: does the member answer its TCP port?
+    /// One quick liveness probe: does the member accept a connection
+    /// (on its local name or its TCP port, as a session would dial it)?
     fn probe_alive(&self, m: usize) -> bool {
-        let Some(addr) = self.members[m].addr else {
-            return false;
-        };
-        TcpStream::connect_timeout(&addr, PROBE_CONNECT_TIMEOUT).is_ok()
+        net::dial(&self.members[m].addr, Some(PROBE_CONNECT_TIMEOUT)).is_ok()
     }
 
     /// Probes member `m` with capped backoff for the down window.
@@ -2055,7 +2098,7 @@ impl DvCluster {
 /// The simulator side of the protocol: what a launched re-simulation
 /// reports as it runs (used by the `simfs-simd` binary).
 pub struct SimulatorSession {
-    stream: TcpStream,
+    stream: Stream,
 }
 
 impl SimulatorSession {
@@ -2066,8 +2109,7 @@ impl SimulatorSession {
         context: &str,
         sim_id: u64,
     ) -> io::Result<SimulatorSession> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
+        let (mut stream, _) = net::dial_any(addr)?;
         wire::write_frame(
             &mut stream,
             &Request::Hello {
@@ -2087,6 +2129,12 @@ impl SimulatorSession {
                 format!("unexpected hello reply {other:?}"),
             )),
         }
+    }
+
+    /// Which transport the session rides (see
+    /// [`SimfsClient::transport`]).
+    pub fn transport(&self) -> Transport {
+        self.stream.transport()
     }
 
     /// Restart loaded; production begins (ends the `alpha_sim` phase).

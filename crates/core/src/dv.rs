@@ -421,6 +421,10 @@ dv_stats! {
     /// Clients that reconnected after a dropped connection (hellos
     /// carrying a prior-epoch claim).
     daemon client_reconnects,
+    /// Sessions (analyses and simulators) greeted over the daemon's
+    /// abstract Unix socket instead of TCP — same-host peers
+    /// ([`crate::net`]).
+    daemon local_sessions,
     /// Takeover acquires accepted on behalf of a dead cluster member
     /// (degraded-mode serving; daemon-wide, mirrored into snapshots).
     daemon takeover_acquires,

@@ -35,6 +35,10 @@
 //! * [`reactor`], [`sys`] — the daemon's sharded epoll front-end: a
 //!   fixed pool of event-loop threads serves every connection (raw
 //!   `extern "C"` epoll/eventfd bindings; no external dependency).
+//! * [`net`] — the one transport decision: a daemon's TCP address
+//!   doubles as an abstract Unix socket name, same-host sessions ride
+//!   that, remote ones ride TCP, and the framing, reactor and handlers
+//!   above cannot tell.
 //! * [`effectpool`] — the effect-execution tier: bounded per-shard
 //!   queues feeding helper threads that own every blocking effect
 //!   (sim launch/kill, WAL group-fsync, eviction deletes, storage
@@ -46,6 +50,7 @@ pub mod dv;
 pub mod effectpool;
 pub mod intercept;
 pub mod model;
+pub mod net;
 pub mod perfmodel;
 pub mod prefetch;
 pub mod reactor;

@@ -32,6 +32,19 @@
 //! departed clients are dropped silently (same contract as the old
 //! writer map).
 //!
+//! **One read per wake.** A readable event is served by popping every
+//! buffered frame, one `read`, and popping again — and when that read
+//! came back shorter than the buffer it offered, the socket's receive
+//! queue is empty and the wake ends there, without the second `read`
+//! whose only answer would be `WouldBlock` (two syscalls saved per
+//! request/response exchange: the acquire wake and the release wake).
+//! This is safe because epoll is level-triggered here: if bytes — or
+//! the peer's FIN, `EPOLLRDHUP` stays armed — arrive after that read,
+//! or a short read ever left bytes behind, the fd is simply reported
+//! readable again on the next wait. Only a read that *filled* the
+//! buffer is followed by another, until one comes back short or says
+//! `WouldBlock`.
+//!
 //! # Backpressure rules
 //!
 //! Writes never block a shard. Each connection keeps a pending-write
@@ -71,14 +84,14 @@
 //! threaded front-end where daemon shutdown never ran per-client
 //! teardown.
 
+use crate::net::{Stream, Transport};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::wire::FrameReader;
 use parking_lot::Mutex;
 use simkit::lockrank;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::TcpStream;
+use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -183,6 +196,7 @@ pub struct ConnRef {
 pub struct ConnCtx<'a> {
     reactor: &'a Reactor,
     conn: ConnRef,
+    transport: Transport,
     out: &'a mut Vec<u8>,
 }
 
@@ -199,12 +213,17 @@ impl ConnCtx<'_> {
     pub fn register(&self, client: u64) {
         self.reactor.register(client, self.conn);
     }
+
+    /// Which transport this connection arrived over.
+    pub fn transport(&self) -> Transport {
+        self.transport
+    }
 }
 
 #[derive(Default)]
 struct Inbox {
     /// Connections handed off by the accept loop.
-    adopt: Vec<(TcpStream, Box<dyn Handler>)>,
+    adopt: Vec<(Stream, Box<dyn Handler>)>,
     /// (token, wire bytes) queued by [`Reactor::send_bytes`].
     sends: Vec<(u64, Vec<u8>)>,
 }
@@ -275,13 +294,14 @@ impl Reactor {
         self.shards.len()
     }
 
-    /// Adopts a freshly accepted connection (round-robin shard choice).
-    /// The stream must already be non-blocking.
-    pub fn submit(&self, stream: TcpStream, handler: Box<dyn Handler>) {
+    /// Adopts a freshly accepted connection of either family
+    /// (round-robin shard choice). The stream must already be
+    /// non-blocking.
+    pub fn submit(&self, stream: impl Into<Stream>, handler: Box<dyn Handler>) {
         let idx = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         {
             let _rank = lockrank::held(lockrank::REACTOR_INBOX);
-            self.shards[idx].inbox.lock().adopt.push((stream, handler));
+            self.shards[idx].inbox.lock().adopt.push((stream.into(), handler));
         }
         self.shards[idx].wake.signal();
     }
@@ -343,7 +363,7 @@ impl Reactor {
 
 /// A shard-owned connection.
 struct Conn {
-    reader: FrameReader<TcpStream>,
+    reader: FrameReader<Stream>,
     handler: Box<dyn Handler>,
     /// Pending output: `out[out_pos..]` is not yet written.
     out: Vec<u8>,
@@ -432,18 +452,37 @@ enum ReadOutcome {
     Dead,
 }
 
-fn read_and_dispatch(reactor: &Reactor, shard: usize, token: u64, conn: &mut Conn) -> ReadOutcome {
+/// Serves one readable event of `conn` (see [`read_and_dispatch`]).
+fn serve_readable(reactor: &Reactor, shard: usize, token: u64, conn: &mut Conn) -> ReadOutcome {
+    let transport = conn.reader.get_ref().transport();
+    read_and_dispatch(
+        ConnCtx {
+            reactor,
+            conn: ConnRef { shard, token },
+            transport,
+            out: &mut conn.out,
+        },
+        &mut conn.reader,
+        &mut *conn.handler,
+    )
+}
+
+/// Dispatches every frame one wake can see: what is buffered, then
+/// what one `read` brings — further reads only while each fills the
+/// buffer (module docs, "One read per wake"). Generic over the byte
+/// source so the read count is testable against a scripted stream.
+fn read_and_dispatch<R: Read>(
+    mut cx: ConnCtx<'_>,
+    reader: &mut FrameReader<R>,
+    handler: &mut dyn Handler,
+) -> ReadOutcome {
+    let at = (cx.conn.shard, cx.conn.token);
     let mut dispatched = 0;
+    let mut drained = false;
     loop {
-        match conn.reader.pop_buffered() {
+        match reader.pop_buffered() {
             Ok(Some(frame)) => {
-                let Conn { handler, out, .. } = conn;
-                let mut cx = ConnCtx {
-                    reactor,
-                    conn: ConnRef { shard, token },
-                    out,
-                };
-                CURRENT_CONN.with(|c| c.set((shard, token)));
+                CURRENT_CONN.with(|c| c.set(at));
                 let keep = handler.on_frame(&frame, &mut cx);
                 CURRENT_CONN.with(|c| c.set((usize::MAX, u64::MAX)));
                 // Merge self-sends the handler staged, preserving their
@@ -451,7 +490,7 @@ fn read_and_dispatch(reactor: &Reactor, shard: usize, token: u64, conn: &mut Con
                 SELF_STAGE.with(|s| {
                     let mut staged = s.borrow_mut();
                     if !staged.is_empty() {
-                        out.extend_from_slice(&staged);
+                        cx.out.extend_from_slice(&staged);
                         staged.clear();
                     }
                 });
@@ -463,9 +502,11 @@ fn read_and_dispatch(reactor: &Reactor, shard: usize, token: u64, conn: &mut Con
                     return ReadOutcome::Capped;
                 }
             }
-            Ok(None) => match conn.reader.fill_once() {
-                Ok(0) => return ReadOutcome::Eof,
-                Ok(_) => {}
+            // The last read emptied the socket: nothing to ask it.
+            Ok(None) if drained => return ReadOutcome::Open,
+            Ok(None) => match reader.fill_drained() {
+                Ok((0, _)) => return ReadOutcome::Eof,
+                Ok((_, short)) => drained = short,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::Interrupted =>
@@ -632,7 +673,7 @@ fn run_shard(reactor: &Arc<Reactor>, idx: usize, epoll: &Epoll) {
             if conn.closing {
                 continue;
             }
-            match read_and_dispatch(reactor, idx, token, conn) {
+            match serve_readable(reactor, idx, token, conn) {
                 ReadOutcome::Open => {
                     refresh_tick(conn, &mut tick_count);
                     if conn.flush(epoll, token).is_err() {
@@ -686,10 +727,16 @@ fn run_shard(reactor: &Arc<Reactor>, idx: usize, epoll: &Epoll) {
                 let Some(conn) = conns.get_mut(&token) else {
                     continue;
                 };
-                let Conn { handler, out, .. } = conn;
+                let Conn {
+                    reader,
+                    handler,
+                    out,
+                    ..
+                } = conn;
                 let mut cx = ConnCtx {
                     reactor,
                     conn: ConnRef { shard: idx, token },
+                    transport: reader.get_ref().transport(),
                     out,
                 };
                 CURRENT_CONN.with(|c| c.set((idx, token)));
@@ -717,7 +764,15 @@ fn run_shard(reactor: &Arc<Reactor>, idx: usize, epoll: &Epoll) {
             let Some(conn) = conns.get_mut(&token) else {
                 continue; // destroyed earlier in this batch
             };
-            if mask & (EPOLLERR | EPOLLHUP) != 0 {
+            // A hangup is not yet the end of the input: a Unix socket
+            // reports EPOLLHUP the moment its peer closes, with the
+            // peer's last frames (a simulator's `SimFinished`) still
+            // queued, where TCP reports it only once both directions
+            // are down. So a hangup on a connection that is still
+            // reading goes through the read path — the queue drains,
+            // then `read` says EOF — and only one that is past reading
+            // is dropped here.
+            if mask & EPOLLERR != 0 || (mask & EPOLLHUP != 0 && conn.closing) {
                 destroy(epoll, &mut conns, token, &mut tick_count);
                 continue;
             }
@@ -728,8 +783,8 @@ fn run_shard(reactor: &Arc<Reactor>, idx: usize, epoll: &Epoll) {
                 destroy(epoll, &mut conns, token, &mut tick_count);
                 continue;
             }
-            if mask & (EPOLLIN | EPOLLRDHUP) != 0 && !conn.closing {
-                match read_and_dispatch(reactor, idx, token, conn) {
+            if mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 && !conn.closing {
+                match serve_readable(reactor, idx, token, conn) {
                     ReadOutcome::Open => {
                         refresh_tick(conn, &mut tick_count);
                         // Flush direct writes the handler produced.
@@ -752,5 +807,166 @@ fn run_shard(reactor: &Arc<Reactor>, idx: usize, epoll: &Epoll) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::write_frame;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::AtomicUsize;
+
+    /// A non-blocking stream socket as `read` sees it: bytes queued by
+    /// the peer, maybe its FIN behind them — and a count of the reads.
+    /// Shared, so the test keeps feeding the end the reader owns.
+    #[derive(Clone, Default)]
+    struct Socket(std::rc::Rc<std::cell::RefCell<SocketState>>);
+
+    #[derive(Default)]
+    struct SocketState {
+        queued: Vec<u8>,
+        fin: bool,
+        reads: usize,
+    }
+
+    impl Socket {
+        /// Queues `n` frames of `body_len`-byte bodies.
+        fn push_frames(&self, n: usize, body_len: usize) {
+            for i in 0..n {
+                write_frame(&mut self.0.borrow_mut().queued, &vec![i as u8; body_len]).unwrap();
+            }
+        }
+    }
+
+    impl Read for Socket {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let mut state = self.0.borrow_mut();
+            state.reads += 1;
+            if state.queued.is_empty() {
+                return if state.fin { Ok(0) } else { Err(io::ErrorKind::WouldBlock.into()) };
+            }
+            let n = state.queued.len().min(buf.len());
+            buf[..n].copy_from_slice(&state.queued[..n]);
+            state.queued.drain(..n);
+            Ok(n)
+        }
+    }
+
+    /// Records what the reactor delivers.
+    #[derive(Default)]
+    struct Recorder {
+        frames: Arc<AtomicUsize>,
+        closes: Arc<AtomicUsize>,
+    }
+
+    impl Handler for Recorder {
+        fn on_frame(&mut self, _frame: &[u8], _cx: &mut ConnCtx<'_>) -> bool {
+            self.frames.fetch_add(1, Ordering::SeqCst);
+            true
+        }
+
+        fn on_close(&mut self) {
+            self.closes.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// One readable wake of `reader`, as a shard would serve it.
+    fn wake(
+        reactor: &Reactor,
+        reader: &mut FrameReader<Socket>,
+        handler: &mut Recorder,
+    ) -> ReadOutcome {
+        let mut out = Vec::new();
+        read_and_dispatch(
+            ConnCtx {
+                reactor,
+                conn: ConnRef { shard: 0, token: 0 },
+                transport: Transport::Local,
+                out: &mut out,
+            },
+            reader,
+            handler,
+        )
+    }
+
+    #[test]
+    fn one_read_per_wake() {
+        let reactor = Reactor::start(1).unwrap();
+        let mut handler = Recorder::default();
+        let frames = Arc::clone(&handler.frames);
+        let socket = Socket::default();
+        let mut reader = FrameReader::new(socket.clone());
+        let seen = || (frames.load(Ordering::SeqCst), socket.0.borrow().reads);
+
+        // N pipelined frames in one segment: all dispatched, one read —
+        // the short fill says the socket is drained, nobody asks it for
+        // a `WouldBlock`.
+        socket.push_frames(5, 12);
+        assert!(matches!(wake(&reactor, &mut reader, &mut handler), ReadOutcome::Open));
+        assert_eq!(seen(), (5, 1));
+
+        // A burst larger than the read chunk (40 KiB against 16 KiB) is
+        // drained completely in the same wake: two full fills, one
+        // short one.
+        socket.push_frames(40, 1020);
+        assert!(matches!(wake(&reactor, &mut reader, &mut handler), ReadOutcome::Open));
+        assert_eq!(seen(), (45, 4));
+
+        // A fill that came back full-sized proves nothing about the
+        // queue behind it, so the `WouldBlock` read is still made.
+        socket.push_frames(16, 1020);
+        assert!(matches!(wake(&reactor, &mut reader, &mut handler), ReadOutcome::Open));
+        assert_eq!(seen(), (61, 6));
+
+        // A frame split across two segments resumes on the next wake.
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &[7u8; 100]).unwrap();
+        socket.0.borrow_mut().queued.extend_from_slice(&frame[..40]);
+        assert!(matches!(wake(&reactor, &mut reader, &mut handler), ReadOutcome::Open));
+        assert_eq!(seen(), (61, 7));
+        socket.0.borrow_mut().queued.extend_from_slice(&frame[40..]);
+        assert!(matches!(wake(&reactor, &mut reader, &mut handler), ReadOutcome::Open));
+        assert_eq!(seen(), (62, 8));
+
+        // Data and FIN in one segment: the frames first; the FIN keeps
+        // the (level-triggered) fd readable, so the next wake reads EOF.
+        socket.push_frames(2, 12);
+        socket.0.borrow_mut().fin = true;
+        assert!(matches!(wake(&reactor, &mut reader, &mut handler), ReadOutcome::Open));
+        assert_eq!(seen(), (64, 9));
+        assert!(matches!(wake(&reactor, &mut reader, &mut handler), ReadOutcome::Eof));
+        assert_eq!(seen(), (64, 10));
+        reactor.shutdown();
+    }
+
+    /// The same ending through a live shard, on the family that reports
+    /// `EPOLLHUP` together with the peer's last bytes: every frame is
+    /// dispatched before the close, and `on_close` runs exactly once.
+    #[test]
+    fn data_then_close_in_one_burst_dispatches_then_closes_exactly_once() {
+        let reactor = Reactor::start(1).unwrap();
+        let handler = Recorder::default();
+        let (frames, closes) = (Arc::clone(&handler.frames), Arc::clone(&handler.closes));
+        let (mut peer, ours) = UnixStream::pair().unwrap();
+        // Written and closed before the shard ever sees the socket, so
+        // its first event carries data, RDHUP and HUP at once.
+        for _ in 0..3 {
+            write_frame(&mut peer, b"last words").unwrap();
+        }
+        drop(peer);
+        ours.set_nonblocking(true).unwrap();
+        reactor.submit(ours, Box::new(handler));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while closes.load(Ordering::SeqCst) == 0 {
+            assert!(std::time::Instant::now() < deadline, "connection never closed");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(frames.load(Ordering::SeqCst), 3, "frames queued before the hangup");
+        // A second `on_close` would come from the same shard loop
+        // within a wake or two.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(closes.load(Ordering::SeqCst), 1);
+        reactor.shutdown();
     }
 }

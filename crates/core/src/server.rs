@@ -201,6 +201,7 @@ use crate::dv::{
 };
 use crate::effectpool::EffectPool;
 use crate::model::{ContextCfg, StepMath};
+use crate::net::{self, Listener, Transport};
 use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY};
 use crate::reactor::{ConnCtx, Reactor};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLIN};
@@ -214,9 +215,8 @@ use simstore::walog::{self, WalRecord, WalState, WriteAheadLog};
 use simstore::StorageArea;
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::ops::RangeInclusive;
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
 use std::thread::JoinHandle;
@@ -600,6 +600,9 @@ struct Inner {
     contexts: HashMap<String, Arc<CtxRuntime>>,
     epoch: Instant,
     addr: SocketAddr,
+    /// The abstract Unix name bound beside `addr`, if any
+    /// ([`crate::net`]).
+    local_name: Option<String>,
     next_client: AtomicU64,
     shutdown: AtomicBool,
     reactor: Arc<Reactor>,
@@ -2139,7 +2142,7 @@ impl DvServer {
     /// # Panics
     /// Panics on duplicate context names — a configuration error.
     pub fn start_multi(configs: Vec<ServerConfig>, bind: &str) -> io::Result<DvServer> {
-        let listener = TcpListener::bind(bind)?;
+        let listener = Listener::bind(bind)?;
         let addr = listener.local_addr()?;
 
         let cores = std::thread::available_parallelism()
@@ -2318,6 +2321,7 @@ impl DvServer {
             contexts,
             epoch: Instant::now(),
             addr,
+            local_name: listener.local_name().map(str::to_string),
             next_client: AtomicU64::new(next_client_floor),
             shutdown: AtomicBool::new(false),
             reactor,
@@ -2352,13 +2356,17 @@ impl DvServer {
         Ok(DvServer { inner })
     }
 
-    fn spawn_accept_loop(inner: &Arc<Inner>, listener: TcpListener) -> io::Result<()> {
-        // Event-driven accept: one epoll over the listener and the
-        // shutdown eventfd, so shutdown unblocks instantly.
+    fn spawn_accept_loop(inner: &Arc<Inner>, listener: Listener) -> io::Result<()> {
+        // Event-driven accept: one epoll over the listening sockets
+        // (token = the listener's accept source) and the shutdown
+        // eventfd, so shutdown unblocks instantly.
+        const SHUTDOWN_TOKEN: u64 = u64::MAX;
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
-        epoll.add(listener.as_raw_fd(), EPOLLIN, 0)?;
-        epoll.add(inner.accept_wake.fd(), EPOLLIN, 1)?;
+        for (source, fd) in listener.fds().enumerate() {
+            epoll.add(fd, EPOLLIN, source as u64)?;
+        }
+        epoll.add(inner.accept_wake.fd(), EPOLLIN, SHUTDOWN_TOKEN)?;
         let inner = Arc::clone(inner);
         std::thread::Builder::new().name("dv-accept".into()).spawn(move || {
             // Transient-error backoff: under fd exhaustion (EMFILE) the
@@ -2366,24 +2374,22 @@ impl DvServer {
             // connection on every wait, so a fixed short sleep spins
             // the loop at 100 Hz for as long as the condition lasts.
             // Double the sleep per consecutive failure (bounded), reset
-            // on the first successful accept.
+            // on the first successful accept. One ladder for all the
+            // listening sockets: fds are a process-wide resource.
             const BACKOFF_MIN: Duration = Duration::from_millis(10);
             const BACKOFF_MAX: Duration = Duration::from_secs(1);
             let mut backoff = BACKOFF_MIN;
-            let mut events = [EpollEvent::default(); 4];
-            loop {
-                let _ = epoll.wait(&mut events, -1);
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
+            // Accepts from listening socket `source` until it would
+            // block; `false` after a transient failure (slept off
+            // already): back to the epoll wait.
+            let mut drain = |source: usize| -> bool {
                 loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
+                    match listener.accept(source) {
+                        Ok(stream) => {
                             backoff = BACKOFF_MIN;
                             if stream.set_nonblocking(true).is_err() {
                                 continue;
                             }
-                            let _ = stream.set_nodelay(true);
                             inner.reactor.submit(
                                 stream,
                                 Box::new(EpollConn {
@@ -2394,12 +2400,12 @@ impl DvServer {
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             backoff = BACKOFF_MIN;
-                            break;
+                            return true;
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                         Err(_) => {
                             // Transient (EMFILE/ECONNABORTED): never
-                            // exit — the listener dies with this
+                            // exit — the listeners die with this
                             // thread. Back off and re-enter the epoll
                             // wait; shutdown still interrupts via the
                             // eventfd after at most one backoff window.
@@ -2410,8 +2416,21 @@ impl DvServer {
                             }
                             std::thread::sleep(backoff);
                             backoff = (backoff * 2).min(BACKOFF_MAX);
-                            break;
+                            return false;
                         }
+                    }
+                }
+            };
+            let mut events = [EpollEvent::default(); 4];
+            loop {
+                let ready = epoll.wait(&mut events, -1).unwrap_or(0);
+                if inner.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                for ev in &events[..ready] {
+                    let source = ev.data;
+                    if source != SHUTDOWN_TOKEN && !drain(source as usize) {
+                        break;
                     }
                 }
             }
@@ -2422,6 +2441,14 @@ impl DvServer {
     /// The bound address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
         self.inner.addr
+    }
+
+    /// The abstract Unix name same-host sessions reach this daemon
+    /// under (without its leading NUL); `None` for a TCP-only daemon —
+    /// bound to a non-loopback address, or its name was taken
+    /// ([`crate::net`], "The rendezvous rule").
+    pub fn local_name(&self) -> Option<&str> {
+        self.inner.local_name.as_deref()
     }
 
     /// Statistics snapshot of the only context (single-context
@@ -2693,6 +2720,9 @@ impl crate::reactor::Handler for EpollConn {
                         );
                         return false;
                     }
+                }
+                if cx.transport() == Transport::Local {
+                    runtime.counters.local_sessions.fetch_add(1, Ordering::Relaxed);
                 }
                 match kind {
                     ClientKind::Analysis => {
@@ -2967,7 +2997,7 @@ impl JobLauncher for ThreadSimLauncher {
 
         let handle = std::thread::spawn(move || {
             let run = || -> io::Result<()> {
-                let mut stream = TcpStream::connect(&addr)?;
+                let (mut stream, _) = net::dial_any(&addr)?;
                 wire::write_frame(
                     &mut stream,
                     &Request::Hello {

@@ -1,14 +1,18 @@
-//! Raw Linux syscall bindings for the epoll reactor ([`crate::reactor`]).
+//! Raw Linux syscall bindings for the epoll reactor ([`crate::reactor`])
+//! and the local transport ([`crate::net`]).
 //!
 //! Hand-declared `extern "C"` prototypes against the libc `std` already
 //! links — no external crate, consistent with the vendored-offline
-//! dependency policy (see `vendor/README.md`). Only what the reactor
-//! needs is bound: epoll instances, eventfd wakeup counters, and raw-fd
-//! `read`/`write`/`close` for the eventfds.
+//! dependency policy (see `vendor/README.md`). Only what those two
+//! need is bound: epoll instances, eventfd wakeup counters, raw-fd
+//! `read`/`write`/`close` for the eventfds, and the two socket calls
+//! `std` has no form of — a `connect` to an abstract Unix name that
+//! cannot block, and a `poll` for readability.
 
 use std::io;
 use std::os::raw::{c_int, c_uint, c_void};
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::unix::net::UnixStream;
 
 /// Readable (or a peer hangup pending in the read queue).
 pub const EPOLLIN: u32 = 0x001;
@@ -28,6 +32,28 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 const EFD_SEMAPHORE: c_int = 1;
+const AF_UNIX: c_int = 1;
+const SOCK_STREAM: c_int = 1;
+const SOCK_NONBLOCK: c_int = 0o4000;
+const SOCK_CLOEXEC: c_int = 0o2000000;
+const POLLIN: i16 = 0x001;
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: i16,
+    revents: i16,
+}
+
+/// `struct sockaddr_un`: the family tag and 108 path bytes. An
+/// abstract-namespace address is a path whose first byte is NUL; the
+/// name is the bytes after it, up to the length passed to `connect`.
+#[repr(C)]
+struct SockaddrUn {
+    family: u16,
+    path: [u8; 108],
+}
 
 /// `struct epoll_event`. The kernel UAPI packs it on x86-64 (the 64-bit
 /// data field is misaligned by design, a compatibility quirk inherited
@@ -51,6 +77,9 @@ extern "C" {
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    fn connect(fd: c_int, addr: *const SockaddrUn, len: c_uint) -> c_int;
+    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: c_int) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -58,6 +87,77 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
         Err(io::Error::last_os_error())
     } else {
         Ok(ret)
+    }
+}
+
+/// Connects a stream socket to the abstract-namespace Unix name `name`
+/// (given without its leading NUL) **without ever waiting**: the
+/// socket is non-blocking during the `connect`, so a listener whose
+/// backlog is full answers `WouldBlock` where `std`'s
+/// `UnixStream::connect_addr` would park until the daemon accepts —
+/// possibly forever. A name nobody listens on is `ConnectionRefused`.
+/// A Unix `connect` that succeeds has completed (there is no
+/// `EINPROGRESS` on this family); the stream is returned in blocking
+/// mode.
+pub fn connect_abstract(name: &[u8]) -> io::Result<UnixStream> {
+    let mut addr = SockaddrUn {
+        family: AF_UNIX as u16,
+        path: [0; 108],
+    };
+    // path[0] stays NUL: that is what makes the address abstract.
+    let Some(slot) = addr.path.get_mut(1..1 + name.len()) else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "abstract socket name longer than 107 bytes",
+        ));
+    };
+    slot.copy_from_slice(name);
+    // SAFETY: no pointers cross the boundary; the arguments are a
+    // valid socket(2) triple and the return is error-checked.
+    let fd = cvt(unsafe { socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
+    // SAFETY: `fd` was just returned by socket(2) and is owned by
+    // nothing else; `OwnedFd` closes it on every path below.
+    let fd = unsafe { OwnedFd::from_raw_fd(fd) };
+    let len = (std::mem::size_of::<u16>() + 1 + name.len()) as c_uint;
+    // SAFETY: `addr` is a live, repr(C) sockaddr_un for the duration
+    // of the call and `len` (family + NUL + name) never exceeds its
+    // size — the slice bound above checked the name fits; the kernel
+    // only reads it.
+    cvt(unsafe { connect(fd.as_raw_fd(), &addr, len) })?;
+    let stream = UnixStream::from(fd);
+    stream.set_nonblocking(false)?;
+    Ok(stream)
+}
+
+/// Parks the calling thread until `fd` is readable — data, EOF or an
+/// error a `read` would report — or `timeout` elapses (`None`: no
+/// limit). `Ok(false)` is the timeout. Unlike a blocking `read`, a
+/// `poll` sleeper is woken only for the events it asked for
+/// ([`crate::net::Stream::wait_readable`] has the reason that matters).
+pub fn wait_readable(fd: RawFd, timeout: Option<std::time::Duration>) -> io::Result<bool> {
+    // poll(2) counts whole milliseconds: round up, so a short timeout
+    // never degrades into a busy poll, and clamp to what fits.
+    let timeout_ms = timeout.map_or(-1, |t| {
+        t.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int
+    });
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    loop {
+        // SAFETY: `pfd` is a live, repr(C) pollfd for the duration of
+        // the call and the count passed is exactly one; the kernel
+        // writes only its `revents`.
+        match unsafe { poll(&mut pfd, 1, timeout_ms) } {
+            n if n >= 0 => return Ok(n > 0),
+            _ => {
+                let err = io::Error::last_os_error();
+                if err.kind() != io::ErrorKind::Interrupted {
+                    return Err(err);
+                }
+            }
+        }
     }
 }
 
@@ -296,6 +396,59 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         sem.post(1);
         assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn connect_abstract_reaches_a_name_and_never_waits_on_a_full_backlog() {
+        use std::os::linux::net::SocketAddrExt;
+        use std::os::unix::net::{SocketAddr, UnixListener};
+        let name = format!("simfs-sys-test/{}", std::process::id());
+        assert_eq!(
+            connect_abstract(name.as_bytes()).unwrap_err().kind(),
+            io::ErrorKind::ConnectionRefused,
+            "nobody listens yet"
+        );
+        let listener =
+            UnixListener::bind_addr(&SocketAddr::from_abstract_name(&name).unwrap()).unwrap();
+        let first = connect_abstract(name.as_bytes()).unwrap();
+        drop(listener.accept().unwrap());
+        drop(first);
+        // Shrink the backlog (std asks for the system maximum) so the
+        // test fills it with a handful of sockets, not thousands.
+        extern "C" {
+            fn listen(fd: c_int, backlog: c_int) -> c_int;
+        }
+        // SAFETY: the fd is the live listener's; listen(2) on a
+        // listening Unix socket only updates its backlog.
+        cvt(unsafe { listen(listener.as_raw_fd(), 1) }).unwrap();
+        // Nobody accepts from here on: connects queue until the backlog
+        // is full, and the first one past it is refused at once instead
+        // of parking.
+        let mut queued = Vec::new();
+        let err = loop {
+            match connect_abstract(name.as_bytes()) {
+                Ok(stream) => queued.push(stream),
+                Err(e) => break e,
+            }
+            assert!(queued.len() < 16, "backlog of 1 never filled");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(connect_abstract(&[b'x'; 108]).is_err(), "over-long name");
+    }
+
+    #[test]
+    fn wait_readable_times_out_then_sees_data_and_eof() {
+        use std::io::Write;
+        let (mut peer, ours) = UnixStream::pair().unwrap();
+        let short = Some(std::time::Duration::from_millis(5));
+        assert!(!wait_readable(ours.as_raw_fd(), short).unwrap(), "nothing to read yet");
+        peer.write_all(b"x").unwrap();
+        assert!(wait_readable(ours.as_raw_fd(), short).unwrap());
+        assert!(wait_readable(ours.as_raw_fd(), None).unwrap());
+        // EOF counts: the read that follows must get to report it.
+        let (peer, ours) = UnixStream::pair().unwrap();
+        drop(peer);
+        assert!(wait_readable(ours.as_raw_fd(), None).unwrap());
     }
 
     #[test]

@@ -714,6 +714,15 @@ impl<R: Read> FrameReader<R> {
     /// timed polls, for instance, where [`read_frame`](Self::read_frame)
     /// would re-arm the socket timeout for every partial chunk.
     pub fn fill_once(&mut self) -> io::Result<usize> {
+        self.fill_drained().map(|(got, _)| got)
+    }
+
+    /// [`fill_once`](Self::fill_once), also reporting whether the read
+    /// came back with fewer bytes than the buffer offered. On a stream
+    /// socket that is the sign that the receive queue is empty: a
+    /// non-blocking caller can skip the `read` that would only say
+    /// `WouldBlock` (see the reactor's wakeup protocol).
+    pub fn fill_drained(&mut self) -> io::Result<(usize, bool)> {
         // Compact before refilling so the buffer does not creep.
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
@@ -725,18 +734,25 @@ impl<R: Read> FrameReader<R> {
         if self.buf.len() < self.end + READ_CHUNK {
             self.buf.resize(self.end + READ_CHUNK, 0);
         }
-        let got = self.inner.read(&mut self.buf[self.end..])?;
+        let space = &mut self.buf[self.end..];
+        let offered = space.len();
+        let got = self.inner.read(space)?;
         self.end += got;
-        Ok(got)
+        Ok((got, got < offered))
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame in **one** `write_all`: prefix and
+/// body assembled first, so the frame is one syscall and — under
+/// `TCP_NODELAY` — one segment and one reader wake, not a 4-byte
+/// segment that wakes the peer to pop nothing followed by the body.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     let len = body.len() as u32;
     debug_assert!(len <= MAX_FRAME);
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -966,6 +982,32 @@ mod tests {
         }
         assert_eq!(decoded.len(), 3);
         assert_eq!(decoded[2], Request::Bye);
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        /// Counts `write` calls; takes whatever it is given.
+        struct Counting(usize, Vec<u8>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(0, Vec::new());
+        let bodies = [Request::Bye.encode(), Request::FileProduced { key: 7, size: 4096 }.encode()];
+        for (sent, body) in bodies.iter().enumerate() {
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(w.0, sent + 1, "one write per frame");
+        }
+        let mut cursor = &w.1[..];
+        for body in &bodies {
+            assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(&body[..]));
+        }
     }
 
     #[test]

@@ -104,7 +104,14 @@ fn miss_triggers_resimulation_and_unblocks_client() {
     let status = client.acquire(&[6]).unwrap();
     assert!(status.ok(), "{status:?}");
     assert_eq!(status.ready, vec![6]);
-    // The whole enclosing interval 5..=8 was materialized (§II-A).
+    // The whole enclosing interval 5..=8 is materialized (§II-A) — by
+    // the time the sim retires; key 6 unblocks the client as soon as
+    // it alone is published.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while client.status().unwrap().active_sims != 0 {
+        assert!(std::time::Instant::now() < deadline, "sim never retired");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     for k in 5..=8 {
         assert!(fx.storage.exists(&fx.driver.filename_of(k)), "key {k}");
     }

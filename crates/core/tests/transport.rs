@@ -1,0 +1,591 @@
+//! The local transport ([`simfs_core::net`]) against real daemons:
+//! both arms serve one script identically (equivalence), the address
+//! alone picks the arm (selection), a name lives exactly as long as its
+//! daemon (lifecycle), and a connection that dies between two calls is
+//! recovered at the *write* that finds it dead, on either arm.
+//!
+//! No test here flips a switch — there is none. A TCP session to a
+//! same-host daemon is obtained the way a deployment would get one:
+//! by hand-rolled frames over a `TcpStream`, or by dialing a daemon
+//! bound to `0.0.0.0` under `127.0.0.2`, a loopback address its name
+//! (`127.0.0.1`) does not cover.
+
+use simbatch::ParallelismMap;
+use simfs_core::client::SimfsClient;
+use simfs_core::driver::{PatternDriver, SimDriver};
+use simfs_core::dv::{ClusterMember, DvStats};
+use simfs_core::model::{ContextCfg, StepMath};
+use simfs_core::net::{self, Transport};
+use simfs_core::server::{DurabilityCfg, DvServer, ServerConfig, ThreadSimLauncher};
+use simfs_core::wire::{self, ClientKind, Request, Response};
+use simstore::{Data, Dataset, StorageArea};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::linux::net::SocketAddrExt;
+use std::os::unix::net::{SocketAddr as UnixAddr, UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+fn step_bytes(key: u64) -> Vec<u8> {
+    let mut ds = Dataset::new(key, key as f64);
+    ds.set_attr("simulator", "synthetic");
+    let field: Vec<f64> = (0..16).map(|i| (key * 31 + i) as f64).collect();
+    ds.add_var("field", vec![16], Data::F64(field)).unwrap();
+    ds.encode().to_vec()
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("simfs-transport-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// One unsharded daemon serving `context` over `dir`, listening on
+/// `listen`: B = 4, N = 64, prefetch off (every counter the script
+/// moves is then a function of the script), checksums for keys 1..=8.
+fn start_daemon(
+    dir: &Path,
+    context: &str,
+    listen: &str,
+    durability: DurabilityCfg,
+) -> io::Result<DvServer> {
+    let storage = StorageArea::create(dir, u64::MAX)?;
+    let size = step_bytes(1).len() as u64;
+    let ctx = ContextCfg::new(context, StepMath::new(1, 4, 64), size, 1000 * size)
+        .with_policy("dcl")
+        .with_smax(4)
+        .with_prefetch(false);
+    let launcher = Arc::new(ThreadSimLauncher::new(
+        step_bytes,
+        |key| PatternDriver::new("out-", ".sdf", 6).filename_of(key),
+        Duration::from_millis(3),
+        Duration::from_millis(1),
+    ));
+    DvServer::start(
+        ServerConfig {
+            ctx,
+            driver: Arc::new(
+                PatternDriver::new("out-", ".sdf", 6)
+                    .with_parallelism(ParallelismMap::unconstrained(1, 2)),
+            ),
+            storage,
+            launcher,
+            checksums: (1..=8)
+                .map(|k| (k, simstore::fnv1a64(&step_bytes(k))))
+                .collect(),
+            dv_shards: 1,
+            cluster: ClusterMember::SOLO,
+            durability,
+        },
+        listen,
+    )
+}
+
+/// A loopback port nobody holds right now (bind-then-drop).
+fn free_port() -> u16 {
+    TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .port()
+}
+
+fn send(sock: &mut impl Write, req: &Request) {
+    wire::write_frame(sock, &req.encode()).unwrap();
+}
+
+fn recv(sock: &mut impl Read) -> Response {
+    let frame = wire::read_frame(sock)
+        .expect("reply never arrived")
+        .expect("EOF before reply");
+    Response::decode(&frame).unwrap()
+}
+
+fn hello(sock: &mut (impl Read + Write), context: &str, epoch: Option<u64>) -> Response {
+    send(
+        sock,
+        &Request::Hello {
+            kind: ClientKind::Analysis,
+            context: context.into(),
+            membership: None,
+            epoch,
+        },
+    );
+    recv(sock)
+}
+
+// ---------------------------------------------------------------------
+// Equivalence
+// ---------------------------------------------------------------------
+
+/// The scripted session of the equivalence test, over whatever
+/// `connect` hands out: every reply frame in arrival order. The only
+/// thing masked is `Queued`'s wait estimate (a wall-clock quantity).
+fn scripted_session<S: Read + Write>(
+    server: &DvServer,
+    mut connect: impl FnMut() -> S,
+) -> Vec<Response> {
+    let mut log = Vec::new();
+    let mut sock = connect();
+    let greeting = hello(&mut sock, "test-ctx", None);
+    let Response::HelloOk { client_id, epoch } = greeting else {
+        panic!("expected HelloOk, got {greeting:?}");
+    };
+    log.push(greeting);
+
+    // A missing step: Queued, then Ready once the re-simulation
+    // publishes it.
+    send(
+        &mut sock,
+        &Request::Acquire {
+            req_id: 1,
+            keys: vec![6],
+        },
+    );
+    loop {
+        let resp = match recv(&mut sock) {
+            Response::Queued { req_id, key, .. } => Response::Queued {
+                req_id,
+                key,
+                est_wait_ms: 0,
+            },
+            other => other,
+        };
+        let ready = matches!(resp, Response::Ready { .. });
+        log.push(resp);
+        if ready {
+            break;
+        }
+    }
+    // Let the re-simulation retire (unlogged polls: their number is
+    // timing), so everything after is served from a settled daemon.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        send(&mut sock, &Request::Status { req_id: 99 });
+        match recv(&mut sock) {
+            Response::StatusInfo { active_sims: 0, .. } => break,
+            Response::StatusInfo { .. } => {}
+            other => panic!("expected StatusInfo, got {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "re-simulation never retired");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // A resident step (the fast path), both pins released.
+    send(
+        &mut sock,
+        &Request::Acquire {
+            req_id: 2,
+            keys: vec![6],
+        },
+    );
+    log.push(recv(&mut sock));
+    send(&mut sock, &Request::Release { key: 6 });
+    send(&mut sock, &Request::Release { key: 6 });
+    send(&mut sock, &Request::Bitrep { req_id: 3, key: 6 });
+    log.push(recv(&mut sock));
+    send(&mut sock, &Request::Status { req_id: 4 });
+    log.push(recv(&mut sock));
+
+    // Forced reconnect holding a pin: the session dies, a new one
+    // greets with the prior epoch and re-asserts.
+    send(
+        &mut sock,
+        &Request::Acquire {
+            req_id: 5,
+            keys: vec![7],
+        },
+    );
+    log.push(recv(&mut sock));
+    drop(sock);
+    let mut sock = connect();
+    log.push(hello(&mut sock, "test-ctx", Some(epoch)));
+    send(
+        &mut sock,
+        &Request::Reassert {
+            req_id: 6,
+            prior_client: client_id,
+            prior_epoch: epoch,
+            keys: vec![7],
+        },
+    );
+    log.push(recv(&mut sock));
+    send(&mut sock, &Request::Bye);
+    // The dead session's pin on 7 is back in the index before the
+    // counters are compared.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.fast_pinned("test-ctx", 7) != Some(false) {
+        assert!(
+            Instant::now() < deadline,
+            "dead session's pin never returned"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    log
+}
+
+/// The counters a script determines: everything but wall-clock sums,
+/// the lock-acquisition tally (the unlogged polls move it) and the
+/// transport row itself.
+fn scripted_counters(stats: &DvStats) -> Vec<(&'static str, u64)> {
+    stats
+        .iter()
+        .filter(|(name, _)| {
+            !name.ends_with("_ns") && !["lock_transitions", "local_sessions"].contains(name)
+        })
+        .collect()
+}
+
+/// One script — hello, missing acquire → `Queued` → `Ready`, resident
+/// acquire, release, `bitrep`, `status`, forced reconnect + `Reassert`
+/// — yields the same reply frames and moves the same counters over a
+/// `TcpStream` as over the daemon's abstract Unix socket. Above
+/// `net::Stream` there is one framing, one reactor, one handler.
+#[test]
+fn equivalence_scripted_session_is_identical_over_tcp_and_unix() {
+    let run = |tag: &str, unix: bool| {
+        let dir = fresh_dir(tag);
+        let server =
+            start_daemon(&dir, "test-ctx", "127.0.0.1:0", DurabilityCfg::default()).unwrap();
+        let log = if unix {
+            let name = UnixAddr::from_abstract_name(server.local_name().unwrap()).unwrap();
+            scripted_session(&server, || UnixStream::connect_addr(&name).unwrap())
+        } else {
+            let addr = server.addr();
+            scripted_session(&server, || {
+                let sock = TcpStream::connect(addr).unwrap();
+                sock.set_nodelay(true).unwrap();
+                sock
+            })
+        };
+        let stats = server.stats();
+        server.shutdown();
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+        (log, stats)
+    };
+    let (tcp_log, tcp_stats) = run("equiv-tcp", false);
+    let (unix_log, unix_stats) = run("equiv-unix", true);
+    assert_eq!(
+        tcp_log, unix_log,
+        "reply sequences diverge between the transports"
+    );
+    assert_eq!(tcp_log.len(), 9, "{tcp_log:#?}");
+    assert!(
+        matches!(&tcp_log[8], Response::Reasserted { gone, restored, .. } if gone.len() == 1 && restored.is_empty()),
+        "same-epoch reassert names the pin gone: {:?}",
+        tcp_log[8]
+    );
+    assert_eq!(
+        scripted_counters(&tcp_stats),
+        scripted_counters(&unix_stats)
+    );
+    assert_eq!(
+        (
+            tcp_stats.misses,
+            tcp_stats.acquired_fast,
+            tcp_stats.client_reconnects
+        ),
+        (1, 2, 1)
+    );
+    // The transport row is the one difference: the two analysis hellos.
+    // (The in-process simulator dials the name in both runs.)
+    assert_eq!(unix_stats.local_sessions, tcp_stats.local_sessions + 2);
+}
+
+// ---------------------------------------------------------------------
+// Selection
+// ---------------------------------------------------------------------
+
+/// A loopback target lands on the local socket; a `0.0.0.0` bind is
+/// reachable by name via `127.0.0.1` — and by TCP under any other
+/// loopback address, with the same daemon behind both.
+#[test]
+fn selection_follows_the_address() {
+    let dir = fresh_dir("select");
+    let server = start_daemon(&dir, "test-ctx", "127.0.0.1:0", DurabilityCfg::default()).unwrap();
+    assert_eq!(
+        server.local_name(),
+        Some(net::local_name(&server.addr()).as_str())
+    );
+    let mut client = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    assert_eq!(client.transport(), Transport::Local);
+    assert!(client.acquire(&[6]).unwrap().ok());
+    assert_eq!(
+        server.stats().local_sessions,
+        2,
+        "the analysis and its re-simulation"
+    );
+    client.finalize().unwrap();
+    server.shutdown();
+    drop(server);
+
+    let wild = start_daemon(&dir, "test-ctx", "0.0.0.0:0", DurabilityCfg::default()).unwrap();
+    let port = wild.addr().port();
+    let mut by_name = SimfsClient::connect(("127.0.0.1", port), "test-ctx").unwrap();
+    let mut by_tcp = SimfsClient::connect(("127.0.0.2", port), "test-ctx").unwrap();
+    assert_eq!(by_name.transport(), Transport::Local);
+    assert_eq!(by_tcp.transport(), Transport::Tcp);
+    assert_eq!(wild.stats().local_sessions, 1);
+    // One daemon behind both: the step the first session left resident
+    // is a hit for either.
+    assert!(by_name.acquire(&[6]).unwrap().ok());
+    assert!(by_tcp.acquire(&[6]).unwrap().ok());
+    assert_eq!((wild.stats().hits, wild.stats().misses), (2, 0));
+    by_name.finalize().unwrap();
+    by_tcp.finalize().unwrap();
+    wild.shutdown();
+    drop(wild);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Somebody else holds the name: the daemon starts TCP-only and a raw
+/// `TcpStream` session is served as ever.
+#[test]
+fn selection_taken_name_leaves_a_tcp_only_daemon() {
+    let addr: SocketAddr = ([127, 0, 0, 1], free_port()).into();
+    let squatter =
+        UnixListener::bind_addr(&UnixAddr::from_abstract_name(net::local_name(&addr)).unwrap())
+            .unwrap();
+    let dir = fresh_dir("taken");
+    let server = start_daemon(
+        &dir,
+        "test-ctx",
+        &addr.to_string(),
+        DurabilityCfg::default(),
+    )
+    .unwrap();
+    assert_eq!(server.local_name(), None);
+    let mut sock = TcpStream::connect(addr).unwrap();
+    sock.set_nodelay(true).unwrap();
+    assert!(matches!(
+        hello(&mut sock, "test-ctx", None),
+        Response::HelloOk { .. }
+    ));
+    send(&mut sock, &Request::Status { req_id: 1 });
+    assert!(matches!(
+        recv(&mut sock),
+        Response::StatusInfo { req_id: 1, .. }
+    ));
+    assert_eq!(server.stats().local_sessions, 0);
+    drop(squatter);
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two daemons on one port, `127.0.0.1:P` and `127.0.0.2:P`: each name
+/// carries the full address, so each session reaches its own daemon —
+/// its own context, its own client-id sequence.
+#[test]
+fn selection_two_daemons_on_one_port_are_never_confused() {
+    let (dir_a, dir_b) = (fresh_dir("port-a"), fresh_dir("port-b"));
+    let a = start_daemon(&dir_a, "ctx-a", "127.0.0.1:0", DurabilityCfg::default()).unwrap();
+    let port = a.addr().port();
+    let b = start_daemon(
+        &dir_b,
+        "ctx-b",
+        &format!("127.0.0.2:{port}"),
+        DurabilityCfg::default(),
+    )
+    .unwrap();
+    assert_ne!(a.local_name(), b.local_name());
+
+    // Three sessions on A move its client ids on; B's first is still 1.
+    let on_a: Vec<SimfsClient> = (0..3)
+        .map(|_| SimfsClient::connect(a.addr(), "ctx-a").unwrap())
+        .collect();
+    let on_b = SimfsClient::connect(b.addr(), "ctx-b").unwrap();
+    assert!(on_a
+        .iter()
+        .chain([&on_b])
+        .all(|c| c.transport() == Transport::Local));
+    assert_eq!(
+        on_a.iter().map(SimfsClient::client_id).collect::<Vec<_>>(),
+        [1, 2, 3]
+    );
+    assert_eq!(on_b.client_id(), 1);
+    assert_eq!((a.stats().local_sessions, b.stats().local_sessions), (3, 1));
+    // Neither serves the other's context.
+    let err = SimfsClient::connect(a.addr(), "ctx-b")
+        .err()
+        .expect("A has no ctx-b");
+    assert!(err.to_string().contains("ctx-a"), "{err}");
+    let err = SimfsClient::connect(b.addr(), "ctx-a")
+        .err()
+        .expect("B has no ctx-a");
+    assert!(err.to_string().contains("ctx-b"), "{err}");
+
+    drop((on_a, on_b));
+    a.shutdown();
+    b.shutdown();
+    drop((a, b));
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+// ---------------------------------------------------------------------
+// Lifecycle and write-side recovery, with a real kill -9
+// ---------------------------------------------------------------------
+
+/// Not a test on its own: the subprocess body of the two kill-9 tests
+/// below. They re-exec this test binary with `daemon_worker --exact`
+/// and the `SIMFS_TRANSPORT_*` environment set; it then serves a
+/// durable daemon until the parent SIGKILLs it. Without the
+/// environment (a normal `cargo test` run) it is a no-op.
+#[test]
+fn daemon_worker() {
+    let Ok(listen) = std::env::var("SIMFS_TRANSPORT_LISTEN") else {
+        return;
+    };
+    let dir = PathBuf::from(std::env::var("SIMFS_TRANSPORT_DIR").unwrap());
+    let recover = std::env::var("SIMFS_TRANSPORT_RECOVER").as_deref() == Ok("1");
+    let _server = start_daemon(&dir, "test-ctx", &listen, DurabilityCfg::durable(recover))
+        .unwrap_or_else(|e| panic!("worker cannot serve {listen}: {e}"));
+    loop {
+        std::thread::park();
+    }
+}
+
+/// A worker process; SIGKILLed when dropped, so a failing assertion
+/// leaves no daemon behind.
+struct Worker(std::process::Child);
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+fn spawn_worker(dir: &Path, listen: &str, recover: bool) -> Worker {
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["daemon_worker", "--exact"])
+        .env("SIMFS_TRANSPORT_DIR", dir)
+        .env("SIMFS_TRANSPORT_LISTEN", listen)
+        .env("SIMFS_TRANSPORT_RECOVER", if recover { "1" } else { "0" })
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn daemon worker");
+    Worker(child)
+}
+
+/// Polls until the worker accepts on TCP — by which time its name, if
+/// it gets one, is bound (`Listener::bind` does both before the daemon
+/// starts). The probe's EOF is handled like any departed client.
+fn await_listening(addr: SocketAddr) {
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while TcpStream::connect(addr).is_err() {
+        assert!(Instant::now() < deadline, "worker on {addr} never came up");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// An abstract name dies with its process — no file to go stale: after
+/// SIGKILL the dial falls through to TCP's `ECONNREFUSED`, the session's
+/// reconnect runs its backoff loop against that, and once the daemon is
+/// back the re-established session rides the name again.
+#[test]
+fn lifecycle_name_dies_with_the_process_and_returns_with_it() {
+    let dir = fresh_dir("lifecycle");
+    let addr: SocketAddr = ([127, 0, 0, 1], free_port()).into();
+    let worker = spawn_worker(&dir, &addr.to_string(), false);
+    await_listening(addr);
+    let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
+    client.set_auto_reconnect(true);
+    client.set_op_timeout(Some(Duration::from_secs(10)));
+    assert_eq!(client.transport(), Transport::Local);
+    assert!(client.acquire(&[6]).unwrap().ok());
+
+    drop(worker); // kill -9
+    let err = net::dial(&addr, Some(Duration::from_secs(1))).unwrap_err();
+    assert_eq!(
+        err.kind(),
+        io::ErrorKind::ConnectionRefused,
+        "name and port died with the daemon"
+    );
+
+    // The daemon returns while the client is already redialing.
+    let restart = {
+        let (dir, listen) = (dir.clone(), addr.to_string());
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(300));
+            spawn_worker(&dir, &listen, true)
+        })
+    };
+    let redial = Instant::now();
+    assert!(client.acquire(&[6]).unwrap().ok());
+    assert!(
+        redial.elapsed() >= Duration::from_millis(250),
+        "nothing to reach before the restart"
+    );
+    assert_eq!(client.reconnects(), 1);
+    assert_eq!(
+        client.transport(),
+        Transport::Local,
+        "the restarted daemon rebound its name"
+    );
+
+    drop(client);
+    drop(restart.join().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Write-side disconnect, on both arms: auto-reconnect on, the daemon
+/// killed and restarted with `--recover` between a `close` and the
+/// next `open`. The session finds out at a *write* — the staged
+/// release's flush on a Unix socket (`EPIPE` at once), the acquire
+/// after it on TCP (whose first write into the dead connection is
+/// buffered and answered by an RST) — and both must recover there, not
+/// surface `BrokenPipe`.
+#[test]
+fn write_side_disconnect_recovers_on_both_transports() {
+    for (bind_ip, dial_ip, transport) in [
+        ("127.0.0.1", [127, 0, 0, 1], Transport::Local),
+        // A wildcard bind names 127.0.0.1 only: 127.0.0.2 is TCP.
+        ("0.0.0.0", [127, 0, 0, 2], Transport::Tcp),
+    ] {
+        let dir = fresh_dir(&format!("epipe-{}", transport.as_str()));
+        let port = free_port();
+        let listen = format!("{bind_ip}:{port}");
+        let addr: SocketAddr = (dial_ip, port).into();
+        let worker = spawn_worker(&dir, &listen, false);
+        await_listening(addr);
+        let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
+        client.set_auto_reconnect(true);
+        client.set_op_timeout(Some(Duration::from_secs(10)));
+        assert_eq!(client.transport(), transport);
+        // open … close, the pin of the last open still held.
+        assert!(client.acquire(&[5]).unwrap().ok());
+        client.release(5).unwrap();
+        assert!(client.acquire(&[6]).unwrap().ok());
+        client.flush().unwrap();
+
+        drop(worker); // kill -9
+        let worker = spawn_worker(&dir, &listen, true);
+        await_listening(addr);
+
+        // close: a staged release and its flush — the first write into
+        // the dead connection.
+        client.release(6).unwrap();
+        client.flush().unwrap();
+        // Let a TCP peer's RST arrive, so the next write is the one
+        // that fails.
+        std::thread::sleep(Duration::from_millis(50));
+        // open: succeeds over a recovered session, on the same arm.
+        let status = client.acquire(&[7]).unwrap();
+        assert!(status.ok(), "{transport:?}: {status:?}");
+        assert_eq!(client.reconnects(), 1, "{transport:?}");
+        assert_eq!(client.transport(), transport);
+        assert_eq!(
+            client.epoch(),
+            2,
+            "{transport:?}: the recovered instance's epoch"
+        );
+
+        client.finalize().unwrap();
+        drop(worker);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -14,6 +14,14 @@
 //!
 //! Analyses then connect with `SimfsClient::connect(addr, "climate")`
 //! or any tool built on the transparent-mode facade.
+//!
+//! `--listen` is the only address there is. A daemon listening on a
+//! loopback address (or on `0.0.0.0`/`::`) also binds the abstract Unix
+//! socket named after it — the start-up line prints it as
+//! `@simfs-dv/127.0.0.1:7878` — and sessions that target that loopback
+//! address ride it instead of the TCP stack; remote sessions, and
+//! hand-rolled TCP clients, use the TCP address as ever. There is no
+//! flag for this (`simfs_core::net`).
 
 use simbatch::ProcessLauncher;
 use simfs::spec::ContextSpec;
@@ -178,9 +186,15 @@ fn run() -> Result<(), String> {
     .map_err(|e| format!("cannot bind {}: {e}", args.listen))?;
 
     println!(
-        "simfs-dv serving context {:?} on {} (policy {}, smax {}, cache {} steps{})",
+        "simfs-dv serving context {:?} on {}{} (policy {}, smax {}, cache {} steps{})",
         spec.name,
         server.addr(),
+        // `@name` is how ss(8) and /proc/net/unix spell an abstract
+        // socket: same-host sessions reach the daemon there.
+        match server.local_name() {
+            Some(name) => format!(" and local socket @{name}"),
+            None => " (TCP only)".to_string(),
+        },
         spec.policy,
         spec.smax,
         spec.cache_steps,
