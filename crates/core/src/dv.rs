@@ -360,6 +360,14 @@ dv_stats! {
     dv restarts,
     /// Of which prefetch launches.
     dv prefetch_launches,
+    /// Prefetch launches covering less than one whole restart interval:
+    /// each pays a full restart latency for a fragment. Plans are
+    /// restart-aligned, so these come from ownership cuts (explicit
+    /// DV shards, cluster members) and timeline-end clamps.
+    dv prefetch_partial_launches,
+    /// Consumption-time (`tau_cli`) samples fed to the prefetch agents,
+    /// by acquires (inline observation) or by digest replay.
+    dv tau_cli_samples,
     /// Output steps scheduled for production across all launches.
     dv scheduled_steps,
     /// Output steps actually produced (`FileProduced` events).
@@ -484,7 +492,10 @@ struct ClientState {
     pins: U64Map<u32>,
     /// When the client's last request became ready: the start of its
     /// consumption phase. The gap to its next acquire is the `tau_cli`
-    /// sample (§IV-A) — consumption time, not blocked-wait time.
+    /// sample (§IV-A) — consumption time, not blocked-wait time. In
+    /// digest mode only production stamps it (a blocked request's ready
+    /// time), and replay takes it to start the gap after the blocked
+    /// record.
     last_ready: Option<SimTime>,
     /// Epoch of the last digest record replayed for this client and
     /// whether it was a ready point: the digest-mode source of
@@ -677,12 +688,46 @@ impl DataVirtualizer {
     ///
     /// Invalid keys are skipped — `on_acquire` fails them before its
     /// agents ever see them, and replay mirrors that.
+    ///
+    /// Record epochs must be on the clock of the `now` this DV is
+    /// driven with (the daemon's own records): after a record that
+    /// blocked, the consumption gap starts at the waiter's ready stamp,
+    /// exactly as the inline path samples it. The daemon replays the
+    /// digests a clustered DVLib forwards — stamped on the client's
+    /// clock — without that step.
     pub fn ingest_digest(
         &mut self,
         now: SimTime,
         records: &[AccessRecord],
         window_dropped: u64,
         owns_key: &dyn Fn(u64) -> bool,
+        actions: &mut Vec<DvAction>,
+    ) {
+        self.replay_digest(now, records, window_dropped, owns_key, true, actions);
+    }
+
+    /// [`ingest_digest`](Self::ingest_digest) for records stamped on a
+    /// foreign clock — a clustered DVLib session's forwarded
+    /// `AccessDigest`. Its epochs are never compared with this DV's
+    /// ready stamps, so the gap after a blocked record is not sampled.
+    pub(crate) fn ingest_forwarded_digest(
+        &mut self,
+        now: SimTime,
+        records: &[AccessRecord],
+        window_dropped: u64,
+        owns_key: &dyn Fn(u64) -> bool,
+        actions: &mut Vec<DvAction>,
+    ) {
+        self.replay_digest(now, records, window_dropped, owns_key, false, actions);
+    }
+
+    fn replay_digest(
+        &mut self,
+        now: SimTime,
+        records: &[AccessRecord],
+        window_dropped: u64,
+        owns_key: &dyn Fn(u64) -> bool,
+        same_clock: bool,
         actions: &mut Vec<DvAction>,
     ) {
         if !self.cfg.prefetch {
@@ -716,21 +761,34 @@ impl DataVirtualizer {
                 true
             };
             // A gap is a consumption sample only when it starts at a
-            // ready point and no records were lost inside it; epoch
-            // bookkeeping continues through suppressed records so
-            // post-window gaps stay truthful.
-            if let Some((prev, prev_ready)) =
-                state.last_digest_epoch.replace((r.epoch, r.ready))
-            {
-                let gap = r.epoch.saturating_sub(prev);
-                let lossy_gap = window_dropped > 0 && first_of_window;
-                if prev_ready && gap > 0 && !suppressed && !lossy_gap {
-                    state.agent.observe_tau_cli(Dur::from_nanos(gap));
-                }
+            // ready point and no records were lost inside it. The ready
+            // point is the previous record itself when it was served at
+            // once, else the waiter's ready stamp — taken here whenever
+            // it is no later than this record, so a stale stamp never
+            // starts a later gap. Suppressed records sample too: a
+            // pollution reset discards the trajectory, not the client's
+            // speed, and the inline path sampled these very gaps at
+            // acquire time.
+            let ready_stamp = if same_clock {
+                state.last_ready.take_if(|t| t.as_nanos() <= r.epoch)
+            } else {
+                None
+            };
+            let gap_start = match state.last_digest_epoch.replace((r.epoch, r.ready)) {
+                Some((prev, true)) => Some(prev),
+                Some((prev, false)) => ready_stamp.map(SimTime::as_nanos).filter(|&t| t >= prev),
+                None => None,
+            };
+            let gap = gap_start.map_or(0, |start| r.epoch.saturating_sub(start));
+            let lossy_gap = window_dropped > 0 && first_of_window;
+            let sampled = gap > 0 && !lossy_gap;
+            if sampled {
+                state.agent.observe_tau_cli(Dur::from_nanos(gap));
             }
             if suppressed {
                 if owned {
                     self.stats.digest_replayed += 1;
+                    self.stats.tau_cli_samples += sampled as u64;
                 }
                 continue;
             }
@@ -738,6 +796,7 @@ impl DataVirtualizer {
             let outcome = state.agent.on_access(r.key, &inputs);
             if owned {
                 self.stats.digest_replayed += 1;
+                self.stats.tau_cli_samples += sampled as u64;
                 if was_planned && materialized {
                     self.stats.prefetch_hits += 1;
                 }
@@ -1110,6 +1169,9 @@ impl DataVirtualizer {
             self.stats.scheduled_steps += n_keys;
             if q.reason == LaunchReason::Prefetch {
                 self.stats.prefetch_launches += 1;
+                if !covers_whole_interval(&self.cfg.steps, &q.keys) {
+                    self.stats.prefetch_partial_launches += 1;
+                }
                 if let Some(c) = q.client {
                     self.prefetches_by_client.entry(c).or_default().push(sim);
                 }
@@ -1533,21 +1595,19 @@ impl DataVirtualizer {
         let prefetch_enabled = self.cfg.prefetch;
         // Observation is decoupled in digest mode: acquires neither feed
         // the agents nor sample tau_cli here — the recorded stream
-        // replays through `ingest_digest` instead.
-        let observe_inline = prefetch_enabled && !self.digest_observation;
+        // replays through `ingest_digest` instead, and a blocked
+        // request's ready stamp stays for the replay to take.
+        let inline = !self.digest_observation;
+        let observe_inline = prefetch_enabled && inline;
         let inputs = self.prefetch_inputs();
 
         // Sample the client's consumption time: from its last data
         // becoming ready to this request.
-        let inline_tau_cli = !self.digest_observation;
-        {
+        if inline {
             let state = self.client_mut(client);
             if let Some(ready_at) = state.last_ready.take() {
-                if inline_tau_cli {
-                    state
-                        .agent
-                        .observe_tau_cli(now.saturating_since(ready_at));
-                }
+                state.agent.observe_tau_cli(now.saturating_since(ready_at));
+                self.stats.tau_cli_samples += 1;
             }
         }
 
@@ -1556,7 +1616,9 @@ impl DataVirtualizer {
             self.cache.pin(key);
             let state = self.client_mut(client);
             *state.pins.entry(key).or_insert(0) += 1;
-            state.last_ready = Some(now);
+            if inline {
+                state.last_ready = Some(now);
+            }
             actions.push(DvAction::NotifyReady { client, key });
             if observe_inline {
                 let outcome = state.agent.on_access(key, &inputs);
@@ -1746,6 +1808,14 @@ fn backoff_delay(sup: &crate::model::SupervisorCfg, interval: u64, attempt: u32)
     let span = capped / 4;
     let jitter = if span == 0 { 0 } else { h % (2 * span + 1) };
     Dur::from_nanos(capped - span + jitter)
+}
+
+/// Does `keys` contain every key of at least one restart interval (the
+/// last interval clamped to the timeline)?
+fn covers_whole_interval(steps: &StepMath, keys: &RangeInclusive<u64>) -> bool {
+    let b = steps.outputs_per_interval();
+    let first_whole = (*keys.start() - 1).div_ceil(b);
+    first_whole < steps.n_intervals() && *steps.interval_keys(first_whole).end() <= *keys.end()
 }
 
 /// Splits `block` into its maximal sub-ranges of owned keys. Ownership

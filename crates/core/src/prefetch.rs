@@ -12,7 +12,8 @@
 //! `tau_sim` (inter-production gap) maintained by the DV from simulator
 //! notifications, and `tau_cli` — the client's *consumption* time per
 //! step, sampled from ready-to-next-acquire gaps so a blocked analysis
-//! does not look as slow as the simulation that blocks it.
+//! does not look as slow as the simulation that blocks it (see "Where
+//! `tau_cli`'s ready point comes from" below).
 //!
 //! * **Re-simulation length** (§IV-B1a): enough accesses must fit into
 //!   one block to cover the next restart latency, reserving two accesses
@@ -38,6 +39,41 @@
 //!
 //! The agent only *plans*; the Data Virtualizer filters blocks against
 //! cache/pending state, enforces `s_max`, and emits launches.
+//!
+//! # Restart-aligned blocks
+//!
+//! A re-simulation loads the restart at or below its first key and
+//! computes forward, publishing only its own range: a block that starts
+//! inside an interval computes the steps before its start for nothing,
+//! and a block that stops inside one leaves a partial interval that a
+//! later launch must restart for again. So every forward block *ends* on
+//! an interval end `j·B` (or `N`) and every backward block *starts* on
+//! an interval start `j·B + 1` (or 1) — whatever frontier planning
+//! starts from: a miss's coverage edge (already a boundary), the
+//! confirming access itself (`frontier.get_or_insert(key)`), or the
+//! undirected first miss, which records its interval end as a forward
+//! frontier even when the scan then turns out to run backward. Blocks
+//! are stretched to the boundary, never cut, so `n` stays a lower bound
+//! on the masking length; and because each block's far edge becomes the
+//! next frontier, every block after the first starts on a boundary too.
+//!
+//! # Where `tau_cli`'s ready point comes from
+//!
+//! A consumption gap runs from the moment the client's previous request
+//! was *ready* to its next acquire.
+//!
+//! * **Inline observation** (the DV's default; the virtual harness):
+//!   the DV stamps `last_ready` when it answers a hit, or when the
+//!   production a blocked client waits on lands (`on_file_produced`),
+//!   and the next acquire samples the gap.
+//! * **Digest observation** (the daemon): a record served at once is its
+//!   own ready point. After a record that blocked, the gap starts at the
+//!   waiter's ready stamp from `on_file_produced` — the daemon records
+//!   epochs on the clock its DV runs on, so the two compare. Digests a
+//!   clustered DVLib session forwards carry *client* clock epochs that
+//!   must never meet a daemon stamp: there the gap after a blocked record
+//!   is not sampled, as before, and only gaps from ready records feed
+//!   `tau_cli`.
 //!
 //! # The pollution-kill rule (§IV-C)
 //!
@@ -92,9 +128,12 @@
 //!   learn about an access up to one drain interval after the DV served
 //!   it. Plans are still filtered against cache/pending state at drain
 //!   time, so the lag costs at most prefetch lead, never correctness.
-//! * **Epochs are per-client-clock.** Only the differences between one
-//!   client's consecutive epochs are used (as `tau_cli` consumption
-//!   samples); digests forwarded from DVLib carry client-side clocks.
+//! * **Epochs are per-recorder-clock.** Only the differences between
+//!   one client's consecutive epochs are used (as `tau_cli` consumption
+//!   samples), plus — for records the daemon made on its own clock — the
+//!   difference from a blocked client's ready stamp; digests forwarded
+//!   from DVLib carry client-side clocks and are never compared with a
+//!   daemon stamp.
 
 use crate::model::StepMath;
 use crate::perfmodel::Ema;
@@ -124,9 +163,11 @@ pub struct AccessRecord {
     /// so the gap from this record to the client's next access is pure
     /// consumption time. False for accesses that blocked on production
     /// (their acquire-time epoch is *earlier* than the data's ready
-    /// time) — replay must not turn the following gap into a `tau_cli`
-    /// sample, or every miss would inflate the estimate by the full
-    /// production wait and mis-size the §IV-B prefetch blocks.
+    /// time) — replay must not measure the following gap from this
+    /// epoch, or every miss would inflate the estimate by the full
+    /// production wait and mis-size the §IV-B prefetch blocks. It starts
+    /// that gap at the waiter's ready stamp instead, or skips it when
+    /// the epochs come from another clock (see the module docs).
     pub ready: bool,
 }
 
@@ -512,7 +553,9 @@ impl PrefetchAgent {
             s_opt.min(inputs.smax).max(1)
         };
 
-        // Lay out `s` blocks of `n` steps beyond the frontier.
+        // Lay out `s` blocks of `n` steps beyond the frontier, each
+        // stretched to the restart boundary on its far side (see
+        // "Restart-aligned blocks" in the module docs).
         let mut blocks = Vec::with_capacity(s as usize);
         let mut edge = frontier;
         for _ in 0..s {
@@ -521,7 +564,7 @@ impl PrefetchAgent {
                 if start > n_outputs {
                     break;
                 }
-                let stop = (edge + n).min(n_outputs);
+                let stop = round_up_multiple(edge + n, b).min(n_outputs);
                 blocks.push(start..=stop);
                 edge = stop;
             } else {
@@ -529,7 +572,7 @@ impl PrefetchAgent {
                     break;
                 }
                 let stop = edge - 1;
-                let start = edge.saturating_sub(n).max(1);
+                let start = (edge.saturating_sub(n).max(1) - 1) / b * b + 1;
                 blocks.push(start..=stop);
                 edge = start;
             }
@@ -795,6 +838,70 @@ mod tests {
         }
         let out = feed(&mut a, 1.0, &[20], &inp);
         assert!(out[0].plan.is_none(), "nothing left to prefetch");
+    }
+
+    #[test]
+    fn blocks_start_and_end_on_restart_boundaries() {
+        // B = 4 and N = 42: the last interval is the clamped 41..=42.
+        let inp = PrefetchInputs {
+            alpha: Dur::from_secs(4),
+            tau_sim: Dur::from_secs(1),
+            steps: StepMath::new(1, 4, 42),
+            smax: 8,
+            ramp: false,
+        };
+        let forward: Vec<u64> = (1..=42).collect();
+        let backward: Vec<u64> = (1..=42).rev().collect();
+        // (frontier set before the scan, first key, scan, tau_cli)
+        let cases = [
+            // Aligned frontier: a directed miss's coverage edge.
+            (Some((Direction::Forward, 12)), 9, &forward, 1.0),
+            (Some((Direction::Backward, 29)), 32, &backward, 3.0),
+            (Some((Direction::Backward, 29)), 32, &backward, 0.5),
+            // No frontier: the confirming access becomes it.
+            (None, 5, &forward, 1.0),
+            (None, 37, &forward, 1.0),
+            (None, 30, &backward, 3.0),
+            (None, 30, &backward, 0.5),
+            // The undirected first miss on key 30 covered 29..=32 and
+            // recorded its end as a forward frontier.
+            (Some((Direction::Forward, 8)), 6, &forward, 1.0),
+            (Some((Direction::Forward, 32)), 30, &backward, 3.0),
+            (Some((Direction::Forward, 32)), 30, &backward, 0.5),
+        ];
+        for (frontier, first, scan, tau_cli) in cases {
+            let mut a = PrefetchAgent::new(1.0);
+            if let Some((dir, key)) = frontier {
+                a.note_planned(dir, key);
+            }
+            let from = scan.iter().position(|&k| k == first).unwrap();
+            let mut blocks = Vec::new();
+            for out in feed(&mut a, tau_cli, &scan[from..], &inp) {
+                blocks.extend(out.plan.into_iter().flat_map(|p| p.blocks));
+            }
+            let case = format!("frontier {frontier:?}, scan from {first}, tau_cli {tau_cli}");
+            assert!(!blocks.is_empty(), "{case}: nothing planned");
+            let ascending = scan[0] < scan[1];
+            for block in &blocks {
+                let (start, end) = (*block.start(), *block.end());
+                assert!(1 <= start && start <= end && end <= 42, "{case}: {block:?}");
+                if ascending {
+                    assert!(
+                        end % 4 == 0 || end == 42,
+                        "{case}: {block:?} ends mid-interval"
+                    );
+                } else {
+                    assert_eq!(start % 4, 1, "{case}: {block:?} starts mid-interval");
+                }
+            }
+            // The clamps were reached: the scan planned to the timeline
+            // end it runs towards.
+            if ascending {
+                assert!(blocks.iter().any(|b| *b.end() == 42), "{case}: {blocks:?}");
+            } else {
+                assert!(blocks.iter().any(|b| *b.start() == 1), "{case}: {blocks:?}");
+            }
+        }
     }
 
     #[test]

@@ -291,16 +291,22 @@ pub struct ServerConfig {
     /// reference data): key → checksum.
     pub checksums: HashMap<u64, u64>,
     /// Number of independent DV shards the context's control plane is
-    /// split into (key-range sharding by restart interval). `0` picks
-    /// `min(cores, 4, s_max)`. Prefetching contexts shard like any
-    /// other: the access-stream digest replays the full sequence into
-    /// every shard's agents, so sharding no longer degrades
-    /// direction/cadence detection. Values above 1 partition the cache
-    /// budget and `s_max` evenly across shards — eviction pressure
-    /// becomes per-key-range rather than global, and because every
-    /// shard keeps at least one launch slot, explicitly requesting more
-    /// shards than `s_max` raises the effective concurrent-sim cap to
-    /// the shard count.
+    /// split into (key-range sharding by restart interval). `0` and `1`
+    /// both mean one DV per context — the default, because every hit
+    /// is served by the lock-free hit index and a miss-path transition
+    /// waits well under a microsecond for the lock. `N > 1` costs
+    /// planning quality: each shard gets `s_max/N` launch slots and
+    /// `1/N` of the cache budget (eviction pressure becomes
+    /// per-key-range rather than global), and shards own alternating
+    /// restart intervals, so every multi-interval prefetch block is cut
+    /// into one launch per interval, each paying a full restart latency
+    /// (`DvStats::prefetch_partial_launches` counts the pieces smaller
+    /// than one interval). The
+    /// access-stream digest still replays the full sequence into every
+    /// shard's agents, so direction/cadence detection survives. Every
+    /// shard keeps at least one launch slot, so explicitly requesting
+    /// more shards than `s_max` raises the effective concurrent-sim cap
+    /// to the shard count.
     pub dv_shards: u32,
     /// This daemon's position in a multi-daemon cluster
     /// ([`ClusterMember::SOLO`] for standalone deployments). Member `k`
@@ -1832,6 +1838,9 @@ impl CtxRuntime {
         local.drain_scratch.clear();
         let dropped = local.log.drain_into(&mut local.drain_scratch);
         let records = &local.drain_scratch;
+        // Local records carry this daemon's clock; a clustered session's
+        // forwarded records carry its client's.
+        let same_clock = local.observe_local;
         let now = inner.now();
         let router = self.router;
         let cluster = self.cluster;
@@ -1848,7 +1857,11 @@ impl CtxRuntime {
                         cluster.owns_key(&steps, key) && router.shard_of_key(key) == s
                     };
                     let DvCore { dv, actions, .. } = core;
-                    dv.ingest_digest(now, records, dropped, &owns, actions);
+                    if same_clock {
+                        dv.ingest_digest(now, records, dropped, &owns, actions);
+                    } else {
+                        dv.ingest_forwarded_digest(now, records, dropped, &owns, actions);
+                    }
                 },
                 |_, _| {},
             );
@@ -2167,22 +2180,7 @@ impl DvServer {
                 cluster.index,
                 cluster.size
             );
-            // The launch slots available to *this member* (the cluster
-            // takes its 1/K slice before intra-process sharding).
-            let member_smax = crate::dv::shard_cfg(&config.ctx, cluster.size).smax;
-            let n_shards = if config.dv_shards == 0 {
-                // Clamped by the member's `s_max` slice: each shard
-                // runs at least one sim (see `shard_cfg`), so more
-                // shards than launch slots would silently raise the
-                // configured cap. Prefetching contexts shard too — the
-                // access-stream digest replays the full sequence into
-                // every shard's agents, so sharding no longer splits
-                // what they observe.
-                (cores as u32).min(4).min(member_smax)
-            } else {
-                config.dv_shards
-            }
-            .max(1);
+            let n_shards = config.dv_shards.max(1);
             // The lock-free hit layer serves every context. Prefetching
             // contexts decouple observation from acquisition: fast hits
             // are *recorded* into the per-connection digest and replayed

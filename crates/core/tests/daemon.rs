@@ -1191,6 +1191,48 @@ fn tick_drain_feeds_agents_from_pure_hit_stream() {
     client.finalize().unwrap();
 }
 
+#[test]
+fn blocked_forward_scan_prefetches_whole_intervals() {
+    // An analysis faster than its paced simulator blocks from its first
+    // access, so no access is ever a ready point of its own. Its
+    // consumption time still reaches the agent — each gap starts at
+    // the blocked key's production — and a default daemon (one DV per
+    // context) plans restart-aligned blocks whole: no launch covers
+    // less than an interval, and no more sims start than the scan
+    // touches intervals.
+    let fx = start_daemon_cfg("blockedscan", 1000, 4, 0, true);
+    let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    assert!(
+        !fx.storage.exists(&fx.driver.filename_of(1)),
+        "setup: a cold cache"
+    );
+    let n_outputs = 64;
+    for key in 1..=n_outputs {
+        let status = client.acquire(&[key]).unwrap();
+        assert!(status.ok(), "{status:?}");
+        client.release(key).unwrap();
+    }
+    client.flush().unwrap();
+    let stats = fx.server.stats();
+    assert!(stats.misses >= 1, "the scan must start blocked: {stats:?}");
+    assert!(
+        stats.tau_cli_samples > 0,
+        "blocked accesses must feed tau_cli: {stats:?}"
+    );
+    assert!(
+        stats.prefetch_launches > 0,
+        "the agent never prefetched: {stats:?}"
+    );
+    assert_eq!(stats.prefetch_partial_launches, 0, "{stats:?}");
+    let intervals_touched = n_outputs / 4;
+    assert!(
+        stats.restarts <= intervals_touched,
+        "{} restarts for {intervals_touched} intervals: {stats:?}",
+        stats.restarts
+    );
+    client.finalize().unwrap();
+}
+
 /// [`start_daemon_cfg`] with supervision knobs tightened for test
 /// timescales and a fault-injecting launcher. Prefetching is off so the
 /// fault counters are exactly the demand path's.

@@ -8,7 +8,7 @@ use simfs_core::dv::{
 use simfs_core::model::{ContextCfg, StepMath};
 use simfs_core::prefetch::{AccessLog, AccessRecord};
 use simfs_core::replay::replay;
-use simkit::SimTime;
+use simkit::{Dur, SimTime};
 use std::collections::{HashMap, HashSet};
 use std::ops::RangeInclusive;
 
@@ -120,6 +120,154 @@ fn run_digest_scan(
     (dv, launches)
 }
 
+/// Restart latency and per-step production time of the paced
+/// simulators in [`PacedScan`].
+const PACED_ALPHA: Dur = Dur::from_millis(20);
+const PACED_TAU: Dur = Dur::from_millis(5);
+
+/// A simulator in flight: it reports `SimStarted` [`PACED_ALPHA`] after
+/// launch, then produces its keys in order, one every [`PACED_TAU`],
+/// and finishes with its last one.
+struct PacedSim {
+    sim: u64,
+    started: bool,
+    next: u64,
+    last: u64,
+    at: SimTime,
+}
+
+/// A closed-loop analysis against paced simulators, on one virtual
+/// clock: the client acquires a key, waits for its `FileProduced` when
+/// it missed, consumes it for `tau_cli`, then acquires the next. With
+/// `digest` the DV is driven the daemon's way — a resident key is a
+/// lock-free hit that only leaves a record, a missing one goes through
+/// `on_acquire` (which no longer observes) and is recorded as a ready
+/// point only when it resolved at once — and the access log drains into
+/// `ingest_digest` after every event.
+struct PacedScan {
+    dv: DataVirtualizer,
+    digest: bool,
+    sims: Vec<PacedSim>,
+    launches: Vec<(RangeInclusive<u64>, LaunchReason)>,
+    log: AccessLog,
+    /// Accesses that waited for production.
+    blocked: usize,
+}
+
+impl PacedScan {
+    fn run(cfg: &ContextCfg, keys: &[u64], tau_cli: Dur, digest: bool) -> PacedScan {
+        let mut dv = DataVirtualizer::new(cfg.clone());
+        dv.set_digest_observation(digest);
+        let mut scan = PacedScan {
+            dv,
+            digest,
+            sims: Vec::new(),
+            launches: Vec::new(),
+            log: AccessLog::new(keys.len() + 1),
+            blocked: 0,
+        };
+        let mut now = SimTime::ZERO;
+        for &key in keys {
+            // Everything due by the acquire happens before it.
+            while scan.sims.iter().any(|s| s.at <= now) {
+                scan.step();
+            }
+            let resolved = if digest && scan.dv.is_cached(key) {
+                true
+            } else {
+                let acts = scan.dv.handle(now, DvEvent::Acquire { client: 1, key });
+                let resolved = readies(&acts, key);
+                scan.apply(now, acts);
+                resolved
+            };
+            if digest {
+                scan.log.push(AccessRecord {
+                    client: 1,
+                    key,
+                    epoch: now.as_nanos(),
+                    ready: resolved,
+                });
+                scan.apply(now, Vec::new());
+            }
+            if !resolved {
+                scan.blocked += 1;
+                now = loop {
+                    let (at, acts) = scan.step();
+                    if readies(&acts, key) {
+                        break at;
+                    }
+                };
+            }
+            now += tau_cli;
+        }
+        scan
+    }
+
+    /// Delivers the earliest simulator event; returns its time and the
+    /// DV's actions.
+    fn step(&mut self) -> (SimTime, Vec<DvAction>) {
+        let i = (0..self.sims.len())
+            .min_by_key(|&i| (self.sims[i].at, self.sims[i].sim))
+            .expect("the client waits on a key nothing produces");
+        let s = &mut self.sims[i];
+        let (sim, at) = (s.sim, s.at);
+        s.at += PACED_TAU;
+        let mut acts = Vec::new();
+        if !s.started {
+            s.started = true;
+            acts.extend(self.dv.handle(at, DvEvent::SimStarted { sim }));
+        } else {
+            let key = s.next;
+            s.next += 1;
+            acts.extend(
+                self.dv
+                    .handle(at, DvEvent::FileProduced { sim, key, size: 10 }),
+            );
+            if key == s.last {
+                self.sims.swap_remove(i);
+                acts.extend(self.dv.handle(at, DvEvent::SimFinished { sim }));
+            }
+        }
+        self.apply(at, acts.clone());
+        (at, acts)
+    }
+
+    /// In digest mode drains the access log into the agents first, then
+    /// starts launched simulators and drops killed ones.
+    fn apply(&mut self, now: SimTime, mut acts: Vec<DvAction>) {
+        if self.digest && !self.log.is_empty() {
+            let mut records = Vec::new();
+            let dropped = self.log.drain_into(&mut records);
+            self.dv
+                .ingest_digest(now, &records, dropped, &|_| true, &mut acts);
+        }
+        for action in acts {
+            match action {
+                DvAction::Launch {
+                    sim, keys, reason, ..
+                } => {
+                    self.launches.push((keys.clone(), reason));
+                    self.sims.push(PacedSim {
+                        sim,
+                        started: false,
+                        next: *keys.start(),
+                        last: *keys.end(),
+                        at: now + PACED_ALPHA,
+                    });
+                }
+                DvAction::Kill { sim } => self.sims.retain(|s| s.sim != sim),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Did `acts` answer client 1's request for `key`?
+fn readies(acts: &[DvAction], key: u64) -> bool {
+    acts.iter()
+        .any(|a| matches!(a, DvAction::NotifyReady { client: 1, key: k } if *k == key))
+}
+
 fn scan_cfg(n_outputs: u64, smax: u32) -> ContextCfg {
     let steps = StepMath::new(1, 4, n_outputs);
     // Cache big enough that the scan never evicts: pollution resets off
@@ -169,6 +317,45 @@ proptest! {
         prop_assert_eq!(d.digest_replayed, keys.len() as u64);
         prop_assert_eq!(digest_dv.active_sims(), full_dv.active_sims());
         prop_assert_eq!(digest_dv.queued_launches(), full_dv.queued_launches());
+    }
+
+    /// The same equivalence for an analysis that outruns its paced
+    /// simulators and so blocks from its first access: a blocked
+    /// record is no ready point, and the consumption gap after it must
+    /// start where the inline path starts it — at the waiter's ready
+    /// stamp. Lossless digest replay then plans exactly the inline
+    /// launches (ranges, reasons, order) from exactly as many `tau_cli`
+    /// samples.
+    #[test]
+    fn digest_matches_inline_on_a_blocking_stream(
+        n_intervals in 4u64..12,
+        stride in 1u64..3,
+        backward in any::<bool>(),
+        smax in 1u32..5,
+        tau_cli_ms in 1u64..5,
+    ) {
+        let n = n_intervals * 4;
+        let cfg = scan_cfg(n, smax);
+        let mut keys: Vec<u64> = (1..=n).step_by(stride as usize).collect();
+        if backward {
+            keys.reverse();
+        }
+        let tau_cli = Dur::from_millis(tau_cli_ms);
+
+        let inline = PacedScan::run(&cfg, &keys, tau_cli, false);
+        let digest = PacedScan::run(&cfg, &keys, tau_cli, true);
+
+        prop_assert!(inline.blocked > 0 && digest.blocked > 0);
+        prop_assert!(
+            inline.launches.iter().any(|(_, r)| *r == LaunchReason::Prefetch),
+            "setup: the inline agent must prefetch: {:?}", inline.launches
+        );
+        prop_assert_eq!(&digest.launches, &inline.launches);
+        let (i, d) = (inline.dv.stats(), digest.dv.stats());
+        prop_assert!(i.tau_cli_samples > 0);
+        prop_assert_eq!(d.tau_cli_samples, i.tau_cli_samples);
+        prop_assert_eq!(d.prefetch_launches, i.prefetch_launches);
+        prop_assert_eq!(d.digest_replayed, keys.len() as u64);
     }
 
     /// The digest contract's lossy half: a tiny ring with sparse drains

@@ -22,6 +22,13 @@
 //! address ride it instead of the TCP stack; remote sessions, and
 //! hand-rolled TCP clients, use the TCP address as ever. There is no
 //! flag for this (`simfs_core::net`).
+//!
+//! `--dv-shards n` splits the context's control plane into `n` DV
+//! shards owning alternating restart intervals. The default (`0`, same
+//! as `1`) is one DV: hits never take its lock, and each extra shard
+//! divides `s_max` and the cache budget and cuts every multi-interval
+//! prefetch block into one launch per interval
+//! (`simfs_core::server::ServerConfig::dv_shards`).
 
 use simbatch::ProcessLauncher;
 use simfs::spec::ContextSpec;
@@ -83,7 +90,7 @@ fn parse_args() -> Result<Args, String> {
                 args.dv_shards = argv
                     .get(i)
                     .and_then(|v| v.parse().ok())
-                    .ok_or("--dv-shards needs a shard count (0 = auto)")?;
+                    .ok_or("--dv-shards needs a shard count (0 or 1 = one DV, the default)")?;
             }
             "--cluster-index" => {
                 i += 1;
@@ -106,7 +113,7 @@ fn parse_args() -> Result<Args, String> {
     if args.spec_path.is_empty() {
         return Err(
             "usage: simfs-dv --spec <file> [--listen addr] [--simd path] \
-             [--dv-shards n] [--cluster-index k --cluster-size n] \
+             [--dv-shards n (default: one DV)] [--cluster-index k --cluster-size n] \
              [--durable] [--recover] [--init]"
                 .into(),
         );
