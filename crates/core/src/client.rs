@@ -66,10 +66,11 @@
 //! the request it just sent, and a timed wait needs no socket option
 //! set and cleared around it.
 
-use crate::dv::{DvRouter, FailCode};
+use crate::dv::FailCode;
 use crate::model::StepMath;
 use crate::net::{self, Stream, Transport};
 use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY};
+use crate::route::{AcquireMode, ClusterRoute, Release, Route};
 use crate::wire::{self, ClientKind, FrameBatch, FrameReader, Membership, Request, Response};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -149,17 +150,6 @@ impl fmt::Display for MemberDown {
 }
 
 impl std::error::Error for MemberDown {}
-
-/// The fixed successor rule of interval failover: the taker of dead
-/// member `dead` is the first member clockwise on the membership ring
-/// that is not itself down. Every client evaluates this rule
-/// independently and — because the ring order is the member-list order
-/// all of them share — picks the same taker without coordination. The
-/// virtual harness applies the identical function, so scripted
-/// takeover plans pin the real routing bit-for-bit.
-pub(crate) fn successor_taker(dead: usize, size: usize, down: &[bool]) -> Option<usize> {
-    (1..size).map(|i| (dead + i) % size).find(|&m| !down[m])
-}
 
 /// Floor of the reconnect backoff ladder.
 const RECONNECT_MIN_DELAY: Duration = Duration::from_millis(10);
@@ -247,16 +237,6 @@ enum MemberVerdict {
     Down,
 }
 
-/// Which member-local request of a [`ClusterAcquireRequest`] an
-/// internal wait/probe step addresses.
-#[derive(Clone, Copy)]
-enum Slot {
-    /// `parts[i]` — a native acquire at the key's home member.
-    Native(usize),
-    /// `takeover[i]` — a tagged takeover acquire parked on a taker.
-    Takeover(usize),
-}
-
 /// Handle for a non-blocking acquire (`SIMFS_Req`).
 #[derive(Debug)]
 pub struct AcquireRequest {
@@ -267,11 +247,27 @@ pub struct AcquireRequest {
     /// consumed by [`DvCluster`]'s digest recording — a blocked key's
     /// acquire-time epoch is not a ready point.
     queued: HashSet<u64>,
-    /// `Some((dead_member, origin_epoch))` when this request was sent
-    /// as a tagged `TakeoverAcquire` — a reconnect re-send must carry
-    /// the same tag, or the taker would reject the foreign keys as
+    /// The tag the request was sent under — a reconnect re-send must
+    /// carry the same one, or a taker would reject the foreign keys as
     /// misrouted.
-    takeover: Option<(u32, u64)>,
+    mode: AcquireMode,
+}
+
+/// The acquire frame for `mode`: a plain `Acquire`, or a
+/// `TakeoverAcquire` carrying the dead member's tag.
+fn acquire_frame(req_id: u64, keys: Vec<u64>, mode: AcquireMode) -> Request {
+    match mode {
+        AcquireMode::Native => Request::Acquire { req_id, keys },
+        AcquireMode::Takeover {
+            dead_member,
+            origin_epoch,
+        } => Request::TakeoverAcquire {
+            req_id,
+            dead_member,
+            origin_epoch,
+            keys,
+        },
+    }
 }
 
 impl AcquireRequest {
@@ -549,12 +545,7 @@ impl SimfsClient {
         // is true again without its involvement.
         let mut reacquire: Vec<u64> = Vec::new();
         for (key, _reason) in gone {
-            if let Some(n) = self.held.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    self.held.remove(&key);
-                }
-            }
+            self.forget_pin(key);
             reacquire.push(key);
         }
         if !reacquire.is_empty() {
@@ -574,18 +565,7 @@ impl SimfsClient {
             return Ok(());
         }
         let keys: Vec<u64> = req.outstanding.iter().copied().collect();
-        match req.takeover {
-            Some((dead_member, origin_epoch)) => self.send(&Request::TakeoverAcquire {
-                req_id: req.req_id,
-                dead_member,
-                origin_epoch,
-                keys,
-            }),
-            None => self.send(&Request::Acquire {
-                req_id: req.req_id,
-                keys,
-            }),
-        }
+        self.send(&acquire_frame(req.req_id, keys, req.mode))
     }
 
     /// The DV-assigned client id.
@@ -645,21 +625,24 @@ impl SimfsClient {
 
     /// `SIMFS_Acquire_nb`: requests `keys` without blocking.
     pub fn acquire_nb(&mut self, keys: &[u64]) -> io::Result<AcquireRequest> {
+        self.acquire_as(keys, AcquireMode::Native)
+    }
+
+    /// Requests `keys` under `mode` without blocking.
+    fn acquire_as(&mut self, keys: &[u64], mode: AcquireMode) -> io::Result<AcquireRequest> {
         let req_id = self.next_req;
         self.next_req += 1;
-        self.deliver(
-            Some(&Request::Acquire {
-                req_id,
-                keys: keys.to_vec(),
-            }),
-            "acquire",
-        )?;
+        let op = match mode {
+            AcquireMode::Native => "acquire",
+            AcquireMode::Takeover { .. } => "takeover_acquire",
+        };
+        self.deliver(Some(&acquire_frame(req_id, keys.to_vec(), mode)), op)?;
         Ok(AcquireRequest {
             req_id,
             outstanding: keys.iter().copied().collect(),
             status: SimfsStatus::default(),
             queued: HashSet::new(),
-            takeover: None,
+            mode,
         })
     }
 
@@ -684,24 +667,13 @@ impl SimfsClient {
         dead_member: u32,
         origin_epoch: u64,
     ) -> io::Result<AcquireRequest> {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        self.deliver(
-            Some(&Request::TakeoverAcquire {
-                req_id,
+        self.acquire_as(
+            keys,
+            AcquireMode::Takeover {
                 dead_member,
                 origin_epoch,
-                keys: keys.to_vec(),
-            }),
-            "takeover_acquire",
-        )?;
-        Ok(AcquireRequest {
-            req_id,
-            outstanding: keys.iter().copied().collect(),
-            status: SimfsStatus::default(),
-            queued: HashSet::new(),
-            takeover: Some((dead_member, origin_epoch)),
-        })
+            },
+        )
     }
 
     /// Hand-back RPC (failover teardown): asks this daemon — the
@@ -735,9 +707,9 @@ impl SimfsClient {
         Ok(released)
     }
 
-    /// Drops one held-pin count without wire traffic: the pin's daemon
-    /// is gone (its pins died with it) or the release was carried by a
-    /// `HandBack` frame.
+    /// Drops one held-pin count without wire traffic: the release is on
+    /// its way, the pin's daemon is gone (its pins died with it), or a
+    /// `HandBack` frame carried the release.
     fn forget_pin(&mut self, key: u64) {
         if let Some(n) = self.held.get_mut(&key) {
             *n -= 1;
@@ -956,12 +928,7 @@ impl SimfsClient {
     /// should call [`flush`](Self::flush) to push the pin drop out
     /// immediately.
     pub fn release(&mut self, key: u64) -> io::Result<()> {
-        if let Some(n) = self.held.get_mut(&key) {
-            *n -= 1;
-            if *n == 0 {
-                self.held.remove(&key);
-            }
-        }
+        self.forget_pin(key);
         self.pending_out.push_request(&Request::Release { key });
         // Cap the staging buffer: a pathological release-only loop
         // still reaches the daemon in bounded batches.
@@ -1120,17 +1087,15 @@ pub struct ContextStats {
 /// member-local [`AcquireRequest`] per daemon that received keys.
 #[derive(Debug)]
 pub struct ClusterAcquireRequest {
-    /// Indexed by cluster member; `None` where no keys routed.
-    parts: Vec<Option<AcquireRequest>>,
-    /// Failover re-routes: tagged `TakeoverAcquire` requests parked on
-    /// a live *taker* member because the keys' home member is down.
-    /// `(taker index, request)`; grows mid-wait when a member dies
-    /// with keys in flight.
-    takeover: Vec<(usize, AcquireRequest)>,
+    /// `(member, request)`: one native acquire per live home member
+    /// that received keys, and tagged takeover acquires on the takers
+    /// of down ones. A member that dies with keys in flight has its
+    /// part replaced by one on its successor.
+    parts: Vec<(usize, AcquireRequest)>,
     /// Resolved status carried over from parts whose member died after
     /// resolving them: merges into the final status but is never
-    /// scanned for takeover-grant recording (its re-pinned ready keys
-    /// were recorded at failover time).
+    /// scanned for grant recording (its re-homed ready keys were
+    /// recorded at failover time).
     carry: SimfsStatus,
     /// Queued-key markers carried over alongside `carry` (they feed
     /// the digest's ready-point flags).
@@ -1158,13 +1123,8 @@ impl ClusterAcquireRequest {
         self.all_parts().all(AcquireRequest::done)
     }
 
-    /// Every member-local request: native parts plus takeover
-    /// re-routes.
     fn all_parts(&self) -> impl Iterator<Item = &AcquireRequest> {
-        self.parts
-            .iter()
-            .flatten()
-            .chain(self.takeover.iter().map(|(_, part)| part))
+        self.parts.iter().map(|(_, part)| part)
     }
 
     /// Merged status across the members so far.
@@ -1209,9 +1169,19 @@ impl ClusterAcquireRequest {
 /// stream instead. Overflows degrade to counted drops, never blocking
 /// or unbounded memory; a single-daemon "cluster" skips forwarding —
 /// its local view already is the full stream.
+///
+/// # Failover state
+///
+/// Every failover decision — which members are down, the takeover
+/// epoch, which taker a key routes to and under which tag, where each
+/// re-homed pin is parked, what a revived member gets handed back — is
+/// made by the crate's sans-IO routing core, `ClusterRoute`, the single
+/// owner of that state. The virtual fault harness
+/// ([`crate::vharness::FaultedClusterExperiment`]) drives the same
+/// core, so its scripted plans exercise this routing. What stays here
+/// is I/O: probing members, sending, waiting, classifying errors.
 pub struct DvCluster {
     members: Vec<SimfsClient>,
-    router: DvRouter,
     /// Per-member copy of the full pre-routing access stream, drained
     /// into an `AccessDigest` on that member's next coalesced write.
     logs: Vec<AccessLog>,
@@ -1219,20 +1189,8 @@ pub struct DvCluster {
     epoch: Instant,
     /// Reused drain buffer.
     drain_scratch: Vec<AccessRecord>,
-    /// Interval failover: reroute a dead member's intervals to a live
-    /// taker instead of failing the op (off by default — without it a
-    /// confirmed-dead member surfaces a typed [`MemberDown`]).
-    failover: bool,
-    /// Members currently considered dead. Down members are probed for
-    /// revival at the next acquire; with failover on, a revived
-    /// member gets its taken-over pins handed back.
-    down: Vec<bool>,
-    /// key → (taker index, pin count) for pins this session re-homed
-    /// onto takers: routes their releases and drives hand-back.
-    taken_over: HashMap<u64, (usize, u32)>,
-    /// Bumped on every down-detection and hand-back; tags takeover
-    /// traffic so stale or misrouted claims are attributable.
-    takeover_epoch: u64,
+    /// Routing, down set, takeover epoch and parked pins.
+    route: ClusterRoute,
     /// How long a silent member is probed before it is declared down.
     down_window: Duration,
 }
@@ -1269,21 +1227,15 @@ impl DvCluster {
                 )
             })
             .collect::<io::Result<Vec<_>>>()?;
-        let router = DvRouter::new(steps, size);
         let logs = (0..members.len())
             .map(|_| AccessLog::new(ACCESS_LOG_CAPACITY))
             .collect();
-        let down = vec![false; members.len()];
         Ok(DvCluster {
             members,
-            router,
             logs,
             epoch: Instant::now(),
             drain_scratch: Vec::new(),
-            failover: false,
-            down,
-            taken_over: HashMap::new(),
-            takeover_epoch: 0,
+            route: ClusterRoute::new(steps, size),
             down_window: RECONNECT_WINDOW,
         })
     }
@@ -1304,13 +1256,12 @@ impl DvCluster {
             return;
         }
         req.observed = true;
-        // Record takeover grants before the digest work: keys a taker
-        // served are pinned *there*, so their releases — and an
-        // eventual hand-back — must route to it, not to the (dead)
-        // home member.
-        for (taker, part) in &req.takeover {
+        // Record grants before the digest work: keys a taker served are
+        // pinned *there*, so their releases — and an eventual hand-back
+        // — must route to it, not to the (dead) home member.
+        for (m, part) in &req.parts {
             for &key in &part.status.ready {
-                self.note_taken(key, *taker);
+                self.route.granted(key, *m);
             }
         }
         if self.members.len() <= 1 {
@@ -1348,7 +1299,7 @@ impl DvCluster {
         if log.is_empty() && log.dropped() == 0 {
             return;
         }
-        if self.down[m] {
+        if self.route.is_down(m) {
             self.drain_scratch.clear();
             let overflow = log.drain_into(&mut self.drain_scratch);
             log.note_dropped(overflow + self.drain_scratch.len() as u64);
@@ -1417,7 +1368,7 @@ impl DvCluster {
     /// surfaces a typed [`MemberDown`] instead of rerouting (never an
     /// indefinite hang).
     pub fn set_failover(&mut self, on: bool) {
-        self.failover = on;
+        self.route.set_failover(on);
     }
 
     /// Sets the down-detection window: how long an unresponsive member
@@ -1434,33 +1385,28 @@ impl DvCluster {
     /// True while at least one member is considered down (degraded
     /// mode).
     pub fn degraded(&self) -> bool {
-        self.down.iter().any(|&d| d)
+        self.route.members_down() > 0
     }
 
     /// Number of members currently considered down.
     pub fn members_down(&self) -> usize {
-        self.down.iter().filter(|&&d| d).count()
+        self.route.members_down()
     }
 
     /// The current takeover epoch: bumped on every down-detection and
     /// hand-back, zero while the cluster has never degraded.
     pub fn takeover_epoch(&self) -> u64 {
-        self.takeover_epoch
+        self.route.epoch()
     }
 
     /// Pins currently parked on takers (counts summed over keys).
     pub fn taken_over_pins(&self) -> u64 {
-        self.taken_over.values().map(|&(_, count)| count as u64).sum()
+        self.route.taken_over_pins()
     }
 
     /// The member owning `key`'s restart interval.
     pub fn member_of(&self, key: u64) -> usize {
-        self.router.shard_of_key(key)
-    }
-
-    /// The taker of dead member `dead` under the fixed successor rule.
-    fn taker_of(&self, dead: usize) -> Option<usize> {
-        successor_taker(dead, self.members.len(), &self.down)
+        self.route.home(key)
     }
 
     /// One quick liveness probe: does the member accept a connection
@@ -1506,109 +1452,141 @@ impl DvCluster {
         }
     }
 
-    /// Declares member `m` dead: marks it down, bumps the takeover
-    /// epoch, and discards whatever its session had staged (the frames
-    /// belong to a connection that no longer exists).
-    fn mark_down(&mut self, m: usize) {
-        if self.down[m] {
-            return;
+    /// Declares member `m` dead: discards whatever its session had
+    /// staged (the frames belong to a connection that no longer
+    /// exists) and, with failover on, re-homes every pin this session
+    /// held there along the route's batches. Returns the pins no live
+    /// member re-granted. Without failover the held pins stay put: a
+    /// revival re-asserts them.
+    fn fail_member(&mut self, m: usize) -> io::Result<Vec<(u64, FailError)>> {
+        if self.route.is_down(m) {
+            return Ok(Vec::new());
         }
-        self.down[m] = true;
-        self.takeover_epoch += 1;
+        let held = if self.route.failover() {
+            std::mem::take(&mut self.members[m].held)
+        } else {
+            HashMap::new()
+        };
         self.members[m].pending_out.clear();
         self.members[m].stray.clear();
-    }
-
-    /// Re-homes every pin this session held at dead member `m` onto
-    /// `taker` via one tagged takeover acquire. Keys the taker cannot
-    /// serve lose their pin (the data may be re-simulated on a later
-    /// acquire); keys it grants are recorded in `taken_over` so their
-    /// releases route to it.
-    fn reroute_pins(&mut self, m: usize, taker: usize) -> io::Result<()> {
-        let held = std::mem::take(&mut self.members[m].held);
-        if held.is_empty() {
-            return Ok(());
+        let mut lost = Vec::new();
+        for (home, keys) in self.route.mark_down(m, held) {
+            match self.acquire_routed(home, &keys) {
+                Ok(status) => lost.extend(status.failed),
+                // No live member left: the pins died with the cluster.
+                Err(e) if MemberDown::from_io(&e).is_some() => {}
+                Err(e) => return Err(e),
+            }
         }
-        let keys: Vec<u64> = held
-            .iter()
-            .flat_map(|(&key, &count)| std::iter::repeat_n(key, count as usize))
-            .collect();
-        let origin = self.takeover_epoch;
-        let mut req = self.members[taker].takeover_acquire_nb(&keys, m as u32, origin)?;
-        self.members[taker].wait(&mut req)?;
-        for &key in &req.status.ready {
-            self.note_taken(key, taker);
+        Ok(lost)
+    }
+
+    /// Member `m`'s operation failed with `err`: fails `m` over when
+    /// probing confirms it dead (returning what [`fail_member`]
+    /// returns), else surfaces the error.
+    ///
+    /// [`fail_member`]: Self::fail_member
+    fn fail_dead(&mut self, m: usize, err: io::Error) -> io::Result<Vec<(u64, FailError)>> {
+        match self.classify(m, &err, false) {
+            MemberVerdict::Down => self.fail_member(m),
+            MemberVerdict::Surface | MemberVerdict::KeepWaiting => Err(err),
         }
-        Ok(())
     }
 
-    /// Records one takeover pin grant: `key` is now pinned at `taker`.
-    fn note_taken(&mut self, key: u64, taker: usize) {
-        let entry = self.taken_over.entry(key).or_insert((taker, 0));
-        entry.0 = taker;
-        entry.1 += 1;
-    }
-
-    /// Fails slot `slot` of `req` over from dead member `m` to its
-    /// taker: re-homes the session's pins there, re-pins the slot's
-    /// already-granted keys (their pins died with the member), moves
-    /// the slot's resolved status into the request's carry set, and
-    /// re-issues its unresolved keys as a tagged takeover acquire on
-    /// the taker. Without failover (or with no live taker left) this
-    /// is where the typed [`MemberDown`] surfaces.
-    fn fail_over_slot(
+    /// Sends `keys`, all homed on `home`, wherever the route sends
+    /// them now and under its tag, with the member's pending digest in
+    /// front. A member found dead on the way is failed over and the
+    /// keys follow the route again; the typed [`MemberDown`] surfaces
+    /// once the route runs out (failover off, or no live member left).
+    fn send_routed(
         &mut self,
-        m: usize,
+        home: usize,
+        keys: &[u64],
+        op: &'static str,
+    ) -> io::Result<(usize, AcquireRequest)> {
+        loop {
+            let (m, mode) = match self.route.route_home(home) {
+                Route::Member { member, mode } => (member, mode),
+                Route::Down(member) => return Err(MemberDown { member, op }.into_io()),
+            };
+            self.stage_digest(m);
+            match self.members[m].acquire_as(keys, mode) {
+                Ok(part) => return Ok((m, part)),
+                Err(e) => {
+                    self.fail_dead(m, e)?;
+                }
+            }
+        }
+    }
+
+    /// Blocking [`send_routed`](Self::send_routed): re-homes `keys`
+    /// (all homed on `home`) and records every grant in the route. When
+    /// the member dies under the wait, its unresolved keys follow the
+    /// route again; what it had already granted re-homes with its other
+    /// pins, and whatever that loses is reported as failed.
+    fn acquire_routed(&mut self, home: usize, keys: &[u64]) -> io::Result<SimfsStatus> {
+        let mut status = SimfsStatus::default();
+        let mut keys = keys.to_vec();
+        while !keys.is_empty() {
+            let (m, mut part) = self.send_routed(home, &keys, "rehome")?;
+            let result = self.members[m].wait(&mut part);
+            for &key in &part.status.ready {
+                self.route.granted(key, m);
+            }
+            status.ready.extend_from_slice(&part.status.ready);
+            status.failed.append(&mut part.status.failed);
+            keys.clear();
+            if let Err(e) = result {
+                status.failed.extend(self.fail_dead(m, e)?);
+                keys.extend(part.outstanding.iter().copied());
+            }
+        }
+        Ok(status)
+    }
+
+    /// Fails part `i` of `req` over from its dead member: re-homes the
+    /// session's pins (the part's already-granted keys among them),
+    /// moves the part's resolved status into the request's carry set,
+    /// and re-issues its unresolved keys along the route. Without
+    /// failover (or with no live member left) this is where the typed
+    /// [`MemberDown`] surfaces.
+    fn fail_over_part(
+        &mut self,
+        i: usize,
         req: &mut ClusterAcquireRequest,
-        slot: Slot,
         op: &'static str,
     ) -> io::Result<()> {
-        if !self.failover {
+        let m = req.parts[i].0;
+        let lost = self.fail_member(m)?;
+        // A takeover part keeps its keys' home tag; a native part's
+        // home is `m` itself.
+        let home = match req.parts[i].1.mode {
+            AcquireMode::Takeover { dead_member, .. } => dead_member as usize,
+            AcquireMode::Native => m,
+        };
+        if let Route::Down(_) = self.route.route_home(home) {
             return Err(MemberDown { member: m, op }.into_io());
         }
-        let Some(taker) = self.taker_of(m) else {
-            return Err(MemberDown { member: m, op }.into_io());
-        };
-        self.reroute_pins(m, taker)?;
-        let old = match slot {
-            Slot::Native(i) => req.parts[i].take(),
-            Slot::Takeover(i) => Some(req.takeover.remove(i).1),
-        };
-        let Some(mut old) = old else { return Ok(()) };
-        // A takeover slot keeps its original dead-member tag (the
-        // keys' true home); a native slot's home is `m` itself.
-        let dead_member = old.takeover.map_or(m as u32, |(dead, _)| dead);
-        let origin = self.takeover_epoch;
-        // Keys the dead member had already granted: re-pin them on the
-        // taker so the caller's ready set keeps a live veto behind it.
-        // Keys the taker cannot re-grant move to the failed set — the
-        // caller must not believe it holds a veto nobody enforces.
-        if !old.status.ready.is_empty() {
-            let ready = old.status.ready.clone();
-            let mut repin = self.members[taker].takeover_acquire_nb(&ready, dead_member, origin)?;
-            self.members[taker].wait(&mut repin)?;
-            for &key in &repin.status.ready {
-                self.note_taken(key, taker);
-            }
-            if !repin.status.ok() {
-                let lost: HashSet<u64> =
-                    repin.status.failed.iter().map(|&(key, _)| key).collect();
-                old.status.ready.retain(|key| !lost.contains(key));
-                old.status.failed.extend(repin.status.failed);
+        let (_, mut old) = req.parts.remove(i);
+        // A granted key whose pin found no new home moves to the failed
+        // set — the caller must not believe it holds a veto nobody
+        // enforces.
+        for (key, err) in lost {
+            if let Some(i) = old.status.ready.iter().position(|&k| k == key) {
+                old.status.ready.remove(i);
+                old.status.failed.push((key, err));
             }
         }
         // The resolved status carries over *outside* the new part:
-        // `observe_resolved` records takeover grants from part ready
-        // sets, and the re-pinned keys above are already recorded.
+        // `observe_resolved` records grants from part ready sets, and
+        // the re-homed keys above are already recorded.
         req.carry.ready.extend_from_slice(&old.status.ready);
         req.carry.failed.extend(old.status.failed);
         req.carry_queued.extend(old.queued.iter().copied());
         let keys: Vec<u64> = old.outstanding.iter().copied().collect();
-        if keys.is_empty() {
-            return Ok(());
+        if !keys.is_empty() {
+            req.parts.push(self.send_routed(home, &keys, op)?);
         }
-        let part = self.members[taker].takeover_acquire_nb(&keys, dead_member, origin)?;
-        req.takeover.push((taker, part));
         Ok(())
     }
 
@@ -1641,75 +1619,30 @@ impl DvCluster {
             per_member[self.member_of(key)].push(key);
         }
         let mut req = ClusterAcquireRequest {
-            parts: (0..self.members.len()).map(|_| None).collect(),
-            takeover: Vec::new(),
+            parts: Vec::new(),
             carry: SimfsStatus::default(),
             carry_queued: HashSet::new(),
             keys: keys.to_vec(),
             epoch,
             observed: false,
         };
-        for (m, slot) in per_member.iter_mut().enumerate() {
-            if slot.is_empty() {
-                continue;
-            }
-            let send_keys = std::mem::take(slot);
-            if self.down[m] {
-                // Known-dead home: route straight to its taker (or
-                // surface the typed MemberDown without failover).
-                if let Err(e) = self.reroute_keys_nb(m, &send_keys, &mut req, "acquire") {
-                    self.unwind_request(&mut req);
-                    return Err(e);
-                }
+        for (home, keys) in per_member.iter().enumerate() {
+            if keys.is_empty() {
                 continue;
             }
             // The member's digest rides in front of its acquire, in the
             // same write: observation reaches it no later than the keys
-            // it will serve.
-            self.stage_digest(m);
-            match self.members[m].acquire_nb(&send_keys) {
-                Ok(part) => req.parts[m] = Some(part),
-                Err(e) => match self.classify(m, &e, false) {
-                    MemberVerdict::Surface | MemberVerdict::KeepWaiting => {
-                        self.unwind_request(&mut req);
-                        return Err(e);
-                    }
-                    MemberVerdict::Down => {
-                        self.mark_down(m);
-                        if let Err(e) = self.reroute_keys_nb(m, &send_keys, &mut req, "acquire")
-                        {
-                            self.unwind_request(&mut req);
-                            return Err(e);
-                        }
-                    }
-                },
+            // it will serve. A known-dead home's keys go straight to
+            // its taker.
+            match self.send_routed(home, keys, "acquire") {
+                Ok(part) => req.parts.push(part),
+                Err(e) => {
+                    self.unwind_request(&mut req);
+                    return Err(e);
+                }
             }
         }
         Ok(req)
-    }
-
-    /// Routes `keys` — homed on down member `m` — to its taker as a
-    /// tagged takeover acquire, re-homing the session's pins there
-    /// first. The typed [`MemberDown`] surfaces here when failover is
-    /// off or no live taker remains.
-    fn reroute_keys_nb(
-        &mut self,
-        m: usize,
-        keys: &[u64],
-        req: &mut ClusterAcquireRequest,
-        op: &'static str,
-    ) -> io::Result<()> {
-        if !self.failover {
-            return Err(MemberDown { member: m, op }.into_io());
-        }
-        let Some(taker) = self.taker_of(m) else {
-            return Err(MemberDown { member: m, op }.into_io());
-        };
-        self.reroute_pins(m, taker)?;
-        self.stage_digest(taker);
-        let part = self.members[taker].takeover_acquire_nb(keys, m as u32, self.takeover_epoch)?;
-        req.takeover.push((taker, part));
-        Ok(())
     }
 
     /// Best-effort abandonment of a partially completed request: waits
@@ -1718,36 +1651,22 @@ impl DvCluster {
     /// pins behind on the healthy daemons. Pins on down members died
     /// with them — only the local counts are dropped.
     fn unwind_request(&mut self, req: &mut ClusterAcquireRequest) {
-        for m in 0..self.members.len() {
-            let Some(part) = req.parts[m].as_mut() else { continue };
-            if self.down[m] {
+        for (m, part) in &mut req.parts {
+            let m = *m;
+            if self.route.is_down(m) {
                 for &key in &part.status.ready {
                     self.members[m].forget_pin(key);
                 }
                 continue;
             }
             let _ = self.members[m].wait(part);
-            for key in part.status.ready.clone() {
+            for &key in &part.status.ready {
                 let _ = self.members[m].release(key);
             }
             let _ = self.members[m].flush();
         }
-        for i in 0..req.takeover.len() {
-            let m = req.takeover[i].0;
-            if self.down[m] {
-                for &key in &req.takeover[i].1.status.ready {
-                    self.members[m].forget_pin(key);
-                }
-                continue;
-            }
-            let _ = self.members[m].wait(&mut req.takeover[i].1);
-            for key in req.takeover[i].1.status.ready.clone() {
-                let _ = self.members[m].release(key);
-            }
-            let _ = self.members[m].flush();
-        }
-        // Carried-over ready keys were re-pinned on takers and
-        // recorded: route their releases through the takeover map.
+        // Carried-over ready keys were re-homed and recorded in the
+        // route: their releases go wherever it says.
         for key in req.carry.ready.clone() {
             let _ = self.release(key);
         }
@@ -1771,65 +1690,36 @@ impl DvCluster {
     /// its pins behind on the healthy daemons (the same unwind
     /// [`acquire_nb`](Self::acquire_nb) applies to partial sends).
     pub fn wait(&mut self, req: &mut ClusterAcquireRequest) -> io::Result<SimfsStatus> {
-        let mut first_err: Option<io::Error> = None;
-        for m in 0..self.members.len() {
-            if req.parts[m].is_none() {
-                continue;
-            }
-            if let Err(e) = self.wait_slot(m, req, Slot::Native(m), "wait") {
-                // Keep draining the remaining members: their requests
-                // are already in flight and abandoning them would
-                // strand whatever they pin (the unwind below waits
-                // them out too, but an error here must not short-cut
-                // the healthy members' grants).
-                first_err.get_or_insert(e);
+        // A part whose member dies is replaced by one on a live member,
+        // so this re-scans until every part is done.
+        while let Some(i) = req.parts.iter().position(|(_, part)| !part.done()) {
+            if let Err(e) = self.wait_part(i, req, "wait") {
+                self.unwind_request(req);
+                return Err(e);
             }
         }
-        // Takeover slots can *grow* while being waited out (a taker
-        // dying fails its slot over to the next live member), so this
-        // re-scans until every slot is done.
-        while first_err.is_none() {
-            let Some(i) = (0..req.takeover.len()).find(|&i| !req.takeover[i].1.done()) else {
-                break;
-            };
-            let m = req.takeover[i].0;
-            if let Err(e) = self.wait_slot(m, req, Slot::Takeover(i), "wait") {
-                first_err.get_or_insert(e);
-            }
-        }
-        let Some(err) = first_err else {
-            self.observe_resolved(req);
-            return Ok(req.merged());
-        };
-        self.unwind_request(req);
-        Err(err)
+        self.observe_resolved(req);
+        Ok(req.merged())
     }
 
-    /// Waits out one member-local slot with down-detection: when the
-    /// caller set no op timeout, a bounded one is injected so a dead
-    /// member can never block the analysis forever — injected
-    /// expiries are probed and either resumed (member alive, just
-    /// slow: a long re-simulation is not a death) or escalated to
-    /// failover / [`MemberDown`].
-    fn wait_slot(
+    /// Waits out part `i` with down-detection: when the caller set no
+    /// op timeout, a bounded one is injected so a dead member can never
+    /// block the analysis forever — injected expiries are probed and
+    /// either resumed (member alive, just slow: a long re-simulation is
+    /// not a death) or escalated to failover / [`MemberDown`].
+    fn wait_part(
         &mut self,
-        m: usize,
+        i: usize,
         req: &mut ClusterAcquireRequest,
-        slot: Slot,
         op: &'static str,
     ) -> io::Result<()> {
+        let m = req.parts[i].0;
         loop {
             let injected = self.members[m].op_timeout.is_none();
             if injected {
                 self.members[m].set_op_timeout(Some(self.down_window));
             }
-            let result = {
-                let part = match slot {
-                    Slot::Native(i) => req.parts[i].as_mut().expect("native slot present"),
-                    Slot::Takeover(i) => &mut req.takeover[i].1,
-                };
-                self.members[m].wait(part)
-            };
+            let result = self.members[m].wait(&mut req.parts[i].1);
             if injected {
                 self.members[m].set_op_timeout(None);
             }
@@ -1838,79 +1728,46 @@ impl DvCluster {
                 Err(e) => match self.classify(m, &e, injected) {
                     MemberVerdict::Surface => return Err(e),
                     MemberVerdict::KeepWaiting => continue,
-                    MemberVerdict::Down => {
-                        self.mark_down(m);
-                        return self.fail_over_slot(m, req, slot, op);
-                    }
+                    MemberVerdict::Down => return self.fail_over_part(i, req, op),
                 },
             }
         }
     }
 
-    /// `SIMFS_Test`: non-blocking completion probe over all members.
-    ///
-    /// A member error gets the same unwind as [`wait`](Self::wait): the
-    /// remaining members are still probed, and every key this request
-    /// already acquired is released before the error returns — an
-    /// erroring probe means the caller treats the whole acquire as
-    /// failed and will never release, so the pins must not survive on
-    /// the healthy daemons.
-    pub fn test(&mut self, req: &mut ClusterAcquireRequest) -> io::Result<(bool, SimfsStatus)> {
-        let mut first_err: Option<io::Error> = None;
-        for m in 0..self.members.len() {
-            if req.parts[m].is_none() {
-                continue;
-            }
-            if let Err(e) = self.test_slot(m, req, Slot::Native(m), "test") {
-                first_err.get_or_insert(e);
-            }
-        }
-        let mut i = 0;
-        while first_err.is_none() && i < req.takeover.len() {
-            let m = req.takeover[i].0;
-            if let Err(e) = self.test_slot(m, req, Slot::Takeover(i), "test") {
-                first_err.get_or_insert(e);
-            }
-            i += 1;
-        }
-        let Some(err) = first_err else {
-            if req.done() {
-                self.observe_resolved(req);
-            }
-            return Ok((req.done(), req.merged()));
-        };
-        self.unwind_request(req);
-        Err(err)
-    }
-
-    /// One non-blocking probe of a member-local slot, with the same
-    /// death classification as [`wait_slot`](Self::wait_slot) — a
-    /// probe that trips over a dead member fails the slot over rather
+    /// `SIMFS_Test`: non-blocking completion probe over all members. A
+    /// probe that trips over a dead member fails its part over rather
     /// than erroring the whole request.
-    fn test_slot(
-        &mut self,
-        m: usize,
-        req: &mut ClusterAcquireRequest,
-        slot: Slot,
-        op: &'static str,
-    ) -> io::Result<()> {
-        let result = {
-            let part = match slot {
-                Slot::Native(i) => req.parts[i].as_mut().expect("native slot present"),
-                Slot::Takeover(i) => &mut req.takeover[i].1,
-            };
-            self.members[m].test(part).map(|_| ())
-        };
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) => match self.classify(m, &e, false) {
-                MemberVerdict::Surface | MemberVerdict::KeepWaiting => Err(e),
-                MemberVerdict::Down => {
-                    self.mark_down(m);
-                    self.fail_over_slot(m, req, slot, op)
+    ///
+    /// A member error gets the same unwind as [`wait`](Self::wait):
+    /// every key this request already acquired is released before the
+    /// error returns — an erroring probe means the caller treats the
+    /// whole acquire as failed and will never release, so the pins must
+    /// not survive on the healthy daemons.
+    pub fn test(&mut self, req: &mut ClusterAcquireRequest) -> io::Result<(bool, SimfsStatus)> {
+        let mut i = 0;
+        while i < req.parts.len() {
+            let m = req.parts[i].0;
+            // A failed-over part leaves the list; its replacement joins
+            // the end, so `i` already names the next part.
+            let result = match self.members[m].test(&mut req.parts[i].1) {
+                Ok(_) => {
+                    i += 1;
+                    Ok(())
                 }
-            },
+                Err(e) => match self.classify(m, &e, false) {
+                    MemberVerdict::Down => self.fail_over_part(i, req, "test"),
+                    MemberVerdict::Surface | MemberVerdict::KeepWaiting => Err(e),
+                },
+            };
+            if let Err(e) = result {
+                self.unwind_request(req);
+                return Err(e);
+            }
         }
+        if req.done() {
+            self.observe_resolved(req);
+        }
+        Ok((req.done(), req.merged()))
     }
 
     /// `SIMFS_Release`: staged for write-coalescing on the owning
@@ -1919,91 +1776,50 @@ impl DvCluster {
     /// instead; a pin whose home member is down and was never taken
     /// over died with the member — the release is a local no-op.
     pub fn release(&mut self, key: u64) -> io::Result<()> {
-        if let Some(&(taker, _)) = self.taken_over.get(&key) {
-            self.note_released_taken(key);
-            self.stage_digest(taker);
-            return self.members[taker].release(key);
-        }
-        let member = self.member_of(key);
-        if self.down[member] {
-            self.members[member].forget_pin(key);
-            return Ok(());
-        }
-        self.stage_digest(member);
-        self.members[member].release(key)
-    }
-
-    /// Drops one taken-over pin count for `key` (its release is on its
-    /// way to the taker).
-    fn note_released_taken(&mut self, key: u64) {
-        if let Some(entry) = self.taken_over.get_mut(&key) {
-            entry.1 -= 1;
-            if entry.1 == 0 {
-                self.taken_over.remove(&key);
+        match self.route.release_target(key) {
+            Release::Send(m) => {
+                self.stage_digest(m);
+                self.members[m].release(key)
+            }
+            Release::Forget(m) => {
+                self.members[m].forget_pin(key);
+                Ok(())
             }
         }
     }
 
     /// Probes every down member once; one that answers its port is
-    /// re-adopted: its session is redialed (nothing to re-assert — the
-    /// pins it held moved to takers at down-detection) and, with
-    /// failover on, the taken-over pins of its intervals are handed
-    /// back under a bumped takeover epoch.
+    /// re-adopted: its session is redialed (with failover on there is
+    /// nothing to re-assert — the pins it held re-homed at
+    /// down-detection) and the pins of its intervals parked on takers
+    /// are handed back: each is re-acquired at the restored home member
+    /// *first*, so the residency veto never lapses, and only then
+    /// dropped at the taker via one `HandBack` per taker. A key whose
+    /// home re-acquire fails stays parked on its taker, where its
+    /// releases keep going.
     fn try_revive(&mut self) {
         for m in 0..self.members.len() {
-            if !self.down[m] || !self.probe_alive(m) {
+            if !self.route.is_down(m) || !self.probe_alive(m) {
                 continue;
             }
             if self.members[m].reconnect_now("revive").is_err() {
                 continue;
             }
-            self.down[m] = false;
-            self.takeover_epoch += 1;
-            if self.failover {
-                self.hand_back_member(m);
-            }
-        }
-    }
-
-    /// Hand-back for revived member `m`: every pin of its intervals
-    /// parked on a taker is re-acquired at the restored home member
-    /// *first* — so the residency veto never lapses — and only then
-    /// dropped at the taker via one `HandBack` per taker. A key whose
-    /// home re-acquire fails stays parked on its taker (routing for it
-    /// remains degraded; the next revival retries).
-    fn hand_back_member(&mut self, m: usize) {
-        let parked: Vec<(u64, usize, u32)> = self
-            .taken_over
-            .iter()
-            .filter(|&(&key, _)| self.member_of(key) == m)
-            .map(|(&key, &(taker, count))| (key, taker, count))
-            .collect();
-        if parked.is_empty() {
-            return;
-        }
-        let mut by_taker: HashMap<usize, Vec<u64>> = HashMap::new();
-        for (key, taker, count) in parked {
-            let mut home_ok = true;
-            for _ in 0..count {
-                match self.members[m].acquire(&[key]) {
-                    Ok(status) if status.ok() => {}
-                    _ => {
-                        home_ok = false;
-                        break;
+            for (taker, pins) in self.route.revive(m) {
+                let mut keys = Vec::new();
+                for (key, count) in pins {
+                    let home_ok = |member: &mut SimfsClient| {
+                        matches!(member.acquire(&[key]), Ok(s) if s.ok())
+                    };
+                    if (0..count).all(|_| home_ok(&mut self.members[m])) {
+                        keys.extend(std::iter::repeat_n(key, count as usize));
+                        self.route.handed_back(key, taker);
                     }
                 }
+                if !keys.is_empty() {
+                    let _ = self.members[taker].hand_back(m as u32, &keys);
+                }
             }
-            if !home_ok {
-                continue;
-            }
-            by_taker
-                .entry(taker)
-                .or_default()
-                .extend(std::iter::repeat_n(key, count as usize));
-            self.taken_over.remove(&key);
-        }
-        for (taker, keys) in by_taker {
-            let _ = self.members[taker].hand_back(m as u32, &keys);
         }
     }
 
@@ -2020,17 +1836,10 @@ impl DvCluster {
     /// has no recorded checksum for the foreign key and answers
     /// "unknown" rather than failing).
     pub fn bitrep(&mut self, key: u64) -> io::Result<Option<bool>> {
-        let member = self.member_of(key);
-        let target = if self.down[member] {
-            if !self.failover {
-                return Err(MemberDown { member, op: "bitrep" }.into_io());
-            }
-            self.taker_of(member)
-                .ok_or_else(|| MemberDown { member, op: "bitrep" }.into_io())?
-        } else {
-            member
-        };
-        self.members[target].bitrep(key)
+        match self.route.route(key) {
+            Route::Member { member, .. } => self.members[member].bitrep(key),
+            Route::Down(member) => Err(MemberDown { member, op: "bitrep" }.into_io()),
+        }
     }
 
     /// Context statistics summed over every member (each daemon counts
@@ -2046,7 +1855,7 @@ impl DvCluster {
             active_sims: 0,
         };
         for m in 0..self.members.len() {
-            if self.down[m] {
+            if self.route.is_down(m) {
                 continue;
             }
             match self.members[m].status() {
@@ -2057,15 +1866,12 @@ impl DvCluster {
                     total.produced_steps += s.produced_steps;
                     total.active_sims += s.active_sims;
                 }
-                Err(e) => match self.classify(m, &e, false) {
-                    MemberVerdict::Surface | MemberVerdict::KeepWaiting => return Err(e),
-                    MemberVerdict::Down => {
-                        self.mark_down(m);
-                        if !self.failover {
-                            return Err(MemberDown { member: m, op: "status" }.into_io());
-                        }
+                Err(e) => {
+                    self.fail_dead(m, e)?;
+                    if !self.route.failover() {
+                        return Err(MemberDown { member: m, op: "status" }.into_io());
                     }
-                },
+                }
             }
         }
         Ok(total)
@@ -2077,10 +1883,9 @@ impl DvCluster {
     /// goodbye must not strand pins on the remaining daemons — their
     /// sockets still close, mapping to `ClientGone`).
     pub fn finalize(self) -> io::Result<()> {
-        let down = self.down;
         let mut result = Ok(());
         for (m, member) in self.members.into_iter().enumerate() {
-            if down.get(m).copied().unwrap_or(false) {
+            if self.route.is_down(m) {
                 // A down member's session is already dead: drop it
                 // without `Bye` — the daemon-side hangup mapped to
                 // `ClientGone` when the connection died.
@@ -2157,20 +1962,6 @@ impl SimulatorSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn successor_rule_walks_the_ring_past_down_members() {
-        // 3-member ring, only member 1 down: its taker is member 2.
-        assert_eq!(successor_taker(1, 3, &[false, true, false]), Some(2));
-        // Member 2 down: wraps to member 0.
-        assert_eq!(successor_taker(2, 3, &[false, false, true]), Some(0));
-        // Members 1 and 2 both down: 1's taker skips 2, lands on 0.
-        assert_eq!(successor_taker(1, 3, &[false, true, true]), Some(0));
-        // Everyone else down: no taker.
-        assert_eq!(successor_taker(0, 3, &[true, true, true]), None);
-        // Single-member "cluster": nobody to take over.
-        assert_eq!(successor_taker(0, 1, &[true]), None);
-    }
 
     #[test]
     fn member_down_roundtrips_through_io_error() {

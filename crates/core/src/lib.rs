@@ -27,6 +27,10 @@
 //!   (number of re-simulated steps) for the cost models and Fig. 5.
 //! * [`vharness`] — the virtual-time experiment harness tying the DV to
 //!   `simkit`'s engine and `simbatch`'s cluster (Figs. 16–19).
+//! * `route` (crate-private) — the cluster-routing core: down set,
+//!   takeover epoch, re-home, hand-back and the members' ownership
+//!   rule as one sans-IO state machine, driven by both
+//!   [`DvCluster`](client::DvCluster) and the virtual fault harness.
 //! * [`wire`], [`server`], [`client`], [`intercept`] — the real deal: a
 //!   length-prefixed TCP protocol (the paper's "control messages
 //!   (TCP/IP)", Fig. 4), the daemon, the DVLib client API
@@ -55,6 +59,7 @@ pub mod perfmodel;
 pub mod prefetch;
 pub mod reactor;
 pub mod replay;
+mod route;
 pub mod server;
 pub mod sys;
 pub mod vharness;

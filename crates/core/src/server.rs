@@ -204,6 +204,7 @@ use crate::model::{ContextCfg, StepMath};
 use crate::net::{self, Listener, Transport};
 use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY};
 use crate::reactor::{ConnCtx, Reactor};
+use crate::route::{ownership_error, AcquireMode};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLIN};
 use crate::wire::{self, ClientKind, FrameBatch, Request, Response};
 use parking_lot::Mutex;
@@ -487,14 +488,6 @@ impl ConnLocal {
     }
 }
 
-/// Which ownership rule and WAL tag an acquire is served under: a
-/// member's own keys, or a dead member's keys this member took over.
-#[derive(Clone, Copy)]
-enum AcquireMode {
-    Native,
-    Takeover { dead_member: u32, origin_epoch: u64 },
-}
-
 /// Latency class of one effect job, decided from its dominant blocking
 /// operation (a commit carrying both a launch and evictions counts as
 /// `Spawn` — job control is the costliest and rarest class).
@@ -661,13 +654,6 @@ impl Inner {
 }
 
 impl CtxRuntime {
-    /// The cluster member owning `key`'s restart interval (used only in
-    /// rejection diagnostics; the ownership test itself goes through
-    /// [`ClusterMember::owns_key`]).
-    fn router_member_of(&self, key: u64) -> u32 {
-        DvRouter::new(self.steps, self.cluster.size).shard_of_key(key) as u32
-    }
-
     /// Resolves the actions of one DV transition into `fx` (called with
     /// the owning shard lock held; does no I/O).
     fn collect(&self, core: &mut DvCore, fx: &mut Effects) {
@@ -1554,40 +1540,6 @@ impl CtxRuntime {
         }
     }
 
-    /// Layer 0 (clusters only), the ownership rule: why `key` may not
-    /// be served under `mode`, if it may not. A native acquire must
-    /// name a key this member owns — a correctly routing DVLib never
-    /// sends another, and accepting one would double-produce the
-    /// interval under a foreign budget slice; a takeover acquire must
-    /// name a key the asserted-dead member owns. Invalid keys are exempt
-    /// (no member owns them): they fall through to the DV for the same
-    /// timeline error every daemon reports.
-    fn ownership_error(&self, key: u64, mode: AcquireMode) -> Option<String> {
-        if !self.cluster.is_clustered() || !self.steps.valid_key(key) {
-            return None;
-        }
-        let owner = self.router_member_of(key);
-        let (me, size) = (self.cluster.index, self.cluster.size);
-        match mode {
-            AcquireMode::Native if owner == me => None,
-            AcquireMode::Native => Some(format!(
-                "key {key} belongs to cluster member {owner} (this is {me} of {size})"
-            )),
-            AcquireMode::Takeover { dead_member, .. } if owner == dead_member => None,
-            AcquireMode::Takeover { .. } if owner == me => Some(format!(
-                "key {key} belongs to this member ({owner}); \
-                 acquire it without the takeover tag"
-            )),
-            AcquireMode::Takeover {
-                dead_member,
-                origin_epoch,
-            } => Some(format!(
-                "key {key} belongs to member {owner}, not to dead member \
-                 {dead_member} (takeover epoch {origin_epoch})"
-            )),
-        }
-    }
-
     /// Serves one acquire request, native or takeover, key by key:
     /// ownership rule → lock-free fast pin → shard transition →
     /// `Queued`. A takeover acquire names keys of a *dead* member's
@@ -1622,7 +1574,13 @@ impl CtxRuntime {
         let digest_on = self.digest && local.observe_local && !takeover;
         let epoch = if digest_on { inner.now().as_nanos() } else { 0 };
         for &key in keys {
-            if let Some(reason) = self.ownership_error(key, mode) {
+            // Layer 0 (clusters only): the ownership rule.
+            let refused = if self.cluster.is_clustered() {
+                ownership_error(&self.steps, self.cluster, key, mode)
+            } else {
+                None
+            };
+            if let Some(reason) = refused {
                 fx.outbox.push((
                     client,
                     Response::Failed {

@@ -30,12 +30,11 @@
 //! so backoff retries, watchdog kills, and quarantine expiries all
 //! happen at exact virtual times.
 
-use crate::client::successor_taker;
 use crate::dv::{
-    ClusterMember, DataVirtualizer, DvAction, DvEvent, DvRouter, DvStats, FailCode, ShardedDv,
-    SimId,
+    ClusterMember, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, ShardedDv, SimId,
 };
 use crate::model::ContextCfg;
+use crate::route::{ownership_error, AcquireMode, ClusterRoute, Release, Route};
 use simbatch::{Cluster, JobId, QueueModel};
 use simkit::{Dur, Engine, SeedSeq, SimRng, SimTime};
 use simstore::walog::{WalRecord, WalState};
@@ -321,6 +320,13 @@ fn produce(en: &mut Engine<World>, w: &mut World, sim: SimId) {
 
 // ---------------------------------------------------------------------------
 // Scripted fault injection over a virtual DV cluster
+//
+// Failover state — down set, takeover epoch, parked pins — and every
+// routing decision made from it belong to `ClusterRoute`, the same
+// sans-IO core `DvCluster` drives; this harness only supplies virtual
+// time, the member DVs and the crash schedule. Every takeover acquire
+// and re-home passes the members' shared `ownership_error` rule under
+// the tag the route produced, and a rejection fails the run.
 // ---------------------------------------------------------------------------
 
 /// One scripted fault, fired at an exact virtual time.
@@ -539,8 +545,8 @@ struct VSim {
 
 struct FaultWorld {
     members: Vec<VMember>,
-    /// Member-of-key map (interval % K).
-    router: DvRouter,
+    /// Member-of-key map (interval % K) plus all failover state.
+    route: ClusterRoute,
     /// The shared storage area: key → size of every materialized step.
     /// Survives member crashes; evictions delete from it.
     storage: HashMap<u64, u64>,
@@ -568,16 +574,9 @@ struct FaultWorld {
     pins_recovered: u64,
     wal_replayed: u64,
     leases_expired: u64,
-    /// Interval failover enabled (opt-in).
-    failover: bool,
-    /// Members the virtual client has declared down.
-    down: Vec<bool>,
-    /// key → (taker, pin count) for pins parked on a taker.
-    taken_over: HashMap<u64, (usize, u32)>,
     /// Foreign intervals each member has primed as a taker. Cleared
     /// when that member crashes (its primed cache dies with it).
     taken_intervals: Vec<HashSet<u64>>,
-    takeover_epoch: u64,
     takeovers: u64,
     takeover_intervals_primed: u64,
     pins_handed_back: u64,
@@ -616,9 +615,11 @@ impl FaultedClusterExperiment {
                 }
             })
             .collect();
+        let mut route = ClusterRoute::new(self.cfg.steps, k);
+        route.set_failover(self.failover);
         let mut world = FaultWorld {
             members,
-            router: DvRouter::new(self.cfg.steps, k),
+            route,
             storage: HashMap::new(),
             sims: HashMap::new(),
             rng: SeedSeq::new(self.seed).rng(0),
@@ -648,11 +649,7 @@ impl FaultedClusterExperiment {
             pins_recovered: 0,
             wal_replayed: 0,
             leases_expired: 0,
-            failover: self.failover,
-            down: vec![false; k as usize],
-            taken_over: HashMap::new(),
             taken_intervals: vec![HashSet::new(); k as usize],
-            takeover_epoch: 0,
             takeovers: 0,
             takeover_intervals_primed: 0,
             pins_handed_back: 0,
@@ -739,7 +736,7 @@ impl FaultedClusterExperiment {
             takeovers: world.takeovers,
             takeover_intervals_primed: world.takeover_intervals_primed,
             pins_handed_back: world.pins_handed_back,
-            takeover_epoch: world.takeover_epoch,
+            takeover_epoch: world.route.epoch(),
             journals: world.members.iter().map(|m| m.journal.clone()).collect(),
             stats,
             residue,
@@ -792,7 +789,7 @@ fn restart_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, rec
     let mut owned: Vec<(u64, u64)> = w
         .storage
         .iter()
-        .filter(|&(&key, _)| w.router.shard_of_key(key) == m)
+        .filter(|&(&key, _)| w.route.home(key) == m)
         .map(|(&key, &size)| (key, size))
         .collect();
     owned.sort_unstable();
@@ -958,24 +955,17 @@ fn ensure_session(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
 fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
     while w.release_queue.len() > w.pin_window {
         let prev = w.release_queue.pop_front().expect("len checked");
-        // A pin parked on a taker releases there, not at its home.
-        let m = match w.taken_over.get_mut(&prev) {
-            Some(entry) => {
-                let taker = entry.0;
-                entry.1 -= 1;
-                if entry.1 == 0 {
-                    w.taken_over.remove(&prev);
-                }
-                taker
-            }
-            None => w.router.shard_of_key(prev),
+        // A pin parked on a taker releases there, not at its home; one
+        // whose home is down died with it.
+        let (m, live) = match w.route.release_target(prev) {
+            Release::Send(m) => (m, true),
+            Release::Forget(m) => (m, false),
         };
-        let owner = &mut w.members[m];
-        let pinned = match owner.held.get_mut(&prev) {
+        let pinned = match w.members[m].held.get_mut(&prev) {
             Some(n) => {
                 *n -= 1;
                 if *n == 0 {
-                    owner.held.remove(&prev);
+                    w.members[m].held.remove(&prev);
                 }
                 true
             }
@@ -983,62 +973,89 @@ fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
         };
         // A release only reaches a live, connected member; otherwise
         // the pin is (or will be) dropped by ClientGone/recovery.
-        if pinned && !owner.needs_reconnect && reachable(w, m, en.now()) {
-            let client = w.members[m].client;
-            let epoch = w.members[m].epoch;
-            w.members[m].journal.push(WalRecord::PinRelease {
-                client,
-                key: prev,
-                epoch,
-            });
-            let actions = w.members[m]
-                .dv
-                .as_mut()
-                .expect("reachable member has a DV")
-                .handle(en.now(), DvEvent::Release { client, key: prev });
-            apply_member_actions(en, w, m, actions);
+        if live && pinned && !w.members[m].needs_reconnect && reachable(w, m, en.now()) {
+            release_at(en, w, m, prev);
         }
     }
     if w.cursor >= w.accesses.len() {
         w.done_at = Some(en.now());
         return;
     }
-    if w.failover {
+    if w.route.failover() {
         revive_members(en, w);
     }
     let key = w.accesses[w.cursor];
-    let home = w.router.shard_of_key(key);
-    let m = if reachable(w, home, en.now()) {
-        home
-    } else if w.failover && w.members[home].dv.is_none() {
-        // The home member is crashed — not merely delayed (a delayed
-        // member keeps its connection, so the client just retries).
-        // Fail its intervals over to the successor-rule taker.
-        match detect_down(en, w, home) {
-            Some(taker) => taker,
-            None => {
-                // Every other member is down too: nothing to take over.
-                en.schedule_in(VRETRY, issue_next);
-                return;
-            }
-        }
-    } else {
+    // An unreachable target — a delayed member, or a crashed one
+    // without failover — is retried; so is a key nobody may serve.
+    let Some((m, mode)) =
+        live_route(en, w, w.route.home(key)).filter(|&(m, _)| reachable(w, m, en.now()))
+    else {
         en.schedule_in(VRETRY, issue_next);
         return;
     };
     ensure_session(en, w, m);
     w.cursor += 1;
-    if m != home && w.cfg.steps.valid_key(key) {
-        // Tagged takeover acquire: the taker primes the dead member's
-        // interval from the shared storage before serving it.
-        w.takeovers += 1;
-        takeover_prime(w, m, w.cfg.steps.interval_of(key));
-    }
     let client = w.members[m].client;
-    let actions = w.members[m]
+    match acquire_at(en, w, m, key, mode) {
+        Err(code) => {
+            w.failed.push(key);
+            w.failed_codes.push(code);
+            en.schedule_in(Dur::ZERO, issue_next);
+        }
+        Ok(true) => grant(en, w, m, key),
+        Ok(false) => w.waiting_for = Some((m, client, key)),
+    }
+}
+
+/// Where an acquire of a key homed on `home` goes, as the route says —
+/// a failover client that finds the member there crashed (not merely
+/// delayed: a delayed member keeps its connection) declares it down
+/// and follows the route again. `None` when nothing may serve the key.
+fn live_route(
+    en: &mut Engine<FaultWorld>,
+    w: &mut FaultWorld,
+    home: usize,
+) -> Option<(usize, AcquireMode)> {
+    loop {
+        match w.route.route_home(home) {
+            Route::Member { member, .. }
+                if w.route.failover() && w.members[member].dv.is_none() =>
+            {
+                fail_member(en, w, member)
+            }
+            Route::Member { member, mode } => return Some((member, mode)),
+            Route::Down(_) => return None,
+        }
+    }
+}
+
+/// One synchronous acquire of `key` at member `t` under `mode`, after
+/// the ownership rule the daemon applies — a rejected tag fails the run.
+/// A takeover first primes the key's interval from the shared storage.
+/// Applies the DV's actions; `Ok(true)` when the key was granted on
+/// the spot, `Ok(false)` when it waits on production.
+fn acquire_at(
+    en: &mut Engine<FaultWorld>,
+    w: &mut FaultWorld,
+    t: usize,
+    key: u64,
+    mode: AcquireMode,
+) -> Result<bool, FailCode> {
+    let me = ClusterMember::new(t as u32, w.cluster_size);
+    if let Some(reason) = ownership_error(&w.cfg.steps, me, key, mode) {
+        panic!("member {t} refused key {key} under {mode:?}: {reason}");
+    }
+    if matches!(mode, AcquireMode::Takeover { .. }) {
+        w.takeovers += 1;
+        if w.cfg.steps.valid_key(key) {
+            takeover_prime(w, t, w.cfg.steps.interval_of(key));
+        }
+    }
+    let client = w.members[t].client;
+    let actions = w.members[t]
         .dv
         .as_mut()
-        .expect("reachable member has a DV")
+        .expect("target member has a DV")
         .handle(en.now(), DvEvent::Acquire { client, key });
     let mut ready = false;
     let mut failed: Option<FailCode> = None;
@@ -1051,25 +1068,24 @@ fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
             _ => {}
         }
     }
-    apply_member_actions(en, w, m, actions);
-    if let Some(code) = failed {
-        w.failed.push(key);
-        w.failed_codes.push(code);
-        en.schedule_in(Dur::ZERO, issue_next);
-    } else if ready {
-        grant(en, w, m, key);
-    } else {
-        w.waiting_for = Some((m, client, key));
-    }
+    apply_member_actions(en, w, t, actions);
+    failed.map_or(Ok(ready), Err)
 }
 
-/// A pin was granted: journal it, track it, consume, move on. A grant
-/// for a key the member does not own is a takeover pin — journaled as
-/// such (the daemon's stateless ownership check) and tracked in
-/// `taken_over` so its release routes back to the taker.
+/// The analysis' access was granted: pin, consume, move on.
 fn grant(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
-    let foreign = w.router.shard_of_key(key) != m;
-    let member = &mut w.members[m];
+    pinned(w, m, key);
+    w.served.push(key);
+    w.release_queue.push_back(key);
+    en.schedule_in(w.exp.tau_cli, issue_next);
+}
+
+/// Member `t` granted the session one pin on `key`: journal it — under
+/// the takeover tag when `t` is not the key's home, the daemon's
+/// stateless ownership check — track it, and tell the route.
+fn pinned(w: &mut FaultWorld, t: usize, key: u64) {
+    let foreign = w.route.home(key) != t;
+    let member = &mut w.members[t];
     let (client, epoch) = (member.client, member.epoch);
     member.journal.push(if foreign {
         WalRecord::TakeoverPin { client, key, epoch }
@@ -1077,81 +1093,25 @@ fn grant(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
         WalRecord::PinAcquire { client, key, epoch }
     });
     *member.held.entry(key).or_insert(0) += 1;
-    if foreign {
-        let entry = w.taken_over.entry(key).or_insert((m, 0));
-        entry.0 = m;
-        entry.1 += 1;
-    }
-    w.served.push(key);
-    w.release_queue.push_back(key);
-    en.schedule_in(w.exp.tau_cli, issue_next);
+    w.route.granted(key, t);
 }
 
-/// Declares a crashed member down (idempotent), re-homes the pins the
-/// session held there onto the taker, and returns the taker — `None`
-/// when no live taker exists. Uses the same successor rule as the real
-/// `DvCluster`, so scripted plans pin the real routing bit-for-bit.
-fn detect_down(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) -> Option<usize> {
-    // Sweep every crashed member, not just `m`: the successor rule
-    // consults the down set, so a crashed-but-undetected member must
-    // never be picked as a taker. Flags first, then re-homing, so the
-    // re-homes see the complete down set.
-    let newly: Vec<usize> = (0..w.members.len())
-        .filter(|&i| w.members[i].dv.is_none() && !w.down[i])
-        .collect();
-    for &i in &newly {
-        w.down[i] = true;
-        w.takeover_epoch += 1;
-    }
-    for i in newly {
-        rehome_pins(en, w, i);
-    }
-    successor_taker(m, w.members.len(), &w.down)
-}
-
-/// Re-homes the pins the session held at dead member `m` onto its
-/// taker, as `DvCluster` does at down-detection: one tagged takeover
-/// acquire per held pin. A pin whose key cannot be granted
-/// synchronously from the taker's primed cache is dropped — the real
-/// client blocks on the taker's re-simulation there; the virtual
-/// analysis must not.
-fn rehome_pins(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
-    let mut held: Vec<(u64, u32)> = w.members[m].held.drain().collect();
-    let Some(taker) = successor_taker(m, w.members.len(), &w.down) else {
-        return; // no live taker: the pins are simply lost
-    };
-    held.sort_unstable();
-    ensure_session(en, w, taker);
-    for (key, count) in held {
-        // If the key was itself parked on `m` (a dead taker), the old
-        // entry counts pins that died with it: start over.
-        if w.taken_over.get(&key).is_some_and(|e| e.0 == m) {
-            w.taken_over.remove(&key);
-        }
-        takeover_prime(w, taker, w.cfg.steps.interval_of(key));
-        for _ in 0..count {
-            w.takeovers += 1;
-            let client = w.members[taker].client;
-            let actions = w.members[taker]
-                .dv
-                .as_mut()
-                .expect("taker is alive")
-                .handle(en.now(), DvEvent::Acquire { client, key });
-            let granted = actions.iter().any(|a| {
-                matches!(a, DvAction::NotifyReady { client: c, key: k }
-                    if *c == client && *k == key)
-            });
-            apply_member_actions(en, w, taker, actions);
-            if !granted {
+/// Declares crashed member `m` down and re-homes the pins the session
+/// held there along the route's batches, as `DvCluster` does at
+/// down-detection: one acquire per held pin. A pin whose key cannot be
+/// granted synchronously from its new member's primed cache is dropped
+/// — the real client blocks on a re-simulation there; the virtual
+/// analysis must not — and so is one nobody may serve.
+fn fail_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
+    for (home, keys) in w.route.mark_down(m, w.members[m].held.drain()) {
+        for key in keys {
+            let Some((t, mode)) = live_route(en, w, home) else {
                 continue;
+            };
+            ensure_session(en, w, t);
+            if acquire_at(en, w, t, key, mode) == Ok(true) {
+                pinned(w, t, key);
             }
-            let member = &mut w.members[taker];
-            let epoch = member.epoch;
-            member.journal.push(WalRecord::TakeoverPin { client, key, epoch });
-            *member.held.entry(key).or_insert(0) += 1;
-            let entry = w.taken_over.entry(key).or_insert((taker, 0));
-            entry.0 = taker;
-            entry.1 += 1;
         }
     }
 }
@@ -1186,80 +1146,66 @@ fn takeover_prime(w: &mut FaultWorld, t: usize, interval: u64) {
 
 /// Probes down members for revival (the virtual `try_revive`): a
 /// restarted member is re-adopted under a bumped takeover epoch and the
-/// pins parked on takers for its intervals are handed back.
+/// pins parked on takers for its intervals are handed back —
+/// re-acquired at the restored home member FIRST, then released at the
+/// taker, so the residency veto never lapses. A key the home member
+/// cannot grant synchronously (not yet re-primed), or whose taker is
+/// unreachable, stays parked on its taker.
 fn revive_members(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
     for m in 0..w.members.len() {
-        if !w.down[m] || !reachable(w, m, en.now()) {
+        if !w.route.is_down(m) || !reachable(w, m, en.now()) {
             continue;
         }
-        w.down[m] = false;
-        w.takeover_epoch += 1;
+        let plan = w.route.revive(m);
         ensure_session(en, w, m);
-        hand_back_home(en, w, m);
+        for (taker, pins) in plan {
+            for (key, count) in pins {
+                hand_back(en, w, m, taker, key, count);
+            }
+        }
     }
 }
 
-/// Hands the takeover pins for member `m`'s intervals back: re-acquire
-/// at the restored home member FIRST, then release at the taker — the
-/// residency veto never lapses. A key the home member cannot grant
-/// synchronously (not yet re-primed) stays parked on its taker.
-fn hand_back_home(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
-    let mut parked: Vec<(u64, usize, u32)> = w
-        .taken_over
-        .iter()
-        .filter(|&(&key, _)| w.router.shard_of_key(key) == m)
-        .map(|(&key, &(taker, count))| (key, taker, count))
-        .collect();
-    parked.sort_unstable();
-    for (key, taker, count) in parked {
-        let mut granted = 0u32;
-        for _ in 0..count {
-            let client = w.members[m].client;
-            let actions = w.members[m]
-                .dv
-                .as_mut()
-                .expect("revived member has a DV")
-                .handle(en.now(), DvEvent::Acquire { client, key });
-            let ready = actions.iter().any(|a| {
-                matches!(a, DvAction::NotifyReady { client: c, key: k }
-                    if *c == client && *k == key)
-            });
-            apply_member_actions(en, w, m, actions);
-            if !ready {
-                break;
-            }
-            let member = &mut w.members[m];
-            let epoch = member.epoch;
-            member.journal.push(WalRecord::PinAcquire { client, key, epoch });
-            *member.held.entry(key).or_insert(0) += 1;
-            granted += 1;
+/// Hands `count` pins on `key` back from `taker` to revived home `m`.
+fn hand_back(
+    en: &mut Engine<FaultWorld>,
+    w: &mut FaultWorld,
+    m: usize,
+    taker: usize,
+    key: u64,
+    count: u32,
+) {
+    for _ in 0..count {
+        if acquire_at(en, w, m, key, AcquireMode::Native) != Ok(true) {
+            return;
         }
-        if granted < count {
-            continue; // stays parked on the taker
-        }
-        if !reachable(w, taker, en.now()) {
-            continue; // taker unreachable: hand back on a later pass
-        }
-        for _ in 0..count {
-            let t = &mut w.members[taker];
-            let (tclient, tepoch) = (t.client, t.epoch);
-            t.journal.push(WalRecord::PinRelease { client: tclient, key, epoch: tepoch });
-            if let Some(n) = t.held.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    t.held.remove(&key);
-                }
-            }
-            let actions = t
-                .dv
-                .as_mut()
-                .expect("reachable taker has a DV")
-                .handle(en.now(), DvEvent::Release { client: tclient, key });
-            apply_member_actions(en, w, taker, actions);
-            w.pins_handed_back += 1;
-        }
-        w.taken_over.remove(&key);
+        pinned(w, m, key);
     }
+    if !reachable(w, taker, en.now()) {
+        return;
+    }
+    let held = w.members[taker].held.remove(&key).unwrap_or(0);
+    if held > count {
+        w.members[taker].held.insert(key, held - count);
+    }
+    for _ in 0..count {
+        release_at(en, w, taker, key);
+        w.pins_handed_back += 1;
+    }
+    w.route.handed_back(key, taker);
+}
+
+/// Releases one session pin on `key` at reachable member `m`, journaled.
+fn release_at(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
+    let member = &mut w.members[m];
+    let (client, epoch) = (member.client, member.epoch);
+    member.journal.push(WalRecord::PinRelease { client, key, epoch });
+    let actions = member
+        .dv
+        .as_mut()
+        .expect("reachable member has a DV")
+        .handle(en.now(), DvEvent::Release { client, key });
+    apply_member_actions(en, w, m, actions);
 }
 
 /// Applies member `m`'s DV actions to the virtual world.

@@ -517,12 +517,12 @@ fn clustered_members_observe_forwarded_digests() {
 // Crash recovery with a real kill -9
 // ---------------------------------------------------------------------
 
-/// Not a test on its own: the subprocess body for
-/// [`kill9_member_recovers_with_reassert`]. The parent re-execs this
-/// test binary with `member_worker --exact` and the `SIMFS_KILL9_*`
-/// environment set; it then runs cluster member 1 with a durable WAL
-/// until the parent SIGKILLs it. Without the environment (a normal
-/// `cargo test` run) it is a no-op.
+/// Not a test on its own: the subprocess body for the kill-9 tests.
+/// The parent re-execs this test binary with `member_worker --exact`
+/// and the `SIMFS_KILL9_*` environment set; it then runs cluster member
+/// `SIMFS_KILL9_MEMBER` (default 1) of 3 with a durable WAL until the
+/// parent SIGKILLs it. Without the environment (a normal `cargo test`
+/// run) it is a no-op.
 #[test]
 fn member_worker() {
     let Ok(port) = std::env::var("SIMFS_KILL9_PORT") else {
@@ -530,6 +530,7 @@ fn member_worker() {
     };
     let dir = std::path::PathBuf::from(std::env::var("SIMFS_KILL9_DIR").unwrap());
     let recover = std::env::var("SIMFS_KILL9_RECOVER").as_deref() == Ok("1");
+    let member = std::env::var("SIMFS_KILL9_MEMBER").map_or(1, |m| m.parse().unwrap());
     let listen = format!("127.0.0.1:{port}");
     // The previous (killed) instance's listener may linger briefly;
     // retry the bind like a restarted daemon would.
@@ -537,7 +538,7 @@ fn member_worker() {
     let (_server, _storage) = loop {
         match start_member_cfg(
             &dir,
-            ClusterMember::new(1, 3),
+            ClusterMember::new(member, 3),
             1000,
             6,
             2,
@@ -558,9 +559,15 @@ fn member_worker() {
     }
 }
 
-fn spawn_member_worker(dir: &std::path::Path, port: u16, recover: bool) -> std::process::Child {
+fn spawn_member_worker(
+    member: u32,
+    dir: &std::path::Path,
+    port: u16,
+    recover: bool,
+) -> std::process::Child {
     std::process::Command::new(std::env::current_exe().unwrap())
         .args(["member_worker", "--exact"])
+        .env("SIMFS_KILL9_MEMBER", member.to_string())
         .env("SIMFS_KILL9_DIR", dir)
         .env("SIMFS_KILL9_PORT", port.to_string())
         .env("SIMFS_KILL9_RECOVER", if recover { "1" } else { "0" })
@@ -595,6 +602,36 @@ fn sdf_listing(dir: &std::path::Path) -> Vec<String> {
     names
 }
 
+/// Acquires `keys` on the faulted cluster `cc` and on the uncrashed
+/// reference `rc`; the ready and failed sets must agree.
+fn acquire_both(cc: &mut DvCluster, rc: &mut DvCluster, keys: &[u64], tag: &str) {
+    let got = cc.acquire(keys).unwrap();
+    let want = rc.acquire(keys).unwrap();
+    assert_eq!(
+        sorted(got.ready.clone()),
+        sorted(want.ready.clone()),
+        "{tag}: ready sets diverge"
+    );
+    let got_failed: Vec<u64> = got.failed.iter().map(|(k, _)| *k).collect();
+    let want_failed: Vec<u64> = want.failed.iter().map(|(k, _)| *k).collect();
+    assert_eq!(sorted(got_failed), sorted(want_failed), "{tag}: failed sets diverge");
+}
+
+/// Waits until the reference has produced `produced` steps and neither
+/// cluster runs a simulation (a restarted member's counters reset, so
+/// the faulted side is compared on activity only).
+fn quiesce(cc: &mut DvCluster, rc: &mut DvCluster, produced: u64, tag: &str) {
+    let deadline = Instant::now() + Duration::from_secs(15);
+    loop {
+        let (c, r) = (cc.status().unwrap(), rc.status().unwrap());
+        if r.produced_steps == produced && r.active_sims == 0 && c.active_sims == 0 {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{tag} never quiesced: {c:?} vs {r:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// The tentpole end-to-end: a 3-member cluster where member 1 is a real
 /// child process with a durable WAL. It is SIGKILLed while the client
 /// holds pins on its interval, restarted with `--recover`, and the
@@ -619,26 +656,13 @@ fn kill9_member_recovers_with_reassert() {
         probe.local_addr().unwrap().port()
     };
     let worker_addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
-    let child = spawn_member_worker(&dir, port, false);
+    let child = spawn_member_worker(1, &dir, port, false);
     await_listening(worker_addr);
 
     let addrs = [m0.addr(), worker_addr, m2.addr()];
     let mut cc = DvCluster::connect(&addrs, "test-ctx", steps()).unwrap();
     cc.set_auto_reconnect(true);
     cc.set_op_timeout(Some(Duration::from_secs(10)));
-
-    let acquire_both = |cc: &mut DvCluster, rc: &mut DvCluster, keys: &[u64], tag: &str| {
-        let got = cc.acquire(keys).unwrap();
-        let want = rc.acquire(keys).unwrap();
-        assert_eq!(
-            sorted(got.ready.clone()),
-            sorted(want.ready.clone()),
-            "{tag}: ready sets diverge"
-        );
-        let got_failed: Vec<u64> = got.failed.iter().map(|(k, _)| *k).collect();
-        let want_failed: Vec<u64> = want.failed.iter().map(|(k, _)| *k).collect();
-        assert_eq!(sorted(got_failed), sorted(want_failed), "{tag}: failed sets diverge");
-    };
 
     // Phase A — pins land on every member; 5 and 6 (member 1's
     // interval 1) stay pinned across the crash. 6 is a slow-path pin
@@ -667,7 +691,7 @@ fn kill9_member_recovers_with_reassert() {
     let mut child = child;
     child.kill().unwrap();
     child.wait().unwrap();
-    let mut child = spawn_member_worker(&dir, port, true);
+    let mut child = spawn_member_worker(1, &dir, port, true);
     await_listening(worker_addr);
 
     // Phase B — the next touch of member 1 rides the reconnect path:
@@ -686,20 +710,7 @@ fn kill9_member_recovers_with_reassert() {
     acquire_both(&mut cc, &mut rc, &[2, 6, 10], "B:multi");
 
     // Quiesce phase B's one new launch (interval 8 for key 33).
-    const PRODUCED_REF: u64 = PRODUCED_A + 4;
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let r = rc.status().unwrap();
-        let c = cc.status().unwrap();
-        // The restarted member's counters reset at the crash, so the
-        // faulted cluster's aggregate differs; quiesce on activity and
-        // on the reference's totals instead.
-        if r.produced_steps == PRODUCED_REF && r.active_sims == 0 && c.active_sims == 0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "phase B never quiesced: {c:?} vs {r:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    quiesce(&mut cc, &mut rc, PRODUCED_A + 4, "phase B");
 
     // Recovery equivalence, the client-visible half: identical
     // materialized steps on disk.
@@ -748,7 +759,7 @@ fn kill9_member_fails_over_to_taker_and_hands_back() {
         probe.local_addr().unwrap().port()
     };
     let worker_addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
-    let child = spawn_member_worker(&dir, port, false);
+    let child = spawn_member_worker(1, &dir, port, false);
     await_listening(worker_addr);
 
     let addrs = [m0.addr(), worker_addr, m2.addr()];
@@ -757,19 +768,6 @@ fn kill9_member_fails_over_to_taker_and_hands_back() {
     cc.set_failover(true);
     // Short probe window: down-detection in ~1.5 s instead of 30.
     cc.set_down_window(Duration::from_millis(1500));
-
-    let acquire_both = |cc: &mut DvCluster, rc: &mut DvCluster, keys: &[u64], tag: &str| {
-        let got = cc.acquire(keys).unwrap();
-        let want = rc.acquire(keys).unwrap();
-        assert_eq!(
-            sorted(got.ready.clone()),
-            sorted(want.ready.clone()),
-            "{tag}: ready sets diverge"
-        );
-        let got_failed: Vec<u64> = got.failed.iter().map(|(k, _)| *k).collect();
-        let want_failed: Vec<u64> = want.failed.iter().map(|(k, _)| *k).collect();
-        assert_eq!(sorted(got_failed), sorted(want_failed), "{tag}: failed sets diverge");
-    };
 
     // Phase A — pins on every member; 5 and 6 (member 1's interval 1)
     // stay pinned across the crash and will be re-homed onto the taker.
@@ -824,20 +822,12 @@ fn kill9_member_fails_over_to_taker_and_hands_back() {
     // Quiesce phase B (interval 4 re-simulated: by the taker on the
     // faulted side, by member 1 on the reference).
     const PRODUCED_REF: u64 = PRODUCED_A + 4;
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let (c, r) = (cc.status().unwrap(), rc.status().unwrap());
-        if r.produced_steps == PRODUCED_REF && r.active_sims == 0 && c.active_sims == 0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "phase B never quiesced: {c:?} vs {r:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    quiesce(&mut cc, &mut rc, PRODUCED_REF, "phase B");
 
     // Phase C — restart member 1 with --recover. The next acquire
     // revives it and hands the parked pins back: re-acquired at the
     // restored home member first, then released at the taker.
-    let mut child = spawn_member_worker(&dir, port, true);
+    let mut child = spawn_member_worker(1, &dir, port, true);
     await_listening(worker_addr);
     acquire_both(&mut cc, &mut rc, &[8], "C:8 home again");
     assert!(!cc.degraded(), "revived member must clear degraded mode");
@@ -848,16 +838,7 @@ fn kill9_member_fails_over_to_taker_and_hands_back() {
         "the taker must have drained hand-backs"
     );
     acquire_both(&mut cc, &mut rc, &[2, 6, 10], "C:multi");
-
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let (c, r) = (cc.status().unwrap(), rc.status().unwrap());
-        if r.produced_steps == PRODUCED_REF && r.active_sims == 0 && c.active_sims == 0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "phase C never quiesced: {c:?} vs {r:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    quiesce(&mut cc, &mut rc, PRODUCED_REF, "phase C");
 
     // Degraded service must converge to the same on-disk residency as
     // the uncrashed reference.
@@ -881,6 +862,100 @@ fn kill9_member_fails_over_to_taker_and_hands_back() {
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
+/// Chained failover with two real kill -9s: member 1 dies holding a
+/// pin, member 2 takes its intervals over, then member 2 dies too. A
+/// dead taker must be detected like a dead home, the pins parked on it
+/// must move on to member 0 under their *home's* tag (member 1 — member
+/// 0 refuses keys tagged with the taker), and each pin must be counted
+/// once. When member 1 restarts with `--recover`, the pins parked for
+/// it are handed back, and outcomes and storage match a cluster that
+/// never crashed.
+#[test]
+fn kill9_taker_death_rehomes_pins_under_their_home_tag() {
+    let (reference, _rstorage, ref_dir) = start_cluster("chain-ref", 3, 1000, 6, 2);
+    let ref_addrs: Vec<SocketAddr> = reference.iter().map(DvServer::addr).collect();
+    let mut rc = DvCluster::connect(&ref_addrs, "test-ctx", steps()).unwrap();
+
+    // Faulted cluster: member 0 in-process, members 1 and 2 children.
+    let dir = std::env::temp_dir().join(format!("simfs-cluster-chain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (m0, _storage) = start_member(&dir, ClusterMember::new(0, 3), 1000, 6, 2);
+    let ports: Vec<u16> = {
+        // Reserve two distinct ports for the workers (bind-then-drop).
+        let probes: Vec<_> = (0..2)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        probes.iter().map(|p| p.local_addr().unwrap().port()).collect()
+    };
+    let addr = |port: u16| -> SocketAddr { format!("127.0.0.1:{port}").parse().unwrap() };
+    let mut w1 = spawn_member_worker(1, &dir, ports[0], false);
+    let mut w2 = spawn_member_worker(2, &dir, ports[1], false);
+    await_listening(addr(ports[0]));
+    await_listening(addr(ports[1]));
+
+    let addrs = [m0.addr(), addr(ports[0]), addr(ports[1])];
+    let mut cc = DvCluster::connect(&addrs, "test-ctx", steps()).unwrap();
+    cc.set_failover(true);
+    cc.set_down_window(Duration::from_millis(500));
+
+    // Pin 6 (home: member 1) and let interval 1 settle.
+    acquire_both(&mut cc, &mut rc, &[6], "pin 6");
+    quiesce(&mut cc, &mut rc, 4, "interval 1");
+
+    // kill -9 member 1: the pin on 6 re-homes onto taker 2, and 7
+    // follows it there.
+    w1.kill().unwrap();
+    w1.wait().unwrap();
+    acquire_both(&mut cc, &mut rc, &[7], "7 on taker 2");
+    assert_eq!(cc.members_down(), 1);
+    assert_eq!(cc.taken_over_pins(), 2, "6 and 7 parked on member 2");
+
+    // kill -9 the taker. 8's home is known dead and its taker dies
+    // under the acquire: member 2 is classified down, 6 and 7 move on
+    // to member 0 tagged with member 1, and 8 follows them.
+    w2.kill().unwrap();
+    w2.wait().unwrap();
+    acquire_both(&mut cc, &mut rc, &[8], "8 after the taker died");
+    assert_eq!(cc.members_down(), 2);
+    // 10: member 2's own cold interval, re-simulated by member 0.
+    acquire_both(&mut cc, &mut rc, &[10], "10 on member 0");
+    assert_eq!(cc.taken_over_pins(), 4, "6, 7, 8 and 10 on member 0, once each");
+    let takeovers = m0.stats().takeover_acquires;
+    assert!(takeovers >= 3, "re-home of 6 and 7, then 8, then 10: {takeovers}");
+    cc.release(6).unwrap();
+    rc.release(6).unwrap();
+    cc.release(10).unwrap();
+    rc.release(10).unwrap();
+    quiesce(&mut cc, &mut rc, 8, "interval 2");
+
+    // Member 1 restarts with --recover: the next acquire re-adopts it
+    // and hands the pins parked for it (7 and 8) back.
+    let mut w1 = spawn_member_worker(1, &dir, ports[0], true);
+    await_listening(addr(ports[0]));
+    acquire_both(&mut cc, &mut rc, &[5], "5 at home again");
+    assert_eq!(cc.members_down(), 1, "member 2 stays down");
+    assert_eq!(cc.taken_over_pins(), 0, "every parked pin must be handed back");
+    assert!(m0.stats().takeover_pins_handed_back >= 2);
+    quiesce(&mut cc, &mut rc, 8, "hand-back");
+    assert_eq!(
+        sdf_listing(&dir),
+        sdf_listing(&ref_dir),
+        "storage diverged from the uncrashed reference"
+    );
+
+    cc.finalize().unwrap();
+    rc.finalize().unwrap();
+    w1.kill().unwrap();
+    w1.wait().unwrap();
+    m0.shutdown();
+    for server in &reference {
+        server.shutdown();
+    }
+    drop((m0, reference));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
 /// Satellite: with auto-reconnect OFF, an op against a dead member must
 /// surface a typed [`MemberDown`] after the probe window — not hang.
 #[test]
@@ -898,7 +973,7 @@ fn dead_member_surfaces_member_down_instead_of_hanging() {
         probe.local_addr().unwrap().port()
     };
     let worker_addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
-    let child = spawn_member_worker(&dir, port, false);
+    let child = spawn_member_worker(1, &dir, port, false);
     await_listening(worker_addr);
 
     let addrs = [m0.addr(), worker_addr, m2.addr()];
