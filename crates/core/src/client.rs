@@ -65,12 +65,34 @@
 //! in `read` is woken once, for nothing, every time the daemon consumes
 //! the request it just sent, and a timed wait needs no socket option
 //! set and cleared around it.
+//!
+//! # The mapped hit path
+//!
+//! A same-host session of a solo, non-durable context receives two
+//! descriptors with its `HelloOk` and maps them: the context's hit
+//! table (read-only) and a mapping of its own (net.rs, "Trust model").
+//! [`SimfsClient::acquire`] then pins each resident key through one of
+//! its slots — a store, a fence, a load — and resolves it at once;
+//! only the other keys go out in an acquire frame. A release of such a
+//! pin clears the slot and sends nothing, so a resident `open → close`
+//! exchanges nothing with the daemon. The hit is recorded in a ring the daemon
+//! drains into the prefetch agents, with one small nudge frame when the
+//! ring fills or the daemon has parked. Because no frame is exchanged,
+//! a dead daemon would go unnoticed: a mapped session therefore polls
+//! its socket (zero timeout) once per 64 acquires or 20 ms, and
+//! [`VirtualFs`](crate::intercept::VirtualFs) retries a failed read
+//! behind a shared pin through the daemon — either finds a dead
+//! connection, which ends the mapping and, with auto-reconnect on,
+//! recovers the session as any other disconnect does. Pins taken either
+//! way are held alike: `held`, re-assertion and `release` do not care.
 
 use crate::dv::FailCode;
 use crate::model::StepMath;
 use crate::net::{self, Stream, Transport};
 use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY};
 use crate::route::{AcquireMode, ClusterRoute, Release, Route};
+use crate::shm::ClientMap;
+use crate::sys;
 use crate::wire::{self, ClientKind, FrameBatch, FrameReader, Membership, Request, Response};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -332,6 +354,11 @@ pub struct SimfsClient {
     /// Re-entrancy guard: a failure *during* recovery must surface,
     /// not recurse into another recovery.
     recovering: bool,
+    /// The mapped hit path, when the daemon handed one over at hello
+    /// (same host, solo non-durable context): resident keys pin through
+    /// this session's slots with no frame (module docs, "The mapped hit
+    /// path").
+    shared: Option<Box<ClientMap>>,
 }
 
 impl SimfsClient {
@@ -352,7 +379,7 @@ impl SimfsClient {
         membership: Option<Membership>,
     ) -> io::Result<SimfsClient> {
         let (stream, addr) = net::dial_any(addr)?;
-        let (stream, reader, client_id, epoch) =
+        let (stream, reader, client_id, epoch, shared) =
             Self::handshake(stream, context, membership, None)?;
         Ok(SimfsClient {
             stream,
@@ -372,18 +399,23 @@ impl SimfsClient {
             reconnects: 0,
             pins_reasserted: 0,
             recovering: false,
+            shared,
         })
     }
 
     /// The hello exchange over an already-connected socket.
     /// `prior_epoch` is `Some` on reconnects (the daemon counts them).
+    /// The reply is read through [`Stream::fd_reader`], one frame and
+    /// not a byte more: on the local arm it may carry the mapped hit
+    /// path's descriptors.
+    #[allow(clippy::type_complexity)]
     fn handshake(
         mut stream: Stream,
         context: &str,
         membership: Option<Membership>,
         prior_epoch: Option<u64>,
-    ) -> io::Result<(Stream, FrameReader<Stream>, u64, u64)> {
-        let mut reader = FrameReader::new(stream.try_clone()?);
+    ) -> io::Result<(Stream, FrameReader<Stream>, u64, u64, Option<Box<ClientMap>>)> {
+        let reader = FrameReader::new(stream.try_clone()?);
         wire::write_frame(
             &mut stream,
             &Request::Hello {
@@ -394,11 +426,13 @@ impl SimfsClient {
             }
             .encode(),
         )?;
-        let frame = reader
-            .read_frame()?
+        let mut fds = Vec::new();
+        let frame = wire::read_frame(&mut stream.fd_reader(&mut fds))?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no hello reply"))?;
         match Response::decode(&frame)? {
-            Response::HelloOk { client_id, epoch } => Ok((stream, reader, client_id, epoch)),
+            Response::HelloOk { client_id, epoch } => {
+                Ok((stream, reader, client_id, epoch, ClientMap::adopt(fds).map(Box::new)))
+            }
             Response::Error { message } => Err(io::Error::other(message)),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -459,8 +493,15 @@ impl SimfsClient {
     }
 
     /// Whether `err` should trigger recovery, and recovery is possible.
+    /// A dead connection also ends the mapped hit path at once: nothing
+    /// may be served from a dead daemon's table, whether or not a new
+    /// session follows.
     fn try_recover(&mut self, err: &io::Error, op: &'static str) -> bool {
-        if !self.auto_reconnect || self.recovering || !is_disconnect(err) {
+        if !is_disconnect(err) {
+            return false;
+        }
+        self.shared = None;
+        if !self.auto_reconnect || self.recovering {
             return false;
         }
         self.recovering = true;
@@ -485,7 +526,7 @@ impl SimfsClient {
         let window = self.reconnect_window;
         let deadline = Instant::now() + window;
         let mut delay = RECONNECT_MIN_DELAY;
-        let (stream, reader, client_id, epoch) = loop {
+        let (stream, reader, client_id, epoch, shared) = loop {
             let attempt = net::dial(&self.addr, Some(RECONNECT_CONNECT_TIMEOUT))
                 .and_then(|s| Self::handshake(s, &self.context, self.membership, Some(prior_epoch)));
             match attempt {
@@ -503,6 +544,9 @@ impl SimfsClient {
         self.reader = reader;
         self.client_id = client_id;
         self.epoch = epoch;
+        // The old mapping belonged to the dead session (its slots died
+        // with it); the pins it held are in `held` and re-asserted below.
+        self.shared = shared;
         self.reconnects += 1;
         if self.held.is_empty() {
             return Ok(());
@@ -625,25 +669,110 @@ impl SimfsClient {
 
     /// `SIMFS_Acquire_nb`: requests `keys` without blocking.
     pub fn acquire_nb(&mut self, keys: &[u64]) -> io::Result<AcquireRequest> {
-        self.acquire_as(keys, AcquireMode::Native)
+        self.acquire_as(keys, AcquireMode::Native, true)
     }
 
-    /// Requests `keys` under `mode` without blocking.
-    fn acquire_as(&mut self, keys: &[u64], mode: AcquireMode) -> io::Result<AcquireRequest> {
+    /// Requests `keys` under `mode` without blocking — the one acquire
+    /// path. With `shared`, a native request of a mapped session pins
+    /// resident keys through its slots first and resolves them at once;
+    /// only the rest go out in an acquire frame. Staged frames (a digest
+    /// nudge, releases) ride that frame, or go out alone when the
+    /// mapping served every key.
+    fn acquire_as(
+        &mut self,
+        keys: &[u64],
+        mode: AcquireMode,
+        shared: bool,
+    ) -> io::Result<AcquireRequest> {
         let req_id = self.next_req;
         self.next_req += 1;
         let op = match mode {
             AcquireMode::Native => "acquire",
             AcquireMode::Takeover { .. } => "takeover_acquire",
         };
-        self.deliver(Some(&acquire_frame(req_id, keys.to_vec(), mode)), op)?;
-        Ok(AcquireRequest {
+        let mut req = AcquireRequest {
             req_id,
             outstanding: keys.iter().copied().collect(),
             status: SimfsStatus::default(),
             queued: HashSet::new(),
             mode,
-        })
+        };
+        if shared && mode == AcquireMode::Native && self.shared.is_some() {
+            self.pin_shared(&mut req, keys, op)?;
+        }
+        if !req.outstanding.is_empty() {
+            let rest = keys.iter().copied().filter(|k| req.outstanding.contains(k)).collect();
+            self.deliver(Some(&acquire_frame(req_id, rest, mode)), op)?;
+        } else if !self.pending_out.is_empty() {
+            self.deliver(None, op)?;
+        }
+        Ok(req)
+    }
+
+    /// Serves what it can of `req` from the mapping: each resident key
+    /// pinned through a slot is ready (and held) at once and recorded
+    /// in the access ring under one epoch — a ready point on the
+    /// daemon's clock. Counts the open toward the liveness poll, which
+    /// runs first: a socket that turns out dead ends the mapping (and,
+    /// with auto-reconnect, brings a new session) before anything is
+    /// served from it.
+    fn pin_shared(&mut self, req: &mut AcquireRequest, keys: &[u64], op: &'static str) -> io::Result<()> {
+        let now = sys::monotonic_ns();
+        if self.shared.as_mut().is_some_and(|m| m.poll_due(now)) {
+            self.check_alive(op)?;
+        }
+        let Some(map) = self.shared.as_mut() else {
+            return Ok(());
+        };
+        let epoch = map.epoch(now);
+        let mut recorded = false;
+        for &key in keys {
+            if req.outstanding.contains(&key) && map.pin(key) {
+                req.outstanding.remove(&key);
+                req.status.ready.push(key);
+                *self.held.entry(key).or_insert(0) += 1;
+                recorded |= map.record(key, epoch);
+            }
+        }
+        if recorded && map.wants_nudge() {
+            self.pending_out.push_request(&Request::AccessDigest {
+                dropped: 0,
+                records: Vec::new(),
+            });
+        }
+        Ok(())
+    }
+
+    /// A mapped session's liveness check: one zero-timeout poll of the
+    /// socket. Frames that arrived meanwhile are kept for their
+    /// request; a dead connection surfaces here (and recovers, with
+    /// auto-reconnect on) instead of behind a hit served from a dead
+    /// daemon's table.
+    fn check_alive(&mut self, op: &'static str) -> io::Result<()> {
+        match self.pump_one(Some(Duration::ZERO)) {
+            Ok(Some(resp)) => self.stray.push(resp),
+            Ok(None) => {}
+            Err(e) => {
+                if !self.try_recover(&e, op) {
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Does a slot of the mapped hit path hold `key`?
+    pub(crate) fn holds_shared(&self, key: u64) -> bool {
+        self.shared.as_ref().is_some_and(|m| m.holds(key))
+    }
+
+    /// `SIMFS_Acquire` through the daemon even where the mapping could
+    /// serve: the retry [`VirtualFs`](crate::intercept::VirtualFs) makes
+    /// after a read behind a shared pin failed, which also tells a dead
+    /// daemon from a bad file.
+    pub(crate) fn acquire_via_daemon(&mut self, keys: &[u64]) -> io::Result<SimfsStatus> {
+        let mut req = self.acquire_as(keys, AcquireMode::Native, false)?;
+        self.wait(&mut req)
     }
 
     /// `SIMFS_Acquire`: blocks until every key is ready or failed.
@@ -673,6 +802,7 @@ impl SimfsClient {
                 dead_member,
                 origin_epoch,
             },
+            false,
         )
     }
 
@@ -922,13 +1052,17 @@ impl SimfsClient {
         Ok(status)
     }
 
-    /// `SIMFS_Release`: drops this client's pin on `key`. The frame is
-    /// staged and coalesced into the next request's write (releases
-    /// expect no response); sessions that release and then go idle
-    /// should call [`flush`](Self::flush) to push the pin drop out
-    /// immediately.
+    /// `SIMFS_Release`: drops this client's pin on `key`. A pin taken
+    /// through the mapping is dropped in its slot, at once, with nothing
+    /// to send. Otherwise the frame is staged and coalesced into the
+    /// next request's write (releases expect no response); sessions
+    /// that release and then go idle should call [`flush`](Self::flush)
+    /// to push the pin drop out immediately.
     pub fn release(&mut self, key: u64) -> io::Result<()> {
         self.forget_pin(key);
+        if self.shared.as_ref().is_some_and(|m| m.unpin(key)) {
+            return Ok(());
+        }
         self.pending_out.push_request(&Request::Release { key });
         // Cap the staging buffer: a pathological release-only loop
         // still reaches the daemon in bounded batches.
@@ -1510,7 +1644,7 @@ impl DvCluster {
                 Route::Down(member) => return Err(MemberDown { member, op }.into_io()),
             };
             self.stage_digest(m);
-            match self.members[m].acquire_as(keys, mode) {
+            match self.members[m].acquire_as(keys, mode, true) {
                 Ok(part) => return Ok((m, part)),
                 Err(e) => {
                     self.fail_dead(m, e)?;

@@ -384,6 +384,10 @@ dv_stats! {
     /// took a DV lock). Zero outside the daemon: the DV state machine
     /// itself only ever sees slow-path events.
     external acquired_fast,
+    /// Of `acquired_fast`: hits a mapped same-host session served
+    /// itself, pinning through its slots in the shared hit table with
+    /// no frame exchanged (live and departed sessions).
+    external shared_hits,
     /// Acquires that went through a DV shard lock (misses, hits in
     /// prefetching contexts, and fast-path fallbacks).
     daemon acquired_slow,
@@ -651,7 +655,8 @@ impl DataVirtualizer {
 
     /// Attaches a concurrent [`simcache::HitIndex`] replica to the
     /// cache: residents are published to it and evictions honour its
-    /// fast pins (the daemon's lock-free hit path).
+    /// pins — the daemon's fast pins and mapped sessions' slots (the
+    /// lock-free hit paths).
     pub fn attach_index(&mut self, index: std::sync::Arc<simcache::HitIndex>) {
         self.cache.attach_index(index);
     }
@@ -1447,7 +1452,7 @@ impl DataVirtualizer {
     pub fn handle_into(&mut self, now: SimTime, event: DvEvent, actions: &mut Vec<DvAction>) {
         // Legal with no locks held (harness use) or under exactly the
         // owning DV shard lock (daemon use) — never while an inner-tier
-        // lock (WAL, ledger, hit-index) is held, since eviction inside
+        // lock (WAL, ledger, pin-slots) is held, since eviction inside
         // this call re-enters the hit-index tier.
         lockrank::assert_none_held_below(lockrank::DV_SHARD.level, "DataVirtualizer::handle_into");
         match event {

@@ -54,10 +54,20 @@ impl VirtualFs {
         if let Some((k, reason)) = status.failed.first() {
             return Err(io::Error::other(format!("acquire of step {k} failed: {reason}")));
         }
-        let opened = self
-            .storage
-            .read(filename)
-            .and_then(|bytes| Dataset::decode(&bytes).map_err(io::Error::other));
+        let mut opened = self.read(filename);
+        if opened.is_err() && self.client.holds_shared(key) {
+            // A pin taken through the shared table involved no daemon:
+            // ask it now. A live daemon serves the step (re-simulating
+            // it if it is gone), a dead one surfaces — and, with
+            // auto-reconnect on, is recovered — instead of the session
+            // going on serving from its table.
+            self.client.release(key)?;
+            let status = self.client.acquire_via_daemon(&[key])?;
+            if let Some((k, reason)) = status.failed.first() {
+                return Err(io::Error::other(format!("acquire of step {k} failed: {reason}")));
+            }
+            opened = self.read(filename);
+        }
         if opened.is_err() {
             // The acquire pinned the step, but a failed open hands the
             // caller nothing to `close`: drop the pin here (flushed, as
@@ -68,6 +78,12 @@ impl VirtualFs {
         opened
     }
 
+    fn read(&self, filename: &str) -> io::Result<Dataset> {
+        self.storage
+            .read(filename)
+            .and_then(|bytes| Dataset::decode(&bytes).map_err(io::Error::other))
+    }
+
     /// Transparent `close`: releases the pin taken by
     /// [`open`](Self::open).
     pub fn close(&mut self, filename: &str) -> io::Result<()> {
@@ -76,7 +92,9 @@ impl VirtualFs {
         // The transparent API promises the pin is dropped at close —
         // an analysis may compute for hours before its next SimFS call,
         // and a staged release would hold the step unevictable the
-        // whole time. Flush instead of riding the next request.
+        // whole time. Flush instead of riding the next request. (A pin
+        // from the shared table is dropped in its slot by `release`,
+        // stages nothing, and the flush makes no write.)
         self.client.flush()
     }
 

@@ -43,6 +43,10 @@
 //!   doubles as an abstract Unix socket name, same-host sessions ride
 //!   that, remote ones ride TCP, and the framing, reactor and handlers
 //!   above cannot tell.
+//! * `shm` (crate-private) — the mapped hit path: a same-host session
+//!   of a solo, non-durable context maps the context's hit table and a
+//!   session mapping of its own at hello, and pins resident steps
+//!   through its own slots with no frame exchanged.
 //! * [`effectpool`] — the effect-execution tier: bounded per-shard
 //!   queues feeding helper threads that own every blocking effect
 //!   (sim launch/kill, WAL group-fsync, eviction deletes, storage
@@ -61,6 +65,7 @@ pub mod reactor;
 pub mod replay;
 mod route;
 pub mod server;
+mod shm;
 pub mod sys;
 pub mod vharness;
 pub mod wire;

@@ -65,6 +65,22 @@
 //! process that squats the name of a dead daemon is in the position
 //! of one that binds the dead daemon's port.
 //!
+//! **What a mapping grants.** At hello a daemon hands a local session
+//! of a solo, non-durable context two descriptors
+//! ([`Stream::fd_reader`] keeps them; a plain `read` drops them): its
+//! hit table and a session mapping (`crate::shm`). The table is sealed
+//! read-only — residency is the daemon's to write, and the kernel
+//! refuses a writable mapping of it — and both are sealed against
+//! resizing, so no peer can truncate memory under the daemon. What the
+//! session can write is its own mapping: pin slots, reference bits, a
+//! hit counter and an access ring. A slot vetoes the eviction of a key
+//! exactly as holding an `Acquire`d pin does, a reference bit is what an
+//! acquire + release sets anyway, and the ring carries what an
+//! `AccessDigest` frame could; the daemon bounds-checks every ring
+//! index and key it reads back. Its hangup drops all of it. So a
+//! mapping lets a client do nothing a frame could not — it saves the
+//! exchange, not a permission. A TCP session gets no mapping.
+//!
 //! Linux-only, like [`crate::sys`]: the abstract namespace is a Linux
 //! extension.
 
@@ -72,7 +88,7 @@ use crate::sys;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::linux::net::SocketAddrExt;
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::io::{AsRawFd, OwnedFd, RawFd};
 use std::os::unix::net::{SocketAddr as UnixAddr, UnixListener, UnixStream};
 use std::time::Duration;
 
@@ -157,6 +173,32 @@ impl Stream {
     /// Switches the socket between blocking and non-blocking mode.
     pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         either!(self, s => s.set_nonblocking(on))
+    }
+
+    /// A reader over this socket that also keeps the descriptors riding
+    /// the bytes it reads, appending them to `fds` — on the local arm,
+    /// where a daemon hands its mapped hit path over at hello (see
+    /// "Trust model"). TCP carries none.
+    pub fn fd_reader<'a>(&'a self, fds: &'a mut Vec<OwnedFd>) -> impl Read + 'a {
+        FdReader { stream: self, fds }
+    }
+}
+
+/// See [`Stream::fd_reader`].
+struct FdReader<'a> {
+    stream: &'a Stream,
+    fds: &'a mut Vec<OwnedFd>,
+}
+
+impl Read for FdReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.stream {
+            Stream::Unix(s) => sys::recv_with_fds(s.as_raw_fd(), buf, self.fds),
+            Stream::Tcp(s) => {
+                let mut s = s;
+                s.read(buf)
+            }
+        }
     }
 }
 

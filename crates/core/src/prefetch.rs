@@ -146,6 +146,14 @@ use std::ops::RangeInclusive;
 /// loses nothing, small enough to be per-connection state.
 pub const ACCESS_LOG_CAPACITY: usize = 1024;
 
+/// Adaptive digest drain: once this many records (¾ of
+/// [`ACCESS_LOG_CAPACITY`]) wait, the recorder asks for a drain now
+/// instead of waiting for the 20 ms reactor tick — a saturated single
+/// client would otherwise overflow between ticks and drop its freshest
+/// records. The daemon applies it to a connection's log; a mapped
+/// session to its shared ring, with a nudge frame.
+pub const DIGEST_HIGH_WATER: usize = ACCESS_LOG_CAPACITY - ACCESS_LOG_CAPACITY / 4;
+
 /// One observed acquire, recorded off the acquire path: who accessed
 /// which key, and when.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -92,7 +92,7 @@ use simkit::lockrank;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -197,6 +197,9 @@ pub struct ConnCtx<'a> {
     reactor: &'a Reactor,
     conn: ConnRef,
     transport: Transport,
+    /// The connection's socket, for the one write that carries
+    /// descriptors ([`write_with_fds`](Self::write_with_fds)).
+    fd: RawFd,
     out: &'a mut Vec<u8>,
 }
 
@@ -206,6 +209,20 @@ impl ConnCtx<'_> {
     /// [`Reactor::send_bytes`] to the same connection).
     pub fn write(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
+    }
+
+    /// Sends `bytes` now with `fds` attached (`SCM_RIGHTS`, local
+    /// transport only); whatever the socket does not take at once joins
+    /// the ordinary output. Refused — nothing sent — when output is
+    /// already pending (the bytes would overtake it) or the send fails;
+    /// the caller then writes plainly.
+    pub fn write_with_fds(&mut self, bytes: &[u8], fds: &[RawFd]) -> io::Result<()> {
+        if self.transport != Transport::Local || !self.out.is_empty() {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let sent = crate::sys::send_with_fds(self.fd, bytes, fds)?;
+        self.out.extend_from_slice(&bytes[sent..]);
+        Ok(())
     }
 
     /// Routes future [`Reactor::send_bytes`]`(client, ..)` calls to
@@ -454,12 +471,14 @@ enum ReadOutcome {
 
 /// Serves one readable event of `conn` (see [`read_and_dispatch`]).
 fn serve_readable(reactor: &Reactor, shard: usize, token: u64, conn: &mut Conn) -> ReadOutcome {
-    let transport = conn.reader.get_ref().transport();
+    let stream = conn.reader.get_ref();
+    let (transport, fd) = (stream.transport(), stream.as_raw_fd());
     read_and_dispatch(
         ConnCtx {
             reactor,
             conn: ConnRef { shard, token },
             transport,
+            fd,
             out: &mut conn.out,
         },
         &mut conn.reader,
@@ -737,6 +756,7 @@ fn run_shard(reactor: &Arc<Reactor>, idx: usize, epoll: &Epoll) {
                     reactor,
                     conn: ConnRef { shard: idx, token },
                     transport: reader.get_ref().transport(),
+                    fd: reader.get_ref().as_raw_fd(),
                     out,
                 };
                 CURRENT_CONN.with(|c| c.set((idx, token)));
@@ -883,6 +903,7 @@ mod tests {
                 reactor,
                 conn: ConnRef { shard: 0, token: 0 },
                 transport: Transport::Local,
+                fd: -1,
                 out: &mut out,
             },
             reader,

@@ -86,18 +86,28 @@
 //! the §IV hot path — an acquire of an already-virtualized step — gets
 //! cheaper as it gets more common. From least to most exclusive:
 //!
-//! 1. **Concurrent hit index (no DV lock).** Every context keeps a
-//!    [`simcache::HitIndex`]: a sharded, read-mostly replica of cache
-//!    membership with atomic fast-pin counts. A hit acquire pins the
-//!    key under one index-shard *read* lock, counts itself atomically,
-//!    and replies — it never touches a DV lock. Eviction (under the DV
-//!    shard lock) must win `try_retire` against the index, whose write
-//!    lock excludes in-flight pinners; a fast path that loses the race
-//!    observes the bumped shard generation and falls back to the slow
-//!    path. Fast releases likewise drop their pin with index atomics
-//!    only; each connection tracks its fast pins locally
-//!    (reactor-thread-owned state, no locks) and drains them on
-//!    disconnect.
+//! 1. **Shared hit table (no DV lock, often no daemon).** Every context
+//!    keeps a [`simcache::HitIndex`]: a flat table of one atomic word
+//!    per key — resident, retiring, a CLOCK reference bit and a count of
+//!    daemon-side pins. For a solo context without a WAL the table lives
+//!    in a `memfd` (`crate::shm`), and a same-host session receives it
+//!    sealed read-only at hello, with a session mapping of its own: it
+//!    pins a resident key by writing its own slot and checking the word,
+//!    releases by clearing the slot, and exchanges no frame for either.
+//!    Every other session — TCP, a durable context (each pin is
+//!    journaled), a clustered one, a takeover key — gets the daemon-side
+//!    fast pin against the same words: a CAS on the count, then the
+//!    reply straight into the connection's buffer, no DV lock. Eviction
+//!    (under the DV shard lock) must win `try_retire`: it marks the
+//!    word retiring and scans the slots of the context's mapped
+//!    sessions (the `pin-slots` registry, the one lock of the layer);
+//!    a pinner that sees the mark — or whose slot the scan sees —
+//!    falls back to the slow path. Each connection tracks its
+//!    daemon-side fast pins locally (reactor-thread-owned state) and
+//!    drains them on disconnect; a mapped session's hangup detaches its
+//!    slots, which is the whole of its reclaim. Mapped hits are counted
+//!    by the session and folded into `hits`, `acquired_fast` and
+//!    `shared_hits` at snapshot time.
 //!
 //! 1a. **Access digest (no locks on record, shard locks on drain).**
 //!    Prefetching contexts need their agents to observe the *full*
@@ -111,12 +121,20 @@
 //!    shard locks later: piggybacked on the connection's next slow-path
 //!    transition (which takes locks anyway), on a periodic reactor tick
 //!    when the stream is pure hits, or when a clustered client's
-//!    forwarded `AccessDigest` frame arrives. Replay feeds every shard
-//!    (each agent replica sees the whole sequence) while planning is
-//!    partitioned by interval ownership, so the shards' prefetch
-//!    launches compose without overlap. The digest tier takes no lock
-//!    of its own and is the reason prefetching contexts keep both
-//!    layer 1 and N-way DV sharding.
+//!    forwarded `AccessDigest` frame arrives. A mapped session records
+//!    its hits itself, into an SPSC ring in its mapping stamped on this
+//!    daemon's clock; the daemon moves the ring into the connection's
+//!    log before it handles each socket request of that session and on
+//!    the tick, so ring records and socket-recorded misses keep their
+//!    order. A tick that finds the ring empty parks the session, and the
+//!    client writes one empty `AccessDigest` when it finds it parked or
+//!    its ring past [`DIGEST_HIGH_WATER`] — so an idle daemon still
+//!    sleeps. Replay feeds every shard (each agent replica sees the
+//!    whole sequence) while planning is partitioned by interval
+//!    ownership, so the shards' prefetch launches compose without
+//!    overlap. The digest tier takes no lock of its own and is the
+//!    reason prefetching contexts keep both layer 1 and N-way DV
+//!    sharding.
 //! 1b. **Durability tier (WAL; durable deployments only).** A context
 //!    started with [`DurabilityCfg::wal`] keeps one append-only
 //!    [`simstore::walog::WriteAheadLog`] in its storage area, guarded
@@ -202,9 +220,10 @@ use crate::dv::{
 use crate::effectpool::EffectPool;
 use crate::model::{ContextCfg, StepMath};
 use crate::net::{self, Listener, Transport};
-use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY};
+use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY, DIGEST_HIGH_WATER};
 use crate::reactor::{ConnCtx, Reactor};
 use crate::route::{ownership_error, AcquireMode};
+use crate::shm::{ContextTable, SessionMap};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLIN};
 use crate::wire::{self, ClientKind, FrameBatch, Request, Response};
 use parking_lot::Mutex;
@@ -218,6 +237,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::SocketAddr;
 use std::ops::RangeInclusive;
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
 use std::thread::JoinHandle;
@@ -329,16 +349,6 @@ pub struct ServerConfig {
 /// effects are never dropped). `effectpool.queue_full` reads 0 on every
 /// `simfs_bench` workload at this value.
 const EFFECT_QUEUE_CAP: usize = 256;
-
-/// Hit-index lock shards (per context). Sixteen spreads neighbouring
-/// step keys over distinct read-write locks at negligible cost.
-const HIT_INDEX_SHARDS: usize = 16;
-
-/// Adaptive digest drain: once a connection's access ring is this full
-/// (¾ of [`ACCESS_LOG_CAPACITY`]), the next acquire drains it even on a
-/// pure-hit stream — a saturated single client would otherwise overflow
-/// the ring between 20 ms reactor ticks and drop its freshest records.
-const DIGEST_HIGH_WATER: usize = ACCESS_LOG_CAPACITY - ACCESS_LOG_CAPACITY / 4;
 
 /// The state guarded by one DV shard lock: the shard's state machine,
 /// the request bookkeeping its notifications resolve through, and the
@@ -473,6 +483,10 @@ struct ConnLocal {
     /// when the frame handler returns — a hit-path acquire→release
     /// round trip inside one window writes nothing.
     wal_pending: Vec<WalRecord>,
+    /// A same-host session of a solo, non-durable context: its shared
+    /// mapping — pin slots the context's index scans, and the access
+    /// ring its hits append to (layers 1 and 1a).
+    mapped: Option<SessionMap>,
 }
 
 impl ConnLocal {
@@ -484,6 +498,7 @@ impl ConnLocal {
             drain_scratch: Vec::new(),
             observe_local: true,
             wal_pending: Vec::new(),
+            mapped: None,
         }
     }
 }
@@ -558,6 +573,9 @@ struct CtxRuntime {
     /// The lock-free hit layer (every context — prefetching ones
     /// observe through the digest instead of the acquire path).
     fast: Arc<HitIndex>,
+    /// The shared memory `fast` lives in, for solo non-durable contexts
+    /// (`None`: heap, and every session pins through the daemon).
+    table: Option<ContextTable>,
     /// The context runs prefetch agents, fed by digest drains:
     /// connections record their access streams and the daemon replays
     /// them under the shard locks (layer 1a of the hierarchy).
@@ -597,12 +615,18 @@ struct CtxRuntime {
 
 struct Inner {
     contexts: HashMap<String, Arc<CtxRuntime>>,
-    epoch: Instant,
+    /// `CLOCK_MONOTONIC` at start-up: the origin of [`Inner::now`],
+    /// published in every context table so a mapped session stamps its
+    /// hits on the same clock.
+    clock_base: u64,
     addr: SocketAddr,
     /// The abstract Unix name bound beside `addr`, if any
     /// ([`crate::net`]).
     local_name: Option<String>,
     next_client: AtomicU64,
+    /// Set by [`DvServer::shutdown`]: the accept loop exits, and the
+    /// reaper stops between passes and before each context's
+    /// supervision step.
     shutdown: AtomicBool,
     reactor: Arc<Reactor>,
     /// Signalled at shutdown; registered in the accept loop's epoll
@@ -624,7 +648,7 @@ struct Inner {
 
 impl Inner {
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64)
+        SimTime::from_nanos(crate::sys::monotonic_ns().saturating_sub(self.clock_base))
     }
 
     /// Routes a hello's context name; an empty name with exactly one
@@ -1237,9 +1261,11 @@ impl CtxRuntime {
             active += core.dv.active_sims() as u64;
         }
         self.counters.overlay(&mut total);
-        let fast_hits = self.fast.fast_hits();
-        total.hits += fast_hits;
+        let shared_hits = self.fast.shared_hits();
+        let fast_hits = self.fast.fast_hits().saturating_add(shared_hits);
+        total.hits = total.hits.saturating_add(fast_hits);
         total.acquired_fast = fast_hits;
+        total.shared_hits = shared_hits;
         total.hit_fallbacks = self.fast.race_fallbacks();
         if let Some(wal) = &self.wal {
             let _rank = lockrank::held(lockrank::WAL);
@@ -1826,10 +1852,80 @@ impl CtxRuntime {
         }
     }
 
+    /// Greets a same-host analysis session of a context with a shared
+    /// table by mapping it (layer 1): a fresh session mapping, its pin
+    /// slots attached to the index *before* the client can pin, and
+    /// `greeting` sent with both descriptors. `None` — nothing sent —
+    /// when the session cannot map (TCP, a durable or clustered context,
+    /// or any failure on the way); the caller greets it plainly and it
+    /// pins through the daemon.
+    fn map_session(&self, cx: &mut ConnCtx<'_>, greeting: &Response) -> Option<SessionMap> {
+        if cx.transport() != Transport::Local {
+            return None;
+        }
+        let table = self.table.as_ref()?;
+        let (session, fd) = SessionMap::create(table, self.digest).ok()?;
+        self.fast.attach(Arc::clone(session.pins()));
+        let mut frame = FrameBatch::new();
+        frame.push_response(greeting);
+        if cx
+            .write_with_fds(frame.as_bytes(), &[table.fd(), fd.as_raw_fd()])
+            .is_err()
+        {
+            self.fast.detach(session.pins());
+            return None;
+        }
+        // Sent: the session holds its own duplicate; ours closes here.
+        Some(session)
+    }
+
+    /// Moves a mapped session's ring into its access log (layer 1a),
+    /// oldest first, replaying a full log into the agents between
+    /// chunks so nothing is lost to the log's bound. Returns the
+    /// records moved.
+    fn absorb_ring(
+        &self,
+        inner: &Inner,
+        client: ClientId,
+        local: &mut ConnLocal,
+        fx: &mut Effects,
+    ) -> usize {
+        if !local.mapped.as_ref().is_some_and(SessionMap::has_ring) {
+            return 0;
+        }
+        let mut moved = 0;
+        loop {
+            let ConnLocal {
+                mapped: Some(mapped),
+                log,
+                ..
+            } = local
+            else {
+                return moved;
+            };
+            log.note_dropped(mapped.take_dropped());
+            let room = ACCESS_LOG_CAPACITY - log.len();
+            let n = mapped.drain_ring(room, |key, epoch| {
+                log.push(AccessRecord {
+                    client,
+                    key,
+                    epoch,
+                    ready: true,
+                })
+            });
+            moved += n;
+            if n < room {
+                return moved;
+            }
+            self.drain_digest(inner, local, fx);
+            self.commit(inner, fx);
+        }
+    }
+
     /// Tears down an analysis session: drops the routing entry, returns
-    /// the connection's fast pins, clears pending request bookkeeping
-    /// in every shard, releases the client's DV-side pins via
-    /// `ClientGone`.
+    /// the connection's fast pins and drops its mapped slots, clears
+    /// pending request bookkeeping in every shard, releases the
+    /// client's DV-side pins via `ClientGone`.
     fn analysis_disconnect(
         &self,
         inner: &Inner,
@@ -1840,6 +1936,11 @@ impl CtxRuntime {
         self.reactor.unregister(client);
         for (key, pins) in local.fast_pins.drain() {
             self.fast.unpin(key, pins);
+        }
+        // A mapped session's reclaim is this: its slots stop vetoing.
+        // Nothing it pinned was counted anywhere else.
+        if let Some(mapped) = local.mapped.take() {
+            self.fast.detach(mapped.pins());
         }
         for shard in &self.shards {
             let _rank = lockrank::held(lockrank::DV_SHARD);
@@ -2092,9 +2193,11 @@ fn execute_effect_batch(mut jobs: Vec<EffectJob>) {
 }
 
 /// A running DV daemon; dropping it (or calling
-/// [`shutdown`](DvServer::shutdown)) stops the accept loop.
+/// [`shutdown`](DvServer::shutdown)) stops it.
 pub struct DvServer {
     inner: Arc<Inner>,
+    /// `dv-accept` and `dv-reaper`, joined by the first shutdown.
+    threads: StdMutex<Vec<JoinHandle<()>>>,
 }
 
 impl DvServer {
@@ -2121,6 +2224,7 @@ impl DvServer {
             .unwrap_or(1);
         let reactor = Reactor::start(cores)?;
         let accept_wake = EventFd::new()?;
+        let clock_base = crate::sys::monotonic_ns();
 
         let mut contexts = HashMap::new();
         let mut prime_work: Vec<(Arc<CtxRuntime>, Vec<u64>)> = Vec::new();
@@ -2143,7 +2247,19 @@ impl DvServer {
             // contexts decouple observation from acquisition: fast hits
             // are *recorded* into the per-connection digest and replayed
             // into the agents out-of-band instead of taking a DV lock.
-            let fast = Arc::new(HitIndex::new(HIT_INDEX_SHARDS));
+            // A solo context without a WAL lays the layer over shared
+            // memory that same-host sessions map (layer 1); a durable
+            // context journals every pin and a clustered one routes, so
+            // theirs stays on the heap and every pin goes through here.
+            let max_key = config.ctx.steps.n_outputs();
+            let (table, fast) = match (!cluster.is_clustered() && !config.durability.wal)
+                .then(|| ContextTable::create(max_key, clock_base))
+                .and_then(Result::ok)
+            {
+                Some((table, index)) => (Some(table), index),
+                None => (None, HitIndex::new(max_key as usize)),
+            };
+            let fast = Arc::new(fast);
             let digest = config.ctx.prefetch;
             // The shard composition (per-member and per-shard cfg
             // slices, cluster-wide sim-id striding, routing) comes from
@@ -2244,6 +2360,7 @@ impl DvServer {
                 cluster,
                 steps,
                 fast,
+                table,
                 digest,
                 counters: DaemonCounters::default(),
                 reactor: Arc::clone(&reactor),
@@ -2275,7 +2392,7 @@ impl DvServer {
         )?;
         let inner = Arc::new_cyclic(|weak_self| Inner {
             contexts,
-            epoch: Instant::now(),
+            clock_base,
             addr,
             local_name: listener.local_name().map(str::to_string),
             next_client: AtomicU64::new(next_client_floor),
@@ -2297,7 +2414,7 @@ impl DvServer {
             }
         }
 
-        Self::spawn_accept_loop(&inner, listener)?;
+        let accept = Self::spawn_accept_loop(&inner, listener)?;
 
         // Reaper: a launched job can die before it ever connects (bad
         // restart file, scheduler rejection). While jobs are in flight,
@@ -2306,13 +2423,16 @@ impl DvServer {
         // instead of a hang; while nothing runs, park on the condvar —
         // an idle daemon makes zero syscalls.
         let reap_inner = Arc::clone(&inner);
-        std::thread::Builder::new()
+        let reaper = std::thread::Builder::new()
             .name("dv-reaper".into())
             .spawn(move || run_reaper(&reap_inner))?;
-        Ok(DvServer { inner })
+        Ok(DvServer {
+            inner,
+            threads: StdMutex::new(vec![accept, reaper]),
+        })
     }
 
-    fn spawn_accept_loop(inner: &Arc<Inner>, listener: Listener) -> io::Result<()> {
+    fn spawn_accept_loop(inner: &Arc<Inner>, listener: Listener) -> io::Result<JoinHandle<()>> {
         // Event-driven accept: one epoll over the listening sockets
         // (token = the listener's accept source) and the shutdown
         // eventfd, so shutdown unblocks instantly.
@@ -2390,8 +2510,7 @@ impl DvServer {
                     }
                 }
             }
-        })?;
-        Ok(())
+        })
     }
 
     /// The bound address clients should connect to.
@@ -2444,8 +2563,16 @@ impl DvServer {
         names
     }
 
-    /// Stops accepting connections.
+    /// Stops the daemon: waits (bounded) for in-flight re-simulations,
+    /// stops accepting, drains the effect tier, and joins the accept
+    /// loop and the reaper — once this returns, the daemon launches
+    /// nothing more. Idempotent: `Drop` calls it again, and a later call
+    /// returns at once.
     pub fn shutdown(&self) {
+        let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
+        if threads.is_empty() {
+            return;
+        }
         // Quiesce before stopping the machinery: in-flight
         // re-simulations keep producing files until they report
         // SimFinished, and the reaper (which must keep running here —
@@ -2491,6 +2618,11 @@ impl DvServer {
             *stop = true;
         }
         self.inner.reap_signal.1.notify_all();
+        // A reaper in mid-pass finishes the step it is in — and takes no
+        // supervision step after it (`run_reaper`) — before this returns.
+        for thread in threads {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -2559,10 +2691,17 @@ fn run_reaper(inner: &Arc<Inner>) {
         // Poll pass: translate orphaned exits into DV events, expire
         // recovery leases whose client never returned, and run the
         // supervision tick (hang watchdog, due retries, quarantine
-        // sweeps).
+        // sweeps). A shutdown that lands mid-pass ends it before the
+        // next step that could launch a simulation.
         for runtime in inner.contexts.values() {
+            if inner.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
             runtime.expire_leases(inner, &mut fx);
             runtime.reap_exits(inner, &mut fx);
+            if inner.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
             runtime.supervise(inner, &mut fx);
         }
         // Re-poll cadence while jobs run; shutdown interrupts the wait.
@@ -2696,14 +2835,15 @@ impl crate::reactor::Handler for EpollConn {
                         // only exist after a request, which can only
                         // follow the HelloOk already in the buffer.
                         cx.register(client);
-                        direct_frame(
-                            cx,
-                            &Response::HelloOk {
-                                client_id: client,
-                                epoch: runtime.epoch,
-                            },
-                        );
+                        let greeting = Response::HelloOk {
+                            client_id: client,
+                            epoch: runtime.epoch,
+                        };
                         let mut local = ConnLocal::new();
+                        local.mapped = runtime.map_session(cx, &greeting);
+                        if local.mapped.is_none() {
+                            direct_frame(cx, &greeting);
+                        }
                         // Clustered sessions see only the keys routed
                         // here; their full stream arrives as forwarded
                         // AccessDigest frames instead of local records.
@@ -2744,6 +2884,13 @@ impl crate::reactor::Handler for EpollConn {
                 let Ok(req) = Request::decode(frame) else {
                     return false;
                 };
+                // Layer 1a: the session's shared-memory hits come
+                // first, so ring records and the accesses this request
+                // records stay in order.
+                if let Some(mapped) = &mut local.mapped {
+                    mapped.unpark();
+                }
+                runtime.absorb_ring(&self.inner, *client, local, fx);
                 let keep = runtime.handle_analysis_request(&self.inner, *client, req, local, cx, fx);
                 // Tier 1b: the frame's fast-path pin window becomes
                 // durable once the replies are staged (slow-path pins
@@ -2771,10 +2918,12 @@ impl crate::reactor::Handler for EpollConn {
     fn wants_tick(&self) -> bool {
         // A prefetching context's pure-hit connection never takes a DV
         // lock, so its recorded accesses would otherwise sit in the log
-        // forever: ask the reactor for ticks while records wait.
+        // forever: ask the reactor for ticks while records wait — and,
+        // for a mapped session, until a tick finds its ring empty.
         match &self.state {
             ConnState::Analysis { runtime, local, .. } => {
-                runtime.digest && !local.log.is_empty()
+                runtime.digest
+                    && (!local.log.is_empty() || local.mapped.as_ref().is_some_and(SessionMap::awake))
             }
             _ => false,
         }
@@ -2783,14 +2932,20 @@ impl crate::reactor::Handler for EpollConn {
     fn on_tick(&mut self, _cx: &mut ConnCtx<'_>) {
         if let ConnState::Analysis {
             runtime,
+            client,
             local,
             fx,
-            ..
         } = &mut self.state
         {
+            let absorbed = runtime.absorb_ring(&self.inner, *client, local, fx);
             if runtime.digest && !local.log.is_empty() {
                 runtime.drain_digest(&self.inner, local, fx);
                 runtime.commit(&self.inner, fx);
+            }
+            if absorbed == 0 {
+                if let Some(mapped) = &mut local.mapped {
+                    mapped.park();
+                }
             }
         }
     }

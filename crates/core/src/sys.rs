@@ -1,18 +1,24 @@
-//! Raw Linux syscall bindings for the epoll reactor ([`crate::reactor`])
-//! and the local transport ([`crate::net`]).
+//! Raw Linux syscall bindings for the epoll reactor ([`crate::reactor`]),
+//! the local transport ([`crate::net`]) and the mapped hit path
+//! (`crate::shm`).
 //!
 //! Hand-declared `extern "C"` prototypes against the libc `std` already
 //! links — no external crate, consistent with the vendored-offline
-//! dependency policy (see `vendor/README.md`). Only what those two
-//! need is bound: epoll instances, eventfd wakeup counters, raw-fd
-//! `read`/`write`/`close` for the eventfds, and the two socket calls
-//! `std` has no form of — a `connect` to an abstract Unix name that
-//! cannot block, and a `poll` for readability.
+//! dependency policy (see `vendor/README.md`). Only what those need is
+//! bound: epoll instances, eventfd wakeup counters, raw-fd
+//! `read`/`write`/`close` for the eventfds, the socket calls `std` has
+//! no form of — a `connect` to an abstract Unix name that cannot block,
+//! a `poll` for readability, and `sendmsg`/`recvmsg` carrying
+//! descriptors (`SCM_RIGHTS`) — plus shared memory (`memfd_create`,
+//! `fcntl` seals, `mmap`/`munmap`) and the monotonic clock both sides
+//! of a mapping stamp with.
 
 use std::io;
-use std::os::raw::{c_int, c_uint, c_void};
+use std::os::raw::{c_char, c_int, c_long, c_uint, c_void};
 use std::os::unix::io::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::ptr::NonNull;
+use std::sync::atomic::AtomicU64;
 
 /// Readable (or a peer hangup pending in the read queue).
 pub const EPOLLIN: u32 = 0x001;
@@ -37,6 +43,50 @@ const SOCK_STREAM: c_int = 1;
 const SOCK_NONBLOCK: c_int = 0o4000;
 const SOCK_CLOEXEC: c_int = 0o2000000;
 const POLLIN: i16 = 0x001;
+const MFD_CLOEXEC: c_uint = 0x1;
+const MFD_ALLOW_SEALING: c_uint = 0x2;
+const F_ADD_SEALS: c_int = 1033;
+const F_SEAL_SEAL: c_int = 0x1;
+const F_SEAL_SHRINK: c_int = 0x2;
+const F_SEAL_GROW: c_int = 0x4;
+const F_SEAL_FUTURE_WRITE: c_int = 0x10;
+const PROT_READ: c_int = 0x1;
+const PROT_WRITE: c_int = 0x2;
+const MAP_SHARED: c_int = 0x1;
+const SOL_SOCKET: c_int = 1;
+const SCM_RIGHTS: c_int = 1;
+const MSG_NOSIGNAL: c_int = 0x4000;
+const MSG_CMSG_CLOEXEC: c_int = 0x4000_0000;
+const CLOCK_MONOTONIC: c_int = 1;
+
+/// Descriptors one [`send_with_fds`] may carry.
+pub const MAX_FDS: usize = 4;
+
+/// `struct iovec`.
+#[repr(C)]
+struct IoVec {
+    base: *mut c_void,
+    len: usize,
+}
+
+/// `struct msghdr` (glibc layout: the length fields are `size_t`).
+#[repr(C)]
+struct MsgHdr {
+    name: *mut c_void,
+    namelen: c_uint,
+    iov: *mut IoVec,
+    iovlen: usize,
+    control: *mut c_void,
+    controllen: usize,
+    flags: c_int,
+}
+
+/// `struct timespec`.
+#[repr(C)]
+struct Timespec {
+    sec: c_long,
+    nsec: c_long,
+}
 
 /// `struct pollfd`.
 #[repr(C)]
@@ -80,6 +130,14 @@ extern "C" {
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn connect(fd: c_int, addr: *const SockaddrUn, len: c_uint) -> c_int;
     fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: c_int) -> c_int;
+    fn memfd_create(name: *const c_char, flags: c_uint) -> c_int;
+    fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+    fn mmap(addr: *mut c_void, len: usize, prot: c_int, flags: c_int, fd: c_int, off: c_long)
+        -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    fn sendmsg(fd: c_int, msg: *const MsgHdr, flags: c_int) -> isize;
+    fn recvmsg(fd: c_int, msg: *mut MsgHdr, flags: c_int) -> isize;
+    fn clock_gettime(clock: c_int, ts: *mut Timespec) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -159,6 +217,235 @@ pub fn wait_readable(fd: RawFd, timeout: Option<std::time::Duration>) -> io::Res
             }
         }
     }
+}
+
+/// Nanoseconds on `CLOCK_MONOTONIC` — the clock a daemon and the
+/// sessions that map its hit table share, so a stamp one side takes
+/// means the same on the other.
+pub fn monotonic_ns() -> u64 {
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a live, repr(C) timespec for the duration of the
+    // call; the clock id is valid, so the call cannot fail, and it
+    // writes only `ts`.
+    unsafe {
+        clock_gettime(CLOCK_MONOTONIC, &mut ts);
+    }
+    (ts.sec as u64)
+        .saturating_mul(1_000_000_000)
+        .saturating_add(ts.nsec as u64)
+}
+
+/// Bytes of a `cmsghdr` (`size_t` length, two ints), padded to the
+/// `size_t` alignment the kernel lays control messages out with.
+const CMSG_HDR: usize = (std::mem::size_of::<usize>() + 2 * std::mem::size_of::<c_int>())
+    .next_multiple_of(std::mem::size_of::<usize>());
+/// Control-buffer bytes for up to [`MAX_FDS`] descriptors.
+const CONTROL_BYTES: usize = CMSG_HDR + MAX_FDS * std::mem::size_of::<c_int>();
+
+/// Sends `bytes` with `fds` attached (`SCM_RIGHTS`) on the Unix socket
+/// `sock`; the descriptors ride the first byte. Returns the bytes
+/// written, which may be fewer than offered, like `write`. The caller
+/// keeps its descriptors: the peer receives duplicates. A reader that
+/// ignores ancillary data (a plain `read`) gets the bytes and the kernel
+/// closes the duplicates for it.
+pub fn send_with_fds(sock: RawFd, bytes: &[u8], fds: &[RawFd]) -> io::Result<usize> {
+    assert!(fds.len() <= MAX_FDS, "at most {MAX_FDS} descriptors per message");
+    let mut control = [0u8; CONTROL_BYTES];
+    let used = CMSG_HDR + std::mem::size_of_val(fds);
+    let int = std::mem::size_of::<c_int>();
+    let word = std::mem::size_of::<usize>();
+    control[..word].copy_from_slice(&used.to_ne_bytes());
+    control[word..word + int].copy_from_slice(&SOL_SOCKET.to_ne_bytes());
+    control[word + int..word + 2 * int].copy_from_slice(&SCM_RIGHTS.to_ne_bytes());
+    for (i, fd) in fds.iter().enumerate() {
+        let at = CMSG_HDR + i * int;
+        control[at..at + int].copy_from_slice(&fd.to_ne_bytes());
+    }
+    let mut iov = IoVec {
+        base: bytes.as_ptr().cast_mut().cast(),
+        len: bytes.len(),
+    };
+    let msg = MsgHdr {
+        name: std::ptr::null_mut(),
+        namelen: 0,
+        iov: &mut iov,
+        iovlen: 1,
+        control: control.as_mut_ptr().cast(),
+        controllen: if fds.is_empty() { 0 } else { used.next_multiple_of(word) },
+        flags: 0,
+    };
+    loop {
+        // SAFETY: `msg`, the iovec it points to and the control buffer
+        // are live for the call; the iovec describes the caller's
+        // `bytes`, which the kernel only reads, and the control message
+        // header was laid out above for exactly `fds.len()` descriptors.
+        let n = unsafe { sendmsg(sock, &msg, MSG_NOSIGNAL) };
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
+/// Receives into `buf` from the Unix socket `sock`, like `read`, and
+/// appends any descriptors that rode the bytes (`SCM_RIGHTS`, received
+/// close-on-exec) to `fds`. Descriptors beyond [`MAX_FDS`] are closed
+/// by the kernel.
+pub fn recv_with_fds(sock: RawFd, buf: &mut [u8], fds: &mut Vec<OwnedFd>) -> io::Result<usize> {
+    let mut control = [0u8; CONTROL_BYTES];
+    let mut iov = IoVec {
+        base: buf.as_mut_ptr().cast(),
+        len: buf.len(),
+    };
+    let mut msg = MsgHdr {
+        name: std::ptr::null_mut(),
+        namelen: 0,
+        iov: &mut iov,
+        iovlen: 1,
+        control: control.as_mut_ptr().cast(),
+        controllen: control.len(),
+        flags: 0,
+    };
+    let n = loop {
+        // SAFETY: `msg`, its iovec over the caller's writable `buf` and
+        // the control buffer are live for the call; the kernel writes at
+        // most `iov.len` bytes into `buf`, at most `controllen` into
+        // `control`, and updates the lengths in `msg`.
+        let n = unsafe { recvmsg(sock, &mut msg, MSG_CMSG_CLOEXEC) };
+        if n >= 0 {
+            break n as usize;
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    };
+    let int = std::mem::size_of::<c_int>();
+    let word = std::mem::size_of::<usize>();
+    let filled = &control[..msg.controllen.min(control.len())];
+    let mut at = 0;
+    while at + CMSG_HDR <= filled.len() {
+        let read_int =
+            |from: usize| c_int::from_ne_bytes(filled[from..from + int].try_into().expect("int"));
+        let len = usize::from_ne_bytes(filled[at..at + word].try_into().expect("size_t"));
+        if len < CMSG_HDR || at + len > filled.len() {
+            break;
+        }
+        if read_int(at + word) == SOL_SOCKET && read_int(at + word + int) == SCM_RIGHTS {
+            for i in 0..(len - CMSG_HDR) / int {
+                let fd = read_int(at + CMSG_HDR + i * int);
+                // SAFETY: the kernel installed `fd` in this process for
+                // this message; nothing else owns it yet, and `OwnedFd`
+                // closes it exactly once.
+                fds.push(unsafe { OwnedFd::from_raw_fd(fd) });
+            }
+        }
+        at += len.next_multiple_of(word);
+    }
+    Ok(n)
+}
+
+/// A shared mapping of a whole `memfd`, seen as atomic words; unmapped
+/// on drop. Two processes mapping one file share the words, and touch
+/// them only through atomics.
+#[derive(Debug)]
+pub struct Mapping {
+    ptr: NonNull<AtomicU64>,
+    words: usize,
+}
+
+// SAFETY: the mapping is plain shared memory reached only through
+// `&[AtomicU64]` (atomic accesses, which any thread may perform), and
+// `munmap` in `drop` is valid from any thread.
+unsafe impl Send for Mapping {}
+// SAFETY: as above — `&Mapping` hands out nothing but atomics.
+unsafe impl Sync for Mapping {}
+
+impl Mapping {
+    /// Creates an anonymous, sealable shared file of `words` zeroed
+    /// words (`memfd_create`, named `name` in `/proc/<pid>/fd` listings)
+    /// and maps it read-write. The descriptor is returned for sealing
+    /// ([`seal`]) and passing to a peer.
+    pub fn create(name: &std::ffi::CStr, words: usize) -> io::Result<(Mapping, OwnedFd)> {
+        // SAFETY: `name` is a NUL-terminated string live for the call;
+        // the flags are valid memfd_create flags and the return is
+        // error-checked.
+        let fd = cvt(unsafe { memfd_create(name.as_ptr(), MFD_CLOEXEC | MFD_ALLOW_SEALING) })?;
+        // SAFETY: `fd` was just returned by memfd_create and is owned by
+        // nothing else; `OwnedFd` closes it on every path below.
+        let fd = unsafe { OwnedFd::from_raw_fd(fd) };
+        let file = std::fs::File::from(fd);
+        file.set_len((words * 8) as u64)?;
+        let fd = OwnedFd::from(file);
+        let map = Mapping::map(&fd, true)?;
+        Ok((map, fd))
+    }
+
+    /// Maps all of `fd`, read-write or read-only. Its size must be a
+    /// positive multiple of eight bytes.
+    pub fn map(fd: &OwnedFd, writable: bool) -> io::Result<Mapping> {
+        let bytes = std::fs::File::from(fd.try_clone()?).metadata()?.len();
+        let bad = || io::Error::new(io::ErrorKind::InvalidData, "mapping size is not whole words");
+        let len = usize::try_from(bytes).map_err(|_| bad())?;
+        if len == 0 || len % 8 != 0 || len > isize::MAX as usize {
+            return Err(bad());
+        }
+        let prot = if writable { PROT_READ | PROT_WRITE } else { PROT_READ };
+        // SAFETY: a fresh shared mapping at a kernel-chosen address of
+        // exactly the file's size; nothing is aliased, and the result is
+        // checked against MAP_FAILED before use.
+        let ptr = unsafe { mmap(std::ptr::null_mut(), len, prot, MAP_SHARED, fd.as_raw_fd(), 0) };
+        if ptr as isize == -1 {
+            return Err(io::Error::last_os_error());
+        }
+        let ptr = NonNull::new(ptr.cast::<AtomicU64>()).ok_or_else(io::Error::last_os_error)?;
+        Ok(Mapping {
+            ptr,
+            words: len / 8,
+        })
+    }
+
+    /// The mapped words. A read-only mapping may only be *loaded* from,
+    /// and only with `Ordering::Relaxed` — the form of atomic load Rust
+    /// guarantees on read-only memory for word-sized atomics on the
+    /// 64-bit targets this runs on; anything else faults or is
+    /// undefined there.
+    pub fn words(&self) -> &[AtomicU64] {
+        // `ptr` is the page-aligned start of a live mapping of `words * 8`
+        // bytes that stays mapped until `drop`, which needs `&mut self`.
+        // SAFETY: so no borrow outlives the mapping; `AtomicU64` has the
+        // size and alignment of `u64`, and every access through the slice
+        // is atomic — a peer writing the same words races on atomics only.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.words) }
+    }
+}
+
+impl Drop for Mapping {
+    fn drop(&mut self) {
+        // SAFETY: `ptr`/`words * 8` are exactly what `mmap` returned and
+        // mapped; it is unmapped once, here, after every borrow of
+        // `words()` ended.
+        unsafe {
+            munmap(self.ptr.as_ptr().cast(), self.words * 8);
+        }
+    }
+}
+
+/// Seals the `memfd` `fd` against resizing — a peer can never truncate
+/// a mapping under its owner — and against further sealing. With
+/// `read_only`, also against every *new* writable mapping and write:
+/// mappings that already exist (its creator's) keep writing.
+pub fn seal(fd: &OwnedFd, read_only: bool) -> io::Result<()> {
+    let mut seals = F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_SEAL;
+    if read_only {
+        seals |= F_SEAL_FUTURE_WRITE;
+    }
+    // SAFETY: F_ADD_SEALS takes one int argument; `fd` is a live memfd
+    // this caller owns, and the return is error-checked.
+    cvt(unsafe { fcntl(fd.as_raw_fd(), F_ADD_SEALS, seals) }).map(|_| ())
 }
 
 /// An epoll instance; the fd is closed on drop.
@@ -449,6 +736,41 @@ mod tests {
         let (peer, ours) = UnixStream::pair().unwrap();
         drop(peer);
         assert!(wait_readable(ours.as_raw_fd(), None).unwrap());
+    }
+
+    #[test]
+    fn sealed_memfd_maps_shared_read_only_and_rides_a_unix_socket() {
+        use std::io::Read;
+        use std::sync::atomic::Ordering;
+        let (owner, fd) = Mapping::create(c"simfs-sys-test", 16).unwrap();
+        owner.words()[3].store(42, Ordering::Relaxed);
+        seal(&fd, true).unwrap();
+        assert!(Mapping::map(&fd, true).is_err(), "sealed: no new writable mapping");
+        assert_eq!(
+            std::fs::File::from(fd.try_clone().unwrap()).set_len(8).unwrap_err().kind(),
+            io::ErrorKind::PermissionDenied,
+            "sealed: no shrinking under the owner"
+        );
+
+        let (a, b) = UnixStream::pair().unwrap();
+        assert_eq!(send_with_fds(a.as_raw_fd(), b"hi", &[fd.as_raw_fd()]).unwrap(), 2);
+        let (mut buf, mut fds) = ([0u8; 8], Vec::new());
+        assert_eq!(recv_with_fds(b.as_raw_fd(), &mut buf, &mut fds).unwrap(), 2);
+        assert_eq!((&buf[..2], fds.len()), (&b"hi"[..], 1));
+        let peer = Mapping::map(&fds[0], false).unwrap();
+        assert_eq!(peer.words().len(), 16);
+        assert_eq!(peer.words()[3].load(Ordering::Relaxed), 42);
+        // The owner's writes keep reaching the peer's read-only view.
+        owner.words()[3].store(7, Ordering::Relaxed);
+        assert_eq!(peer.words()[3].load(Ordering::Relaxed), 7);
+
+        // A plain `read` takes the bytes; the kernel drops the
+        // descriptors for it.
+        send_with_fds(a.as_raw_fd(), b"x", &[fd.as_raw_fd()]).unwrap();
+        let mut byte = [0u8; 1];
+        (&b).read_exact(&mut byte).unwrap();
+        assert_eq!(&byte, b"x");
+        assert!(monotonic_ns() > 0);
     }
 
     #[test]

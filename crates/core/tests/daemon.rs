@@ -1496,3 +1496,139 @@ fn lock_rank_tracker_is_engaged_and_clean_across_supervision() {
         assert_eq!(simkit::lockrank::checks(), 0, "release tracker is compiled out");
     }
 }
+
+/// A [`ThreadSimLauncher`] whose `reap` waits while its gate is closed
+/// — how a test holds the reaper in the middle of a pass — and which
+/// counts the launches it is asked for.
+struct GatedReaper {
+    sims: ThreadSimLauncher,
+    gate: (std::sync::Mutex<bool>, std::sync::Condvar),
+    launches: std::sync::atomic::AtomicUsize,
+}
+
+impl GatedReaper {
+    fn open(&self) {
+        *self.gate.0.lock().unwrap() = true;
+        self.gate.1.notify_all();
+    }
+
+    fn launches(&self) -> usize {
+        self.launches.load(std::sync::atomic::Ordering::SeqCst)
+    }
+}
+
+impl simbatch::JobLauncher for GatedReaper {
+    fn launch(
+        &self,
+        job: simbatch::JobId,
+        spec: &simbatch::SpawnSpec,
+    ) -> std::io::Result<simbatch::JobHandle> {
+        self.launches.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.sims.launch(job, spec)
+    }
+
+    fn kill(&self, job: simbatch::JobId) -> std::io::Result<()> {
+        self.sims.kill(job)
+    }
+
+    fn reap(&self) -> Vec<(simbatch::JobId, bool)> {
+        let mut open = self.gate.0.lock().unwrap();
+        while !*open {
+            open = self.gate.1.wait(open).unwrap();
+        }
+        drop(open);
+        self.sims.reap()
+    }
+}
+
+/// `shutdown` joins the reaper: a daemon shut down while a retry waits
+/// out its backoff — and while the reaper is in the middle of a pass —
+/// launches nothing once `shutdown` has returned. (It used to signal the
+/// reaper and return; the pass then ran its supervision step and
+/// launched the retry into a stopped daemon.) A second `shutdown` — the
+/// one `Drop` makes — returns at once.
+#[test]
+fn shutdown_joins_the_reaper_so_no_retry_launches_after_it() {
+    let dir = std::env::temp_dir().join(format!("simfs-daemon-reapjoin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let storage = StorageArea::create(&dir, u64::MAX).unwrap();
+    let driver = Arc::new(PatternDriver::new("out-", ".sdf", 6));
+    let size = step_bytes(1).len() as u64;
+    let supervisor = simfs_core::model::SupervisorCfg {
+        backoff_base: simkit::Dur::from_millis(50),
+        backoff_cap: simkit::Dur::from_millis(50),
+        ..Default::default()
+    };
+    let ctx = ContextCfg::new("test-ctx", StepMath::new(1, 4, 64), size, 1000 * size)
+        .with_policy("dcl")
+        .with_smax(4)
+        .with_prefetch(false)
+        .with_supervisor(supervisor);
+    let launcher = Arc::new(GatedReaper {
+        sims: ThreadSimLauncher::new(
+            step_bytes,
+            |key| PatternDriver::new("out-", ".sdf", 6).filename_of(key),
+            Duration::from_millis(1),
+            Duration::from_millis(1),
+        )
+        .with_faults(simfs_core::server::SimFaultSpec {
+            crash_quota: 1,
+            ..Default::default()
+        }),
+        gate: Default::default(),
+        launches: Default::default(),
+    });
+    let server = Arc::new(
+        DvServer::start(
+            ServerConfig {
+                ctx,
+                driver,
+                storage,
+                launcher: launcher.clone(),
+                checksums: HashMap::new(),
+                dv_shards: 1,
+                cluster: ClusterMember::SOLO,
+                durability: DurabilityCfg::default(),
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap(),
+    );
+    // The first production crashes; its retry waits out the backoff —
+    // and, with the reaper held inside `reap` since the launch woke it,
+    // keeps waiting.
+    let mut client = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    let _pending = client.acquire_nb(&[2]).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().sim_retries < 1 {
+        assert!(std::time::Instant::now() < deadline, "the crash was never retried");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(100)); // the retry is due
+    assert_eq!(launcher.launches(), 1);
+
+    // Shut down with the retry still queued: the bounded quiesce wait
+    // runs out, then the reaper is told to stop — mid-pass.
+    let stopping = {
+        let (server, launcher) = (Arc::clone(&server), Arc::clone(&launcher));
+        std::thread::spawn(move || {
+            server.shutdown();
+            launcher.launches()
+        })
+    };
+    std::thread::sleep(Duration::from_millis(5300));
+    launcher.open();
+    let at_return = stopping.join().unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        launcher.launches(),
+        at_return,
+        "the daemon launched a simulation after shutdown returned"
+    );
+    assert_eq!(at_return, 1, "a stopping reaper launched the retry");
+    let again = std::time::Instant::now();
+    server.shutdown();
+    assert!(again.elapsed() < Duration::from_millis(100), "a second shutdown waits again");
+    drop(client);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -50,9 +50,20 @@ fn start_daemon(
     listen: &str,
     durability: DurabilityCfg,
 ) -> io::Result<DvServer> {
+    start_daemon_sized(dir, context, listen, durability, 1000)
+}
+
+/// [`start_daemon`] with a cache of `cache_steps` steps.
+fn start_daemon_sized(
+    dir: &Path,
+    context: &str,
+    listen: &str,
+    durability: DurabilityCfg,
+    cache_steps: u64,
+) -> io::Result<DvServer> {
     let storage = StorageArea::create(dir, u64::MAX)?;
     let size = step_bytes(1).len() as u64;
-    let ctx = ContextCfg::new(context, StepMath::new(1, 4, 64), size, 1000 * size)
+    let ctx = ContextCfg::new(context, StepMath::new(1, 4, 64), size, cache_steps * size)
         .with_policy("dcl")
         .with_smax(4)
         .with_prefetch(false);
@@ -293,6 +304,156 @@ fn equivalence_scripted_session_is_identical_over_tcp_and_unix() {
     assert_eq!(unix_stats.local_sessions, tcp_stats.local_sessions + 2);
 }
 
+/// Waits until the daemon behind `client` runs no re-simulation.
+fn settle(client: &mut SimfsClient) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while client.status().unwrap().active_sims != 0 {
+        assert!(Instant::now() < deadline, "re-simulation never retired");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// What one acquire resolved to: the ready keys and the failed keys,
+/// each sorted.
+fn outcome(status: &simfs_core::client::SimfsStatus) -> (Vec<u64>, Vec<u64>) {
+    let mut ready = status.ready.clone();
+    let mut failed: Vec<u64> = status.failed.iter().map(|(key, _)| *key).collect();
+    ready.sort_unstable();
+    failed.sort_unstable();
+    (ready, failed)
+}
+
+/// The DVLib script of the mapped-session equivalence arm, one entry
+/// per operation: a miss, a resident acquire released twice, `bitrep`,
+/// `status`, a multi-key acquire mixing resident, missing and invalid
+/// keys, and `finalize`.
+fn client_script(mut client: SimfsClient) -> Vec<String> {
+    let mut log = Vec::new();
+    log.push(format!("miss {:?}", outcome(&client.acquire(&[6]).unwrap())));
+    settle(&mut client);
+    log.push(format!("resident {:?}", outcome(&client.acquire(&[6]).unwrap())));
+    client.release(6).unwrap();
+    client.release(6).unwrap();
+    log.push(format!("bitrep {:?}", client.bitrep(6).unwrap()));
+    let status = client.status().unwrap();
+    log.push(format!("status {} {} {}", status.hits, status.misses, status.restarts));
+    // 5 and 7 are resident (6's interval), 10 and 11 are not, 100 lies
+    // past the timeline.
+    let mixed = client.acquire(&[5, 10, 7, 11, 100]).unwrap();
+    log.push(format!("mixed {:?}", outcome(&mixed)));
+    for key in mixed.ready {
+        client.release(key).unwrap();
+    }
+    settle(&mut client);
+    log.push(format!("finalize {:?}", client.finalize().is_ok()));
+    log
+}
+
+/// The third arm: the same DVLib script over a *mapped* local session —
+/// resident keys pinned through the shared table, no frame exchanged —
+/// and over TCP, where every pin is a frame. Same ready/failed sets per
+/// operation, same counters apart from the row that says which path the
+/// hits took.
+#[test]
+fn equivalence_mapped_session_matches_tcp() {
+    let run = |tag: &str, bind: &str, dial: [u8; 4]| {
+        let dir = fresh_dir(tag);
+        let server = start_daemon(&dir, "test-ctx", bind, DurabilityCfg::default()).unwrap();
+        let addr: SocketAddr = (dial, server.addr().port()).into();
+        let client = SimfsClient::connect(addr, "test-ctx").unwrap();
+        let transport = client.transport();
+        let log = client_script(client);
+        // The session's departure (and its releases) reach the daemon
+        // before the counters are read.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while [5, 6, 7, 10, 11]
+            .iter()
+            .any(|&k| server.fast_pinned("test-ctx", k) != Some(false))
+        {
+            assert!(Instant::now() < deadline, "{tag}: pins outlived the session");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = server.stats();
+        server.shutdown();
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+        (transport, log, stats)
+    };
+    let (mapped_arm, mapped_log, mapped) = run("equiv-mapped", "127.0.0.1:0", [127, 0, 0, 1]);
+    let (tcp_arm, tcp_log, tcp) = run("equiv-dvlib-tcp", "0.0.0.0:0", [127, 0, 0, 2]);
+    assert_eq!((mapped_arm, tcp_arm), (Transport::Local, Transport::Tcp));
+    assert_eq!(mapped_log, tcp_log, "operations resolve differently");
+    assert_eq!(
+        mapped_log[4],
+        "mixed ([5, 7, 10, 11], [100])",
+        "{mapped_log:#?}"
+    );
+    let counters = |stats: &DvStats| -> Vec<(&'static str, u64)> {
+        scripted_counters(stats)
+            .into_iter()
+            .filter(|(name, _)| *name != "shared_hits")
+            .collect()
+    };
+    assert_eq!(counters(&mapped), counters(&tcp));
+    // The resident acquire and the two resident keys of the mixed one
+    // never left the mapped session.
+    assert_eq!((mapped.shared_hits, tcp.shared_hits), (3, 0));
+    assert_eq!(mapped.acquired_fast, 3);
+}
+
+/// Times the calling thread has blocked so far — its voluntary context
+/// switches (`/proc/thread-self/status`). Every exchange with the
+/// daemon blocks for the reply; a socket send or receive is not a
+/// read or write the kernel's I/O accounting counts, but this wait is.
+fn thread_waits() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("voluntary_ctxt_switches")
+}
+
+/// A resident open with no exchange: 10 000 `acquire`/`release` pairs
+/// on resident keys over a mapped session make the calling thread wait
+/// fewer than 200 times in all, and never reach the daemon — where a
+/// socket session waits for a reply on nearly every pair (≈ 8 700 –
+/// 10 000 waits here before the mapped path existed).
+#[test]
+fn mapped_session_pins_resident_keys_without_an_exchange() {
+    let dir = fresh_dir("no-exchange");
+    let server = start_daemon(&dir, "test-ctx", "127.0.0.1:0", DurabilityCfg::default()).unwrap();
+    let mut client = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    assert_eq!(client.transport(), Transport::Local);
+    assert!(client.acquire(&[5]).unwrap().ok());
+    client.release(5).unwrap();
+    client.flush().unwrap();
+    settle(&mut client);
+
+    const PAIRS: u64 = 10_000;
+    let before = thread_waits();
+    for i in 0..PAIRS {
+        let key = 5 + i % 4;
+        let status = client.acquire(&[key]).unwrap();
+        assert_eq!(status.ready, [key]);
+        client.release(key).unwrap();
+    }
+    let waits = thread_waits() - before;
+    assert!(
+        waits < 200,
+        "{waits} waits for {PAIRS} resident acquire/release pairs"
+    );
+    // Every hit was the session's own: none reached the daemon's pins.
+    let stats = server.stats();
+    assert_eq!(stats.shared_hits, PAIRS, "{stats:?}");
+    assert_eq!(stats.hits, PAIRS, "{stats:?}");
+    assert_eq!(stats.acquired_fast, PAIRS, "{stats:?}");
+    client.finalize().unwrap();
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Selection
 // ---------------------------------------------------------------------
@@ -428,20 +589,45 @@ fn selection_two_daemons_on_one_port_are_never_confused() {
 // Lifecycle and write-side recovery, with a real kill -9
 // ---------------------------------------------------------------------
 
-/// Not a test on its own: the subprocess body of the two kill-9 tests
-/// below. They re-exec this test binary with `daemon_worker --exact`
-/// and the `SIMFS_TRANSPORT_*` environment set; it then serves a
-/// durable daemon until the parent SIGKILLs it. Without the
-/// environment (a normal `cargo test` run) it is a no-op.
+/// Not a test on its own: the subprocess body of the daemon kill-9
+/// tests below. They re-exec this test binary with `daemon_worker
+/// --exact` and the `SIMFS_TRANSPORT_*` environment set; it then serves
+/// a daemon — durable, unless `SIMFS_TRANSPORT_RECOVER` says `plain`
+/// (no WAL: its sessions map the context's hit table) — until the
+/// parent SIGKILLs it. Without the environment (a normal `cargo test`
+/// run) it is a no-op.
 #[test]
 fn daemon_worker() {
     let Ok(listen) = std::env::var("SIMFS_TRANSPORT_LISTEN") else {
         return;
     };
     let dir = PathBuf::from(std::env::var("SIMFS_TRANSPORT_DIR").unwrap());
-    let recover = std::env::var("SIMFS_TRANSPORT_RECOVER").as_deref() == Ok("1");
-    let _server = start_daemon(&dir, "test-ctx", &listen, DurabilityCfg::durable(recover))
+    let durability = match std::env::var("SIMFS_TRANSPORT_RECOVER").as_deref() {
+        Ok("plain") => DurabilityCfg::default(),
+        Ok(recover) => DurabilityCfg::durable(recover == "1"),
+        Err(_) => DurabilityCfg::durable(false),
+    };
+    let _server = start_daemon(&dir, "test-ctx", &listen, durability)
         .unwrap_or_else(|e| panic!("worker cannot serve {listen}: {e}"));
+    loop {
+        std::thread::park();
+    }
+}
+
+/// Not a test on its own: the subprocess body of the client kill-9
+/// test. With `SIMFS_TRANSPORT_PIN` set it connects to the daemon at
+/// `SIMFS_TRANSPORT_PIN_ADDR`, acquires the resident key it names —
+/// a pin taken through the shared table — and holds it until the
+/// parent SIGKILLs it. Otherwise a no-op.
+#[test]
+fn pinning_client_worker() {
+    let Ok(key) = std::env::var("SIMFS_TRANSPORT_PIN") else {
+        return;
+    };
+    let addr: SocketAddr = std::env::var("SIMFS_TRANSPORT_PIN_ADDR").unwrap().parse().unwrap();
+    let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
+    let key: u64 = key.parse().unwrap();
+    assert_eq!(client.acquire(&[key]).unwrap().ready, [key]);
     loop {
         std::thread::park();
     }
@@ -459,11 +645,17 @@ impl Drop for Worker {
 }
 
 fn spawn_worker(dir: &Path, listen: &str, recover: bool) -> Worker {
+    spawn_worker_as(dir, listen, if recover { "1" } else { "0" })
+}
+
+/// A daemon worker in `mode`: `"0"` durable, `"1"` durable with
+/// `--recover`, `"plain"` without a WAL.
+fn spawn_worker_as(dir: &Path, listen: &str, mode: &str) -> Worker {
     let child = std::process::Command::new(std::env::current_exe().unwrap())
         .args(["daemon_worker", "--exact"])
         .env("SIMFS_TRANSPORT_DIR", dir)
         .env("SIMFS_TRANSPORT_LISTEN", listen)
-        .env("SIMFS_TRANSPORT_RECOVER", if recover { "1" } else { "0" })
+        .env("SIMFS_TRANSPORT_RECOVER", mode)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -588,4 +780,119 @@ fn write_side_disconnect_recovers_on_both_transports() {
         drop(worker);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    // A mapped session finds out at neither: its resident opens write
+    // nothing. The daemon it maps (no WAL, so its hit table is shared)
+    // is killed and restarted with `--recover` between two resident
+    // opens; the mapping still says "resident", so the next open must
+    // be the liveness poll's — a recovered session, not a hit served
+    // from the dead daemon's table.
+    let dir = fresh_dir("dead-map");
+    let addr: SocketAddr = ([127, 0, 0, 1], free_port()).into();
+    let listen = addr.to_string();
+    let worker = spawn_worker_as(&dir, &listen, "plain");
+    await_listening(addr);
+    let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
+    client.set_auto_reconnect(true);
+    client.set_op_timeout(Some(Duration::from_secs(10)));
+    assert!(client.acquire(&[6]).unwrap().ok());
+    client.release(6).unwrap();
+    client.flush().unwrap();
+    let before = thread_waits();
+    for _ in 0..100 {
+        assert!(client.acquire(&[6]).unwrap().ok());
+        client.release(6).unwrap();
+        client.flush().unwrap();
+    }
+    let waits = thread_waits() - before;
+    assert!(waits < 20, "{waits} waits for 100 resident opens: not mapped");
+
+    drop(worker); // kill -9
+    let worker = spawn_worker(&dir, &listen, true);
+    await_listening(addr);
+    // Past the poll's time bound, whatever the restart took.
+    std::thread::sleep(Duration::from_millis(25));
+    let status = client.acquire(&[6]).unwrap();
+    assert_eq!(status.ready, [6], "{status:?}");
+    assert_eq!(client.reconnects(), 1, "served from the dead daemon's mapping");
+    assert_eq!(client.epoch(), 1, "the recovered instance's epoch");
+    client.release(6).unwrap();
+    client.finalize().unwrap();
+    drop(worker);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The other direction: a *client* killed while it holds a pin taken
+/// through the shared table. Its hangup alone must free the key — a
+/// 4-step cache flooded with fresh intervals pushes the key's file out
+/// within 5 s — while a live mapped session's pin, taken the same way,
+/// keeps its key resident through the whole flood.
+#[test]
+fn killed_mapped_client_leaves_no_pin_and_takes_no_other() {
+    let dir = fresh_dir("client-kill");
+    let server =
+        start_daemon_sized(&dir, "test-ctx", "127.0.0.1:0", DurabilityCfg::default(), 4).unwrap();
+    let driver = PatternDriver::new("out-", ".sdf", 6);
+    let on_disk = |key: u64| dir.join(driver.filename_of(key)).exists();
+    let (victim_key, held_key) = (2u64, 6u64);
+
+    // The live session: make 6 resident, then hold it through the table.
+    let mut holder = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    assert!(holder.acquire(&[held_key]).unwrap().ok());
+    settle(&mut holder);
+    holder.release(held_key).unwrap();
+    holder.flush().unwrap();
+    assert_eq!(holder.acquire(&[held_key]).unwrap().ready, [held_key]);
+    assert_eq!(server.stats().shared_hits, 1, "the holder's pin is a slot pin");
+
+    // Make 2 resident, then let a worker process pin it the same way.
+    let mut flood = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    // (Released only once its interval is complete: no insert after the
+    // release may evict it.)
+    assert!(flood.acquire(&[victim_key]).unwrap().ok());
+    settle(&mut flood);
+    flood.release(victim_key).unwrap();
+    flood.flush().unwrap();
+    let worker = Worker(
+        std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["pinning_client_worker", "--exact"])
+            .env("SIMFS_TRANSPORT_PIN", victim_key.to_string())
+            .env("SIMFS_TRANSPORT_PIN_ADDR", server.addr().to_string())
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn client worker"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while server.stats().shared_hits < 2 {
+        assert!(Instant::now() < deadline, "the worker never pinned {victim_key}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.fast_pinned("test-ctx", victim_key), Some(true));
+    drop(worker); // kill -9, pin held
+
+    // Flood fresh intervals through the 4-step cache until the dead
+    // client's key is gone; the live one's must survive every round.
+    let mut interval_key = 10u64;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while on_disk(victim_key) {
+        assert!(
+            Instant::now() < deadline,
+            "key {victim_key} outlived its killed client's pin"
+        );
+        assert!(flood.acquire(&[interval_key]).unwrap().ok());
+        flood.release(interval_key).unwrap();
+        flood.flush().unwrap();
+        settle(&mut flood);
+        assert!(on_disk(held_key), "a live session's pinned key was evicted");
+        assert_eq!(server.fast_pinned("test-ctx", held_key), Some(true));
+        interval_key = 10 + (interval_key + 4 - 10) % 48;
+    }
+    assert_eq!(server.fast_pinned("test-ctx", victim_key), Some(false));
+    holder.release(held_key).unwrap();
+    holder.finalize().unwrap();
+    flood.finalize().unwrap();
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }

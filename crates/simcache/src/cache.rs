@@ -162,9 +162,9 @@ impl CacheSim {
             match self.policy.evict(&pinned as PinFn<'_>) {
                 Some(victim) => {
                     // The index is the authoritative gate against
-                    // concurrent fast pins: its write lock excludes the
-                    // read-lock-holding pinners, so a Retired verdict
-                    // cannot race a pin.
+                    // concurrent pins: a pinner either sees the word
+                    // retiring or is seen by the retirement's slot
+                    // scan, so a Retired verdict cannot race a pin.
                     let verdict = match &self.index {
                         Some(idx) => idx.try_retire(victim),
                         None => Retire::Absent,

@@ -49,7 +49,7 @@ pub use arc::Arc;
 pub use cache::{CacheSim, CacheStats};
 pub use costlru::{Bcl, Dcl};
 pub use fifo::Fifo;
-pub use hitindex::{HitIndex, Retire};
+pub use hitindex::{HitIndex, Retire, SessionPins, Words};
 pub use lirs::Lirs;
 pub use fasthash::{u64_map, u64_set, U64Map, U64Set};
 pub use lru::Lru;

@@ -10,7 +10,7 @@
 //! while holding a lock whose registry row forbids blocking — the same
 //! ordering the lint checks on the source text, but across function and
 //! crate boundaries the syntactic pass cannot see (e.g. cache eviction
-//! inside the DV engine touching the `HitIndex` write lock while the
+//! inside the DV engine scanning the `HitIndex` session slots while the
 //! caller holds a DV shard).
 //!
 //! In release builds every function here compiles to nothing: [`held`]
@@ -68,9 +68,10 @@ pub const EFFECT_QUEUE: Rank = Rank { level: 50, name: "effect-queue", blocking:
 /// Per-key-range DV shard mutex (tier 2 in the server doc). The hot
 /// lock: everything under it must be pure state-machine work.
 pub const DV_SHARD: Rank = Rank { level: 40, name: "dv-shard", blocking: false };
-/// `HitIndex` shard `RwLock` (tier 1). Taken on the lock-free fast path
-/// and, for writes, under a DV shard lock during publish/evict.
-pub const HIT_INDEX: Rank = Rank { level: 30, name: "hit-index", blocking: false };
+/// `HitIndex` session-slot registry mutex (tier 1). Taken by the
+/// eviction slot scan under a DV shard lock, and briefly when a mapped
+/// session attaches, detaches or has its hits counted.
+pub const PIN_SLOTS: Rank = Rank { level: 30, name: "pin-slots", blocking: false };
 /// Daemon WAL mutex (tier 1b). Its entire purpose is batched file I/O,
 /// so blocking is allowed *under it* — but it is a leaf: no other
 /// documented lock may be acquired while it is held.
