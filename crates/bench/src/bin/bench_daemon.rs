@@ -3,19 +3,20 @@
 //! the Fig. 4 control-message pattern that bounds how many concurrent
 //! analyses one context can serve. Every pair is one full
 //! request/response round trip through the wire codec, the reactor and
-//! the DV control plane (hit fast path, shard locks), so the numbers
-//! directly track the front-end work in `server.rs`/`reactor.rs`.
+//! the DV control plane (hit fast path, the DV lock), so the numbers
+//! directly track the front-end work in `server.rs`/`reactor.rs`. Each
+//! daemon runs one DV per context (the only configuration there is).
 //!
 //! ```sh
 //! cargo run --release -p simfs-bench --bin bench_daemon -- \
 //!     [--workloads uniform,hitheavy,zipf,uniform+prefetch,hitheavy+prefetch] \
-//!     [--clients 1,2,4,...] [--secs 2] [--dv-shards 4] \
-//!     [--cluster 1] [--out BENCH_daemon.json]
+//!     [--clients 1,2,4,...] [--secs 2] [--cluster 1] \
+//!     [--out BENCH_daemon.json]
 //! ```
 //!
 //! A `+prefetch` suffix runs the workload with prefetch agents on —
-//! the configuration that historically forfeited the fast path and DV
-//! sharding, and now keeps both through the access-stream digest. Those
+//! the configuration that historically forfeited the fast path, and now
+//! keeps it through the access-stream digest. Those
 //! runs additionally report agent-quality counters per point: prefetch
 //! launches and hits, pollution resets, kills, and digest
 //! replayed/dropped records (the lossiness actually incurred).
@@ -53,8 +54,8 @@
 //!   ahead of time; uniform requests mix fast-path hits with cold
 //!   misses that launch real re-simulations mid-measurement.
 //! * **zipf** — zipfian (θ = 0.99) requests over the warmed 64-key
-//!   timeline: the hottest keys cluster in one restart interval, so
-//!   both the hit-index shards and one DV shard see heavy skew.
+//!   timeline: the hottest keys cluster in one restart interval, so a
+//!   few hit-index words see heavy skew.
 //!
 //! Per point it records throughput, p50/p99 round-trip latency, and the
 //! daemon's control-plane counter deltas: fast-path vs slow-path
@@ -190,12 +191,10 @@ fn step_bytes(key: u64) -> Vec<u8> {
     ds.encode().to_vec()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn start_daemon(
     dir: &std::path::Path,
     n_keys: u64,
     cache_steps: u64,
-    dv_shards: u32,
     member: ClusterMember,
     prefetch: bool,
     durable: bool,
@@ -231,7 +230,7 @@ fn start_daemon(
             storage: storage.clone(),
             launcher,
             checksums: HashMap::new(),
-            dv_shards,
+            dv_shards: 1,
             cluster: member,
             durability: if durable {
                 DurabilityCfg::durable(false)
@@ -448,7 +447,6 @@ fn main() {
     let mut clients_override: Option<Vec<usize>> = None;
     let mut secs = 2.0f64;
     let mut out = String::from("BENCH_daemon.json");
-    let mut dv_shards = 4u32;
     let mut cluster = 1u32;
     let mut durable = false;
     let mut degraded = false;
@@ -485,7 +483,6 @@ fn main() {
             }
             "--secs" => secs = val.parse().expect("bad --secs"),
             "--out" => out = val,
-            "--dv-shards" => dv_shards = val.parse().expect("bad --dv-shards"),
             "--cluster" => cluster = val.parse().expect("bad --cluster"),
             "--sim-faults" => sim_faults = val.parse().expect("bad --sim-faults"),
             "--workloads" => {
@@ -519,7 +516,6 @@ fn main() {
                     &dir,
                     workload.n_keys(),
                     workload.cache_steps(cluster),
-                    dv_shards,
                     ClusterMember::new(k, cluster),
                     spec.prefetch,
                     durable,
@@ -739,7 +735,7 @@ fn main() {
     // so runs at different cluster sizes can be merged into one file
     // (as the committed BENCH_daemon.json is).
     let json = format!(
-        "{{\n  \"bench\": \"daemon_acquire_release_roundtrips\",\n  \"dv_shards\": {dv_shards},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"daemon_acquire_release_roundtrips\",\n  \"results\": [\n{}\n  ]\n}}\n",
         lines.join(",\n")
     );
     std::fs::write(&out, json).unwrap();

@@ -25,8 +25,8 @@
 //!
 //! [`DvCluster`] is the multi-daemon routing tier: the same API surface
 //! over K daemons, each owning a disjoint set of restart intervals.
-//! DVLib hashes every key's interval to its owning daemon (the exact
-//! rule [`crate::dv::DvRouter`] applies intra-process) and multiplexes
+//! DVLib hashes every key's interval to its owning daemon (the rule
+//! [`crate::dv::ClusterMember::owns_key`] checks daemon-side) and multiplexes
 //! one write-coalescing [`SimfsClient`] connection per daemon; teardown
 //! ([`DvCluster::finalize`] or drop) fans out to every member, so each
 //! daemon releases this client's pins.
@@ -1279,8 +1279,8 @@ impl ClusterAcquireRequest {
 /// An analysis session spanning a cluster of DV daemons (§III scaled
 /// out): daemon `k` of `K` owns the restart intervals with
 /// `interval % K == k`, so every request routes to exactly one member —
-/// by the same interval-granularity hash [`crate::dv::DvRouter`] uses
-/// for intra-process shards (raw `key % K` would scatter each
+/// by the interval hash [`crate::dv::ClusterMember::owns_key`] checks
+/// on the daemon side (raw `key % K` would scatter each
 /// re-simulation's claims, waiters and productions across daemons).
 /// Each member connection is a full [`SimfsClient`], so the
 /// write-coalescing of fire-and-forget `Release` frames applies

@@ -254,7 +254,7 @@ pub enum DvAction {
 /// cannot be missing from any of them.
 ///
 /// * `dv` rows are incremented by the [`DataVirtualizer`] state machine
-///   itself; a daemon snapshot is the sum over its shards.
+///   itself; a cluster's totals are the sum over its members.
 /// * `daemon` rows are incremented by the daemon around the state
 ///   machine. Each gets an `AtomicU64` of the same name in
 ///   `DaemonCounters`, whose `overlay` copies them into a snapshot.
@@ -276,7 +276,7 @@ macro_rules! dv_stats {
             /// Every counter's name, in table order.
             pub const FIELDS: &'static [&'static str] = &[$(stringify!($name)),*];
 
-            /// Adds `other`'s counters into `self` (shard/context
+            /// Adds `other`'s counters into `self` (member/context
             /// roll-ups).
             pub fn accumulate(&mut self, other: &DvStats) {
                 $(self.$name += other.$name;)*
@@ -362,8 +362,8 @@ dv_stats! {
     dv prefetch_launches,
     /// Prefetch launches covering less than one whole restart interval:
     /// each pays a full restart latency for a fragment. Plans are
-    /// restart-aligned, so these come from ownership cuts (explicit
-    /// DV shards, cluster members) and timeline-end clamps.
+    /// restart-aligned, so these come only from cluster ownership cuts
+    /// and timeline-end clamps.
     dv prefetch_partial_launches,
     /// Consumption-time (`tau_cli`) samples fed to the prefetch agents,
     /// by acquires (inline observation) or by digest replay.
@@ -388,15 +388,15 @@ dv_stats! {
     /// itself, pinning through its slots in the shared hit table with
     /// no frame exchanged (live and departed sessions).
     external shared_hits,
-    /// Acquires that went through a DV shard lock (misses, hits in
+    /// Acquires that went through the DV lock (misses, hits in
     /// prefetching contexts, and fast-path fallbacks).
     daemon acquired_slow,
     /// Fast-path attempts that raced an eviction and fell back to the
     /// locked path (the epoch/generation check fired).
     external hit_fallbacks,
-    /// Nanoseconds daemon threads spent *waiting* for DV shard locks.
+    /// Nanoseconds daemon threads spent *waiting* for the DV lock.
     daemon lock_wait_ns,
-    /// Nanoseconds daemon threads spent *holding* DV shard locks.
+    /// Nanoseconds daemon threads spent *holding* the DV lock.
     daemon lock_hold_ns,
     /// Number of timed DV-lock acquisitions behind the two counters
     /// above.
@@ -406,8 +406,8 @@ dv_stats! {
     /// daemon-wide and mirrored into every context's snapshot.
     daemon accept_retries,
     /// Access records replayed into the prefetch agents out-of-band
-    /// (digest drains). Each record is counted once, by the shard that
-    /// owns its key.
+    /// (digest drains). Each record is counted once, by the cluster
+    /// member that owns its key.
     dv digest_replayed,
     /// Access records lost to digest-ring overflow before they reached
     /// the agents (the lossiness half of the observation contract;
@@ -584,9 +584,10 @@ pub struct DataVirtualizer {
     /// Reusable victim list for the kill path (no per-event allocs).
     kill_scratch: Vec<SimId>,
     next_sim: SimId,
-    /// Distance between consecutive sim ids (1 unsharded; the shard
-    /// count under [`ShardedDv`], so `(sim - 1) % stride` recovers the
-    /// owning shard).
+    /// Distance between consecutive sim ids: 1 for a solo DV, the
+    /// cluster size for a [`for_member`](Self::for_member) DV, so
+    /// `(sim - 1) % stride` recovers the member that launched a sim and
+    /// no two members ever collide on an id.
     sim_stride: SimId,
     /// Agent observation arrives out-of-band through
     /// [`ingest_digest`](Self::ingest_digest) instead of inside
@@ -594,14 +595,6 @@ pub struct DataVirtualizer {
     /// feeding the agents and sampling `tau_cli`, so replayed records
     /// are the single source of observation.
     digest_observation: bool,
-    /// A §IV-C pollution reset fired in this DV since the flag was last
-    /// taken. In a sharded deployment every shard holds its own replica
-    /// of each client's agents, so the front-end must fan the reset out
-    /// ([`take_pollution_signal`](Self::take_pollution_signal) /
-    /// [`apply_pollution_reset`](Self::apply_pollution_reset)) — a
-    /// reset confined to one shard would leave the sibling replicas
-    /// planning from the very trajectory that polluted the cache.
-    pollution_signal: bool,
     alpha_sim: Ema,
     tau_sim: Ema,
     stats: DvStats,
@@ -633,14 +626,13 @@ impl DataVirtualizer {
             next_sim: 1,
             sim_stride: 1,
             digest_observation: false,
-            pollution_signal: false,
             stats: DvStats::default(),
         }
     }
 
     /// Builder: allocate sim ids `first, first + stride, ...` instead
-    /// of `1, 2, ...` — the id-space partitioning that lets a sharded
-    /// deployment recover a sim's owning shard as `(sim - 1) % stride`.
+    /// of `1, 2, ...` — the id-space partitioning that lets a cluster
+    /// recover a sim's launching member as `(sim - 1) % stride`.
     ///
     /// # Panics
     /// Panics if `first == 0` or `stride == 0` (sim id 0 is reserved;
@@ -651,6 +643,27 @@ impl DataVirtualizer {
         self.next_sim = first;
         self.sim_stride = stride;
         self
+    }
+
+    /// The DV of one cluster member: the member's `1/size` context
+    /// slice ([`shard_cfg`]) with sim ids `index + 1` step `size`, so no
+    /// two members collide on a sim id and the launching member of any
+    /// id is `(sim - 1) % size`. [`ClusterMember::SOLO`] gives exactly
+    /// [`new`](Self::new).
+    ///
+    /// # Panics
+    /// Panics if the context names an unknown replacement policy or if
+    /// `member.index >= member.size` (a hand-built `ClusterMember`
+    /// literal can bypass [`ClusterMember::new`]'s check).
+    pub fn for_member(cfg: ContextCfg, member: ClusterMember) -> DataVirtualizer {
+        assert!(
+            member.index < member.size,
+            "cluster index {} out of range 0..{}",
+            member.index,
+            member.size
+        );
+        DataVirtualizer::new(shard_cfg(&cfg, member.size))
+            .with_sim_ids(member.index as SimId + 1, member.size as SimId)
     }
 
     /// Attaches a concurrent [`simcache::HitIndex`] replica to the
@@ -682,7 +695,7 @@ impl DataVirtualizer {
     /// must see the full sequence to detect direction and cadence), but
     /// plan blocks are split at ownership boundaries and only owned
     /// runs launch, and each record is counted once cluster-wide (by
-    /// its owner). Pass `|_| true` when unsharded.
+    /// its owner). Pass `|_| true` outside a cluster.
     ///
     /// `window_dropped` is the loss count of *this* window (from
     /// [`AccessLog::drain_into`](crate::prefetch::AccessLog::drain_into)):
@@ -811,28 +824,9 @@ impl DataVirtualizer {
     }
 
     /// Folds recorder-side digest losses into this DV's counters (the
-    /// drains themselves happen in the daemon, outside any shard).
+    /// drains themselves happen in the daemon, outside the DV lock).
     pub fn note_digest_dropped(&mut self, n: u64) {
         self.stats.digest_dropped += n;
-    }
-
-    /// Did a pollution reset fire since the last call? The daemon
-    /// checks this after every acquire transition and fans the reset
-    /// out to the context's sibling shards.
-    pub fn take_pollution_signal(&mut self) -> bool {
-        std::mem::take(&mut self.pollution_signal)
-    }
-
-    /// Applies a pollution reset another shard of this context
-    /// detected: every agent replica here resets (and, in digest mode,
-    /// discards its next stale window), without counting a second
-    /// `pollution_resets` — the detecting shard already did.
-    /// Idempotent, so the fan-out may include the detecting shard.
-    pub fn apply_pollution_reset(&mut self) {
-        for c in self.clients.values_mut() {
-            c.agent.reset();
-            c.discard_digest_window = self.digest_observation;
-        }
     }
 
     /// Pre-seeds the performance estimators (e.g. from the simulation
@@ -1404,9 +1398,10 @@ impl DataVirtualizer {
     /// [`apply_agent_outcome`](Self::apply_agent_outcome) restricted to
     /// the keys this DV owns: plan blocks are split at ownership
     /// boundaries (interval-granular, like all routing) and only the
-    /// owned runs launch here — the sibling shards, replaying the same
-    /// digest, launch theirs. Direction-change kills always apply: each
-    /// shard kills its own prefetch sims for the client.
+    /// owned runs launch here — the other cluster members, replaying the
+    /// same forwarded digest, launch theirs. Direction-change kills
+    /// always apply: each member kills its own prefetch sims for the
+    /// client.
     fn apply_agent_outcome_owned(
         &mut self,
         client: ClientId,
@@ -1451,7 +1446,7 @@ impl DataVirtualizer {
     /// buffer clear it between transitions).
     pub fn handle_into(&mut self, now: SimTime, event: DvEvent, actions: &mut Vec<DvAction>) {
         // Legal with no locks held (harness use) or under exactly the
-        // owning DV shard lock (daemon use) — never while an inner-tier
+        // context's DV lock (daemon use) — never while an inner-tier
         // lock (WAL, ledger, pin-slots) is held, since eviction inside
         // this call re-enters the hit-index tier.
         lockrank::assert_none_held_below(lockrank::DV_SHARD.level, "DataVirtualizer::handle_into");
@@ -1514,10 +1509,9 @@ impl DataVirtualizer {
                 self.stats.corrupt_outputs += 1;
                 // The producer may still be alive, writing more junk:
                 // kill it, then let the supervisor decide retry/poison.
-                // An unknown sim (already reaped/killed; or a prefetch
-                // spill into a foreign shard) has nothing to supervise
-                // beyond the count — `key`'s claim, if any, belongs to
-                // a sim this shard does know.
+                // An unknown sim (already reaped or killed) has nothing
+                // to supervise beyond the count — `key`'s claim, if
+                // any, belongs to a sim this DV does know.
                 if self.sims.contains_key(&sim) {
                     actions.push(DvAction::Kill { sim });
                     self.fail_sim(sim, FailCode::CorruptOutput, now, actions);
@@ -1677,7 +1671,6 @@ impl DataVirtualizer {
                 .is_some_and(|c| c.agent.was_prefetched(key));
         if polluted {
             self.stats.pollution_resets += 1;
-            self.pollution_signal = true;
             for c in self.clients.values_mut() {
                 c.agent.reset();
                 // Digest mode: the next replayed window predates this
@@ -1824,8 +1817,8 @@ fn covers_whole_interval(steps: &StepMath, keys: &RangeInclusive<u64>) -> bool {
 }
 
 /// Splits `block` into its maximal sub-ranges of owned keys. Ownership
-/// is interval-granular everywhere in SimFS (shards and cluster members
-/// both route whole restart intervals), so the walk advances one
+/// is interval-granular everywhere in SimFS (cluster members own whole
+/// restart intervals, [`member_of_key`]), so the walk advances one
 /// interval at a time and merges consecutive owned intervals back into
 /// one run — under full ownership the block comes back whole, and a
 /// launch can never claim a key its DV does not own.
@@ -1870,130 +1863,28 @@ fn owned_runs(
     runs
 }
 
-/// Where the sharded DV must deliver an event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventRoute {
-    /// Exactly one shard owns the event.
-    Shard(usize),
-    /// Every shard must see the event (client teardown).
-    Broadcast,
-}
-
-/// Key-range router for the sharded DV.
+/// The cluster member owning `key`'s restart interval in a
+/// `size`-member cluster: interval `j` belongs to member `j % size`.
+/// The one interval hash of SimFS — [`ClusterMember::owns_key`], the
+/// members' ownership rule and DVLib's routing all call it.
 ///
 /// The granularity is the *restart interval*, not the raw key: a
 /// re-simulation always produces a contiguous interval
 /// ([`StepMath::resim_range`]), so interval-granular routing keeps each
 /// launch — its pending claims, its waiters, its productions — inside
-/// one shard. Raw `key % N` would scatter every launch across all
-/// shards and reintroduce cross-shard coordination on the miss path.
-///
-/// Sim ids are partitioned by [`DataVirtualizer::with_sim_ids`]: shard
-/// `s` of `n` allocates `s + 1, s + 1 + n, ...`, so the owner of sim
-/// lifecycle events is recovered arithmetically with no shared map.
-///
-/// Inside a daemon cluster ([`DvRouter::for_member`]) the member's
-/// local shards split only the intervals the member owns — those
-/// `≡ member.index (mod member.size)` — so the local hash first
-/// divides the cluster dimension out: interval `j` routes to local
-/// shard `(j / size) % n`, and sim ids (allocated as
-/// `s*size + index + 1` step `size*n`) recover locally as
-/// `((sim - 1 - index) / size) % n`. Hashing the raw interval (or raw
-/// sim residue) instead would leave the local shards whose indices
-/// never intersect the member's residue class unreachable — stranding
-/// their budget slices. With [`ClusterMember::SOLO`] both rules reduce
-/// to the plain `% n` above.
-#[derive(Clone, Copy, Debug)]
-pub struct DvRouter {
-    steps: StepMath,
-    shards: u32,
-    member: ClusterMember,
+/// one member. Raw `key % size` would scatter every launch across all
+/// members. Invalid keys belong to member 0, which rejects them with
+/// the usual timeline error.
+pub(crate) fn member_of_key(steps: &StepMath, size: u32, key: u64) -> u32 {
+    if !steps.valid_key(key) {
+        return 0;
+    }
+    (steps.interval_of(key) % size.max(1) as u64) as u32
 }
 
-impl DvRouter {
-    /// Creates a router over `shards` shards (clamped to ≥ 1).
-    pub fn new(steps: StepMath, shards: u32) -> DvRouter {
-        Self::for_member(steps, shards, ClusterMember::SOLO)
-    }
-
-    /// A cluster member's local router: `shards` shards over the
-    /// intervals `member` owns.
-    ///
-    /// # Panics
-    /// Panics unless `member.index < member.size` (hand-built
-    /// `ClusterMember` literals can bypass [`ClusterMember::new`]'s
-    /// check; an invalid member here would divide by zero or silently
-    /// misroute every key).
-    pub fn for_member(steps: StepMath, shards: u32, member: ClusterMember) -> DvRouter {
-        assert!(
-            member.index < member.size,
-            "cluster index {} out of range 0..{}",
-            member.index,
-            member.size
-        );
-        DvRouter {
-            steps,
-            shards: shards.max(1),
-            member,
-        }
-    }
-
-    /// Number of shards routed over.
-    pub fn shards(&self) -> usize {
-        self.shards as usize
-    }
-
-    /// The shard owning `key`'s restart interval. Invalid keys route to
-    /// shard 0, which rejects them with the usual `NotifyFailed`.
-    /// Intervals of *other* cluster members (which the daemon rejects
-    /// before routing an acquire, and absorbs like unknown-sim traffic
-    /// elsewhere) resolve to an arbitrary-but-deterministic shard.
-    pub fn shard_of_key(&self, key: u64) -> usize {
-        if !self.steps.valid_key(key) {
-            return 0;
-        }
-        let interval = self.steps.interval_of(key);
-        let local = interval.wrapping_sub(self.member.index as u64) / self.member.size as u64;
-        (local % self.shards as u64) as usize
-    }
-
-    /// The shard that launched `sim` (id-space partition). Unknown /
-    /// rogue ids resolve to *some* shard, which ignores them exactly as
-    /// the unsharded DV ignores unknown sims.
-    pub fn shard_of_sim(&self, sim: SimId) -> usize {
-        let local = sim
-            .wrapping_sub(1)
-            .wrapping_sub(self.member.index as u64)
-            / self.member.size as u64;
-        (local % self.shards as u64) as usize
-    }
-
-    /// Routes one event.
-    pub fn route(&self, event: &DvEvent) -> EventRoute {
-        match event {
-            DvEvent::Acquire { key, .. } | DvEvent::Release { key, .. } => {
-                EventRoute::Shard(self.shard_of_key(*key))
-            }
-            // Productions route by *key*: the waiters to notify and the
-            // cache to insert into live in the key's shard. For every
-            // miss launch (and any interval-sized prefetch block) this
-            // is also the sim's owner; a multi-interval prefetch block
-            // spills productions into neighbour shards, where they are
-            // absorbed exactly like the unsharded DV absorbs
-            // productions from unknown sims.
-            DvEvent::FileProduced { key, .. } | DvEvent::OutputCorrupt { key, .. } => {
-                EventRoute::Shard(self.shard_of_key(*key))
-            }
-            DvEvent::SimStarted { sim }
-            | DvEvent::SimFinished { sim }
-            | DvEvent::SimFailed { sim } => EventRoute::Shard(self.shard_of_sim(*sim)),
-            DvEvent::ClientGone { .. } => EventRoute::Broadcast,
-        }
-    }
-}
-
-/// The per-shard context slice: capacity is partitioned evenly and
-/// `s_max` divided (floored at one running sim per shard).
+/// The per-member context slice: capacity is partitioned evenly and
+/// `s_max` divided (floored at one running sim per member, so a cluster
+/// larger than `s_max` runs more sims at once than `s_max` allows).
 pub fn shard_cfg(cfg: &ContextCfg, n: u32) -> ContextCfg {
     let n = n.max(1);
     let mut cfg = cfg.clone();
@@ -2002,13 +1893,13 @@ pub fn shard_cfg(cfg: &ContextCfg, n: u32) -> ContextCfg {
     cfg
 }
 
-/// Position of one daemon in a multi-daemon cluster: the daemon-level
-/// analogue of a shard index. Member `index` of `size` owns the restart
-/// intervals with `interval % size == index` (the same
-/// interval-granularity rule [`DvRouter`] applies intra-process), runs
-/// on the `1/size` context slice of [`shard_cfg`], and allocates sim
-/// ids from its own residue class of the cluster-wide stride so every
-/// daemon recovers sim owners arithmetically with no shared state.
+/// Position of one daemon in a multi-daemon cluster. Member `index` of
+/// `size` owns the restart intervals with `interval % size == index`
+/// ([`owns_key`](Self::owns_key)), runs one DV on the `1/size` context
+/// slice of [`shard_cfg`] ([`DataVirtualizer::for_member`]), and
+/// allocates sim ids from its own residue class of the cluster-wide
+/// stride so every daemon recovers sim owners arithmetically with no
+/// shared state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterMember {
     /// This daemon's index (`0..size`).
@@ -2036,204 +1927,15 @@ impl ClusterMember {
     }
 
     /// Does this member own `key`'s restart interval? Invalid keys
-    /// belong to member 0, which rejects them with the timeline error —
-    /// exactly as [`DvRouter::shard_of_key`] assigns them to shard 0.
+    /// belong to member 0, which rejects them with the timeline error.
     pub fn owns_key(&self, steps: &StepMath, key: u64) -> bool {
-        DvRouter::new(*steps, self.size).shard_of_key(key) == self.index as usize
+        member_of_key(steps, self.size, key) == self.index
     }
 }
 
 impl Default for ClusterMember {
     fn default() -> ClusterMember {
         ClusterMember::SOLO
-    }
-}
-
-/// N independent [`DataVirtualizer`]s behind a [`DvRouter`]: the
-/// single-threaded composition the daemon's per-shard locking mirrors,
-/// and the reference object of the sharding equivalence tests. Each
-/// shard owns a disjoint set of restart intervals, a `1/N` slice of the
-/// cache budget and `s_max`, and its own waiter/prefetch state;
-/// `ClientGone` fans out to every shard in index order.
-pub struct ShardedDv {
-    shards: Vec<DataVirtualizer>,
-    router: DvRouter,
-}
-
-impl ShardedDv {
-    /// Creates `n` shards over `cfg` (see [`shard_cfg`]).
-    ///
-    /// # Panics
-    /// Panics if the context names an unknown replacement policy.
-    pub fn new(cfg: ContextCfg, n: u32) -> ShardedDv {
-        Self::cluster_member(cfg, n, ClusterMember::SOLO)
-    }
-
-    /// The shard composition of one daemon in a multi-daemon cluster:
-    /// `n` intra-process shards over `member`'s slice of `cfg`.
-    ///
-    /// This is [`new`](Self::new) generalized one level up. The member
-    /// first takes the `1/size` context slice ([`shard_cfg`] — the same
-    /// budget/`s_max` split the intra-process shards use), then splits
-    /// it `n` ways with a [`DvRouter::for_member`] local router. Sim
-    /// ids stride over the *whole cluster*: local shard `s` allocates
-    /// `s*size + member.index + 1` step `size*n`, so no two daemons
-    /// can ever collide on a sim id and both the local shard and the
-    /// owning daemon recover arithmetically from any id.
-    ///
-    /// The choice of id interleaving and local routing makes a
-    /// `size`-member cluster with `n` local shards each *exactly* the
-    /// flat `size*n`-shard [`ShardedDv::new`] composition, partitioned
-    /// by process: member `k`'s local shard `s` is flat shard
-    /// `s*size + k` — same config slice, same sim ids, same interval
-    /// ownership. With [`ClusterMember::SOLO`] this is byte-for-byte
-    /// what `new` produces, so the sharding equivalence property tests
-    /// pin the clustered construction too.
-    ///
-    /// # Panics
-    /// Panics if the context names an unknown replacement policy or if
-    /// `member.index >= member.size`.
-    pub fn cluster_member(cfg: ContextCfg, n: u32, member: ClusterMember) -> ShardedDv {
-        let n = n.max(1);
-        let router = DvRouter::for_member(cfg.steps, n, member);
-        let member_cfg = shard_cfg(&cfg, member.size);
-        let per_shard = shard_cfg(&member_cfg, n);
-        let global_stride = member.size as SimId * n as SimId;
-        let first_of = |s: u32| s as SimId * member.size as SimId + member.index as SimId + 1;
-        let shards = (0..n)
-            .map(|s| {
-                DataVirtualizer::new(per_shard.clone())
-                    .with_sim_ids(first_of(s), global_stride)
-            })
-            .collect();
-        ShardedDv { shards, router }
-    }
-
-    /// The router (for front-ends that lock shards independently).
-    pub fn router(&self) -> DvRouter {
-        self.router
-    }
-
-    /// Decomposes into the shard DVs and their router, in shard order —
-    /// for front-ends that wrap each shard in its own lock. Building
-    /// daemon shards through here (rather than re-deriving the per-shard
-    /// config slice and sim-id striding by hand) keeps them on exactly
-    /// the composition the sharding equivalence tests pin.
-    pub fn into_parts(self) -> (Vec<DataVirtualizer>, DvRouter) {
-        (self.shards, self.router)
-    }
-
-    /// Borrow one shard.
-    pub fn shard(&self, i: usize) -> &DataVirtualizer {
-        &self.shards[i]
-    }
-
-    /// Handles one event, appending resulting actions to `actions`.
-    pub fn handle_into(&mut self, now: SimTime, event: DvEvent, actions: &mut Vec<DvAction>) {
-        match self.router.route(&event) {
-            EventRoute::Shard(s) => self.shards[s].handle_into(now, event, actions),
-            EventRoute::Broadcast => {
-                for shard in &mut self.shards {
-                    shard.handle_into(now, event.clone(), actions);
-                }
-            }
-        }
-    }
-
-    /// Allocating wrapper over [`handle_into`](Self::handle_into).
-    pub fn handle(&mut self, now: SimTime, event: DvEvent) -> Vec<DvAction> {
-        let mut actions = Vec::new();
-        self.handle_into(now, event, &mut actions);
-        actions
-    }
-
-    /// Switches every shard to digest-mode agent observation (see
-    /// [`DataVirtualizer::set_digest_observation`]).
-    pub fn set_digest_observation(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.set_digest_observation(on);
-        }
-    }
-
-    /// Replays a drained access digest into *every* shard's agents —
-    /// sharding is exactly why the digest exists: each shard's agents
-    /// must observe the full stream even though the shard serves only
-    /// its own intervals. Planning stays partitioned: shard `s` launches
-    /// only the plan runs whose intervals it owns, so the shards'
-    /// launches compose to the unsharded plan without overlap.
-    pub fn ingest_digest(
-        &mut self,
-        now: SimTime,
-        records: &[AccessRecord],
-        window_dropped: u64,
-        actions: &mut Vec<DvAction>,
-    ) {
-        let router = self.router;
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            shard.ingest_digest(
-                now,
-                records,
-                window_dropped,
-                &|key| router.shard_of_key(key) == s,
-                actions,
-            );
-        }
-    }
-
-    /// Is `key` materialized (in its owning shard)?
-    pub fn is_cached(&self, key: u64) -> bool {
-        self.shards[self.router.shard_of_key(key)].is_cached(key)
-    }
-
-    /// Active sims across all shards.
-    pub fn active_sims(&self) -> usize {
-        self.shards.iter().map(DataVirtualizer::active_sims).sum()
-    }
-
-    /// Queued launches across all shards.
-    pub fn queued_launches(&self) -> usize {
-        self.shards.iter().map(DataVirtualizer::queued_launches).sum()
-    }
-
-    /// Pending-producer claims across all shards (leak probe).
-    pub fn pending_keys(&self) -> usize {
-        self.shards.iter().map(DataVirtualizer::pending_keys).sum()
-    }
-
-    /// Non-empty waiter lists across all shards (leak probe).
-    pub fn waiting_keys(&self) -> usize {
-        self.shards.iter().map(DataVirtualizer::waiting_keys).sum()
-    }
-
-    /// Quarantined intervals across all shards.
-    pub fn quarantined_intervals(&self, now: SimTime) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.quarantined_intervals(now))
-            .sum()
-    }
-
-    /// Runs every shard's supervision timers (see
-    /// [`DataVirtualizer::tick`]).
-    pub fn tick(&mut self, now: SimTime, actions: &mut Vec<DvAction>) {
-        for shard in &mut self.shards {
-            shard.tick(now, actions);
-        }
-    }
-
-    /// Earliest supervision deadline across the shards (see
-    /// [`DataVirtualizer::next_due`]).
-    pub fn next_due(&self, now: SimTime) -> Option<SimTime> {
-        self.shards.iter().filter_map(|s| s.next_due(now)).min()
-    }
-
-    /// Lifetime statistics summed over the shards.
-    pub fn stats(&self) -> DvStats {
-        let mut total = DvStats::default();
-        for shard in &self.shards {
-            total.accumulate(shard.stats());
-        }
-        total
     }
 }
 
@@ -2912,61 +2614,6 @@ mod tests {
     }
 
     #[test]
-    fn pollution_signal_fans_out_to_sibling_replicas() {
-        // The detecting shard raises a signal; applying it to a sibling
-        // resets that replica's agents (and arms its stale-window
-        // discard) without double-counting the reset.
-        let mk = || {
-            let mut dv = DataVirtualizer::new(cfg(100).with_prefetch(true));
-            dv.set_digest_observation(true);
-            dv
-        };
-        let mut detecting = mk();
-        let mut sibling = mk();
-        assert!(!detecting.take_pollution_signal(), "no signal before pollution");
-
-        // Sibling replica confirms a trajectory from the shared stream.
-        let records: Vec<_> = (1..=3).map(|k| digest_record(1, k, k)).collect();
-        let mut actions = Vec::new();
-        sibling.ingest_digest(t(5), &records, 0, &|_| true, &mut actions);
-        assert!(sibling.clients[&1].agent.direction().is_some());
-
-        // Pollution in the detecting shard: agent planned a key, nobody
-        // produces it, and the acquire misses.
-        detecting.ingest_digest(t(5), &records, 0, &|_| true, &mut actions);
-        let planned = *actions
-            .iter()
-            .find_map(|a| match a {
-                DvAction::Launch { keys, reason: LaunchReason::Prefetch, sim, .. } => {
-                    // Fail the launch so the key stays unproduced and
-                    // unpending.
-                    Some((keys.clone(), *sim))
-                }
-                _ => None,
-            })
-            .expect("setup: prefetch planned")
-            .0
-            .start();
-        let sim = actions
-            .iter()
-            .find_map(|a| match a {
-                DvAction::Launch { sim, reason: LaunchReason::Prefetch, .. } => Some(*sim),
-                _ => None,
-            })
-            .unwrap();
-        detecting.handle(t(6), DvEvent::SimFailed { sim });
-        detecting.handle(t(7), DvEvent::Acquire { client: 1, key: planned });
-        assert_eq!(detecting.stats().pollution_resets, 1, "setup: pollution");
-        assert!(detecting.take_pollution_signal(), "signal raised");
-        assert!(!detecting.take_pollution_signal(), "signal is one-shot");
-
-        // Fan-out: the sibling replica backs off too.
-        sibling.apply_pollution_reset();
-        assert!(sibling.clients[&1].agent.direction().is_none());
-        assert_eq!(sibling.stats().pollution_resets, 0, "no double count");
-    }
-
-    #[test]
     fn pollution_reset_discards_stale_digest_window() {
         // A pollution reset discards the trajectory; the next drained
         // window predates the reset and must not instantly re-confirm
@@ -3022,43 +2669,54 @@ mod tests {
 
     #[test]
     fn sharded_digest_launches_partition_by_ownership() {
+        // Two cluster members fed one forwarded digest: each plans only
+        // the intervals it owns.
         let steps = StepMath::new(1, 4, 40);
         let ctx = ContextCfg::new("digest-shard", steps, 100, 100 * 100)
             .with_policy("lru")
             .with_smax(8)
             .with_prefetch(true);
-        let mut sharded = ShardedDv::new(ctx, 2);
-        sharded.set_digest_observation(true);
-        let router = sharded.router();
-        // Seed estimates via a real miss + production on each shard.
-        let mut warm = Vec::new();
-        sharded.handle_into(t(0), DvEvent::Acquire { client: 1, key: 2 }, &mut warm);
-        sharded.handle_into(t(0), DvEvent::Acquire { client: 1, key: 6 }, &mut warm);
-        for a in warm.clone() {
-            if let DvAction::Launch { sim, keys, .. } = a {
-                sharded.handle(t(1), DvEvent::SimStarted { sim });
-                for k in keys {
-                    sharded.handle(t(1), DvEvent::FileProduced { sim, key: k, size: 100 });
+        let mut members: Vec<DataVirtualizer> = (0..2)
+            .map(|k| {
+                let mut dv = DataVirtualizer::for_member(ctx.clone(), ClusterMember::new(k, 2));
+                dv.set_digest_observation(true);
+                dv
+            })
+            .collect();
+        // Seed estimates via a real miss + production on each member
+        // (key 2 lives in interval 0, key 6 in interval 1).
+        for (dv, key) in members.iter_mut().zip([2u64, 6]) {
+            let warm = dv.handle(t(0), DvEvent::Acquire { client: 1, key });
+            for a in warm {
+                if let DvAction::Launch { sim, keys, .. } = a {
+                    dv.handle(t(1), DvEvent::SimStarted { sim });
+                    for k in keys {
+                        dv.handle(t(1), DvEvent::FileProduced { sim, key: k, size: 100 });
+                    }
+                    dv.handle(t(1), DvEvent::SimFinished { sim });
                 }
-                sharded.handle(t(1), DvEvent::SimFinished { sim });
             }
         }
 
-        // Replay a long forward scan into both shards.
+        // Replay one long forward scan into both members.
         let records: Vec<_> = (1..=10).map(|k| digest_record(1, k, k)).collect();
         let mut actions = Vec::new();
-        sharded.ingest_digest(t(20), &records, 0, &mut actions);
+        for (k, dv) in members.iter_mut().enumerate() {
+            let member = ClusterMember::new(k as u32, 2);
+            let mut launched = Vec::new();
+            dv.ingest_digest(t(20), &records, 0, &|key| member.owns_key(&steps, key), &mut launched);
+            actions.extend(launched.into_iter().map(|a| (k as u32, a)));
+        }
 
-        // Every prefetch launch must stay inside one shard's ownership,
-        // and no key may be claimed by two launches.
+        // Every prefetch launch must stay inside its member's
+        // ownership, and no key may be claimed by two launches.
         let mut claimed = std::collections::HashSet::new();
-        for a in &actions {
-            if let DvAction::Launch { keys, reason: LaunchReason::Prefetch, sim, .. } = a {
-                let shard = router.shard_of_sim(*sim);
+        for (shard, a) in &actions {
+            if let DvAction::Launch { keys, reason: LaunchReason::Prefetch, .. } = a {
                 for k in keys.clone() {
                     assert_eq!(
-                        router.shard_of_key(k),
-                        shard,
+                        member_of_key(&steps, 2, k),
+                        *shard,
                         "launch {keys:?} crosses shard ownership"
                     );
                     assert!(claimed.insert(k), "key {k} claimed twice: {actions:?}");

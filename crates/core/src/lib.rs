@@ -73,8 +73,7 @@ pub mod wire;
 pub use client::{AcquireRequest, FailError, SimfsClient, SimfsStatus};
 pub use driver::{PatternDriver, SimDriver};
 pub use dv::{
-    ClientId, DataVirtualizer, DvAction, DvEvent, DvRouter, DvStats, FailCode, LaunchReason,
-    ShardedDv, SimId,
+    ClientId, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, LaunchReason, SimId,
 };
 pub use model::{ContextCfg, StepMath};
 pub use replay::{replay, ReplayStats};

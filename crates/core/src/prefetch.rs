@@ -95,16 +95,15 @@
 //! Historically the agents observed the stream *inside* the acquire
 //! path: every hit took the DV lock so `on_access` could run. That made
 //! a prefetching context the slowest configuration — it disabled the
-//! daemon's lock-free [`simcache::HitIndex`] fast path and forced a
-//! single DV shard (sharding splits the stream each agent sees, and
-//! clustering splits it again across daemons).
+//! daemon's lock-free [`simcache::HitIndex`] fast path, and clustering
+//! split the stream each member's agents see across daemons.
 //!
 //! [`AccessLog`] breaks the coupling. Observation becomes a *record*,
 //! not a lock acquisition: each daemon connection appends
 //! [`AccessRecord`]s — `(client, key, epoch)` — to a bounded
 //! per-connection ring as it serves fast-path hits and slow-path
 //! acquires, and a drain step replays the ring into the prefetch agents
-//! under the DV shard locks later (piggybacked on the next slow-path
+//! under the DV lock later (piggybacked on the next slow-path
 //! transition, or on a periodic reactor tick when the stream is pure
 //! hits). Clustered DVLib sessions forward the same digest over the
 //! wire (`AccessDigest`) so every member's agents observe the full

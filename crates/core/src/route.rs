@@ -19,7 +19,7 @@
 //! taker died) still carries its home's index, and the second taker
 //! accepts it for that reason.
 
-use crate::dv::{ClusterMember, DvRouter};
+use crate::dv::{member_of_key, ClusterMember};
 use crate::model::StepMath;
 use std::collections::BTreeMap;
 
@@ -48,7 +48,7 @@ pub(crate) fn ownership_error(
     if !steps.valid_key(key) {
         return None;
     }
-    let owner = DvRouter::new(*steps, me.size).shard_of_key(key) as u32;
+    let owner = member_of_key(steps, me.size, key);
     let (me, size) = (me.index, me.size);
     match mode {
         AcquireMode::Native if owner == me => None,
@@ -101,7 +101,7 @@ pub(crate) enum Release {
 
 /// The failover state of one cluster session (see the module doc).
 pub(crate) struct ClusterRoute {
-    router: DvRouter,
+    steps: StepMath,
     /// Reroute a dead member's intervals to a live taker instead of
     /// reporting it down.
     failover: bool,
@@ -120,7 +120,7 @@ impl ClusterRoute {
     /// A healthy `size`-member cluster over `steps`, failover off.
     pub(crate) fn new(steps: StepMath, size: u32) -> ClusterRoute {
         ClusterRoute {
-            router: DvRouter::new(steps, size),
+            steps,
             failover: false,
             down: vec![false; size as usize],
             epoch: 0,
@@ -138,7 +138,7 @@ impl ClusterRoute {
 
     /// The member owning `key`'s restart interval.
     pub(crate) fn home(&self, key: u64) -> usize {
-        self.router.shard_of_key(key)
+        member_of_key(&self.steps, self.down.len() as u32, key) as usize
     }
 
     pub(crate) fn is_down(&self, m: usize) -> bool {

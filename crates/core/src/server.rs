@@ -29,12 +29,14 @@
 //! `s_max`, and its own residue class of the cluster-wide sim-id
 //! stride. Daemons never talk to each other — DVLib's
 //! [`crate::client::DvCluster`] hashes each key's interval to its
-//! owning daemon (the same rule [`crate::dv::DvRouter`] applies to the
-//! intra-process shards below) and fans client teardown out to every
-//! member, so the cluster is, by construction, the `ShardedDv`
-//! composition the sharding equivalence tests pin — split across
-//! processes instead of locks. A member rejects acquires for intervals
-//! it does not own rather than serving them under the wrong budget.
+//! owning daemon and fans client teardown out to every member, so each
+//! member runs exactly one [`DataVirtualizer::for_member`] fed its own
+//! subsequence of the cluster's events; the cluster property test pins
+//! that composition against hand-built member DVs. The interval split
+//! across members is the only partitioning of a context: inside a
+//! daemon, each context runs one DV. A member rejects acquires for
+//! intervals it does not own rather than serving them under the wrong
+//! budget.
 //!
 //! Within one daemon, connections are served by the sharded epoll
 //! reactor ([`crate::reactor`]): min(cores, 8) event-loop threads, each
@@ -50,7 +52,7 @@
 //! *non-blocking by contract* — they register with
 //! [`simkit::lockrank::mark_thread_nonblocking`] and every blocking
 //! effect site asserts it is not on one. A transition still collects
-//! its `Effects` under the shard lock, but `commit` routes any outbox
+//! its `Effects` under the DV lock, but `commit` routes any outbox
 //! that needs blocking work — sim launch/kill, WAL append + fsync,
 //! eviction deletes, storage reads — through `offload`, the one door
 //! into the tier; pure socket-frame outboxes (the hit hot path) are
@@ -98,7 +100,7 @@
 //!    journaled), a clustered one, a takeover key — gets the daemon-side
 //!    fast pin against the same words: a CAS on the count, then the
 //!    reply straight into the connection's buffer, no DV lock. Eviction
-//!    (under the DV shard lock) must win `try_retire`: it marks the
+//!    (under the DV lock) must win `try_retire`: it marks the
 //!    word retiring and scans the slots of the context's mapped
 //!    sessions (the `pin-slots` registry, the one lock of the layer);
 //!    a pinner that sees the mark — or whose slot the scan sees —
@@ -109,7 +111,7 @@
 //!    by the session and folded into `hits`, `acquired_fast` and
 //!    `shared_hits` at snapshot time.
 //!
-//! 1a. **Access digest (no locks on record, shard locks on drain).**
+//! 1a. **Access digest (no locks on record, the DV lock on drain).**
 //!    Prefetching contexts need their agents to observe the *full*
 //!    access stream — which hits serving through layer 1 (and, under
 //!    clustering, requests routed to other daemons) would otherwise
@@ -118,7 +120,7 @@
 //!    bounded lossy [`crate::prefetch::AccessLog`] owned by its reactor
 //!    thread (a plain array write — overflow drops the oldest record
 //!    and counts it), and the log drains into the agents under the DV
-//!    shard locks later: piggybacked on the connection's next slow-path
+//!    lock later: piggybacked on the connection's next slow-path
 //!    transition (which takes locks anyway), on a periodic reactor tick
 //!    when the stream is pure hits, or when a clustered client's
 //!    forwarded `AccessDigest` frame arrives. A mapped session records
@@ -129,17 +131,16 @@
 //!    order. A tick that finds the ring empty parks the session, and the
 //!    client writes one empty `AccessDigest` when it finds it parked or
 //!    its ring past [`DIGEST_HIGH_WATER`] — so an idle daemon still
-//!    sleeps. Replay feeds every shard (each agent replica sees the
-//!    whole sequence) while planning is partitioned by interval
-//!    ownership, so the shards' prefetch launches compose without
-//!    overlap. The digest tier takes no lock of its own and is the
-//!    reason prefetching contexts keep both layer 1 and N-way DV
-//!    sharding.
+//!    sleeps. A cluster member's agents replay the whole forwarded
+//!    stream while planning only the intervals the member owns, so the
+//!    members' prefetch launches compose without overlap. The digest
+//!    tier takes no lock of its own and is the reason prefetching
+//!    contexts keep layer 1.
 //! 1b. **Durability tier (WAL; durable deployments only).** A context
 //!    started with [`DurabilityCfg::wal`] keeps one append-only
 //!    [`simstore::walog::WriteAheadLog`] in its storage area, guarded
-//!    by its own mutex *below* every DV shard lock in the order (shard
-//!    → WAL, never WAL → shard; the WAL lock is never held across
+//!    by its own mutex *below* the DV lock in the order (DV → WAL,
+//!    never WAL → DV; the WAL lock is never held across
 //!    socket or launcher I/O either). Pin records ride the `Effects`
 //!    outbox: slow-path pins are derived from the `Ready` responses a
 //!    transition collected and appended + fsynced in `commit` *before*
@@ -159,16 +160,13 @@
 //!    passes [`simstore::walog::COMPACT_THRESHOLD`]. Contexts without
 //!    durability skip this tier entirely — one `Option` check on the
 //!    hot path.
-//! 2. **Per-key-range DV shard locks.** The DV state machine is split
-//!    into N independent shards routed by restart interval
-//!    ([`crate::dv::DvRouter`]): each shard owns a disjoint set of
-//!    intervals, a 1/N slice of the cache budget and `s_max`, its own
-//!    waiter/launch/prefetch state, and one `Mutex<DvCore>`. Misses on
-//!    disjoint key ranges proceed in parallel; client disconnects fan
-//!    out across shards (locked one at a time — no shard lock is ever
-//!    held while taking another). This is the intra-process rehearsal
-//!    for multi-daemon key-range sharding. Lock wait/hold times are
-//!    counted per context and surfaced through [`DvStats`].
+//! 2. **The DV lock.** Each context's [`DataVirtualizer`] — its cache
+//!    directory, waiter/launch/prefetch state and the request
+//!    bookkeeping its notifications resolve through — sits behind one
+//!    `Mutex<DvCore>`. Every transition that layer 1 does not absorb
+//!    takes it once, and nothing takes it while holding it. Lock
+//!    wait/hold times are counted per context and surfaced through
+//!    [`DvStats`].
 //! 3. **Writer routing.** Responses route through the reactor registry
 //!    (sharded map + per-shard inboxes), never under a DV lock.
 //!    Responses to the dispatching connection itself bypass the
@@ -177,21 +175,21 @@
 //!    locks, a prefetch kill could race a not-yet-effected launch of
 //!    the same sim. A small per-context ledger serializes *only*
 //!    job-control bookkeeping (launch intents are registered under the
-//!    owning DV shard lock; the ledger lock itself is never held
-//!    across launcher I/O) and cancels launches whose kill won the
-//!    race. Lock order is strictly shard → ledger.
+//!    DV lock; the ledger lock itself is never held across launcher
+//!    I/O) and cancels launches whose kill won the race. Lock order is
+//!    strictly DV → ledger.
 //!
 //! The transition discipline extends the split-lock design one step:
 //! **collect under lock, effect after release — and blocking effects
-//! off the shard thread entirely.** A transition locks one DV shard,
-//! runs [`DataVirtualizer::handle_into`] into a reusable scratch
+//! off the reactor thread entirely.** A transition locks the DV, runs
+//! [`DataVirtualizer::handle_into`] into a reusable scratch
 //! buffer, resolves actions into an `Effects` value and unlocks;
-//! response encoding and socket writes happen outside every DV lock on
-//! the shard thread, while job spawning, file deletion and WAL fsyncs
+//! response encoding and socket writes happen outside the DV lock on
+//! the reactor thread, while job spawning, file deletion and WAL fsyncs
 //! are submitted to the effect tier. All responses of one transition
 //! for one destination coalesce into a single [`wire::FrameBatch`]
-//! write. Deferred eviction deletes re-check the cache under the
-//! owning shard lock, on the helper thread, so an overlapping
+//! write. Deferred eviction deletes re-check the cache under the DV
+//! lock, on the helper thread, so an overlapping
 //! re-production cannot lose its file to a stale eviction.
 //!
 //! Three observable consequences of the lock-minimized design:
@@ -214,8 +212,7 @@
 
 use crate::driver::SimDriver;
 use crate::dv::{
-    ClientId, DaemonCounters, DataVirtualizer, DvAction, DvEvent, DvRouter, DvStats, EventRoute,
-    FailCode, ShardedDv, SimId,
+    ClientId, DaemonCounters, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, SimId,
 };
 use crate::effectpool::EffectPool;
 use crate::model::{ContextCfg, StepMath};
@@ -311,30 +308,19 @@ pub struct ServerConfig {
     /// Recorded checksums of the initial simulation (`SIMFS_Bitrep`
     /// reference data): key → checksum.
     pub checksums: HashMap<u64, u64>,
-    /// Number of independent DV shards the context's control plane is
-    /// split into (key-range sharding by restart interval). `0` and `1`
-    /// both mean one DV per context — the default, because every hit
-    /// is served by the lock-free hit index and a miss-path transition
-    /// waits well under a microsecond for the lock. `N > 1` costs
-    /// planning quality: each shard gets `s_max/N` launch slots and
-    /// `1/N` of the cache budget (eviction pressure becomes
-    /// per-key-range rather than global), and shards own alternating
-    /// restart intervals, so every multi-interval prefetch block is cut
-    /// into one launch per interval, each paying a full restart latency
-    /// (`DvStats::prefetch_partial_launches` counts the pieces smaller
-    /// than one interval). The
-    /// access-stream digest still replays the full sequence into every
-    /// shard's agents, so direction/cadence detection survives. Every
-    /// shard keeps at least one launch slot, so explicitly requesting
-    /// more shards than `s_max` raises the effective concurrent-sim cap
-    /// to the shard count.
+    /// Must be `0` or `1`: a context runs one DV. Kept for source
+    /// compatibility with configurations written when a context could
+    /// be split into several; [`DvServer::start_multi`] refuses larger
+    /// values with [`io::ErrorKind::InvalidInput`]. Split a context
+    /// across daemons with [`cluster`](Self::cluster) instead.
     pub dv_shards: u32,
     /// This daemon's position in a multi-daemon cluster
     /// ([`ClusterMember::SOLO`] for standalone deployments). Member `k`
     /// of `K` owns the restart intervals with `interval % K == k`,
-    /// takes the `1/K` slice of the cache budget and `s_max` (exactly
-    /// the [`crate::dv::shard_cfg`] split the intra-process shards
-    /// use), and strides its sim-id space over the whole cluster.
+    /// takes the `1/K` slice of the cache budget and `s_max`
+    /// ([`DataVirtualizer::for_member`]), and strides its sim-id space
+    /// over the whole cluster. `index >= size` is refused at start-up
+    /// with [`io::ErrorKind::InvalidInput`].
     /// Acquires for intervals owned by another member are rejected
     /// (`Failed`) — DVLib's [`crate::client::DvCluster`] routes them to
     /// the right daemon in the first place.
@@ -350,13 +336,12 @@ pub struct ServerConfig {
 /// `simfs_bench` workload at this value.
 const EFFECT_QUEUE_CAP: usize = 256;
 
-/// The state guarded by one DV shard lock: the shard's state machine,
-/// the request bookkeeping its notifications resolve through, and the
+/// The state guarded by the DV lock: the context's state machine, the
+/// request bookkeeping its notifications resolve through, and the
 /// reusable action scratch buffer.
 struct DvCore {
     dv: DataVirtualizer,
-    /// (client, key) → request ids awaiting Ready/Failed (keys of this
-    /// shard only — requests route by key).
+    /// (client, key) → request ids awaiting Ready/Failed.
     pending: HashMap<(ClientId, u64), Vec<u64>>,
     /// Scratch for [`DataVirtualizer::handle_into`]; reused across
     /// transitions so the hot path allocates nothing.
@@ -366,8 +351,8 @@ struct DvCore {
 /// How far a collected launch has got.
 #[derive(Clone, Copy, PartialEq)]
 enum JobStage {
-    /// `Launch` action collected (registered under the owning DV shard
-    /// lock), not yet picked up by an effector thread.
+    /// `Launch` action collected (registered under the DV lock), not
+    /// yet picked up by an effector thread.
     Pending,
     /// Inside a `launcher.launch()` call (the ledger lock is dropped
     /// for the I/O; this stage covers the gap).
@@ -398,7 +383,7 @@ struct LaunchLedger {
     jobs: U64Map<LedgerJob>,
 }
 
-/// Everything a DV transition wants done once its shard lock is
+/// Everything a DV transition wants done once the DV lock is
 /// released. Owned by each connection/reaper context and reused, so a
 /// transition allocates nothing in steady state.
 #[derive(Default)]
@@ -471,7 +456,7 @@ struct ConnLocal {
     /// and replayed into the agents when the log drains.
     log: AccessLog,
     /// Reused drain buffer (records move here before replay so the log
-    /// can keep filling while shard locks are held).
+    /// can keep filling while the DV lock is held).
     drain_scratch: Vec<AccessRecord>,
     /// Record the local request stream into `log`. Off for clustered
     /// DVLib sessions: they see only the keys routed here, so they
@@ -552,7 +537,7 @@ enum SimWireEvent {
     Failed,
 }
 
-/// Per-context runtime: the sharded DV state machine plus its
+/// Per-context runtime: the DV state machine behind its lock, plus its
 /// effectors.
 struct CtxRuntime {
     name: String,
@@ -561,11 +546,8 @@ struct CtxRuntime {
     /// package `self` into an [`EffectJob`] without threading the `Arc`
     /// through every call site.
     weak_self: Weak<CtxRuntime>,
-    /// One lock per key-range shard; index `s` owns the restart
-    /// intervals with `interval % n == s` (of the intervals this
-    /// cluster member owns).
-    shards: Vec<Mutex<DvCore>>,
-    router: DvRouter,
+    /// The DV lock (layer 2).
+    dv: Mutex<DvCore>,
     /// Position in the daemon cluster; `SOLO` outside clusters.
     cluster: ClusterMember,
     /// The context's step math (for cluster-ownership checks).
@@ -578,7 +560,7 @@ struct CtxRuntime {
     table: Option<ContextTable>,
     /// The context runs prefetch agents, fed by digest drains:
     /// connections record their access streams and the daemon replays
-    /// them under the shard locks (layer 1a of the hierarchy).
+    /// them under the DV lock (layer 1a of the hierarchy).
     digest: bool,
     /// Every daemon-counted [`DvStats`] row (lock timing, effect tier,
     /// recovery, takeover, accept retries), overlaid into snapshots.
@@ -591,7 +573,7 @@ struct CtxRuntime {
     checksums: HashMap<u64, u64>,
     /// Tier 1b: the write-ahead pin/lease log (`None` for non-durable
     /// contexts — the hot path pays one `Option` check). Lock order:
-    /// any DV shard lock → WAL lock; never held across I/O other than
+    /// DV lock → WAL lock; never held across I/O other than
     /// the log's own writes.
     wal: Option<Mutex<DaemonWal>>,
     /// This instance's recovery epoch: strictly above every epoch in
@@ -607,9 +589,9 @@ struct CtxRuntime {
     leases: Mutex<HashMap<u64, Instant>>,
     /// Foreign restart intervals whose residency this member has
     /// rebuilt from the shared storage area to serve takeover acquires
-    /// for a dead member. Lock order: this lock is taken *before* any
-    /// shard lock (priming locks shards one at a time beneath it) and
-    /// never while one is held.
+    /// for a dead member. Lock order: this lock is taken *before* the
+    /// DV lock (priming locks the DV once per key beneath it) and never
+    /// while the DV lock is held.
     takeover_primed: Mutex<HashSet<u64>>,
 }
 
@@ -679,7 +661,7 @@ impl Inner {
 
 impl CtxRuntime {
     /// Resolves the actions of one DV transition into `fx` (called with
-    /// the owning shard lock held; does no I/O).
+    /// the DV lock held; does no I/O).
     fn collect(&self, core: &mut DvCore, fx: &mut Effects) {
         let launches_before = fx.launches.len();
         for action in core.actions.drain(..) {
@@ -719,12 +701,12 @@ impl CtxRuntime {
             }
         }
         if fx.launches.len() > launches_before {
-            // Register in-flight launches while the shard lock is still
+            // Register in-flight launches while the DV lock is still
             // held: any kill of these sims is collected strictly later,
             // so it will find them in the ledger and never mistake a
             // live launch for a completed sim. Launch events are rare
             // (one per re-simulation), so the extra lock is off the hit
-            // path. Lock order: shard → ledger, always.
+            // path. Lock order: DV → ledger, always.
             let _rank = lockrank::held(lockrank::LEDGER);
             let mut ledger = self.ledger.lock();
             for (sim, _, _) in &fx.launches[launches_before..] {
@@ -740,21 +722,20 @@ impl CtxRuntime {
         }
     }
 
-    /// Locks shard `s` with wait/hold accounting, runs `work` on its
-    /// core, collects the resulting effects, and runs `post` (e.g. the
-    /// Queued check, which needs the post-collect pending state) still
-    /// under the same lock. The single home of the lock-timing
-    /// discipline — every locked transition goes through here.
-    fn with_shard(
+    /// Locks the DV with wait/hold accounting, runs `work` on its core,
+    /// collects the resulting effects, and runs `post` (e.g. the Queued
+    /// check, which needs the post-collect pending state) still under
+    /// the same lock. The single home of the lock-timing discipline —
+    /// every locked transition goes through here.
+    fn with_dv(
         &self,
-        s: usize,
         fx: &mut Effects,
         work: impl FnOnce(&mut DvCore),
         post: impl FnOnce(&mut DvCore, &mut Effects),
     ) {
         let t0 = Instant::now();
         let rank = lockrank::held(lockrank::DV_SHARD);
-        let mut core = self.shards[s].lock();
+        let mut core = self.dv.lock();
         let t1 = Instant::now();
         work(&mut core);
         self.collect(&mut core, fx);
@@ -772,37 +753,17 @@ impl CtxRuntime {
         counters.lock_transitions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Applies one event to its owning shard (or fans it out), and
-    /// collects its effects.
+    /// Applies one event to the DV and collects its effects.
     fn transition(&self, inner: &Inner, event: DvEvent, fx: &mut Effects) {
         let now = inner.now();
-        match self.router.route(&event) {
-            EventRoute::Shard(s) => self.with_shard(
-                s,
-                fx,
-                |core| {
-                    let DvCore { dv, actions, .. } = core;
-                    dv.handle_into(now, event, actions);
-                },
-                |_, _| {},
-            ),
-            EventRoute::Broadcast => {
-                // One shard at a time: no transition ever holds two
-                // shard locks, so shard locks cannot deadlock.
-                for s in 0..self.shards.len() {
-                    let event = event.clone();
-                    self.with_shard(
-                        s,
-                        fx,
-                        |core| {
-                            let DvCore { dv, actions, .. } = core;
-                            dv.handle_into(now, event, actions);
-                        },
-                        |_, _| {},
-                    );
-                }
-            }
-        }
+        self.with_dv(
+            fx,
+            |core| {
+                let DvCore { dv, actions, .. } = core;
+                dv.handle_into(now, event, actions);
+            },
+            |_, _| {},
+        );
     }
 
     /// Encodes and delivers the outbox: one [`FrameBatch`] (one write)
@@ -846,7 +807,7 @@ impl CtxRuntime {
     /// Applies job-control effects. Returns sims whose launch failed
     /// (fed back as `SimFailed`). The ledger lock is held only for set
     /// bookkeeping — never across launcher I/O — because `collect`
-    /// takes it while holding a DV shard lock; holding it through a
+    /// takes it while holding the DV lock; holding it through a
     /// slow job submission would convoy every transition on the
     /// context.
     fn apply_job_control(&self, inner: &Inner, fx: &mut Effects, failed: &mut Vec<SimId>) {
@@ -992,7 +953,7 @@ impl CtxRuntime {
 
     /// The commit loop itself: socket writes, job control, evictions.
     /// Launch failures feed back as `SimFailed` events until
-    /// quiescence. Never holds a DV shard lock while doing I/O; runs on
+    /// quiescence. Never holds the DV lock while doing I/O; runs on
     /// blocking-permitted threads only. `wal_logged` skips the first
     /// iteration's WAL pass when the batch executor already
     /// group-fsynced this commit's pin records.
@@ -1008,37 +969,18 @@ impl CtxRuntime {
             self.flush_outbox(fx);
             self.apply_job_control(inner, fx, &mut failed);
             if !fx.evicts.is_empty() {
-                // The evictions were decided under a shard lock we have
+                // The evictions were decided under the DV lock we have
                 // since released: an overlapping production may have
                 // re-materialized a key meanwhile. Re-check under the
-                // owning shard's lock so we do not delete files the
-                // cache now believes in — grouped by shard so a burst
-                // of evictions (usually all from the one shard whose
-                // insert decided them) takes each contended lock once,
-                // not once per key. The residual write-then-delete
-                // window is inherent: simulators publish files before
-                // their FileProduced message reaches the DV.
+                // lock, once for the whole batch, so we do not delete
+                // files the cache now believes in. The residual
+                // write-then-delete window is inherent: simulators
+                // publish files before their FileProduced message
+                // reaches the DV.
                 {
-                    let router = self.router;
-                    fx.evicts
-                        .sort_unstable_by_key(|&key| router.shard_of_key(key));
-                    let (mut kept, mut i) = (0, 0);
-                    while i < fx.evicts.len() {
-                        let shard = router.shard_of_key(fx.evicts[i]);
-                        let _rank = lockrank::held(lockrank::DV_SHARD);
-                        let core = self.shards[shard].lock();
-                        while i < fx.evicts.len()
-                            && router.shard_of_key(fx.evicts[i]) == shard
-                        {
-                            let key = fx.evicts[i];
-                            i += 1;
-                            if !core.dv.is_cached(key) {
-                                fx.evicts[kept] = key;
-                                kept += 1;
-                            }
-                        }
-                    }
-                    fx.evicts.truncate(kept);
+                    let _rank = lockrank::held(lockrank::DV_SHARD);
+                    let core = self.dv.lock();
+                    fx.evicts.retain(|&key| !core.dv.is_cached(key));
                 }
                 for key in fx.evicts.drain(..) {
                     lockrank::assert_blocking_ok("evict-delete");
@@ -1066,36 +1008,28 @@ impl CtxRuntime {
         }
     }
 
-    /// Earliest supervision deadline across this context's shards
-    /// (parked retry launches, hang-watchdog deadlines, quarantine
-    /// expiries); `None` when nothing is scheduled.
+    /// Earliest supervision deadline of this context (parked retry
+    /// launches, hang-watchdog deadlines, quarantine expiries); `None`
+    /// when nothing is scheduled.
     fn supervision_due(&self, now: SimTime) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .filter_map(|shard| {
-                let _rank = lockrank::held(lockrank::DV_SHARD);
-                shard.lock().dv.next_due(now)
-            })
-            .min()
+        let _rank = lockrank::held(lockrank::DV_SHARD);
+        self.dv.lock().dv.next_due(now)
     }
 
-    /// One supervision pass: fire each shard's watchdog/retry tick and
+    /// One supervision pass: fire the DV's watchdog/retry tick and
     /// commit the effects (hang kills, retry launches, typed failure
     /// notifications, quarantine expiries).
     fn supervise(&self, inner: &Inner, fx: &mut Effects) {
         let now = inner.now();
-        for s in 0..self.shards.len() {
-            self.with_shard(
-                s,
-                fx,
-                |core| {
-                    let DvCore { dv, actions, .. } = core;
-                    dv.tick(now, actions);
-                },
-                |_, _| {},
-            );
-            self.commit(inner, fx);
-        }
+        self.with_dv(
+            fx,
+            |core| {
+                let DvCore { dv, actions, .. } = core;
+                dv.tick(now, actions);
+            },
+            |_, _| {},
+        );
+        self.commit(inner, fx);
     }
 
     /// Appends `fx`'s durable records to an already-locked WAL without
@@ -1247,19 +1181,16 @@ impl CtxRuntime {
         ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Merged statistics snapshot: shard totals, the daemon-side
+    /// Merged statistics snapshot: the DV's counters, the daemon-side
     /// counters, and the counts other structures own. Also returns the
-    /// active-sim total observed in the same per-shard lock
-    /// acquisitions, so a Status reply is self-consistent per shard.
+    /// active-sim count observed under the same lock acquisition, so a
+    /// Status reply is self-consistent.
     fn stats_snapshot_with_active(&self) -> (DvStats, u64) {
-        let mut total = DvStats::default();
-        let mut active = 0u64;
-        for shard in &self.shards {
+        let (mut total, active) = {
             let _rank = lockrank::held(lockrank::DV_SHARD);
-            let core = shard.lock();
-            total.accumulate(core.dv.stats());
-            active += core.dv.active_sims() as u64;
-        }
+            let core = self.dv.lock();
+            (core.dv.stats().clone(), core.dv.active_sims() as u64)
+        };
         self.counters.overlay(&mut total);
         let shared_hits = self.fast.shared_hits();
         let fast_hits = self.fast.fast_hits().saturating_add(shared_hits);
@@ -1493,8 +1424,7 @@ impl CtxRuntime {
             } else {
                 for key in keys {
                     let mut moved = false;
-                    self.with_shard(
-                        self.router.shard_of_key(key),
+                    self.with_dv(
                         fx,
                         |core| moved = core.dv.transfer_pin(prior_client, client, key),
                         |_, _| {},
@@ -1567,7 +1497,7 @@ impl CtxRuntime {
     }
 
     /// Serves one acquire request, native or takeover, key by key:
-    /// ownership rule → lock-free fast pin → shard transition →
+    /// ownership rule → lock-free fast pin → DV transition →
     /// `Queued`. A takeover acquire names keys of a *dead* member's
     /// intervals, asserted down by the client and routed here by the
     /// successor rule: first touch of a foreign interval rebuilds its
@@ -1591,7 +1521,6 @@ impl CtxRuntime {
     ) {
         let takeover = matches!(mode, AcquireMode::Takeover { .. });
         let mut slow_keys = 0u64;
-        let mut polluted = false;
         // Observation is a record, not a lock acquisition: in
         // prefetching contexts every locally observed key — fast or
         // slow — lands in the connection's digest log, stamped with one
@@ -1649,14 +1578,11 @@ impl CtxRuntime {
                 local.scratch.push_response(&Response::Ready { req_id, key });
                 continue;
             }
-            // Layer 2: the locked path, one shard lock per key
-            // (multi-key requests may span shards).
+            // Layer 2: the locked path, one DV lock per key.
             slow_keys += 1;
             let now = inner.now();
-            let s = self.router.shard_of_key(key);
             let mut resolved = true;
-            self.with_shard(
-                s,
+            self.with_dv(
                 fx,
                 |core| {
                     // Register interest before handling so a concurrent
@@ -1666,7 +1592,6 @@ impl CtxRuntime {
                     dv.handle_into(now, DvEvent::Acquire { client, key }, actions);
                 },
                 |core, fx| {
-                    polluted |= core.dv.take_pollution_signal();
                     // Still pending after collect? Tell the client it
                     // is queued, with the wait estimate (§III-C).
                     if core.pending.contains_key(&(client, key)) {
@@ -1703,33 +1628,18 @@ impl CtxRuntime {
             cx.write(local.scratch.as_bytes());
             local.scratch.clear();
         }
-        if polluted {
-            // A §IV-C pollution reset fired in one shard; every shard
-            // holds its own replica of each client's agents, so the
-            // reset must reach them all (and set their stale-window
-            // discards) before the drain below replays anything. One
-            // lock at a time, as always.
-            for s in 0..self.shards.len() {
-                self.with_shard(
-                    s,
-                    fx,
-                    |core| core.dv.apply_pollution_reset(),
-                    |_, _| {},
-                );
-            }
-        }
         if slow_keys > 0 {
             self.counters
                 .acquired_slow
                 .fetch_add(slow_keys, Ordering::Relaxed);
-            // Piggyback the digest drain on a request that took shard
-            // locks anyway; pure-hit streams drain from the reactor
+            // Piggyback the digest drain on a request that took the DV
+            // lock anyway; pure-hit streams drain from the reactor
             // tick instead.
             self.drain_digest(inner, local, fx);
         } else if digest_on && local.log.len() >= DIGEST_HIGH_WATER {
             // Adaptive drain: a saturated pure-hit stream can overflow
             // the ring between 20 ms ticks; once it passes the
-            // high-water mark, pay the shard locks now instead of
+            // high-water mark, pay the DV lock now instead of
             // dropping the oldest records.
             self.drain_digest(inner, local, fx);
         }
@@ -1745,7 +1655,7 @@ impl CtxRuntime {
 
     /// Releases one pin of `key` held by this session and journals it:
     /// fast pins go back with index atomics alone, pins taken through
-    /// the DV (miss productions) release through the owning shard.
+    /// the DV (miss productions) release through the DV lock.
     /// Returns whether a transition was collected (the caller commits).
     fn release_key(
         &self,
@@ -1779,7 +1689,7 @@ impl CtxRuntime {
     /// `--recover` rescan, scoped to one interval. Idempotent: primed
     /// intervals are remembered. Returns the keys the insertions
     /// evicted under this member's budget, for the caller's deferred
-    /// delete path ([`Effects::evicts`] re-checks under the shard lock).
+    /// delete path ([`Effects::evicts`] re-checks under the DV lock).
     fn prime_takeover_interval(&self, interval: u64) -> Vec<u64> {
         let _rank = lockrank::held(lockrank::TAKEOVER_PRIMED);
         let mut primed = self.takeover_primed.lock();
@@ -1796,8 +1706,8 @@ impl CtxRuntime {
                     continue;
                 }
                 let size = self.storage.size_of(&file).unwrap_or(0);
-                let _shard_rank = lockrank::held(lockrank::DV_SHARD);
-                let mut core = self.shards[self.router.shard_of_key(key)].lock();
+                let _dv_rank = lockrank::held(lockrank::DV_SHARD);
+                let mut core = self.dv.lock();
                 evicted.extend(core.dv.prime(key, size));
             }
         }
@@ -1809,12 +1719,9 @@ impl CtxRuntime {
     }
 
     /// Drains the connection's access log into the prefetch agents
-    /// (layer 1a): records replay into *every* shard under its lock —
-    /// each agent replica must observe the full sequence — while
-    /// planning and accounting stay partitioned by interval ownership,
-    /// so the shards' prefetch launches compose without overlap. Drop
-    /// counts fold into shard 0's stats (one shard must own them or
-    /// roll-ups would multiply).
+    /// (layer 1a) under the DV lock. The agents observe every record;
+    /// a cluster member plans and counts only the intervals it owns, so
+    /// the members' prefetch launches compose without overlap.
     fn drain_digest(&self, inner: &Inner, local: &mut ConnLocal, fx: &mut Effects) {
         if !self.digest || local.log.is_empty() {
             return;
@@ -1826,30 +1733,24 @@ impl CtxRuntime {
         // forwarded records carry its client's.
         let same_clock = local.observe_local;
         let now = inner.now();
-        let router = self.router;
         let cluster = self.cluster;
         let steps = self.steps;
-        for s in 0..self.shards.len() {
-            self.with_shard(
-                s,
-                fx,
-                |core| {
-                    if s == 0 && dropped > 0 {
-                        core.dv.note_digest_dropped(dropped);
-                    }
-                    let owns = |key: u64| {
-                        cluster.owns_key(&steps, key) && router.shard_of_key(key) == s
-                    };
-                    let DvCore { dv, actions, .. } = core;
-                    if same_clock {
-                        dv.ingest_digest(now, records, dropped, &owns, actions);
-                    } else {
-                        dv.ingest_forwarded_digest(now, records, dropped, &owns, actions);
-                    }
-                },
-                |_, _| {},
-            );
-        }
+        self.with_dv(
+            fx,
+            |core| {
+                if dropped > 0 {
+                    core.dv.note_digest_dropped(dropped);
+                }
+                let owns = |key: u64| cluster.owns_key(&steps, key);
+                let DvCore { dv, actions, .. } = core;
+                if same_clock {
+                    dv.ingest_digest(now, records, dropped, &owns, actions);
+                } else {
+                    dv.ingest_forwarded_digest(now, records, dropped, &owns, actions);
+                }
+            },
+            |_, _| {},
+        );
     }
 
     /// Greets a same-host analysis session of a context with a shared
@@ -1924,7 +1825,7 @@ impl CtxRuntime {
 
     /// Tears down an analysis session: drops the routing entry, returns
     /// the connection's fast pins and drops its mapped slots, clears
-    /// pending request bookkeeping in every shard, releases the
+    /// its pending request bookkeeping, releases the
     /// client's DV-side pins via `ClientGone`.
     fn analysis_disconnect(
         &self,
@@ -1942,9 +1843,9 @@ impl CtxRuntime {
         if let Some(mapped) = local.mapped.take() {
             self.fast.detach(mapped.pins());
         }
-        for shard in &self.shards {
+        {
             let _rank = lockrank::held(lockrank::DV_SHARD);
-            let mut core = shard.lock();
+            let mut core = self.dv.lock();
             core.pending.retain(|(c, _), _| *c != client);
         }
         // Durable departure: one ClientGone voids every logged pin of
@@ -2213,9 +2114,38 @@ impl DvServer {
     /// time. Thread topology is fixed: `min(cores, 8)` reactor shards
     /// and one effect helper per shard.
     ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`], before anything is bound or
+    /// started, for a context with `dv_shards > 1` or a cluster index
+    /// outside `0..size`; otherwise the bind and start-up I/O errors.
+    ///
     /// # Panics
     /// Panics on duplicate context names — a configuration error.
     pub fn start_multi(configs: Vec<ServerConfig>, bind: &str) -> io::Result<DvServer> {
+        for config in &configs {
+            let name = &config.ctx.name;
+            let cluster = config.cluster;
+            if config.dv_shards > 1 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "context {name:?}: ServerConfig::dv_shards = {} (only 0 or 1: a \
+                         context runs one DV; split it across daemons with \
+                         ServerConfig::cluster)",
+                        config.dv_shards
+                    ),
+                ));
+            }
+            if cluster.index >= cluster.size {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "context {name:?}: ServerConfig::cluster index {} out of range 0..{}",
+                        cluster.index, cluster.size
+                    ),
+                ));
+            }
+        }
         let listener = Listener::bind(bind)?;
         let addr = listener.local_addr()?;
 
@@ -2236,13 +2166,6 @@ impl DvServer {
         for config in configs {
             let name = config.ctx.name.clone();
             let cluster = config.cluster;
-            assert!(
-                cluster.index < cluster.size,
-                "cluster index {} out of range 0..{}",
-                cluster.index,
-                cluster.size
-            );
-            let n_shards = config.dv_shards.max(1);
             // The lock-free hit layer serves every context. Prefetching
             // contexts decouple observation from acquisition: fast hits
             // are *recorded* into the per-connection digest and replayed
@@ -2261,23 +2184,14 @@ impl DvServer {
             };
             let fast = Arc::new(fast);
             let digest = config.ctx.prefetch;
-            // The shard composition (per-member and per-shard cfg
-            // slices, cluster-wide sim-id striding, routing) comes from
-            // `ShardedDv` — the reference object the CI-pinned
-            // equivalence tests verify — so the daemon cannot silently
-            // drift from the sharding contract, clustered or not.
-            let (mut shards, router) =
-                ShardedDv::cluster_member(config.ctx.clone(), n_shards, cluster).into_parts();
-            for dv in &mut shards {
-                dv.attach_index(Arc::clone(&fast));
-                dv.set_digest_observation(digest);
-            }
+            let mut dv = DataVirtualizer::for_member(config.ctx.clone(), cluster);
+            dv.attach_index(Arc::clone(&fast));
+            dv.set_digest_observation(digest);
 
-            // Prime: everything already on disk is cached state, routed
-            // to its owning shard. On a shared storage area a cluster
-            // member skips the intervals it does not own — they are
-            // another daemon's cached state, not ours to budget or
-            // evict.
+            // Prime: everything already on disk is cached state. On a
+            // shared storage area a cluster member skips the intervals
+            // it does not own — they are another daemon's cached state,
+            // not ours to budget or evict.
             let steps = config.ctx.steps;
             let mut evicted = Vec::new();
             for file in config.storage.list()? {
@@ -2286,7 +2200,7 @@ impl DvServer {
                         continue;
                     }
                     let size = config.storage.size_of(&file).unwrap_or(0);
-                    evicted.extend(shards[router.shard_of_key(key)].prime(key, size));
+                    evicted.extend(dv.prime(key, size));
                 }
             }
 
@@ -2323,9 +2237,8 @@ impl DvServer {
                     let mut pins: Vec<(&(u64, u64), &u32)> = replayed.pins.iter().collect();
                     pins.sort_unstable();
                     for (&(client, key), &count) in pins {
-                        let shard = &mut shards[router.shard_of_key(key)];
                         for _ in 0..count {
-                            if !shard.restore_pin(client, key) {
+                            if !dv.restore_pin(client, key) {
                                 break;
                             }
                             *state.pins.entry((client, key)).or_insert(0) += 1;
@@ -2346,17 +2259,11 @@ impl DvServer {
             let runtime = Arc::new_cyclic(|weak_self| CtxRuntime {
                 name: name.clone(),
                 weak_self: weak_self.clone(),
-                shards: shards
-                    .into_iter()
-                    .map(|dv| {
-                        Mutex::new(DvCore {
-                            dv,
-                            pending: HashMap::new(),
-                            actions: Vec::new(),
-                        })
-                    })
-                    .collect(),
-                router,
+                dv: Mutex::new(DvCore {
+                    dv,
+                    pending: HashMap::new(),
+                    actions: Vec::new(),
+                }),
                 cluster,
                 steps,
                 fast,
@@ -2527,7 +2434,8 @@ impl DvServer {
     }
 
     /// Statistics snapshot of the only context (single-context
-    /// deployments): shard totals merged with the fast-path counters.
+    /// deployments): the DV's counters merged with the fast-path
+    /// counters.
     ///
     /// # Panics
     /// Panics if the daemon serves more than one context — use
@@ -2588,11 +2496,11 @@ impl DvServer {
             let _rank = lockrank::held(lockrank::QUIESCE);
             let mut guard = qlock.lock().unwrap();
             loop {
-                let idle = ctx.shards.iter().all(|shard| {
-                    let _shard_rank = lockrank::held(lockrank::DV_SHARD);
-                    let core = shard.lock();
+                let idle = {
+                    let _dv_rank = lockrank::held(lockrank::DV_SHARD);
+                    let core = ctx.dv.lock();
                     core.dv.active_sims() == 0 && core.dv.queued_launches() == 0
-                });
+                };
                 if idle {
                     break;
                 }

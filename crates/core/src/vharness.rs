@@ -30,9 +30,7 @@
 //! so backoff retries, watchdog kills, and quarantine expiries all
 //! happen at exact virtual times.
 
-use crate::dv::{
-    ClusterMember, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, ShardedDv, SimId,
-};
+use crate::dv::{ClusterMember, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, SimId};
 use crate::model::ContextCfg;
 use crate::route::{ownership_error, AcquireMode, ClusterRoute, Release, Route};
 use simbatch::{Cluster, JobId, QueueModel};
@@ -595,7 +593,8 @@ impl FaultedClusterExperiment {
         let k = self.members.max(1);
         let members = (0..k)
             .map(|index| {
-                let mut dv = fresh_member_dv(&self.cfg, index, k);
+                let mut dv =
+                    DataVirtualizer::for_member(self.cfg.clone(), ClusterMember::new(index, k));
                 dv.seed_estimates(self.alpha_sim + self.queue.mean(), self.tau_sim);
                 VMember {
                     dv: Some(dv),
@@ -744,14 +743,6 @@ impl FaultedClusterExperiment {
     }
 }
 
-/// A member's DataVirtualizer, configured exactly as the real cluster
-/// configures one: interval-residue ownership and a `1/K` cache slice.
-fn fresh_member_dv(cfg: &ContextCfg, index: u32, k: u32) -> DataVirtualizer {
-    let (mut shards, _router) =
-        ShardedDv::cluster_member(cfg.clone(), 1, ClusterMember::new(index, k)).into_parts();
-    shards.pop().expect("one shard requested")
-}
-
 /// Can the analysis reach member `m` right now?
 fn reachable(w: &FaultWorld, m: usize, now: SimTime) -> bool {
     w.members[m].dv.is_some() && now >= w.members[m].delayed_until
@@ -784,7 +775,8 @@ fn crash_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
 /// pins under prior client ids, grant recovery leases, compact.
 fn restart_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, recover: bool) {
     assert!(w.members[m].dv.is_none(), "restarting a live member");
-    let mut dv = fresh_member_dv(&w.cfg, m as u32, w.cluster_size);
+    let mut dv =
+        DataVirtualizer::for_member(w.cfg.clone(), ClusterMember::new(m as u32, w.cluster_size));
     dv.seed_estimates(w.exp.alpha_sim + w.exp.queue.mean(), w.exp.tau_sim);
     let mut owned: Vec<(u64, u64)> = w
         .storage

@@ -29,7 +29,7 @@ fn steps() -> StepMath {
 }
 
 /// Starts one cluster member (or, with `ClusterMember::SOLO`, the
-/// unsharded reference daemon) over `dir`. Prefetch off by default —
+/// single reference daemon) over `dir`. Prefetch off by default —
 /// the deterministic configuration the equivalence tests pin; the
 /// digest tests opt in via [`start_member_prefetch`].
 fn start_member(
@@ -37,9 +37,8 @@ fn start_member(
     member: ClusterMember,
     cache_steps: u64,
     smax: u32,
-    dv_shards: u32,
 ) -> (DvServer, StorageArea) {
-    start_member_prefetch(dir, member, cache_steps, smax, dv_shards, false)
+    start_member_prefetch(dir, member, cache_steps, smax, false)
 }
 
 /// [`start_member`] with an explicit prefetch switch.
@@ -48,7 +47,6 @@ fn start_member_prefetch(
     member: ClusterMember,
     cache_steps: u64,
     smax: u32,
-    dv_shards: u32,
     prefetch: bool,
 ) -> (DvServer, StorageArea) {
     start_member_cfg(
@@ -56,7 +54,6 @@ fn start_member_prefetch(
         member,
         cache_steps,
         smax,
-        dv_shards,
         prefetch,
         "127.0.0.1:0",
         DurabilityCfg::default(),
@@ -72,7 +69,6 @@ fn start_member_cfg(
     member: ClusterMember,
     cache_steps: u64,
     smax: u32,
-    dv_shards: u32,
     prefetch: bool,
     listen: &str,
     durability: DurabilityCfg,
@@ -99,7 +95,7 @@ fn start_member_cfg(
             storage: storage.clone(),
             launcher,
             checksums: HashMap::new(),
-            dv_shards,
+            dv_shards: 1,
             cluster: member,
             durability,
         },
@@ -115,7 +111,6 @@ fn start_cluster(
     k: u32,
     cache_steps: u64,
     smax: u32,
-    dv_shards: u32,
 ) -> (Vec<DvServer>, StorageArea, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!(
         "simfs-cluster-{}-{}-{:?}",
@@ -127,8 +122,7 @@ fn start_cluster(
     let mut servers = Vec::new();
     let mut storage = None;
     for index in 0..k {
-        let (server, s) =
-            start_member(&dir, ClusterMember::new(index, k), cache_steps, smax, dv_shards);
+        let (server, s) = start_member(&dir, ClusterMember::new(index, k), cache_steps, smax);
         servers.push(server);
         storage.get_or_insert(s);
     }
@@ -142,22 +136,19 @@ fn sorted(mut v: Vec<u64>) -> Vec<u64> {
 
 /// The cluster ≡ single-daemon contract, end to end over real sockets:
 /// the same deterministic request sequence driven through a 3-daemon
-/// cluster (via [`DvCluster`]) and through one unsharded daemon (via
+/// cluster (via [`DvCluster`]) and through a single daemon (via
 /// [`SimfsClient`]) must produce identical client-visible outcomes —
 /// per-request ready/failed sets and, after quiescence, identical
 /// hit/miss/restart/production totals. This is the wire-level mirror of
-/// the `ShardedDv` equivalence property tests.
+/// the cluster composition property test.
 #[test]
 fn three_daemon_cluster_matches_single_daemon() {
     // Big cache (no evictions on either side) keeps the outcome
     // deterministic; smax 6 gives each member a slice of 2.
-    // Two local DV shards per member: the cluster tier and the
-    // intra-process tier compose (member k's local shard s is flat
-    // shard s*3 + k of the 6-way split).
-    let (cluster, _cstorage, cdir) = start_cluster("eq", 3, 1000, 6, 2);
+    let (cluster, _cstorage, cdir) = start_cluster("eq", 3, 1000, 6);
     let sdir = std::env::temp_dir().join(format!("simfs-cluster-eq-ref-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&sdir);
-    let (single, _sstorage) = start_member(&sdir, ClusterMember::SOLO, 1000, 6, 1);
+    let (single, _sstorage) = start_member(&sdir, ClusterMember::SOLO, 1000, 6);
 
     let addrs: Vec<SocketAddr> = cluster.iter().map(DvServer::addr).collect();
     let mut cc = DvCluster::connect(&addrs, "test-ctx", steps()).unwrap();
@@ -250,7 +241,7 @@ fn three_daemon_cluster_matches_single_daemon() {
 /// reactor-thread-local state.
 #[test]
 fn cluster_teardown_fans_out_to_every_member() {
-    let (cluster, _storage, dir) = start_cluster("teardown", 3, 1000, 6, 2);
+    let (cluster, _storage, dir) = start_cluster("teardown", 3, 1000, 6);
     let addrs: Vec<SocketAddr> = cluster.iter().map(DvServer::addr).collect();
     // Keys 2, 6, 10 live on members 0, 1, 2 respectively.
     let keys = [2u64, 6, 10];
@@ -305,7 +296,7 @@ fn member_rejects_foreign_interval() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     // Member 1 of 3: owns intervals 1, 4, 7, ... — not key 2's interval 0.
-    let (server, storage) = start_member(&dir, ClusterMember::new(1, 3), 1000, 6, 2);
+    let (server, storage) = start_member(&dir, ClusterMember::new(1, 3), 1000, 6);
     let mut client = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
     let status = client.acquire(&[2]).unwrap();
     assert!(!status.ok());
@@ -337,7 +328,7 @@ fn member_rejects_foreign_interval() {
     // same shape, launching nothing. Keys the takeover tag does not
     // cover are refused per key: 2 is member 0's, 10 is the taker's own.
     let native = client.acquire(&[6]).unwrap();
-    let (taker, _) = start_member(&dir, ClusterMember::new(2, 3), 1000, 6, 2);
+    let (taker, _) = start_member(&dir, ClusterMember::new(2, 3), 1000, 6);
     let mut tc = SimfsClient::connect(taker.addr(), "test-ctx").unwrap();
     let mut req = tc.takeover_acquire_nb(&[6, 2, 10], 1, 1).unwrap();
     let taken = tc.wait(&mut req).unwrap();
@@ -387,7 +378,7 @@ fn hello_rejects_mismatched_membership() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let (server, _storage) = start_member(&dir, ClusterMember::new(1, 3), 1000, 6, 1);
+    let (server, _storage) = start_member(&dir, ClusterMember::new(1, 3), 1000, 6);
     let good_hash = steps().config_hash();
 
     // Wrong member index: the client would route member 2's intervals
@@ -471,7 +462,7 @@ fn clustered_members_observe_forwarded_digests() {
     let mut servers = Vec::new();
     for index in 0..2 {
         let (server, _storage) =
-            start_member_prefetch(&dir, ClusterMember::new(index, 2), 1000, 6, 2, true);
+            start_member_prefetch(&dir, ClusterMember::new(index, 2), 1000, 6, true);
         servers.push(server);
     }
     let addrs: Vec<SocketAddr> = servers.iter().map(DvServer::addr).collect();
@@ -541,7 +532,6 @@ fn member_worker() {
             ClusterMember::new(member, 3),
             1000,
             6,
-            2,
             false,
             &listen,
             DurabilityCfg::durable(recover),
@@ -641,15 +631,15 @@ fn quiesce(cc: &mut DvCluster, rc: &mut DvCluster, produced: u64, tag: &str) {
 #[test]
 fn kill9_member_recovers_with_reassert() {
     // Reference: an uncrashed in-process 3-member cluster.
-    let (reference, _rstorage, ref_dir) = start_cluster("kill9-ref", 3, 1000, 6, 2);
+    let (reference, _rstorage, ref_dir) = start_cluster("kill9-ref", 3, 1000, 6);
     let ref_addrs: Vec<SocketAddr> = reference.iter().map(DvServer::addr).collect();
     let mut rc = DvCluster::connect(&ref_addrs, "test-ctx", steps()).unwrap();
 
     // Faulted cluster: members 0 and 2 in-process, member 1 a child.
     let dir = std::env::temp_dir().join(format!("simfs-cluster-kill9-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (m0, _storage) = start_member(&dir, ClusterMember::new(0, 3), 1000, 6, 2);
-    let (m2, _) = start_member(&dir, ClusterMember::new(2, 3), 1000, 6, 2);
+    let (m0, _storage) = start_member(&dir, ClusterMember::new(0, 3), 1000, 6);
+    let (m2, _) = start_member(&dir, ClusterMember::new(2, 3), 1000, 6);
     let port = {
         // Reserve a port for the worker (bind-then-drop).
         let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -745,15 +735,15 @@ fn kill9_member_recovers_with_reassert() {
 #[test]
 fn kill9_member_fails_over_to_taker_and_hands_back() {
     // Reference: an uncrashed in-process 3-member cluster.
-    let (reference, _rstorage, ref_dir) = start_cluster("failover-ref", 3, 1000, 6, 2);
+    let (reference, _rstorage, ref_dir) = start_cluster("failover-ref", 3, 1000, 6);
     let ref_addrs: Vec<SocketAddr> = reference.iter().map(DvServer::addr).collect();
     let mut rc = DvCluster::connect(&ref_addrs, "test-ctx", steps()).unwrap();
 
     // Faulted cluster: members 0 and 2 in-process, member 1 a child.
     let dir = std::env::temp_dir().join(format!("simfs-cluster-failover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (m0, _storage) = start_member(&dir, ClusterMember::new(0, 3), 1000, 6, 2);
-    let (m2, _) = start_member(&dir, ClusterMember::new(2, 3), 1000, 6, 2);
+    let (m0, _storage) = start_member(&dir, ClusterMember::new(0, 3), 1000, 6);
+    let (m2, _) = start_member(&dir, ClusterMember::new(2, 3), 1000, 6);
     let port = {
         let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         probe.local_addr().unwrap().port()
@@ -872,14 +862,14 @@ fn kill9_member_fails_over_to_taker_and_hands_back() {
 /// never crashed.
 #[test]
 fn kill9_taker_death_rehomes_pins_under_their_home_tag() {
-    let (reference, _rstorage, ref_dir) = start_cluster("chain-ref", 3, 1000, 6, 2);
+    let (reference, _rstorage, ref_dir) = start_cluster("chain-ref", 3, 1000, 6);
     let ref_addrs: Vec<SocketAddr> = reference.iter().map(DvServer::addr).collect();
     let mut rc = DvCluster::connect(&ref_addrs, "test-ctx", steps()).unwrap();
 
     // Faulted cluster: member 0 in-process, members 1 and 2 children.
     let dir = std::env::temp_dir().join(format!("simfs-cluster-chain-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (m0, _storage) = start_member(&dir, ClusterMember::new(0, 3), 1000, 6, 2);
+    let (m0, _storage) = start_member(&dir, ClusterMember::new(0, 3), 1000, 6);
     let ports: Vec<u16> = {
         // Reserve two distinct ports for the workers (bind-then-drop).
         let probes: Vec<_> = (0..2)
@@ -966,8 +956,8 @@ fn dead_member_surfaces_member_down_instead_of_hanging() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let (m0, _storage) = start_member(&dir, ClusterMember::new(0, 3), 1000, 6, 2);
-    let (m2, _) = start_member(&dir, ClusterMember::new(2, 3), 1000, 6, 2);
+    let (m0, _storage) = start_member(&dir, ClusterMember::new(0, 3), 1000, 6);
+    let (m2, _) = start_member(&dir, ClusterMember::new(2, 3), 1000, 6);
     let port = {
         let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         probe.local_addr().unwrap().port()

@@ -27,23 +27,17 @@ struct Fixture {
     _dir: std::path::PathBuf,
 }
 
-/// Starts an unsharded (one DV shard) daemon over a fresh storage
+/// Starts a daemon (one DV per context) over a fresh storage
 /// area. B = 4, N = 64 output steps, cache of `cache_steps` steps,
 /// checksums recorded for keys 1..=8, prefetching on (agents observe
 /// through the access-stream digest; hits serve through the lock-free
 /// fast path in every configuration).
 fn start_daemon(tag: &str, cache_steps: u64, smax: u32) -> Fixture {
-    start_daemon_cfg(tag, cache_steps, smax, 1, true)
+    start_daemon_cfg(tag, cache_steps, smax, true)
 }
 
-/// [`start_daemon`] with explicit DV shard count and prefetch switch.
-fn start_daemon_cfg(
-    tag: &str,
-    cache_steps: u64,
-    smax: u32,
-    dv_shards: u32,
-    prefetch: bool,
-) -> Fixture {
+/// [`start_daemon`] with an explicit prefetch switch.
+fn start_daemon_cfg(tag: &str, cache_steps: u64, smax: u32, prefetch: bool) -> Fixture {
     let dir = std::env::temp_dir().join(format!(
         "simfs-daemon-{}-{}-{:?}",
         tag,
@@ -81,7 +75,7 @@ fn start_daemon_cfg(
             storage: storage.clone(),
             launcher,
             checksums,
-            dv_shards,
+            dv_shards: 1,
             cluster: ClusterMember::SOLO,
             durability: DurabilityCfg::default(),
         },
@@ -565,9 +559,9 @@ fn fast_path_serves_hits_without_dv_lock() {
     // Prefetch off ⇒ the lock-free hit layer is active: a re-acquire
     // of a warm key must be served by the concurrent index (counted in
     // acquired_fast), while the first (miss) acquire goes through a
-    // shard lock (acquired_slow). The full cycle — fast pin, fast
+    // DV lock (acquired_slow). The full cycle — fast pin, fast
     // release, later eviction — must stay coherent.
-    let fx = start_daemon_cfg("fastpath", 1000, 4, 1, false);
+    let fx = start_daemon_cfg("fastpath", 1000, 4, false);
     let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
     let status = client.acquire(&[6]).unwrap();
     assert!(status.ok(), "{status:?}");
@@ -588,41 +582,57 @@ fn fast_path_serves_hits_without_dv_lock() {
 }
 
 #[test]
-fn sharded_daemon_serves_misses_and_hits_across_shards() {
-    // Four DV shards: intervals route round-robin, so keys 2, 6, 10,
-    // 14 land on four distinct shards. Misses must launch per shard,
-    // waiters must resolve, and merged stats must add up.
-    let fx = start_daemon_cfg("sharded", 1000, 8, 4, false);
-    let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
-    let status = client.acquire(&[2, 6, 10, 14]).unwrap();
-    assert!(status.ok(), "{status:?}");
-    let mut ready = status.ready.clone();
-    ready.sort_unstable();
-    assert_eq!(ready, vec![2, 6, 10, 14]);
-    for k in [2u64, 6, 10, 14] {
-        client.release(k).unwrap();
-        assert!(fx.storage.exists(&fx.driver.filename_of(k)), "key {k}");
+fn start_refuses_dv_shards_above_one_and_out_of_range_cluster_index() {
+    // Both are configuration errors a caller can build by hand (the
+    // fields are pub): each must come back as a typed InvalidInput
+    // naming the field, before anything is bound or started.
+    let dir = std::env::temp_dir().join(format!("simfs-daemon-startup-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let storage = StorageArea::create(&dir, u64::MAX).unwrap();
+    let size = step_bytes(1).len() as u64;
+    let config = |dv_shards: u32, cluster: ClusterMember| ServerConfig {
+        ctx: ContextCfg::new("test-ctx", StepMath::new(1, 4, 64), size, 100 * size),
+        driver: Arc::new(PatternDriver::new("out-", ".sdf", 6)),
+        storage: storage.clone(),
+        launcher: Arc::new(ThreadSimLauncher::new(
+            step_bytes,
+            |key| PatternDriver::new("out-", ".sdf", 6).filename_of(key),
+            Duration::from_millis(1),
+            Duration::from_millis(1),
+        )),
+        checksums: HashMap::new(),
+        dv_shards,
+        cluster,
+        durability: DurabilityCfg::default(),
+    };
+    let refused = |cfg: ServerConfig| match DvServer::start(cfg, "127.0.0.1:0") {
+        Ok(_) => panic!("start must refuse this configuration"),
+        Err(e) => e,
+    };
+    let err = refused(config(4, ClusterMember::SOLO));
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("dv_shards"), "{err}");
+    let err = refused(config(1, ClusterMember { index: 3, size: 2 }));
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("cluster"), "{err}");
+    // 0 and 1 both mean one DV and still start.
+    for dv_shards in [0, 1] {
+        DvServer::start(config(dv_shards, ClusterMember::SOLO), "127.0.0.1:0")
+            .unwrap()
+            .shutdown();
     }
-    // Re-acquire everything: all hits, all off the fast path.
-    let status = client.acquire(&[2, 6, 10, 14]).unwrap();
-    assert!(status.ok());
-    let stats = fx.server.stats();
-    assert_eq!(stats.misses, 4, "one miss per shard");
-    assert_eq!(stats.restarts, 4, "one launch per interval");
-    assert_eq!(stats.hits, 4);
-    assert_eq!(stats.acquired_fast, 4);
-    client.finalize().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn hit_path_stress_races_acquires_against_evictions() {
-    // The epoch-fallback scenario, stressed: a tiny cache (4 steps per
-    // shard is far less than the 16 keys in play) keeps evicting warm
+    // The epoch-fallback scenario, stressed: a tiny cache (4 steps is
+    // far less than the 16 keys in play) keeps evicting warm
     // keys while several clients hammer hit-path acquires on them. A
     // fast pin must always win or cleanly fall back — every acquire
     // must succeed (possibly via a re-simulation), no response may be
     // lost, and the counters must account for every request.
-    let fx = start_daemon_cfg("hitstress", 4, 8, 1, false);
+    let fx = start_daemon_cfg("hitstress", 4, 8, false);
     let addr = fx.server.addr();
     const HAMMERS: usize = 6;
     const HAMMER_ROUNDS: usize = 80;
@@ -719,7 +729,7 @@ fn socket_kill_mid_fast_pin_returns_pins_to_index() {
     // connection down (before the DV-side ClientGone), otherwise
     // try_retire would veto eviction on pins owned by a dead client
     // forever.
-    let fx = start_daemon_cfg("midpin-kill", 4, 4, 1, false);
+    let fx = start_daemon_cfg("midpin-kill", 4, 4, false);
     let addr = fx.server.addr();
     {
         // Warm key 2 so the kill victim's acquire is a fast-path hit.
@@ -1124,10 +1134,9 @@ fn half_close_still_receives_pending_responses() {
 #[test]
 fn prefetching_context_serves_hits_on_fast_path() {
     // The ceiling the access-stream digest removes: a prefetching
-    // context keeps the lock-free hit layer *and* multi-shard DV
-    // routing — observation rides the digest instead of the acquire
-    // path.
-    let fx = start_daemon_cfg("prefetchfast", 1000, 8, 2, true);
+    // context keeps the lock-free hit layer — observation rides the
+    // digest instead of the acquire path.
+    let fx = start_daemon_cfg("prefetchfast", 1000, 8, true);
     let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
     let status = client.acquire(&[6]).unwrap();
     assert!(status.ok(), "{status:?}");
@@ -1149,9 +1158,9 @@ fn tick_drain_feeds_agents_from_pure_hit_stream() {
     // The headline of the digest design: a client whose steady-state
     // traffic is 100% lock-free fast-path hits still drives the §IV-B
     // agents — the reactor tick drains its recorded access stream into
-    // every shard, the trajectory confirms, and the agents prefetch
+    // the DV, the trajectory confirms, and the agents prefetch
     // beyond the warm zone without the client ever taking a DV lock.
-    let fx = start_daemon_cfg("tickdrain", 1000, 8, 2, true);
+    let fx = start_daemon_cfg("tickdrain", 1000, 8, true);
     let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
     const WARM: u64 = 12;
     for key in 1..=WARM {
@@ -1200,7 +1209,7 @@ fn blocked_forward_scan_prefetches_whole_intervals() {
     // context) plans restart-aligned blocks whole: no launch covers
     // less than an interval, and no more sims start than the scan
     // touches intervals.
-    let fx = start_daemon_cfg("blockedscan", 1000, 4, 0, true);
+    let fx = start_daemon_cfg("blockedscan", 1000, 4, true);
     let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
     assert!(
         !fx.storage.exists(&fx.driver.filename_of(1)),

@@ -53,7 +53,7 @@ impl Default for FixtureCfg {
     }
 }
 
-/// One-DV-shard daemon over a fresh storage area.
+/// One daemon over a fresh storage area.
 fn start_daemon(tag: &str, cfg: FixtureCfg) -> Fixture {
     let dir = std::env::temp_dir().join(format!(
         "simfs-effects-{}-{}-{:?}",

@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use simfs_core::dv::{
-    shard_cfg, ClusterMember, DataVirtualizer, DvAction, DvEvent, DvRouter, EventRoute,
-    LaunchReason, ShardedDv,
+    shard_cfg, ClusterMember, DataVirtualizer, DvAction, DvEvent, LaunchReason,
 };
 use simfs_core::model::{ContextCfg, StepMath};
 use simfs_core::prefetch::{AccessLog, AccessRecord};
@@ -629,146 +628,20 @@ proptest! {
         prop_assert_eq!(alloc_dv.queued_launches(), scratch_dv.queued_launches());
     }
 
-    /// The sharding contract: a 4-shard [`ShardedDv`] fed an arbitrary
-    /// interleaved event stream behaves exactly like four independent
-    /// unsharded DVs — each constructed with the 1/N context slice and
-    /// the shard's sim-id stride — fed the per-shard subsequences, with
-    /// `ClientGone` broadcast in shard order. This pins capacity
-    /// splitting, `s_max` splitting, sim-id striding, key/sim routing
-    /// and fan-out order against drift.
+    /// The multi-daemon contract: a 3-daemon cluster — each member one
+    /// [`DataVirtualizer::for_member`] receiving only the events DVLib's
+    /// interval hash routes to it, with `ClientGone` fanned out to every
+    /// member — behaves exactly like three hand-built DVs, member `k`
+    /// given the `1/K` context slice and sim ids `k + 1` step `K`, fed
+    /// the same per-member subsequences. This pins the daemon-level
+    /// composition (per-member budget and `s_max` slice, cluster-wide
+    /// sim-id striding, teardown fan-out order). The routing rule is
+    /// pinned independently: `owns_key` must agree with `interval % K`
+    /// (invalid keys to member 0), every launch of member `k` must carry
+    /// a sim id in `k`'s residue class, and every miss launch must stay
+    /// inside intervals member `k` owns.
     #[test]
-    fn sharded_dv_equivalent_to_per_shard_unsharded(
-        events in prop::collection::vec(arb_event(), 1..200),
-        cache_steps in 2u64..20,
-        smax in 1u32..8,
-        prefetch in any::<bool>(),
-    ) {
-        const N: u32 = 4;
-        let steps = StepMath::new(1, 4, 40);
-        let cfg = ContextCfg::new("shardeq", steps, 10, cache_steps * 10)
-            .with_policy("lru")
-            .with_smax(smax)
-            .with_prefetch(prefetch);
-        let mut sharded = ShardedDv::new(cfg.clone(), N);
-        let router = sharded.router();
-        let per_shard = shard_cfg(&cfg, N);
-        let mut reference: Vec<DataVirtualizer> = (0..N)
-            .map(|s| {
-                DataVirtualizer::new(per_shard.clone())
-                    .with_sim_ids(s as u64 + 1, N as u64)
-            })
-            .collect();
-
-        for (i, event) in events.into_iter().enumerate() {
-            let now = SimTime::from_nanos(1 + i as u64);
-            let got = sharded.handle(now, event.clone());
-            let mut want = Vec::new();
-            match router.route(&event) {
-                EventRoute::Shard(s) => {
-                    want.extend(reference[s].handle(now, event));
-                }
-                EventRoute::Broadcast => {
-                    for shard in reference.iter_mut() {
-                        want.extend(shard.handle(now, event.clone()));
-                    }
-                }
-            }
-            prop_assert_eq!(&got, &want);
-        }
-
-        let total = sharded.stats();
-        let mut want_hits = 0;
-        let mut want_misses = 0;
-        let mut want_restarts = 0;
-        let mut want_evictions = 0;
-        let mut want_kills = 0;
-        for shard in &reference {
-            let s = shard.stats();
-            want_hits += s.hits;
-            want_misses += s.misses;
-            want_restarts += s.restarts;
-            want_evictions += s.evictions;
-            want_kills += s.kills;
-        }
-        prop_assert_eq!(total.hits, want_hits);
-        prop_assert_eq!(total.misses, want_misses);
-        prop_assert_eq!(total.restarts, want_restarts);
-        prop_assert_eq!(total.evictions, want_evictions);
-        prop_assert_eq!(total.kills, want_kills);
-    }
-
-    /// Shard isolation: when every event routes to one shard (keys
-    /// confined to that shard's restart intervals), the 4-shard DV is
-    /// observably equivalent — responses, launches, evictions, stats
-    /// totals — to a single unsharded DV given that shard's context
-    /// slice. The other shards contribute nothing, so key-range
-    /// sharding cannot change single-range semantics.
-    #[test]
-    fn sharded_dv_matches_unsharded_on_same_shard_events(
-        picks in prop::collection::vec(
-            (0u8..8, 1u64..6, 0u64..12, 1u64..10, 1u64..500),
-            1..200,
-        ),
-        cache_steps in 2u64..20,
-        smax in 1u32..8,
-        prefetch in any::<bool>(),
-    ) {
-        const N: u32 = 4;
-        // B = 4, 12 intervals; shard 0 owns intervals 0, 4 and 8, i.e.
-        // keys 1..=4, 17..=20, 33..=36.
-        let steps = StepMath::new(1, 4, 48);
-        let shard0_key = |raw: u64| {
-            let interval = [0u64, 4, 8][(raw % 3) as usize];
-            interval * 4 + 1 + raw % 4
-        };
-        let events: Vec<DvEvent> = picks
-            .into_iter()
-            .map(|(kind, client, key_raw, sim, size)| match kind {
-                0..=2 => DvEvent::Acquire { client, key: shard0_key(key_raw) },
-                3..=4 => DvEvent::Release { client, key: shard0_key(key_raw) },
-                5 => DvEvent::FileProduced { sim, key: shard0_key(key_raw), size },
-                6 => DvEvent::SimFinished { sim },
-                _ => DvEvent::ClientGone { client },
-            })
-            .collect();
-
-        let cfg = ContextCfg::new("shardiso", steps, 10, N as u64 * cache_steps * 10)
-            .with_policy("lru")
-            .with_smax(N * smax)
-            .with_prefetch(prefetch);
-        let mut sharded = ShardedDv::new(cfg.clone(), N);
-        // The lone reference DV gets exactly shard 0's slice: 1/N of
-        // the budget and s_max, and shard 0's sim-id stride.
-        let mut reference =
-            DataVirtualizer::new(shard_cfg(&cfg, N)).with_sim_ids(1, N as u64);
-
-        for (i, event) in events.into_iter().enumerate() {
-            let now = SimTime::from_nanos(1 + i as u64);
-            let got = sharded.handle(now, event.clone());
-            let want = reference.handle(now, event);
-            prop_assert_eq!(&got, &want);
-        }
-        let total = sharded.stats();
-        let want = reference.stats();
-        prop_assert_eq!(total.hits, want.hits);
-        prop_assert_eq!(total.misses, want.misses);
-        prop_assert_eq!(total.restarts, want.restarts);
-        prop_assert_eq!(total.evictions, want.evictions);
-        prop_assert_eq!(total.produced_steps, want.produced_steps);
-        prop_assert_eq!(sharded.active_sims(), reference.active_sims());
-        prop_assert_eq!(sharded.queued_launches(), reference.queued_launches());
-    }
-
-    /// The multi-daemon contract: a 3-daemon cluster — each member an
-    /// unsharded [`ShardedDv::cluster_member`] receiving only the
-    /// events DVLib's interval hash routes to it, with `ClientGone`
-    /// fanned out to every member — behaves exactly like the 3-shard
-    /// [`ShardedDv`] fed the interleaved stream. This pins the
-    /// daemon-level composition (per-member budget slice, cluster-wide
-    /// sim-id striding, interval routing, teardown fan-out order) to
-    /// the intra-process reference the other equivalence tests verify.
-    #[test]
-    fn cluster_members_compose_to_sharded_dv(
+    fn cluster_members_compose_to_per_member_slices(
         events in prop::collection::vec(arb_event(), 1..200),
         cache_steps in 2u64..20,
         smax in 1u32..8,
@@ -780,35 +653,75 @@ proptest! {
             .with_policy("lru")
             .with_smax(smax)
             .with_prefetch(prefetch);
-        let mut reference = ShardedDv::new(cfg.clone(), K);
-        // DVLib's routing tier: the same interval-granular router the
-        // intra-process shards use, one level up.
-        let dvlib = DvRouter::new(steps, K);
-        let mut members: Vec<ShardedDv> = (0..K)
-            .map(|k| ShardedDv::cluster_member(cfg.clone(), 1, ClusterMember::new(k, K)))
+        let per_member = shard_cfg(&cfg, K);
+        let mut reference: Vec<DataVirtualizer> = (0..K)
+            .map(|k| DataVirtualizer::new(per_member.clone()).with_sim_ids(k as u64 + 1, K as u64))
             .collect();
+        let mut members: Vec<DataVirtualizer> = (0..K)
+            .map(|k| DataVirtualizer::for_member(cfg.clone(), ClusterMember::new(k, K)))
+            .collect();
+        // DVLib's routing tier: keys go to the member owning their
+        // restart interval, sim lifecycle events to the member whose
+        // id residue launched the sim, teardown to every member.
+        let owner_of_key = |key: u64| {
+            let owners: Vec<u32> =
+                (0..K).filter(|&k| ClusterMember::new(k, K).owns_key(&steps, key)).collect();
+            assert_eq!(owners.len(), 1, "key {key} must have exactly one owner: {owners:?}");
+            owners[0]
+        };
+        // The rule `owns_key` must implement, written out on its own.
+        let interval_owner = |key: u64| {
+            if steps.valid_key(key) {
+                (steps.interval_of(key) % K as u64) as u32
+            } else {
+                0
+            }
+        };
+        let owner_of_sim = |sim: u64| (sim.wrapping_sub(1) % K as u64) as u32;
 
         for (i, event) in events.into_iter().enumerate() {
             let now = SimTime::from_nanos(1 + i as u64);
-            let want = reference.handle(now, event.clone());
-            let mut got = Vec::new();
-            match dvlib.route(&event) {
-                EventRoute::Shard(k) => {
-                    members[k].handle_into(now, event, &mut got);
+            let owner = match &event {
+                DvEvent::Acquire { key, .. }
+                | DvEvent::Release { key, .. }
+                | DvEvent::FileProduced { key, .. }
+                | DvEvent::OutputCorrupt { key, .. } => {
+                    prop_assert_eq!(owner_of_key(*key), interval_owner(*key));
+                    Some(owner_of_key(*key))
                 }
-                EventRoute::Broadcast => {
-                    for member in members.iter_mut() {
-                        member.handle_into(now, event.clone(), &mut got);
+                DvEvent::SimStarted { sim }
+                | DvEvent::SimFinished { sim }
+                | DvEvent::SimFailed { sim } => Some(owner_of_sim(*sim)),
+                DvEvent::ClientGone { .. } => None,
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for k in 0..K as usize {
+                if owner.is_none_or(|o| o as usize == k) {
+                    let from = got.len();
+                    members[k].handle_into(now, event.clone(), &mut got);
+                    reference[k].handle_into(now, event.clone(), &mut want);
+                    for action in &got[from..] {
+                        if let DvAction::Launch { sim, keys, reason, .. } = action {
+                            prop_assert_eq!(owner_of_sim(*sim) as usize, k);
+                            if *reason == LaunchReason::Miss {
+                                for key in keys.clone() {
+                                    prop_assert_eq!(interval_owner(key) as usize, k);
+                                }
+                            }
+                        }
                     }
                 }
             }
             prop_assert_eq!(&got, &want);
         }
 
-        let want = reference.stats();
+        let mut want = simfs_core::dv::DvStats::default();
+        for dv in &reference {
+            want.accumulate(dv.stats());
+        }
         let mut got = simfs_core::dv::DvStats::default();
         for member in &members {
-            got.accumulate(&member.stats());
+            got.accumulate(member.stats());
         }
         prop_assert_eq!(got.hits, want.hits);
         prop_assert_eq!(got.misses, want.misses);
@@ -816,81 +729,8 @@ proptest! {
         prop_assert_eq!(got.evictions, want.evictions);
         prop_assert_eq!(got.kills, want.kills);
         prop_assert_eq!(got.produced_steps, want.produced_steps);
-        let got_active: usize = members.iter().map(ShardedDv::active_sims).sum();
-        prop_assert_eq!(got_active, reference.active_sims());
-    }
-
-    /// Local shards inside cluster members must compose to flat
-    /// sharding: 2 members × 2 local shards each ≡ the flat 4-shard
-    /// [`ShardedDv`] (member `k`'s local shard `s` is flat shard
-    /// `s*2 + k`). This is the case the first cluster cut got wrong —
-    /// hashing the *raw* interval locally leaves local shards whose
-    /// index never intersects the member's residue class unreachable
-    /// (member 0 of 2 only ever sees even intervals, so raw `% 2`
-    /// never reaches local shard 1), stranding their budget slices;
-    /// the local router must divide the cluster dimension out. The
-    /// sizes are chosen with `gcd(K, n) > 1` precisely so raw hashing
-    /// cannot accidentally coincide with the correct rule. Broadcast
-    /// fan-out visits members (then locals) in a different order than
-    /// the flat shard walk, so broadcast actions are compared as
-    /// multisets.
-    #[test]
-    fn clustered_local_shards_compose_to_flat_sharding(
-        events in prop::collection::vec(arb_event(), 1..200),
-        cache_steps in 2u64..20,
-        smax in 1u32..12,
-        prefetch in any::<bool>(),
-    ) {
-        const K: u32 = 2;
-        const N_LOCAL: u32 = 2;
-        let steps = StepMath::new(1, 4, 40);
-        let cfg = ContextCfg::new("clusterflat", steps, 10, cache_steps * 10)
-            .with_policy("lru")
-            .with_smax(smax)
-            .with_prefetch(prefetch);
-        let mut reference = ShardedDv::new(cfg.clone(), K * N_LOCAL);
-        let dvlib = DvRouter::new(steps, K);
-        let mut members: Vec<ShardedDv> = (0..K)
-            .map(|k| ShardedDv::cluster_member(cfg.clone(), N_LOCAL, ClusterMember::new(k, K)))
-            .collect();
-
-        for (i, event) in events.into_iter().enumerate() {
-            let now = SimTime::from_nanos(1 + i as u64);
-            let want = reference.handle(now, event.clone());
-            let mut got = Vec::new();
-            match dvlib.route(&event) {
-                EventRoute::Shard(k) => {
-                    members[k].handle_into(now, event, &mut got);
-                    prop_assert_eq!(&got, &want);
-                }
-                EventRoute::Broadcast => {
-                    for member in members.iter_mut() {
-                        member.handle_into(now, event.clone(), &mut got);
-                    }
-                    // Same actions, member-major order instead of
-                    // flat-shard order: compare as multisets.
-                    let mut got_keys: Vec<String> =
-                        got.iter().map(|a| format!("{a:?}")).collect();
-                    let mut want_keys: Vec<String> =
-                        want.iter().map(|a| format!("{a:?}")).collect();
-                    got_keys.sort();
-                    want_keys.sort();
-                    prop_assert_eq!(got_keys, want_keys);
-                }
-            }
-        }
-
-        let want = reference.stats();
-        let mut got = simfs_core::dv::DvStats::default();
-        for member in &members {
-            got.accumulate(&member.stats());
-        }
-        prop_assert_eq!(got.hits, want.hits);
-        prop_assert_eq!(got.misses, want.misses);
-        prop_assert_eq!(got.restarts, want.restarts);
-        prop_assert_eq!(got.evictions, want.evictions);
-        prop_assert_eq!(got.produced_steps, want.produced_steps);
-        let got_active: usize = members.iter().map(ShardedDv::active_sims).sum();
-        prop_assert_eq!(got_active, reference.active_sims());
+        let got_active: usize = members.iter().map(DataVirtualizer::active_sims).sum();
+        let want_active: usize = reference.iter().map(DataVirtualizer::active_sims).sum();
+        prop_assert_eq!(got_active, want_active);
     }
 }

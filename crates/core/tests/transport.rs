@@ -41,7 +41,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One unsharded daemon serving `context` over `dir`, listening on
+/// One daemon serving `context` over `dir`, listening on
 /// `listen`: B = 4, N = 64, prefetch off (every counter the script
 /// moves is then a function of the script), checksums for keys 1..=8.
 fn start_daemon(

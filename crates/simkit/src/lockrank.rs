@@ -11,7 +11,7 @@
 //! ordering the lint checks on the source text, but across function and
 //! crate boundaries the syntactic pass cannot see (e.g. cache eviction
 //! inside the DV engine scanning the `HitIndex` session slots while the
-//! caller holds a DV shard).
+//! caller holds the DV lock).
 //!
 //! In release builds every function here compiles to nothing: [`held`]
 //! returns a zero-sized guard, [`assert_blocking_ok`] is empty, and
@@ -21,8 +21,8 @@
 //!
 //! * A lock may be acquired only while every rank already held by the
 //!   current thread is **strictly greater** than the new lock's level.
-//!   Equal levels are forbidden too — that is what outlaws taking two DV
-//!   shard locks at once.
+//!   Equal levels are forbidden too — that is what outlaws taking the DV
+//!   lock while it is held.
 //! * While any held rank has `blocking: false`, calling a blocking
 //!   primitive (file write/fsync, process spawn/kill, sleep, socket
 //!   send) is a bug; such primitives call [`assert_blocking_ok`].
@@ -58,18 +58,20 @@ pub const REAP_SIGNAL: Rank = Rank { level: 70, name: "reap-signal", blocking: t
 /// idle-shard poll during drain.
 pub const QUIESCE: Rank = Rank { level: 70, name: "quiesce", blocking: true };
 /// Takeover interval-priming set. Deliberately held across the storage
-/// rescan and the per-key shard locks while a takeover is primed.
+/// rescan and the per-key DV-lock acquisitions while a takeover is
+/// primed.
 pub const TAKEOVER_PRIMED: Rank = Rank { level: 60, name: "takeover-primed", blocking: true };
 /// Effect-pool per-shard queue mutex (tier 1c). A submitting reactor
 /// shard parks on the queue condvar while the queue is full
 /// (backpressure), so blocking is allowed while it is held; it is never
 /// nested with any other documented lock.
 pub const EFFECT_QUEUE: Rank = Rank { level: 50, name: "effect-queue", blocking: true };
-/// Per-key-range DV shard mutex (tier 2 in the server doc). The hot
-/// lock: everything under it must be pure state-machine work.
+/// A context's DV mutex (tier 2 in the server doc; the name predates
+/// one DV per context). The hot lock: everything under it must be pure
+/// state-machine work.
 pub const DV_SHARD: Rank = Rank { level: 40, name: "dv-shard", blocking: false };
 /// `HitIndex` session-slot registry mutex (tier 1). Taken by the
-/// eviction slot scan under a DV shard lock, and briefly when a mapped
+/// eviction slot scan under the DV lock, and briefly when a mapped
 /// session attaches, detaches or has its hits counted.
 pub const PIN_SLOTS: Rank = Rank { level: 30, name: "pin-slots", blocking: false };
 /// Daemon WAL mutex (tier 1b). Its entire purpose is batched file I/O,
@@ -271,7 +273,7 @@ pub fn thread_is_nonblocking() -> bool {
 /// Asserts the current thread holds no rank strictly below `level`.
 /// Used at entry to subsystems that may legitimately run under a lock of
 /// exactly `level` but must never be re-entered from deeper in the
-/// hierarchy (e.g. the DV state machine under its shard lock). No-op in
+/// hierarchy (e.g. the DV state machine under its DV lock). No-op in
 /// release builds.
 #[inline]
 pub fn assert_none_held_below(level: u16, what: &str) {
@@ -320,7 +322,7 @@ mod tests {
 
     #[test]
     fn equal_rank_acquisition_panics() {
-        // Two DV shard locks at once is the canonical forbidden pattern.
+        // The DV lock taken while held is the canonical forbidden pattern.
         assert!(catches(|| {
             let _a = held(DV_SHARD);
             let _b = held(DV_SHARD);

@@ -9,10 +9,10 @@ fn seeded_blocking_under_ledger(rt: &Runtime, spec: LaunchSpec) {
     drop(ledger);
 }
 
-fn seeded_write_under_shard_temp(rt: &Runtime, bytes: &[u8]) {
+fn seeded_write_under_dv_temp(rt: &Runtime, bytes: &[u8]) {
     // Statement temporary also counts as held for the statement:
-    // `write_all` inside the argument list runs under the shard lock.
-    rt.shards[0].lock().dv.apply(file.write_all(bytes));
+    // `write_all` inside the argument list runs under the DV lock.
+    rt.dv.lock().apply(file.write_all(bytes));
 }
 
 fn fine_blocking_under_wal(rt: &Runtime, bytes: &[u8]) {

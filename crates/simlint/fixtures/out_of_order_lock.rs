@@ -3,10 +3,10 @@
 // file). Not compiled — consumed by include_str! in tests.
 
 fn seeded_out_of_order(rt: &Runtime) {
-    // wal is level 20; acquiring a DV shard (level 40) under it climbs
+    // wal is level 20; acquiring the DV lock (level 40) under it climbs
     // the hierarchy: violation #1.
     let mut w = rt.wal.lock();
-    let core = rt.shards[0].lock();
+    let core = rt.dv.lock();
     drop(core);
     drop(w);
 }
@@ -21,7 +21,7 @@ fn seeded_equal_rank(rt: &Runtime) {
 
 fn fine_descending(rt: &Runtime) {
     // 40 then 20 is a legal descending chain; no finding.
-    let core = rt.shards[0].lock();
+    let core = rt.dv.lock();
     let pins = rt.ledger.lock().pins();
     drop(core);
 }
@@ -30,5 +30,5 @@ fn fine_after_drop(rt: &Runtime) {
     // Explicit drop releases the bound guard; no finding.
     let mut w = rt.wal.lock();
     drop(w);
-    let core = rt.shards[0].lock();
+    let core = rt.dv.lock();
 }

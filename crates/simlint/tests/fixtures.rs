@@ -35,7 +35,7 @@ fn fixture_out_of_order_lock_is_caught() {
     assert_eq!(
         order.len(),
         2,
-        "expected the wal→shard climb and the ledger=leases equal-rank nest: {findings:?}"
+        "expected the wal→DV climb and the ledger=leases equal-rank nest: {findings:?}"
     );
     assert!(order[0].message.contains("dv-shard") && order[0].message.contains("wal"));
     assert!(order[1].message.contains("leases") && order[1].message.contains("ledger"));
@@ -56,7 +56,7 @@ fn fixture_blocking_under_lock_is_caught() {
     assert_eq!(
         blocking.len(),
         2,
-        "expected `launch` under ledger and `write_all` under a shard temp: {findings:?}"
+        "expected `launch` under ledger and `write_all` under a DV-lock temp: {findings:?}"
     );
     assert!(blocking[0].message.contains("launch") && blocking[0].message.contains("ledger"));
     assert!(blocking[1].message.contains("write_all") && blocking[1].message.contains("dv-shard"));
@@ -86,7 +86,7 @@ fn seeded_violation_in_real_server_source_is_caught() {
         "real server.rs must be clean before seeding"
     );
     let seeded = format!(
-        "{real}\nfn simlint_seeded(rt: &Runtime) {{\n    let mut w = rt.wal.lock();\n    let core = rt.shards[0].lock();\n}}\n"
+        "{real}\nfn simlint_seeded(rt: &Runtime) {{\n    let mut w = rt.wal.lock();\n    let core = rt.dv.lock();\n}}\n"
     );
     let findings = lockcheck::check_source(AS_SERVER, &seeded, &reg);
     assert_eq!(findings.len(), 1, "{findings:?}");

@@ -23,12 +23,11 @@
 //! hand-rolled TCP clients, use the TCP address as ever. There is no
 //! flag for this (`simfs_core::net`).
 //!
-//! `--dv-shards n` splits the context's control plane into `n` DV
-//! shards owning alternating restart intervals. The default (`0`, same
-//! as `1`) is one DV: hits never take its lock, and each extra shard
-//! divides `s_max` and the cache budget and cuts every multi-interval
-//! prefetch block into one launch per interval
-//! (`simfs_core::server::ServerConfig::dv_shards`).
+//! The context runs one Data Virtualizer. To split its restart
+//! intervals, its cache budget and `s_max` over several daemons, start
+//! one `simfs-dv` per member with `--cluster-index k --cluster-size n`
+//! over the same data directory; DVLib's `DvCluster` routes each key to
+//! its owner.
 
 use simbatch::ProcessLauncher;
 use simfs::spec::ContextSpec;
@@ -44,7 +43,6 @@ struct Args {
     listen: String,
     init: bool,
     simd_program: String,
-    dv_shards: u32,
     cluster_index: u32,
     cluster_size: u32,
     durable: bool,
@@ -57,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
         listen: "127.0.0.1:0".to_string(),
         init: false,
         simd_program: "simfs-simd".to_string(),
-        dv_shards: 0,
         cluster_index: 0,
         cluster_size: 1,
         durable: false,
@@ -85,13 +82,6 @@ fn parse_args() -> Result<Args, String> {
                 args.durable = true;
                 args.recover = true;
             }
-            "--dv-shards" => {
-                i += 1;
-                args.dv_shards = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--dv-shards needs a shard count (0 or 1 = one DV, the default)")?;
-            }
             "--cluster-index" => {
                 i += 1;
                 args.cluster_index = argv
@@ -113,7 +103,7 @@ fn parse_args() -> Result<Args, String> {
     if args.spec_path.is_empty() {
         return Err(
             "usage: simfs-dv --spec <file> [--listen addr] [--simd path] \
-             [--dv-shards n (default: one DV)] [--cluster-index k --cluster-size n] \
+             [--cluster-index k --cluster-size n] \
              [--durable] [--recover] [--init]"
                 .into(),
         );
@@ -180,7 +170,7 @@ fn run() -> Result<(), String> {
             storage,
             launcher: Arc::new(ProcessLauncher::new()),
             checksums,
-            dv_shards: args.dv_shards,
+            dv_shards: 1,
             cluster: ClusterMember::new(args.cluster_index, args.cluster_size),
             durability: if args.durable {
                 DurabilityCfg::durable(args.recover)

@@ -40,7 +40,8 @@
 //! # let launcher: Arc<dyn simbatch::JobLauncher> = unimplemented!();
 //! let server = DvServer::start(ServerConfig {
 //!     ctx, driver, storage, launcher, checksums: HashMap::new(),
-//!     dv_shards: 0, cluster: ClusterMember::SOLO,
+//!     dv_shards: 0, // one DV per context; larger values are refused
+//!     cluster: ClusterMember::SOLO,
 //!     durability: DurabilityCfg::default(),
 //! }, "127.0.0.1:0").unwrap();
 //!
