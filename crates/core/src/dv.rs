@@ -253,8 +253,10 @@ pub enum DvAction {
 /// JSON emitters walk, and the daemon's atomic mirror — so a counter
 /// cannot be missing from any of them.
 ///
-/// * `dv` rows are incremented by the [`DataVirtualizer`] state machine
-///   itself; a cluster's totals are the sum over its members.
+/// * `dv` rows are incremented under the DV lock, by the
+///   [`DataVirtualizer`] state machine itself or by the member core
+///   around it (recovery leases, takeover priming); a cluster's totals
+///   are the sum over its members.
 /// * `daemon` rows are incremented by the daemon around the state
 ///   machine. Each gets an `AtomicU64` of the same name in
 ///   `DaemonCounters`, whose `overlay` copies them into a snapshot.
@@ -429,7 +431,7 @@ dv_stats! {
     dv pins_recovered,
     /// Recovered client leases that expired before the client
     /// re-asserted (their pins were released via `ClientGone`).
-    daemon leases_expired,
+    dv leases_expired,
     /// Clients that reconnected after a dropped connection (hellos
     /// carrying a prior-epoch claim).
     daemon client_reconnects,
@@ -442,7 +444,7 @@ dv_stats! {
     daemon takeover_acquires,
     /// Foreign intervals whose residency was rebuilt from the storage
     /// area to serve takeover acquires.
-    daemon takeover_intervals_primed,
+    dv takeover_intervals_primed,
     /// Takeover pin counts drained by `HandBack` after the dead member
     /// restarted.
     daemon takeover_pins_handed_back,
@@ -847,6 +849,11 @@ impl DataVirtualizer {
         &self.stats
     }
 
+    /// The counters, for the member core's rows (leases, priming).
+    pub(crate) fn stats_mut(&mut self) -> &mut DvStats {
+        &mut self.stats
+    }
+
     /// Cache-level statistics.
     pub fn cache_stats(&self) -> &simcache::CacheStats {
         self.cache.stats()
@@ -855,6 +862,12 @@ impl DataVirtualizer {
     /// Is `key` currently materialized?
     pub fn is_cached(&self, key: u64) -> bool {
         self.cache.peek(key)
+    }
+
+    /// Pin count of `key` in the cache.
+    #[cfg(test)]
+    pub(crate) fn pin_count(&self, key: u64) -> u32 {
+        self.cache.pin_count(key)
     }
 
     /// Number of active (launched, unfinished) simulations.
@@ -894,7 +907,7 @@ impl DataVirtualizer {
     /// tick (the daemon's reaper, the harness's scheduled wake-ups);
     /// [`next_due`](Self::next_due) says when the next call matters.
     pub fn tick(&mut self, now: SimTime, actions: &mut Vec<DvAction>) {
-        lockrank::assert_none_held_below(lockrank::DV_SHARD.level, "DataVirtualizer::tick");
+        lockrank::assert_none_held_below(lockrank::DV.level, "DataVirtualizer::tick");
         let mut stalled = std::mem::take(&mut self.kill_scratch);
         stalled.clear();
         for (&sim, s) in self.sims.iter() {
@@ -1449,7 +1462,7 @@ impl DataVirtualizer {
         // context's DV lock (daemon use) — never while an inner-tier
         // lock (WAL, ledger, pin-slots) is held, since eviction inside
         // this call re-enters the hit-index tier.
-        lockrank::assert_none_held_below(lockrank::DV_SHARD.level, "DataVirtualizer::handle_into");
+        lockrank::assert_none_held_below(lockrank::DV.level, "DataVirtualizer::handle_into");
         match event {
             DvEvent::Acquire { client, key } => {
                 self.on_acquire(client, key, now, actions);

@@ -31,6 +31,10 @@
 //!   takeover epoch, re-home, hand-back and the members' ownership
 //!   rule as one sans-IO state machine, driven by both
 //!   [`DvCluster`](client::DvCluster) and the virtual fault harness.
+//! * `member` (crate-private) — the member core: one DV member's crash
+//!   protocol (recovery, re-assertion, recovery-lease expiry,
+//!   departure, takeover priming) as one sans-IO state machine around
+//!   its DV, driven by both the daemon and the virtual fault harness.
 //! * [`wire`], [`server`], [`client`], [`intercept`] — the real deal: a
 //!   length-prefixed TCP protocol (the paper's "control messages
 //!   (TCP/IP)", Fig. 4), the daemon, the DVLib client API
@@ -57,6 +61,7 @@ pub mod driver;
 pub mod dv;
 pub mod effectpool;
 pub mod intercept;
+mod member;
 pub mod model;
 pub mod net;
 pub mod perfmodel;

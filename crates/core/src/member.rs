@@ -1,0 +1,458 @@
+//! The member core: one DV member's crash protocol — recovery,
+//! re-assertion, recovery-lease expiry, departure and takeover priming
+//! — as a sans-IO state machine around its [`DataVirtualizer`]. The
+//! daemon (`server.rs`) runs it under its DV lock on the monotonic
+//! clock, the virtual fault harness ([`crate::vharness`]) on virtual
+//! time; neither re-implements a rule.
+//!
+//! Events and `now` go in; DV actions (into the caller's buffer),
+//! journal records ([`MemberCore::records`], which the caller appends
+//! to its WAL) and the next instant a [`tick`](MemberCore::tick) has
+//! work ([`next_due`](MemberCore::next_due)) come out. A recovery
+//! lease deadline is one more supervision deadline.
+
+use crate::dv::{ClientId, ClusterMember, DataVirtualizer, DvAction, DvEvent};
+use crate::model::StepMath;
+use simkit::{Dur, SimTime};
+use simstore::walog::{WalRecord, WalState};
+use std::collections::{BTreeMap, HashSet};
+
+/// The journal record of one granted pin: a key member `me` does not
+/// own can only be a takeover grant (untagged foreign acquires are
+/// refused first), journaled as [`WalRecord::TakeoverPin`]; any other is
+/// a [`WalRecord::PinAcquire`]. A pure function of the key, so the
+/// daemon applies it outside the DV lock.
+pub(crate) fn pin_record(
+    me: ClusterMember,
+    steps: &StepMath,
+    client: ClientId,
+    key: u64,
+    epoch: u64,
+) -> WalRecord {
+    if me.is_clustered() && steps.valid_key(key) && !me.owns_key(steps, key) {
+        WalRecord::TakeoverPin { client, key, epoch }
+    } else {
+        WalRecord::PinAcquire { client, key, epoch }
+    }
+}
+
+/// One member's DV plus the crash-protocol state around it.
+pub(crate) struct MemberCore {
+    /// The member's state machine.
+    pub(crate) dv: DataVirtualizer,
+    me: ClusterMember,
+    /// Strictly above every epoch in the replayed journal; `0` for a
+    /// member without one.
+    epoch: u64,
+    /// The member keeps a journal (no records are queued without one).
+    durable: bool,
+    /// Recovery leases: prior-instance client → the instant its
+    /// restored pins lapse unless re-asserted. Ordered, so simultaneous
+    /// expiries depart in client order.
+    leases: BTreeMap<ClientId, SimTime>,
+    /// Foreign intervals primed to serve takeover acquires.
+    primed: HashSet<u64>,
+    /// Journal records queued by the transitions so far, oldest first;
+    /// the caller drains them after each call.
+    pub(crate) records: Vec<WalRecord>,
+}
+
+/// What [`MemberCore::recover`] hands back besides the core.
+pub(crate) struct Recovered {
+    /// Keys priming evicted over the budget (the caller deletes them).
+    pub(crate) evicted: Vec<u64>,
+    /// The recovered journal state under the new epoch, whose
+    /// [`snapshot`](WalState::snapshot) replaces the journal; `None`
+    /// without a journal.
+    pub(crate) state: Option<WalState>,
+    /// One past the highest leased client id (`0` if none): new
+    /// sessions must not take a leased identity.
+    pub(crate) client_floor: u64,
+}
+
+/// A reassert's answer, key by key.
+#[derive(Default)]
+pub(crate) struct Reasserted {
+    /// Keys whose pins moved to the new session (one entry per count).
+    pub(crate) restored: Vec<u64>,
+    /// Keys the client must re-acquire, with the reason.
+    pub(crate) gone: Vec<(u64, String)>,
+}
+
+impl MemberCore {
+    /// Starts member `me` over `dv` (built by the caller, any hit index
+    /// attached), priming the owned `resident` steps in the order given
+    /// (a size is read only for an owned key). With a `journal` the
+    /// epoch is one above the replayed one, recovery or not, so a
+    /// cross-epoch reassert is never mistaken for a same-instance
+    /// reconnect; with `recover` each replayed pin on a resident key is
+    /// restored (once per count) and every client left holding one is
+    /// leased until `now + lease_timeout`.
+    pub(crate) fn recover<S: FnOnce() -> u64>(
+        me: ClusterMember,
+        mut dv: DataVirtualizer,
+        resident: impl IntoIterator<Item = (u64, S)>,
+        journal: Option<&[WalRecord]>,
+        recover: bool,
+        now: SimTime,
+        lease_timeout: Dur,
+    ) -> (MemberCore, Recovered) {
+        let steps = dv.cfg().steps;
+        let mut evicted = Vec::new();
+        for (key, size) in resident {
+            if me.owns_key(&steps, key) {
+                evicted.extend(dv.prime(key, size()));
+            }
+        }
+        let mut core = MemberCore {
+            dv,
+            me,
+            epoch: 0,
+            durable: journal.is_some(),
+            leases: BTreeMap::new(),
+            primed: HashSet::new(),
+            records: Vec::new(),
+        };
+        let mut client_floor = 0;
+        let state = journal.map(|records| {
+            let replayed = WalState::replay(records);
+            core.epoch = replayed.epoch + 1;
+            let mut state = WalState {
+                epoch: core.epoch,
+                ..WalState::default()
+            };
+            if recover {
+                let mut pins: Vec<(&(u64, u64), &u32)> = replayed.pins.iter().collect();
+                pins.sort_unstable();
+                for (&(client, key), &count) in pins {
+                    for _ in 0..count {
+                        if !core.dv.restore_pin(client, key) {
+                            break;
+                        }
+                        *state.pins.entry((client, key)).or_insert(0) += 1;
+                    }
+                }
+                let deadline = now.saturating_add(lease_timeout);
+                for client in state.live_clients() {
+                    state.leases.push(client);
+                    core.leases.insert(client, deadline);
+                    client_floor = client_floor.max(client + 1);
+                }
+            }
+            state
+        });
+        (core, Recovered { evicted, state, client_floor })
+    }
+
+    /// This instance's recovery epoch.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// [`pin_record`] under this member's identity and epoch.
+    pub(crate) fn pin_record(&self, client: ClientId, key: u64) -> WalRecord {
+        pin_record(self.me, &self.dv.cfg().steps, client, key, self.epoch)
+    }
+
+    fn journal(&mut self, record: WalRecord) {
+        if self.durable {
+            self.records.push(record);
+        }
+    }
+
+    /// Session `client` re-claims the pins its prior identity held
+    /// (`keys`, one entry per count). **Same epoch**: the hangup
+    /// already released everything — all `gone`, nothing runs. **Lease
+    /// lapsed (at this very instant counts) or unknown**: all `gone`; a
+    /// lapsed, unticked lease expires here. **Lease live**: each key
+    /// still held transfers to `client` (`restored`, journaled), the
+    /// rest are `gone`, and the prior identity departs. A lease is
+    /// claimed at most once.
+    pub(crate) fn reassert(
+        &mut self,
+        now: SimTime,
+        client: ClientId,
+        prior_client: ClientId,
+        prior_epoch: u64,
+        keys: &[u64],
+        actions: &mut Vec<DvAction>,
+    ) -> Reasserted {
+        let all_gone = |reason: String| Reasserted {
+            restored: Vec::new(),
+            gone: keys.iter().map(|&key| (key, reason.clone())).collect(),
+        };
+        if prior_epoch == self.epoch {
+            return all_gone(format!(
+                "same-epoch reconnect: pins of client {prior_client} were released when its \
+                 connection dropped; re-acquire"
+            ));
+        }
+        let lease = self.leases.remove(&prior_client);
+        if lease.is_none_or(|deadline| now >= deadline) {
+            if lease.is_some() {
+                self.expire(now, prior_client, actions);
+            }
+            return all_gone(format!(
+                "recovery lease of client {prior_client} (epoch {prior_epoch}) expired or \
+                 unknown; re-acquire"
+            ));
+        }
+        let mut out = Reasserted::default();
+        for &key in keys {
+            if self.dv.transfer_pin(prior_client, client, key) {
+                out.restored.push(key);
+            } else {
+                out.gone.push((
+                    key,
+                    format!(
+                        "key {key} was not recovered (evicted, or its pin record was lost to \
+                         the crash); re-acquire"
+                    ),
+                ));
+            }
+        }
+        for &key in &out.restored {
+            let record = self.pin_record(client, key);
+            self.journal(record);
+        }
+        self.depart(now, prior_client, actions);
+        out
+    }
+
+    /// `client` is gone — hangup, lapsed lease or retired prior
+    /// identity: one record voids its pins and lease, the DV releases.
+    pub(crate) fn depart(&mut self, now: SimTime, client: ClientId, actions: &mut Vec<DvAction>) {
+        self.leases.remove(&client);
+        self.journal(WalRecord::ClientGone {
+            client,
+            epoch: self.epoch,
+        });
+        self.dv.handle_into(now, DvEvent::ClientGone { client }, actions);
+    }
+
+    fn expire(&mut self, now: SimTime, client: ClientId, actions: &mut Vec<DvAction>) {
+        self.dv.stats_mut().leases_expired += 1;
+        self.depart(now, client, actions);
+    }
+
+    /// Earliest instant a [`tick`](Self::tick) has work: the DV's next
+    /// deadline or the earliest lease's (a lapsed one reports `now`).
+    pub(crate) fn next_due(&self, now: SimTime) -> Option<SimTime> {
+        let lease = self.leases.values().min().map(|&deadline| deadline.max(now));
+        self.dv.next_due(now).into_iter().chain(lease).min()
+    }
+
+    /// Runs the member's timers: every lease due by `now` expires, then
+    /// the DV's supervision tick.
+    pub(crate) fn tick(&mut self, now: SimTime, actions: &mut Vec<DvAction>) {
+        while let Some((&client, _)) = self.leases.iter().find(|&(_, &due)| due <= now) {
+            self.expire(now, client, actions);
+        }
+        self.dv.tick(now, actions);
+    }
+
+    /// Whether foreign `interval` is primed (checked before listing).
+    pub(crate) fn is_primed(&self, interval: u64) -> bool {
+        self.primed.contains(&interval)
+    }
+
+    /// First takeover touch of foreign `interval`: primes that
+    /// interval's keys among `listed` (the shared storage's `(key,
+    /// size)` pairs) and returns what priming evicted. Idempotent per
+    /// interval — a later call, or a racing first touch, does nothing.
+    pub(crate) fn prime_interval(
+        &mut self,
+        interval: u64,
+        listed: impl IntoIterator<Item = (u64, u64)>,
+    ) -> Vec<u64> {
+        if !self.primed.insert(interval) {
+            return Vec::new();
+        }
+        self.dv.stats_mut().takeover_intervals_primed += 1;
+        let keys = self.dv.cfg().steps.interval_keys(interval);
+        let mut evicted = Vec::new();
+        for (key, size) in listed {
+            if keys.contains(&key) {
+                evicted.extend(self.dv.prime(key, size));
+            }
+        }
+        evicted
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::ContextCfg;
+
+    /// Δr = 4 over 40 steps: interval j holds keys 4j+1..=4j+4. Member
+    /// `index` of `size` owns the intervals ≡ index (mod size).
+    fn core_with(
+        index: u32,
+        size: u32,
+        resident: &[u64],
+        journal: Option<&[WalRecord]>,
+        recover: bool,
+    ) -> (MemberCore, Recovered) {
+        let steps = StepMath::new(1, 4, 40);
+        let cfg = ContextCfg::new("m", steps, 1, 1_000).with_policy("lru");
+        let me = ClusterMember::new(index, size);
+        let dv = DataVirtualizer::for_member(cfg, me);
+        MemberCore::recover(
+            me,
+            dv,
+            resident.iter().map(|&key| (key, move || 1)),
+            journal,
+            recover,
+            SimTime::from_secs(10),
+            Dur::from_secs(5),
+        )
+    }
+
+    fn pin(client: u64, key: u64, epoch: u64) -> WalRecord {
+        WalRecord::PinAcquire { client, key, epoch }
+    }
+
+    #[test]
+    fn epoch_is_strictly_above_the_replayed_one_with_and_without_recover() {
+        let journal = [WalRecord::Epoch { epoch: 3 }, pin(7, 1, 3), pin(7, 2, 4)];
+        for recover in [false, true] {
+            let (core, rec) = core_with(0, 1, &[1, 2], Some(&journal), recover);
+            assert_eq!(core.epoch(), 5, "recover = {recover}");
+            let snapshot = rec.state.expect("a journal yields a state").snapshot(5);
+            assert_eq!(snapshot[0], WalRecord::Epoch { epoch: 5 });
+            assert!(snapshot.iter().all(|r| r.epoch() == 5));
+            assert_eq!(core.dv.stats().pins_recovered, if recover { 2 } else { 0 });
+        }
+        let (core, rec) = core_with(0, 1, &[1], None, true);
+        assert_eq!(core.epoch(), 0, "no journal, no epoch");
+        assert!(rec.state.is_none());
+        assert_eq!(core.next_due(SimTime::ZERO), None, "and no lease");
+    }
+
+    #[test]
+    fn only_resident_pins_are_restored_and_only_live_clients_are_leased() {
+        // Member 1 of 2 owns interval 1 (keys 5-8), not interval 0.
+        let journal = [
+            pin(7, 5, 1),
+            pin(7, 5, 1),
+            pin(7, 6, 1), // not resident
+            pin(8, 6, 1), // not resident: client 8 keeps nothing
+            pin(9, 5, 1),
+            WalRecord::ClientGone { client: 9, epoch: 1 },
+            WalRecord::Lease { client: 10, epoch: 1 }, // a lease, no pin
+        ];
+        let (core, rec) = core_with(1, 2, &[1, 5], Some(&journal), true);
+        assert!(core.dv.is_cached(5));
+        assert!(!core.dv.is_cached(1), "a foreign resident step is not primed");
+        assert_eq!(core.dv.stats().pins_recovered, 2, "both counts of (7, 5), nothing else");
+        let state = rec.state.expect("journal");
+        assert_eq!(state.pins.len(), 1);
+        assert_eq!(state.pins[&(7, 5)], 2);
+        assert_eq!(state.leases, vec![7]);
+        assert_eq!(rec.client_floor, 8);
+        assert_eq!(core.leases.keys().copied().collect::<Vec<_>>(), vec![7]);
+        assert_eq!(core.next_due(SimTime::from_secs(10)), Some(SimTime::from_secs(15)));
+    }
+
+    #[test]
+    fn same_epoch_reassert_is_all_gone_and_runs_nothing() {
+        let (mut core, _) = core_with(0, 1, &[1], Some(&[pin(7, 1, 1)]), true);
+        let mut actions = Vec::new();
+        let epoch = core.epoch();
+        let out = core.reassert(SimTime::from_secs(11), 20, 7, epoch, &[1, 1], &mut actions);
+        assert!(out.restored.is_empty());
+        assert_eq!(out.gone.len(), 2);
+        assert!(actions.is_empty() && core.records.is_empty());
+        assert_eq!(core.dv.stats().leases_expired, 0);
+        // The lease is untouched: the prior client's pin still vetoes.
+        assert!(core.leases.contains_key(&7));
+    }
+
+    #[test]
+    fn lease_lapsed_at_the_reassert_instant_is_gone_with_one_departure() {
+        let (mut core, _) = core_with(0, 1, &[1], Some(&[pin(7, 1, 1)]), true);
+        let mut actions = Vec::new();
+        let at_deadline = SimTime::from_secs(15);
+        let out = core.reassert(at_deadline, 20, 7, 1, &[1], &mut actions);
+        assert!(out.restored.is_empty());
+        assert_eq!(out.gone.len(), 1);
+        assert_eq!(core.records, vec![WalRecord::ClientGone { client: 7, epoch: 2 }]);
+        assert_eq!(core.dv.stats().leases_expired, 1);
+        // Claimed once: neither a second reassert nor the tick at the
+        // deadline departs again.
+        core.records.clear();
+        let again = core.reassert(at_deadline, 21, 7, 1, &[1], &mut actions);
+        assert_eq!(again.gone.len(), 1);
+        core.tick(at_deadline, &mut actions);
+        assert!(core.records.is_empty());
+        assert_eq!(core.dv.stats().leases_expired, 1);
+    }
+
+    #[test]
+    fn live_lease_transfers_pins_with_one_record_each_and_retires_the_prior_id() {
+        let journal = [pin(7, 1, 1), pin(7, 1, 1), pin(7, 2, 1)];
+        let (mut core, _) = core_with(0, 1, &[1, 2], Some(&journal), true);
+        let mut actions = Vec::new();
+        let out = core.reassert(SimTime::from_secs(12), 20, 7, 1, &[1, 1, 3], &mut actions);
+        assert_eq!(out.restored, vec![1, 1]);
+        assert_eq!(out.gone.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(
+            core.records,
+            vec![pin(20, 1, 2), pin(20, 1, 2), WalRecord::ClientGone { client: 7, epoch: 2 }]
+        );
+        // The unclaimed pin on key 2 left with the prior identity; the
+        // transferred ones still veto.
+        assert_eq!(core.dv.pin_count(1), 2);
+        assert_eq!(core.dv.pin_count(2), 0);
+        assert!(core.leases.is_empty());
+        assert_eq!(core.next_due(SimTime::from_secs(12)), None);
+        assert_eq!(core.dv.stats().leases_expired, 0);
+    }
+
+    #[test]
+    fn tick_expires_a_lease_at_its_deadline_and_releases_the_pins() {
+        let (mut core, _) = core_with(0, 1, &[1], Some(&[pin(7, 1, 1)]), true);
+        let mut actions = Vec::new();
+        core.tick(SimTime::from_secs(14), &mut actions);
+        assert!(core.records.is_empty(), "not due yet");
+        assert_eq!(core.dv.pin_count(1), 1);
+        let due = core.next_due(SimTime::from_secs(14)).expect("a lease is due");
+        core.tick(due, &mut actions);
+        assert_eq!(core.records, vec![WalRecord::ClientGone { client: 7, epoch: 2 }]);
+        assert_eq!(core.dv.pin_count(1), 0);
+        assert_eq!(core.dv.stats().leases_expired, 1);
+        assert_eq!(core.next_due(due), None);
+    }
+
+    #[test]
+    fn priming_is_idempotent_per_interval_and_touches_only_its_keys() {
+        // Member 0 of 2 takes over member 1's interval 1 (keys 5-8).
+        let (mut core, _) = core_with(0, 2, &[], Some(&[]), false);
+        let listed = [(4, 1), (5, 1), (8, 1), (9, 1), (13, 1)];
+        // Two callers race the first touch: both saw it unprimed.
+        assert!(!core.is_primed(1) && !core.is_primed(1));
+        assert!(core.prime_interval(1, listed).is_empty());
+        assert!(core.prime_interval(1, listed).is_empty());
+        assert!(core.is_primed(1));
+        assert_eq!(core.dv.stats().takeover_intervals_primed, 1);
+        for key in [5, 8] {
+            assert!(core.dv.is_cached(key), "key {key}");
+        }
+        for key in [4, 9, 13] {
+            assert!(!core.dv.is_cached(key), "key {key} is outside interval 1");
+        }
+        // A pin on the primed foreign key is journaled as a takeover
+        // pin; an owned key's is not.
+        assert!(matches!(core.pin_record(3, 5), WalRecord::TakeoverPin { .. }));
+        assert!(matches!(core.pin_record(3, 1), WalRecord::PinAcquire { .. }));
+    }
+
+    #[test]
+    fn a_member_without_a_journal_queues_no_records() {
+        let (mut core, _) = core_with(0, 1, &[1], None, false);
+        let mut actions = Vec::new();
+        core.depart(SimTime::ZERO, 3, &mut actions);
+        assert!(core.records.is_empty());
+    }
+}

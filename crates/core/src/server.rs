@@ -160,6 +160,17 @@
 //!    passes [`simstore::walog::COMPACT_THRESHOLD`]. Contexts without
 //!    durability skip this tier entirely — one `Option` check on the
 //!    hot path.
+//!
+//!    The crash protocol is the member core's (`member.rs`, the code
+//!    the virtual fault harness drives too), kept beside the DV under
+//!    the DV lock. At start-up the WAL replays under a fresh epoch and,
+//!    with `recover`, each resident pin of the previous instance comes
+//!    back under its old client id, *leased* for `lease_timeout`. The
+//!    lease ends in a `ClientGone` through the core's one departure
+//!    path: after a timely reassert (the pins move to the new
+//!    session), at a late one (every key `gone`), or at the deadline
+//!    itself. The reaper's one deadline source is the core's
+//!    `next_due` — the DV's supervision deadlines and the leases'.
 //! 2. **The DV lock.** Each context's [`DataVirtualizer`] — its cache
 //!    directory, waiter/launch/prefetch state and the request
 //!    bookkeeping its notifications resolve through — sits behind one
@@ -215,6 +226,7 @@ use crate::dv::{
     ClientId, DaemonCounters, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, SimId,
 };
 use crate::effectpool::EffectPool;
+use crate::member::{self, MemberCore};
 use crate::model::{ContextCfg, StepMath};
 use crate::net::{self, Listener, Transport};
 use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY, DIGEST_HIGH_WATER};
@@ -227,7 +239,7 @@ use parking_lot::Mutex;
 use simbatch::{JobId, JobLauncher, SpawnSpec};
 use simcache::{u64_map, HitIndex, U64Map};
 use simkit::lockrank;
-use simkit::SimTime;
+use simkit::{Dur, SimTime};
 use simstore::walog::{self, WalRecord, WalState, WriteAheadLog};
 use simstore::StorageArea;
 use std::collections::{HashMap, HashSet};
@@ -336,11 +348,12 @@ pub struct ServerConfig {
 /// `simfs_bench` workload at this value.
 const EFFECT_QUEUE_CAP: usize = 256;
 
-/// The state guarded by the DV lock: the context's state machine, the
+/// The state guarded by the DV lock: the context's member core (its
+/// state machine plus recovery leases and takeover priming), the
 /// request bookkeeping its notifications resolve through, and the
 /// reusable action scratch buffer.
 struct DvCore {
-    dv: DataVirtualizer,
+    member: MemberCore,
     /// (client, key) → request ids awaiting Ready/Failed.
     pending: HashMap<(ClientId, u64), Vec<u64>>,
     /// Scratch for [`DataVirtualizer::handle_into`]; reused across
@@ -576,23 +589,13 @@ struct CtxRuntime {
     /// DV lock → WAL lock; never held across I/O other than
     /// the log's own writes.
     wal: Option<Mutex<DaemonWal>>,
-    /// This instance's recovery epoch: strictly above every epoch in
-    /// the replayed WAL, `0` without durability. Carried in `HelloOk`
-    /// so clients can tell a restarted daemon from a dropped
-    /// connection.
+    /// This instance's recovery epoch (the member core's, copied for
+    /// lock-free reads): strictly above every epoch in the replayed
+    /// WAL, `0` without durability. Carried in `HelloOk` so clients can
+    /// tell a restarted daemon from a dropped connection.
     epoch: u64,
     /// WAL records replayed at startup (stat; fixed after start).
     wal_replayed: u64,
-    /// Recovery leases: prior-instance client → deadline by which it
-    /// must reconnect and re-assert, else its restored pins are
-    /// released. Entries leave via re-assertion or expiry (reaper).
-    leases: Mutex<HashMap<u64, Instant>>,
-    /// Foreign restart intervals whose residency this member has
-    /// rebuilt from the shared storage area to serve takeover acquires
-    /// for a dead member. Lock order: this lock is taken *before* the
-    /// DV lock (priming locks the DV once per key beneath it) and never
-    /// while the DV lock is held.
-    takeover_primed: Mutex<HashSet<u64>>,
 }
 
 struct Inner {
@@ -663,6 +666,7 @@ impl CtxRuntime {
     /// Resolves the actions of one DV transition into `fx` (called with
     /// the DV lock held; does no I/O).
     fn collect(&self, core: &mut DvCore, fx: &mut Effects) {
+        fx.wal_records.append(&mut core.member.records);
         let launches_before = fx.launches.len();
         for action in core.actions.drain(..) {
             match action {
@@ -734,7 +738,7 @@ impl CtxRuntime {
         post: impl FnOnce(&mut DvCore, &mut Effects),
     ) {
         let t0 = Instant::now();
-        let rank = lockrank::held(lockrank::DV_SHARD);
+        let rank = lockrank::held(lockrank::DV);
         let mut core = self.dv.lock();
         let t1 = Instant::now();
         work(&mut core);
@@ -759,8 +763,8 @@ impl CtxRuntime {
         self.with_dv(
             fx,
             |core| {
-                let DvCore { dv, actions, .. } = core;
-                dv.handle_into(now, event, actions);
+                let DvCore { member, actions, .. } = core;
+                member.dv.handle_into(now, event, actions);
             },
             |_, _| {},
         );
@@ -978,9 +982,9 @@ impl CtxRuntime {
                 // publish files before their FileProduced message
                 // reaches the DV.
                 {
-                    let _rank = lockrank::held(lockrank::DV_SHARD);
+                    let _rank = lockrank::held(lockrank::DV);
                     let core = self.dv.lock();
-                    fx.evicts.retain(|&key| !core.dv.is_cached(key));
+                    fx.evicts.retain(|&key| !core.member.dv.is_cached(key));
                 }
                 for key in fx.evicts.drain(..) {
                     lockrank::assert_blocking_ok("evict-delete");
@@ -1009,23 +1013,23 @@ impl CtxRuntime {
     }
 
     /// Earliest supervision deadline of this context (parked retry
-    /// launches, hang-watchdog deadlines, quarantine expiries); `None`
-    /// when nothing is scheduled.
+    /// launches, hang-watchdog deadlines, quarantine expiries, recovery
+    /// lease deadlines); `None` when nothing is scheduled.
     fn supervision_due(&self, now: SimTime) -> Option<SimTime> {
-        let _rank = lockrank::held(lockrank::DV_SHARD);
-        self.dv.lock().dv.next_due(now)
+        let _rank = lockrank::held(lockrank::DV);
+        self.dv.lock().member.next_due(now)
     }
 
-    /// One supervision pass: fire the DV's watchdog/retry tick and
-    /// commit the effects (hang kills, retry launches, typed failure
-    /// notifications, quarantine expiries).
+    /// One supervision pass: fire the member's timers and commit the
+    /// effects (lapsed recovery leases' departures, hang kills, retry
+    /// launches, typed failure notifications, quarantine expiries).
     fn supervise(&self, inner: &Inner, fx: &mut Effects) {
         let now = inner.now();
         self.with_dv(
             fx,
             |core| {
-                let DvCore { dv, actions, .. } = core;
-                dv.tick(now, actions);
+                let DvCore { member, actions, .. } = core;
+                member.tick(now, actions);
             },
             |_, _| {},
         );
@@ -1046,31 +1050,9 @@ impl CtxRuntime {
         }
         for (client, resp) in &fx.outbox {
             if let Response::Ready { key, .. } = resp {
-                // A Ready for a key this member does not own can only be
-                // a takeover grant (untagged foreign acquires are
-                // rejected before any Ready exists): journal it with the
-                // takeover tag so the degraded-mode pins are
-                // distinguishable in the log. The check is stateless —
-                // deferred Readys (production completions) carry no
-                // request context, but ownership is a pure function of
-                // the key.
-                let foreign = self.cluster.is_clustered()
-                    && self.steps.valid_key(*key)
-                    && !self.cluster.owns_key(&self.steps, *key);
-                let record = if foreign {
-                    WalRecord::TakeoverPin {
-                        client: *client,
-                        key: *key,
-                        epoch: self.epoch,
-                    }
-                } else {
-                    WalRecord::PinAcquire {
-                        client: *client,
-                        key: *key,
-                        epoch: self.epoch,
-                    }
-                };
-                w.append(record);
+                // Deferred Readys (production completions) carry no
+                // request context; the journal tag needs none.
+                w.append(member::pin_record(self.cluster, &self.steps, *client, *key, self.epoch));
                 any = true;
             }
         }
@@ -1121,52 +1103,6 @@ impl CtxRuntime {
         self.commit(inner, fx);
     }
 
-    /// Stages a durable departure for `client` (disconnect or lease
-    /// expiry) into `fx`: voids all its pins and its lease in one
-    /// record, written by the next commit's WAL pass.
-    fn stage_client_gone(&self, fx: &mut Effects, client: ClientId) {
-        if self.wal.is_some() {
-            fx.wal_records.push(WalRecord::ClientGone {
-                client,
-                epoch: self.epoch,
-            });
-        }
-    }
-
-    /// Any recovery leases still waiting for re-assertion?
-    fn has_leases(&self) -> bool {
-        let _rank = lockrank::held(lockrank::LEASES);
-        !self.leases.lock().is_empty()
-    }
-
-    /// Expires recovery leases past their deadline: each expired client
-    /// gets a synthetic `ClientGone` (broadcast, releasing its restored
-    /// pins) and a durable departure record — the backstop that keeps
-    /// an unreturned client's crash-recovered pins from vetoing
-    /// eviction forever. Driven from the reaper thread.
-    fn expire_leases(&self, inner: &Inner, fx: &mut Effects) {
-        let expired: Vec<ClientId> = {
-            let _rank = lockrank::held(lockrank::LEASES);
-            let mut leases = self.leases.lock();
-            let now = Instant::now();
-            let gone: Vec<ClientId> = leases
-                .iter()
-                .filter(|(_, deadline)| **deadline <= now)
-                .map(|(client, _)| *client)
-                .collect();
-            for client in &gone {
-                leases.remove(client);
-            }
-            gone
-        };
-        for client in expired {
-            self.counters.leases_expired.fetch_add(1, Ordering::Relaxed);
-            self.stage_client_gone(fx, client);
-            self.transition(inner, DvEvent::ClientGone { client }, fx);
-            self.commit(inner, fx);
-        }
-    }
-
     /// Counts one executed effect job and its helper-side latency
     /// under its class.
     fn record_effect(&self, class: EffectClass, elapsed: Duration) {
@@ -1187,9 +1123,9 @@ impl CtxRuntime {
     /// Status reply is self-consistent.
     fn stats_snapshot_with_active(&self) -> (DvStats, u64) {
         let (mut total, active) = {
-            let _rank = lockrank::held(lockrank::DV_SHARD);
+            let _rank = lockrank::held(lockrank::DV);
             let core = self.dv.lock();
-            (core.dv.stats().clone(), core.dv.active_sims() as u64)
+            (core.member.dv.stats().clone(), core.member.dv.active_sims() as u64)
         };
         self.counters.overlay(&mut total);
         let shared_hits = self.fast.shared_hits();
@@ -1233,13 +1169,31 @@ impl CtxRuntime {
                 }
                 true
             }
+            // A reconnected session re-claiming its prior identity's
+            // pins: one DV-lock hold runs the member core's reassert;
+            // the transferred pins and departure ride the commit's WAL
+            // pass, fsynced before the `Reasserted` frame is sent.
             Request::Reassert {
                 req_id,
                 prior_client,
                 prior_epoch,
                 keys,
             } => {
-                self.handle_reassert(inner, client, req_id, prior_client, prior_epoch, keys, fx);
+                let now = inner.now();
+                let mut answer = member::Reasserted::default();
+                self.with_dv(
+                    fx,
+                    |core| {
+                        let DvCore { member, actions, .. } = core;
+                        answer =
+                            member.reassert(now, client, prior_client, prior_epoch, &keys, actions);
+                    },
+                    |_, _| {},
+                );
+                let (restored, gone) = (answer.restored, answer.gone);
+                let epoch = self.epoch;
+                fx.outbox.push((client, Response::Reasserted { req_id, epoch, restored, gone }));
+                self.commit(inner, fx);
                 true
             }
             Request::Bitrep { req_id, key } => {
@@ -1355,125 +1309,6 @@ impl CtxRuntime {
         }
     }
 
-    /// A reconnecting client re-claiming the pins it held before its
-    /// connection (or this daemon) died. Three cases, answered per key
-    /// so the client knows exactly what to re-acquire:
-    ///
-    /// * **Same epoch** — the daemon never restarted, so the dropped
-    ///   connection's `ClientGone` already released everything: all
-    ///   keys come back `gone`.
-    /// * **Cross epoch, lease live** — the daemon recovered and holds
-    ///   the prior client's restored pins under a lease: each key still
-    ///   held transfers to the new session (`restored`); keys the
-    ///   recovery could not restore (evicted, or their record was lost
-    ///   to the crash) come back `gone`. The prior identity is then
-    ///   retired with a `ClientGone` broadcast, releasing any restored
-    ///   pins the client no longer wanted.
-    /// * **Cross epoch, lease expired or unknown** — the reaper already
-    ///   released the pins: all keys come back `gone`.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_reassert(
-        &self,
-        inner: &Inner,
-        client: ClientId,
-        req_id: u64,
-        prior_client: u64,
-        prior_epoch: u64,
-        keys: Vec<u64>,
-        fx: &mut Effects,
-    ) {
-        let mut restored: Vec<u64> = Vec::new();
-        let mut gone: Vec<(u64, String)> = Vec::new();
-        if prior_epoch == self.epoch {
-            for key in keys {
-                gone.push((
-                    key,
-                    format!(
-                        "same-epoch reconnect: pins of client {prior_client} were released \
-                         when its connection dropped; re-acquire"
-                    ),
-                ));
-            }
-        } else {
-            // Claimed exactly once: a second session presenting the
-            // same prior identity races the first's ClientGone.
-            let lease = {
-                let _rank = lockrank::held(lockrank::LEASES);
-                self.leases.lock().remove(&prior_client)
-            };
-            let lease_live = lease.is_some_and(|deadline| Instant::now() < deadline);
-            if !lease_live {
-                for key in keys {
-                    gone.push((
-                        key,
-                        format!(
-                            "recovery lease of client {prior_client} (epoch {prior_epoch}) \
-                             expired or unknown; re-acquire"
-                        ),
-                    ));
-                }
-                if lease.is_some() {
-                    // Expired but not yet reaped: release the restored
-                    // pins now instead of leaving them to the reaper's
-                    // next pass (we just took the lease entry it would
-                    // have acted on).
-                    self.counters.leases_expired.fetch_add(1, Ordering::Relaxed);
-                    self.stage_client_gone(fx, prior_client);
-                    self.transition(inner, DvEvent::ClientGone { client: prior_client }, fx);
-                }
-            } else {
-                for key in keys {
-                    let mut moved = false;
-                    self.with_dv(
-                        fx,
-                        |core| moved = core.dv.transfer_pin(prior_client, client, key),
-                        |_, _| {},
-                    );
-                    if moved {
-                        restored.push(key);
-                    } else {
-                        gone.push((
-                            key,
-                            format!(
-                                "key {key} was not recovered (evicted, or its pin record \
-                                 was lost to the crash); re-acquire"
-                            ),
-                        ));
-                    }
-                }
-                // Retire the prior identity: releases restored pins the
-                // client did not re-claim, clears stale waiter state.
-                // The transferred pins and the departure go into the
-                // commit's WAL pass as explicit records, appended and
-                // fsynced before the `Reasserted` frame is sent.
-                self.transition(inner, DvEvent::ClientGone { client: prior_client }, fx);
-                if self.wal.is_some() {
-                    for &key in &restored {
-                        fx.wal_records.push(WalRecord::PinAcquire {
-                            client,
-                            key,
-                            epoch: self.epoch,
-                        });
-                    }
-                    fx.wal_records.push(WalRecord::ClientGone {
-                        client: prior_client,
-                        epoch: self.epoch,
-                    });
-                }
-            }
-        }
-        fx.outbox.push((
-            client,
-            Response::Reasserted {
-                req_id,
-                epoch: self.epoch,
-                restored,
-                gone,
-            },
-        ));
-        self.commit(inner, fx);
-    }
-
     /// Validates the request-level claim of a takeover acquire: this
     /// daemon must be clustered, the "dead" index must exist, and it
     /// must not be this (evidently live) member.
@@ -1548,8 +1383,7 @@ impl CtxRuntime {
                 continue;
             }
             if takeover && self.steps.valid_key(key) {
-                fx.evicts
-                    .extend(self.prime_takeover_interval(self.steps.interval_of(key)));
+                self.prime_takeover_interval(self.steps.interval_of(key), fx);
             }
             // Layer 1: the lock-free hit path. A resident key is pinned
             // through the concurrent index (the pin is eviction-visible
@@ -1559,12 +1393,13 @@ impl CtxRuntime {
             if self.fast.try_hit_pin(key) {
                 *local.fast_pins.entry(key).or_insert(0) += 1;
                 if self.wal.is_some() {
-                    let wal_epoch = self.epoch;
-                    local.wal_pending.push(if takeover {
-                        WalRecord::TakeoverPin { client, key, epoch: wal_epoch }
-                    } else {
-                        WalRecord::PinAcquire { client, key, epoch: wal_epoch }
-                    });
+                    local.wal_pending.push(member::pin_record(
+                        self.cluster,
+                        &self.steps,
+                        client,
+                        key,
+                        self.epoch,
+                    ));
                 }
                 if digest_on {
                     // Served instantly: the epoch is a true ready point.
@@ -1588,8 +1423,8 @@ impl CtxRuntime {
                     // Register interest before handling so a concurrent
                     // production cannot race past the notification.
                     core.pending.entry((client, key)).or_default().push(req_id);
-                    let DvCore { dv, actions, .. } = core;
-                    dv.handle_into(now, DvEvent::Acquire { client, key }, actions);
+                    let DvCore { member, actions, .. } = core;
+                    member.dv.handle_into(now, DvEvent::Acquire { client, key }, actions);
                 },
                 |core, fx| {
                     // Still pending after collect? Tell the client it
@@ -1597,6 +1432,7 @@ impl CtxRuntime {
                     if core.pending.contains_key(&(client, key)) {
                         resolved = false;
                         let est = core
+                            .member
                             .dv
                             .estimate_wait(key)
                             .map_or(0, |d| d.as_nanos() / 1_000_000);
@@ -1684,38 +1520,32 @@ impl CtxRuntime {
         true
     }
 
-    /// Rebuilds cache residency for one foreign restart interval from
-    /// the shared storage area — the first-takeover-touch half of the
-    /// `--recover` rescan, scoped to one interval. Idempotent: primed
-    /// intervals are remembered. Returns the keys the insertions
-    /// evicted under this member's budget, for the caller's deferred
-    /// delete path ([`Effects::evicts`] re-checks under the DV lock).
-    fn prime_takeover_interval(&self, interval: u64) -> Vec<u64> {
-        let _rank = lockrank::held(lockrank::TAKEOVER_PRIMED);
-        let mut primed = self.takeover_primed.lock();
-        if primed.contains(&interval) {
-            return Vec::new();
-        }
-        let mut evicted = Vec::new();
-        if let Ok(files) = self.storage.list() {
-            for file in files {
-                let Some(key) = self.driver.key_of(&file) else {
-                    continue;
-                };
-                if !self.steps.valid_key(key) || self.steps.interval_of(key) != interval {
-                    continue;
-                }
-                let size = self.storage.size_of(&file).unwrap_or(0);
-                let _dv_rank = lockrank::held(lockrank::DV_SHARD);
-                let mut core = self.dv.lock();
-                evicted.extend(core.dv.prime(key, size));
+    /// First takeover touch of a foreign interval: rebuilds its
+    /// residency from the shared storage area
+    /// ([`MemberCore::prime_interval`]). The listing runs outside the
+    /// DV lock (two racing first touches both list; the second priming
+    /// is a no-op); evictions join [`Effects::evicts`].
+    fn prime_takeover_interval(&self, interval: u64, fx: &mut Effects) {
+        {
+            let _rank = lockrank::held(lockrank::DV);
+            if self.dv.lock().member.is_primed(interval) {
+                return;
             }
         }
-        primed.insert(interval);
-        self.counters
-            .takeover_intervals_primed
-            .fetch_add(1, Ordering::Relaxed);
-        evicted
+        let keys = self.steps.interval_keys(interval);
+        let listed: Vec<(u64, u64)> = self
+            .storage
+            .list()
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|file| {
+                let key = self.driver.key_of(file).filter(|key| keys.contains(key))?;
+                Some((key, self.storage.size_of(file).unwrap_or(0)))
+            })
+            .collect();
+        let _rank = lockrank::held(lockrank::DV);
+        let mut core = self.dv.lock();
+        fx.evicts.extend(core.member.prime_interval(interval, listed));
     }
 
     /// Drains the connection's access log into the prefetch agents
@@ -1738,11 +1568,12 @@ impl CtxRuntime {
         self.with_dv(
             fx,
             |core| {
-                if dropped > 0 {
-                    core.dv.note_digest_dropped(dropped);
-                }
                 let owns = |key: u64| cluster.owns_key(&steps, key);
-                let DvCore { dv, actions, .. } = core;
+                let DvCore { member, actions, .. } = core;
+                let dv = &mut member.dv;
+                if dropped > 0 {
+                    dv.note_digest_dropped(dropped);
+                }
                 if same_clock {
                     dv.ingest_digest(now, records, dropped, &owns, actions);
                 } else {
@@ -1843,20 +1674,21 @@ impl CtxRuntime {
         if let Some(mapped) = local.mapped.take() {
             self.fast.detach(mapped.pins());
         }
-        {
-            let _rank = lockrank::held(lockrank::DV_SHARD);
-            let mut core = self.dv.lock();
-            core.pending.retain(|(c, _), _| *c != client);
-        }
         // Durable departure: one ClientGone voids every logged pin of
         // this session, so the buffered fast-pin window can simply be
         // dropped — nothing in it could survive the departure. The
         // record rides the commit's WAL pass.
-        if self.wal.is_some() {
-            local.wal_pending.clear();
-            self.stage_client_gone(fx, client);
-        }
-        self.transition(inner, DvEvent::ClientGone { client }, fx);
+        local.wal_pending.clear();
+        let now = inner.now();
+        self.with_dv(
+            fx,
+            |core| {
+                core.pending.retain(|(c, _), _| *c != client);
+                let DvCore { member, actions, .. } = core;
+                member.depart(now, client, actions);
+            },
+            |_, _| {},
+        );
         self.commit(inner, fx);
     }
 
@@ -2158,10 +1990,6 @@ impl DvServer {
 
         let mut contexts = HashMap::new();
         let mut prime_work: Vec<(Arc<CtxRuntime>, Vec<u64>)> = Vec::new();
-        // Client ids must never collide with a recovered instance's
-        // (their pins live on under the old ids until re-asserted or
-        // lease-expired); recovery raises the floor past every id the
-        // WAL knew.
         let mut next_client_floor = 1u64;
         for config in configs {
             let name = config.ctx.name.clone();
@@ -2188,84 +2016,58 @@ impl DvServer {
             dv.attach_index(Arc::clone(&fast));
             dv.set_digest_observation(digest);
 
-            // Prime: everything already on disk is cached state. On a
-            // shared storage area a cluster member skips the intervals
-            // it does not own — they are another daemon's cached state,
-            // not ours to budget or evict.
-            let steps = config.ctx.steps;
-            let mut evicted = Vec::new();
-            for file in config.storage.list()? {
-                if let Some(key) = config.driver.key_of(&file) {
-                    if !cluster.owns_key(&steps, key) {
-                        continue;
-                    }
-                    let size = config.storage.size_of(&file).unwrap_or(0);
-                    evicted.extend(dv.prime(key, size));
-                }
-            }
-
             // Tier 1b: open the WAL (one per cluster member, named so
-            // priming's `key_of` never mistakes it for an output step),
-            // replay it, and — with `recover` — restore the previous
-            // instance's pins under a fresh epoch and lease them to
-            // their owners' return.
-            let mut wal = None;
-            let mut epoch = 0u64;
-            let mut wal_replayed = 0u64;
-            let mut leases: HashMap<u64, Instant> = HashMap::new();
-            if config.durability.wal {
-                let path = config
-                    .storage
-                    .root()
-                    .join(format!("dv-member-{}.wal", cluster.index));
-                let (mut log, records, report) = WriteAheadLog::open(path)?;
-                wal_replayed = report.records;
-                let replayed = WalState::replay(&records);
-                // Strictly above every epoch the log has seen, even
-                // without recovery — a cross-epoch reassert must never
-                // be mistaken for a same-instance reconnect.
-                epoch = replayed.epoch + 1;
-                let mut state = WalState {
-                    epoch,
-                    ..WalState::default()
-                };
-                if config.durability.recover {
-                    // Priming already rebuilt the cache directory from
-                    // the storage area; restore each replayed pin whose
-                    // key is actually resident (one restore per count).
-                    let deadline = Instant::now() + config.durability.lease_timeout;
-                    let mut pins: Vec<(&(u64, u64), &u32)> = replayed.pins.iter().collect();
-                    pins.sort_unstable();
-                    for (&(client, key), &count) in pins {
-                        for _ in 0..count {
-                            if !dv.restore_pin(client, key) {
-                                break;
-                            }
-                            *state.pins.entry((client, key)).or_insert(0) += 1;
-                        }
-                    }
-                    for client in state.live_clients() {
-                        state.leases.push(client);
-                        leases.insert(client, deadline);
-                        next_client_floor = next_client_floor.max(client + 1);
-                    }
+            // priming's `key_of` never mistakes it for an output step).
+            let durability = config.durability;
+            let wal_path = config.storage.root().join(format!("dv-member-{}.wal", cluster.index));
+            let opened = durability.wal.then(|| WriteAheadLog::open(wal_path)).transpose()?;
+            // Recovery: everything already on disk is cached state —
+            // on a shared storage area a cluster member primes only the
+            // intervals it owns (the rest are another daemon's to budget
+            // or evict) — then the journal replays under a fresh epoch
+            // and, with `recover`, the previous instance's resident pins
+            // come back leased to their owners' return.
+            let storage = &config.storage;
+            let driver = &config.driver;
+            let files = storage.list()?;
+            let resident = files.iter().filter_map(|file| {
+                let key = driver.key_of(file)?;
+                Some((key, move || storage.size_of(file).unwrap_or(0)))
+            });
+            let (member, recovered) = MemberCore::recover(
+                cluster,
+                dv,
+                resident,
+                opened.as_ref().map(|(_, journal, _)| journal.as_slice()),
+                durability.recover,
+                SimTime::from_nanos(crate::sys::monotonic_ns().saturating_sub(clock_base)),
+                Dur::from_nanos(durability.lease_timeout.as_nanos() as u64),
+            );
+            let epoch = member.epoch();
+            // Client ids must never collide with a recovered instance's
+            // (their pins live on under the old ids until re-asserted or
+            // lease-expired).
+            next_client_floor = next_client_floor.max(recovered.client_floor);
+            let wal_replayed = opened.as_ref().map_or(0, |(_, _, report)| report.records);
+            let wal = match (opened, recovered.state) {
+                (Some((mut log, _, _)), Some(state)) => {
+                    // Checkpoint: the log now holds exactly the
+                    // recovered state under the new epoch.
+                    log.compact(&state.snapshot(epoch))?;
+                    Some(Mutex::new(DaemonWal { log, state }))
                 }
-                // Checkpoint: the log now holds exactly the recovered
-                // state under the new epoch — replay cost is bounded by
-                // live pins, not daemon uptime.
-                log.compact(&state.snapshot(epoch))?;
-                wal = Some(Mutex::new(DaemonWal { log, state }));
-            }
+                _ => None,
+            };
             let runtime = Arc::new_cyclic(|weak_self| CtxRuntime {
                 name: name.clone(),
                 weak_self: weak_self.clone(),
                 dv: Mutex::new(DvCore {
-                    dv,
+                    member,
                     pending: HashMap::new(),
                     actions: Vec::new(),
                 }),
                 cluster,
-                steps,
+                steps: config.ctx.steps,
                 fast,
                 table,
                 digest,
@@ -2279,10 +2081,8 @@ impl DvServer {
                 wal,
                 epoch,
                 wal_replayed,
-                leases: Mutex::new(leases),
-                takeover_primed: Mutex::new(HashSet::new()),
             });
-            prime_work.push((Arc::clone(&runtime), evicted));
+            prime_work.push((Arc::clone(&runtime), recovered.evicted));
             let previous = contexts.insert(name.clone(), runtime);
             assert!(previous.is_none(), "duplicate context name {name:?}");
         }
@@ -2497,9 +2297,9 @@ impl DvServer {
             let mut guard = qlock.lock().unwrap();
             loop {
                 let idle = {
-                    let _dv_rank = lockrank::held(lockrank::DV_SHARD);
+                    let _dv_rank = lockrank::held(lockrank::DV);
                     let core = ctx.dv.lock();
-                    core.dv.active_sims() == 0 && core.dv.queued_launches() == 0
+                    core.member.dv.active_sims() == 0 && core.member.dv.queued_launches() == 0
                 };
                 if idle {
                     break;
@@ -2545,12 +2345,12 @@ fn run_reaper(inner: &Arc<Inner>) {
     loop {
         // Park until jobs are in flight (or shutdown). Zero wakeups,
         // zero syscalls while the daemon is idle — except while
-        // recovery leases await re-assertion (50 ms timed wait) or
         // supervision work is scheduled (a backed-off retry, a hang
-        // deadline, a quarantine expiry), when the park becomes a timed
-        // wait until the earliest deadline. Transitions that create
-        // supervision work notify the condvar, so a long wait re-arms
-        // against any newly earlier deadline.
+        // deadline, a quarantine expiry, a recovery lease awaiting
+        // re-assertion), when the park becomes a timed wait until the
+        // earliest deadline. Transitions that create supervision work
+        // notify the condvar, so a long wait re-arms against any newly
+        // earlier deadline.
         {
             let _rank = lockrank::held(lockrank::REAP_SIGNAL);
             let mut stop = inner.reap_signal.0.lock().unwrap();
@@ -2581,31 +2381,18 @@ fn run_reaper(inner: &Arc<Inner>) {
                     }
                     break;
                 }
-                if inner.contexts.values().any(|rt| rt.has_leases()) {
-                    let (guard, _) = inner
-                        .reap_signal
-                        .1
-                        .wait_timeout(stop, Duration::from_millis(50))
-                        .unwrap();
-                    stop = guard;
-                    if *stop {
-                        return;
-                    }
-                    break;
-                }
                 stop = inner.reap_signal.1.wait(stop).unwrap();
             }
         }
-        // Poll pass: translate orphaned exits into DV events, expire
-        // recovery leases whose client never returned, and run the
-        // supervision tick (hang watchdog, due retries, quarantine
-        // sweeps). A shutdown that lands mid-pass ends it before the
-        // next step that could launch a simulation.
+        // Poll pass: translate orphaned exits into DV events and run
+        // the supervision tick (lapsed recovery leases, hang watchdog,
+        // due retries, quarantine sweeps). A shutdown that lands
+        // mid-pass ends it before the next step that could launch a
+        // simulation.
         for runtime in inner.contexts.values() {
             if inner.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            runtime.expire_leases(inner, &mut fx);
             runtime.reap_exits(inner, &mut fx);
             if inner.shutdown.load(Ordering::SeqCst) {
                 return;

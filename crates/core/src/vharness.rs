@@ -31,12 +31,13 @@
 //! happen at exact virtual times.
 
 use crate::dv::{ClusterMember, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, SimId};
+use crate::member::MemberCore;
 use crate::model::ContextCfg;
 use crate::route::{ownership_error, AcquireMode, ClusterRoute, Release, Route};
 use simbatch::{Cluster, JobId, QueueModel};
 use simkit::{Dur, Engine, SeedSeq, SimRng, SimTime};
-use simstore::walog::{WalRecord, WalState};
-use std::collections::{HashMap, HashSet, VecDeque};
+use simstore::walog::WalRecord;
+use std::collections::{HashMap, VecDeque};
 
 /// One virtual-time experiment configuration.
 #[derive(Clone)]
@@ -501,13 +502,13 @@ pub struct FaultedClusterExperiment {
 const VRETRY: Dur = Dur::from_millis(100);
 
 struct VMember {
-    /// `None` while crashed.
-    dv: Option<DataVirtualizer>,
+    /// The member core the daemon runs — its DV, recovery epoch,
+    /// recovery leases and primed takeover intervals. `None` while
+    /// crashed.
+    core: Option<MemberCore>,
     /// Durable pin/lease journal — the in-memory stand-in for the
     /// real daemon's WAL file. Survives crashes.
     journal: Vec<WalRecord>,
-    /// Recovery epoch (bumped on every restart).
-    epoch: u64,
     /// Restart generation: stale scheduled events (sims launched by a
     /// previous incarnation) check this and die.
     incarnation: u64,
@@ -520,8 +521,6 @@ struct VMember {
     held: HashMap<u64, u32>,
     /// The session must re-handshake before the next request.
     needs_reconnect: bool,
-    /// Recovery leases: prior client → expiry deadline.
-    leases: HashMap<u64, SimTime>,
     /// Unreachable until this time ([`Fault::DelayMember`]).
     delayed_until: SimTime,
     /// Armed [`Fault::FailSim`] crashes left (`u64::MAX` = persistent).
@@ -569,14 +568,10 @@ struct FaultWorld {
     failed_codes: Vec<FailCode>,
     reconnects: u64,
     pins_reasserted: u64,
-    pins_recovered: u64,
     wal_replayed: u64,
-    leases_expired: u64,
-    /// Foreign intervals each member has primed as a taker. Cleared
-    /// when that member crashes (its primed cache dies with it).
-    taken_intervals: Vec<HashSet<u64>>,
+    /// Counters of crashed incarnations (their cores died with them).
+    retired: DvStats,
     takeovers: u64,
-    takeover_intervals_primed: u64,
     pins_handed_back: u64,
 }
 
@@ -592,26 +587,19 @@ impl FaultedClusterExperiment {
         assert!(!accesses.is_empty(), "empty analysis");
         let k = self.members.max(1);
         let members = (0..k)
-            .map(|index| {
-                let mut dv =
-                    DataVirtualizer::for_member(self.cfg.clone(), ClusterMember::new(index, k));
-                dv.seed_estimates(self.alpha_sim + self.queue.mean(), self.tau_sim);
-                VMember {
-                    dv: Some(dv),
-                    journal: Vec::new(),
-                    epoch: 0,
-                    incarnation: 0,
-                    client: ANALYSIS_CLIENT,
-                    connected_epoch: 0,
-                    held: HashMap::new(),
-                    needs_reconnect: false,
-                    leases: HashMap::new(),
-                    delayed_until: SimTime::ZERO,
-                    fail_next: 0,
-                    hang_next: 0,
-                    corrupt_next: 0,
-                    tick_at: None,
-                }
+            .map(|_| VMember {
+                core: None,
+                journal: Vec::new(),
+                incarnation: 0,
+                client: ANALYSIS_CLIENT,
+                connected_epoch: 0,
+                held: HashMap::new(),
+                needs_reconnect: false,
+                delayed_until: SimTime::ZERO,
+                fail_next: 0,
+                hang_next: 0,
+                corrupt_next: 0,
+                tick_at: None,
             })
             .collect();
         let mut route = ClusterRoute::new(self.cfg.steps, k);
@@ -645,14 +633,16 @@ impl FaultedClusterExperiment {
             failed_codes: Vec::new(),
             reconnects: 0,
             pins_reasserted: 0,
-            pins_recovered: 0,
             wal_replayed: 0,
-            leases_expired: 0,
-            taken_intervals: vec![HashSet::new(); k as usize],
+            retired: DvStats::default(),
             takeovers: 0,
-            takeover_intervals_primed: 0,
             pins_handed_back: 0,
         };
+        // Every member boots as a fresh durable daemon: an empty
+        // journal, nothing resident.
+        for m in 0..k as usize {
+            world.members[m].connected_epoch = boot_member(&mut world, m, false, SimTime::ZERO);
+        }
 
         let mut engine: Engine<FaultWorld> = Engine::new();
         for &fault in &plan.faults {
@@ -714,7 +704,8 @@ impl FaultedClusterExperiment {
         let mut stats = DvStats::default();
         let mut residue = 0u64;
         for m in &world.members {
-            if let Some(dv) = &m.dv {
+            if let Some(core) = &m.core {
+                let dv = &core.dv;
                 stats.accumulate(dv.stats());
                 residue += (dv.active_sims()
                     + dv.queued_launches()
@@ -722,6 +713,8 @@ impl FaultedClusterExperiment {
                     + dv.waiting_keys()) as u64;
             }
         }
+        let mut lifetime = world.retired.clone();
+        lifetime.accumulate(&stats);
         FaultReport {
             served: world.served,
             failed: world.failed,
@@ -729,11 +722,11 @@ impl FaultedClusterExperiment {
             completion: done_at.saturating_since(SimTime::ZERO),
             reconnects: world.reconnects,
             pins_reasserted: world.pins_reasserted,
-            pins_recovered: world.pins_recovered,
+            pins_recovered: lifetime.pins_recovered,
             wal_replayed: world.wal_replayed,
-            leases_expired: world.leases_expired,
+            leases_expired: lifetime.leases_expired,
             takeovers: world.takeovers,
-            takeover_intervals_primed: world.takeover_intervals_primed,
+            takeover_intervals_primed: lifetime.takeover_intervals_primed,
             pins_handed_back: world.pins_handed_back,
             takeover_epoch: world.route.epoch(),
             journals: world.members.iter().map(|m| m.journal.clone()).collect(),
@@ -745,7 +738,7 @@ impl FaultedClusterExperiment {
 
 /// Can the analysis reach member `m` right now?
 fn reachable(w: &FaultWorld, m: usize, now: SimTime) -> bool {
-    w.members[m].dv.is_some() && now >= w.members[m].delayed_until
+    w.members[m].core.is_some() && now >= w.members[m].delayed_until
 }
 
 /// kill -9: in-memory state gone, journal and storage intact. The
@@ -753,13 +746,13 @@ fn reachable(w: &FaultWorld, m: usize, now: SimTime) -> bool {
 /// client re-issues it after the member returns.
 fn crash_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     let member = &mut w.members[m];
-    member.dv = None;
+    // Its leases and whatever it had primed as a taker die with it.
+    if let Some(core) = member.core.take() {
+        w.retired.accumulate(core.dv.stats());
+    }
     member.incarnation += 1;
     member.needs_reconnect = true;
-    member.leases.clear();
     member.tick_at = None;
-    // Whatever this member had primed as a taker died with it.
-    w.taken_intervals[m].clear();
     w.sims.retain(|&(owner, _, _), _| owner != m);
     if let Some((wm, _, _)) = w.waiting_for {
         if wm == m {
@@ -770,91 +763,56 @@ fn crash_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     }
 }
 
-/// Restart after a crash: re-prime owned resident steps from the
-/// shared storage, then (with `recover`) replay the journal — restore
-/// pins under prior client ids, grant recovery leases, compact.
+/// Restart after a crash: the member core re-primes owned resident
+/// steps from the shared storage, then (with `recover`) replays the
+/// journal — restores pins under prior client ids, grants recovery
+/// leases — and the journal is compacted to the recovered state. A
+/// lease deadline arms the member's next tick.
 fn restart_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, recover: bool) {
-    assert!(w.members[m].dv.is_none(), "restarting a live member");
-    let mut dv =
-        DataVirtualizer::for_member(w.cfg.clone(), ClusterMember::new(m as u32, w.cluster_size));
-    dv.seed_estimates(w.exp.alpha_sim + w.exp.queue.mean(), w.exp.tau_sim);
-    let mut owned: Vec<(u64, u64)> = w
-        .storage
-        .iter()
-        .filter(|&(&key, _)| w.route.home(key) == m)
-        .map(|(&key, &size)| (key, size))
-        .collect();
-    owned.sort_unstable();
-    for (key, size) in owned {
-        for evicted in dv.prime(key, size) {
-            w.storage.remove(&evicted);
-        }
-    }
-
-    let member = &mut w.members[m];
-    let replayed = WalState::replay(&member.journal);
-    w.wal_replayed += member.journal.len() as u64;
-    member.epoch = replayed.epoch + 1;
-    let mut state = WalState {
-        epoch: member.epoch,
-        ..WalState::default()
-    };
-    if recover {
-        let mut pins: Vec<(&(u64, u64), &u32)> = replayed.pins.iter().collect();
-        pins.sort_unstable();
-        for (&(client, key), &count) in pins {
-            for _ in 0..count {
-                if !dv.restore_pin(client, key) {
-                    break;
-                }
-                w.pins_recovered += 1;
-                *state.pins.entry((client, key)).or_insert(0) += 1;
-            }
-        }
-        let deadline = en.now() + w.lease_timeout;
-        for client in state.live_clients() {
-            state.leases.push(client);
-            member.leases.insert(client, deadline);
-            en.schedule_at(deadline, move |_en, w: &mut FaultWorld| {
-                expire_lease(w, m, client, deadline)
-            });
-        }
-    }
-    member.journal = state.snapshot(member.epoch);
-    member.tick_at = None;
-    member.dv = Some(dv);
+    assert!(w.members[m].core.is_none(), "restarting a live member");
+    boot_member(w, m, recover, en.now());
+    schedule_member_tick(en, w, m);
 }
 
-/// Recovery lease expiry: the prior client never re-asserted — release
-/// its restored pins through the normal `ClientGone` path.
-fn expire_lease(w: &mut FaultWorld, m: usize, client: u64, deadline: SimTime) {
+/// Starts member `m`'s core at `now` over the shared storage and its
+/// journal, exactly as the daemon starts a durable member; returns the
+/// new epoch.
+fn boot_member(w: &mut FaultWorld, m: usize, recover: bool, now: SimTime) -> u64 {
+    let me = ClusterMember::new(m as u32, w.cluster_size);
+    let mut dv = DataVirtualizer::for_member(w.cfg.clone(), me);
+    dv.seed_estimates(w.exp.alpha_sim + w.exp.queue.mean(), w.exp.tau_sim);
+    let mut resident: Vec<(u64, u64)> = w.storage.iter().map(|(&k, &s)| (k, s)).collect();
+    resident.sort_unstable();
     let member = &mut w.members[m];
-    // The lease may have been claimed by a re-assertion, or replaced by
-    // a later incarnation's recovery: only the exact grant expires.
-    if member.leases.get(&client) != Some(&deadline) {
-        return;
+    w.wal_replayed += member.journal.len() as u64;
+    let (core, recovered) = MemberCore::recover(
+        me,
+        dv,
+        resident.into_iter().map(|(key, size)| (key, move || size)),
+        Some(&member.journal),
+        recover,
+        now,
+        w.lease_timeout,
+    );
+    for key in recovered.evicted {
+        w.storage.remove(&key);
     }
-    member.leases.remove(&client);
-    w.leases_expired += 1;
-    let epoch = member.epoch;
-    member.journal.push(WalRecord::ClientGone { client, epoch });
-    if let Some(dv) = member.dv.as_mut() {
-        // Lease expiry launches nothing: releases at most unpin.
-        let _ = dv.handle(deadline, DvEvent::ClientGone { client });
-    }
+    let epoch = core.epoch();
+    member.journal = recovered.state.expect("virtual members journal").snapshot(epoch);
+    member.tick_at = None;
+    member.core = Some(core);
+    epoch
 }
 
 /// TCP reset on a live member: the daemon sees the hangup and releases
 /// the session's pins; the client re-handshakes on next use.
 fn drop_connection(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     let member = &mut w.members[m];
-    let Some(dv) = member.dv.as_mut() else {
+    let Some(core) = member.core.as_mut() else {
         return; // already crashed: nothing to drop
     };
-    let client = member.client;
-    let epoch = member.epoch;
-    member.journal.push(WalRecord::ClientGone { client, epoch });
-    let actions = dv.handle(en.now(), DvEvent::ClientGone { client });
+    let mut actions = Vec::new();
+    core.depart(en.now(), member.client, &mut actions);
     member.needs_reconnect = true;
     apply_member_actions(en, w, m, actions);
     if let Some((wm, _, _)) = w.waiting_for {
@@ -867,78 +825,42 @@ fn drop_connection(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     }
 }
 
-/// Re-handshake with member `m` if the previous connection died:
-/// cross-epoch sessions re-assert held pins (the daemon transfers what
-/// recovery restored under a live lease), same-epoch sessions know the
-/// daemon already released everything.
+/// Re-handshake with member `m` if the previous connection died, and
+/// re-assert every held pin through the member core: a restarted
+/// member transfers what recovery restored under a live lease, a
+/// same-epoch one (the hangup already released everything) returns it
+/// all as gone.
 fn ensure_session(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     if !w.members[m].needs_reconnect {
         return;
     }
-    let now = en.now();
     w.reconnects += 1;
-    let prior = w.members[m].client;
     let new_client = w.next_client;
     w.next_client += 1;
     let member = &mut w.members[m];
-    let restarted = member.connected_epoch != member.epoch;
-    member.client = new_client;
-    member.connected_epoch = member.epoch;
-    member.needs_reconnect = false;
-    let epoch = member.epoch;
-    if !restarted {
-        // Same instance: the hangup's ClientGone already dropped the
-        // pins; the client simply forgets them (and re-acquires lazily
-        // on its next access — for this analysis, the release that was
-        // coming anyway).
-        member.held.clear();
-        return;
-    }
-    let lease = member.leases.remove(&prior);
-    if lease.is_none_or(|deadline| now >= deadline) {
-        member.held.clear();
-        if lease.is_some() {
-            // Claimed an already-expired (to-the-instant) lease: its
-            // scheduled expiry will no-op, so release the restored
-            // pins here — they must not outlive the lease.
-            w.leases_expired += 1;
-            member.journal.push(WalRecord::ClientGone { client: prior, epoch });
-            let actions = member
-                .dv
-                .as_mut()
-                .expect("reachable member has a DV")
-                .handle(now, DvEvent::ClientGone { client: prior });
-            apply_member_actions(en, w, m, actions);
-        }
-        return;
-    }
+    let core = member.core.as_mut().expect("reachable member has a core");
     let mut held: Vec<(u64, u32)> = member.held.drain().collect();
     held.sort_unstable();
-    let dv = member.dv.as_mut().expect("reachable member has a DV");
-    let mut restored: HashMap<u64, u32> = HashMap::new();
-    for (key, count) in held {
-        for _ in 0..count {
-            if dv.transfer_pin(prior, new_client, key) {
-                w.pins_reasserted += 1;
-                *restored.entry(key).or_insert(0) += 1;
-            }
-        }
+    let keys: Vec<u64> = held
+        .into_iter()
+        .flat_map(|(key, count)| std::iter::repeat_n(key, count as usize))
+        .collect();
+    let mut actions = Vec::new();
+    let answer = core.reassert(
+        en.now(),
+        new_client,
+        member.client,
+        member.connected_epoch,
+        &keys,
+        &mut actions,
+    );
+    member.client = new_client;
+    member.connected_epoch = core.epoch();
+    member.needs_reconnect = false;
+    w.pins_reasserted += answer.restored.len() as u64;
+    for key in answer.restored {
+        *member.held.entry(key).or_insert(0) += 1;
     }
-    let actions = dv.handle(now, DvEvent::ClientGone { client: prior });
-    let mut log: Vec<(u64, u32)> = restored.iter().map(|(&k, &c)| (k, c)).collect();
-    log.sort_unstable();
-    let member = &mut w.members[m];
-    for (key, count) in log {
-        for _ in 0..count {
-            member.journal.push(WalRecord::PinAcquire {
-                client: new_client,
-                key,
-                epoch,
-            });
-        }
-    }
-    member.journal.push(WalRecord::ClientGone { client: prior, epoch });
-    member.held = restored;
     apply_member_actions(en, w, m, actions);
 }
 
@@ -1011,7 +933,7 @@ fn live_route(
     loop {
         match w.route.route_home(home) {
             Route::Member { member, .. }
-                if w.route.failover() && w.members[member].dv.is_none() =>
+                if w.route.failover() && w.members[member].core.is_none() =>
             {
                 fail_member(en, w, member)
             }
@@ -1044,11 +966,7 @@ fn acquire_at(
         }
     }
     let client = w.members[t].client;
-    let actions = w.members[t]
-        .dv
-        .as_mut()
-        .expect("target member has a DV")
-        .handle(en.now(), DvEvent::Acquire { client, key });
+    let actions = dv_of(w, t).handle(en.now(), DvEvent::Acquire { client, key });
     let mut ready = false;
     let mut failed: Option<FailCode> = None;
     for a in &actions {
@@ -1072,18 +990,13 @@ fn grant(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
     en.schedule_in(w.exp.tau_cli, issue_next);
 }
 
-/// Member `t` granted the session one pin on `key`: journal it — under
-/// the takeover tag when `t` is not the key's home, the daemon's
-/// stateless ownership check — track it, and tell the route.
+/// Member `t` granted the session one pin on `key`: journal it under
+/// the member core's tag rule (takeover-tagged when `t` does not own
+/// the key), track it, and tell the route.
 fn pinned(w: &mut FaultWorld, t: usize, key: u64) {
-    let foreign = w.route.home(key) != t;
     let member = &mut w.members[t];
-    let (client, epoch) = (member.client, member.epoch);
-    member.journal.push(if foreign {
-        WalRecord::TakeoverPin { client, key, epoch }
-    } else {
-        WalRecord::PinAcquire { client, key, epoch }
-    });
+    let core = member.core.as_ref().expect("granting member has a core");
+    member.journal.push(core.pin_record(member.client, key));
     *member.held.entry(key).or_insert(0) += 1;
     w.route.granted(key, t);
 }
@@ -1109,31 +1022,20 @@ fn fail_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
 }
 
 /// Primes a foreign `interval` on taker `t` from the shared storage —
-/// the virtual analogue of the daemon's per-interval rescan on the
-/// first tagged takeover acquire. Idempotent per (taker, interval)
-/// until the taker crashes.
+/// the member core's per-interval rescan on the first tagged takeover
+/// acquire, idempotent until the taker crashes.
 fn takeover_prime(w: &mut FaultWorld, t: usize, interval: u64) {
-    if !w.taken_intervals[t].insert(interval) {
-        return;
-    }
-    w.takeover_intervals_primed += 1;
-    let mut owned: Vec<(u64, u64)> = w
-        .storage
-        .iter()
-        .filter(|&(&key, _)| {
-            w.cfg.steps.valid_key(key) && w.cfg.steps.interval_of(key) == interval
-        })
-        .map(|(&key, &size)| (key, size))
-        .collect();
-    owned.sort_unstable();
-    let dv = w.members[t].dv.as_mut().expect("taker is alive");
-    let mut evicted = Vec::new();
-    for (key, size) in owned {
-        evicted.extend(dv.prime(key, size));
-    }
-    for key in evicted {
+    let mut listed: Vec<(u64, u64)> = w.storage.iter().map(|(&k, &s)| (k, s)).collect();
+    listed.sort_unstable();
+    let core = w.members[t].core.as_mut().expect("taker is alive");
+    for key in core.prime_interval(interval, listed) {
         w.storage.remove(&key);
     }
+}
+
+/// Member `m`'s DV; the member must be alive.
+fn dv_of(w: &mut FaultWorld, m: usize) -> &mut DataVirtualizer {
+    &mut w.members[m].core.as_mut().expect("live member has a core").dv
 }
 
 /// Probes down members for revival (the virtual `try_revive`): a
@@ -1190,23 +1092,29 @@ fn hand_back(
 /// Releases one session pin on `key` at reachable member `m`, journaled.
 fn release_at(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
     let member = &mut w.members[m];
-    let (client, epoch) = (member.client, member.epoch);
-    member.journal.push(WalRecord::PinRelease { client, key, epoch });
-    let actions = member
-        .dv
-        .as_mut()
-        .expect("reachable member has a DV")
-        .handle(en.now(), DvEvent::Release { client, key });
+    let core = member.core.as_mut().expect("reachable member has a core");
+    let client = member.client;
+    member.journal.push(WalRecord::PinRelease {
+        client,
+        key,
+        epoch: core.epoch(),
+    });
+    let actions = core.dv.handle(en.now(), DvEvent::Release { client, key });
     apply_member_actions(en, w, m, actions);
 }
 
-/// Applies member `m`'s DV actions to the virtual world.
+/// Applies member `m`'s DV actions to the virtual world, after the
+/// journal records its core queued (the daemon's write-ahead order).
 fn apply_member_actions(
     en: &mut Engine<FaultWorld>,
     w: &mut FaultWorld,
     m: usize,
     actions: Vec<DvAction>,
 ) {
+    let member = &mut w.members[m];
+    if let Some(core) = member.core.as_mut() {
+        member.journal.append(&mut core.records);
+    }
     for action in actions {
         match action {
             DvAction::NotifyReady { client, key } => {
@@ -1260,10 +1168,10 @@ fn apply_member_actions(
 /// `now` would spin the engine without advancing virtual time).
 fn schedule_member_tick(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     let now = en.now();
-    let Some(dv) = w.members[m].dv.as_ref() else {
+    let Some(core) = w.members[m].core.as_ref() else {
         return;
     };
-    let Some(due) = dv.next_due(now) else {
+    let Some(due) = core.next_due(now) else {
         return;
     };
     if due <= now || w.members[m].tick_at.is_some_and(|t| t <= due) {
@@ -1274,19 +1182,19 @@ fn schedule_member_tick(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usiz
     en.schedule_at(due, move |en, w: &mut FaultWorld| member_tick(en, w, m, inc));
 }
 
-/// One supervision wake-up: run the member DV's timers (watchdog
-/// kills, quarantine expiry, backoff drains), apply what falls out,
-/// re-arm.
+/// One supervision wake-up: run the member core's timers (lapsed
+/// recovery leases, watchdog kills, quarantine expiry, backoff
+/// drains), apply what falls out, re-arm.
 fn member_tick(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: u64) {
     if w.members[m].incarnation != inc {
         return; // armed by a previous incarnation
     }
     w.members[m].tick_at = None;
-    let Some(dv) = w.members[m].dv.as_mut() else {
+    let Some(core) = w.members[m].core.as_mut() else {
         return;
     };
     let mut actions = Vec::new();
-    dv.tick(en.now(), &mut actions);
+    core.tick(en.now(), &mut actions);
     apply_member_actions(en, w, m, actions);
 }
 
@@ -1317,19 +1225,11 @@ fn vsim_started(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: 
         // scheduler kill). The supervisor decides retry vs poison.
         w.members[m].fail_next -= 1;
         w.sims.remove(&(m, inc, sim));
-        let actions = w.members[m]
-            .dv
-            .as_mut()
-            .expect("live incarnation has a DV")
-            .handle(en.now(), DvEvent::SimFailed { sim });
+        let actions = dv_of(w, m).handle(en.now(), DvEvent::SimFailed { sim });
         apply_member_actions(en, w, m, actions);
         return;
     }
-    let actions = w.members[m]
-        .dv
-        .as_mut()
-        .expect("live incarnation has a DV")
-        .handle(en.now(), DvEvent::SimStarted { sim });
+    let actions = dv_of(w, m).handle(en.now(), DvEvent::SimStarted { sim });
     apply_member_actions(en, w, m, actions);
     if w.members[m].hang_next > 0 {
         // Armed HangSim: one sign of life, then silence — no produce
@@ -1361,35 +1261,20 @@ fn vsim_produce(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: 
         // machinery.
         w.members[m].corrupt_next -= 1;
         w.sims.remove(&(m, inc, sim));
-        let actions = w.members[m]
-            .dv
-            .as_mut()
-            .expect("live incarnation has a DV")
-            .handle(en.now(), DvEvent::OutputCorrupt { sim, key });
+        let actions = dv_of(w, m).handle(en.now(), DvEvent::OutputCorrupt { sim, key });
         apply_member_actions(en, w, m, actions);
         return;
     }
     s.next_key += 1;
     let finished = s.next_key > s.keys_end;
-    w.storage.insert(key, w.exp.output_bytes);
-    let actions = w.members[m]
-        .dv
-        .as_mut()
-        .expect("live incarnation has a DV")
-        .handle(en.now(), DvEvent::FileProduced {
-            sim,
-            key,
-            size: w.exp.output_bytes,
-        });
+    let size = w.exp.output_bytes;
+    w.storage.insert(key, size);
+    let actions = dv_of(w, m).handle(en.now(), DvEvent::FileProduced { sim, key, size });
     apply_member_actions(en, w, m, actions);
     if finished {
         w.sims.remove(&(m, inc, sim));
         if w.members[m].incarnation == inc {
-            let actions = w.members[m]
-                .dv
-                .as_mut()
-                .expect("live incarnation has a DV")
-                .handle(en.now(), DvEvent::SimFinished { sim });
+            let actions = dv_of(w, m).handle(en.now(), DvEvent::SimFinished { sim });
             apply_member_actions(en, w, m, actions);
         }
     } else {
@@ -1403,6 +1288,7 @@ fn vsim_produce(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: 
 mod tests {
     use super::*;
     use crate::model::{StepMath, SupervisorCfg};
+    use simstore::walog::WalState;
 
     /// Fig. 7/8-style micro configuration: Δr = 4 outputs per interval,
     /// alpha = 2 s, tau_sim = 1 s, tau_cli = 0.5 s.

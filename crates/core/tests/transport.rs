@@ -822,6 +822,93 @@ fn write_side_disconnect_recovers_on_both_transports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Daemon-side lease expiry: a durable daemon SIGKILLed while a client
+/// holds a pin, restarted with `--recover`, and the client never comes
+/// back. The restored pin is leased to the prior client; the reaper
+/// must expire that lease on time (no sooner than the timeout, within a
+/// small slack after it), count it once, let the key be evicted again,
+/// and answer a late `Reassert` of the prior identity with `gone`.
+#[test]
+fn recovered_lease_expires_on_the_daemon_when_its_client_never_returns() {
+    const LEASE: Duration = Duration::from_millis(300);
+    const SLACK: Duration = Duration::from_millis(250);
+    let dir = fresh_dir("lease-expiry");
+    let addr: SocketAddr = ([127, 0, 0, 1], free_port()).into();
+    let worker = spawn_worker(&dir, &addr.to_string(), false);
+    await_listening(addr);
+    // The prior instance: interval 1 (keys 5-8) is produced, 6 stays
+    // pinned (its record is fsynced before the Ready).
+    let mut prior = SimfsClient::connect(addr, "test-ctx").unwrap();
+    assert_eq!(prior.acquire(&[6]).unwrap().ready, [6]);
+    settle(&mut prior);
+    let (prior_client, prior_epoch) = (prior.client_id(), prior.epoch());
+    drop(worker); // kill -9
+    drop(prior);
+
+    // The recovered instance: a 4-step cache that interval 1 fills.
+    let durability = DurabilityCfg {
+        wal: true,
+        recover: true,
+        lease_timeout: LEASE,
+    };
+    let started = Instant::now();
+    let server = start_daemon_sized(&dir, "test-ctx", "127.0.0.1:0", durability, 4).unwrap();
+    assert_eq!(server.stats().pins_recovered, 1, "the pin on 6 came back leased");
+    let deadline = started + LEASE + SLACK;
+    while server.stats().leases_expired == 0 {
+        assert!(Instant::now() < deadline, "the lease outlived {LEASE:?} + {SLACK:?}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(started.elapsed() >= LEASE, "expired before its deadline");
+    assert_eq!(server.stats().leases_expired, 1);
+
+    // No veto left: four held pins on other intervals fill the 4-step
+    // cache, so 6 has to go.
+    let driver = PatternDriver::new("out-", ".sdf", 6);
+    let mut flood = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    for key in [10, 14, 18, 22] {
+        assert!(flood.acquire(&[key]).unwrap().ok(), "key {key}");
+    }
+    settle(&mut flood);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while dir.join(driver.filename_of(6)).exists() {
+        assert!(Instant::now() < deadline, "the expired lease still vetoes eviction of 6");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The prior identity comes back too late.
+    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    sock.set_nodelay(true).unwrap();
+    assert!(matches!(
+        hello(&mut sock, "test-ctx", Some(prior_epoch)),
+        Response::HelloOk { epoch, .. } if epoch == prior_epoch + 1
+    ));
+    send(
+        &mut sock,
+        &Request::Reassert {
+            req_id: 1,
+            prior_client,
+            prior_epoch,
+            keys: vec![6],
+        },
+    );
+    match recv(&mut sock) {
+        Response::Reasserted { restored, gone, .. } => {
+            assert!(restored.is_empty(), "{restored:?}");
+            assert_eq!(gone.len(), 1, "{gone:?}");
+            assert_eq!(gone[0].0, 6);
+            assert!(gone[0].1.contains("expired or unknown"), "{gone:?}");
+        }
+        other => panic!("expected Reasserted, got {other:?}"),
+    }
+    assert_eq!(server.stats().leases_expired, 1, "counted once");
+
+    drop(sock);
+    flood.finalize().unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The other direction: a *client* killed while it holds a pin taken
 /// through the shared table. Its hangup alone must free the key — a
 /// 4-step cache flooded with fresh intervals pushes the key's file out

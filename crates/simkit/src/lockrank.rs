@@ -51,25 +51,21 @@ pub struct Rank {
 }
 
 /// Reaper park/wake signal (std mutex + condvar). Held across timed
-/// condvar waits and while polling `supervision_due`/`has_leases`, so it
-/// sits above everything and allows blocking.
+/// condvar waits and while polling `supervision_due`, so it sits above
+/// everything and allows blocking.
 pub const REAP_SIGNAL: Rank = Rank { level: 70, name: "reap-signal", blocking: true };
 /// Shutdown quiesce signal (std mutex + condvar); held across the
-/// idle-shard poll during drain.
+/// idle-context poll during drain.
 pub const QUIESCE: Rank = Rank { level: 70, name: "quiesce", blocking: true };
-/// Takeover interval-priming set. Deliberately held across the storage
-/// rescan and the per-key DV-lock acquisitions while a takeover is
-/// primed.
-pub const TAKEOVER_PRIMED: Rank = Rank { level: 60, name: "takeover-primed", blocking: true };
 /// Effect-pool per-shard queue mutex (tier 1c). A submitting reactor
 /// shard parks on the queue condvar while the queue is full
 /// (backpressure), so blocking is allowed while it is held; it is never
 /// nested with any other documented lock.
 pub const EFFECT_QUEUE: Rank = Rank { level: 50, name: "effect-queue", blocking: true };
-/// A context's DV mutex (tier 2 in the server doc; the name predates
-/// one DV per context). The hot lock: everything under it must be pure
-/// state-machine work.
-pub const DV_SHARD: Rank = Rank { level: 40, name: "dv-shard", blocking: false };
+/// A context's DV mutex (tier 2 in the server doc): the DV state
+/// machine, the member core around it and the request bookkeeping. The
+/// hot lock: everything under it must be pure state-machine work.
+pub const DV: Rank = Rank { level: 40, name: "dv", blocking: false };
 /// `HitIndex` session-slot registry mutex (tier 1). Taken by the
 /// eviction slot scan under the DV lock, and briefly when a mapped
 /// session attaches, detaches or has its hits counted.
@@ -81,8 +77,6 @@ pub const WAL: Rank = Rank { level: 20, name: "wal", blocking: true };
 /// Launch ledger mutex (tier 4): bookkeeping only; launcher and socket
 /// I/O happen strictly after release.
 pub const LEDGER: Rank = Rank { level: 20, name: "ledger", blocking: false };
-/// Client lease table mutex.
-pub const LEASES: Rank = Rank { level: 20, name: "leases", blocking: false };
 /// Reactor connection-registry shard mutex (tier 3 writer routing).
 pub const REACTOR_REGISTRY: Rank = Rank { level: 15, name: "reactor-registry", blocking: false };
 /// Reactor cross-thread inbox mutex.
@@ -306,8 +300,8 @@ mod tests {
     #[test]
     fn in_order_acquisition_is_clean() {
         let before = checks();
-        let _a = held(TAKEOVER_PRIMED);
-        let _b = held(DV_SHARD);
+        let _a = held(QUIESCE);
+        let _b = held(DV);
         let _c = held(LEDGER);
         assert!(checks() >= before + 3);
     }
@@ -315,8 +309,8 @@ mod tests {
     #[test]
     fn out_of_order_acquisition_panics() {
         assert!(catches(|| {
-            let _a = held(DV_SHARD);
-            let _b = held(TAKEOVER_PRIMED);
+            let _a = held(DV);
+            let _b = held(EFFECT_QUEUE);
         }));
     }
 
@@ -324,15 +318,15 @@ mod tests {
     fn equal_rank_acquisition_panics() {
         // The DV lock taken while held is the canonical forbidden pattern.
         assert!(catches(|| {
-            let _a = held(DV_SHARD);
-            let _b = held(DV_SHARD);
+            let _a = held(DV);
+            let _b = held(DV);
         }));
     }
 
     #[test]
     fn blocking_under_shard_panics_but_under_wal_is_fine() {
         assert!(catches(|| {
-            let _a = held(DV_SHARD);
+            let _a = held(DV);
             assert_blocking_ok("fsync");
         }));
         let _w = held(WAL);
@@ -341,7 +335,7 @@ mod tests {
 
     #[test]
     fn out_of_lifo_release_is_supported() {
-        let a = held(DV_SHARD);
+        let a = held(DV);
         let b = held(LEDGER);
         drop(a);
         drop(b);
@@ -366,12 +360,12 @@ mod tests {
 
     #[test]
     fn none_held_below_guards_reentry() {
-        let _a = held(DV_SHARD);
-        assert_none_held_below(DV_SHARD.level, "handle_into");
+        let _a = held(DV);
+        assert_none_held_below(DV.level, "handle_into");
         let l = held(LEDGER);
         assert!(catches(move || {
             let _l = l;
-            assert_none_held_below(DV_SHARD.level, "handle_into");
+            assert_none_held_below(DV.level, "handle_into");
         }));
     }
 }

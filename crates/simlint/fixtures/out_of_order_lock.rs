@@ -12,11 +12,11 @@ fn seeded_out_of_order(rt: &Runtime) {
 }
 
 fn seeded_equal_rank(rt: &Runtime) {
-    // ledger and leases are both level 20; equal levels never nest:
+    // wal and ledger are both level 20; equal levels never nest:
     // violation #2.
-    let mut ledger = rt.ledger.lock();
-    let n = rt.leases.lock().len();
-    drop(ledger);
+    let mut w = rt.wal.lock();
+    let n = rt.ledger.lock().len();
+    drop(w);
 }
 
 fn fine_descending(rt: &Runtime) {

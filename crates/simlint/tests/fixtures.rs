@@ -35,10 +35,10 @@ fn fixture_out_of_order_lock_is_caught() {
     assert_eq!(
         order.len(),
         2,
-        "expected the wal→DV climb and the ledger=leases equal-rank nest: {findings:?}"
+        "expected the wal→DV climb and the wal=ledger equal-rank nest: {findings:?}"
     );
-    assert!(order[0].message.contains("dv-shard") && order[0].message.contains("wal"));
-    assert!(order[1].message.contains("leases") && order[1].message.contains("ledger"));
+    assert!(order[0].message.contains("\"dv\"") && order[0].message.contains("\"wal\""));
+    assert!(order[1].message.contains("\"ledger\"") && order[1].message.contains("\"wal\""));
     // The two `fine_*` shapes (descending chain, drop-then-acquire)
     // must not add anything.
     assert_eq!(findings.len(), 2, "{findings:?}");
@@ -59,7 +59,7 @@ fn fixture_blocking_under_lock_is_caught() {
         "expected `launch` under ledger and `write_all` under a DV-lock temp: {findings:?}"
     );
     assert!(blocking[0].message.contains("launch") && blocking[0].message.contains("ledger"));
-    assert!(blocking[1].message.contains("write_all") && blocking[1].message.contains("dv-shard"));
+    assert!(blocking[1].message.contains("write_all") && blocking[1].message.contains("\"dv\""));
     // Blocking under wal (blocking: yes) and effects-after-release are
     // clean.
     assert_eq!(findings.len(), 2, "{findings:?}");
@@ -91,7 +91,7 @@ fn seeded_violation_in_real_server_source_is_caught() {
     let findings = lockcheck::check_source(AS_SERVER, &seeded, &reg);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].check, "lock-order");
-    assert!(findings[0].message.contains("dv-shard") && findings[0].message.contains("wal"));
+    assert!(findings[0].message.contains("\"dv\"") && findings[0].message.contains("\"wal\""));
 }
 
 /// A registry/runtime drift (LOCKS.md says one level, lockrank.rs
