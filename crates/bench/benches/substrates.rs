@@ -3,13 +3,14 @@
 //! behind them, simulator stepping (what a re-simulation spends its
 //! `tau_sim` on), trace generation, and the transport under the
 //! reactor: one acquire-sized echo round trip over each socket family
-//! `simfs_core::net` chooses between.
+//! `simfs_core::net` chooses between; and a step read by name against
+//! the cached `StepReader` a transparent open uses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use simfs_core::reactor::{ConnCtx, Handler, Reactor};
 use simfs_core::wire::{self, FrameBatch, Request, Response};
 use simkit::SeedSeq;
-use simstore::{fnv1a64, sdf, xxh64, Data, Dataset};
+use simstore::{fnv1a64, sdf, xxh64, Data, Dataset, StorageArea};
 use simtrace::EcmwfSpec;
 use simulators::{build_sim, SimKind};
 use std::hint::black_box;
@@ -135,12 +136,48 @@ fn bench_transport(c: &mut Criterion) {
     reactor.shutdown();
 }
 
+/// One step read two ways: by name (`StorageArea::read`: path join,
+/// path walk, open, statx, read to end, close) and through a
+/// `StepReader` whose file is already cached (`fstat` + `pread` into a
+/// reused buffer) — at the 8 KiB step of the end-to-end benchmark and
+/// at 1 MiB, where the copy dominates. The area sits a few directories
+/// deep, as a real storage area does, so the by-name walk is not
+/// flattered.
+fn bench_step_read(c: &mut Criterion) {
+    let root = std::env::temp_dir().join(format!(
+        "simfs-step-read-{}/work/run/ctx/storage",
+        std::process::id()
+    ));
+    let area = StorageArea::create(&root, u64::MAX).unwrap();
+    let mut group = c.benchmark_group("step_read");
+    for (label, size) in [("8KiB", 8 << 10), ("1MiB", 1 << 20)] {
+        let name = format!("out-{size:06}.sdf");
+        let bytes: Vec<u8> = (0..size).map(|i| i as u8).collect();
+        area.publish(&name, &bytes).unwrap();
+        // The second read caches the file.
+        let mut reader = area.reader();
+        for _ in 0..2 {
+            assert_eq!(reader.read(1, &name).unwrap(), &bytes[..]);
+        }
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_function(BenchmarkId::new("by_name", label), |b| {
+            b.iter(|| black_box(area.read(black_box(&name)).unwrap().len()))
+        });
+        group.bench_function(BenchmarkId::new("cached", label), |b| {
+            b.iter(|| black_box(reader.read(1, black_box(&name)).unwrap().len()))
+        });
+    }
+    group.finish();
+    let _ = std::fs::remove_dir_all(root.ancestors().nth(4).unwrap());
+}
+
 criterion_group!(
     benches,
     bench_sdf,
     bench_checksum,
     bench_simulators,
     bench_traces,
-    bench_transport
+    bench_transport,
+    bench_step_read
 );
 criterion_main!(benches);

@@ -8,10 +8,25 @@
 //! `close` releases the pin. The per-dialect wrappers ([`netcdf`],
 //! [`hdf5`], [`adios`]) carry the paper's Table I names so a port of an
 //! existing analysis is a textual substitution.
+//!
+//! A resident open is a pin and a read of the analysis's own file, so
+//! the read is what it costs. Each session reads through its own
+//! [`StepReader`]: from a step's second read on, it keeps the step's
+//! file open and serves each read with one `fstat` and one `pread` into
+//! a buffer it reuses (a scan, read once, caches nothing). That is safe
+//! because published files are immutable — a step
+//! is published by write-temp → fsync → rename and evicted by unlink,
+//! so a cached file whose inode is still linked (`st_nlink > 0`) is
+//! still the file under its name; a re-publish or an eviction unlinks
+//! it and the reader opens the name again. The cached files of all
+//! sessions in a process stay within a quarter of the soft
+//! `RLIMIT_NOFILE`, and each read probes one other entry for an
+//! unlinked step, so a session holds at most `entries × step size`
+//! bytes of evicted steps, each for at most `entries` further reads.
 
 use crate::client::SimfsClient;
 use crate::driver::SimDriver;
-use simstore::{Dataset, StorageArea};
+use simstore::{Dataset, StepReader, StorageArea};
 use std::io;
 use std::sync::Arc;
 
@@ -19,10 +34,17 @@ use std::sync::Arc;
 ///
 /// Files are addressed by their *names* (the driver's naming
 /// convention); the DV works in keys internally.
+///
+/// Every [`open`](Self::open) reads through the session's
+/// [`StepReader`], on every transport: a step read before is served
+/// from its cached file while that file is still linked (see the
+/// [module docs](self) for the invariant and the bounds). The cached
+/// files are closed when the session is finalized or dropped.
 pub struct VirtualFs {
     client: SimfsClient,
     driver: Arc<dyn SimDriver>,
     storage: StorageArea,
+    reader: StepReader,
 }
 
 impl VirtualFs {
@@ -32,6 +54,7 @@ impl VirtualFs {
         VirtualFs {
             client,
             driver,
+            reader: storage.reader(),
             storage,
         }
     }
@@ -54,7 +77,7 @@ impl VirtualFs {
         if let Some((k, reason)) = status.failed.first() {
             return Err(io::Error::other(format!("acquire of step {k} failed: {reason}")));
         }
-        let mut opened = self.read(filename);
+        let mut opened = self.read(key, filename);
         if opened.is_err() && self.client.holds_shared(key) {
             // A pin taken through the shared table involved no daemon:
             // ask it now. A live daemon serves the step (re-simulating
@@ -66,7 +89,7 @@ impl VirtualFs {
             if let Some((k, reason)) = status.failed.first() {
                 return Err(io::Error::other(format!("acquire of step {k} failed: {reason}")));
             }
-            opened = self.read(filename);
+            opened = self.read(key, filename);
         }
         if opened.is_err() {
             // The acquire pinned the step, but a failed open hands the
@@ -78,10 +101,10 @@ impl VirtualFs {
         opened
     }
 
-    fn read(&self, filename: &str) -> io::Result<Dataset> {
-        self.storage
-            .read(filename)
-            .and_then(|bytes| Dataset::decode(&bytes).map_err(io::Error::other))
+    fn read(&mut self, key: u64, filename: &str) -> io::Result<Dataset> {
+        self.reader
+            .read(key, filename)
+            .and_then(|bytes| Dataset::decode(bytes).map_err(io::Error::other))
     }
 
     /// Transparent `close`: releases the pin taken by
@@ -111,7 +134,7 @@ impl VirtualFs {
         &mut self.client
     }
 
-    /// Finalizes the session.
+    /// Finalizes the session and closes its cached step files.
     pub fn finalize(self) -> io::Result<()> {
         self.client.finalize()
     }

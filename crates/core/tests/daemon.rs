@@ -46,6 +46,24 @@ fn start_daemon_cfg(tag: &str, cache_steps: u64, smax: u32, prefetch: bool) -> F
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let storage = StorageArea::create(&dir, u64::MAX).unwrap();
+    let (server, driver) = serve(&storage, "127.0.0.1:0", cache_steps, smax, prefetch);
+    Fixture {
+        server,
+        storage,
+        driver,
+        _dir: dir,
+    }
+}
+
+/// The daemon of [`start_daemon_cfg`] over `storage`, listening on
+/// `listen` (a fixed address is how a test restarts it in place).
+fn serve(
+    storage: &StorageArea,
+    listen: &str,
+    cache_steps: u64,
+    smax: u32,
+    prefetch: bool,
+) -> (DvServer, Arc<PatternDriver>) {
     let driver = Arc::new(
         PatternDriver::new("out-", ".sdf", 6)
             .with_parallelism(ParallelismMap::unconstrained(1, 2)),
@@ -79,15 +97,10 @@ fn start_daemon_cfg(tag: &str, cache_steps: u64, smax: u32, prefetch: bool) -> F
             cluster: ClusterMember::SOLO,
             durability: DurabilityCfg::default(),
         },
-        "127.0.0.1:0",
+        listen,
     )
     .unwrap();
-    Fixture {
-        server,
-        storage,
-        driver,
-        _dir: dir,
-    }
+    (server, driver)
 }
 
 #[test]
@@ -301,6 +314,123 @@ fn failed_open_of_corrupt_resident_file_releases_its_pin() {
     vfs.session().status().unwrap();
     assert_eq!(fx.server.fast_pinned("test-ctx", 7), Some(false));
     vfs.finalize().unwrap();
+}
+
+/// Links in this process's fd table to deleted files under `root`.
+fn deleted_fds_under(root: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .map(|target| target.to_string_lossy().into_owned())
+        .filter(|target| target.starts_with(&*root.to_string_lossy()) && target.ends_with(" (deleted)"))
+        .collect()
+}
+
+/// A transparent session keeps the files of the steps it reads again
+/// open (`simstore::StepReader`). Eviction must not leave it serving the old
+/// inode or holding it: a step evicted and re-simulated reads as the
+/// re-simulated bytes, and once every cached entry has had its sweep
+/// probe no deleted step file is held open.
+#[test]
+fn virtualfs_rereads_an_evicted_step_and_holds_no_deleted_file() {
+    // Cache of one interval (4 steps); no prefetch, so only the opens
+    // below decide what is resident.
+    let fx = start_daemon_cfg("vfs-evict", 4, 4, false);
+    let client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    let mut vfs = VirtualFs::new(client, fx.driver.clone(), fx.storage.clone());
+    let name = |k: u64| fx.driver.filename_of(k);
+    let open_checked = |vfs: &mut VirtualFs, k: u64| {
+        let ds = vfs.open(&name(k)).unwrap();
+        assert_eq!(
+            simstore::fnv1a64(&ds.encode()),
+            simstore::fnv1a64(&step_bytes(k)),
+            "step {k}'s bytes disagree with its checksum"
+        );
+        // The daemon's own check against its checksum database.
+        assert_eq!(vfs.session().bitrep(k).unwrap(), Some(true), "step {k}");
+        vfs.close(&name(k)).unwrap();
+    };
+    let await_idle = |vfs: &mut VirtualFs| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while vfs.session().status().unwrap().active_sims != 0 {
+            assert!(std::time::Instant::now() < deadline, "sim never retired");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    // Interval 1..=4, every step read twice (the second read caches
+    // its file).
+    for k in [1, 2, 3, 4, 1, 2, 3, 4] {
+        open_checked(&mut vfs, k);
+    }
+    // Interval 5..=8 evicts some of it (which ones is the policy's
+    // choice).
+    open_checked(&mut vfs, 6);
+    await_idle(&mut vfs);
+    let k = (1..=4)
+        .find(|&k| !fx.storage.exists(&name(k)))
+        .expect("interval 5..=8 evicted none of 1..=4");
+    // k again: re-simulated, and read from the new file, not from the
+    // cached inode of the evicted one.
+    let restarts = fx.server.stats().restarts;
+    open_checked(&mut vfs, k);
+    assert!(fx.server.stats().restarts > restarts, "step {k} was not re-simulated");
+    await_idle(&mut vfs);
+    // Whatever the two evictions unlinked is still cached (6, read
+    // once, never was). The reader has one slot per step it ever held
+    // at once (1..=4: four), and as many reads sweep every slot once.
+    for _ in 0..4 {
+        open_checked(&mut vfs, k);
+    }
+    let held = deleted_fds_under(fx.storage.root());
+    assert!(held.is_empty(), "deleted steps still open: {held:?}");
+    vfs.finalize().unwrap();
+}
+
+/// The fallback behind a shared-table pin, with a cached step file: the
+/// file of a resident step is deleted behind the daemon's back and the
+/// daemon dies. The mapping (still the dead daemon's) says "resident",
+/// the read fails, and the retry through the daemon reconnects to its
+/// restarted instance, which primes without the step and re-simulates
+/// it — a successful open with the right bytes. (Should the liveness
+/// poll meet the dead daemon first, the open reconnects there instead;
+/// it must succeed either way.)
+#[test]
+fn deleted_resident_file_behind_a_dead_daemon_still_opens() {
+    let dir = std::env::temp_dir().join(format!("simfs-daemon-vfs-fallback-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let storage = StorageArea::create(&dir, u64::MAX).unwrap();
+    let driver = PatternDriver::new("out-", ".sdf", 6);
+    // Resident from the start: the daemon primes 5..=8 from disk.
+    for k in 5..=8 {
+        storage.publish(&driver.filename_of(k), &step_bytes(k)).unwrap();
+    }
+    let (server, driver) = serve(&storage, "127.0.0.1:0", 1000, 4, false);
+    let listen = server.addr().to_string();
+    let mut client = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    client.set_auto_reconnect(true);
+    client.set_op_timeout(Some(Duration::from_secs(10)));
+    let mut vfs = VirtualFs::new(client, driver.clone(), storage.clone());
+    let name = driver.filename_of(6);
+    // Twice, so the session holds the step's file.
+    for _ in 0..2 {
+        assert_eq!(vfs.open(&name).unwrap().step_index, 6);
+        vfs.close(&name).unwrap();
+    }
+
+    server.shutdown();
+    drop(server);
+    assert!(storage.delete(&name).unwrap());
+    let (server, _) = serve(&storage, &listen, 1000, 4, false);
+
+    let ds = vfs.open(&name).unwrap();
+    assert_eq!(simstore::fnv1a64(&ds.encode()), simstore::fnv1a64(&step_bytes(6)));
+    assert_eq!(vfs.session().reconnects(), 1);
+    assert_eq!(server.stats().misses, 1, "the restarted daemon re-simulated step 6");
+    vfs.close(&name).unwrap();
+    vfs.finalize().unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -9,6 +9,7 @@
 //! hands out filenames, not paths), publishes files atomically, and
 //! answers the size queries the eviction machinery needs.
 
+use crate::reader::StepReader;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -86,9 +87,17 @@ impl StorageArea {
         Ok(bytes.len() as u64)
     }
 
-    /// Reads a published file.
+    /// Reads a published file by name.
     pub fn read(&self, name: &str) -> io::Result<Vec<u8>> {
         fs::read(self.path_for(name)?)
+    }
+
+    /// A reader for a session that rereads steps: it keeps the file of
+    /// each step it reads again open and serves later reads with one
+    /// `fstat` and one `pread` into a reused buffer (see
+    /// [`StepReader`]).
+    pub fn reader(&self) -> StepReader {
+        StepReader::new(self.clone())
     }
 
     /// Does `name` exist in the area?

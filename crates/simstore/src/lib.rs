@@ -21,6 +21,11 @@
 //!   redirects simulator output into (§III-A), with atomic
 //!   write-then-rename publication so analyses never observe partially
 //!   written output steps.
+//! * [`reader`] — the per-session step reader behind a transparent
+//!   open: from a step's second read on, its file stays open (keyed by
+//!   step, reused only while the inode is still linked, within a
+//!   process-wide fd budget) and a read is one `fstat` + `pread` into a
+//!   reused buffer.
 //! * [`walog`] — the write-ahead pin/lease log: fixed-size checksummed
 //!   records, torn-tail-tolerant replay and checkpoint compaction, the
 //!   durability substrate that lets a crashed DV daemon re-establish
@@ -29,10 +34,12 @@
 pub mod area;
 pub mod checksum;
 pub mod checksum_db;
+pub mod reader;
 pub mod sdf;
 pub mod walog;
 
 pub use area::StorageArea;
 pub use checksum::{fnv1a64, xxh64, Fnv1a};
+pub use reader::StepReader;
 pub use sdf::{Data, Dataset, DType, SdfError, Variable};
 pub use walog::{WalRecord, WalState, WriteAheadLog};

@@ -1,9 +1,10 @@
 //! Property tests: SDF roundtrips for arbitrary datasets, checksum
 //! stability, corruption detection, and the structural walk's
-//! behaviour on sealed-but-malformed containers.
+//! behaviour on sealed-but-malformed containers, and the step reader's
+//! allocation-free repeat read.
 
 use proptest::prelude::*;
-use simstore::{fnv1a64, sdf, xxh64, Data, Dataset, Fnv1a};
+use simstore::{fnv1a64, sdf, xxh64, Data, Dataset, Fnv1a, StorageArea};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -12,21 +13,26 @@ thread_local! {
     /// (const-initialised and destructor-free, so the allocator may
     /// touch it at any point in a thread's life).
     static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+    /// Allocations (including reallocations) the current thread has
+    /// requested.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, recording each thread's largest request so
 /// `sdf_sealed_malformed_never_panics_or_overallocates` can see what a
 /// decode tried to reserve (an over-committing OS would happily
-/// "succeed" a multi-gigabyte `with_capacity`).
+/// "succeed" a multi-gigabyte `with_capacity`), and counting requests
+/// so `cached_step_read_allocates_nothing` can see there are none.
 struct RecordingAlloc;
 
 fn record_alloc(size: usize) {
     let _ = LARGEST_ALLOC.try_with(|largest| largest.set(largest.get().max(size)));
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the bookkeeping only
-// touches a `Cell<usize>` and never allocates.
+// touches `Cell<usize>`s and never allocates.
 unsafe impl GlobalAlloc for RecordingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record_alloc(layout.size());
@@ -51,6 +57,40 @@ unsafe impl GlobalAlloc for RecordingAlloc {
 
 #[global_allocator]
 static ALLOC: RecordingAlloc = RecordingAlloc;
+
+/// A steady-state repeat read of a resident step allocates nothing in
+/// the reader: the file is cached, and the buffer the first read grew
+/// is reused. Without this pin, buffer reuse could regress silently.
+#[test]
+fn cached_step_read_allocates_nothing() {
+    let dir = std::env::temp_dir().join(format!("simstore-reader-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let area = StorageArea::create(&dir, u64::MAX).unwrap();
+    let mut ds = Dataset::new(7, 0.5);
+    ds.add_var("field", vec![1024], Data::F64(vec![1.25; 1024])).unwrap();
+    let bytes = ds.encode().to_vec();
+    area.publish("out-000007.sdf", &bytes).unwrap();
+    area.publish("out-000008.sdf", &bytes[..100]).unwrap();
+    let mut reader = area.reader();
+    // Warm-up: a first read by name, a second that caches the file, and
+    // a buffer grown to the larger step.
+    for _ in 0..2 {
+        reader.read(7, "out-000007.sdf").unwrap();
+        reader.read(8, "out-000008.sdf").unwrap();
+    }
+    for _ in 0..100 {
+        for (key, name, len) in [(7, "out-000007.sdf", bytes.len()), (8, "out-000008.sdf", 100)] {
+            ALLOCS.with(|n| n.set(0));
+            let read = reader.read(key, name).unwrap();
+            let allocs = ALLOCS.with(Cell::get);
+            assert_eq!(read, &bytes[..len]);
+            assert_eq!(allocs, 0, "a cached read of step {key} allocated");
+        }
+    }
+    assert_eq!(reader.cached(), 2);
+    drop(reader);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
 fn arb_data() -> impl Strategy<Value = (Vec<u64>, Data)> {
     // Shapes with ≤ 3 dims and ≤ 64 total elements, matching payload.
