@@ -68,7 +68,7 @@
 //!
 //! # The mapped hit path
 //!
-//! A same-host session of a solo, non-durable context receives two
+//! A same-host session of a solo context, durable or not, receives two
 //! descriptors with its `HelloOk` and maps them: the context's hit
 //! table (read-only) and a mapping of its own (net.rs, "Trust model").
 //! [`SimfsClient::acquire`] then pins each resident key through one of
@@ -79,12 +79,18 @@
 //! drains into the prefetch agents, with one small nudge frame when the
 //! ring fills or the daemon has parked. Because no frame is exchanged,
 //! a dead daemon would go unnoticed: a mapped session therefore polls
-//! its socket (zero timeout) once per 64 acquires or 20 ms, and
+//! its socket (zero timeout) once per 64 acquires or 20 ms, and at the
+//! first acquire after a pause of 1 ms or more, and
 //! [`VirtualFs`](crate::intercept::VirtualFs) retries a failed read
 //! behind a shared pin through the daemon — either finds a dead
 //! connection, which ends the mapping and, with auto-reconnect on,
 //! recovers the session as any other disconnect does. Pins taken either
-//! way are held alike: `held`, re-assertion and `release` do not care.
+//! way are held alike: `held`, re-assertion and `release` do not care,
+//! and neither does durability. On a durable context a slot pin writes
+//! no journal record: the daemon journals the session's lease at hello
+//! instead, and after a crash the recovered daemon holds what was
+//! resident until the session re-asserts, restoring any claimed key
+//! that is still resident (`member.rs`, "The crash rule").
 
 use crate::dv::FailCode;
 use crate::model::StepMath;
@@ -355,7 +361,7 @@ pub struct SimfsClient {
     /// not recurse into another recovery.
     recovering: bool,
     /// The mapped hit path, when the daemon handed one over at hello
-    /// (same host, solo non-durable context): resident keys pin through
+    /// (same host, solo context): resident keys pin through
     /// this session's slots with no frame (module docs, "The mapped hit
     /// path").
     shared: Option<Box<ClientMap>>,

@@ -432,6 +432,10 @@ dv_stats! {
     /// Recovered client leases that expired before the client
     /// re-asserted (their pins were released via `ClientGone`).
     dv leases_expired,
+    /// Resident steps a recovery held from eviction until its last
+    /// recovery lease settled (the member core's crash rule 2): while
+    /// it holds them the storage area may overflow its budget.
+    dv recovery_held_steps,
     /// Clients that reconnected after a dropped connection (hellos
     /// carrying a prior-epoch claim).
     daemon client_reconnects,
@@ -1024,13 +1028,35 @@ impl DataVirtualizer {
     /// re-establishes intent. Returns whether the pin was restored and
     /// counts `pins_recovered` when it was.
     pub fn restore_pin(&mut self, client: ClientId, key: u64) -> bool {
+        let restored = self.pin_resident(client, key);
+        if restored {
+            self.stats.pins_recovered += 1;
+        }
+        restored
+    }
+
+    /// Pins `key` for `client` iff it is materialized, with no event,
+    /// no notification and no launch: the pin a recovered member
+    /// restores from its journal, or re-grants at a reassert.
+    pub(crate) fn pin_resident(&mut self, client: ClientId, key: u64) -> bool {
         if !self.cfg.steps.valid_key(key) || !self.cache.peek(key) {
             return false;
         }
         self.cache.pin(key);
         *self.client_mut(client).pins.entry(key).or_insert(0) += 1;
-        self.stats.pins_recovered += 1;
         true
+    }
+
+    /// Vetoes the eviction of every step materialized now until
+    /// [`release_hold`](Self::release_hold) (a recovery's hold; steps
+    /// produced meanwhile stay evictable). Returns the steps held.
+    pub(crate) fn hold_resident(&mut self) -> usize {
+        self.cache.hold_resident()
+    }
+
+    /// Lifts [`hold_resident`](Self::hold_resident)'s veto.
+    pub(crate) fn release_hold(&mut self) {
+        self.cache.release_hold();
     }
 
     /// Moves one pin count on `key` from `from` to `to` — the

@@ -10,6 +10,33 @@
 //! to its WAL) and the next instant a [`tick`](MemberCore::tick) has
 //! work ([`next_due`](MemberCore::next_due)) come out. A recovery
 //! lease deadline is one more supervision deadline.
+//!
+//! # The crash rule
+//!
+//! A solo member's same-host sessions map its hit table and pin
+//! resident steps through their own slots: such a pin, and its
+//! release, reach no member code and write no journal record. A
+//! daemon-side fast pin is journaled only after its reply, so a crash
+//! can lose its record too. Three rules keep every pin of a session
+//! that finished its hello alive across a crash, provided its client
+//! reasserts within the lease timeout:
+//!
+//! 1. **Lease at hello.** A session that maps journals one
+//!    [`WalRecord::Lease`] ([`MemberCore::lease`]), durable before its
+//!    greeting goes out — one record per session, none per hit. A
+//!    recovering solo member leases every client whose lease record is
+//!    live, pins or none, besides every client a journaled pin restores.
+//! 2. **Recovery holds evictions until its leases settle.** While any
+//!    recovery lease is outstanding, no step that was resident at the
+//!    recovery is evicted ([`DataVirtualizer::hold_resident`]); the
+//!    storage area overflows its budget instead, for at most the lease
+//!    timeout. The departure that ends the last lease — a reassert, a
+//!    late reassert or the deadline — lifts the hold.
+//! 3. **Reassert restores any key still resident.** Under a live lease
+//!    a claimed key with no pin to transfer but still resident is
+//!    pinned for the new session and journaled, not answered `gone`: a
+//!    pin whose record was never written comes back with no re-acquire
+//!    and, by rule 2, no gap in which it could have been evicted.
 
 use crate::dv::{ClientId, ClusterMember, DataVirtualizer, DvAction, DvEvent};
 use crate::model::StepMath;
@@ -86,8 +113,10 @@ impl MemberCore {
     /// epoch is one above the replayed one, recovery or not, so a
     /// cross-epoch reassert is never mistaken for a same-instance
     /// reconnect; with `recover` each replayed pin on a resident key is
-    /// restored (once per count) and every client left holding one is
-    /// leased until `now + lease_timeout`.
+    /// restored (once per count), every client left holding one — and,
+    /// on a solo member, every client whose hello lease is live, by
+    /// rule 1 — is leased until `now + lease_timeout`, and while any
+    /// lease is out the resident steps are held from eviction (rule 2).
     pub(crate) fn recover<S: FnOnce() -> u64>(
         me: ClusterMember,
         mut dv: DataVirtualizer,
@@ -132,11 +161,24 @@ impl MemberCore {
                         *state.pins.entry((client, key)).or_insert(0) += 1;
                     }
                 }
+                let mut leased = state.live_clients();
+                if !me.is_clustered() {
+                    // Rule 1: only a solo member maps sessions, so only
+                    // its lease records stand for unjournaled pins.
+                    leased.extend(&replayed.leases);
+                    leased.sort_unstable();
+                    leased.dedup();
+                }
                 let deadline = now.saturating_add(lease_timeout);
-                for client in state.live_clients() {
+                for client in leased {
                     state.leases.push(client);
                     core.leases.insert(client, deadline);
                     client_floor = client_floor.max(client + 1);
+                }
+                if !core.leases.is_empty() {
+                    // Rule 2.
+                    let held = core.dv.hold_resident() as u64;
+                    core.dv.stats_mut().recovery_held_steps += held;
                 }
             }
             state
@@ -160,14 +202,23 @@ impl MemberCore {
         }
     }
 
+    /// Session `client` maps the hit table at hello: its slot pins will
+    /// never be journaled, so its lease is (rule 1). The caller makes
+    /// the record durable before the session's greeting goes out.
+    pub(crate) fn lease(&mut self, client: ClientId) {
+        let epoch = self.epoch;
+        self.journal(WalRecord::Lease { client, epoch });
+    }
+
     /// Session `client` re-claims the pins its prior identity held
     /// (`keys`, one entry per count). **Same epoch**: the hangup
     /// already released everything — all `gone`, nothing runs. **Lease
     /// lapsed (at this very instant counts) or unknown**: all `gone`; a
     /// lapsed, unticked lease expires here. **Lease live**: each key
-    /// still held transfers to `client` (`restored`, journaled), the
-    /// rest are `gone`, and the prior identity departs. A lease is
-    /// claimed at most once.
+    /// still held transfers to `client`, and each other key still
+    /// resident is pinned for it afresh (rule 3; `restored`, both
+    /// journaled); the rest are `gone`, and the prior identity departs.
+    /// A lease is claimed at most once.
     pub(crate) fn reassert(
         &mut self,
         now: SimTime,
@@ -199,16 +250,12 @@ impl MemberCore {
         }
         let mut out = Reasserted::default();
         for &key in keys {
-            if self.dv.transfer_pin(prior_client, client, key) {
+            if self.dv.transfer_pin(prior_client, client, key) || self.dv.pin_resident(client, key)
+            {
                 out.restored.push(key);
             } else {
-                out.gone.push((
-                    key,
-                    format!(
-                        "key {key} was not recovered (evicted, or its pin record was lost to \
-                         the crash); re-acquire"
-                    ),
-                ));
+                out.gone
+                    .push((key, format!("key {key} is no longer resident; re-acquire")));
             }
         }
         for &key in &out.restored {
@@ -221,8 +268,13 @@ impl MemberCore {
 
     /// `client` is gone — hangup, lapsed lease or retired prior
     /// identity: one record voids its pins and lease, the DV releases.
+    /// The departure that settles the last recovery lease lifts the
+    /// recovery's hold (rule 2).
     pub(crate) fn depart(&mut self, now: SimTime, client: ClientId, actions: &mut Vec<DvAction>) {
         self.leases.remove(&client);
+        if self.leases.is_empty() {
+            self.dv.release_hold();
+        }
         self.journal(WalRecord::ClientGone {
             client,
             epoch: self.epoch,
@@ -446,6 +498,168 @@ mod tests {
         // pin; an owned key's is not.
         assert!(matches!(core.pin_record(3, 5), WalRecord::TakeoverPin { .. }));
         assert!(matches!(core.pin_record(3, 1), WalRecord::PinAcquire { .. }));
+    }
+
+    /// A solo member over a two-step cache (steps of one byte).
+    fn small_solo(resident: &[u64], journal: &[WalRecord]) -> (MemberCore, Recovered) {
+        let steps = StepMath::new(1, 4, 40);
+        let cfg = ContextCfg::new("m", steps, 1, 2)
+            .with_policy("lru")
+            .with_prefetch(false);
+        let dv = DataVirtualizer::for_member(cfg, ClusterMember::SOLO);
+        MemberCore::recover(
+            ClusterMember::SOLO,
+            dv,
+            resident.iter().map(|&key| (key, move || 1)),
+            Some(journal),
+            true,
+            SimTime::from_secs(10),
+            Dur::from_secs(5),
+        )
+    }
+
+    /// Client 30 acquires cold `key`, its sim produces the whole
+    /// interval at `now`, and 30 releases `key`. Returns the keys
+    /// evicted on the way.
+    fn produce_through(core: &mut MemberCore, now: SimTime, key: u64) -> Vec<u64> {
+        let mut actions = Vec::new();
+        core.dv
+            .handle_into(now, DvEvent::Acquire { client: 30, key }, &mut actions);
+        let (sim, keys) = actions
+            .iter()
+            .find_map(|a| match a {
+                DvAction::Launch { sim, keys, .. } => Some((*sim, keys.clone())),
+                _ => None,
+            })
+            .expect("a cold key launches");
+        core.dv
+            .handle_into(now, DvEvent::SimStarted { sim }, &mut actions);
+        for k in keys {
+            core.dv.handle_into(
+                now,
+                DvEvent::FileProduced {
+                    sim,
+                    key: k,
+                    size: 1,
+                },
+                &mut actions,
+            );
+        }
+        core.dv
+            .handle_into(now, DvEvent::SimFinished { sim }, &mut actions);
+        core.dv
+            .handle_into(now, DvEvent::Release { client: 30, key }, &mut actions);
+        actions
+            .into_iter()
+            .filter_map(|a| match a {
+                DvAction::Evict { key } => Some(key),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_solo_member_leases_every_live_hello_lease_and_holds_evictions_until_the_last_settles() {
+        // 7 mapped and pinned only through its slots; 8 also holds a
+        // journaled pin; 9 mapped and departed.
+        let journal = [
+            WalRecord::Lease {
+                client: 7,
+                epoch: 1,
+            },
+            WalRecord::Lease {
+                client: 8,
+                epoch: 1,
+            },
+            pin(8, 2, 1),
+            WalRecord::Lease {
+                client: 9,
+                epoch: 1,
+            },
+            WalRecord::ClientGone {
+                client: 9,
+                epoch: 1,
+            },
+        ];
+        let (mut core, rec) = small_solo(&[1, 2], &journal);
+        assert_eq!(core.leases.keys().copied().collect::<Vec<_>>(), vec![7, 8]);
+        assert_eq!(rec.client_floor, 9);
+        let state = rec.state.expect("journal");
+        assert_eq!(state.leases, vec![7, 8], "the snapshot keeps both leases");
+        assert_eq!(core.dv.stats().recovery_held_steps, 2);
+        assert_eq!(core.dv.stats().pins_recovered, 1);
+        // Rule 2: interval 1 floods the two-step cache; 1 and 2 stay.
+        let t = SimTime::from_secs(11);
+        let evicted = produce_through(&mut core, t, 6);
+        assert!(evicted.contains(&5) && !evicted.contains(&1), "{evicted:?}");
+        assert!(core.dv.is_cached(1) && core.dv.is_cached(2));
+        assert!(
+            core.dv.cache_stats().overflows > 0,
+            "the held area overflows"
+        );
+        // 8 returns; 7 is still out, so the hold stands.
+        let mut actions = Vec::new();
+        core.reassert(t, 20, 8, 1, &[2], &mut actions);
+        assert!(produce_through(&mut core, t, 9).contains(&6));
+        assert!(core.dv.is_cached(1) && core.dv.is_cached(2));
+        // 7's lease lapses: the hold lifts, and the next production may
+        // take 1 (unpinned) but not 2 (pinned by 20).
+        let due = core.next_due(t).expect("7's lease");
+        core.tick(due, &mut actions);
+        assert_eq!(core.dv.stats().leases_expired, 1);
+        assert!(produce_through(&mut core, due, 13).contains(&1));
+        assert!(core.dv.is_cached(2));
+    }
+
+    #[test]
+    fn reassert_pins_a_resident_key_that_lost_its_record_and_gones_the_rest() {
+        // 7 held 1 and 3 through its slots: no pin record survived.
+        let (mut core, _) = small_solo(
+            &[1, 2],
+            &[WalRecord::Lease {
+                client: 7,
+                epoch: 1,
+            }],
+        );
+        assert_eq!(core.dv.stats().pins_recovered, 0);
+        let mut actions = Vec::new();
+        let out = core.reassert(SimTime::from_secs(12), 20, 7, 1, &[1, 3], &mut actions);
+        assert_eq!(out.restored, vec![1]);
+        assert_eq!(
+            out.gone.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            vec![3]
+        );
+        assert_eq!(
+            core.records,
+            vec![
+                pin(20, 1, 2),
+                WalRecord::ClientGone {
+                    client: 7,
+                    epoch: 2
+                }
+            ]
+        );
+        assert_eq!(core.dv.pin_count(1), 1);
+        assert_eq!(core.dv.stats().pins_recovered, 0, "not a journaled pin");
+        // The last lease settled: the hold is gone, 1 is held by its pin.
+        let evicted = produce_through(&mut core, SimTime::from_secs(12), 5);
+        assert!(evicted.contains(&2) && !evicted.contains(&1), "{evicted:?}");
+    }
+
+    #[test]
+    fn a_lease_is_journaled_at_hello_only_with_a_journal() {
+        let (mut core, _) = small_solo(&[], &[]);
+        core.lease(4);
+        assert_eq!(
+            core.records,
+            vec![WalRecord::Lease {
+                client: 4,
+                epoch: 1
+            }]
+        );
+        let (mut core, _) = core_with(0, 1, &[], None, false);
+        core.lease(4);
+        assert!(core.records.is_empty());
     }
 
     #[test]

@@ -66,7 +66,7 @@
 //! of one that binds the dead daemon's port.
 //!
 //! **What a mapping grants.** At hello a daemon hands a local session
-//! of a solo, non-durable context two descriptors
+//! of a solo context two descriptors
 //! ([`Stream::fd_reader`] keeps them; a plain `read` drops them): its
 //! hit table and a session mapping (`crate::shm`). The table is sealed
 //! read-only — residency is the daemon's to write, and the kernel

@@ -92,7 +92,7 @@ use simkit::lockrank;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::io::{AsRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -197,9 +197,6 @@ pub struct ConnCtx<'a> {
     reactor: &'a Reactor,
     conn: ConnRef,
     transport: Transport,
-    /// The connection's socket, for the one write that carries
-    /// descriptors ([`write_with_fds`](Self::write_with_fds)).
-    fd: RawFd,
     out: &'a mut Vec<u8>,
 }
 
@@ -209,20 +206,6 @@ impl ConnCtx<'_> {
     /// [`Reactor::send_bytes`] to the same connection).
     pub fn write(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
-    }
-
-    /// Sends `bytes` now with `fds` attached (`SCM_RIGHTS`, local
-    /// transport only); whatever the socket does not take at once joins
-    /// the ordinary output. Refused — nothing sent — when output is
-    /// already pending (the bytes would overtake it) or the send fails;
-    /// the caller then writes plainly.
-    pub fn write_with_fds(&mut self, bytes: &[u8], fds: &[RawFd]) -> io::Result<()> {
-        if self.transport != Transport::Local || !self.out.is_empty() {
-            return Err(io::ErrorKind::WouldBlock.into());
-        }
-        let sent = crate::sys::send_with_fds(self.fd, bytes, fds)?;
-        self.out.extend_from_slice(&bytes[sent..]);
-        Ok(())
     }
 
     /// Routes future [`Reactor::send_bytes`]`(client, ..)` calls to
@@ -241,8 +224,9 @@ impl ConnCtx<'_> {
 struct Inbox {
     /// Connections handed off by the accept loop.
     adopt: Vec<(Stream, Box<dyn Handler>)>,
-    /// (token, wire bytes) queued by [`Reactor::send_bytes`].
-    sends: Vec<(u64, Vec<u8>)>,
+    /// (token, wire bytes, descriptors) queued by
+    /// [`Reactor::send_bytes`] and [`Reactor::send_with_fds`].
+    sends: Vec<(u64, Vec<u8>, Vec<OwnedFd>)>,
 }
 
 struct ShardHandle {
@@ -346,26 +330,52 @@ impl Reactor {
     /// the caller *is* that shard). Returns `false` — dropping the
     /// bytes — for unknown clients.
     pub fn send_bytes(&self, client: u64, bytes: &[u8]) -> bool {
-        let conn = {
-            let _rank = lockrank::held(lockrank::REACTOR_REGISTRY);
-            let Some(conn) = self.registry_shard(client).lock().get(&client).copied() else {
-                return false;
-            };
-            conn
+        let Some(conn) = self.route(client) else {
+            return false;
         };
         if CURRENT_CONN.with(|c| c.get()) == (conn.shard, conn.token) {
             SELF_STAGE.with(|s| s.borrow_mut().extend_from_slice(bytes));
-            return true;
+        } else {
+            self.enqueue(conn, bytes, Vec::new());
         }
+        true
+    }
+
+    /// Delivers wire bytes to `client`'s connection with `fds` attached
+    /// (`SCM_RIGHTS`; a local-transport greeting), always through the
+    /// owning shard's inbox: the descriptors ride the bytes only if no
+    /// output is pending ahead of them and the socket takes the first
+    /// byte at once; otherwise the bytes go plainly and the descriptors
+    /// close (the peer then stays on frames). Returns `false` —
+    /// dropping both — for unknown clients.
+    pub fn send_with_fds(&self, client: u64, bytes: &[u8], fds: Vec<OwnedFd>) -> bool {
+        let Some(conn) = self.route(client) else {
+            return false;
+        };
+        self.enqueue(conn, bytes, fds);
+        true
+    }
+
+    fn route(&self, client: u64) -> Option<ConnRef> {
+        let _rank = lockrank::held(lockrank::REACTOR_REGISTRY);
+        self.registry_shard(client).lock().get(&client).copied()
+    }
+
+    /// Queues a send on `conn`'s shard, waking it unless the caller is
+    /// that shard (its loop drains the inbox before it blocks).
+    fn enqueue(&self, conn: ConnRef, bytes: &[u8], fds: Vec<OwnedFd>) {
         let shard = &self.shards[conn.shard];
         {
             let _rank = lockrank::held(lockrank::REACTOR_INBOX);
-            shard.inbox.lock().sends.push((conn.token, bytes.to_vec()));
+            shard
+                .inbox
+                .lock()
+                .sends
+                .push((conn.token, bytes.to_vec(), fds));
         }
         if CURRENT_SHARD.with(|c| c.get()) != conn.shard {
             shard.wake.signal();
         }
-        true
     }
 
     /// Stops all shard threads; open connections are dropped without
@@ -471,14 +481,11 @@ enum ReadOutcome {
 
 /// Serves one readable event of `conn` (see [`read_and_dispatch`]).
 fn serve_readable(reactor: &Reactor, shard: usize, token: u64, conn: &mut Conn) -> ReadOutcome {
-    let stream = conn.reader.get_ref();
-    let (transport, fd) = (stream.transport(), stream.as_raw_fd());
     read_and_dispatch(
         ConnCtx {
             reactor,
             conn: ConnRef { shard, token },
-            transport,
-            fd,
+            transport: conn.reader.get_ref().transport(),
             out: &mut conn.out,
         },
         &mut conn.reader,
@@ -599,7 +606,7 @@ fn begin_close(
         let mut i = 0;
         while i < inbox.sends.len() {
             if inbox.sends[i].0 == token {
-                let (_, bytes) = inbox.sends.remove(i);
+                let (_, bytes, _) = inbox.sends.remove(i);
                 conn.out.extend_from_slice(&bytes);
             } else {
                 i += 1;
@@ -666,14 +673,28 @@ fn run_shard(reactor: &Arc<Reactor>, idx: usize, epoll: &Epoll) {
                 },
             );
         }
-        for (token, bytes) in sends {
+        for (token, bytes, fds) in sends {
             let Some(conn) = conns.get_mut(&token) else {
                 continue; // connection already gone: drop silently
             };
             if conn.closing {
                 continue; // past its on_close; nothing more goes out
             }
-            conn.out.extend_from_slice(&bytes);
+            if fds.is_empty() || conn.out_pending() > 0 {
+                conn.out.extend_from_slice(&bytes);
+            } else {
+                let raw: Vec<RawFd> = fds.iter().map(AsRawFd::as_raw_fd).collect();
+                match crate::sys::send_with_fds(conn.fd(), &bytes, &raw) {
+                    Ok(sent) => conn.out.extend_from_slice(&bytes[sent..]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        conn.out.extend_from_slice(&bytes);
+                    }
+                    Err(_) => {
+                        destroy(epoll, &mut conns, token, &mut tick_count);
+                        continue;
+                    }
+                }
+            }
             if conn.flush(epoll, token).is_err() {
                 destroy(epoll, &mut conns, token, &mut tick_count);
             }
@@ -756,7 +777,6 @@ fn run_shard(reactor: &Arc<Reactor>, idx: usize, epoll: &Epoll) {
                     reactor,
                     conn: ConnRef { shard: idx, token },
                     transport: reader.get_ref().transport(),
-                    fd: reader.get_ref().as_raw_fd(),
                     out,
                 };
                 CURRENT_CONN.with(|c| c.set((idx, token)));
@@ -903,7 +923,6 @@ mod tests {
                 reactor,
                 conn: ConnRef { shard: 0, token: 0 },
                 transport: Transport::Local,
-                fd: -1,
                 out: &mut out,
             },
             reader,

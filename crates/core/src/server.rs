@@ -91,15 +91,16 @@
 //! 1. **Shared hit table (no DV lock, often no daemon).** Every context
 //!    keeps a [`simcache::HitIndex`]: a flat table of one atomic word
 //!    per key — resident, retiring, a CLOCK reference bit and a count of
-//!    daemon-side pins. For a solo context without a WAL the table lives
-//!    in a `memfd` (`crate::shm`), and a same-host session receives it
-//!    sealed read-only at hello, with a session mapping of its own: it
-//!    pins a resident key by writing its own slot and checking the word,
-//!    releases by clearing the slot, and exchanges no frame for either.
-//!    Every other session — TCP, a durable context (each pin is
-//!    journaled), a clustered one, a takeover key — gets the daemon-side
-//!    fast pin against the same words: a CAS on the count, then the
-//!    reply straight into the connection's buffer, no DV lock. Eviction
+//!    daemon-side pins. For a solo context, durable or not, the table
+//!    lives in a `memfd` (`crate::shm`), and a same-host session
+//!    receives it sealed read-only at hello, with a session mapping of
+//!    its own: it pins a resident key by writing its own slot and
+//!    checking the word, releases by clearing the slot, and exchanges
+//!    no frame for either — nor writes a WAL record (tier 1b's crash
+//!    rule covers such pins). Every other session — TCP, a clustered
+//!    context, a takeover key — gets the daemon-side fast pin against
+//!    the same words: a CAS on the count, then the reply straight into
+//!    the connection's buffer, no DV lock. Eviction
 //!    (under the DV lock) must win `try_retire`: it marks the
 //!    word retiring and scans the slots of the context's mapped
 //!    sessions (the `pin-slots` registry, the one lock of the layer);
@@ -152,25 +153,39 @@
 //!    frame handler returns, i.e. after the reply, and ride
 //!    `Effects::wal_records` into the same commit pass. A crash can
 //!    therefore lose a fast pin's record but never a slow one's; the
-//!    client
-//!    re-assertion protocol reconciles either way (an unlogged pin
-//!    re-acquires, a logged-but-released pin is freed by the
-//!    reassert's closing `ClientGone`). The log compacts to a
+//!    crash rule below brings an unlogged pin back at its client's
+//!    reassert, and a logged-but-released pin is freed by the
+//!    reassert's closing `ClientGone`. The log compacts to a
 //!    [`simstore::walog::WalState`] snapshot at sync points once it
 //!    passes [`simstore::walog::COMPACT_THRESHOLD`]. Contexts without
 //!    durability skip this tier entirely — one `Option` check on the
 //!    hot path.
 //!
+//!    A mapped session's slot pins (layer 1) write nothing at all, so
+//!    on a durable context the session's *hello* is journaled instead:
+//!    one `Lease` record, appended and fsynced by the effect tier
+//!    before the greeting and its descriptors go out — one record per
+//!    session, none per hit.
+//!
 //!    The crash protocol is the member core's (`member.rs`, the code
 //!    the virtual fault harness drives too), kept beside the DV under
 //!    the DV lock. At start-up the WAL replays under a fresh epoch and,
 //!    with `recover`, each resident pin of the previous instance comes
-//!    back under its old client id, *leased* for `lease_timeout`. The
-//!    lease ends in a `ClientGone` through the core's one departure
-//!    path: after a timely reassert (the pins move to the new
-//!    session), at a late one (every key `gone`), or at the deadline
-//!    itself. The reaper's one deadline source is the core's
-//!    `next_due` — the DV's supervision deadlines and the leases'.
+//!    back under its old client id, *leased* for `lease_timeout`; so
+//!    does every session whose hello lease is live, pins or none, by
+//!    rule 1. While any lease is out, no step resident at the recovery is
+//!    evicted — the storage area overflows instead, for at most
+//!    `lease_timeout` (rule 2). A reassert under a live lease moves
+//!    the journaled pins to the new session and pins any other claimed
+//!    key that is still resident (rule 3), so a pin whose record was
+//!    never written — a slot pin, or a fast pin lost in the
+//!    group-fsync window — comes back with no re-acquire and no gap in
+//!    which it could have been evicted. The lease ends in a
+//!    `ClientGone` through the core's one departure path: after a
+//!    timely reassert, at a late one (every key `gone`), or at the
+//!    deadline itself; the last to end lifts the hold. The reaper's
+//!    one deadline source is the core's `next_due` — the DV's
+//!    supervision deadlines and the leases'.
 //! 2. **The DV lock.** Each context's [`DataVirtualizer`] — its cache
 //!    directory, waiter/launch/prefetch state and the request
 //!    bookkeeping its notifications resolve through — sits behind one
@@ -214,7 +229,7 @@
 //! decision rather than never being considered; and the fast-pin WAL
 //! window (1b above) is widened by effect-queue latency — a crash can
 //! lose the records of fast pins still queued for their group fsync,
-//! which the existing client re-assertion protocol already reconciles.
+//! which the crash rule's reassert restores like a slot pin.
 //!
 //! This remains the classic coordination-daemon shape — the data path
 //! (bulk file I/O) never goes through the daemon, only control messages
@@ -246,7 +261,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::SocketAddr;
 use std::ops::RangeInclusive;
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::OwnedFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
 use std::thread::JoinHandle;
@@ -267,9 +282,10 @@ pub mod env_keys {
 }
 
 /// Crash-safety configuration of one context (tier 1b of the lock
-/// hierarchy). Off by default: the WAL costs an fsync per durable
-/// transition, which non-durable deployments (benchmarks, ephemeral
-/// experiments) should not pay.
+/// hierarchy). Off by default: the WAL costs an fsync per slow pin,
+/// release, departure and mapped session's hello (a mapped session's
+/// resident hits write nothing), which non-durable deployments
+/// (benchmarks, ephemeral experiments) should not pay.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityCfg {
     /// Keep a write-ahead pin/lease log in the storage area.
@@ -416,9 +432,13 @@ struct Effects {
     batches: Vec<(ClientId, FrameBatch)>,
     /// Durable contexts only: explicit WAL records this transition must
     /// append (fast-pin windows, reassert restorations, client
-    /// departures) — appended and fsynced by the same group-fsync pass
-    /// that logs the outbox's `Ready` pins, before any frame is sent.
+    /// departures, mapped sessions' leases) — appended and fsynced by
+    /// the same group-fsync pass that logs the outbox's `Ready` pins,
+    /// before any frame is sent.
     wal_records: Vec<WalRecord>,
+    /// Descriptors that ride the first frame batch to a client: a
+    /// mapped session's table and session mapping, with its greeting.
+    fds: Option<(ClientId, Vec<OwnedFd>)>,
 }
 
 impl Effects {
@@ -481,9 +501,9 @@ struct ConnLocal {
     /// when the frame handler returns — a hit-path acquire→release
     /// round trip inside one window writes nothing.
     wal_pending: Vec<WalRecord>,
-    /// A same-host session of a solo, non-durable context: its shared
-    /// mapping — pin slots the context's index scans, and the access
-    /// ring its hits append to (layers 1 and 1a).
+    /// A same-host session of a solo context: its shared mapping — pin
+    /// slots the context's index scans, and the access ring its hits
+    /// append to (layers 1 and 1a).
     mapped: Option<SessionMap>,
 }
 
@@ -568,8 +588,8 @@ struct CtxRuntime {
     /// The lock-free hit layer (every context — prefetching ones
     /// observe through the digest instead of the acquire path).
     fast: Arc<HitIndex>,
-    /// The shared memory `fast` lives in, for solo non-durable contexts
-    /// (`None`: heap, and every session pins through the daemon).
+    /// The shared memory `fast` lives in, for solo contexts (`None`:
+    /// heap, and every session pins through the daemon).
     table: Option<ContextTable>,
     /// The context runs prefetch agents, fed by digest drains:
     /// connections record their access streams and the daemon replays
@@ -800,10 +820,13 @@ impl CtxRuntime {
             }
         }
         for (client, batch) in &mut fx.batches[..used] {
-            // Borrowed send: a response to the dispatching connection
-            // itself is staged with no allocation; only
-            // cross-connection traffic is copied into an inbox.
-            self.reactor.send_bytes(*client, batch.as_bytes());
+            match fx.fds.take_if(|(c, _)| c == client) {
+                Some((_, fds)) => self.reactor.send_with_fds(*client, batch.as_bytes(), fds),
+                // Borrowed send: a response to the dispatching
+                // connection itself is staged with no allocation; only
+                // cross-connection traffic is copied into an inbox.
+                None => self.reactor.send_bytes(*client, batch.as_bytes()),
+            };
             batch.clear();
         }
     }
@@ -1085,11 +1108,11 @@ impl CtxRuntime {
     /// window, then hand the survivors to `commit` as explicit
     /// `wal_records` — appended and fsynced by the effect tier's
     /// group-fsync pass. Called when the frame handler returns — after
-    /// the replies, so a crash can lose a fast pin's record (the
-    /// re-assertion protocol re-acquires it) but the log never claims a
-    /// pin the client does not hold longer than
-    /// one window. The effect tier stretches "one window" by its queue
-    /// latency, which the same re-assertion protocol already covers.
+    /// the replies, so a crash can lose a fast pin's record (the crash
+    /// rule's reassert restores it while it is resident) but the log
+    /// never claims a pin the client does not hold longer than one
+    /// window. The effect tier stretches "one window" by its queue
+    /// latency, which the same reassert covers.
     /// No-op without durability.
     fn wal_drain_local(&self, inner: &Inner, local: &mut ConnLocal, fx: &mut Effects) {
         if self.wal.is_none() || local.wal_pending.is_empty() {
@@ -1584,31 +1607,48 @@ impl CtxRuntime {
         );
     }
 
-    /// Greets a same-host analysis session of a context with a shared
-    /// table by mapping it (layer 1): a fresh session mapping, its pin
-    /// slots attached to the index *before* the client can pin, and
-    /// `greeting` sent with both descriptors. `None` — nothing sent —
-    /// when the session cannot map (TCP, a durable or clustered context,
-    /// or any failure on the way); the caller greets it plainly and it
-    /// pins through the daemon.
-    fn map_session(&self, cx: &mut ConnCtx<'_>, greeting: &Response) -> Option<SessionMap> {
+    /// Greets analysis session `client`. A same-host session of a
+    /// context with a shared table is mapped (layer 1): a fresh session
+    /// mapping whose pin slots are attached to the index *before* the
+    /// client can pin, its lease journaled by the member core (crash
+    /// rule 1, tier 1b), and the greeting sent with both descriptors
+    /// by the commit — after the lease's fsync on a durable context.
+    /// Every other session (TCP, a clustered context, or any failure
+    /// on the way) is greeted plainly and pins through the daemon.
+    fn greet(
+        &self,
+        inner: &Inner,
+        cx: &mut ConnCtx<'_>,
+        client: ClientId,
+        fx: &mut Effects,
+    ) -> Option<SessionMap> {
+        let greeting = Response::HelloOk {
+            client_id: client,
+            epoch: self.epoch,
+        };
+        let Some((session, fds)) = self.map_session(cx) else {
+            direct_frame(cx, &greeting);
+            return None;
+        };
+        self.with_dv(fx, |core| core.member.lease(client), |_, _| {});
+        fx.outbox.push((client, greeting));
+        fx.fds = Some((client, fds));
+        self.commit(inner, fx);
+        Some(session)
+    }
+
+    /// A fresh session mapping with its slots attached, and the two
+    /// descriptors its greeting carries (table, session); `None` off
+    /// the local transport, without a shared table, or on failure.
+    fn map_session(&self, cx: &ConnCtx<'_>) -> Option<(SessionMap, Vec<OwnedFd>)> {
         if cx.transport() != Transport::Local {
             return None;
         }
         let table = self.table.as_ref()?;
+        let table_fd = table.fd().ok()?;
         let (session, fd) = SessionMap::create(table, self.digest).ok()?;
         self.fast.attach(Arc::clone(session.pins()));
-        let mut frame = FrameBatch::new();
-        frame.push_response(greeting);
-        if cx
-            .write_with_fds(frame.as_bytes(), &[table.fd(), fd.as_raw_fd()])
-            .is_err()
-        {
-            self.fast.detach(session.pins());
-            return None;
-        }
-        // Sent: the session holds its own duplicate; ours closes here.
-        Some(session)
+        Some((session, vec![table_fd, fd]))
     }
 
     /// Moves a mapped session's ring into its access log (layer 1a),
@@ -1998,12 +2038,12 @@ impl DvServer {
             // contexts decouple observation from acquisition: fast hits
             // are *recorded* into the per-connection digest and replayed
             // into the agents out-of-band instead of taking a DV lock.
-            // A solo context without a WAL lays the layer over shared
-            // memory that same-host sessions map (layer 1); a durable
-            // context journals every pin and a clustered one routes, so
-            // theirs stays on the heap and every pin goes through here.
+            // A solo context, durable or not, lays the layer over shared
+            // memory that same-host sessions map (layer 1); a clustered
+            // one routes, so its table stays on the heap and every pin
+            // goes through here.
             let max_key = config.ctx.steps.n_outputs();
-            let (table, fast) = match (!cluster.is_clustered() && !config.durability.wal)
+            let (table, fast) = match (!cluster.is_clustered())
                 .then(|| ContextTable::create(max_key, clock_base))
                 .and_then(Result::ok)
             {
@@ -2528,17 +2568,11 @@ impl crate::reactor::Handler for EpollConn {
                         let client = self.inner.next_client.fetch_add(1, Ordering::SeqCst);
                         // Route first, then greet: a notification can
                         // only exist after a request, which can only
-                        // follow the HelloOk already in the buffer.
+                        // follow the HelloOk.
                         cx.register(client);
-                        let greeting = Response::HelloOk {
-                            client_id: client,
-                            epoch: runtime.epoch,
-                        };
                         let mut local = ConnLocal::new();
-                        local.mapped = runtime.map_session(cx, &greeting);
-                        if local.mapped.is_none() {
-                            direct_frame(cx, &greeting);
-                        }
+                        let mut fx = Effects::default();
+                        local.mapped = runtime.greet(&self.inner, cx, client, &mut fx);
                         // Clustered sessions see only the keys routed
                         // here; their full stream arrives as forwarded
                         // AccessDigest frames instead of local records.
@@ -2547,7 +2581,7 @@ impl crate::reactor::Handler for EpollConn {
                             runtime,
                             client,
                             local,
-                            fx: Effects::default(),
+                            fx,
                         };
                     }
                     ClientKind::Simulator { sim_id } => {

@@ -4,10 +4,12 @@
 //!
 //! # What is shared
 //!
-//! A solo, non-durable context lays its [`HitIndex`] over one `memfd`
-//! ([`ContextTable`]): a header, then one word per key. At hello on the
-//! local transport the daemon hands the session two descriptors
-//! (`SCM_RIGHTS`, riding the `HelloOk` bytes):
+//! A solo context, durable or not, lays its [`HitIndex`] over one
+//! `memfd` ([`ContextTable`]): a header, then one word per key. At hello
+//! on the local transport the daemon hands the session two descriptors
+//! (`SCM_RIGHTS`, riding the `HelloOk` bytes — on a durable context
+//! only once the session's lease is fsynced, see `member.rs`, "The
+//! crash rule"):
 //!
 //! * the **context table**, sealed read-only — every session maps the
 //!   same words the daemon's evictions write;
@@ -58,7 +60,7 @@ use crate::prefetch::{ACCESS_LOG_CAPACITY, DIGEST_HIGH_WATER};
 use crate::sys::{self, Mapping};
 use simcache::{HitIndex, SessionPins, Words};
 use std::io;
-use std::os::unix::io::{AsRawFd, OwnedFd, RawFd};
+use std::os::unix::io::OwnedFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,12 +88,16 @@ const PINS_AT: usize = 16;
 /// that outruns the daemon between a nudge and its drain does not drop.
 const RING_CAPACITY: usize = 4 * ACCESS_LOG_CAPACITY;
 
-/// A mapped session polls its socket at most once per this many opens
-/// (or [`POLL_EVERY`]), so a dead daemon surfaces within a bounded
-/// window without a syscall per open.
+/// A busy mapped session polls its socket once per this many opens (or
+/// [`POLL_EVERY`]), so a dead daemon surfaces within a bounded window
+/// without a syscall per open.
 const POLL_OPENS: u32 = 64;
 /// ... or once per this long.
 const POLL_EVERY: Duration = Duration::from_millis(20);
+/// ... and at the first open after a pause this long, so a daemon that
+/// died while the session paused is found before anything is served
+/// from its table (one poll per pause: nothing, next to the pause).
+const POLL_IDLE: Duration = Duration::from_millis(1);
 
 impl Words for Mapping {
     fn words(&self) -> &[AtomicU64] {
@@ -136,9 +142,9 @@ impl ContextTable {
         self.map.words().len() - TABLE_HEADER
     }
 
-    /// The descriptor a session maps the table from.
-    pub(crate) fn fd(&self) -> RawFd {
-        self.fd.as_raw_fd()
+    /// A duplicate of the descriptor a session maps the table from.
+    pub(crate) fn fd(&self) -> io::Result<OwnedFd> {
+        self.fd.try_clone()
     }
 }
 
@@ -286,6 +292,7 @@ pub(crate) struct ClientMap {
     ring: usize,
     opens_since_poll: u32,
     last_poll_ns: u64,
+    last_open_ns: u64,
     nudged_park: u64,
     nudged_high: bool,
 }
@@ -325,6 +332,7 @@ impl ClientMap {
             ring: ring_at,
             opens_since_poll: 0,
             last_poll_ns: sys::monotonic_ns(),
+            last_open_ns: sys::monotonic_ns(),
             nudged_park: 0,
             nudged_high: false,
         })
@@ -333,7 +341,10 @@ impl ClientMap {
     /// Counts one open; `true` when the socket is due its liveness poll.
     pub(crate) fn poll_due(&mut self, now_ns: u64) -> bool {
         self.opens_since_poll += 1;
-        let due = self.opens_since_poll >= POLL_OPENS
+        let idle = now_ns.saturating_sub(self.last_open_ns) >= POLL_IDLE.as_nanos() as u64;
+        self.last_open_ns = now_ns;
+        let due = idle
+            || self.opens_since_poll >= POLL_OPENS
             || now_ns.saturating_sub(self.last_poll_ns) >= POLL_EVERY.as_nanos() as u64;
         if due {
             self.opens_since_poll = 0;

@@ -29,6 +29,15 @@
 //! each member DV's [`next_due`](DataVirtualizer::next_due) deadline,
 //! so backoff retries, watchdog kills, and quarantine expiries all
 //! happen at exact virtual times.
+//!
+//! A single-member rig is a solo daemon, whose same-host session maps
+//! the hit table: its hello journals a lease, and its hits on resident
+//! steps are slot pins that journal nothing (the session releases a
+//! slot pin first, as DVLib does) — so a crash plan exercises the
+//! member core's crash rule (`member.rs`) on exactly the records the
+//! daemon writes. [`Fault::Flood`] adds the cache pressure a second
+//! session would, and [`FaultReport::held_evictions`] records every
+//! step evicted while the analysis still held it.
 
 use crate::dv::{ClusterMember, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, SimId};
 use crate::member::MemberCore;
@@ -408,6 +417,20 @@ pub enum Fault {
         /// Virtual time the fault arms.
         at: Dur,
     },
+    /// Another session — remote, so it never maps — acquires `keys`
+    /// steps from `first` on at live member `member` at `at` and
+    /// releases each the moment it is granted: re-simulations whose
+    /// productions press on the cache while the analysis may be away.
+    Flood {
+        /// Member index.
+        member: usize,
+        /// Virtual time of the acquire.
+        at: Dur,
+        /// First key.
+        first: u64,
+        /// Keys acquired.
+        keys: u64,
+    },
 }
 
 /// A deterministic fault schedule.
@@ -464,6 +487,10 @@ pub struct FaultReport {
     /// value is a leak — faults must never strand an `s_max` slot, a
     /// claim, or a waiter.
     pub residue: u64,
+    /// Virtual instants at which a member evicted a step the analysis
+    /// still counted as held there. Outside a restart without recovery
+    /// or after a lapsed lease, each one is a lost pin.
+    pub held_evictions: Vec<Dur>,
 }
 
 /// A K-member virtual cluster with scripted faults: the DES analogue
@@ -519,6 +546,9 @@ struct VMember {
     connected_epoch: u64,
     /// key → pin count the session holds on this member (client view).
     held: HashMap<u64, u32>,
+    /// Of `held`: the pins taken through the session's slots (a solo
+    /// member's resident hits), which no journal record covers.
+    slots: HashMap<u64, u32>,
     /// The session must re-handshake before the next request.
     needs_reconnect: bool,
     /// Unreachable until this time ([`Fault::DelayMember`]).
@@ -573,6 +603,9 @@ struct FaultWorld {
     retired: DvStats,
     takeovers: u64,
     pins_handed_back: u64,
+    /// Client ids of [`Fault::Flood`] sessions.
+    floods: Vec<u64>,
+    held_evictions: Vec<Dur>,
 }
 
 impl FaultedClusterExperiment {
@@ -594,6 +627,7 @@ impl FaultedClusterExperiment {
                 client: ANALYSIS_CLIENT,
                 connected_epoch: 0,
                 held: HashMap::new(),
+                slots: HashMap::new(),
                 needs_reconnect: false,
                 delayed_until: SimTime::ZERO,
                 fail_next: 0,
@@ -637,11 +671,14 @@ impl FaultedClusterExperiment {
             retired: DvStats::default(),
             takeovers: 0,
             pins_handed_back: 0,
+            floods: Vec::new(),
+            held_evictions: Vec::new(),
         };
         // Every member boots as a fresh durable daemon: an empty
-        // journal, nothing resident.
+        // journal, nothing resident; then the analysis says hello.
         for m in 0..k as usize {
             world.members[m].connected_epoch = boot_member(&mut world, m, false, SimTime::ZERO);
+            hello(&mut world, m, ANALYSIS_CLIENT);
         }
 
         let mut engine: Engine<FaultWorld> = Engine::new();
@@ -685,6 +722,16 @@ impl FaultedClusterExperiment {
                 Fault::CorruptOutput { member, at } => {
                     engine.schedule_at(SimTime::ZERO + at, move |_en, w: &mut FaultWorld| {
                         w.members[member].corrupt_next += 1;
+                    });
+                }
+                Fault::Flood {
+                    member,
+                    at,
+                    first,
+                    keys,
+                } => {
+                    engine.schedule_at(SimTime::ZERO + at, move |en, w: &mut FaultWorld| {
+                        flood(en, w, member, first..first + keys)
                     });
                 }
             }
@@ -732,6 +779,7 @@ impl FaultedClusterExperiment {
             journals: world.members.iter().map(|m| m.journal.clone()).collect(),
             stats,
             residue,
+            held_evictions: world.held_evictions,
         }
     }
 }
@@ -739,6 +787,54 @@ impl FaultedClusterExperiment {
 /// Can the analysis reach member `m` right now?
 fn reachable(w: &FaultWorld, m: usize, now: SimTime) -> bool {
     w.members[m].core.is_some() && now >= w.members[m].delayed_until
+}
+
+/// Does the analysis's session map member `m`'s hit table? The daemon
+/// maps same-host sessions of a solo context, and only native keys.
+fn maps(w: &FaultWorld, mode: AcquireMode) -> bool {
+    w.cluster_size == 1 && mode == AcquireMode::Native
+}
+
+/// Session `client` says hello to live member `m`: a mapping session's
+/// lease is journaled (crash rule 1).
+fn hello(w: &mut FaultWorld, m: usize, client: u64) {
+    if !maps(w, AcquireMode::Native) {
+        return;
+    }
+    let member = &mut w.members[m];
+    let core = member.core.as_mut().expect("greeting member has a core");
+    core.lease(client);
+    member.journal.append(&mut core.records);
+}
+
+/// [`Fault::Flood`]: a fresh remote session acquires `keys` at live
+/// member `m`; each grant is released at once ([`flood_ready`]).
+fn flood(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, keys: std::ops::Range<u64>) {
+    if w.members[m].core.is_none() {
+        return;
+    }
+    let client = w.next_client;
+    w.next_client += 1;
+    w.floods.push(client);
+    for key in keys {
+        let actions = dv_of(w, m).handle(en.now(), DvEvent::Acquire { client, key });
+        apply_member_actions(en, w, m, actions);
+    }
+}
+
+/// A flood session was granted `key`: its pin and release are
+/// journaled as a remote session's are, and the DV releases.
+fn flood_ready(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, client: u64, key: u64) {
+    let member = &mut w.members[m];
+    let core = member.core.as_mut().expect("granting member has a core");
+    member.journal.push(core.pin_record(client, key));
+    member.journal.push(WalRecord::PinRelease {
+        client,
+        key,
+        epoch: core.epoch(),
+    });
+    let actions = core.dv.handle(en.now(), DvEvent::Release { client, key });
+    apply_member_actions(en, w, m, actions);
 }
 
 /// kill -9: in-memory state gone, journal and storage intact. The
@@ -838,13 +934,18 @@ fn ensure_session(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     let new_client = w.next_client;
     w.next_client += 1;
     let member = &mut w.members[m];
-    let core = member.core.as_mut().expect("reachable member has a core");
     let mut held: Vec<(u64, u32)> = member.held.drain().collect();
     held.sort_unstable();
     let keys: Vec<u64> = held
         .into_iter()
         .flat_map(|(key, count)| std::iter::repeat_n(key, count as usize))
         .collect();
+    // The old session's slots died with it; whatever they held is
+    // re-asserted below like any other pin.
+    member.slots.clear();
+    hello(w, m, new_client);
+    let member = &mut w.members[m];
+    let core = member.core.as_mut().expect("reachable member has a core");
     let mut actions = Vec::new();
     let answer = core.reassert(
         en.now(),
@@ -910,13 +1011,15 @@ fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
     ensure_session(en, w, m);
     w.cursor += 1;
     let client = w.members[m].client;
+    // A mapping session pins a resident step through its slot.
+    let slot = maps(w, mode) && dv_of(w, m).is_cached(key);
     match acquire_at(en, w, m, key, mode) {
         Err(code) => {
             w.failed.push(key);
             w.failed_codes.push(code);
             en.schedule_in(Dur::ZERO, issue_next);
         }
-        Ok(true) => grant(en, w, m, key),
+        Ok(true) => grant(en, w, m, key, slot),
         Ok(false) => w.waiting_for = Some((m, client, key)),
     }
 }
@@ -982,9 +1085,10 @@ fn acquire_at(
     failed.map_or(Ok(ready), Err)
 }
 
-/// The analysis' access was granted: pin, consume, move on.
-fn grant(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
-    pinned(w, m, key);
+/// The analysis' access was granted (through a slot, with `slot`):
+/// pin, consume, move on.
+fn grant(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64, slot: bool) {
+    pinned(w, m, key, slot);
     w.served.push(key);
     w.release_queue.push_back(key);
     en.schedule_in(w.exp.tau_cli, issue_next);
@@ -992,11 +1096,15 @@ fn grant(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
 
 /// Member `t` granted the session one pin on `key`: journal it under
 /// the member core's tag rule (takeover-tagged when `t` does not own
-/// the key), track it, and tell the route.
-fn pinned(w: &mut FaultWorld, t: usize, key: u64) {
+/// the key) unless it is a `slot` pin, track it, and tell the route.
+fn pinned(w: &mut FaultWorld, t: usize, key: u64, slot: bool) {
     let member = &mut w.members[t];
     let core = member.core.as_ref().expect("granting member has a core");
-    member.journal.push(core.pin_record(member.client, key));
+    if slot {
+        *member.slots.entry(key).or_insert(0) += 1;
+    } else {
+        member.journal.push(core.pin_record(member.client, key));
+    }
     *member.held.entry(key).or_insert(0) += 1;
     w.route.granted(key, t);
 }
@@ -1015,7 +1123,7 @@ fn fail_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
             };
             ensure_session(en, w, t);
             if acquire_at(en, w, t, key, mode) == Ok(true) {
-                pinned(w, t, key);
+                pinned(w, t, key, false);
             }
         }
     }
@@ -1073,7 +1181,7 @@ fn hand_back(
         if acquire_at(en, w, m, key, AcquireMode::Native) != Ok(true) {
             return;
         }
-        pinned(w, m, key);
+        pinned(w, m, key, false);
     }
     if !reachable(w, taker, en.now()) {
         return;
@@ -1089,16 +1197,26 @@ fn hand_back(
     w.route.handed_back(key, taker);
 }
 
-/// Releases one session pin on `key` at reachable member `m`, journaled.
+/// Releases one session pin on `key` at reachable member `m` — a slot
+/// pin first, as DVLib does, which journals nothing; any other is
+/// journaled.
 fn release_at(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
     let member = &mut w.members[m];
     let core = member.core.as_mut().expect("reachable member has a core");
     let client = member.client;
-    member.journal.push(WalRecord::PinRelease {
-        client,
-        key,
-        epoch: core.epoch(),
-    });
+    match member.slots.get_mut(&key) {
+        Some(n) => {
+            *n -= 1;
+            if *n == 0 {
+                member.slots.remove(&key);
+            }
+        }
+        None => member.journal.push(WalRecord::PinRelease {
+            client,
+            key,
+            epoch: core.epoch(),
+        }),
+    }
     let actions = core.dv.handle(en.now(), DvEvent::Release { client, key });
     apply_member_actions(en, w, m, actions);
 }
@@ -1117,6 +1235,9 @@ fn apply_member_actions(
     }
     for action in actions {
         match action {
+            DvAction::NotifyReady { client, key } if w.floods.contains(&client) => {
+                flood_ready(en, w, m, client, key);
+            }
             DvAction::NotifyReady { client, key } => {
                 deliver_ready(en, w, m, client, key);
             }
@@ -1151,6 +1272,10 @@ fn apply_member_actions(
             }
             DvAction::Evict { key } => {
                 w.storage.remove(&key);
+                if w.members[m].held.contains_key(&key) {
+                    w.held_evictions
+                        .push(en.now().saturating_since(SimTime::ZERO));
+                }
             }
         }
     }
@@ -1213,7 +1338,7 @@ fn deliver_ready(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, clie
         return;
     }
     w.waiting_for = None;
-    grant(en, w, m, key);
+    grant(en, w, m, key, false);
 }
 
 fn vsim_started(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: u64, sim: SimId) {
@@ -1818,6 +1943,151 @@ mod tests {
                 "no pin may outlive the expired lease"
             );
         }
+    }
+
+    // -- the crash rule on a mapped session -----------------------------
+
+    /// A solo member — its session maps the hit table — over a 6-step
+    /// cache, with a slow analysis (see `SLOW_CLI`).
+    fn solo_mapped() -> FaultedClusterExperiment {
+        let steps = StepMath::new(1, 4, 10_000);
+        let cfg = ContextCfg::new("vm", steps, 1, 6)
+            .with_policy("lru")
+            .with_smax(4)
+            .with_prefetch(false);
+        FaultedClusterExperiment {
+            cfg,
+            members: 1,
+            alpha_sim: Dur::from_secs(2),
+            tau_sim: Dur::from_secs(1),
+            queue: QueueModel::None,
+            lease_timeout: Dur::from_secs(60),
+            pin_window: 4,
+            failover: false,
+            seed: 7,
+        }
+    }
+
+    /// Think time long enough that interval 0 is resident by the
+    /// second access: key 1 misses (granted at 3 s) and 2, 3, 4 are
+    /// slot pins (8, 13, 18 s). Key 9 then misses at 23 s.
+    const SLOW_CLI: Dur = Dur::from_secs(5);
+
+    /// Member 0 dies at 24 s while the analysis waits on 9 holding
+    /// 1 (journaled) and 2-4 (slots only), restarts at 25 s, and a
+    /// remote session floods it with four cold intervals at 26 s while
+    /// the analysis is cut off until 35 s.
+    fn crash_under_flood(recover: bool) -> FaultPlan {
+        FaultPlan {
+            faults: vec![
+                Fault::CrashMember {
+                    member: 0,
+                    at: Dur::from_secs(24),
+                },
+                Fault::RestartMember {
+                    member: 0,
+                    at: Dur::from_secs(25),
+                    recover,
+                },
+                Fault::DelayMember {
+                    member: 0,
+                    from: Dur::from_secs(25),
+                    lasting: Dur::from_secs(10),
+                },
+                Fault::Flood {
+                    member: 0,
+                    at: Dur::from_secs(26),
+                    first: 13,
+                    keys: 16,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn mapped_hits_journal_nothing_but_the_session_lease() {
+        let rep = solo_mapped().run(&[1, 2, 3, 4, 9], SLOW_CLI, &FaultPlan::default());
+        assert_eq!(rep.served, vec![1, 2, 3, 4, 9]);
+        let journal = &rep.journals[0];
+        let acquires = |client: u64| {
+            journal
+                .iter()
+                .filter(|r| matches!(r, WalRecord::PinAcquire { client: c, .. } if *c == client))
+                .count()
+        };
+        assert_eq!(
+            acquires(ANALYSIS_CLIENT),
+            2,
+            "the misses on 1 and 9 only: {journal:?}"
+        );
+        assert_eq!(
+            journal
+                .iter()
+                .filter(|r| matches!(r, WalRecord::Lease { .. }))
+                .count(),
+            1,
+            "one lease, at hello"
+        );
+    }
+
+    #[test]
+    fn recovery_holds_slot_pinned_keys_through_a_flood_until_the_reassert() {
+        let exp = solo_mapped();
+        let accesses = [1, 2, 3, 4, 9];
+        let rep = exp.run(&accesses, SLOW_CLI, &crash_under_flood(true));
+        assert_eq!(rep.served, accesses.to_vec());
+        assert!(rep.failed.is_empty());
+        assert!(
+            rep.held_evictions.is_empty(),
+            "held keys evicted at {:?}",
+            rep.held_evictions
+        );
+        assert_eq!(rep.pins_recovered, 1, "only the miss on 1 was journaled");
+        assert_eq!(rep.pins_reasserted, 4, "the slot pins came back resident");
+        assert_eq!(rep.leases_expired, 0);
+        assert_eq!(rep.stats.recovery_held_steps, 4);
+        assert!(
+            rep.stats.produced_steps >= 16,
+            "the flood ran: {:?}",
+            rep.stats
+        );
+        assert_eq!(rep.residue, 0);
+        let again = exp.run(&accesses, SLOW_CLI, &crash_under_flood(true));
+        assert_eq!(rep, again, "replays bit-for-bit");
+    }
+
+    #[test]
+    fn without_recovery_the_same_flood_evicts_held_keys() {
+        let rep = solo_mapped().run(&[1, 2, 3, 4, 9], SLOW_CLI, &crash_under_flood(false));
+        assert_eq!(rep.served, vec![1, 2, 3, 4, 9]);
+        assert!(
+            !rep.held_evictions.is_empty(),
+            "nothing held the flood back"
+        );
+        assert_eq!(rep.pins_reasserted, 0);
+    }
+
+    #[test]
+    fn the_hold_lifts_when_an_unclaimed_lease_lapses() {
+        let mut exp = solo_mapped();
+        exp.lease_timeout = Dur::from_secs(3);
+        let rep = exp.run(&[1, 2, 3, 4, 9], SLOW_CLI, &crash_under_flood(true));
+        assert_eq!(rep.served, vec![1, 2, 3, 4, 9]);
+        assert_eq!(rep.leases_expired, 1);
+        let lapse = Dur::from_secs(25 + 3);
+        assert!(
+            !rep.held_evictions.is_empty(),
+            "the lapsed hold let the flood in"
+        );
+        assert!(
+            rep.held_evictions.iter().all(|&at| at >= lapse),
+            "a held key went before the lease lapsed: {:?}",
+            rep.held_evictions
+        );
+        assert_eq!(
+            rep.pins_reasserted, 0,
+            "the late reassert finds every key gone"
+        );
     }
 
     /// A single-member cluster with a supervision profile scaled to

@@ -18,6 +18,7 @@ use simfs_core::model::{ContextCfg, StepMath};
 use simfs_core::net::{self, Transport};
 use simfs_core::server::{DurabilityCfg, DvServer, ServerConfig, ThreadSimLauncher};
 use simfs_core::wire::{self, ClientKind, Request, Response};
+use simstore::walog::{self, WalRecord};
 use simstore::{Data, Dataset, StorageArea};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -981,5 +982,338 @@ fn killed_mapped_client_leaves_no_pin_and_takes_no_other() {
     flood.finalize().unwrap();
     server.shutdown();
     drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// A durable context's sessions map too: the crash rule, with a real
+// kill -9
+// ---------------------------------------------------------------------
+
+/// The context's WAL in `dir` (a solo daemon is member 0).
+fn wal_path(dir: &Path) -> PathBuf {
+    dir.join("dv-member-0.wal")
+}
+
+/// The WAL's records, as a recovery would replay them.
+fn wal_records(dir: &Path) -> Vec<WalRecord> {
+    walog::replay_bytes(&std::fs::read(wal_path(dir)).unwrap()).0
+}
+
+/// Polls until `dir`'s WAL holds a record matching `want`.
+fn await_record(dir: &Path, want: impl Fn(&WalRecord) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !wal_records(dir).iter().any(&want) {
+        assert!(
+            Instant::now() < deadline,
+            "record never journaled: {:?}",
+            wal_records(dir)
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The killed worker's daemon, restarted in process with `--recover`
+/// on the same address (its name and port died with it), over a
+/// `cache_steps`-step cache.
+fn recover_in_process(
+    dir: &Path,
+    listen: &str,
+    lease_timeout: Duration,
+    cache_steps: u64,
+) -> DvServer {
+    let durability = DurabilityCfg {
+        wal: true,
+        recover: true,
+        lease_timeout,
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match start_daemon_sized(dir, "test-ctx", listen, durability, cache_steps) {
+            Ok(server) => return server,
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("cannot recover on {listen}: {e}"),
+        }
+    }
+}
+
+/// One flood round through another session: a fresh interval's key,
+/// acquired, released, and its re-simulation settled.
+fn flood_round(flood: &mut SimfsClient, key: u64) {
+    assert!(flood.acquire(&[key]).unwrap().ok(), "flood key {key}");
+    flood.release(key).unwrap();
+    flood.flush().unwrap();
+    settle(flood);
+}
+
+/// The crash rule end to end. A durable daemon's mapped session pins a
+/// resident key through its slot: no frame is exchanged and the WAL
+/// does not grow. The daemon is SIGKILLed and restarted with
+/// `--recover`; before the session returns, another session floods the
+/// 4-step cache, and the key — held by nothing but the recovery's
+/// hold — survives. The session's reassert then restores the pin with
+/// no re-acquire, and once released the key is evicted by the next
+/// flood.
+#[test]
+fn slot_pin_of_a_durable_daemon_survives_kill9_and_a_flood_until_its_reassert() {
+    let dir = fresh_dir("slot-pin-kill9");
+    let addr: SocketAddr = ([127, 0, 0, 1], free_port()).into();
+    let listen = addr.to_string();
+    let driver = PatternDriver::new("out-", ".sdf", 6);
+    let on_disk = |key: u64| dir.join(driver.filename_of(key)).exists();
+    let worker = spawn_worker(&dir, &listen, false);
+    await_listening(addr);
+    let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
+    client.set_auto_reconnect(true);
+    client.set_op_timeout(Some(Duration::from_secs(10)));
+    assert_eq!(client.transport(), Transport::Local);
+    // A miss makes interval 1 resident; its pin on 5, journaled before
+    // its Ready, stays held.
+    assert_eq!(client.acquire(&[5]).unwrap().ready, [5]);
+    settle(&mut client);
+    let wal_len = std::fs::metadata(wal_path(&dir)).unwrap().len();
+
+    // Resident opens of 6 through the session's slots, the last one
+    // held: no exchange, no record.
+    let before = thread_waits();
+    for _ in 0..100 {
+        assert_eq!(client.acquire(&[6]).unwrap().ready, [6]);
+        client.release(6).unwrap();
+    }
+    assert_eq!(client.acquire(&[6]).unwrap().ready, [6]);
+    let waits = thread_waits() - before;
+    assert!(
+        waits < 20,
+        "{waits} waits for 101 resident opens: not mapped"
+    );
+    assert_eq!(
+        std::fs::metadata(wal_path(&dir)).unwrap().len(),
+        wal_len,
+        "a slot pin reached the WAL"
+    );
+
+    drop(worker); // kill -9, 6 held through a slot only
+    let server = recover_in_process(&dir, &listen, Duration::from_secs(30), 4);
+    let stats = server.stats();
+    assert_eq!(stats.pins_recovered, 1, "the journaled pin on 5: {stats:?}");
+    assert_eq!(stats.recovery_held_steps, 4, "interval 1: {stats:?}");
+
+    // The flood, before the session returns: every round overflows
+    // the held cache instead of evicting 6.
+    let mut flood = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    for key in [10, 14, 18, 22] {
+        flood_round(&mut flood, key);
+        assert!(
+            on_disk(6),
+            "the held key was evicted before its session returned"
+        );
+    }
+
+    // The session returns at its next open: 5 transfers, 6 is pinned
+    // again because it is resident — neither is re-acquired.
+    let slow = server.stats().acquired_slow;
+    assert_eq!(client.acquire(&[7]).unwrap().ready, [7]);
+    assert_eq!(client.reconnects(), 1);
+    assert_eq!(client.pins_reasserted(), 2, "5 and 6 restored");
+    let stats = server.stats();
+    assert_eq!(
+        stats.acquired_slow, slow,
+        "a reasserted key was re-acquired: {stats:?}"
+    );
+    assert_eq!(stats.leases_expired, 0);
+
+    // Released, 6 is an ordinary resident step again.
+    client.release(6).unwrap();
+    client.release(7).unwrap();
+    client.flush().unwrap();
+    let mut key = 26u64;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while on_disk(6) {
+        assert!(Instant::now() < deadline, "6 outlived its release");
+        flood_round(&mut flood, key);
+        key = 10 + (key + 4 - 10) % 48;
+    }
+    client.finalize().unwrap();
+    flood.finalize().unwrap();
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The crash rule's bound: a mapped session of a SIGKILLed durable
+/// daemon that never comes back. Its hello lease alone gets it leased
+/// at recovery, and the recovery holds the resident steps until that
+/// lease's deadline — no sooner, within a small slack after it — and
+/// then a flood evicts them.
+#[test]
+fn recovery_hold_lifts_at_the_lease_deadline_when_a_mapped_session_never_returns() {
+    const LEASE: Duration = Duration::from_millis(300);
+    const SLACK: Duration = Duration::from_millis(250);
+    let dir = fresh_dir("hold-expiry");
+    let addr: SocketAddr = ([127, 0, 0, 1], free_port()).into();
+    let listen = addr.to_string();
+    let driver = PatternDriver::new("out-", ".sdf", 6);
+    let on_disk = |key: u64| dir.join(driver.filename_of(key)).exists();
+    let worker = spawn_worker(&dir, &listen, false);
+    await_listening(addr);
+    // The prior session makes interval 1 resident, releases its
+    // journaled pin, and holds 7 through its slot.
+    let mut prior = SimfsClient::connect(addr, "test-ctx").unwrap();
+    assert_eq!(prior.acquire(&[6]).unwrap().ready, [6]);
+    settle(&mut prior);
+    prior.release(6).unwrap();
+    prior.flush().unwrap();
+    await_record(&dir, |r| matches!(r, WalRecord::PinRelease { key: 6, .. }));
+    assert_eq!(prior.acquire(&[7]).unwrap().ready, [7]);
+    drop(worker); // kill -9
+    drop(prior);
+
+    let started = Instant::now();
+    let server = recover_in_process(&dir, &listen, LEASE, 4);
+    let stats = server.stats();
+    assert_eq!(stats.pins_recovered, 0, "no pin record survived: {stats:?}");
+    assert_eq!(stats.recovery_held_steps, 4, "{stats:?}");
+    let mut flood = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    flood_round(&mut flood, 10);
+    let held = (5..=8).all(on_disk);
+    if server.stats().leases_expired == 0 {
+        assert!(held, "a held step was evicted while the lease was live");
+    }
+    let deadline = started + LEASE + SLACK;
+    while server.stats().leases_expired == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the hold outlived {LEASE:?} + {SLACK:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(
+        started.elapsed() >= LEASE,
+        "lifted before the lease's deadline"
+    );
+    let mut key = 14u64;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while on_disk(7) {
+        assert!(
+            Instant::now() < deadline,
+            "the lapsed hold still vetoes eviction of 7"
+        );
+        flood_round(&mut flood, key);
+        key = 10 + (key + 4 - 10) % 48;
+    }
+    assert_eq!(server.stats().leases_expired, 1);
+    flood.finalize().unwrap();
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Journal accounting of a durable context's mapped session: its hello
+/// writes one `Lease`; 100 resident open/close pairs write nothing; a
+/// miss writes one `PinAcquire`, durable before its `Ready`; and that
+/// pin's release — still a frame on the Unix arm — one `PinRelease`.
+#[test]
+fn durable_mapped_session_journals_its_lease_and_misses_but_no_hit() {
+    let dir = fresh_dir("journal-accounting");
+    let server = start_daemon(
+        &dir,
+        "test-ctx",
+        "127.0.0.1:0",
+        DurabilityCfg::durable(false),
+    )
+    .unwrap();
+    let mut client = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    assert_eq!(client.transport(), Transport::Local);
+    let (id, epoch) = (client.client_id(), client.epoch());
+    let appends = || server.stats().wal_appends;
+    assert_eq!(appends(), 1, "one record for the hello");
+    assert_eq!(
+        wal_records(&dir).last(),
+        Some(&WalRecord::Lease { client: id, epoch })
+    );
+
+    assert_eq!(client.acquire(&[6]).unwrap().ready, [6]);
+    assert_eq!(appends(), 2, "the miss's pin, before its Ready");
+    assert_eq!(
+        wal_records(&dir).last(),
+        Some(&WalRecord::PinAcquire {
+            client: id,
+            key: 6,
+            epoch
+        })
+    );
+    settle(&mut client);
+
+    for _ in 0..100 {
+        assert_eq!(client.acquire(&[5]).unwrap().ready, [5]);
+        client.release(5).unwrap();
+    }
+    let stats = server.stats();
+    assert_eq!(stats.shared_hits, 100, "{stats:?}");
+    assert_eq!(
+        stats.wal_appends, 2,
+        "a resident open wrote a record: {stats:?}"
+    );
+
+    client.release(6).unwrap();
+    client.flush().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while appends() < 3 {
+        assert!(
+            Instant::now() < deadline,
+            "the release frame never reached the journal"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(appends(), 3);
+    assert_eq!(
+        wal_records(&dir).last(),
+        Some(&WalRecord::PinRelease {
+            client: id,
+            key: 6,
+            epoch
+        })
+    );
+    client.finalize().unwrap();
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Write-side disconnect on the Unix arm with a pin the daemon granted:
+/// a slow pin's release is a staged frame even on a mapped session, so
+/// after a kill -9 and a `--recover` restart its flush is the write that
+/// meets `EPIPE`, and the session recovers right there.
+#[test]
+fn write_side_disconnect_at_a_slow_pins_release_recovers_on_the_unix_arm() {
+    let dir = fresh_dir("epipe-slow-pin");
+    let addr: SocketAddr = ([127, 0, 0, 1], free_port()).into();
+    let listen = addr.to_string();
+    let worker = spawn_worker(&dir, &listen, false);
+    await_listening(addr);
+    let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
+    client.set_auto_reconnect(true);
+    client.set_op_timeout(Some(Duration::from_secs(10)));
+    assert_eq!(client.transport(), Transport::Local);
+    // A miss: granted by the daemon, not through a slot.
+    assert_eq!(client.acquire(&[6]).unwrap().ready, [6]);
+    settle(&mut client);
+
+    drop(worker); // kill -9
+    let worker = spawn_worker(&dir, &listen, true);
+    await_listening(addr);
+
+    client.release(6).unwrap();
+    assert_eq!(client.reconnects(), 0, "the release is only staged");
+    client.flush().unwrap();
+    assert_eq!(client.reconnects(), 1, "the flush met the dead connection");
+    let status = client.acquire(&[7]).unwrap();
+    assert!(status.ok(), "{status:?}");
+    assert_eq!(client.transport(), Transport::Local);
+    assert_eq!(client.epoch(), 2, "the recovered instance's epoch");
+    client.finalize().unwrap();
+    drop(worker);
     let _ = std::fs::remove_dir_all(&dir);
 }

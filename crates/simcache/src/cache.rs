@@ -22,6 +22,9 @@ struct EntryInfo {
     /// reference bit in the attached [`HitIndex`]) can re-enter the
     /// victim into the policy as freshly used.
     cost: u64,
+    /// Vetoed by [`CacheSim::hold_resident`] until
+    /// [`CacheSim::release_hold`].
+    held: bool,
 }
 
 /// Cumulative counters for a [`CacheSim`] lifetime.
@@ -64,6 +67,8 @@ pub struct CacheSim {
     /// When attached, inserts publish to it and evictions must win a
     /// [`HitIndex::try_retire`] against concurrent fast pins.
     index: Option<Arc<HitIndex>>,
+    /// Some entries are held ([`hold_resident`](Self::hold_resident)).
+    holding: bool,
 }
 
 impl CacheSim {
@@ -76,6 +81,7 @@ impl CacheSim {
             used: 0,
             stats: CacheStats::default(),
             index: None,
+            holding: false,
         }
     }
 
@@ -156,7 +162,7 @@ impl CacheSim {
             let entries = &self.entries;
             let index = self.index.as_deref();
             let pinned = move |k: u64| {
-                entries.get(&k).is_some_and(|e| e.pins > 0)
+                entries.get(&k).is_some_and(|e| e.pins > 0 || e.held)
                     || index.is_some_and(|idx| idx.is_pinned(k))
             };
             match self.policy.evict(&pinned as PinFn<'_>) {
@@ -227,7 +233,15 @@ impl CacheSim {
             !self.entries.contains_key(&key),
             "insert of resident key {key}"
         );
-        self.entries.insert(key, EntryInfo { size, pins, cost });
+        self.entries.insert(
+            key,
+            EntryInfo {
+                size,
+                pins,
+                cost,
+                held: false,
+            },
+        );
         self.policy.on_insert(key, cost);
         self.used += size;
         self.stats.inserts += 1;
@@ -260,6 +274,29 @@ impl CacheSim {
                 true
             }
             None => false,
+        }
+    }
+
+    /// Vetoes the eviction of every entry resident now, as a pin
+    /// would, until [`release_hold`](Self::release_hold); entries
+    /// inserted later are not held. While every candidate is held or
+    /// pinned the area overflows its budget (counted in
+    /// [`CacheStats::overflows`]). Returns the entries held.
+    pub fn hold_resident(&mut self) -> usize {
+        for e in self.entries.values_mut() {
+            e.held = true;
+        }
+        self.holding = true;
+        self.entries.len()
+    }
+
+    /// Lifts [`hold_resident`](Self::hold_resident)'s veto (a no-op
+    /// when nothing is held). Evictions resume at the next insert.
+    pub fn release_hold(&mut self) {
+        if std::mem::take(&mut self.holding) {
+            for e in self.entries.values_mut() {
+                e.held = false;
+            }
         }
     }
 
@@ -371,6 +408,27 @@ mod tests {
         // stay.
         assert!(c.contains(1));
         let _ = evicted;
+    }
+
+    #[test]
+    fn held_entries_overflow_until_the_hold_lifts_and_later_ones_stay_evictable() {
+        let mut c = lru_cache(200);
+        c.insert(1, 100, 0);
+        c.insert(2, 100, 0);
+        assert_eq!(c.hold_resident(), 2);
+        assert_eq!(c.pin_count(1), 0, "a hold is not a pin");
+        // 3 is not held: the only candidate, it goes at once.
+        assert_eq!(c.insert(3, 100, 0), vec![3]);
+        // Nothing left to evict: the area overflows instead.
+        assert!(c.insert_pinned(4, 100, 0, 1).is_empty());
+        assert_eq!(c.stats().overflows, 1);
+        c.release_hold();
+        c.release_hold();
+        assert_eq!(
+            c.insert(5, 100, 0),
+            vec![1, 2],
+            "evictions resume at the next insert"
+        );
     }
 
     #[test]
