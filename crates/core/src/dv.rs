@@ -74,6 +74,10 @@ pub type ClientId = u64;
 /// Identifies a (re-)simulation.
 pub type SimId = u64;
 
+/// The hang window is never shorter than this many times the estimate
+/// it scales, whatever `hang_ceiling` says.
+const MIN_HANG_MULTIPLE: u64 = 2;
+
 /// Why a simulation was launched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LaunchReason {
@@ -367,8 +371,8 @@ dv_stats! {
     /// restart-aligned, so these come only from cluster ownership cuts
     /// and timeline-end clamps.
     dv prefetch_partial_launches,
-    /// Consumption-time (`tau_cli`) samples fed to the prefetch agents,
-    /// by acquires (inline observation) or by digest replay.
+    /// Consumption-time (`tau_cli`) samples fed to the prefetch agents
+    /// by digest replay.
     dv tau_cli_samples,
     /// Output steps scheduled for production across all launches.
     dv scheduled_steps,
@@ -500,12 +504,11 @@ struct ClientState {
     agent: PrefetchAgent,
     /// Pin counts per key held by this client.
     pins: U64Map<u32>,
-    /// When the client's last request became ready: the start of its
-    /// consumption phase. The gap to its next acquire is the `tau_cli`
-    /// sample (§IV-A) — consumption time, not blocked-wait time. In
-    /// digest mode only production stamps it (a blocked request's ready
-    /// time), and replay takes it to start the gap after the blocked
-    /// record.
+    /// When the client's last *blocked* request became ready (stamped
+    /// by the production that answered it): the start of its
+    /// consumption phase. Replay takes it to start the `tau_cli` gap
+    /// (§IV-A) after the blocked record — consumption time, not
+    /// blocked-wait time.
     last_ready: Option<SimTime>,
     /// Epoch of the last digest record replayed for this client and
     /// whether it was a ready point: the digest-mode source of
@@ -515,11 +518,10 @@ struct ClientState {
     last_digest_epoch: Option<(u64, bool)>,
     /// Set by a pollution reset: the client's next replayed digest
     /// window (usually) predates the reset, so it must not re-confirm
-    /// the very trajectory the reset just discarded (the inline path
-    /// gets this for free by observing only post-reset accesses).
-    /// Deliberately coarse: a client whose log happened to be empty at
-    /// reset time loses one fully post-reset window too — record
-    /// epochs are per-recorder clocks, so the reset boundary cannot be
+    /// the very trajectory the reset just discarded. Deliberately
+    /// coarse: a client whose log happened to be empty at reset time
+    /// loses one fully post-reset window too — record epochs are
+    /// per-recorder clocks, so the reset boundary cannot be
     /// compared against them; the cost is one drain window of delayed
     /// re-confirmation, bounded and loss-shaped like the rest of the
     /// digest contract.
@@ -595,12 +597,6 @@ pub struct DataVirtualizer {
     /// `(sim - 1) % stride` recovers the member that launched a sim and
     /// no two members ever collide on an id.
     sim_stride: SimId,
-    /// Agent observation arrives out-of-band through
-    /// [`ingest_digest`](Self::ingest_digest) instead of inside
-    /// `on_acquire` (the daemon's digest-decoupled mode): acquires stop
-    /// feeding the agents and sampling `tau_cli`, so replayed records
-    /// are the single source of observation.
-    digest_observation: bool,
     alpha_sim: Ema,
     tau_sim: Ema,
     stats: DvStats,
@@ -631,7 +627,6 @@ impl DataVirtualizer {
             kill_scratch: Vec::new(),
             next_sim: 1,
             sim_stride: 1,
-            digest_observation: false,
             stats: DvStats::default(),
         }
     }
@@ -680,21 +675,13 @@ impl DataVirtualizer {
         self.cache.attach_index(index);
     }
 
-    /// Switches agent observation to digest mode: `on_acquire` stops
-    /// feeding the prefetch agents (and sampling `tau_cli`); the whole
-    /// access stream reaches them through
-    /// [`ingest_digest`](Self::ingest_digest) instead. Launch
+    /// Replays a drained access digest into the prefetch agents — the
+    /// agents' only source of observation: `on_acquire` neither feeds
+    /// them nor samples `tau_cli`. Records come from fast-path hits
+    /// that never took a DV lock, from slow-path acquires, or forwarded
+    /// from a clustered client's full pre-routing stream. Launch
     /// bookkeeping that does not depend on stream order — miss-coverage
     /// frontiers, pollution resets — stays on the acquire path.
-    pub fn set_digest_observation(&mut self, on: bool) {
-        self.digest_observation = on;
-    }
-
-    /// Replays a drained access digest into the prefetch agents — the
-    /// out-of-band observation half of the digest contract (records
-    /// come from fast-path hits that never took a DV lock, from
-    /// slow-path acquires, or forwarded from a clustered client's full
-    /// pre-routing stream).
     ///
     /// `owns_key` narrows *planning* and accounting to the keys this DV
     /// instance owns: every record updates agent pattern state (agents
@@ -716,7 +703,7 @@ impl DataVirtualizer {
     /// Record epochs must be on the clock of the `now` this DV is
     /// driven with (the daemon's own records): after a record that
     /// blocked, the consumption gap starts at the waiter's ready stamp,
-    /// exactly as the inline path samples it. The daemon replays the
+    /// where the client's consumption began. The daemon replays the
     /// digests a clustered DVLib forwards — stamped on the client's
     /// clock — without that step.
     pub fn ingest_digest(
@@ -791,8 +778,7 @@ impl DataVirtualizer {
             // it is no later than this record, so a stale stamp never
             // starts a later gap. Suppressed records sample too: a
             // pollution reset discards the trajectory, not the client's
-            // speed, and the inline path sampled these very gaps at
-            // acquire time.
+            // speed.
             let ready_stamp = if same_clock {
                 state.last_ready.take_if(|t| t.as_nanos() <= r.epoch)
             } else {
@@ -825,7 +811,7 @@ impl DataVirtualizer {
                     self.stats.prefetch_hits += 1;
                 }
             }
-            self.apply_agent_outcome_owned(r.client, outcome, owns_key, actions, now);
+            self.apply_agent_outcome(r.client, outcome, owns_key, actions, now);
         }
     }
 
@@ -967,7 +953,9 @@ impl DataVirtualizer {
     /// The instant after which `s` counts as hung: last progress plus
     /// the relevant estimate (restart latency before the first sign of
     /// life, inter-production time after) scaled and clamped by the
-    /// supervisor knobs.
+    /// supervisor knobs — but never less than [`MIN_HANG_MULTIPLE`] times
+    /// the estimate, so a ceiling below a slow simulator's own restart
+    /// latency cannot kill every attempt before it starts.
     fn sim_deadline(&self, s: &SimState) -> SimTime {
         let sup = &self.cfg.supervisor;
         let est = if s.started {
@@ -978,7 +966,8 @@ impl DataVirtualizer {
         let window = est
             .mul_f64(sup.hang_multiplier.max(1.0))
             .max(sup.hang_floor)
-            .min(sup.hang_ceiling);
+            .min(sup.hang_ceiling)
+            .max(est.saturating_mul(MIN_HANG_MULTIPLE));
         s.last_progress.saturating_add(window)
     }
 
@@ -1423,25 +1412,14 @@ impl DataVirtualizer {
         Some(state)
     }
 
-    /// Applies a prefetch plan coming out of an agent.
-    fn apply_agent_outcome(
-        &mut self,
-        client: ClientId,
-        outcome: crate::prefetch::AgentOutcome,
-        actions: &mut Vec<DvAction>,
-        now: SimTime,
-    ) {
-        self.apply_agent_outcome_owned(client, outcome, &|_| true, actions, now)
-    }
-
-    /// [`apply_agent_outcome`](Self::apply_agent_outcome) restricted to
+    /// Applies a prefetch plan coming out of an agent, restricted to
     /// the keys this DV owns: plan blocks are split at ownership
     /// boundaries (interval-granular, like all routing) and only the
     /// owned runs launch here — the other cluster members, replaying the
     /// same forwarded digest, launch theirs. Direction-change kills
     /// always apply: each member kills its own prefetch sims for the
     /// client.
-    fn apply_agent_outcome_owned(
+    fn apply_agent_outcome(
         &mut self,
         client: ClientId,
         outcome: crate::prefetch::AgentOutcome,
@@ -1630,38 +1608,14 @@ impl DataVirtualizer {
             return;
         }
 
-        let prefetch_enabled = self.cfg.prefetch;
-        // Observation is decoupled in digest mode: acquires neither feed
-        // the agents nor sample tau_cli here — the recorded stream
-        // replays through `ingest_digest` instead, and a blocked
-        // request's ready stamp stays for the replay to take.
-        let inline = !self.digest_observation;
-        let observe_inline = prefetch_enabled && inline;
-        let inputs = self.prefetch_inputs();
-
-        // Sample the client's consumption time: from its last data
-        // becoming ready to this request.
-        if inline {
-            let state = self.client_mut(client);
-            if let Some(ready_at) = state.last_ready.take() {
-                state.agent.observe_tau_cli(now.saturating_since(ready_at));
-                self.stats.tau_cli_samples += 1;
-            }
-        }
-
+        // Acquires neither feed the agents nor sample tau_cli: the
+        // recorded stream replays through `ingest_digest`, and a blocked
+        // request's ready stamp waits for the replay to take it.
         if self.cache.access(key) {
             self.stats.hits += 1;
             self.cache.pin(key);
-            let state = self.client_mut(client);
-            *state.pins.entry(key).or_insert(0) += 1;
-            if inline {
-                state.last_ready = Some(now);
-            }
+            *self.client_mut(client).pins.entry(key).or_insert(0) += 1;
             actions.push(DvAction::NotifyReady { client, key });
-            if observe_inline {
-                let outcome = state.agent.on_access(key, &inputs);
-                self.apply_agent_outcome(client, outcome, actions, now);
-            }
             return;
         }
 
@@ -1712,10 +1666,8 @@ impl DataVirtualizer {
             self.stats.pollution_resets += 1;
             for c in self.clients.values_mut() {
                 c.agent.reset();
-                // Digest mode: the next replayed window predates this
-                // reset — discard it, as the inline path implicitly
-                // does by only ever observing post-reset accesses.
-                c.discard_digest_window = self.digest_observation;
+                // The next replayed window predates this reset.
+                c.discard_digest_window = true;
             }
         }
 
@@ -1735,7 +1687,7 @@ impl DataVirtualizer {
                 .min(self.cfg.parallelism.max_level);
             // Inform the agent of the coverage this miss will create so
             // its trigger math sees the right frontier.
-            if prefetch_enabled {
+            if self.cfg.prefetch {
                 let state = self.client_mut(client);
                 if let Some(dir) = state.agent.direction() {
                     let frontier = match dir {
@@ -1750,12 +1702,6 @@ impl DataVirtualizer {
                 }
             }
             self.request_launch(range, level, LaunchReason::Miss, Some(client), actions, now);
-        }
-
-        if observe_inline && !polluted {
-            let state = self.client_mut(client);
-            let outcome = state.agent.on_access(key, &inputs);
-            self.apply_agent_outcome(client, outcome, actions, now);
         }
     }
 
@@ -2336,6 +2282,24 @@ mod tests {
     }
 
     #[test]
+    fn hang_window_outlasts_a_restart_latency_above_the_ceiling() {
+        // A 900 s restart latency under the default 10 min ceiling: the
+        // sim is still in its alpha phase at 601 s and must be left
+        // alone; only past twice the estimate is it hung.
+        let mut dv = DataVirtualizer::new(cfg(100));
+        dv.seed_estimates(Dur::from_secs(900), Dur::from_secs(1));
+        let a = dv.handle(t(0), DvEvent::Acquire { client: 1, key: 6 });
+        let sim = launched_sim(&a);
+        assert_eq!(dv.next_due(t(0)), Some(t(1800)));
+        let mut quiet = Vec::new();
+        dv.tick(t(601), &mut quiet);
+        assert!(quiet.is_empty(), "killed a sim inside its restart latency: {quiet:?}");
+        let mut acted = Vec::new();
+        dv.tick(t(1800), &mut acted);
+        assert!(acted.iter().any(|x| matches!(x, DvAction::Kill { sim: s } if *s == sim)));
+    }
+
+    #[test]
     fn corrupt_output_kills_producer_and_colours_the_poison() {
         let sup = crate::model::SupervisorCfg {
             attempt_budget: 1,
@@ -2366,7 +2330,6 @@ mod tests {
         // then fail it with nobody waiting: the speculative attempt is
         // dropped — no retry entry, no queued launch, no poison.
         let mut dv = DataVirtualizer::new(cfg(100).with_prefetch(true));
-        dv.set_digest_observation(true);
         dv.seed_estimates(Dur::from_secs(4), Dur::from_secs(1));
         let records: Vec<_> = (1..=4).map(|k| digest_record(1, k, k)).collect();
         let mut actions = Vec::new();
@@ -2503,11 +2466,10 @@ mod tests {
 
     #[test]
     fn digest_replay_drives_prefetch_planning() {
-        // Digest mode: acquires do not feed the agents; the replayed
-        // records must carry observation (tau_cli from epoch gaps,
-        // pattern confirmation, plan triggers) on their own.
+        // Acquires do not feed the agents; the replayed records must
+        // carry observation (tau_cli from epoch gaps, pattern
+        // confirmation, plan triggers) on their own.
         let mut dv = DataVirtualizer::new(cfg(100).with_prefetch(true));
-        dv.set_digest_observation(true);
         dv.seed_estimates(Dur::from_secs(4), Dur::from_secs(1));
 
         // A miss launches coverage 1..=4 and informs the agent frontier,
@@ -2516,7 +2478,7 @@ mod tests {
         produce_all(&mut dv, &a, t(0));
         assert!(
             dv.clients[&1].agent.direction().is_none(),
-            "acquires must not observe in digest mode"
+            "acquires must not observe"
         );
 
         // Replaying a forward scan confirms the pattern and triggers a
@@ -2548,7 +2510,6 @@ mod tests {
     #[test]
     fn digest_replay_skips_invalid_keys_and_counts_prefetch_hits() {
         let mut dv = DataVirtualizer::new(cfg(100).with_prefetch(true));
-        dv.set_digest_observation(true);
         dv.seed_estimates(Dur::from_secs(4), Dur::from_secs(1));
         let mut actions = Vec::new();
         dv.ingest_digest(
@@ -2600,7 +2561,6 @@ mod tests {
         // consumption: replay must not sample it, or one slow restart
         // would inflate tau_cli by orders of magnitude.
         let mut dv = DataVirtualizer::new(cfg(100).with_prefetch(true));
-        dv.set_digest_observation(true);
         let mk = |key: u64, epoch_s: u64, ready: bool| crate::prefetch::AccessRecord {
             client: 1,
             key,
@@ -2635,7 +2595,6 @@ mod tests {
         // tau_cli. Later gaps inside the same window are contiguous and
         // sample normally.
         let mut dv = DataVirtualizer::new(cfg(100).with_prefetch(true));
-        dv.set_digest_observation(true);
         let mut actions = Vec::new();
         dv.ingest_digest(t(1), &[digest_record(1, 1, 1)], 0, &|_| true, &mut actions);
         // 500 records were dropped between the windows: the 2→502 gap
@@ -2655,10 +2614,8 @@ mod tests {
     #[test]
     fn pollution_reset_discards_stale_digest_window() {
         // A pollution reset discards the trajectory; the next drained
-        // window predates the reset and must not instantly re-confirm
-        // it (the inline path only ever observes post-reset accesses).
+        // window predates the reset and must not instantly re-confirm it.
         let mut dv = DataVirtualizer::new(cfg(4).with_prefetch(true));
-        dv.set_digest_observation(true);
         dv.seed_estimates(Dur::from_secs(4), Dur::from_secs(1));
 
         // Scan far enough that the agent plans ahead, produce the plan
@@ -2717,9 +2674,7 @@ mod tests {
             .with_prefetch(true);
         let mut members: Vec<DataVirtualizer> = (0..2)
             .map(|k| {
-                let mut dv = DataVirtualizer::for_member(ctx.clone(), ClusterMember::new(k, 2));
-                dv.set_digest_observation(true);
-                dv
+                DataVirtualizer::for_member(ctx.clone(), ClusterMember::new(k, 2))
             })
             .collect();
         // Seed estimates via a real miss + production on each member

@@ -275,7 +275,8 @@ pub struct SupervisorCfg {
     pub hang_multiplier: f64,
     /// ... clamped to no less than this floor ...
     pub hang_floor: Dur,
-    /// ... and no more than this ceiling.
+    /// ... and no more than this ceiling, unless twice the estimate is
+    /// longer: a simulator slower than the ceiling is not hung.
     pub hang_ceiling: Dur,
 }
 

@@ -60,20 +60,18 @@
 //! # Where `tau_cli`'s ready point comes from
 //!
 //! A consumption gap runs from the moment the client's previous request
-//! was *ready* to its next acquire.
+//! was *ready* to its next acquire. The agents learn gaps only from
+//! replayed digest records:
 //!
-//! * **Inline observation** (the DV's default; the virtual harness):
-//!   the DV stamps `last_ready` when it answers a hit, or when the
-//!   production a blocked client waits on lands (`on_file_produced`),
-//!   and the next acquire samples the gap.
-//! * **Digest observation** (the daemon): a record served at once is its
-//!   own ready point. After a record that blocked, the gap starts at the
-//!   waiter's ready stamp from `on_file_produced` — the daemon records
-//!   epochs on the clock its DV runs on, so the two compare. Digests a
-//!   clustered DVLib session forwards carry *client* clock epochs that
-//!   must never meet a daemon stamp: there the gap after a blocked record
-//!   is not sampled, as before, and only gaps from ready records feed
-//!   `tau_cli`.
+//! * A record served at once is its own ready point.
+//! * After a record that blocked, the gap starts at the waiter's ready
+//!   stamp, which `on_file_produced` leaves when the awaited production
+//!   lands. The daemon and the virtual harness record epochs on the
+//!   clock their DV runs on, so the two compare.
+//! * Digests a clustered DVLib session forwards carry *client* clock
+//!   epochs that must never meet a daemon stamp: there the gap after a
+//!   blocked record is not sampled, and only gaps from ready records
+//!   feed `tau_cli`.
 //!
 //! # The pollution-kill rule (§IV-C)
 //!
@@ -92,13 +90,13 @@
 //!
 //! # The access-stream digest: observation decoupled from acquisition
 //!
-//! Historically the agents observed the stream *inside* the acquire
-//! path: every hit took the DV lock so `on_access` could run. That made
-//! a prefetching context the slowest configuration — it disabled the
-//! daemon's lock-free [`simcache::HitIndex`] fast path, and clustering
-//! split the stream each member's agents see across daemons.
+//! Observing the stream *inside* the acquire path would make every hit
+//! take the DV lock so `on_access` could run — no lock-free
+//! [`simcache::HitIndex`] fast path for a prefetching context — and
+//! clustering would split the stream each member's agents see across
+//! daemons.
 //!
-//! [`AccessLog`] breaks the coupling. Observation becomes a *record*,
+//! [`AccessLog`] keeps the two apart. Observation is a *record*,
 //! not a lock acquisition: each daemon connection appends
 //! [`AccessRecord`]s — `(client, key, epoch)` — to a bounded
 //! per-connection ring as it serves fast-path hits and slow-path
@@ -108,7 +106,9 @@
 //! hits). Clustered DVLib sessions forward the same digest over the
 //! wire (`AccessDigest`) so every member's agents observe the full
 //! pre-routing sequence and direction/cadence detection survives
-//! clustering.
+//! clustering. The virtual harness ([`crate::vharness`]) records the
+//! same records and drains each right after the acquire that made it —
+//! the lossless limit of the piggybacked drain.
 //!
 //! The contract, precisely:
 //!

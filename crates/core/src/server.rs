@@ -2054,7 +2054,6 @@ impl DvServer {
             let digest = config.ctx.prefetch;
             let mut dv = DataVirtualizer::for_member(config.ctx.clone(), cluster);
             dv.attach_index(Arc::clone(&fast));
-            dv.set_digest_observation(digest);
 
             // Tier 1b: open the WAL (one per cluster member, named so
             // priming's `key_of` never mistakes it for an output step).

@@ -1,34 +1,43 @@
-//! Virtual-time experiment harness: the DV driven by `simkit`'s engine.
+//! Virtual-time experiment harness: the shipping DV protocol driven by
+//! `simkit`'s engine.
 //!
-//! Reproduces the timing experiments (Figs. 16–19): an analysis issues
-//! (possibly strided) accesses with think time `tau_cli`; misses block
-//! it until the DV's re-simulations produce the step. Launch actions
-//! become scheduled production streams — queueing delay plus restart
-//! latency `alpha_sim`, then one `FileProduced` every `tau_sim` — and
-//! kill actions cancel them. A [`simbatch::Cluster`] tracks node usage
-//! for the figure annotations.
+//! One virtual world runs every experiment: a K-member DV cluster — one
+//! member core per member (the daemon's crash protocol around its
+//! [`DataVirtualizer`], `member.rs`) over one shared virtual storage
+//! set, each journaling pins and leases to an in-memory WAL — serving
+//! one closed-loop analysis. The analysis issues (possibly strided)
+//! accesses with think time `tau_cli`; a miss blocks it until a
+//! re-simulation produces the step. Launch actions become scheduled
+//! production streams — queueing delay plus restart latency
+//! `alpha_sim`, then one `FileProduced` every `tau_sim` — and kill
+//! actions cancel them. A [`simbatch::Cluster`] tracks node usage for
+//! the figure annotations.
 //!
-//! Everything is deterministic given the experiment seed.
+//! The DVs run the mode the daemon ships. Their prefetch agents learn
+//! the access stream only from digests: each access a member serves
+//! the analysis is recorded into an [`AccessLog`] and drained into
+//! [`DataVirtualizer::ingest_digest`] right after the acquire that
+//! recorded it — the daemon's drain piggybacked on a request that took
+//! the DV lock. The harness plays the daemon reaper's role too,
+//! scheduling a wake-up at each member's next supervision deadline, so
+//! backoff retries, watchdog kills, lease and quarantine expiries all
+//! happen at exact virtual times.
 //!
-//! [`FaultedClusterExperiment`] extends the harness into a scripted
-//! fault-injection rig: a K-member virtual DV cluster (one
-//! [`DataVirtualizer`] per member over one shared virtual storage set,
-//! each journaling pins/leases to an in-memory WAL) driven by a
-//! [`FaultPlan`] — crash member k at virtual time t, restart it with or
-//! without `--recover`, drop the analysis connection, delay a member (a
-//! partition is `DelayMember` over a subset). Faults fire at exact
-//! virtual times, so every crash/recovery interleaving is replayable
+//! [`VirtualExperiment`] reproduces the timing experiments (Figs.
+//! 16–19): a single member, no faults, each step released before the
+//! next acquire. [`FaultedClusterExperiment`] opens the whole rig: K
+//! members, a pinned working set, and a [`FaultPlan`] — crash member k
+//! at virtual time t, restart it with or without `--recover`, drop the
+//! analysis connection, delay a member (a partition is `DelayMember`
+//! over a subset). Everything is deterministic given the experiment
+//! seed, so every crash/recovery interleaving is replayable
 //! bit-for-bit and can be asserted equivalent to a faultless run.
 //!
 //! Besides whole-member faults, the plan can script *production*
 //! faults against the DV's supervision tier: [`Fault::FailSim`]
 //! crashes sim attempts (transient or persistent), [`Fault::HangSim`]
 //! wedges a started sim so only the hang watchdog can reclaim it, and
-//! [`Fault::CorruptOutput`] feeds the integrity gate a bad step. The
-//! harness plays the daemon reaper's role by scheduling a wake-up at
-//! each member DV's [`next_due`](DataVirtualizer::next_due) deadline,
-//! so backoff retries, watchdog kills, and quarantine expiries all
-//! happen at exact virtual times.
+//! [`Fault::CorruptOutput`] feeds the integrity gate a bad step.
 //!
 //! A single-member rig is a solo daemon, whose same-host session maps
 //! the hit table: its hello journals a lease, and its hits on resident
@@ -38,10 +47,16 @@
 //! daemon writes. [`Fault::Flood`] adds the cache pressure a second
 //! session would, and [`FaultReport::held_evictions`] records every
 //! step evicted while the analysis still held it.
+//!
+//! A clustered member records the accesses routed to it; the digests a
+//! clustered DVLib session forwards to every member are not modelled.
 
-use crate::dv::{ClusterMember, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, SimId};
+use crate::dv::{
+    shard_cfg, ClusterMember, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, SimId,
+};
 use crate::member::MemberCore;
 use crate::model::ContextCfg;
+use crate::prefetch::{AccessLog, AccessRecord};
 use crate::route::{ownership_error, AcquireMode, ClusterRoute, Release, Route};
 use simbatch::{Cluster, JobId, QueueModel};
 use simkit::{Dur, Engine, SeedSeq, SimRng, SimTime};
@@ -80,30 +95,6 @@ pub struct AnalysisResult {
 
 const ANALYSIS_CLIENT: u64 = 1;
 
-struct RunningSim {
-    keys_end: u64,
-    next_key: u64,
-    killed: bool,
-}
-
-struct World {
-    dv: DataVirtualizer,
-    cluster: Cluster,
-    sims: HashMap<SimId, RunningSim>,
-    rng: SimRng,
-    exp: ExpParams,
-    accesses: Vec<u64>,
-    /// Next access index to issue.
-    cursor: usize,
-    /// Key the analysis is currently blocked on.
-    waiting_for: Option<u64>,
-    /// Previously consumed key, released at the next access.
-    last_consumed: Option<u64>,
-    done_at: Option<SimTime>,
-    peak_sims: u32,
-    failed: Vec<u64>,
-}
-
 #[derive(Clone, Copy)]
 struct ExpParams {
     alpha_sim: Dur,
@@ -122,52 +113,25 @@ impl VirtualExperiment {
     /// Panics if the run deadlocks (an access never gets served) — that
     /// would be a DV logic bug, not an experiment outcome.
     pub fn run_analysis(&self, accesses: &[u64], tau_cli: Dur) -> AnalysisResult {
-        assert!(!accesses.is_empty(), "empty analysis");
-        let mut dv = DataVirtualizer::new(self.cfg.clone());
-        // The context configuration carries performance priors (§IV-A);
-        // seed the estimators like a deployed SimFS would be.
-        dv.seed_estimates(self.alpha_sim + self.queue.mean(), self.tau_sim);
-        let cluster_nodes = (self.cfg.smax * self.nodes_per_sim).max(self.nodes_per_sim);
-        let mut world = World {
-            dv,
-            cluster: Cluster::new(cluster_nodes),
-            sims: HashMap::new(),
-            rng: SeedSeq::new(self.seed).rng(0),
-            exp: ExpParams {
-                alpha_sim: self.alpha_sim,
-                tau_sim: self.tau_sim,
-                tau_cli,
-                queue: self.queue,
-                nodes_per_sim: self.nodes_per_sim,
-                output_bytes: self.cfg.output_bytes,
-            },
-            accesses: accesses.to_vec(),
-            cursor: 0,
-            waiting_for: None,
-            last_consumed: None,
-            done_at: None,
-            peak_sims: 0,
-            failed: Vec::new(),
+        let world = FaultedClusterExperiment {
+            cfg: self.cfg.clone(),
+            members: 1,
+            alpha_sim: self.alpha_sim,
+            tau_sim: self.tau_sim,
+            queue: self.queue,
+            // Nothing crashes, so no recovery lease is ever granted.
+            lease_timeout: Dur::ZERO,
+            pin_window: 0,
+            failover: false,
+            seed: self.seed,
         };
-
-        let mut engine: Engine<World> = Engine::new();
-        engine.schedule_at(SimTime::ZERO, |en, w: &mut World| next_access(en, w));
-        engine.run(&mut world);
-
-        let done_at = world.done_at.unwrap_or_else(|| {
-            panic!(
-                "analysis deadlocked at access {}/{} (key {:?}, failed: {:?})",
-                world.cursor,
-                world.accesses.len(),
-                world.waiting_for,
-                world.failed
-            )
-        });
+        let (report, peaks) =
+            world.run_counting_nodes(accesses, tau_cli, &FaultPlan::default(), self.nodes_per_sim);
         AnalysisResult {
-            completion: done_at.saturating_since(SimTime::ZERO),
-            stats: world.dv.stats().clone(),
-            peak_nodes: world.cluster.peak_used(),
-            peak_sims: world.peak_sims,
+            completion: report.completion,
+            stats: report.stats,
+            peak_nodes: peaks.nodes,
+            peak_sims: peaks.sims,
         }
     }
 
@@ -193,141 +157,8 @@ impl VirtualExperiment {
     }
 }
 
-/// Issues the next analysis access (releasing the previous key).
-fn next_access(en: &mut Engine<World>, w: &mut World) {
-    if let Some(prev) = w.last_consumed.take() {
-        let actions = w.dv.handle(en.now(), DvEvent::Release {
-            client: ANALYSIS_CLIENT,
-            key: prev,
-        });
-        apply_actions(en, w, actions);
-    }
-    if w.cursor >= w.accesses.len() {
-        w.done_at = Some(en.now());
-        return;
-    }
-    let key = w.accesses[w.cursor];
-    w.cursor += 1;
-    let actions = w.dv.handle(en.now(), DvEvent::Acquire {
-        client: ANALYSIS_CLIENT,
-        key,
-    });
-    let mut ready = false;
-    let mut failed = false;
-    for a in &actions {
-        match a {
-            DvAction::NotifyReady {
-                client: ANALYSIS_CLIENT,
-                key: k,
-            } if *k == key => ready = true,
-            DvAction::NotifyFailed { key: k, .. } if *k == key => failed = true,
-            _ => {}
-        }
-    }
-    apply_actions(en, w, actions);
-    if failed {
-        w.failed.push(key);
-        // Skip the unservable key (out-of-timeline accesses in clamped
-        // traces) and move on.
-        en.schedule_in(Dur::ZERO, next_access);
-    } else if ready {
-        consume(en, w, key);
-    } else {
-        w.waiting_for = Some(key);
-    }
-}
-
-/// The analysis consumes `key` for `tau_cli`, then issues the next
-/// access.
-fn consume(en: &mut Engine<World>, w: &mut World, key: u64) {
-    w.last_consumed = Some(key);
-    en.schedule_in(w.exp.tau_cli, next_access);
-}
-
-/// Applies DV actions to the virtual world.
-fn apply_actions(en: &mut Engine<World>, w: &mut World, actions: Vec<DvAction>) {
-    for action in actions {
-        match action {
-            DvAction::NotifyReady { client, key } => {
-                debug_assert_eq!(client, ANALYSIS_CLIENT);
-                if w.waiting_for == Some(key) {
-                    w.waiting_for = None;
-                    consume(en, w, key);
-                }
-            }
-            DvAction::NotifyFailed { key, .. } => {
-                if w.waiting_for == Some(key) {
-                    w.waiting_for = None;
-                    w.failed.push(key);
-                    en.schedule_in(Dur::ZERO, next_access);
-                }
-            }
-            DvAction::Launch { sim, keys, .. } => {
-                w.sims.insert(
-                    sim,
-                    RunningSim {
-                        keys_end: *keys.end(),
-                        next_key: *keys.start(),
-                        killed: false,
-                    },
-                );
-                w.peak_sims = w.peak_sims.max(w.dv.active_sims() as u32);
-                let events = w.cluster.submit(JobId(sim), w.exp.nodes_per_sim);
-                debug_assert!(!events.is_empty(), "harness cluster never queues");
-                let delay = w.exp.queue.sample(&mut w.rng) + w.exp.alpha_sim;
-                en.schedule_in(delay, move |en, w: &mut World| sim_started(en, w, sim));
-            }
-            DvAction::Kill { sim } => {
-                if let Some(s) = w.sims.get_mut(&sim) {
-                    s.killed = true;
-                }
-                w.cluster.cancel(JobId(sim));
-            }
-            DvAction::Evict { .. } => {
-                // Virtual storage: nothing to delete.
-            }
-        }
-    }
-}
-
-fn sim_started(en: &mut Engine<World>, w: &mut World, sim: SimId) {
-    if w.sims.get(&sim).is_none_or(|s| s.killed) {
-        return;
-    }
-    let actions = w.dv.handle(en.now(), DvEvent::SimStarted { sim });
-    apply_actions(en, w, actions);
-    en.schedule_in(w.exp.tau_sim, move |en, w: &mut World| produce(en, w, sim));
-}
-
-fn produce(en: &mut Engine<World>, w: &mut World, sim: SimId) {
-    let Some(s) = w.sims.get_mut(&sim) else {
-        return;
-    };
-    if s.killed {
-        w.sims.remove(&sim);
-        return;
-    }
-    let key = s.next_key;
-    s.next_key += 1;
-    let finished = s.next_key > s.keys_end;
-    let actions = w.dv.handle(en.now(), DvEvent::FileProduced {
-        sim,
-        key,
-        size: w.exp.output_bytes,
-    });
-    apply_actions(en, w, actions);
-    if finished {
-        w.sims.remove(&sim);
-        w.cluster.finish(JobId(sim));
-        let actions = w.dv.handle(en.now(), DvEvent::SimFinished { sim });
-        apply_actions(en, w, actions);
-    } else {
-        en.schedule_in(w.exp.tau_sim, move |en, w: &mut World| produce(en, w, sim));
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Scripted fault injection over a virtual DV cluster
+// The virtual DV cluster and its scripted faults
 //
 // Failover state — down set, takeover epoch, parked pins — and every
 // routing decision made from it belong to `ClusterRoute`, the same
@@ -511,14 +342,15 @@ pub struct FaultedClusterExperiment {
     /// How long a recovered pin waits for its client to re-assert.
     pub lease_timeout: Dur,
     /// The analysis' pinned working set: how many consumed steps stay
-    /// pinned before the oldest is released. A window > 1 is what makes
-    /// crash-time pins worth re-asserting after recovery.
+    /// pinned before the oldest is released. 0 releases each step just
+    /// before the next acquire; a window > 1 is what makes crash-time
+    /// pins worth re-asserting after recovery.
     pub pin_window: usize,
     /// Interval failover (mirrors `DvCluster::set_failover`): when a
     /// member is crashed (not merely delayed), its intervals are served
     /// by the successor-rule taker until the member restarts, at which
-    /// point the parked pins are handed back. Off by default so
-    /// non-failover plans replay exactly as before.
+    /// point the parked pins are handed back. Without it, a crashed
+    /// member's keys wait for its restart.
     pub failover: bool,
     /// Experiment seed.
     pub seed: u64,
@@ -570,6 +402,14 @@ struct VSim {
     killed: bool,
 }
 
+/// The figure annotations a run leaves besides its [`FaultReport`].
+struct Peaks {
+    /// Peak concurrent node usage.
+    nodes: u32,
+    /// Peak concurrent re-simulations, summed over the members.
+    sims: u32,
+}
+
 struct FaultWorld {
     members: Vec<VMember>,
     /// Member-of-key map (interval % K) plus all failover state.
@@ -579,6 +419,14 @@ struct FaultWorld {
     storage: HashMap<u64, u64>,
     /// Running sims keyed by (member, incarnation, sim id).
     sims: HashMap<(usize, u64, SimId), VSim>,
+    /// Node accounting of the running sims (cluster-unique sim ids are
+    /// the job ids).
+    nodes: Cluster,
+    peak_sims: u32,
+    /// The access log, drained right after every record.
+    log: AccessLog,
+    /// Drain scratch.
+    digest: Vec<AccessRecord>,
     rng: SimRng,
     exp: ExpParams,
     cfg: ContextCfg,
@@ -617,6 +465,18 @@ impl FaultedClusterExperiment {
     /// restarted while un-served accesses still route to it. That is a
     /// plan bug (or a DV recovery bug), not an experiment outcome.
     pub fn run(&self, accesses: &[u64], tau_cli: Dur, plan: &FaultPlan) -> FaultReport {
+        self.run_counting_nodes(accesses, tau_cli, plan, 1).0
+    }
+
+    /// [`run`](Self::run), each re-simulation occupying `nodes_per_sim`
+    /// nodes of a cluster sized for every member's `s_max` slice.
+    fn run_counting_nodes(
+        &self,
+        accesses: &[u64],
+        tau_cli: Dur,
+        plan: &FaultPlan,
+        nodes_per_sim: u32,
+    ) -> (FaultReport, Peaks) {
         assert!(!accesses.is_empty(), "empty analysis");
         let k = self.members.max(1);
         let members = (0..k)
@@ -638,18 +498,23 @@ impl FaultedClusterExperiment {
             .collect();
         let mut route = ClusterRoute::new(self.cfg.steps, k);
         route.set_failover(self.failover);
+        let member_smax = shard_cfg(&self.cfg, k).smax;
         let mut world = FaultWorld {
             members,
             route,
             storage: HashMap::new(),
             sims: HashMap::new(),
+            nodes: Cluster::new(nodes_per_sim * member_smax * k),
+            peak_sims: 0,
+            log: AccessLog::new(1),
+            digest: Vec::new(),
             rng: SeedSeq::new(self.seed).rng(0),
             exp: ExpParams {
                 alpha_sim: self.alpha_sim,
                 tau_sim: self.tau_sim,
                 tau_cli,
                 queue: self.queue,
-                nodes_per_sim: 1,
+                nodes_per_sim,
                 output_bytes: self.cfg.output_bytes,
             },
             cfg: self.cfg.clone(),
@@ -659,7 +524,7 @@ impl FaultedClusterExperiment {
             cursor: 0,
             waiting_for: None,
             release_queue: VecDeque::new(),
-            pin_window: self.pin_window.max(1),
+            pin_window: self.pin_window,
             done_at: None,
             next_client: ANALYSIS_CLIENT + 1,
             served: Vec::new(),
@@ -762,7 +627,11 @@ impl FaultedClusterExperiment {
         }
         let mut lifetime = world.retired.clone();
         lifetime.accumulate(&stats);
-        FaultReport {
+        let peaks = Peaks {
+            nodes: world.nodes.peak_used(),
+            sims: world.peak_sims,
+        };
+        let report = FaultReport {
             served: world.served,
             failed: world.failed,
             failed_codes: world.failed_codes,
@@ -780,7 +649,8 @@ impl FaultedClusterExperiment {
             stats,
             residue,
             held_evictions: world.held_evictions,
-        }
+        };
+        (report, peaks)
     }
 }
 
@@ -849,7 +719,13 @@ fn crash_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     member.incarnation += 1;
     member.needs_reconnect = true;
     member.tick_at = None;
-    w.sims.retain(|&(owner, _, _), _| owner != m);
+    let nodes = &mut w.nodes;
+    w.sims.retain(|&(owner, _, sim), _| {
+        if owner == m {
+            nodes.cancel(JobId(sim));
+        }
+        owner != m
+    });
     if let Some((wm, _, _)) = w.waiting_for {
         if wm == m {
             w.waiting_for = None;
@@ -1013,7 +889,12 @@ fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
     let client = w.members[m].client;
     // A mapping session pins a resident step through its slot.
     let slot = maps(w, mode) && dv_of(w, m).is_cached(key);
-    match acquire_at(en, w, m, key, mode) {
+    let outcome = acquire_at(en, w, m, key, mode);
+    // A served native access is observed, as the daemon records it.
+    if let (Ok(ready), AcquireMode::Native) = (outcome, mode) {
+        observe(en, w, m, client, key, ready);
+    }
+    match outcome {
         Err(code) => {
             w.failed.push(key);
             w.failed_codes.push(code);
@@ -1022,6 +903,34 @@ fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
         Ok(true) => grant(en, w, m, key, slot),
         Ok(false) => w.waiting_for = Some((m, client, key)),
     }
+}
+
+/// Member `m` served `client`'s acquire of `key` — at once when
+/// `ready`: record it and drain the log into the member's agents right
+/// away, as the daemon drains on a request that took the DV lock.
+fn observe(
+    en: &mut Engine<FaultWorld>,
+    w: &mut FaultWorld,
+    m: usize,
+    client: u64,
+    key: u64,
+    ready: bool,
+) {
+    let now = en.now();
+    let core = w.members[m].core.as_mut().expect("serving member has a core");
+    w.log.push(AccessRecord {
+        client,
+        key,
+        epoch: now.as_nanos(),
+        ready,
+    });
+    w.digest.clear();
+    let dropped = w.log.drain_into(&mut w.digest);
+    let (me, steps) = (ClusterMember::new(m as u32, w.cluster_size), w.cfg.steps);
+    let mut actions = Vec::new();
+    core.dv
+        .ingest_digest(now, &w.digest, dropped, &|k| me.owns_key(&steps, k), &mut actions);
+    apply_member_actions(en, w, m, actions);
 }
 
 /// Where an acquire of a key homed on `home` goes, as the route says —
@@ -1259,6 +1168,11 @@ fn apply_member_actions(
                         killed: false,
                     },
                 );
+                let running = w.members.iter().filter_map(|v| v.core.as_ref());
+                let running: usize = running.map(|c| c.dv.active_sims()).sum();
+                w.peak_sims = w.peak_sims.max(running as u32);
+                let started = w.nodes.submit(JobId(sim), w.exp.nodes_per_sim);
+                debug_assert!(!started.is_empty(), "the node cluster never queues");
                 let delay = w.exp.queue.sample(&mut w.rng) + w.exp.alpha_sim;
                 en.schedule_in(delay, move |en, w: &mut FaultWorld| {
                     vsim_started(en, w, m, inc, sim)
@@ -1269,6 +1183,7 @@ fn apply_member_actions(
                 if let Some(s) = w.sims.get_mut(&(m, inc, sim)) {
                     s.killed = true;
                 }
+                w.nodes.cancel(JobId(sim));
             }
             DvAction::Evict { key } => {
                 w.storage.remove(&key);
@@ -1341,6 +1256,12 @@ fn deliver_ready(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, clie
     grant(en, w, m, key, false);
 }
 
+/// The sim's production stream ends: its nodes go back to the cluster.
+fn retire_sim(w: &mut FaultWorld, m: usize, inc: u64, sim: SimId) {
+    w.sims.remove(&(m, inc, sim));
+    w.nodes.cancel(JobId(sim));
+}
+
 fn vsim_started(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: u64, sim: SimId) {
     if w.members[m].incarnation != inc || w.sims.get(&(m, inc, sim)).is_none_or(|s| s.killed) {
         return;
@@ -1349,7 +1270,7 @@ fn vsim_started(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: 
         // Armed FailSim: the attempt dies before a sign of life (OOM,
         // scheduler kill). The supervisor decides retry vs poison.
         w.members[m].fail_next -= 1;
-        w.sims.remove(&(m, inc, sim));
+        retire_sim(w, m, inc, sim);
         let actions = dv_of(w, m).handle(en.now(), DvEvent::SimFailed { sim });
         apply_member_actions(en, w, m, actions);
         return;
@@ -1385,7 +1306,7 @@ fn vsim_produce(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: 
         // and the DV kills the producer and hands it to the retry
         // machinery.
         w.members[m].corrupt_next -= 1;
-        w.sims.remove(&(m, inc, sim));
+        retire_sim(w, m, inc, sim);
         let actions = dv_of(w, m).handle(en.now(), DvEvent::OutputCorrupt { sim, key });
         apply_member_actions(en, w, m, actions);
         return;
@@ -1397,7 +1318,7 @@ fn vsim_produce(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: 
     let actions = dv_of(w, m).handle(en.now(), DvEvent::FileProduced { sim, key, size });
     apply_member_actions(en, w, m, actions);
     if finished {
-        w.sims.remove(&(m, inc, sim));
+        retire_sim(w, m, inc, sim);
         if w.members[m].incarnation == inc {
             let actions = dv_of(w, m).handle(en.now(), DvEvent::SimFinished { sim });
             apply_member_actions(en, w, m, actions);
@@ -1517,6 +1438,20 @@ mod tests {
         let exp = experiment(false, 8);
         let res = exp.run_analysis(&[1, 999_999_999, 2], Dur::from_millis(100));
         assert_eq!(res.stats.produced_steps, 4, "one interval");
+    }
+
+    #[test]
+    fn prefetching_scan_observes_every_access_through_the_digest() {
+        // The agents learn the stream only from drained digests, as in
+        // the daemon: every served access replays once, and the
+        // consumption gaps feed tau_cli.
+        let exp = experiment(true, 4);
+        let accesses: Vec<u64> = (1..=48).collect();
+        let res = exp.run_analysis(&accesses, Dur::from_millis(300));
+        assert_eq!(res.stats.digest_replayed, accesses.len() as u64);
+        assert_eq!(res.stats.digest_dropped, 0);
+        assert!(res.stats.tau_cli_samples > 0, "{:?}", res.stats);
+        assert!(res.stats.prefetch_launches > 0, "{:?}", res.stats);
     }
 
     #[test]

@@ -59,27 +59,59 @@ fn settle(
     }
 }
 
-/// The scan of `keys` driven the pre-digest way: every access goes
-/// through `on_acquire`, which feeds the agent inline.
-fn run_full_observation_scan(
-    cfg: &ContextCfg,
-    keys: &[u64],
-) -> (DataVirtualizer, Vec<(RangeInclusive<u64>, LaunchReason)>) {
-    let mut dv = DataVirtualizer::new(cfg.clone());
-    let mut launches = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        let now = SimTime::from_secs(1 + i as u64);
-        let acts = dv.handle(now, DvEvent::Acquire { client: 1, key });
-        settle(&mut dv, acts, now, &mut launches);
+/// Records `client`'s acquire of `key` at `now` the way a daemon
+/// connection does and drains the log into the agents right away — the
+/// piggybacked drain of a request that took the DV lock. `acts` holds
+/// exactly the acquire's actions: a served access is recorded (a ready
+/// point when it was answered at once), a failed one is not, and the
+/// agents' actions are appended. Cluster members drain with their
+/// `owns_key`, a solo DV with `|_| true`. Every test that drives a
+/// prefetching DV through `handle` acquires goes through here: the DV
+/// does not observe acquires itself.
+fn observe_acquire(
+    dv: &mut DataVirtualizer,
+    log: &mut AccessLog,
+    now: SimTime,
+    (client, key): (u64, u64),
+    owns_key: &dyn Fn(u64) -> bool,
+    acts: &mut Vec<DvAction>,
+) {
+    let mine = |c: &u64, k: &u64| (*c, *k) == (client, key);
+    let failed =
+        |a: &DvAction| matches!(a, DvAction::NotifyFailed { client: c, key: k, .. } if mine(c, k));
+    let ready =
+        |a: &DvAction| matches!(a, DvAction::NotifyReady { client: c, key: k } if mine(c, k));
+    if acts.iter().any(failed) {
+        return;
     }
-    (dv, launches)
+    log.push(AccessRecord {
+        client,
+        key,
+        epoch: now.as_nanos(),
+        ready: acts.iter().any(ready),
+    });
+    let mut records = Vec::new();
+    let dropped = log.drain_into(&mut records);
+    dv.ingest_digest(now, &records, dropped, owns_key, acts);
 }
 
-/// The same scan driven the daemon's digest-decoupled way: hits bypass
-/// the DV entirely (the lock-free fast path) and only leave a record;
-/// misses go through `on_acquire` (which no longer observes); records
-/// drain into `ingest_digest` every `drain_every` accesses and after
-/// every miss — the piggyback + tick schedule.
+/// [`observe_acquire`] for a solo DV: the acquire and its observation.
+fn acquire(
+    dv: &mut DataVirtualizer,
+    log: &mut AccessLog,
+    now: SimTime,
+    client: u64,
+    key: u64,
+) -> Vec<DvAction> {
+    let mut acts = dv.handle(now, DvEvent::Acquire { client, key });
+    observe_acquire(dv, log, now, (client, key), &|_| true, &mut acts);
+    acts
+}
+
+/// A scan driven the daemon's way: hits bypass the DV entirely (the
+/// lock-free fast path) and only leave a record; misses go through
+/// `on_acquire`; records drain into `ingest_digest` every `drain_every`
+/// accesses and after every miss — the piggyback + tick schedule.
 fn run_digest_scan(
     cfg: &ContextCfg,
     keys: &[u64],
@@ -87,7 +119,6 @@ fn run_digest_scan(
     drain_every: usize,
 ) -> (DataVirtualizer, Vec<(RangeInclusive<u64>, LaunchReason)>) {
     let mut dv = DataVirtualizer::new(cfg.clone());
-    dv.set_digest_observation(true);
     let mut log = AccessLog::new(log_capacity);
     let mut scratch = Vec::new();
     let mut launches = Vec::new();
@@ -99,8 +130,7 @@ fn run_digest_scan(
             settle(&mut dv, acts, now, &mut launches);
         }
         // Productions in this harness complete at the same SimTime as
-        // the acquire, so every record's epoch is a true ready point —
-        // matching the inline path's ready-to-next-acquire sampling.
+        // the acquire, so every record's epoch is a true ready point.
         log.push(AccessRecord {
             client: 1,
             key,
@@ -136,58 +166,58 @@ struct PacedSim {
 }
 
 /// A closed-loop analysis against paced simulators, on one virtual
-/// clock: the client acquires a key, waits for its `FileProduced` when
-/// it missed, consumes it for `tau_cli`, then acquires the next. With
-/// `digest` the DV is driven the daemon's way — a resident key is a
-/// lock-free hit that only leaves a record, a missing one goes through
-/// `on_acquire` (which no longer observes) and is recorded as a ready
-/// point only when it resolved at once — and the access log drains into
-/// `ingest_digest` after every event.
+/// clock, driven the daemon's way: the client acquires a key — a
+/// resident one is a lock-free hit that only leaves a record, a missing
+/// one goes through `on_acquire` and is recorded as a ready point only
+/// when it resolved at once — waits for its `FileProduced` when it
+/// missed, consumes it for `tau_cli`, then acquires the next. The
+/// access log drains into `ingest_digest` after every event.
 struct PacedScan {
     dv: DataVirtualizer,
-    digest: bool,
     sims: Vec<PacedSim>,
     launches: Vec<(RangeInclusive<u64>, LaunchReason)>,
     log: AccessLog,
     /// Accesses that waited for production.
     blocked: usize,
+    /// Accesses answered (at once or after the wait).
+    served: usize,
+    /// Consumption gaps the trace holds: from one access becoming ready
+    /// to the next acquire, when that is later.
+    gaps: u64,
 }
 
 impl PacedScan {
-    fn run(cfg: &ContextCfg, keys: &[u64], tau_cli: Dur, digest: bool) -> PacedScan {
-        let mut dv = DataVirtualizer::new(cfg.clone());
-        dv.set_digest_observation(digest);
+    fn run(cfg: &ContextCfg, keys: &[u64], tau_cli: Dur) -> PacedScan {
         let mut scan = PacedScan {
-            dv,
-            digest,
+            dv: DataVirtualizer::new(cfg.clone()),
             sims: Vec::new(),
             launches: Vec::new(),
             log: AccessLog::new(keys.len() + 1),
             blocked: 0,
+            served: 0,
+            gaps: 0,
         };
         let mut now = SimTime::ZERO;
+        let mut ready_at: Option<SimTime> = None;
         for &key in keys {
             // Everything due by the acquire happens before it.
             while scan.sims.iter().any(|s| s.at <= now) {
                 scan.step();
             }
-            let resolved = if digest && scan.dv.is_cached(key) {
-                true
-            } else {
+            scan.gaps += u64::from(ready_at.is_some_and(|r| now > r));
+            let resolved = scan.dv.is_cached(key) || {
                 let acts = scan.dv.handle(now, DvEvent::Acquire { client: 1, key });
                 let resolved = readies(&acts, key);
                 scan.apply(now, acts);
                 resolved
             };
-            if digest {
-                scan.log.push(AccessRecord {
-                    client: 1,
-                    key,
-                    epoch: now.as_nanos(),
-                    ready: resolved,
-                });
-                scan.apply(now, Vec::new());
-            }
+            scan.log.push(AccessRecord {
+                client: 1,
+                key,
+                epoch: now.as_nanos(),
+                ready: resolved,
+            });
+            scan.apply(now, Vec::new());
             if !resolved {
                 scan.blocked += 1;
                 now = loop {
@@ -197,6 +227,8 @@ impl PacedScan {
                     }
                 };
             }
+            scan.served += 1;
+            ready_at = Some(now);
             now += tau_cli;
         }
         scan
@@ -231,10 +263,10 @@ impl PacedScan {
         (at, acts)
     }
 
-    /// In digest mode drains the access log into the agents first, then
-    /// starts launched simulators and drops killed ones.
+    /// Drains the access log into the agents first, then starts
+    /// launched simulators and drops killed ones.
     fn apply(&mut self, now: SimTime, mut acts: Vec<DvAction>) {
-        if self.digest && !self.log.is_empty() {
+        if !self.log.is_empty() {
             let mut records = Vec::new();
             let dropped = self.log.drain_into(&mut records);
             self.dv
@@ -280,14 +312,14 @@ fn scan_cfg(n_outputs: u64, smax: u32) -> ContextCfg {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The digest contract's equivalence half: a strided scan served
-    /// through the lock-free fast path with lossless digest drains
-    /// reaches exactly the launch decisions — ranges, reasons, order —
-    /// of the pre-digest full-observation path, and the same agent
-    /// state. (The §IV-B planner is driven purely by what it observes,
-    /// so identical replayed streams must produce identical plans.)
+    /// The digest contract's lossless limit: a strided scan served
+    /// through the lock-free fast path, its log drained after every
+    /// access, shows the agents every access (none dropped) and every
+    /// consumption gap (each record is a ready point one second after
+    /// the last), serves every key, and launches only inside the
+    /// timeline.
     #[test]
-    fn digest_drained_scan_matches_full_observation(
+    fn lossless_digest_scan_observes_every_access(
         n_intervals in 4u64..16,
         stride in 1u64..3,
         backward in any::<bool>(),
@@ -300,33 +332,36 @@ proptest! {
             keys.reverse();
         }
 
-        let (full_dv, full_launches) = run_full_observation_scan(&cfg, &keys);
         // Capacity covers the whole scan and a drain follows every
-        // access: the lossless limit.
-        let (digest_dv, digest_launches) =
-            run_digest_scan(&cfg, &keys, keys.len() + 1, 1);
+        // access.
+        let (dv, launches) = run_digest_scan(&cfg, &keys, keys.len() + 1, 1);
 
-        prop_assert_eq!(&digest_launches, &full_launches);
-        let (f, d) = (full_dv.stats(), digest_dv.stats());
-        prop_assert_eq!(d.restarts, f.restarts);
-        prop_assert_eq!(d.prefetch_launches, f.prefetch_launches);
-        prop_assert_eq!(d.kills, f.kills);
-        prop_assert_eq!(d.pollution_resets, f.pollution_resets);
-        prop_assert_eq!(d.digest_dropped, 0);
-        prop_assert_eq!(d.digest_replayed, keys.len() as u64);
-        prop_assert_eq!(digest_dv.active_sims(), full_dv.active_sims());
-        prop_assert_eq!(digest_dv.queued_launches(), full_dv.queued_launches());
+        let stats = dv.stats();
+        prop_assert_eq!(stats.digest_dropped, 0);
+        prop_assert_eq!(stats.digest_replayed, keys.len() as u64);
+        // Record i sits at 1 + i seconds: every gap after the first
+        // record is one positive, loss-free gap from a ready point.
+        prop_assert_eq!(stats.tau_cli_samples, keys.len() as u64 - 1);
+        for &key in &keys {
+            prop_assert!(dv.is_cached(key), "scan left key {} unserved", key);
+        }
+        for (range, _) in &launches {
+            prop_assert!(*range.start() >= 1 && *range.end() <= n,
+                "launch {:?} outside the timeline", range);
+        }
+        prop_assert_eq!(dv.active_sims(), 0);
+        prop_assert_eq!(dv.queued_launches(), 0);
     }
 
-    /// The same equivalence for an analysis that outruns its paced
-    /// simulators and so blocks from its first access: a blocked
-    /// record is no ready point, and the consumption gap after it must
-    /// start where the inline path starts it — at the waiter's ready
-    /// stamp. Lossless digest replay then plans exactly the inline
-    /// launches (ranges, reasons, order) from exactly as many `tau_cli`
-    /// samples.
+    /// An analysis that outruns its paced simulators and so blocks from
+    /// its first access: a blocked record is no ready point, and the
+    /// consumption gap after it starts at the waiter's ready stamp. The
+    /// agents then sample exactly the consumption gaps the trace holds
+    /// — none lost to a blocked record, none inflated by a production
+    /// wait — observe every access, and prefetch; every key is served
+    /// and every launch stays inside the timeline.
     #[test]
-    fn digest_matches_inline_on_a_blocking_stream(
+    fn blocking_stream_digest_samples_every_consumption_gap(
         n_intervals in 4u64..12,
         stride in 1u64..3,
         backward in any::<bool>(),
@@ -341,20 +376,22 @@ proptest! {
         }
         let tau_cli = Dur::from_millis(tau_cli_ms);
 
-        let inline = PacedScan::run(&cfg, &keys, tau_cli, false);
-        let digest = PacedScan::run(&cfg, &keys, tau_cli, true);
+        let scan = PacedScan::run(&cfg, &keys, tau_cli);
 
-        prop_assert!(inline.blocked > 0 && digest.blocked > 0);
+        prop_assert!(scan.blocked > 0);
         prop_assert!(
-            inline.launches.iter().any(|(_, r)| *r == LaunchReason::Prefetch),
-            "setup: the inline agent must prefetch: {:?}", inline.launches
+            scan.launches.iter().any(|(_, r)| *r == LaunchReason::Prefetch),
+            "setup: the agent must prefetch: {:?}", scan.launches
         );
-        prop_assert_eq!(&digest.launches, &inline.launches);
-        let (i, d) = (inline.dv.stats(), digest.dv.stats());
-        prop_assert!(i.tau_cli_samples > 0);
-        prop_assert_eq!(d.tau_cli_samples, i.tau_cli_samples);
-        prop_assert_eq!(d.prefetch_launches, i.prefetch_launches);
-        prop_assert_eq!(d.digest_replayed, keys.len() as u64);
+        let stats = scan.dv.stats();
+        prop_assert!(scan.gaps > 0);
+        prop_assert_eq!(stats.tau_cli_samples, scan.gaps);
+        prop_assert_eq!(stats.digest_replayed, keys.len() as u64);
+        prop_assert_eq!(scan.served, keys.len());
+        for (range, _) in &scan.launches {
+            prop_assert!(*range.start() >= 1 && *range.end() <= n,
+                "launch {:?} outside the timeline", range);
+        }
     }
 
     /// The digest contract's lossy half: a tiny ring with sparse drains
@@ -518,6 +555,7 @@ proptest! {
             .with_smax(smax)
             .with_prefetch(true);
         let mut dv = DataVirtualizer::new(ctx);
+        let mut log = AccessLog::new(1);
         let mut m = Mirror {
             pinned: HashMap::new(),
             on_disk: HashSet::new(),
@@ -539,7 +577,7 @@ proptest! {
                 }
             } else {
                 m.ready_for_client.remove(&key);
-                for a in dv.handle(now, DvEvent::Acquire { client: 1, key }) {
+                for a in acquire(&mut dv, &mut log, now, 1, key) {
                     exec(&mut dv, &mut m, now, a)?;
                 }
                 // The acquire must have resolved (synchronous production)
@@ -564,11 +602,12 @@ proptest! {
             .with_smax(1)
             .with_prefetch(true);
         let mut dv = DataVirtualizer::new(ctx);
+        let mut log = AccessLog::new(1);
         let mut t = 0u64;
         let mut worklist: Vec<DvAction> = Vec::new();
         for key in keys {
             t += 1;
-            worklist.extend(dv.handle(SimTime::from_nanos(t), DvEvent::Acquire { client: 1, key }));
+            worklist.extend(acquire(&mut dv, &mut log, SimTime::from_nanos(t), 1, key));
             // Run every launch to completion before the next access.
             while let Some(action) = worklist.pop() {
                 if let DvAction::Launch { sim, keys, .. } = action {
@@ -609,14 +648,23 @@ proptest! {
                     .with_prefetch(prefetch),
             )
         };
-        let mut alloc_dv = mk();
-        let mut scratch_dv = mk();
+        let (mut alloc_dv, mut alloc_log) = (mk(), AccessLog::new(1));
+        let (mut scratch_dv, mut scratch_log) = (mk(), AccessLog::new(1));
         let mut scratch = Vec::new();
         for (i, event) in events.into_iter().enumerate() {
             let now = SimTime::from_nanos(1 + i as u64);
-            let fresh = alloc_dv.handle(now, event.clone());
+            let acquired = match event {
+                DvEvent::Acquire { client, key } => Some((client, key)),
+                _ => None,
+            };
+            let mut fresh = alloc_dv.handle(now, event.clone());
             scratch.clear();
             scratch_dv.handle_into(now, event, &mut scratch);
+            if let Some(access) = acquired {
+                let solo = &|_| true;
+                observe_acquire(&mut alloc_dv, &mut alloc_log, now, access, solo, &mut fresh);
+                observe_acquire(&mut scratch_dv, &mut scratch_log, now, access, solo, &mut scratch);
+            }
             prop_assert_eq!(&fresh, &scratch);
         }
         prop_assert_eq!(alloc_dv.stats().hits, scratch_dv.stats().hits);
@@ -639,7 +687,8 @@ proptest! {
     /// pinned independently: `owns_key` must agree with `interval % K`
     /// (invalid keys to member 0), every launch of member `k` must carry
     /// a sim id in `k`'s residue class, and every miss launch must stay
-    /// inside intervals member `k` owns.
+    /// inside intervals member `k` owns. Each member observes the
+    /// acquires routed to it through its own digest.
     #[test]
     fn cluster_members_compose_to_per_member_slices(
         events in prop::collection::vec(arb_event(), 1..200),
@@ -660,6 +709,8 @@ proptest! {
         let mut members: Vec<DataVirtualizer> = (0..K)
             .map(|k| DataVirtualizer::for_member(cfg.clone(), ClusterMember::new(k, K)))
             .collect();
+        let mut member_logs: Vec<AccessLog> = (0..K).map(|_| AccessLog::new(1)).collect();
+        let mut reference_logs: Vec<AccessLog> = (0..K).map(|_| AccessLog::new(1)).collect();
         // DVLib's routing tier: keys go to the member owning their
         // restart interval, sim lifecycle events to the member whose
         // id residue launched the sim, teardown to every member.
@@ -694,12 +745,29 @@ proptest! {
                 | DvEvent::SimFailed { sim } => Some(owner_of_sim(*sim)),
                 DvEvent::ClientGone { .. } => None,
             };
+            let acquired = match event {
+                DvEvent::Acquire { client, key } => Some((client, key)),
+                _ => None,
+            };
             let (mut got, mut want) = (Vec::new(), Vec::new());
             for k in 0..K as usize {
                 if owner.is_none_or(|o| o as usize == k) {
                     let from = got.len();
-                    members[k].handle_into(now, event.clone(), &mut got);
-                    reference[k].handle_into(now, event.clone(), &mut want);
+                    let (mut g, mut w) = (Vec::new(), Vec::new());
+                    members[k].handle_into(now, event.clone(), &mut g);
+                    reference[k].handle_into(now, event.clone(), &mut w);
+                    if let Some(access) = acquired {
+                        // Each member drains its own log, planning only
+                        // the intervals it owns.
+                        let me = ClusterMember::new(k as u32, K);
+                        let owns = |key: u64| me.owns_key(&steps, key);
+                        let (dv, log) = (&mut members[k], &mut member_logs[k]);
+                        observe_acquire(dv, log, now, access, &owns, &mut g);
+                        let (dv, log) = (&mut reference[k], &mut reference_logs[k]);
+                        observe_acquire(dv, log, now, access, &owns, &mut w);
+                    }
+                    got.extend(g);
+                    want.extend(w);
                     for action in &got[from..] {
                         if let DvAction::Launch { sim, keys, reason, .. } = action {
                             prop_assert_eq!(owner_of_sim(*sim) as usize, k);

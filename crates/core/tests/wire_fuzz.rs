@@ -7,54 +7,7 @@ use simfs_core::wire::{
     read_frame, write_frame, ClientKind, FrameBatch, FrameReader, Membership, Request, Response,
     MAX_FRAME,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io::{ErrorKind, Read};
-
-thread_local! {
-    /// Largest single allocation the current thread has requested
-    /// (const-initialised and destructor-free, so the allocator may
-    /// touch it at any point in a thread's life).
-    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, recording each thread's largest request so
-/// `hostile_count_is_rejected_before_allocation` can see what a decode
-/// tried to reserve (an over-committing OS would happily "succeed" a
-/// 32 GiB `with_capacity`).
-struct RecordingAlloc;
-
-fn record_alloc(size: usize) {
-    let _ = LARGEST_ALLOC.try_with(|largest| largest.set(largest.get().max(size)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping only
-// touches a `Cell<usize>` and never allocates.
-unsafe impl GlobalAlloc for RecordingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record_alloc(layout.size());
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record_alloc(layout.size());
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` came from this allocator, i.e. `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record_alloc(new_size);
-        // SAFETY: `ptr`/`layout` came from this allocator, i.e. `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: RecordingAlloc = RecordingAlloc;
 
 /// A reader delivering at most `chunk` bytes per `read` call: simulates
 /// partial/split-frame TCP delivery.
@@ -632,9 +585,11 @@ fn hostile_count_is_rejected_before_allocation() {
     const ALLOC_CEILING: usize = 64 * 1024;
 
     fn assert_rejected(what: &str, decode: impl Fn(&[u8]) -> std::io::Result<()>, body: &[u8]) {
-        LARGEST_ALLOC.with(|largest| largest.set(0));
+        // The recorded request, not the outcome: an over-committing OS
+        // would happily "succeed" a 32 GiB `with_capacity`.
+        testalloc::reset();
         let err = decode(body).expect_err(what);
-        let largest = LARGEST_ALLOC.with(Cell::get);
+        let largest = testalloc::largest();
         assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}: {err}");
         assert!(largest <= ALLOC_CEILING, "{what}: decode allocated {largest} bytes");
     }

@@ -5,58 +5,6 @@
 
 use proptest::prelude::*;
 use simstore::{fnv1a64, sdf, xxh64, Data, Dataset, Fnv1a, StorageArea};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Largest single allocation the current thread has requested
-    /// (const-initialised and destructor-free, so the allocator may
-    /// touch it at any point in a thread's life).
-    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
-    /// Allocations (including reallocations) the current thread has
-    /// requested.
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, recording each thread's largest request so
-/// `sdf_sealed_malformed_never_panics_or_overallocates` can see what a
-/// decode tried to reserve (an over-committing OS would happily
-/// "succeed" a multi-gigabyte `with_capacity`), and counting requests
-/// so `cached_step_read_allocates_nothing` can see there are none.
-struct RecordingAlloc;
-
-fn record_alloc(size: usize) {
-    let _ = LARGEST_ALLOC.try_with(|largest| largest.set(largest.get().max(size)));
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping only
-// touches `Cell<usize>`s and never allocates.
-unsafe impl GlobalAlloc for RecordingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record_alloc(layout.size());
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record_alloc(layout.size());
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` came from this allocator, i.e. `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record_alloc(new_size);
-        // SAFETY: `ptr`/`layout` came from this allocator, i.e. `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: RecordingAlloc = RecordingAlloc;
 
 /// A steady-state repeat read of a resident step allocates nothing in
 /// the reader: the file is cached, and the buffer the first read grew
@@ -80,9 +28,9 @@ fn cached_step_read_allocates_nothing() {
     }
     for _ in 0..100 {
         for (key, name, len) in [(7, "out-000007.sdf", bytes.len()), (8, "out-000008.sdf", 100)] {
-            ALLOCS.with(|n| n.set(0));
+            testalloc::reset();
             let read = reader.read(key, name).unwrap();
-            let allocs = ALLOCS.with(Cell::get);
+            let allocs = testalloc::count();
             assert_eq!(read, &bytes[..len]);
             assert_eq!(allocs, 0, "a cached read of step {key} allocated");
         }
@@ -208,10 +156,12 @@ proptest! {
         let digest = xxh64(&bytes);
         bytes.extend_from_slice(&digest.to_le_bytes());
 
-        LARGEST_ALLOC.with(|largest| largest.set(0));
+        // The recorded request, not the outcome: an over-committing OS
+        // would happily "succeed" a multi-gigabyte `with_capacity`.
+        testalloc::reset();
         let decoded = Dataset::decode(&bytes);
         let verified = sdf::verify(&bytes);
-        let largest = LARGEST_ALLOC.with(Cell::get);
+        let largest = testalloc::largest();
 
         // Same walk, same verdict, same words.
         prop_assert_eq!(
