@@ -460,7 +460,7 @@ fn main() {
     ];
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        // `--durable` is a bare switch: the pin/lease WAL on, so the
+        // `--durable` is a bare switch: the session/lease WAL on, so the
         // ladder can price the write-ahead work against the default.
         if flag == "--durable" {
             durable = true;
@@ -642,12 +642,12 @@ fn main() {
             }
             if durable {
                 println!(
-                    "{:>8} wal: {} appends, {} replayed, {} pins recovered, \
+                    "{:>8} wal: {} appends, {} replayed, {} steps held in recovery, \
                      {} leases expired, {} reconnects",
                     "",
                     d.wal_appends,
                     d.wal_replayed,
-                    d.pins_recovered,
+                    d.recovery_held_steps,
                     d.leases_expired,
                     d.client_reconnects
                 );

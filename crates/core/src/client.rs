@@ -86,8 +86,8 @@
 //! connection, which ends the mapping and, with auto-reconnect on,
 //! recovers the session as any other disconnect does. Pins taken either
 //! way are held alike: `held`, re-assertion and `release` do not care,
-//! and neither does durability. On a durable context a slot pin writes
-//! no journal record: the daemon journals the session's lease at hello
+//! and neither does durability. On a durable context no pin writes a
+//! journal record: the daemon journals every session's lease at hello
 //! instead, and after a crash the recovered daemon holds what was
 //! resident until the session re-asserts, restoring any claimed key
 //! that is still resident (`member.rs`, "The crash rule").
@@ -557,8 +557,8 @@ impl SimfsClient {
         if self.held.is_empty() {
             return Ok(());
         }
-        // Re-assert every held pin count; the daemon transfers what
-        // its recovery restored and names what is gone.
+        // Re-assert every held pin count; the daemon re-pins what is
+        // still resident and names what is gone.
         let keys: Vec<u64> = self
             .held
             .iter()

@@ -430,11 +430,8 @@ dv_stats! {
     external wal_appends,
     /// Write-ahead-log records replayed at the last recovery startup.
     external wal_replayed,
-    /// Pins re-established from the WAL after a restart
-    /// ([`DataVirtualizer::restore_pin`]).
-    dv pins_recovered,
-    /// Recovered client leases that expired before the client
-    /// re-asserted (their pins were released via `ClientGone`).
+    /// Recovery leases that expired before their client re-asserted
+    /// (each departed through one `ClientGone`).
     dv leases_expired,
     /// Resident steps a recovery held from eviction until its last
     /// recovery lease settled (the member core's crash rule 2): while
@@ -1009,24 +1006,11 @@ impl DataVirtualizer {
         self.cache.insert(key, size, cost)
     }
 
-    /// Re-establishes one pin count recorded in the write-ahead log
-    /// after a restart: pins `key` for `client` iff it is materialized
-    /// (recovery re-primes the cache from the storage area first).
-    /// Never launches — a pin on unmaterialized data cannot be proven
-    /// still wanted; the client's re-assertion (or a fresh acquire)
-    /// re-establishes intent. Returns whether the pin was restored and
-    /// counts `pins_recovered` when it was.
-    pub fn restore_pin(&mut self, client: ClientId, key: u64) -> bool {
-        let restored = self.pin_resident(client, key);
-        if restored {
-            self.stats.pins_recovered += 1;
-        }
-        restored
-    }
-
     /// Pins `key` for `client` iff it is materialized, with no event,
     /// no notification and no launch: the pin a recovered member
-    /// restores from its journal, or re-grants at a reassert.
+    /// re-grants at a reassert. Never launches — a pin on data no longer
+    /// materialized cannot be proven still wanted; the client
+    /// re-acquires it.
     pub(crate) fn pin_resident(&mut self, client: ClientId, key: u64) -> bool {
         if !self.cfg.steps.valid_key(key) || !self.cache.peek(key) {
             return false;
@@ -1046,33 +1030,6 @@ impl DataVirtualizer {
     /// Lifts [`hold_resident`](Self::hold_resident)'s veto.
     pub(crate) fn release_hold(&mut self) {
         self.cache.release_hold();
-    }
-
-    /// Moves one pin count on `key` from `from` to `to` — the
-    /// re-assertion transfer: a reconnecting client (new id `to`)
-    /// claims a pin the WAL recovery restored under its prior id
-    /// `from`. The cache pin count is untouched (the pin itself
-    /// persists; only its owner changes). Returns whether `from`
-    /// actually held a pin to transfer.
-    pub fn transfer_pin(&mut self, from: ClientId, to: ClientId, key: u64) -> bool {
-        let held = match self.clients.get_mut(&from) {
-            Some(state) => match state.pins.get_mut(&key) {
-                Some(n) if *n > 1 => {
-                    *n -= 1;
-                    true
-                }
-                Some(_) => {
-                    state.pins.remove(&key);
-                    true
-                }
-                None => false,
-            },
-            None => false,
-        };
-        if held {
-            *self.client_mut(to).pins.entry(key).or_insert(0) += 1;
-        }
-        held
     }
 
     fn prefetch_inputs(&self) -> PrefetchInputs {
@@ -2734,65 +2691,5 @@ mod tests {
         let b = dv.handle(t(6), DvEvent::Acquire { client: 2, key: 6 });
         produce_all(&mut dv, &b, t(7));
         assert!(dv.is_cached(2));
-    }
-
-    #[test]
-    fn restore_pin_requires_materialized_key() {
-        let mut dv = DataVirtualizer::new(cfg(4));
-        // Nothing materialized yet: nothing to restore, never a launch.
-        assert!(!dv.restore_pin(7, 2));
-        assert_eq!(dv.stats().pins_recovered, 0);
-        assert_eq!(dv.active_sims(), 0);
-        // Invalid keys are refused like everywhere else.
-        assert!(!dv.restore_pin(7, 9999));
-        // Prime key 2 (recovery's storage rescan), then restore: the
-        // pin must hold against eviction pressure exactly like a live
-        // client's pin.
-        assert!(dv.prime(2, 100).is_empty());
-        assert!(dv.restore_pin(7, 2));
-        assert_eq!(dv.stats().pins_recovered, 1);
-        for key in [6u64, 10, 14, 18] {
-            let a = dv.handle(t(1), DvEvent::Acquire { client: 1, key });
-            produce_all(&mut dv, &a, t(2));
-            dv.handle(t(3), DvEvent::Release { client: 1, key });
-        }
-        assert!(dv.is_cached(2), "recovered pin must veto eviction");
-        // ClientGone (lease expiry) frees it normally.
-        dv.handle(t(4), DvEvent::ClientGone { client: 7 });
-        let b = dv.handle(t(5), DvEvent::Acquire { client: 1, key: 22 });
-        produce_all(&mut dv, &b, t(6));
-        assert!(!dv.is_cached(2), "expired lease pin must stop vetoing");
-    }
-
-    #[test]
-    fn transfer_pin_moves_ownership() {
-        let mut dv = DataVirtualizer::new(cfg(100));
-        assert!(dv.prime(2, 100).is_empty());
-        assert!(dv.restore_pin(7, 2));
-        assert!(dv.restore_pin(7, 2), "counts restore per recorded acquire");
-        // Claiming a pin the prior client never held fails.
-        assert!(!dv.transfer_pin(7, 40, 3));
-        assert!(!dv.transfer_pin(9, 40, 2));
-        // One count moves per transfer.
-        assert!(dv.transfer_pin(7, 40, 2));
-        assert!(dv.transfer_pin(7, 40, 2));
-        assert!(!dv.transfer_pin(7, 40, 2), "only two counts were held");
-        // The new owner's releases balance the transferred counts; the
-        // prior client's teardown no longer touches them.
-        dv.handle(t(1), DvEvent::ClientGone { client: 7 });
-        dv.handle(t(2), DvEvent::Release { client: 40, key: 2 });
-        dv.handle(t(3), DvEvent::Release { client: 40, key: 2 });
-        // All pins gone: key 2 is evictable under pressure.
-        let mut dv2 = DataVirtualizer::new(cfg(4));
-        assert!(dv2.prime(2, 100).is_empty());
-        assert!(dv2.restore_pin(7, 2));
-        assert!(dv2.transfer_pin(7, 40, 2));
-        dv2.handle(t(1), DvEvent::Release { client: 40, key: 2 });
-        for key in [6u64, 10, 14, 18] {
-            let a = dv2.handle(t(2), DvEvent::Acquire { client: 1, key });
-            produce_all(&mut dv2, &a, t(3));
-            dv2.handle(t(4), DvEvent::Release { client: 1, key });
-        }
-        assert!(!dv2.is_cached(2), "released transferred pin must not veto eviction");
     }
 }

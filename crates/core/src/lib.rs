@@ -50,8 +50,7 @@
 //! * `shm` (crate-private) — the mapped hit path: a same-host session
 //!   of a solo context, durable or not, maps the context's hit table
 //!   and a session mapping of its own at hello, and pins resident steps
-//!   through its own slots with no frame exchanged and no WAL record
-//!   written.
+//!   through its own slots with no frame exchanged.
 //! * [`effectpool`] — the effect-execution tier: bounded per-shard
 //!   queues feeding helper threads that own every blocking effect
 //!   (sim launch/kill, WAL group-fsync, eviction deletes, storage

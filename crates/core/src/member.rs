@@ -13,19 +13,19 @@
 //!
 //! # The crash rule
 //!
-//! A solo member's same-host sessions map its hit table and pin
-//! resident steps through their own slots: such a pin, and its
-//! release, reach no member code and write no journal record. A
-//! daemon-side fast pin is journaled only after its reply, so a crash
-//! can lose its record too. Three rules keep every pin of a session
-//! that finished its hello alive across a crash, provided its client
-//! reasserts within the lease timeout:
+//! No pin is ever journaled: a mapped session's slot pin reaches no
+//! member code at all, and a pin the daemon grants — a fast-path hit, a
+//! miss's `Ready`, a takeover grant — writes no record either. The
+//! journal holds sessions instead, and three rules keep every pin of a
+//! session that finished its hello alive across a crash, provided its
+//! client reasserts within the lease timeout:
 //!
-//! 1. **Lease at hello.** A session that maps journals one
-//!    [`WalRecord::Lease`] ([`MemberCore::lease`]), durable before its
-//!    greeting goes out — one record per session, none per hit. A
-//!    recovering solo member leases every client whose lease record is
-//!    live, pins or none, besides every client a journaled pin restores.
+//! 1. **Lease at hello.** Every session of a durable member journals
+//!    one [`WalRecord::Lease`] ([`MemberCore::lease`]), durable before
+//!    its greeting goes out — one record per session, none per pin. A
+//!    recovering member leases every client whose lease record is live,
+//!    pins or none, and every pin owner a journal written by an earlier
+//!    build still names ([`WalState::live_clients`]).
 //! 2. **Recovery holds evictions until its leases settle.** While any
 //!    recovery lease is outstanding, no step that was resident at the
 //!    recovery is evicted ([`DataVirtualizer::hold_resident`]); the
@@ -33,49 +33,28 @@
 //!    timeout. The departure that ends the last lease — a reassert, a
 //!    late reassert or the deadline — lifts the hold.
 //! 3. **Reassert restores any key still resident.** Under a live lease
-//!    a claimed key with no pin to transfer but still resident is
-//!    pinned for the new session and journaled, not answered `gone`: a
-//!    pin whose record was never written comes back with no re-acquire
-//!    and, by rule 2, no gap in which it could have been evicted.
+//!    each claimed key that is still resident is pinned for the new
+//!    session and answered `restored`, not `gone`: the pin comes back
+//!    with no re-acquire and, by rule 2, no gap in which it could have
+//!    been evicted.
 
 use crate::dv::{ClientId, ClusterMember, DataVirtualizer, DvAction, DvEvent};
-use crate::model::StepMath;
 use simkit::{Dur, SimTime};
 use simstore::walog::{WalRecord, WalState};
 use std::collections::{BTreeMap, HashSet};
-
-/// The journal record of one granted pin: a key member `me` does not
-/// own can only be a takeover grant (untagged foreign acquires are
-/// refused first), journaled as [`WalRecord::TakeoverPin`]; any other is
-/// a [`WalRecord::PinAcquire`]. A pure function of the key, so the
-/// daemon applies it outside the DV lock.
-pub(crate) fn pin_record(
-    me: ClusterMember,
-    steps: &StepMath,
-    client: ClientId,
-    key: u64,
-    epoch: u64,
-) -> WalRecord {
-    if me.is_clustered() && steps.valid_key(key) && !me.owns_key(steps, key) {
-        WalRecord::TakeoverPin { client, key, epoch }
-    } else {
-        WalRecord::PinAcquire { client, key, epoch }
-    }
-}
 
 /// One member's DV plus the crash-protocol state around it.
 pub(crate) struct MemberCore {
     /// The member's state machine.
     pub(crate) dv: DataVirtualizer,
-    me: ClusterMember,
     /// Strictly above every epoch in the replayed journal; `0` for a
     /// member without one.
     epoch: u64,
     /// The member keeps a journal (no records are queued without one).
     durable: bool,
-    /// Recovery leases: prior-instance client → the instant its
-    /// restored pins lapse unless re-asserted. Ordered, so simultaneous
-    /// expiries depart in client order.
+    /// Recovery leases: prior-instance client → the instant its claim
+    /// on the held steps lapses unless re-asserted. Ordered, so
+    /// simultaneous expiries depart in client order.
     leases: BTreeMap<ClientId, SimTime>,
     /// Foreign intervals primed to serve takeover acquires.
     primed: HashSet<u64>,
@@ -100,7 +79,7 @@ pub(crate) struct Recovered {
 /// A reassert's answer, key by key.
 #[derive(Default)]
 pub(crate) struct Reasserted {
-    /// Keys whose pins moved to the new session (one entry per count).
+    /// Keys pinned for the new session (one entry per count).
     pub(crate) restored: Vec<u64>,
     /// Keys the client must re-acquire, with the reason.
     pub(crate) gone: Vec<(u64, String)>,
@@ -112,10 +91,8 @@ impl MemberCore {
     /// (a size is read only for an owned key). With a `journal` the
     /// epoch is one above the replayed one, recovery or not, so a
     /// cross-epoch reassert is never mistaken for a same-instance
-    /// reconnect; with `recover` each replayed pin on a resident key is
-    /// restored (once per count), every client left holding one — and,
-    /// on a solo member, every client whose hello lease is live, by
-    /// rule 1 — is leased until `now + lease_timeout`, and while any
+    /// reconnect; with `recover` every client the journal leaves live
+    /// is leased until `now + lease_timeout` (rule 1), and while any
     /// lease is out the resident steps are held from eviction (rule 2).
     pub(crate) fn recover<S: FnOnce() -> u64>(
         me: ClusterMember,
@@ -135,7 +112,6 @@ impl MemberCore {
         }
         let mut core = MemberCore {
             dv,
-            me,
             epoch: 0,
             durable: journal.is_some(),
             leases: BTreeMap::new(),
@@ -151,24 +127,7 @@ impl MemberCore {
                 ..WalState::default()
             };
             if recover {
-                let mut pins: Vec<(&(u64, u64), &u32)> = replayed.pins.iter().collect();
-                pins.sort_unstable();
-                for (&(client, key), &count) in pins {
-                    for _ in 0..count {
-                        if !core.dv.restore_pin(client, key) {
-                            break;
-                        }
-                        *state.pins.entry((client, key)).or_insert(0) += 1;
-                    }
-                }
-                let mut leased = state.live_clients();
-                if !me.is_clustered() {
-                    // Rule 1: only a solo member maps sessions, so only
-                    // its lease records stand for unjournaled pins.
-                    leased.extend(&replayed.leases);
-                    leased.sort_unstable();
-                    leased.dedup();
-                }
+                let leased = replayed.live_clients();
                 let deadline = now.saturating_add(lease_timeout);
                 for client in leased {
                     state.leases.push(client);
@@ -191,20 +150,15 @@ impl MemberCore {
         self.epoch
     }
 
-    /// [`pin_record`] under this member's identity and epoch.
-    pub(crate) fn pin_record(&self, client: ClientId, key: u64) -> WalRecord {
-        pin_record(self.me, &self.dv.cfg().steps, client, key, self.epoch)
-    }
-
     fn journal(&mut self, record: WalRecord) {
         if self.durable {
             self.records.push(record);
         }
     }
 
-    /// Session `client` maps the hit table at hello: its slot pins will
-    /// never be journaled, so its lease is (rule 1). The caller makes
-    /// the record durable before the session's greeting goes out.
+    /// Session `client` said hello: its pins will never be journaled,
+    /// so its lease is (rule 1). The caller makes the record durable
+    /// before the session's greeting goes out.
     pub(crate) fn lease(&mut self, client: ClientId) {
         let epoch = self.epoch;
         self.journal(WalRecord::Lease { client, epoch });
@@ -215,10 +169,10 @@ impl MemberCore {
     /// already released everything — all `gone`, nothing runs. **Lease
     /// lapsed (at this very instant counts) or unknown**: all `gone`; a
     /// lapsed, unticked lease expires here. **Lease live**: each key
-    /// still held transfers to `client`, and each other key still
-    /// resident is pinned for it afresh (rule 3; `restored`, both
-    /// journaled); the rest are `gone`, and the prior identity departs.
-    /// A lease is claimed at most once.
+    /// still resident is pinned for `client` (rule 3; `restored`), the
+    /// rest are `gone`, and the prior identity departs — its
+    /// `ClientGone` is the only record the reassert journals. A lease
+    /// is claimed at most once.
     pub(crate) fn reassert(
         &mut self,
         now: SimTime,
@@ -250,24 +204,19 @@ impl MemberCore {
         }
         let mut out = Reasserted::default();
         for &key in keys {
-            if self.dv.transfer_pin(prior_client, client, key) || self.dv.pin_resident(client, key)
-            {
+            if self.dv.pin_resident(client, key) {
                 out.restored.push(key);
             } else {
                 out.gone
                     .push((key, format!("key {key} is no longer resident; re-acquire")));
             }
         }
-        for &key in &out.restored {
-            let record = self.pin_record(client, key);
-            self.journal(record);
-        }
         self.depart(now, prior_client, actions);
         out
     }
 
     /// `client` is gone — hangup, lapsed lease or retired prior
-    /// identity: one record voids its pins and lease, the DV releases.
+    /// identity: one record voids its lease, the DV releases its pins.
     /// The departure that settles the last recovery lease lifts the
     /// recovery's hold (rule 2).
     pub(crate) fn depart(&mut self, now: SimTime, client: ClientId, actions: &mut Vec<DvAction>) {
@@ -335,7 +284,8 @@ impl MemberCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ContextCfg;
+    use crate::model::{ContextCfg, StepMath};
+    use simstore::walog::{encode_record, replay_bytes};
 
     /// Δr = 4 over 40 steps: interval j holds keys 4j+1..=4j+4. Member
     /// `index` of `size` owns the intervals ≡ index (mod size).
@@ -361,20 +311,29 @@ mod tests {
         )
     }
 
+    /// A pin record, as an earlier build journaled one.
     fn pin(client: u64, key: u64, epoch: u64) -> WalRecord {
         WalRecord::PinAcquire { client, key, epoch }
     }
 
+    fn lease(client: u64, epoch: u64) -> WalRecord {
+        WalRecord::Lease { client, epoch }
+    }
+
+    fn gone(client: u64, epoch: u64) -> WalRecord {
+        WalRecord::ClientGone { client, epoch }
+    }
+
     #[test]
     fn epoch_is_strictly_above_the_replayed_one_with_and_without_recover() {
-        let journal = [WalRecord::Epoch { epoch: 3 }, pin(7, 1, 3), pin(7, 2, 4)];
+        let journal = [WalRecord::Epoch { epoch: 3 }, lease(7, 3), pin(7, 2, 4)];
         for recover in [false, true] {
             let (core, rec) = core_with(0, 1, &[1, 2], Some(&journal), recover);
             assert_eq!(core.epoch(), 5, "recover = {recover}");
             let snapshot = rec.state.expect("a journal yields a state").snapshot(5);
             assert_eq!(snapshot[0], WalRecord::Epoch { epoch: 5 });
             assert!(snapshot.iter().all(|r| r.epoch() == 5));
-            assert_eq!(core.dv.stats().pins_recovered, if recover { 2 } else { 0 });
+            assert_eq!(core.leases.len(), usize::from(recover), "recover = {recover}");
         }
         let (core, rec) = core_with(0, 1, &[1], None, true);
         assert_eq!(core.epoch(), 0, "no journal, no epoch");
@@ -384,32 +343,41 @@ mod tests {
 
     #[test]
     fn only_resident_pins_are_restored_and_only_live_clients_are_leased() {
-        // Member 1 of 2 owns interval 1 (keys 5-8), not interval 0.
+        // Member 1 of 2 owns interval 1 (keys 5-8), not interval 0. An
+        // earlier build journaled the pins; this one leased 10 at hello.
         let journal = [
             pin(7, 5, 1),
             pin(7, 5, 1),
             pin(7, 6, 1), // not resident
-            pin(8, 6, 1), // not resident: client 8 keeps nothing
+            pin(8, 6, 1), // not resident: 8 is leased all the same
             pin(9, 5, 1),
-            WalRecord::ClientGone { client: 9, epoch: 1 },
-            WalRecord::Lease { client: 10, epoch: 1 }, // a lease, no pin
+            gone(9, 1),
+            lease(10, 1), // a lease, no pin
         ];
-        let (core, rec) = core_with(1, 2, &[1, 5], Some(&journal), true);
+        let (mut core, rec) = core_with(1, 2, &[1, 5], Some(&journal), true);
         assert!(core.dv.is_cached(5));
         assert!(!core.dv.is_cached(1), "a foreign resident step is not primed");
-        assert_eq!(core.dv.stats().pins_recovered, 2, "both counts of (7, 5), nothing else");
+        assert_eq!(core.dv.pin_count(5), 0, "recovery pins nothing");
+        assert_eq!(core.dv.stats().recovery_held_steps, 1, "key 5");
         let state = rec.state.expect("journal");
-        assert_eq!(state.pins.len(), 1);
-        assert_eq!(state.pins[&(7, 5)], 2);
-        assert_eq!(state.leases, vec![7]);
-        assert_eq!(rec.client_floor, 8);
-        assert_eq!(core.leases.keys().copied().collect::<Vec<_>>(), vec![7]);
+        assert!(state.pins.is_empty(), "the snapshot journals no pin");
+        assert_eq!(state.leases, vec![7, 8, 10]);
+        assert_eq!(rec.client_floor, 11);
+        assert_eq!(core.leases.keys().copied().collect::<Vec<_>>(), vec![7, 8, 10]);
         assert_eq!(core.next_due(SimTime::from_secs(10)), Some(SimTime::from_secs(15)));
+        // 7 comes back for both counts on 5 and for 6: only the resident
+        // key is restored, and only the departure is journaled.
+        let mut actions = Vec::new();
+        let out = core.reassert(SimTime::from_secs(12), 20, 7, 1, &[5, 5, 6], &mut actions);
+        assert_eq!(out.restored, vec![5, 5]);
+        assert_eq!(out.gone.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![6]);
+        assert_eq!(core.records, vec![gone(7, 2)]);
+        assert_eq!(core.dv.pin_count(5), 2);
     }
 
     #[test]
     fn same_epoch_reassert_is_all_gone_and_runs_nothing() {
-        let (mut core, _) = core_with(0, 1, &[1], Some(&[pin(7, 1, 1)]), true);
+        let (mut core, _) = core_with(0, 1, &[1], Some(&[lease(7, 1)]), true);
         let mut actions = Vec::new();
         let epoch = core.epoch();
         let out = core.reassert(SimTime::from_secs(11), 20, 7, epoch, &[1, 1], &mut actions);
@@ -417,19 +385,19 @@ mod tests {
         assert_eq!(out.gone.len(), 2);
         assert!(actions.is_empty() && core.records.is_empty());
         assert_eq!(core.dv.stats().leases_expired, 0);
-        // The lease is untouched: the prior client's pin still vetoes.
+        // The lease is untouched: the prior client may still return.
         assert!(core.leases.contains_key(&7));
     }
 
     #[test]
     fn lease_lapsed_at_the_reassert_instant_is_gone_with_one_departure() {
-        let (mut core, _) = core_with(0, 1, &[1], Some(&[pin(7, 1, 1)]), true);
+        let (mut core, _) = core_with(0, 1, &[1], Some(&[lease(7, 1)]), true);
         let mut actions = Vec::new();
         let at_deadline = SimTime::from_secs(15);
         let out = core.reassert(at_deadline, 20, 7, 1, &[1], &mut actions);
         assert!(out.restored.is_empty());
         assert_eq!(out.gone.len(), 1);
-        assert_eq!(core.records, vec![WalRecord::ClientGone { client: 7, epoch: 2 }]);
+        assert_eq!(core.records, vec![gone(7, 2)]);
         assert_eq!(core.dv.stats().leases_expired, 1);
         // Claimed once: neither a second reassert nor the tick at the
         // deadline departs again.
@@ -442,19 +410,15 @@ mod tests {
     }
 
     #[test]
-    fn live_lease_transfers_pins_with_one_record_each_and_retires_the_prior_id() {
-        let journal = [pin(7, 1, 1), pin(7, 1, 1), pin(7, 2, 1)];
-        let (mut core, _) = core_with(0, 1, &[1, 2], Some(&journal), true);
+    fn live_lease_restores_resident_keys_and_journals_only_the_departure() {
+        let (mut core, _) = core_with(0, 1, &[1, 2], Some(&[lease(7, 1)]), true);
         let mut actions = Vec::new();
         let out = core.reassert(SimTime::from_secs(12), 20, 7, 1, &[1, 1, 3], &mut actions);
         assert_eq!(out.restored, vec![1, 1]);
         assert_eq!(out.gone.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(
-            core.records,
-            vec![pin(20, 1, 2), pin(20, 1, 2), WalRecord::ClientGone { client: 7, epoch: 2 }]
-        );
-        // The unclaimed pin on key 2 left with the prior identity; the
-        // transferred ones still veto.
+        assert_eq!(core.records, vec![gone(7, 2)], "no pin record");
+        // Each claimed count is a pin of the new session; the unclaimed
+        // resident key 2 is pinned by nobody.
         assert_eq!(core.dv.pin_count(1), 2);
         assert_eq!(core.dv.pin_count(2), 0);
         assert!(core.leases.is_empty());
@@ -464,17 +428,18 @@ mod tests {
 
     #[test]
     fn tick_expires_a_lease_at_its_deadline_and_releases_the_pins() {
-        let (mut core, _) = core_with(0, 1, &[1], Some(&[pin(7, 1, 1)]), true);
+        let (mut core, _) = small_solo(&[1, 2], &[lease(7, 1)]);
         let mut actions = Vec::new();
         core.tick(SimTime::from_secs(14), &mut actions);
         assert!(core.records.is_empty(), "not due yet");
-        assert_eq!(core.dv.pin_count(1), 1);
         let due = core.next_due(SimTime::from_secs(14)).expect("a lease is due");
         core.tick(due, &mut actions);
-        assert_eq!(core.records, vec![WalRecord::ClientGone { client: 7, epoch: 2 }]);
-        assert_eq!(core.dv.pin_count(1), 0);
+        assert_eq!(core.records, vec![gone(7, 2)]);
         assert_eq!(core.dv.stats().leases_expired, 1);
         assert_eq!(core.next_due(due), None);
+        // The lapsed lease's hold is gone: the next production evicts.
+        let evicted = produce_through(&mut core, due, 5);
+        assert!(evicted.contains(&1) && evicted.contains(&2), "{evicted:?}");
     }
 
     #[test]
@@ -494,10 +459,7 @@ mod tests {
         for key in [4, 9, 13] {
             assert!(!core.dv.is_cached(key), "key {key} is outside interval 1");
         }
-        // A pin on the primed foreign key is journaled as a takeover
-        // pin; an owned key's is not.
-        assert!(matches!(core.pin_record(3, 5), WalRecord::TakeoverPin { .. }));
-        assert!(matches!(core.pin_record(3, 1), WalRecord::PinAcquire { .. }));
+        assert!(core.records.is_empty(), "priming journals nothing");
     }
 
     /// A solo member over a two-step cache (steps of one byte).
@@ -560,34 +522,15 @@ mod tests {
 
     #[test]
     fn a_solo_member_leases_every_live_hello_lease_and_holds_evictions_until_the_last_settles() {
-        // 7 mapped and pinned only through its slots; 8 also holds a
-        // journaled pin; 9 mapped and departed.
-        let journal = [
-            WalRecord::Lease {
-                client: 7,
-                epoch: 1,
-            },
-            WalRecord::Lease {
-                client: 8,
-                epoch: 1,
-            },
-            pin(8, 2, 1),
-            WalRecord::Lease {
-                client: 9,
-                epoch: 1,
-            },
-            WalRecord::ClientGone {
-                client: 9,
-                epoch: 1,
-            },
-        ];
+        // 7 and 8 said hello; 8 also holds a pin an earlier build
+        // journaled; 9 said hello and departed.
+        let journal = [lease(7, 1), lease(8, 1), pin(8, 2, 1), lease(9, 1), gone(9, 1)];
         let (mut core, rec) = small_solo(&[1, 2], &journal);
         assert_eq!(core.leases.keys().copied().collect::<Vec<_>>(), vec![7, 8]);
         assert_eq!(rec.client_floor, 9);
         let state = rec.state.expect("journal");
         assert_eq!(state.leases, vec![7, 8], "the snapshot keeps both leases");
         assert_eq!(core.dv.stats().recovery_held_steps, 2);
-        assert_eq!(core.dv.stats().pins_recovered, 1);
         // Rule 2: interval 1 floods the two-step cache; 1 and 2 stay.
         let t = SimTime::from_secs(11);
         let evicted = produce_through(&mut core, t, 6);
@@ -613,15 +556,8 @@ mod tests {
 
     #[test]
     fn reassert_pins_a_resident_key_that_lost_its_record_and_gones_the_rest() {
-        // 7 held 1 and 3 through its slots: no pin record survived.
-        let (mut core, _) = small_solo(
-            &[1, 2],
-            &[WalRecord::Lease {
-                client: 7,
-                epoch: 1,
-            }],
-        );
-        assert_eq!(core.dv.stats().pins_recovered, 0);
+        // 7 held 1 and 3 through its slots: no pin record exists.
+        let (mut core, _) = small_solo(&[1, 2], &[lease(7, 1)]);
         let mut actions = Vec::new();
         let out = core.reassert(SimTime::from_secs(12), 20, 7, 1, &[1, 3], &mut actions);
         assert_eq!(out.restored, vec![1]);
@@ -629,34 +565,95 @@ mod tests {
             out.gone.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
             vec![3]
         );
-        assert_eq!(
-            core.records,
-            vec![
-                pin(20, 1, 2),
-                WalRecord::ClientGone {
-                    client: 7,
-                    epoch: 2
-                }
-            ]
-        );
+        assert_eq!(core.records, vec![gone(7, 2)]);
         assert_eq!(core.dv.pin_count(1), 1);
-        assert_eq!(core.dv.stats().pins_recovered, 0, "not a journaled pin");
         // The last lease settled: the hold is gone, 1 is held by its pin.
         let evicted = produce_through(&mut core, SimTime::from_secs(12), 5);
         assert!(evicted.contains(&2) && !evicted.contains(&1), "{evicted:?}");
     }
 
     #[test]
+    fn a_journal_from_an_earlier_build_leases_every_pin_owner_and_holds_until_the_reasserts() {
+        // An earlier build journaled pins (a takeover grant under its
+        // own tag) and leased only its mapped sessions.
+        let journal = [
+            WalRecord::Epoch { epoch: 1 },
+            lease(7, 1),
+            pin(7, 1, 1),
+            pin(8, 2, 1), // a pin owner with no lease
+            WalRecord::TakeoverPin {
+                client: 9,
+                key: 1,
+                epoch: 1,
+            },
+            pin(10, 1, 1),
+            WalRecord::PinRelease {
+                client: 10,
+                key: 1,
+                epoch: 1,
+            },
+            gone(10, 1),
+            pin(11, 2, 1),
+            WalRecord::PinRelease {
+                client: 11,
+                key: 2,
+                epoch: 1,
+            },
+            lease(12, 1),
+            gone(12, 1),
+        ];
+        // The file decodes whole: no tag reads as a torn tail.
+        let mut bytes = Vec::new();
+        for r in &journal {
+            encode_record(r, &mut bytes);
+        }
+        let (decoded, report) = replay_bytes(&bytes);
+        assert!(!report.truncated, "{report:?}");
+        assert_eq!(decoded, journal);
+
+        // Rule 1: every live pin owner and every live lease holder.
+        let (mut core, rec) = small_solo(&[1, 2], &decoded);
+        assert_eq!(core.leases.keys().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
+        assert_eq!(rec.client_floor, 10);
+        let state = rec.state.expect("journal");
+        assert!(state.pins.is_empty());
+        assert_eq!(
+            state.snapshot(2),
+            vec![WalRecord::Epoch { epoch: 2 }, lease(7, 2), lease(8, 2), lease(9, 2)]
+        );
+        assert_eq!(core.dv.pin_count(1) + core.dv.pin_count(2), 0);
+        // Rule 2: the resident steps are held through a flood.
+        assert_eq!(core.dv.stats().recovery_held_steps, 2);
+        let t = SimTime::from_secs(11);
+        let evicted = produce_through(&mut core, t, 6);
+        assert!(!evicted.contains(&1) && !evicted.contains(&2), "{evicted:?}");
+        // Rule 3: each reassert restores its resident keys and journals
+        // only its departure.
+        let mut actions = Vec::new();
+        let mut restored = Vec::new();
+        for (prior, new, keys) in [(7, 20, vec![1]), (8, 21, vec![2]), (9, 22, vec![1, 3])] {
+            let out = core.reassert(t, new, prior, 1, &keys, &mut actions);
+            restored.extend(out.restored);
+        }
+        assert_eq!(restored, vec![1, 2, 1]);
+        assert_eq!(core.records, vec![gone(7, 2), gone(8, 2), gone(9, 2)]);
+        assert!(core.leases.is_empty());
+        assert_eq!((core.dv.pin_count(1), core.dv.pin_count(2)), (2, 1));
+        // The hold is gone; the pins still veto.
+        let evicted = produce_through(&mut core, t, 9);
+        assert!(!evicted.contains(&1) && !evicted.contains(&2), "{evicted:?}");
+        assert_eq!(core.dv.stats().leases_expired, 0);
+    }
+
+    #[test]
     fn a_lease_is_journaled_at_hello_only_with_a_journal() {
         let (mut core, _) = small_solo(&[], &[]);
         core.lease(4);
-        assert_eq!(
-            core.records,
-            vec![WalRecord::Lease {
-                client: 4,
-                epoch: 1
-            }]
-        );
+        assert_eq!(core.records, vec![lease(4, 1)]);
+        // A cluster member leases too.
+        let (mut core, _) = core_with(1, 2, &[], Some(&[]), false);
+        core.lease(4);
+        assert_eq!(core.records, vec![lease(4, 1)]);
         let (mut core, _) = core_with(0, 1, &[], None, false);
         core.lease(4);
         assert!(core.records.is_empty());

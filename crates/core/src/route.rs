@@ -23,8 +23,8 @@ use crate::dv::{member_of_key, ClusterMember};
 use crate::model::StepMath;
 use std::collections::BTreeMap;
 
-/// Which ownership rule and WAL tag an acquire is served under: a
-/// member's own keys, or a dead member's keys this member took over.
+/// Which ownership rule an acquire is served under: a member's own
+/// keys, or a dead member's keys this member took over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum AcquireMode {
     Native,

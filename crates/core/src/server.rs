@@ -60,7 +60,7 @@
 //! per-connection buffers. Helpers drain a queue in FIFO order and in
 //! batches, which both preserves the sim wire-event order a simulator
 //! connection produced (`FileProduced` before `SimFinished`) and opens
-//! the WAL **group-fsync** window: one `fsync` covers every pin record
+//! the WAL **group-fsync** window: one `fsync` covers every record
 //! in the batch ([`DvStats::wal_syncs`] vs [`DvStats::wal_appends`] is
 //! the evidence). A full queue parks the *submitting* shard thread on
 //! the queue condvar — backpressure, counted in
@@ -96,8 +96,7 @@
 //!    receives it sealed read-only at hello, with a session mapping of
 //!    its own: it pins a resident key by writing its own slot and
 //!    checking the word, releases by clearing the slot, and exchanges
-//!    no frame for either — nor writes a WAL record (tier 1b's crash
-//!    rule covers such pins). Every other session — TCP, a clustered
+//!    no frame for either. Every other session — TCP, a clustered
 //!    context, a takeover key — gets the daemon-side fast pin against
 //!    the same words: a CAS on the count, then the reply straight into
 //!    the connection's buffer, no DV lock. Eviction
@@ -142,50 +141,36 @@
 //!    [`simstore::walog::WriteAheadLog`] in its storage area, guarded
 //!    by its own mutex *below* the DV lock in the order (DV → WAL,
 //!    never WAL → DV; the WAL lock is never held across
-//!    socket or launcher I/O either). Pin records ride the `Effects`
-//!    outbox: slow-path pins are derived from the `Ready` responses a
-//!    transition collected and appended + fsynced in `commit` *before*
-//!    the frames are sent (write-ahead ordering, preserved batch-wide
-//!    by the effect tier: every pin in a helper batch is fsynced before
-//!    any of the batch's frames go out), while fast-path hit pins —
-//!    which never enter the outbox — buffer in the connection-local
-//!    window, are netted ([`simstore::walog::net_pin_window`]) when the
-//!    frame handler returns, i.e. after the reply, and ride
-//!    `Effects::wal_records` into the same commit pass. A crash can
-//!    therefore lose a fast pin's record but never a slow one's; the
-//!    crash rule below brings an unlogged pin back at its client's
-//!    reassert, and a logged-but-released pin is freed by the
-//!    reassert's closing `ClientGone`. The log compacts to a
-//!    [`simstore::walog::WalState`] snapshot at sync points once it
+//!    socket or launcher I/O either). The journal records sessions,
+//!    not pins: every analysis session's hello writes one `Lease`, and
+//!    its departure one `ClientGone`. No pin — a slot pin, a fast pin,
+//!    a miss's `Ready`, a takeover grant — and no release writes
+//!    anything. The records ride `Effects::wal_records` and are
+//!    appended + fsynced in `commit` *before* the transition's frames
+//!    are sent (write-ahead ordering, preserved batch-wide by the
+//!    effect tier: one group fsync covers every record of a helper
+//!    batch before any of the batch's frames go out), so a session
+//!    whose greeting arrived is always in the log. The log compacts to
+//!    a [`simstore::walog::WalState`] snapshot at sync points once it
 //!    passes [`simstore::walog::COMPACT_THRESHOLD`]. Contexts without
-//!    durability skip this tier entirely — one `Option` check on the
-//!    hot path.
-//!
-//!    A mapped session's slot pins (layer 1) write nothing at all, so
-//!    on a durable context the session's *hello* is journaled instead:
-//!    one `Lease` record, appended and fsynced by the effect tier
-//!    before the greeting and its descriptors go out — one record per
-//!    session, none per hit.
+//!    durability skip this tier entirely.
 //!
 //!    The crash protocol is the member core's (`member.rs`, the code
 //!    the virtual fault harness drives too), kept beside the DV under
 //!    the DV lock. At start-up the WAL replays under a fresh epoch and,
-//!    with `recover`, each resident pin of the previous instance comes
-//!    back under its old client id, *leased* for `lease_timeout`; so
-//!    does every session whose hello lease is live, pins or none, by
-//!    rule 1. While any lease is out, no step resident at the recovery is
-//!    evicted — the storage area overflows instead, for at most
-//!    `lease_timeout` (rule 2). A reassert under a live lease moves
-//!    the journaled pins to the new session and pins any other claimed
-//!    key that is still resident (rule 3), so a pin whose record was
-//!    never written — a slot pin, or a fast pin lost in the
-//!    group-fsync window — comes back with no re-acquire and no gap in
-//!    which it could have been evicted. The lease ends in a
-//!    `ClientGone` through the core's one departure path: after a
-//!    timely reassert, at a late one (every key `gone`), or at the
-//!    deadline itself; the last to end lifts the hold. The reaper's
-//!    one deadline source is the core's `next_due` — the DV's
-//!    supervision deadlines and the leases'.
+//!    with `recover`, every session whose lease is live is *leased* for
+//!    `lease_timeout` (rule 1) — as is every pin owner a journal
+//!    written by an earlier build still names. While any lease is out,
+//!    no step resident at the recovery is evicted — the storage area
+//!    overflows instead, for at most `lease_timeout` (rule 2). A
+//!    reassert under a live lease pins each claimed key that is still
+//!    resident for the new session (rule 3), so every pin the session
+//!    held comes back with no re-acquire and no gap in which it could
+//!    have been evicted. The lease ends in a `ClientGone` through the
+//!    core's one departure path: after a timely reassert, at a late one
+//!    (every key `gone`), or at the deadline itself; the last to end
+//!    lifts the hold. The reaper's one deadline source is the core's
+//!    `next_due` — the DV's supervision deadlines and the leases'.
 //! 2. **The DV lock.** Each context's [`DataVirtualizer`] — its cache
 //!    directory, waiter/launch/prefetch state and the request
 //!    bookkeeping its notifications resolve through — sits behind one
@@ -226,10 +211,10 @@
 //! as informational); replacement-policy recency for fast-path hits is
 //! approximate — a fast hit sets a CLOCK-style reference bit instead
 //! of reordering the policy's lists, so a hot key survives an eviction
-//! decision rather than never being considered; and the fast-pin WAL
-//! window (1b above) is widened by effect-queue latency — a crash can
-//! lose the records of fast pins still queued for their group fsync,
-//! which the crash rule's reassert restores like a slot pin.
+//! decision rather than never being considered; and on a durable
+//! context every greeting waits for its lease's group fsync in the
+//! effect tier, so a hello costs one fsync while the session's pins
+//! and releases cost none.
 //!
 //! This remains the classic coordination-daemon shape — the data path
 //! (bulk file I/O) never goes through the daemon, only control messages
@@ -282,23 +267,23 @@ pub mod env_keys {
 }
 
 /// Crash-safety configuration of one context (tier 1b of the lock
-/// hierarchy). Off by default: the WAL costs an fsync per slow pin,
-/// release, departure and mapped session's hello (a mapped session's
-/// resident hits write nothing), which non-durable deployments
-/// (benchmarks, ephemeral experiments) should not pay.
+/// hierarchy). Off by default: the WAL costs an fsync per analysis
+/// session's hello and departure (no pin or release writes a record),
+/// which non-durable deployments (benchmarks, ephemeral experiments)
+/// should not pay.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityCfg {
-    /// Keep a write-ahead pin/lease log in the storage area.
+    /// Keep a write-ahead session/lease log in the storage area.
     pub wal: bool,
-    /// On startup, replay the WAL and restore the pins of the previous
-    /// instance under a new recovery epoch (the `--recover` flag).
-    /// Restored pins are held on behalf of their original clients until
-    /// those clients reconnect and re-assert them, or until
-    /// `lease_timeout` expires them.
+    /// On startup, replay the WAL and lease the previous instance's
+    /// live sessions under a new recovery epoch (the `--recover` flag):
+    /// the steps resident at the restart are held until those sessions
+    /// reconnect and re-assert their pins, or until `lease_timeout`
+    /// expires their leases.
     pub recover: bool,
-    /// How long recovered pins wait for their client's re-assertion
-    /// before a synthetic `ClientGone` releases them — the backstop
-    /// that keeps a crash from leaking residency vetoes forever.
+    /// How long a recovery lease waits for its client's re-assertion
+    /// before a synthetic `ClientGone` ends it — the backstop that
+    /// keeps a crash from holding residency forever.
     pub lease_timeout: Duration,
 }
 
@@ -353,7 +338,7 @@ pub struct ServerConfig {
     /// (`Failed`) — DVLib's [`crate::client::DvCluster`] routes them to
     /// the right daemon in the first place.
     pub cluster: ClusterMember,
-    /// Crash safety: write-ahead pin/lease logging and restart
+    /// Crash safety: write-ahead session/lease logging and restart
     /// recovery. [`DurabilityCfg::default`] turns both off.
     pub durability: DurabilityCfg,
 }
@@ -430,11 +415,9 @@ struct Effects {
     sims_retired: bool,
     /// Reusable per-destination write batches.
     batches: Vec<(ClientId, FrameBatch)>,
-    /// Durable contexts only: explicit WAL records this transition must
-    /// append (fast-pin windows, reassert restorations, client
-    /// departures, mapped sessions' leases) — appended and fsynced by
-    /// the same group-fsync pass that logs the outbox's `Ready` pins,
-    /// before any frame is sent.
+    /// Durable contexts only: WAL records this transition must append
+    /// (sessions' leases, departures) — appended and fsynced by the
+    /// effect tier's group-fsync pass before any frame is sent.
     wal_records: Vec<WalRecord>,
     /// Descriptors that ride the first frame batch to a client: a
     /// mapped session's table and session mapping, with its greeting.
@@ -456,15 +439,18 @@ struct DaemonWal {
 }
 
 impl DaemonWal {
-    /// Applies to the mirror and buffers for the file (no syscalls).
-    fn append(&mut self, r: WalRecord) {
-        self.state.apply(&r);
-        self.log.append(&r);
+    /// Drains `records` into the mirror and the file's buffer (no
+    /// syscalls).
+    fn append_all(&mut self, records: &mut Vec<WalRecord>) {
+        for r in records.drain(..) {
+            self.state.apply(&r);
+            self.log.append(&r);
+        }
     }
 
     /// Batched durability point: fsync what is buffered, then compact
     /// once the file outgrows the threshold (the snapshot is bounded by
-    /// live pins + leases, so a steady daemon's log stays small).
+    /// the live leases, so a steady daemon's log stays small).
     fn sync_and_compact(&mut self, epoch: u64) {
         let _ = self.log.sync();
         if self.log.file_bytes() > walog::COMPACT_THRESHOLD {
@@ -496,11 +482,6 @@ struct ConnLocal {
     /// forward their full pre-routing stream as `AccessDigest` frames
     /// instead — recording both would feed every access twice.
     observe_local: bool,
-    /// Durable contexts only: fast-path pin/release records buffered
-    /// for the WAL. Netted ([`walog::net_pin_window`]) and appended
-    /// when the frame handler returns — a hit-path acquire→release
-    /// round trip inside one window writes nothing.
-    wal_pending: Vec<WalRecord>,
     /// A same-host session of a solo context: its shared mapping — pin
     /// slots the context's index scans, and the access ring its hits
     /// append to (layers 1 and 1a).
@@ -515,7 +496,6 @@ impl ConnLocal {
             log: AccessLog::new(ACCESS_LOG_CAPACITY),
             drain_scratch: Vec::new(),
             observe_local: true,
-            wal_pending: Vec::new(),
             mapped: None,
         }
     }
@@ -544,10 +524,8 @@ struct EffectJob {
 
 enum EffectWork {
     /// A collected `Effects` value whose execution needs blocking
-    /// operations (WAL fsync, launcher, eviction deletes). `wal_logged`
-    /// is set by the batch executor once the group-fsync pass has
-    /// appended the outbox's pin records.
-    Commit { fx: Box<Effects>, wal_logged: bool },
+    /// operations (WAL fsync, launcher, eviction deletes).
+    Commit { fx: Box<Effects> },
     /// A simulator protocol event: output verification (storage read)
     /// plus the resulting transition and commit run on the helper.
     SimEvent { sim: SimId, event: SimWireEvent },
@@ -604,8 +582,8 @@ struct CtxRuntime {
     storage: StorageArea,
     launcher: Arc<dyn JobLauncher>,
     checksums: HashMap<u64, u64>,
-    /// Tier 1b: the write-ahead pin/lease log (`None` for non-durable
-    /// contexts — the hot path pays one `Option` check). Lock order:
+    /// Tier 1b: the write-ahead session/lease log (`None` for
+    /// non-durable contexts). Lock order:
     /// DV lock → WAL lock; never held across I/O other than
     /// the log's own writes.
     wal: Option<Mutex<DaemonWal>>,
@@ -929,10 +907,10 @@ impl CtxRuntime {
     /// queue would never drain it), so their commits run in place.
     fn commit(&self, inner: &Inner, fx: &mut Effects) {
         if crate::reactor::current_shard().is_none() {
-            self.commit_inline(inner, fx, false);
+            self.commit_inline(inner, fx);
         } else if self.commit_needs_helper(fx) {
             let fx = Box::new(std::mem::take(fx));
-            self.offload(inner, EffectWork::Commit { fx, wal_logged: false });
+            self.offload(inner, EffectWork::Commit { fx });
         } else {
             self.flush_outbox(fx);
         }
@@ -965,34 +943,24 @@ impl CtxRuntime {
 
     /// Does executing `fx` involve a blocking operation (and so belong
     /// on a helper thread)? Job control means launcher I/O, evicts mean
-    /// storage deletes, and on a durable context `Ready` responses and
-    /// explicit records mean a WAL append + fsync.
+    /// storage deletes, and journal records (a durable context's leases
+    /// and departures) mean a WAL append + fsync.
     fn commit_needs_helper(&self, fx: &Effects) -> bool {
-        fx.has_job_control()
-            || !fx.evicts.is_empty()
-            || !fx.wal_records.is_empty()
-            || (self.wal.is_some()
-                && fx
-                    .outbox
-                    .iter()
-                    .any(|(_, r)| matches!(r, Response::Ready { .. })))
+        fx.has_job_control() || !fx.evicts.is_empty() || !fx.wal_records.is_empty()
     }
 
     /// The commit loop itself: socket writes, job control, evictions.
     /// Launch failures feed back as `SimFailed` events until
     /// quiescence. Never holds the DV lock while doing I/O; runs on
-    /// blocking-permitted threads only. `wal_logged` skips the first
-    /// iteration's WAL pass when the batch executor already
-    /// group-fsynced this commit's pin records.
-    fn commit_inline(&self, inner: &Inner, fx: &mut Effects, mut wal_logged: bool) {
+    /// blocking-permitted threads only. Records the batch executor
+    /// already group-fsynced are gone from `fx.wal_records`, so its
+    /// WAL pass finds nothing to do.
+    fn commit_inline(&self, inner: &Inner, fx: &mut Effects) {
         let mut failed: Vec<SimId> = Vec::new();
         let mut sims_retired = false;
         loop {
             sims_retired |= !fx.kills.is_empty() || std::mem::take(&mut fx.sims_retired);
-            if !wal_logged {
-                self.wal_log_outbox(fx);
-            }
-            wal_logged = false;
+            self.wal_log_records(fx);
             self.flush_outbox(fx);
             self.apply_job_control(inner, fx, &mut failed);
             if !fx.evicts.is_empty() {
@@ -1059,71 +1027,23 @@ impl CtxRuntime {
         self.commit(inner, fx);
     }
 
-    /// Appends `fx`'s durable records to an already-locked WAL without
-    /// syncing: the explicit `wal_records` first, then a pin record for
-    /// every `Ready` the outbox carries. Returns whether anything was
-    /// appended — the caller owns the durability point, which is what
-    /// lets the effect tier's batch executor fold the appends of a
-    /// whole batch into one group fsync.
-    fn wal_append_outbox(&self, w: &mut DaemonWal, fx: &mut Effects) -> bool {
-        let mut any = false;
-        for r in fx.wal_records.drain(..) {
-            w.append(r);
-            any = true;
-        }
-        for (client, resp) in &fx.outbox {
-            if let Response::Ready { key, .. } = resp {
-                // Deferred Readys (production completions) carry no
-                // request context; the journal tag needs none.
-                w.append(member::pin_record(self.cluster, &self.steps, *client, *key, self.epoch));
-                any = true;
-            }
-        }
-        any
-    }
-
-    /// Write-ahead ordering (tier 1b): every slow-path pin a transition
-    /// granted shows up in the outbox as a `Ready` response; append and
-    /// fsync those pin records (plus any explicit `wal_records`)
-    /// *before* [`flush_outbox`](Self::flush_outbox) puts the frames on
-    /// the wire, so a granted pin the client saw is always in the log.
-    /// No-op without durability.
-    fn wal_log_outbox(&self, fx: &mut Effects) {
+    /// Write-ahead ordering (tier 1b): append and fsync the records a
+    /// transition collected (leases, departures) *before*
+    /// [`flush_outbox`](Self::flush_outbox) puts its frames on the
+    /// wire, so a greeting the client saw always has its lease in the
+    /// log. No-op without durability.
+    fn wal_log_records(&self, fx: &mut Effects) {
         let Some(wal) = &self.wal else {
             fx.wal_records.clear();
             return;
         };
-        if fx.outbox.is_empty() && fx.wal_records.is_empty() {
+        if fx.wal_records.is_empty() {
             return;
         }
         let _rank = lockrank::held(lockrank::WAL);
         let mut w = wal.lock();
-        if self.wal_append_outbox(&mut w, fx) {
-            w.sync_and_compact(self.epoch);
-        }
-    }
-
-    /// Drains a connection's buffered fast-path pin window into the
-    /// WAL: net out acquire/release pairs that cancelled within the
-    /// window, then hand the survivors to `commit` as explicit
-    /// `wal_records` — appended and fsynced by the effect tier's
-    /// group-fsync pass. Called when the frame handler returns — after
-    /// the replies, so a crash can lose a fast pin's record (the crash
-    /// rule's reassert restores it while it is resident) but the log
-    /// never claims a pin the client does not hold longer than one
-    /// window. The effect tier stretches "one window" by its queue
-    /// latency, which the same reassert covers.
-    /// No-op without durability.
-    fn wal_drain_local(&self, inner: &Inner, local: &mut ConnLocal, fx: &mut Effects) {
-        if self.wal.is_none() || local.wal_pending.is_empty() {
-            return;
-        }
-        walog::net_pin_window(&mut local.wal_pending);
-        if local.wal_pending.is_empty() {
-            return;
-        }
-        fx.wal_records.append(&mut local.wal_pending);
-        self.commit(inner, fx);
+        w.append_all(&mut fx.wal_records);
+        w.sync_and_compact(self.epoch);
     }
 
     /// Counts one executed effect job and its helper-side latency
@@ -1194,7 +1114,7 @@ impl CtxRuntime {
             }
             // A reconnected session re-claiming its prior identity's
             // pins: one DV-lock hold runs the member core's reassert;
-            // the transferred pins and departure ride the commit's WAL
+            // the prior identity's departure rides the commit's WAL
             // pass, fsynced before the `Reasserted` frame is sent.
             Request::Reassert {
                 req_id,
@@ -1301,8 +1221,8 @@ impl CtxRuntime {
                 true
             }
             // Drains this session's takeover pins for a restarted
-            // member: one release per listed key occurrence, journaled
-            // like native releases. The client re-acquires at the
+            // member: one release per listed key occurrence, like
+            // native releases. The client re-acquires at the
             // restarted home member *before* sending this, so the
             // residency veto never lapses across the hand-back;
             // releases of keys the session does not hold are DV no-ops.
@@ -1361,10 +1281,9 @@ impl CtxRuntime {
     /// successor rule: first touch of a foreign interval rebuilds its
     /// residency from the shared storage area (the recovery rescan,
     /// scoped to one interval), and from there its keys serve exactly
-    /// like native ones — re-simulation under *this* member's budget —
-    /// with pins journaled under the takeover tag. Takeover keys skip
-    /// digest observation: this member's prefetch agents must not learn
-    /// trajectories it will hand back.
+    /// like native ones — re-simulation under *this* member's budget.
+    /// Takeover keys skip digest observation: this member's prefetch
+    /// agents must not learn trajectories it will hand back.
     #[allow(clippy::too_many_arguments)]
     fn serve_acquire(
         &self,
@@ -1415,15 +1334,6 @@ impl CtxRuntime {
             // table.
             if self.fast.try_hit_pin(key) {
                 *local.fast_pins.entry(key).or_insert(0) += 1;
-                if self.wal.is_some() {
-                    local.wal_pending.push(member::pin_record(
-                        self.cluster,
-                        &self.steps,
-                        client,
-                        key,
-                        self.epoch,
-                    ));
-                }
                 if digest_on {
                     // Served instantly: the epoch is a true ready point.
                     local.log.push(AccessRecord {
@@ -1512,9 +1422,9 @@ impl CtxRuntime {
         }
     }
 
-    /// Releases one pin of `key` held by this session and journals it:
-    /// fast pins go back with index atomics alone, pins taken through
-    /// the DV (miss productions) release through the DV lock.
+    /// Releases one pin of `key` held by this session: fast pins go
+    /// back with index atomics alone, pins taken through the DV (miss
+    /// productions, reassert restorations) release through the DV lock.
     /// Returns whether a transition was collected (the caller commits).
     fn release_key(
         &self,
@@ -1524,13 +1434,6 @@ impl CtxRuntime {
         local: &mut ConnLocal,
         fx: &mut Effects,
     ) -> bool {
-        if self.wal.is_some() {
-            local.wal_pending.push(WalRecord::PinRelease {
-                client,
-                key,
-                epoch: self.epoch,
-            });
-        }
         if let Some(n) = local.fast_pins.get_mut(&key) {
             *n -= 1;
             if *n == 0 {
@@ -1607,14 +1510,15 @@ impl CtxRuntime {
         );
     }
 
-    /// Greets analysis session `client`. A same-host session of a
-    /// context with a shared table is mapped (layer 1): a fresh session
-    /// mapping whose pin slots are attached to the index *before* the
-    /// client can pin, its lease journaled by the member core (crash
-    /// rule 1, tier 1b), and the greeting sent with both descriptors
-    /// by the commit — after the lease's fsync on a durable context.
-    /// Every other session (TCP, a clustered context, or any failure
-    /// on the way) is greeted plainly and pins through the daemon.
+    /// Greets analysis session `client`. Its lease is journaled by the
+    /// member core (crash rule 1, tier 1b; nothing without a WAL), and
+    /// the commit sends the greeting — after the lease's fsync on a
+    /// durable context. A same-host session of a context with a shared
+    /// table is mapped too (layer 1): a fresh session mapping whose pin
+    /// slots are attached to the index *before* the client can pin, its
+    /// two descriptors riding the greeting. Every other session (TCP, a
+    /// clustered context, or any failure on the way) pins through the
+    /// daemon.
     fn greet(
         &self,
         inner: &Inner,
@@ -1622,19 +1526,21 @@ impl CtxRuntime {
         client: ClientId,
         fx: &mut Effects,
     ) -> Option<SessionMap> {
-        let greeting = Response::HelloOk {
-            client_id: client,
-            epoch: self.epoch,
-        };
-        let Some((session, fds)) = self.map_session(cx) else {
-            direct_frame(cx, &greeting);
-            return None;
-        };
+        let mapped = self.map_session(cx);
         self.with_dv(fx, |core| core.member.lease(client), |_, _| {});
-        fx.outbox.push((client, greeting));
-        fx.fds = Some((client, fds));
+        fx.outbox.push((
+            client,
+            Response::HelloOk {
+                client_id: client,
+                epoch: self.epoch,
+            },
+        ));
+        let session = mapped.map(|(session, fds)| {
+            fx.fds = Some((client, fds));
+            session
+        });
         self.commit(inner, fx);
-        Some(session)
+        session
     }
 
     /// A fresh session mapping with its slots attached, and the two
@@ -1714,11 +1620,8 @@ impl CtxRuntime {
         if let Some(mapped) = local.mapped.take() {
             self.fast.detach(mapped.pins());
         }
-        // Durable departure: one ClientGone voids every logged pin of
-        // this session, so the buffered fast-pin window can simply be
-        // dropped — nothing in it could survive the departure. The
-        // record rides the commit's WAL pass.
-        local.wal_pending.clear();
+        // Durable departure: one ClientGone voids the session's lease.
+        // The record rides the commit's WAL pass.
         let now = inner.now();
         self.with_dv(
             fx,
@@ -1897,14 +1800,14 @@ impl CtxRuntime {
 /// Executes one drained batch of effect jobs on a helper thread
 /// (blocking-permitted). Two phases:
 ///
-/// 1. **Group fsync.** Every WAL append the batch carries — `Ready` pin
-///    records and explicit `wal_records` of `Commit` jobs — is written
-///    first, then each dirty context syncs *once*. Write-ahead ordering
-///    holds batch-wide: no frame of any job goes on the wire before
-///    every pin record of the batch is durable.
+/// 1. **Group fsync.** Every WAL record the batch's `Commit` jobs carry
+///    — sessions' leases and departures — is appended first, then each
+///    dirty context syncs *once*. Write-ahead ordering holds batch-wide:
+///    no frame of any job goes on the wire before every record of the
+///    batch is durable.
 /// 2. **Execution in submission order.** Each job then runs
-///    (`commit_inline`, `apply_sim_event`, `bitrep_response`), with its
-///    WAL pass skipped where phase 1 already covered it. Per-class
+///    (`commit_inline`, `apply_sim_event`, `bitrep_response`); phase 1
+///    left a commit no record to append. Per-class
 ///    latency lands in the owning context's `DaemonCounters`
 ///    (`record_effect`).
 ///
@@ -1915,15 +1818,14 @@ impl CtxRuntime {
 fn execute_effect_batch(mut jobs: Vec<EffectJob>) {
     let mut dirty: Vec<Arc<CtxRuntime>> = Vec::new();
     for EffectJob { ctx, work, .. } in &mut jobs {
-        if let (EffectWork::Commit { fx, wal_logged }, Some(wal)) = (work, &ctx.wal) {
-            if !fx.outbox.is_empty() || !fx.wal_records.is_empty() {
+        if let (EffectWork::Commit { fx }, Some(wal)) = (work, &ctx.wal) {
+            if !fx.wal_records.is_empty() {
                 let _rank = lockrank::held(lockrank::WAL);
-                let mut w = wal.lock();
-                if ctx.wal_append_outbox(&mut w, fx) && !dirty.iter().any(|c| Arc::ptr_eq(c, ctx)) {
+                wal.lock().append_all(&mut fx.wal_records);
+                if !dirty.iter().any(|c| Arc::ptr_eq(c, ctx)) {
                     dirty.push(Arc::clone(ctx));
                 }
             }
-            *wal_logged = true;
         }
     }
     for ctx in &dirty {
@@ -1935,7 +1837,7 @@ fn execute_effect_batch(mut jobs: Vec<EffectJob>) {
     for EffectJob { inner, ctx, work } in jobs {
         let t0 = Instant::now();
         let class = match work {
-            EffectWork::Commit { mut fx, wal_logged } => {
+            EffectWork::Commit { mut fx } => {
                 let class = if fx.has_job_control() {
                     EffectClass::Spawn
                 } else if !fx.evicts.is_empty() {
@@ -1943,7 +1845,7 @@ fn execute_effect_batch(mut jobs: Vec<EffectJob>) {
                 } else {
                     EffectClass::Wal
                 };
-                ctx.commit_inline(&inner, &mut fx, wal_logged);
+                ctx.commit_inline(&inner, &mut fx);
                 class
             }
             EffectWork::SimEvent { sim, event } => {
@@ -2064,8 +1966,8 @@ impl DvServer {
             // on a shared storage area a cluster member primes only the
             // intervals it owns (the rest are another daemon's to budget
             // or evict) — then the journal replays under a fresh epoch
-            // and, with `recover`, the previous instance's resident pins
-            // come back leased to their owners' return.
+            // and, with `recover`, the previous instance's live sessions
+            // are leased and its resident steps held for their return.
             let storage = &config.storage;
             let driver = &config.driver;
             let files = storage.list()?;
@@ -2084,8 +1986,8 @@ impl DvServer {
             );
             let epoch = member.epoch();
             // Client ids must never collide with a recovered instance's
-            // (their pins live on under the old ids until re-asserted or
-            // lease-expired).
+            // (their leases live on under the old ids until re-asserted
+            // or expired).
             next_client_floor = next_client_floor.max(recovered.client_floor);
             let wal_replayed = opened.as_ref().map_or(0, |(_, _, report)| report.records);
             let wal = match (opened, recovered.state) {
@@ -2619,15 +2521,7 @@ impl crate::reactor::Handler for EpollConn {
                     mapped.unpark();
                 }
                 runtime.absorb_ring(&self.inner, *client, local, fx);
-                let keep = runtime.handle_analysis_request(&self.inner, *client, req, local, cx, fx);
-                // Tier 1b: the frame's fast-path pin window becomes
-                // durable once the replies are staged (slow-path pins
-                // were logged before their sends, inside commit) — via
-                // the effect tier's group-fsync pass.
-                if keep {
-                    runtime.wal_drain_local(&self.inner, local, fx);
-                }
-                keep
+                runtime.handle_analysis_request(&self.inner, *client, req, local, cx, fx)
             }
             ConnState::Simulator {
                 runtime,

@@ -4,7 +4,7 @@
 //! One virtual world runs every experiment: a K-member DV cluster — one
 //! member core per member (the daemon's crash protocol around its
 //! [`DataVirtualizer`], `member.rs`) over one shared virtual storage
-//! set, each journaling pins and leases to an in-memory WAL — serving
+//! set, each journaling sessions to an in-memory WAL — serving
 //! one closed-loop analysis. The analysis issues (possibly strided)
 //! accesses with think time `tau_cli`; a miss blocks it until a
 //! re-simulation produces the step. Launch actions become scheduled
@@ -39,14 +39,13 @@
 //! wedges a started sim so only the hang watchdog can reclaim it, and
 //! [`Fault::CorruptOutput`] feeds the integrity gate a bad step.
 //!
-//! A single-member rig is a solo daemon, whose same-host session maps
-//! the hit table: its hello journals a lease, and its hits on resident
-//! steps are slot pins that journal nothing (the session releases a
-//! slot pin first, as DVLib does) — so a crash plan exercises the
-//! member core's crash rule (`member.rs`) on exactly the records the
-//! daemon writes. [`Fault::Flood`] adds the cache pressure a second
-//! session would, and [`FaultReport::held_evictions`] records every
-//! step evicted while the analysis still held it.
+//! Every member journals what a durable daemon does: one `Lease` per
+//! hello and one `ClientGone` per departure, and no pin or release —
+//! so a crash plan exercises the member core's crash rule
+//! (`member.rs`) on exactly the records the daemon writes.
+//! [`Fault::Flood`] adds the cache pressure a second session would, and
+//! [`FaultReport::held_evictions`] records every step evicted while the
+//! analysis still held it.
 //!
 //! A clustered member records the accesses routed to it; the digests a
 //! clustered DVLib session forwards to every member are not modelled.
@@ -180,11 +179,11 @@ pub enum Fault {
         /// Virtual time of the crash.
         at: Dur,
     },
-    /// Restart a crashed member at `at`. With `recover`, it replays
-    /// its WAL journal: re-primes owned resident steps, restores
-    /// pins under the prior client ids, and grants each prior client
-    /// a recovery lease. Without, it comes back empty-handed (pins
-    /// must be re-acquired).
+    /// Restart a crashed member at `at`. It re-primes owned resident
+    /// steps; with `recover` it also replays its WAL journal, grants
+    /// each prior session a recovery lease and holds the resident steps
+    /// until the leases settle. Without, it comes back empty-handed
+    /// (pins must be re-acquired).
     RestartMember {
         /// Member index.
         member: usize,
@@ -248,10 +247,11 @@ pub enum Fault {
         /// Virtual time the fault arms.
         at: Dur,
     },
-    /// Another session — remote, so it never maps — acquires `keys`
-    /// steps from `first` on at live member `member` at `at` and
-    /// releases each the moment it is granted: re-simulations whose
-    /// productions press on the cache while the analysis may be away.
+    /// Another session acquires `keys` steps from `first` on at live
+    /// member `member` at `at` and releases each the moment it is
+    /// granted: re-simulations whose productions press on the cache
+    /// while the analysis may be away. Its hello is not modelled, so it
+    /// journals no lease.
     Flood {
         /// Member index.
         member: usize,
@@ -286,10 +286,8 @@ pub struct FaultReport {
     pub completion: Dur,
     /// Client re-handshakes across all members.
     pub reconnects: u64,
-    /// Pins transferred to the reconnecting client via re-assertion.
+    /// Pins restored to the reconnecting client via re-assertion.
     pub pins_reasserted: u64,
-    /// Pins restored from WAL journals across all member recoveries.
-    pub pins_recovered: u64,
     /// WAL records replayed across all member recoveries.
     pub wal_replayed: u64,
     /// Recovery leases that expired before their client re-asserted.
@@ -306,7 +304,7 @@ pub struct FaultReport {
     /// per revival — a full crash/hand-back cycle adds two).
     pub takeover_epoch: u64,
     /// Per-member WAL journals at the end of the run, for invariant
-    /// assertions (exactly-once `ClientGone`, no leaked pins).
+    /// assertions (exactly-once `ClientGone`, no leaked lease).
     pub journals: Vec<Vec<WalRecord>>,
     /// Supervision and production counters summed over the members
     /// still alive at the end of the run (a crashed member's counters
@@ -365,8 +363,8 @@ struct VMember {
     /// recovery leases and primed takeover intervals. `None` while
     /// crashed.
     core: Option<MemberCore>,
-    /// Durable pin/lease journal — the in-memory stand-in for the
-    /// real daemon's WAL file. Survives crashes.
+    /// Durable session journal — the in-memory stand-in for the real
+    /// daemon's WAL file. Survives crashes.
     journal: Vec<WalRecord>,
     /// Restart generation: stale scheduled events (sims launched by a
     /// previous incarnation) check this and die.
@@ -378,9 +376,6 @@ struct VMember {
     connected_epoch: u64,
     /// key → pin count the session holds on this member (client view).
     held: HashMap<u64, u32>,
-    /// Of `held`: the pins taken through the session's slots (a solo
-    /// member's resident hits), which no journal record covers.
-    slots: HashMap<u64, u32>,
     /// The session must re-handshake before the next request.
     needs_reconnect: bool,
     /// Unreachable until this time ([`Fault::DelayMember`]).
@@ -487,7 +482,6 @@ impl FaultedClusterExperiment {
                 client: ANALYSIS_CLIENT,
                 connected_epoch: 0,
                 held: HashMap::new(),
-                slots: HashMap::new(),
                 needs_reconnect: false,
                 delayed_until: SimTime::ZERO,
                 fail_next: 0,
@@ -638,7 +632,6 @@ impl FaultedClusterExperiment {
             completion: done_at.saturating_since(SimTime::ZERO),
             reconnects: world.reconnects,
             pins_reasserted: world.pins_reasserted,
-            pins_recovered: lifetime.pins_recovered,
             wal_replayed: world.wal_replayed,
             leases_expired: lifetime.leases_expired,
             takeovers: world.takeovers,
@@ -659,18 +652,9 @@ fn reachable(w: &FaultWorld, m: usize, now: SimTime) -> bool {
     w.members[m].core.is_some() && now >= w.members[m].delayed_until
 }
 
-/// Does the analysis's session map member `m`'s hit table? The daemon
-/// maps same-host sessions of a solo context, and only native keys.
-fn maps(w: &FaultWorld, mode: AcquireMode) -> bool {
-    w.cluster_size == 1 && mode == AcquireMode::Native
-}
-
-/// Session `client` says hello to live member `m`: a mapping session's
-/// lease is journaled (crash rule 1).
+/// Session `client` says hello to live member `m`: its lease is
+/// journaled (crash rule 1).
 fn hello(w: &mut FaultWorld, m: usize, client: u64) {
-    if !maps(w, AcquireMode::Native) {
-        return;
-    }
     let member = &mut w.members[m];
     let core = member.core.as_mut().expect("greeting member has a core");
     core.lease(client);
@@ -692,18 +676,9 @@ fn flood(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, keys: std::o
     }
 }
 
-/// A flood session was granted `key`: its pin and release are
-/// journaled as a remote session's are, and the DV releases.
+/// A flood session was granted `key`: it releases at once.
 fn flood_ready(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, client: u64, key: u64) {
-    let member = &mut w.members[m];
-    let core = member.core.as_mut().expect("granting member has a core");
-    member.journal.push(core.pin_record(client, key));
-    member.journal.push(WalRecord::PinRelease {
-        client,
-        key,
-        epoch: core.epoch(),
-    });
-    let actions = core.dv.handle(en.now(), DvEvent::Release { client, key });
+    let actions = dv_of(w, m).handle(en.now(), DvEvent::Release { client, key });
     apply_member_actions(en, w, m, actions);
 }
 
@@ -737,9 +712,9 @@ fn crash_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
 
 /// Restart after a crash: the member core re-primes owned resident
 /// steps from the shared storage, then (with `recover`) replays the
-/// journal — restores pins under prior client ids, grants recovery
-/// leases — and the journal is compacted to the recovered state. A
-/// lease deadline arms the member's next tick.
+/// journal — grants recovery leases and holds the resident steps —
+/// and the journal is compacted to the recovered state. A lease
+/// deadline arms the member's next tick.
 fn restart_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, recover: bool) {
     assert!(w.members[m].core.is_none(), "restarting a live member");
     boot_member(w, m, recover, en.now());
@@ -799,7 +774,7 @@ fn drop_connection(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
 
 /// Re-handshake with member `m` if the previous connection died, and
 /// re-assert every held pin through the member core: a restarted
-/// member transfers what recovery restored under a live lease, a
+/// member re-pins each key still resident under a live lease, a
 /// same-epoch one (the hangup already released everything) returns it
 /// all as gone.
 fn ensure_session(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
@@ -816,9 +791,6 @@ fn ensure_session(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
         .into_iter()
         .flat_map(|(key, count)| std::iter::repeat_n(key, count as usize))
         .collect();
-    // The old session's slots died with it; whatever they held is
-    // re-asserted below like any other pin.
-    member.slots.clear();
     hello(w, m, new_client);
     let member = &mut w.members[m];
     let core = member.core.as_mut().expect("reachable member has a core");
@@ -887,8 +859,6 @@ fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
     ensure_session(en, w, m);
     w.cursor += 1;
     let client = w.members[m].client;
-    // A mapping session pins a resident step through its slot.
-    let slot = maps(w, mode) && dv_of(w, m).is_cached(key);
     let outcome = acquire_at(en, w, m, key, mode);
     // A served native access is observed, as the daemon records it.
     if let (Ok(ready), AcquireMode::Native) = (outcome, mode) {
@@ -900,7 +870,7 @@ fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
             w.failed_codes.push(code);
             en.schedule_in(Dur::ZERO, issue_next);
         }
-        Ok(true) => grant(en, w, m, key, slot),
+        Ok(true) => grant(en, w, m, key),
         Ok(false) => w.waiting_for = Some((m, client, key)),
     }
 }
@@ -994,27 +964,18 @@ fn acquire_at(
     failed.map_or(Ok(ready), Err)
 }
 
-/// The analysis' access was granted (through a slot, with `slot`):
-/// pin, consume, move on.
-fn grant(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64, slot: bool) {
-    pinned(w, m, key, slot);
+/// The analysis' access was granted: pin, consume, move on.
+fn grant(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
+    pinned(w, m, key);
     w.served.push(key);
     w.release_queue.push_back(key);
     en.schedule_in(w.exp.tau_cli, issue_next);
 }
 
-/// Member `t` granted the session one pin on `key`: journal it under
-/// the member core's tag rule (takeover-tagged when `t` does not own
-/// the key) unless it is a `slot` pin, track it, and tell the route.
-fn pinned(w: &mut FaultWorld, t: usize, key: u64, slot: bool) {
-    let member = &mut w.members[t];
-    let core = member.core.as_ref().expect("granting member has a core");
-    if slot {
-        *member.slots.entry(key).or_insert(0) += 1;
-    } else {
-        member.journal.push(core.pin_record(member.client, key));
-    }
-    *member.held.entry(key).or_insert(0) += 1;
+/// Member `t` granted the session one pin on `key`: track it (no
+/// journal record) and tell the route.
+fn pinned(w: &mut FaultWorld, t: usize, key: u64) {
+    *w.members[t].held.entry(key).or_insert(0) += 1;
     w.route.granted(key, t);
 }
 
@@ -1032,7 +993,7 @@ fn fail_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
             };
             ensure_session(en, w, t);
             if acquire_at(en, w, t, key, mode) == Ok(true) {
-                pinned(w, t, key, false);
+                pinned(w, t, key);
             }
         }
     }
@@ -1090,7 +1051,7 @@ fn hand_back(
         if acquire_at(en, w, m, key, AcquireMode::Native) != Ok(true) {
             return;
         }
-        pinned(w, m, key, false);
+        pinned(w, m, key);
     }
     if !reachable(w, taker, en.now()) {
         return;
@@ -1106,27 +1067,11 @@ fn hand_back(
     w.route.handed_back(key, taker);
 }
 
-/// Releases one session pin on `key` at reachable member `m` — a slot
-/// pin first, as DVLib does, which journals nothing; any other is
-/// journaled.
+/// Releases one session pin on `key` at reachable member `m` (no
+/// journal record).
 fn release_at(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
-    let member = &mut w.members[m];
-    let core = member.core.as_mut().expect("reachable member has a core");
-    let client = member.client;
-    match member.slots.get_mut(&key) {
-        Some(n) => {
-            *n -= 1;
-            if *n == 0 {
-                member.slots.remove(&key);
-            }
-        }
-        None => member.journal.push(WalRecord::PinRelease {
-            client,
-            key,
-            epoch: core.epoch(),
-        }),
-    }
-    let actions = core.dv.handle(en.now(), DvEvent::Release { client, key });
+    let client = w.members[m].client;
+    let actions = dv_of(w, m).handle(en.now(), DvEvent::Release { client, key });
     apply_member_actions(en, w, m, actions);
 }
 
@@ -1253,7 +1198,7 @@ fn deliver_ready(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, clie
         return;
     }
     w.waiting_for = None;
-    grant(en, w, m, key, false);
+    grant(en, w, m, key);
 }
 
 /// The sim's production stream ends: its nodes go back to the cluster.
@@ -1604,7 +1549,6 @@ mod tests {
         assert_eq!(rep.served, accesses);
         assert!(rep.failed.is_empty());
         assert_eq!(rep.reconnects, 0);
-        assert_eq!(rep.pins_recovered, 0);
         assert_eq!(rep.leases_expired, 0);
     }
 
@@ -1612,9 +1556,10 @@ mod tests {
     fn kill9_then_recover_matches_faultless_run() {
         // The analysis consumes interval 1 (keys 5-8, all member 1,
         // all pinned: window 4), then blocks on 17 (member 1 again).
-        // Member 1 dies mid-wait, restarts with recovery: the WAL
-        // restores the 4 pins, the client reconnects and re-asserts
-        // them, and the run ends exactly where the faultless run does.
+        // Member 1 dies mid-wait, restarts with recovery: the session's
+        // lease holds interval 1 resident, the client reconnects and
+        // re-asserts the 4 pins, and the run ends exactly where the
+        // faultless run does.
         let exp = faulted();
         let accesses = [5, 6, 7, 8, 17];
         let clean = exp.run(&accesses, TAU_CLI, &FaultPlan::default());
@@ -1628,7 +1573,8 @@ mod tests {
         assert_eq!(rep.served, clean.served, "recovery changed the answer");
         assert!(rep.failed.is_empty());
         assert_eq!(rep.reconnects, 1);
-        assert_eq!(rep.pins_recovered, 4, "window pins restored from the WAL");
+        assert_eq!(rep.stats.recovery_held_steps, 4, "interval 1 held for the reassert");
+        assert!(rep.held_evictions.is_empty(), "{:?}", rep.held_evictions);
         assert_eq!(rep.pins_reasserted, 4, "client re-claimed every pin");
         assert!(rep.wal_replayed > 0);
         assert_eq!(rep.leases_expired, 0, "re-assertion beat the lease");
@@ -1666,7 +1612,6 @@ mod tests {
         assert_eq!(rep.served, clean.served);
         assert!(rep.failed.is_empty());
         assert_eq!(rep.reconnects, 1);
-        assert_eq!(rep.pins_recovered, 0, "no WAL replay without --recover");
         assert_eq!(rep.pins_reasserted, 0, "nothing restored, nothing to claim");
     }
 
@@ -1683,7 +1628,6 @@ mod tests {
         assert!(rep.failed.is_empty());
         assert_eq!(rep.reconnects, 1);
         // Same instance, same epoch: nothing was recovered or leased.
-        assert_eq!(rep.pins_recovered, 0);
         assert_eq!(rep.pins_reasserted, 0);
         assert_eq!(rep.leases_expired, 0);
     }
@@ -1717,8 +1661,8 @@ mod tests {
         // The analysis pins interval 1 (member 1), then spends the rest
         // of the run on members 0 and 2. Member 1 crashes and recovers,
         // but its client never comes back: the recovery lease must
-        // expire and the restored pins must be released — without
-        // disturbing the analysis.
+        // expire and the hold it kept must lift — without disturbing
+        // the analysis.
         let mut exp = faulted();
         exp.lease_timeout = Dur::from_secs(5);
         let mut accesses = vec![5u64, 6, 7, 8];
@@ -1734,9 +1678,14 @@ mod tests {
         assert_eq!(rep.served, clean.served);
         assert!(rep.failed.is_empty());
         assert_eq!(rep.reconnects, 0, "the client never returned to member 1");
-        assert_eq!(rep.pins_recovered, 4);
+        assert_eq!(rep.stats.recovery_held_steps, 4, "interval 1 held for the lease");
         assert_eq!(rep.pins_reasserted, 0);
         assert_eq!(rep.leases_expired, 1, "the unclaimed lease must expire");
+        assert!(
+            WalState::replay(&rep.journals[1]).live_clients().is_empty(),
+            "the lapsed lease is journaled gone: {:?}",
+            rep.journals[1]
+        );
     }
 
     // -- interval failover ----------------------------------------------
@@ -1766,10 +1715,12 @@ mod tests {
         assert!(rep.takeovers >= 5, "takeovers: {}", rep.takeovers);
         assert!(rep.takeover_intervals_primed >= 1);
         assert!(
-            rep.journals[2]
+            rep.journals
                 .iter()
-                .any(|r| matches!(r, WalRecord::TakeoverPin { .. })),
-            "the taker must journal takeover pins"
+                .flatten()
+                .all(|r| matches!(r, WalRecord::Epoch { .. } | WalRecord::Lease { .. } | WalRecord::ClientGone { .. })),
+            "no pin is journaled: {:?}",
+            rep.journals
         );
         assert!(rep.pins_handed_back > 0, "hand-back must run: {rep:?}");
         // One down-detection plus one revival.
@@ -1814,13 +1765,13 @@ mod tests {
         let rep = exp.run(&accesses, TAU_CLI, &plan);
         assert_eq!(rep.served, accesses.to_vec());
         assert!(rep.failed.is_empty());
+        // Member 2 took five keys over (four re-homed pins and 17);
+        // member 0 re-took the four chained pins.
+        assert!(rep.takeovers >= 9, "takeovers: {}", rep.takeovers);
         assert!(
-            rep.journals[0]
-                .iter()
-                .filter(|r| matches!(r, WalRecord::TakeoverPin { .. }))
-                .count()
-                >= 4,
-            "the second taker must hold the chained takeover pins"
+            rep.stats.takeover_intervals_primed >= 2,
+            "the second taker serves both dead members' intervals: {:?}",
+            rep.stats
         );
         assert_eq!(rep.takeover_epoch, 2, "two down-detections, no revival");
     }
@@ -1840,8 +1791,8 @@ mod tests {
             exp.failover = true;
             exp.lease_timeout = Dur::from_secs(lease_s);
             // The analysis finishes degraded (all of member 1's keys on
-            // the taker) before member 1 restarts, so the restored pins'
-            // lease is never claimed.
+            // the taker) before member 1 restarts, so the recovery lease
+            // is never claimed.
             let accesses = [5u64, 6, 7, 8, 17];
             let plan = FaultPlan {
                 faults: vec![
@@ -1857,11 +1808,7 @@ mod tests {
             proptest::prop_assert!(rep.failed.is_empty());
             proptest::prop_assert_eq!(rep.pins_handed_back, 0);
             proptest::prop_assert!(
-                rep.journals[2]
-                    .iter()
-                    .filter(|r| matches!(r, WalRecord::TakeoverPin { .. }))
-                    .count()
-                    >= 4,
+                rep.takeovers >= 5,
                 "the taker still parks the dead member's pins"
             );
             proptest::prop_assert_eq!(rep.leases_expired, 1);
@@ -1874,16 +1821,16 @@ mod tests {
                 "ClientGone must run exactly once"
             );
             proptest::prop_assert!(
-                WalState::replay(&rep.journals[1]).pins.is_empty(),
-                "no pin may outlive the expired lease"
+                WalState::replay(&rep.journals[1]).live_clients().is_empty(),
+                "no lease may outlive its expiry"
             );
         }
     }
 
-    // -- the crash rule on a mapped session -----------------------------
+    // -- the crash rule ---------------------------------------------------
 
-    /// A solo member — its session maps the hit table — over a 6-step
-    /// cache, with a slow analysis (see `SLOW_CLI`).
+    /// A solo member over a 6-step cache, with a slow analysis (see
+    /// `SLOW_CLI`).
     fn solo_mapped() -> FaultedClusterExperiment {
         let steps = StepMath::new(1, 4, 10_000);
         let cfg = ContextCfg::new("vm", steps, 1, 6)
@@ -1905,11 +1852,11 @@ mod tests {
 
     /// Think time long enough that interval 0 is resident by the
     /// second access: key 1 misses (granted at 3 s) and 2, 3, 4 are
-    /// slot pins (8, 13, 18 s). Key 9 then misses at 23 s.
+    /// hits (8, 13, 18 s). Key 9 then misses at 23 s.
     const SLOW_CLI: Dur = Dur::from_secs(5);
 
     /// Member 0 dies at 24 s while the analysis waits on 9 holding
-    /// 1 (journaled) and 2-4 (slots only), restarts at 25 s, and a
+    /// 1-4 (none journaled), restarts at 25 s, and a
     /// remote session floods it with four cold intervals at 26 s while
     /// the analysis is cut off until 35 s.
     fn crash_under_flood(recover: bool) -> FaultPlan {
@@ -1940,29 +1887,42 @@ mod tests {
     }
 
     #[test]
-    fn mapped_hits_journal_nothing_but_the_session_lease() {
+    fn sessions_journal_a_lease_per_hello_a_client_gone_per_departure_and_no_pin() {
+        // Solo: two misses (1, 9) and three hits, all held and released.
         let rep = solo_mapped().run(&[1, 2, 3, 4, 9], SLOW_CLI, &FaultPlan::default());
         assert_eq!(rep.served, vec![1, 2, 3, 4, 9]);
-        let journal = &rep.journals[0];
-        let acquires = |client: u64| {
-            journal
-                .iter()
-                .filter(|r| matches!(r, WalRecord::PinAcquire { client: c, .. } if *c == client))
-                .count()
+        let lease = |client, epoch| WalRecord::Lease { client, epoch };
+        let boot = WalRecord::Epoch { epoch: 1 };
+        assert_eq!(rep.journals[0], vec![boot, lease(ANALYSIS_CLIENT, 1)]);
+        // K = 3: misses and hits on every member, and one departure —
+        // member 0 drops the connection — followed by a second hello.
+        let exp = faulted();
+        let accesses: Vec<u64> = (1..=24).chain(1..=12).collect();
+        let plan = FaultPlan {
+            faults: vec![Fault::DropConnection {
+                member: 0,
+                at: Dur::from_millis(5_700),
+            }],
         };
+        let rep = exp.run(&accesses, TAU_CLI, &plan);
+        assert_eq!(rep.served, accesses);
+        assert_eq!(rep.reconnects, 1);
+        assert!(rep.stats.hits >= 12 && rep.stats.misses > 0, "{:?}", rep.stats);
         assert_eq!(
-            acquires(ANALYSIS_CLIENT),
-            2,
-            "the misses on 1 and 9 only: {journal:?}"
+            rep.journals[0],
+            vec![
+                boot,
+                lease(ANALYSIS_CLIENT, 1),
+                WalRecord::ClientGone {
+                    client: ANALYSIS_CLIENT,
+                    epoch: 1
+                },
+                lease(ANALYSIS_CLIENT + 1, 1),
+            ]
         );
-        assert_eq!(
-            journal
-                .iter()
-                .filter(|r| matches!(r, WalRecord::Lease { .. }))
-                .count(),
-            1,
-            "one lease, at hello"
-        );
+        for m in [1, 2] {
+            assert_eq!(rep.journals[m], vec![boot, lease(ANALYSIS_CLIENT, 1)], "member {m}");
+        }
     }
 
     #[test]
@@ -1977,8 +1937,7 @@ mod tests {
             "held keys evicted at {:?}",
             rep.held_evictions
         );
-        assert_eq!(rep.pins_recovered, 1, "only the miss on 1 was journaled");
-        assert_eq!(rep.pins_reasserted, 4, "the slot pins came back resident");
+        assert_eq!(rep.pins_reasserted, 4, "the held pins came back resident");
         assert_eq!(rep.leases_expired, 0);
         assert_eq!(rep.stats.recovery_held_steps, 4);
         assert!(

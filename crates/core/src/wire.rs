@@ -403,11 +403,11 @@ frames! {
         /// Analysis: re-assert pins held before a connection drop. Sent
         /// right after a reconnect hello: `prior_client`/`prior_epoch`
         /// name the dead session, `keys` list its held pins (repeated per
-        /// pin count). The daemon transfers whatever restart recovery
-        /// restored under the prior id to this session and answers
-        /// per-key in [`Response::Reasserted`]; anything it no longer
-        /// holds comes back `gone` with a reason, so the client can
-        /// re-acquire instead of trusting a phantom pin.
+        /// pin count). Under the prior session's live recovery lease the
+        /// daemon pins every key still resident for this session and
+        /// answers per-key in [`Response::Reasserted`]; anything else
+        /// comes back `gone` with a reason, so the client can re-acquire
+        /// instead of trusting a phantom pin.
         Reassert = REQ_REASSERT @ 10 {
             /// Request id echoed in the response.
             req_id: u64,
@@ -531,7 +531,7 @@ frames! {
             /// The daemon's current recovery epoch.
             epoch: u64,
             /// Keys whose pins now belong to the new session (one entry
-            /// per transferred pin count).
+            /// per restored pin count).
             restored: Vec<u64>,
             /// Keys the daemon no longer holds pinned for the prior
             /// session, each with a descriptive reason.

@@ -825,10 +825,11 @@ fn write_side_disconnect_recovers_on_both_transports() {
 
 /// Daemon-side lease expiry: a durable daemon SIGKILLed while a client
 /// holds a pin, restarted with `--recover`, and the client never comes
-/// back. The restored pin is leased to the prior client; the reaper
-/// must expire that lease on time (no sooner than the timeout, within a
-/// small slack after it), count it once, let the key be evicted again,
-/// and answer a late `Reassert` of the prior identity with `gone`.
+/// back. The prior client is leased and its resident steps held; the
+/// reaper must expire that lease on time (no sooner than the timeout,
+/// within a small slack after it), count it once, let the key be
+/// evicted again, and answer a late `Reassert` of the prior identity
+/// with `gone`.
 #[test]
 fn recovered_lease_expires_on_the_daemon_when_its_client_never_returns() {
     const LEASE: Duration = Duration::from_millis(300);
@@ -838,7 +839,7 @@ fn recovered_lease_expires_on_the_daemon_when_its_client_never_returns() {
     let worker = spawn_worker(&dir, &addr.to_string(), false);
     await_listening(addr);
     // The prior instance: interval 1 (keys 5-8) is produced, 6 stays
-    // pinned (its record is fsynced before the Ready).
+    // pinned (the session's lease was fsynced before its greeting).
     let mut prior = SimfsClient::connect(addr, "test-ctx").unwrap();
     assert_eq!(prior.acquire(&[6]).unwrap().ready, [6]);
     settle(&mut prior);
@@ -854,7 +855,11 @@ fn recovered_lease_expires_on_the_daemon_when_its_client_never_returns() {
     };
     let started = Instant::now();
     let server = start_daemon_sized(&dir, "test-ctx", "127.0.0.1:0", durability, 4).unwrap();
-    assert_eq!(server.stats().pins_recovered, 1, "the pin on 6 came back leased");
+    assert_eq!(
+        server.stats().recovery_held_steps,
+        4,
+        "interval 1, held for the leased client"
+    );
     let deadline = started + LEASE + SLACK;
     while server.stats().leases_expired == 0 {
         assert!(Instant::now() < deadline, "the lease outlived {LEASE:?} + {SLACK:?}");
@@ -1069,8 +1074,8 @@ fn slot_pin_of_a_durable_daemon_survives_kill9_and_a_flood_until_its_reassert() 
     client.set_auto_reconnect(true);
     client.set_op_timeout(Some(Duration::from_secs(10)));
     assert_eq!(client.transport(), Transport::Local);
-    // A miss makes interval 1 resident; its pin on 5, journaled before
-    // its Ready, stays held.
+    // A miss makes interval 1 resident; its pin on 5, granted by the
+    // daemon, stays held.
     assert_eq!(client.acquire(&[5]).unwrap().ready, [5]);
     settle(&mut client);
     let wal_len = std::fs::metadata(wal_path(&dir)).unwrap().len();
@@ -1097,7 +1102,6 @@ fn slot_pin_of_a_durable_daemon_survives_kill9_and_a_flood_until_its_reassert() 
     drop(worker); // kill -9, 6 held through a slot only
     let server = recover_in_process(&dir, &listen, Duration::from_secs(30), 4);
     let stats = server.stats();
-    assert_eq!(stats.pins_recovered, 1, "the journaled pin on 5: {stats:?}");
     assert_eq!(stats.recovery_held_steps, 4, "interval 1: {stats:?}");
 
     // The flood, before the session returns: every round overflows
@@ -1111,8 +1115,8 @@ fn slot_pin_of_a_durable_daemon_survives_kill9_and_a_flood_until_its_reassert() 
         );
     }
 
-    // The session returns at its next open: 5 transfers, 6 is pinned
-    // again because it is resident — neither is re-acquired.
+    // The session returns at its next open: 5 and 6 are pinned again
+    // because they are resident — neither is re-acquired.
     let slow = server.stats().acquired_slow;
     assert_eq!(client.acquire(&[7]).unwrap().ready, [7]);
     assert_eq!(client.reconnects(), 1);
@@ -1159,13 +1163,12 @@ fn recovery_hold_lifts_at_the_lease_deadline_when_a_mapped_session_never_returns
     let worker = spawn_worker(&dir, &listen, false);
     await_listening(addr);
     // The prior session makes interval 1 resident, releases its
-    // journaled pin, and holds 7 through its slot.
+    // daemon-granted pin, and holds 7 through its slot.
     let mut prior = SimfsClient::connect(addr, "test-ctx").unwrap();
     assert_eq!(prior.acquire(&[6]).unwrap().ready, [6]);
     settle(&mut prior);
     prior.release(6).unwrap();
     prior.flush().unwrap();
-    await_record(&dir, |r| matches!(r, WalRecord::PinRelease { key: 6, .. }));
     assert_eq!(prior.acquire(&[7]).unwrap().ready, [7]);
     drop(worker); // kill -9
     drop(prior);
@@ -1173,7 +1176,6 @@ fn recovery_hold_lifts_at_the_lease_deadline_when_a_mapped_session_never_returns
     let started = Instant::now();
     let server = recover_in_process(&dir, &listen, LEASE, 4);
     let stats = server.stats();
-    assert_eq!(stats.pins_recovered, 0, "no pin record survived: {stats:?}");
     assert_eq!(stats.recovery_held_steps, 4, "{stats:?}");
     let mut flood = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
     flood_round(&mut flood, 10);
@@ -1211,11 +1213,11 @@ fn recovery_hold_lifts_at_the_lease_deadline_when_a_mapped_session_never_returns
 }
 
 /// Journal accounting of a durable context's mapped session: its hello
-/// writes one `Lease`; 100 resident open/close pairs write nothing; a
-/// miss writes one `PinAcquire`, durable before its `Ready`; and that
-/// pin's release — still a frame on the Unix arm — one `PinRelease`.
+/// writes one `Lease`, durable before the greeting; a miss, 100
+/// resident open/close pairs and the miss's release write nothing; and
+/// its departure writes one `ClientGone`.
 #[test]
-fn durable_mapped_session_journals_its_lease_and_misses_but_no_hit() {
+fn durable_mapped_session_journals_its_lease_and_departure_and_no_pin() {
     let dir = fresh_dir("journal-accounting");
     let server = start_daemon(
         &dir,
@@ -1235,48 +1237,113 @@ fn durable_mapped_session_journals_its_lease_and_misses_but_no_hit() {
     );
 
     assert_eq!(client.acquire(&[6]).unwrap().ready, [6]);
-    assert_eq!(appends(), 2, "the miss's pin, before its Ready");
-    assert_eq!(
-        wal_records(&dir).last(),
-        Some(&WalRecord::PinAcquire {
-            client: id,
-            key: 6,
-            epoch
-        })
-    );
     settle(&mut client);
-
     for _ in 0..100 {
         assert_eq!(client.acquire(&[5]).unwrap().ready, [5]);
         client.release(5).unwrap();
     }
-    let stats = server.stats();
-    assert_eq!(stats.shared_hits, 100, "{stats:?}");
-    assert_eq!(
-        stats.wal_appends, 2,
-        "a resident open wrote a record: {stats:?}"
-    );
-
+    // The miss's release is a frame; the status round trip behind it
+    // proves the daemon handled it.
     client.release(6).unwrap();
     client.flush().unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while appends() < 3 {
-        assert!(
-            Instant::now() < deadline,
-            "the release frame never reached the journal"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert_eq!(appends(), 3);
-    assert_eq!(
-        wal_records(&dir).last(),
-        Some(&WalRecord::PinRelease {
-            client: id,
-            key: 6,
-            epoch
-        })
-    );
+    settle(&mut client);
+    let stats = server.stats();
+    assert_eq!(stats.shared_hits, 100, "{stats:?}");
+    assert_eq!(stats.misses, 1, "{stats:?}");
+    assert_eq!(stats.wal_appends, 1, "a pin or a release wrote a record: {stats:?}");
+
     client.finalize().unwrap();
+    await_record(&dir, |r| matches!(r, WalRecord::ClientGone { .. }));
+    assert_eq!(appends(), 2);
+    assert_eq!(
+        wal_records(&dir),
+        vec![
+            WalRecord::Epoch { epoch },
+            WalRecord::Lease { client: id, epoch },
+            WalRecord::ClientGone { client: id, epoch },
+        ]
+    );
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The crash rule over TCP, where every pin is the daemon's: a durable
+/// daemon bound to `0.0.0.0` and dialed under `127.0.0.2` serves a
+/// session that holds a slow pin (a miss) and a fast pin (a hit on the
+/// daemon's index). Neither writes a record. The daemon is SIGKILLed
+/// and restarted with `--recover`; another session floods the 4-step
+/// cache before the session returns, and both keys survive. The
+/// session's reassert then restores both pins with no re-acquire.
+#[test]
+fn tcp_fast_and_slow_pins_of_a_durable_daemon_survive_kill9_and_a_flood_until_their_reassert() {
+    let dir = fresh_dir("tcp-pins-kill9");
+    let port = free_port();
+    let listen = format!("0.0.0.0:{port}");
+    let addr: SocketAddr = ([127, 0, 0, 2], port).into();
+    let driver = PatternDriver::new("out-", ".sdf", 6);
+    let on_disk = |key: u64| dir.join(driver.filename_of(key)).exists();
+    let pin_records = || {
+        wal_records(&dir)
+            .into_iter()
+            .filter(|r| {
+                matches!(
+                    r,
+                    WalRecord::PinAcquire { .. }
+                        | WalRecord::PinRelease { .. }
+                        | WalRecord::TakeoverPin { .. }
+                )
+            })
+            .count()
+    };
+    let worker = spawn_worker(&dir, &listen, false);
+    await_listening(addr);
+    let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
+    client.set_auto_reconnect(true);
+    client.set_op_timeout(Some(Duration::from_secs(10)));
+    assert_eq!(client.transport(), Transport::Tcp);
+    // The slow pin: a miss on 5 makes interval 1 resident.
+    assert_eq!(client.acquire(&[5]).unwrap().ready, [5]);
+    settle(&mut client);
+    // The fast pin: 6 is resident, so the daemon pins it on its index.
+    let fast = client.status().unwrap();
+    assert_eq!(client.acquire(&[6]).unwrap().ready, [6]);
+    let after = client.status().unwrap();
+    assert_eq!(after.hits, fast.hits + 1, "6 was a hit");
+    assert_eq!(after.misses, fast.misses, "6 was a hit");
+    assert_eq!(pin_records(), 0, "{:?}", wal_records(&dir));
+
+    drop(worker); // kill -9, 5 and 6 held
+    let server = recover_in_process(&dir, &listen, Duration::from_secs(30), 4);
+    let stats = server.stats();
+    assert_eq!(stats.recovery_held_steps, 4, "interval 1: {stats:?}");
+
+    // The flood, before the session returns.
+    let mut flood = SimfsClient::connect(("127.0.0.1", port), "test-ctx").unwrap();
+    for key in [10, 14, 18, 22] {
+        flood_round(&mut flood, key);
+        assert!(
+            on_disk(5) && on_disk(6),
+            "a held key was evicted before its session returned"
+        );
+    }
+
+    // The session returns at its next open: both pins come back.
+    let slow = server.stats().acquired_slow;
+    assert_eq!(client.acquire(&[7]).unwrap().ready, [7]);
+    assert_eq!(client.reconnects(), 1);
+    assert_eq!(client.transport(), Transport::Tcp);
+    assert_eq!(client.pins_reasserted(), 2, "5 and 6 restored");
+    let stats = server.stats();
+    assert_eq!(
+        stats.acquired_slow, slow,
+        "a reasserted key was re-acquired: {stats:?}"
+    );
+    assert_eq!(stats.leases_expired, 0);
+    assert_eq!(pin_records(), 0, "{:?}", wal_records(&dir));
+
+    client.finalize().unwrap();
+    flood.finalize().unwrap();
     server.shutdown();
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

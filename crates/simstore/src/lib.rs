@@ -26,7 +26,7 @@
 //!   step, reused only while the inode is still linked, within a
 //!   process-wide fd budget) and a read is one `fstat` + `pread` into a
 //!   reused buffer.
-//! * [`walog`] — the write-ahead pin/lease log: fixed-size checksummed
+//! * [`walog`] — the write-ahead session/lease log: fixed-size checksummed
 //!   records, torn-tail-tolerant replay and checkpoint compaction, the
 //!   durability substrate that lets a crashed DV daemon re-establish
 //!   its authority over the storage area on restart.

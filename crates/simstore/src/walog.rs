@@ -1,12 +1,21 @@
-//! Write-ahead pin/lease log: the durability substrate for DV restart
-//! recovery.
+//! Write-ahead session/lease log: the durability substrate for DV
+//! restart recovery.
 //!
-//! The DV's authority over a storage area — which steps are pinned by
-//! whom, which clients hold leases — lives in daemon memory. This
-//! module makes that authority *re-establishable*: the daemon appends a
-//! fixed-size checksummed record for every pin acquire/release, client
-//! lease and recovery epoch, and a restarted daemon replays the log to
-//! restore the pins under a fresh epoch.
+//! The DV's authority over a storage area — which sessions may still
+//! hold pins — lives in daemon memory. This module makes that authority
+//! *re-establishable*: the daemon appends a fixed-size checksummed
+//! record for every recovery epoch, every analysis session's hello (a
+//! [`WalRecord::Lease`]) and every departure ([`WalRecord::ClientGone`]),
+//! and a restarted daemon replays the log to learn which sessions to
+//! wait for under a fresh epoch. Pins themselves are not journaled: a
+//! recovering member holds its resident steps until the leased sessions
+//! re-assert what they held.
+//!
+//! Earlier builds also journaled every pin ([`WalRecord::PinAcquire`],
+//! [`WalRecord::PinRelease`], [`WalRecord::TakeoverPin`]). Those
+//! variants keep their tags and their fold, because a journal such a
+//! build left behind must still decode: an unknown tag reads as a torn
+//! tail, and everything after it would be truncated away.
 //!
 //! Design points:
 //!
@@ -24,8 +33,8 @@
 //!   [`sync`](WriteAheadLog::sync) fsyncs, so the daemon batches
 //!   durability off its hot path (records ride the `Effects` outbox
 //!   and are flushed at the same drain points as access digests).
-//! * **Replay is pure.** [`WalState`] folds records into pin counts and
-//!   leases with no I/O, so the deterministic fault-injection harness
+//! * **Replay is pure.** [`WalState`] folds records into leases (and an
+//!   earlier build's pin counts) with no I/O, so the deterministic fault-injection harness
 //!   journals into in-memory buffers and replays them under virtual
 //!   time exactly as the daemon replays files.
 
@@ -42,12 +51,15 @@ pub const RECORD_LEN: usize = 40;
 /// One durable control-plane fact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A recovery epoch began (appended once per daemon start).
+    /// A recovery epoch began (the first record of every compaction
+    /// snapshot, so one per daemon start).
     Epoch {
         /// The new epoch (strictly increasing across restarts).
         epoch: u64,
     },
-    /// `client` pinned `key` (one count).
+    /// `client` pinned `key` (one count). Written by earlier builds,
+    /// and by [`WalState::snapshot`] for a state that folded such pins;
+    /// the daemon journals no pin.
     PinAcquire {
         /// Pinning client.
         client: u64,
@@ -56,7 +68,8 @@ pub enum WalRecord {
         /// Epoch the pin was taken under.
         epoch: u64,
     },
-    /// `client` released one pin count on `key`.
+    /// `client` released one pin count on `key`. Written only by
+    /// earlier builds.
     PinRelease {
         /// Releasing client.
         client: u64,
@@ -65,14 +78,19 @@ pub enum WalRecord {
         /// Epoch the release happened under.
         epoch: u64,
     },
-    /// `client` holds a lease (registered with the daemon).
+    /// `client` said hello: a session whose pins a recovery waits for
+    /// until it re-asserts or its lease lapses. The daemon journals one
+    /// per analysis session of a durable context, durable before the
+    /// session's greeting goes out.
     Lease {
         /// Leased client.
         client: u64,
         /// Epoch the lease was granted under.
         epoch: u64,
     },
-    /// `client` departed: all its pins and its lease are void.
+    /// `client` departed (hangup, lapsed recovery lease, or a prior
+    /// identity retired by its reassert): its lease and any pins an
+    /// earlier build journaled for it are void.
     ClientGone {
         /// Departed client.
         client: u64,
@@ -80,12 +98,10 @@ pub enum WalRecord {
         epoch: u64,
     },
     /// `client` pinned `key` (one count) on behalf of a *dead cluster
-    /// member* — a takeover pin granted while this daemon serves a
-    /// foreign interval. Replays and nets exactly like
-    /// [`PinAcquire`](WalRecord::PinAcquire) (the residency veto is the
-    /// same); the tag distinguishes takeover-held pins in the journal
-    /// so operators can see degraded-mode state. Compaction snapshots
-    /// canonicalize it back to `PinAcquire`.
+    /// member* — a takeover pin. Written only by earlier builds, which
+    /// tagged takeover grants this way; it replays like
+    /// [`PinAcquire`](WalRecord::PinAcquire), and compaction snapshots
+    /// canonicalize it to one.
     TakeoverPin {
         /// Pinning client (at the taker).
         client: u64,
@@ -192,49 +208,6 @@ pub fn replay_bytes(bytes: &[u8]) -> (Vec<WalRecord>, ReplayReport) {
         truncated: off != bytes.len(),
     };
     (records, report)
-}
-
-/// Removes pin acquire/release pairs that cancel within one flush
-/// window: for each `(client, key)` the net pin delta is computed and
-/// only `|delta|` one-sided records survive (other record kinds pass
-/// through in order). The daemon nets each connection's buffered window
-/// before appending, so a hit-path acquire→release round trip in
-/// steady state writes nothing at all.
-pub fn net_pin_window(records: &mut Vec<WalRecord>) {
-    let mut delta: HashMap<(u64, u64), i64> = HashMap::new();
-    for r in records.iter() {
-        match *r {
-            WalRecord::PinAcquire { client, key, .. }
-            | WalRecord::TakeoverPin { client, key, .. } => {
-                *delta.entry((client, key)).or_insert(0) += 1;
-            }
-            WalRecord::PinRelease { client, key, .. } => {
-                *delta.entry((client, key)).or_insert(0) -= 1;
-            }
-            _ => {}
-        }
-    }
-    records.retain(|r| match *r {
-        WalRecord::PinAcquire { client, key, .. } | WalRecord::TakeoverPin { client, key, .. } => {
-            let d = delta.get_mut(&(client, key)).unwrap();
-            if *d > 0 {
-                *d -= 1;
-                true
-            } else {
-                false
-            }
-        }
-        WalRecord::PinRelease { client, key, .. } => {
-            let d = delta.get_mut(&(client, key)).unwrap();
-            if *d < 0 {
-                *d += 1;
-                true
-            } else {
-                false
-            }
-        }
-        _ => true,
-    });
 }
 
 /// Pure fold of a record stream into recoverable state: per-client pin
@@ -555,41 +528,17 @@ mod tests {
         let mut state = state;
         state.apply(&WalRecord::ClientGone { client: 4, epoch: 2 });
         assert!(state.pins.is_empty());
-        // Netting cancels takeover-pin/release pairs within a window.
-        let mut w = vec![
+        // Compaction snapshots canonicalize to PinAcquire.
+        let state = WalState::replay(&[
             WalRecord::TakeoverPin { client: 4, key: 9, epoch: 2 },
             WalRecord::PinRelease { client: 4, key: 9, epoch: 2 },
             WalRecord::TakeoverPin { client: 4, key: 10, epoch: 2 },
-        ];
-        net_pin_window(&mut w);
-        assert_eq!(w, vec![WalRecord::TakeoverPin { client: 4, key: 10, epoch: 2 }]);
-        // Compaction snapshots canonicalize to PinAcquire.
-        let state = WalState::replay(&w);
+        ]);
         assert_eq!(
             state.snapshot(3),
             vec![
                 WalRecord::Epoch { epoch: 3 },
                 WalRecord::PinAcquire { client: 4, key: 10, epoch: 3 },
-            ]
-        );
-    }
-
-    #[test]
-    fn netting_cancels_window_pairs() {
-        let mut w = vec![
-            WalRecord::PinAcquire { client: 1, key: 5, epoch: 1 },
-            WalRecord::Lease { client: 1, epoch: 1 },
-            WalRecord::PinRelease { client: 1, key: 5, epoch: 1 },
-            WalRecord::PinAcquire { client: 1, key: 6, epoch: 1 },
-            WalRecord::PinRelease { client: 2, key: 5, epoch: 1 },
-        ];
-        net_pin_window(&mut w);
-        assert_eq!(
-            w,
-            vec![
-                WalRecord::Lease { client: 1, epoch: 1 },
-                WalRecord::PinAcquire { client: 1, key: 6, epoch: 1 },
-                WalRecord::PinRelease { client: 2, key: 5, epoch: 1 },
             ]
         );
     }
@@ -796,65 +745,6 @@ mod tests {
                 prop_assert!(replayed.len() <= hit);
                 prop_assert_eq!(&replayed[..], &records[..replayed.len()]);
                 prop_assert!(report.truncated);
-            }
-
-            /// Netting a window preserves its meaning: the signed pin
-            /// delta per `(client, key)` and every non-pin record are
-            /// unchanged, so appending a netted window instead of the
-            /// original can never alter what a later replay recovers.
-            #[test]
-            fn netting_preserves_window_deltas(
-                records in prop::collection::vec(arb_record(), 0..24),
-            ) {
-                fn deltas(w: &[WalRecord]) -> std::collections::HashMap<(u64, u64), i64> {
-                    let mut d = std::collections::HashMap::new();
-                    for r in w {
-                        match *r {
-                            WalRecord::PinAcquire { client, key, .. }
-                            | WalRecord::TakeoverPin { client, key, .. } => {
-                                *d.entry((client, key)).or_insert(0) += 1
-                            }
-                            WalRecord::PinRelease { client, key, .. } => {
-                                *d.entry((client, key)).or_insert(0) -= 1
-                            }
-                            _ => {}
-                        }
-                    }
-                    d.retain(|_, v| *v != 0);
-                    d
-                }
-                fn others(w: &[WalRecord]) -> Vec<WalRecord> {
-                    w.iter()
-                        .filter(|r| {
-                            !matches!(
-                                r,
-                                WalRecord::PinAcquire { .. }
-                                    | WalRecord::PinRelease { .. }
-                                    | WalRecord::TakeoverPin { .. }
-                            )
-                        })
-                        .copied()
-                        .collect()
-                }
-                let mut window = records;
-                let (d0, o0) = (deltas(&window), others(&window));
-                net_pin_window(&mut window);
-                prop_assert_eq!(deltas(&window), d0);
-                prop_assert_eq!(others(&window), o0);
-                // And the netted window is minimal: |records| per key
-                // equals |delta|.
-                let mut counts = std::collections::HashMap::new();
-                for r in &window {
-                    if let WalRecord::PinAcquire { client, key, .. }
-                    | WalRecord::PinRelease { client, key, .. }
-                    | WalRecord::TakeoverPin { client, key, .. } = *r
-                    {
-                        *counts.entry((client, key)).or_insert(0i64) += 1;
-                    }
-                }
-                for (ck, n) in counts {
-                    prop_assert_eq!(n, d0.get(&ck).copied().unwrap_or(0).abs());
-                }
             }
         }
     }

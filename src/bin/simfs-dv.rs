@@ -203,7 +203,7 @@ fn run() -> Result<(), String> {
     );
     if args.durable {
         println!(
-            "durability on: pin/lease WAL in the storage area{}",
+            "durability on: session/lease WAL in the storage area{}",
             if args.recover { ", recovered prior state" } else { "" }
         );
     }
