@@ -4,7 +4,8 @@
 //! `tau_sim` on), trace generation, and the transport under the
 //! reactor: one acquire-sized echo round trip over each socket family
 //! `simfs_core::net` chooses between; and a step read by name against
-//! the cached `StepReader` a transparent open uses.
+//! the cached `StepReader` a transparent open uses, checked on disk or
+//! proven by a pin.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use simfs_core::reactor::{ConnCtx, Handler, Reactor};
@@ -136,28 +137,38 @@ fn bench_transport(c: &mut Criterion) {
     reactor.shutdown();
 }
 
-/// One step read two ways: by name (`StorageArea::read`: path join,
-/// path walk, open, statx, read to end, close) and through a
-/// `StepReader` whose file is already cached (`fstat` + `pread` into a
-/// reused buffer) — at the 8 KiB step of the end-to-end benchmark and
-/// at 1 MiB, where the copy dominates. The area sits a few directories
-/// deep, as a real storage area does, so the by-name walk is not
-/// flattered.
+/// One step read three ways: by name (`StorageArea::read`: path join,
+/// path walk, open, statx, read to end, close), through a `StepReader`
+/// whose file is already cached and checked on disk (`fstat` + `pread`
+/// into a reused buffer, plus the sweep's `fstat` of another entry), and
+/// through the same reader behind a pin's residency proof (`pread`
+/// only, the sweep judged by the table) — at the 8 KiB step of the
+/// end-to-end benchmark and at 1 MiB, where the copy dominates. Beside
+/// them, `resident_open` is the data plane of a steady-state resident
+/// open: a proven read of an 8 KiB SDF step plus its decode. The area
+/// sits a few directories deep, as a real storage area does, so the
+/// by-name walk is not flattered.
 fn bench_step_read(c: &mut Criterion) {
     let root = std::env::temp_dir().join(format!(
         "simfs-step-read-{}/work/run/ctx/storage",
         std::process::id()
     ));
     let area = StorageArea::create(&root, u64::MAX).unwrap();
+    // Every key resident under one epoch, as a mapped session's table
+    // would prove it.
+    let table = |key: u64| Some(key << 32 | 1);
     let mut group = c.benchmark_group("step_read");
     for (label, size) in [("8KiB", 8 << 10), ("1MiB", 1 << 20)] {
         let name = format!("out-{size:06}.sdf");
         let bytes: Vec<u8> = (0..size).map(|i| i as u8).collect();
         area.publish(&name, &bytes).unwrap();
-        // The second read caches the file.
+        // The second read caches the file; a neighbour gives the sweep
+        // an entry to probe.
         let mut reader = area.reader();
+        area.publish("neighbour", b"n").unwrap();
         for _ in 0..2 {
             assert_eq!(reader.read(1, &name).unwrap(), &bytes[..]);
+            reader.read(2, "neighbour").unwrap();
         }
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_function(BenchmarkId::new("by_name", label), |b| {
@@ -166,7 +177,32 @@ fn bench_step_read(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("cached", label), |b| {
             b.iter(|| black_box(reader.read(1, black_box(&name)).unwrap().len()))
         });
+        reader.read_proven(2, "neighbour", table(2), &table).unwrap();
+        group.bench_function(BenchmarkId::new("proven", label), |b| {
+            b.iter(|| {
+                let read = reader.read_proven(1, black_box(&name), table(1), &table);
+                black_box(read.unwrap().len())
+            })
+        });
     }
+    // The 8 KiB step of the end-to-end benchmark, as an SDF dataset.
+    let mut ds = Dataset::new(3, 0.5);
+    ds.set_attr("simulator", "heat2d");
+    let field: Vec<f64> = (0..1024).map(|i| f64::from(i).sqrt()).collect();
+    ds.add_var("u", vec![32, 32], Data::F64(field)).unwrap();
+    let step = ds.encode();
+    area.publish("out-000003.sdf", &step).unwrap();
+    let mut reader = area.reader();
+    for _ in 0..2 {
+        reader.read_proven(3, "out-000003.sdf", table(3), &table).unwrap();
+    }
+    group.throughput(Throughput::Bytes(step.len() as u64));
+    group.bench_function(BenchmarkId::new("resident_open", "8KiB"), |b| {
+        b.iter(|| {
+            let bytes = reader.read_proven(3, black_box("out-000003.sdf"), table(3), &table);
+            black_box(Dataset::decode(bytes.unwrap()).unwrap())
+        })
+    });
     group.finish();
     let _ = std::fs::remove_dir_all(root.ancestors().nth(4).unwrap());
 }

@@ -100,7 +100,8 @@ use crate::route::{AcquireMode, ClusterRoute, Release, Route};
 use crate::shm::ClientMap;
 use crate::sys;
 use crate::wire::{self, ClientKind, FrameBatch, FrameReader, Membership, Request, Response};
-use std::collections::{HashMap, HashSet};
+use simcache::{u64_map, U64Map};
+use std::collections::HashSet;
 use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -265,6 +266,14 @@ enum MemberVerdict {
     Down,
 }
 
+/// The request whose key a `Ready` or `Failed` frame resolves.
+fn resolves(resp: &Response) -> Option<u64> {
+    match resp {
+        Response::Ready { req_id, .. } | Response::Failed { req_id, .. } => Some(*req_id),
+        _ => None,
+    }
+}
+
 /// Handle for a non-blocking acquire (`SIMFS_Req`).
 #[derive(Debug)]
 pub struct AcquireRequest {
@@ -322,7 +331,9 @@ pub struct SimfsClient {
     next_req: u64,
     /// Responses received while waiting for a different request (e.g. a
     /// `Ready` for an outstanding non-blocking acquire arriving during a
-    /// `bitrep` round-trip). Consumed before reading the socket again.
+    /// `bitrep` round-trip, or during a wait on another acquire).
+    /// Consumed before reading the socket again; a `Ready` or `Failed`
+    /// only by the request it resolves.
     stray: Vec<Response>,
     /// Write-coalescing buffer: fire-and-forget frames (`Release`) are
     /// staged here and ride in the same write — and the same TCP
@@ -343,7 +354,7 @@ pub struct SimfsClient {
     membership: Option<Membership>,
     /// key → pin count this session currently holds (Ready responses
     /// minus releases): what a reconnect re-asserts.
-    held: HashMap<u64, u32>,
+    held: U64Map<u32>,
     /// Reconnect with capped exponential backoff and re-assert held
     /// pins when the connection dies (off by default — callers that
     /// prefer fail-fast semantics see the raw error).
@@ -398,7 +409,7 @@ impl SimfsClient {
             epoch,
             addr,
             membership,
-            held: HashMap::new(),
+            held: u64_map(),
             auto_reconnect: false,
             op_timeout: None,
             reconnect_window: RECONNECT_WINDOW,
@@ -717,36 +728,65 @@ impl SimfsClient {
 
     /// Serves what it can of `req` from the mapping: each resident key
     /// pinned through a slot is ready (and held) at once and recorded
-    /// in the access ring under one epoch — a ready point on the
-    /// daemon's clock. Counts the open toward the liveness poll, which
-    /// runs first: a socket that turns out dead ends the mapping (and,
-    /// with auto-reconnect, brings a new session) before anything is
-    /// served from it.
+    /// in the access ring under one stamp — a ready point on the
+    /// daemon's clock.
     fn pin_shared(&mut self, req: &mut AcquireRequest, keys: &[u64], op: &'static str) -> io::Result<()> {
+        let Some(stamp) = self.mapped_now(op)? else {
+            return Ok(());
+        };
+        for &key in keys {
+            if req.outstanding.contains(&key) && self.pin_slot(key, stamp).is_some() {
+                req.outstanding.remove(&key);
+                req.status.ready.push(key);
+            }
+        }
+        Ok(())
+    }
+
+    /// The one-key acquire of a transparent open, served from the
+    /// mapping without building a request: pins `key` through a slot
+    /// (held, recorded, any staged frame delivered) and returns the
+    /// pin's residency proof (`shm.rs`, "Residency proofs"). `None`
+    /// pins nothing: the session has no mapping, or the key is not
+    /// resident — the daemon must serve it.
+    pub(crate) fn pin_mapped(&mut self, key: u64) -> io::Result<Option<u64>> {
+        let Some(stamp) = self.mapped_now("acquire")? else {
+            return Ok(None);
+        };
+        let proof = self.pin_slot(key, stamp);
+        if proof.is_some() && !self.pending_out.is_empty() {
+            self.deliver(None, "acquire")?;
+        }
+        Ok(proof)
+    }
+
+    /// Counts an open toward a mapped session's liveness poll, which
+    /// runs first when due: a socket that turns out dead ends the
+    /// mapping (and, with auto-reconnect, brings a new session) before
+    /// anything is served from it. Returns the ring stamp of now, on
+    /// the daemon's clock, while the session maps a table.
+    fn mapped_now(&mut self, op: &'static str) -> io::Result<Option<u64>> {
         let now = sys::monotonic_ns();
         if self.shared.as_mut().is_some_and(|m| m.poll_due(now)) {
             self.check_alive(op)?;
         }
-        let Some(map) = self.shared.as_mut() else {
-            return Ok(());
-        };
-        let epoch = map.epoch(now);
-        let mut recorded = false;
-        for &key in keys {
-            if req.outstanding.contains(&key) && map.pin(key) {
-                req.outstanding.remove(&key);
-                req.status.ready.push(key);
-                *self.held.entry(key).or_insert(0) += 1;
-                recorded |= map.record(key, epoch);
-            }
-        }
-        if recorded && map.wants_nudge() {
+        Ok(self.shared.as_ref().map(|m| m.epoch(now)))
+    }
+
+    /// Pins `key` through a slot of the mapping, holds it and records
+    /// the hit in the access ring at `stamp`, staging a nudge when the
+    /// daemon needs one. Returns the pin's proof.
+    fn pin_slot(&mut self, key: u64, stamp: u64) -> Option<u64> {
+        let map = self.shared.as_mut()?;
+        let proof = map.pin(key)?;
+        *self.held.entry(key).or_insert(0) += 1;
+        if map.record(key, stamp) && map.wants_nudge() {
             self.pending_out.push_request(&Request::AccessDigest {
                 dropped: 0,
                 records: Vec::new(),
             });
         }
-        Ok(())
+        Some(proof)
     }
 
     /// A mapped session's liveness check: one zero-timeout poll of the
@@ -767,9 +807,11 @@ impl SimfsClient {
         Ok(())
     }
 
-    /// Does a slot of the mapped hit path hold `key`?
-    pub(crate) fn holds_shared(&self, key: u64) -> bool {
-        self.shared.as_ref().is_some_and(|m| m.holds(key))
+    /// The proof a slot pin of `key` would carry now; `None` without a
+    /// mapping, for a key that is not resident, or against a closed
+    /// table.
+    pub(crate) fn proof_of(&self, key: u64) -> Option<u64> {
+        self.shared.as_ref()?.proof_of(key)
     }
 
     /// `SIMFS_Acquire` through the daemon even where the mapping could
@@ -902,15 +944,14 @@ impl SimfsClient {
             Response::Error { message } => {
                 return Err(io::Error::other(message));
             }
-            _ => {
-                // A frame for a different outstanding request: with one
-                // request in flight at a time this cannot happen; with
-                // multiple, callers interleave wait() calls and each
-                // request sees only its own frames because req_ids
-                // differ. Dropping is safe for Queued (informational);
-                // Ready/Failed for other requests are re-delivered by
-                // the server only once, so multiplexing callers should
-                // use waitsome on a merged request instead.
+            other => {
+                // A key of another in-flight request resolved: the
+                // server sends it once, and a `Ready` is a pin grant, so
+                // keep it for that request's own wait. Anything else
+                // (a `Queued` of another request, a repeat) only informs.
+                if resolves(&other).is_some_and(|id| id != req.req_id) {
+                    self.stray.push(other);
+                }
             }
         }
         Ok(())
@@ -952,10 +993,17 @@ impl SimfsClient {
         }
     }
 
-    /// Next response: strays first, then the socket.
-    fn next_response(&mut self, timeout: Option<Duration>) -> io::Result<Option<Response>> {
-        if !self.stray.is_empty() {
-            return Ok(Some(self.stray.remove(0)));
+    /// Next response for request `req_id`: strays first — except a key
+    /// resolution of another request, kept for that one — then the
+    /// socket.
+    fn next_response(
+        &mut self,
+        req_id: u64,
+        timeout: Option<Duration>,
+    ) -> io::Result<Option<Response>> {
+        let mine = |r: &Response| resolves(r).is_none_or(|id| id == req_id);
+        if let Some(at) = self.stray.iter().position(mine) {
+            return Ok(Some(self.stray.remove(at)));
         }
         self.pump_one(timeout)
     }
@@ -977,7 +1025,7 @@ impl SimfsClient {
                 .min(Duration::from_millis(250))
                 .max(Duration::from_millis(1))
         });
-        match self.next_response(chunk) {
+        match self.next_response(req.req_id, chunk) {
             Ok(Some(resp)) => {
                 self.dispatch(req, resp)?;
                 Ok(false)
@@ -1024,7 +1072,7 @@ impl SimfsClient {
     pub fn test(&mut self, req: &mut AcquireRequest) -> io::Result<(bool, SimfsStatus)> {
         // Drain whatever already arrived.
         while !req.done() {
-            match self.next_response(Some(Duration::from_millis(1))) {
+            match self.next_response(req.req_id, Some(Duration::from_millis(1))) {
                 Ok(Some(resp)) => self.dispatch(req, resp)?,
                 Ok(None) => break,
                 Err(e) => {
@@ -1605,7 +1653,7 @@ impl DvCluster {
         let held = if self.route.failover() {
             std::mem::take(&mut self.members[m].held)
         } else {
-            HashMap::new()
+            u64_map()
         };
         self.members[m].pending_out.clear();
         self.members[m].stray.clear();

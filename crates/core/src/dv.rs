@@ -1717,7 +1717,9 @@ impl DataVirtualizer {
             }
         } else {
             // Refresh of an already-materialized step (overlapping
-            // production): pin for the new waiters.
+            // production): its file was renamed over, so its residency
+            // epoch moves; pin for the new waiters.
+            self.cache.refresh(key);
             for _ in &waiters {
                 self.cache.pin(key);
             }

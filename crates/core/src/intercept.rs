@@ -12,17 +12,34 @@
 //! A resident open is a pin and a read of the analysis's own file, so
 //! the read is what it costs. Each session reads through its own
 //! [`StepReader`]: from a step's second read on, it keeps the step's
-//! file open and serves each read with one `fstat` and one `pread` into
-//! a buffer it reuses (a scan, read once, caches nothing). That is safe
-//! because published files are immutable — a step
-//! is published by write-temp → fsync → rename and evicted by unlink,
-//! so a cached file whose inode is still linked (`st_nlink > 0`) is
-//! still the file under its name; a re-publish or an eviction unlinks
-//! it and the reader opens the name again. The cached files of all
-//! sessions in a process stay within a quarter of the soft
-//! `RLIMIT_NOFILE`, and each read probes one other entry for an
-//! unlinked step, so a session holds at most `entries × step size`
-//! bytes of evicted steps, each for at most `entries` further reads.
+//! file open and serves each read with one `pread` into a buffer it
+//! reuses (a scan, read once, caches nothing). That is safe because
+//! published files are immutable — a step is published by write-temp →
+//! fsync → rename and evicted by unlink — and the reader knows when a
+//! cached file stopped being the step's:
+//!
+//! * **Mapped sessions** prove it from the pin. A slot pin returns the
+//!   residency epoch of the key's table word, which the daemon advances
+//!   whenever a new production of the key becomes resident (a
+//!   re-simulation after an eviction, or an overlapping production
+//!   renamed over a resident file). A cached file tagged with the epoch
+//!   its pin proves is read without an `fstat`; any other epoch (or a
+//!   mapping other than the one the tag came from) checks the file on
+//!   disk and re-tags it. The steady-state resident open is one slot
+//!   store, one `pread`, one decode and one slot clear, and allocates
+//!   nothing but the returned [`Dataset`].
+//! * **Other sessions** (TCP, clustered, a pin the daemon granted)
+//!   check each cached file with one `fstat`: still linked
+//!   (`st_nlink > 0`) means still the file under its name; a re-publish
+//!   or an eviction unlinks it and the reader opens the name again.
+//!
+//! The cached files of all sessions in a process stay within a quarter
+//! of the soft `RLIMIT_NOFILE`, and each read probes one other entry —
+//! against the table where the tag allows, with an `fstat` otherwise —
+//! so a session holds at most `entries × step size` bytes of evicted
+//! steps, each for at most `entries` further reads. A step file deleted
+//! behind the daemon's back is served from its open inode by a proven
+//! read until the daemon retires the key.
 
 use crate::client::SimfsClient;
 use crate::driver::SimDriver;
@@ -37,9 +54,10 @@ use std::sync::Arc;
 ///
 /// Every [`open`](Self::open) reads through the session's
 /// [`StepReader`], on every transport: a step read before is served
-/// from its cached file while that file is still linked (see the
-/// [module docs](self) for the invariant and the bounds). The cached
-/// files are closed when the session is finalized or dropped.
+/// from its cached file while the pin proves it resident or, without a
+/// proof, while the file is still linked (see the [module docs](self)
+/// for the invariant and the bounds). The cached files are closed when
+/// the session is finalized or dropped.
 pub struct VirtualFs {
     client: SimfsClient,
     driver: Arc<dyn SimDriver>,
@@ -73,24 +91,23 @@ impl VirtualFs {
     /// until [`close`](Self::close).
     pub fn open(&mut self, filename: &str) -> io::Result<Dataset> {
         let key = self.key_for(filename)?;
-        let status = self.client.acquire(&[key])?;
-        if let Some((k, reason)) = status.failed.first() {
-            return Err(io::Error::other(format!("acquire of step {k} failed: {reason}")));
-        }
-        let mut opened = self.read(key, filename);
-        if opened.is_err() && self.client.holds_shared(key) {
+        if let Some(proof) = self.client.pin_mapped(key)? {
+            let opened = self.read(key, filename, Some(proof));
+            if opened.is_ok() {
+                return opened;
+            }
             // A pin taken through the shared table involved no daemon:
             // ask it now. A live daemon serves the step (re-simulating
             // it if it is gone), a dead one surfaces — and, with
             // auto-reconnect on, is recovered — instead of the session
             // going on serving from its table.
             self.client.release(key)?;
-            let status = self.client.acquire_via_daemon(&[key])?;
-            if let Some((k, reason)) = status.failed.first() {
-                return Err(io::Error::other(format!("acquire of step {k} failed: {reason}")));
-            }
-            opened = self.read(key, filename);
         }
+        let status = self.client.acquire_via_daemon(&[key])?;
+        if let Some((k, reason)) = status.failed.first() {
+            return Err(io::Error::other(format!("acquire of step {k} failed: {reason}")));
+        }
+        let opened = self.read(key, filename, None);
         if opened.is_err() {
             // The acquire pinned the step, but a failed open hands the
             // caller nothing to `close`: drop the pin here (flushed, as
@@ -101,9 +118,14 @@ impl VirtualFs {
         opened
     }
 
-    fn read(&mut self, key: u64, filename: &str) -> io::Result<Dataset> {
+    /// Reads and decodes step `key` behind a pin with residency proof
+    /// `proof` (`None`: a pin the daemon granted). The reader judges its
+    /// tagged files by the session's table; a session without one has
+    /// no proofs, so every cached file is checked on disk.
+    fn read(&mut self, key: u64, filename: &str, proof: Option<u64>) -> io::Result<Dataset> {
+        let client = &self.client;
         self.reader
-            .read(key, filename)
+            .read_proven(key, filename, proof, &|k| client.proof_of(k))
             .and_then(|bytes| Dataset::decode(bytes).map_err(io::Error::other))
     }
 
@@ -132,6 +154,11 @@ impl VirtualFs {
     /// (§III-C2) alongside transparent calls.
     pub fn session(&mut self) -> &mut SimfsClient {
         &mut self.client
+    }
+
+    /// The session's step reader (its cached files and counters).
+    pub fn step_reader(&self) -> &StepReader {
+        &self.reader
     }
 
     /// Finalizes the session and closes its cached step files.

@@ -2253,6 +2253,14 @@ impl DvServer {
                 guard = qcv.wait_timeout(guard, wait).unwrap().0;
             }
         }
+        // Close every shared table before the sessions go: a mapped
+        // session must not take a slot pin (and with it a proof of its
+        // cached file) from a daemon that is gone.
+        for ctx in self.inner.contexts.values() {
+            if let Some(table) = &ctx.table {
+                table.close();
+            }
+        }
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.accept_wake.signal();
         self.inner.reactor.shutdown();

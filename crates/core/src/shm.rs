@@ -23,6 +23,32 @@
 //! Both sides close the descriptors once they have mapped them (the
 //! daemon keeps the table's, to hand to the next session).
 //!
+//! # The context table
+//!
+//! | words | content |
+//! |---|---|
+//! | 0 | magic |
+//! | 1 | clock base (the daemon's `CLOCK_MONOTONIC` origin) |
+//! | 2 | closed: set by a daemon that shuts down, before it drops its sessions |
+//! | 3–7 | reserved |
+//! | 8… | one [`HitIndex`] word per key |
+//!
+//! A slot pin refuses against a closed table, so a session never takes
+//! a proof from a daemon that has gone away in order: its open goes to
+//! the socket and finds the daemon gone (a daemon killed outright is
+//! found by the liveness poll, as before).
+//!
+//! # Residency proofs
+//!
+//! A slot pin returns a **proof**: the serial of the mapping it was
+//! taken through (unique in the process) and the residency epoch of the
+//! key's word. A session's step reader tags each file it opens behind
+//! a pin with that proof and, while a later pin proves the same, reads
+//! the file without checking it on disk (`simstore::StepReader`). The
+//! serial makes a proof worthless against any other mapping: a
+//! reconnect trusts no tag of the old one, even where a restarted
+//! daemon's table counts epochs from the same start.
+//!
 //! # The session mapping
 //!
 //! Word offsets; the daemon's words and the client's sit on different
@@ -58,19 +84,24 @@
 
 use crate::prefetch::{ACCESS_LOG_CAPACITY, DIGEST_HIGH_WATER};
 use crate::sys::{self, Mapping};
-use simcache::{HitIndex, SessionPins, Words};
+use simcache::{hitindex, HitIndex, SessionPins, Words};
 use std::io;
 use std::os::unix::io::OwnedFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Table header words: magic, clock base, then reserved. The keys are
-/// the words after it.
+/// Table header words: magic, clock base, closed, then reserved. The
+/// keys are the words after it.
 const TABLE_HEADER: usize = 8;
 const TABLE_MAGIC: u64 = u64::from_le_bytes(*b"SIMFStb1");
 const T_MAGIC: usize = 0;
 const T_CLOCK_BASE: usize = 1;
+const T_CLOSED: usize = 2;
+
+/// Serials of the mappings this process adopted (see "Residency
+/// proofs").
+static MAPPINGS: AtomicU64 = AtomicU64::new(0);
 
 const SESSION_MAGIC: u64 = u64::from_le_bytes(*b"SIMFSss1");
 // Daemon-written line.
@@ -145,6 +176,13 @@ impl ContextTable {
     /// A duplicate of the descriptor a session maps the table from.
     pub(crate) fn fd(&self) -> io::Result<OwnedFd> {
         self.fd.try_clone()
+    }
+
+    /// Marks the table closed: from now on every slot pin against it
+    /// refuses. A daemon that shuts down calls this before it drops its
+    /// sessions.
+    pub(crate) fn close(&self) {
+        self.map.words()[T_CLOSED].store(1, Ordering::SeqCst);
     }
 }
 
@@ -287,6 +325,8 @@ pub(crate) struct ClientMap {
     table: Mapping,
     session: Arc<Mapping>,
     pins: SessionPins,
+    /// This mapping's serial, the high half of every proof it gives.
+    serial: u64,
     clock_base: u64,
     capacity: u64,
     ring: usize,
@@ -327,6 +367,7 @@ impl ClientMap {
             table,
             session,
             pins,
+            serial: MAPPINGS.fetch_add(1, Ordering::Relaxed) + 1,
             clock_base,
             capacity,
             ring: ring_at,
@@ -358,19 +399,33 @@ impl ClientMap {
         now_ns.saturating_sub(self.clock_base)
     }
 
-    /// Pins `key` through a slot if the table shows it resident.
-    pub(crate) fn pin(&self, key: u64) -> bool {
-        self.pins.pin(&self.table.words()[TABLE_HEADER..], key)
+    /// The table's key words, unless the daemon closed it.
+    fn keys(&self) -> Option<&[AtomicU64]> {
+        let table = self.table.words();
+        (table[T_CLOSED].load(Ordering::Acquire) == 0).then(|| &table[TABLE_HEADER..])
+    }
+
+    /// Pins `key` through a slot if the table is open and shows it
+    /// resident, and returns the pin's proof (module docs, "Residency
+    /// proofs").
+    pub(crate) fn pin(&self, key: u64) -> Option<u64> {
+        let epoch = self.pins.pin(self.keys()?, key)?;
+        Some(self.proof(epoch))
+    }
+
+    /// The proof a pin of `key` would carry now; `None` when the key is
+    /// not resident or the table is closed.
+    pub(crate) fn proof_of(&self, key: u64) -> Option<u64> {
+        hitindex::resident_epoch(self.keys()?, key).map(|epoch| self.proof(epoch))
+    }
+
+    fn proof(&self, epoch: u32) -> u64 {
+        self.serial << 32 | u64::from(epoch)
     }
 
     /// Drops one slot pin of `key`; `false` if no slot holds it.
     pub(crate) fn unpin(&self, key: u64) -> bool {
         self.pins.unpin(key)
-    }
-
-    /// Does a slot hold `key`?
-    pub(crate) fn holds(&self, key: u64) -> bool {
-        self.pins.pinned(key)
     }
 
     /// Appends a hit to the ring (drops it, counted, when the ring is
@@ -414,5 +469,44 @@ impl ClientMap {
             self.nudged_park = parked;
         }
         nudge
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A session mapped against `table`, its slots attached to `index`.
+    fn mapped(table: &ContextTable, index: &HitIndex) -> ClientMap {
+        let (session, fd) = SessionMap::create(table, false).unwrap();
+        index.attach(Arc::clone(session.pins()));
+        ClientMap::adopt(vec![table.fd().unwrap(), fd]).unwrap()
+    }
+
+    #[test]
+    fn a_slot_pin_proves_its_mapping_and_epoch_and_a_closed_table_refuses() {
+        let (table, index) = ContextTable::create(16, 0).unwrap();
+        let (a, b) = (mapped(&table, &index), mapped(&table, &index));
+        assert_eq!(a.pin(5), None, "not resident");
+        index.publish(5);
+        let proof = a.pin(5).unwrap();
+        assert_eq!(a.proof_of(5), Some(proof));
+        assert_eq!(a.proof_of(6), None);
+        // The same word through another mapping proves something else.
+        assert_ne!(b.pin(5), Some(proof));
+        assert!(b.unpin(5));
+        // An in-place refresh moves the proof under the held pin.
+        index.refresh(5);
+        let moved = a.pin(5).unwrap();
+        assert_ne!(moved, proof);
+        assert!(a.unpin(5) && a.unpin(5));
+        // Shut down: no pin, nested or new, and no proof.
+        index.publish(6);
+        assert!(a.pin(6).is_some());
+        table.close();
+        assert_eq!(a.pin(5), None);
+        assert_eq!(a.pin(6), None, "a held key refuses too");
+        assert_eq!(a.proof_of(5), None);
+        assert!(!a.unpin(5), "the refused pins took no slot");
     }
 }

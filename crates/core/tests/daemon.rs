@@ -433,6 +433,186 @@ fn deleted_resident_file_behind_a_dead_daemon_still_opens() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Another valid production of step `key`: same step, other bytes (as
+/// a file replaced in place would be).
+fn other_bytes(key: u64) -> Vec<u8> {
+    let mut ds = Dataset::decode(&step_bytes(key)).unwrap();
+    ds.set_attr("simulator", "replaced");
+    ds.encode().to_vec()
+}
+
+/// A fresh storage area for the tests that lay out its files before a
+/// daemon starts over it.
+fn fresh_area(tag: &str) -> (StorageArea, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("simfs-daemon-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    (StorageArea::create(&dir, u64::MAX).unwrap(), dir)
+}
+
+/// A steady-state resident open on a mapped session is proven by its
+/// slot pin: the cached files are read, and swept, without an `fstat`.
+#[test]
+fn a_resident_open_proven_by_its_pin_makes_no_fstat() {
+    let fx = start_daemon("vfs-proven", 1000, 4);
+    let client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    assert_eq!(client.transport(), simfs_core::net::Transport::Local);
+    let mut vfs = VirtualFs::new(client, fx.driver.clone(), fx.storage.clone());
+    let names = [fx.driver.filename_of(5), fx.driver.filename_of(6)];
+    // The first open re-simulates 5..=8; two more rounds cache both
+    // files under the pins' proofs.
+    for _ in 0..3 {
+        for name in &names {
+            vfs.open(name).unwrap();
+            vfs.close(name).unwrap();
+        }
+    }
+    let fstats = vfs.step_reader().fstats();
+    for _ in 0..100 {
+        for (k, name) in [5, 6].into_iter().zip(&names) {
+            assert_eq!(vfs.open(name).unwrap().step_index, k);
+            vfs.close(name).unwrap();
+        }
+    }
+    assert_eq!(vfs.step_reader().cached(), 2);
+    assert_eq!(vfs.step_reader().fstats(), fstats, "a proven open checked its file");
+    vfs.finalize().unwrap();
+}
+
+/// An overlapping production renames a new file over a resident step a
+/// session has cached: once the daemon admits it, the session reads the
+/// new inode.
+#[test]
+fn an_in_place_reproduction_is_read_once_the_daemon_admits_it() {
+    let (storage, dir) = fresh_area("vfs-overlap");
+    let driver = PatternDriver::new("out-", ".sdf", 6);
+    // 5, 6 and 8 resident with bytes the simulator will not reproduce;
+    // 7 missing, so its miss re-simulates the whole interval 5..=8.
+    for k in [5, 6, 8] {
+        storage.publish(&driver.filename_of(k), &other_bytes(k)).unwrap();
+    }
+    let (server, driver) = serve(&storage, "127.0.0.1:0", 1000, 4, false);
+    let client = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    let mut vfs = VirtualFs::new(client, driver.clone(), storage.clone());
+    let name = driver.filename_of(6);
+    for _ in 0..2 {
+        let ds = vfs.open(&name).unwrap();
+        assert_eq!(ds.encode().to_vec(), other_bytes(6));
+        vfs.close(&name).unwrap();
+    }
+    let restarts = server.stats().restarts;
+    vfs.open(&driver.filename_of(7)).unwrap();
+    vfs.close(&driver.filename_of(7)).unwrap();
+    assert!(server.stats().restarts > restarts, "step 7 was not re-simulated");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while vfs.session().status().unwrap().active_sims != 0 {
+        assert!(std::time::Instant::now() < deadline, "sim never retired");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // The re-simulation renamed step 6's new production over the cached
+    // file, and the daemon admitted it.
+    assert_eq!(storage.read(&name).unwrap(), step_bytes(6));
+    let ds = vfs.open(&name).unwrap();
+    assert_eq!(ds.encode().to_vec(), step_bytes(6), "served the replaced inode");
+    vfs.close(&name).unwrap();
+    vfs.finalize().unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A proof is valid only against the mapping it came from. A daemon
+/// restarted over the same area counts its epochs from the same start,
+/// so the step replaced while it was down carries the same epoch in the
+/// new table as the cached file's tag in the old one: the session must
+/// not trust that tag.
+#[test]
+fn a_reconnect_trusts_no_tag_of_the_old_mapping() {
+    let (storage, dir) = fresh_area("vfs-remap");
+    let driver = PatternDriver::new("out-", ".sdf", 6);
+    for k in 5..=8 {
+        storage.publish(&driver.filename_of(k), &step_bytes(k)).unwrap();
+    }
+    let (server, driver) = serve(&storage, "127.0.0.1:0", 1000, 4, false);
+    let listen = server.addr().to_string();
+    let mut client = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    client.set_auto_reconnect(true);
+    client.set_op_timeout(Some(Duration::from_secs(10)));
+    let mut vfs = VirtualFs::new(client, driver.clone(), storage.clone());
+    let name = driver.filename_of(6);
+    for _ in 0..2 {
+        assert_eq!(vfs.open(&name).unwrap().encode().to_vec(), step_bytes(6));
+        vfs.close(&name).unwrap();
+    }
+
+    server.shutdown();
+    drop(server);
+    storage.publish(&name, &other_bytes(6)).unwrap();
+    let (server, _) = serve(&storage, &listen, 1000, 4, false);
+    // Reconnect (and map the new table) without reading anything.
+    vfs.session().status().unwrap();
+    assert_eq!(vfs.session().reconnects(), 1);
+
+    let ds = vfs.open(&name).unwrap();
+    assert_eq!(ds.encode().to_vec(), other_bytes(6), "served the old mapping's file");
+    vfs.close(&name).unwrap();
+    assert_eq!(server.stats().misses, 0);
+    vfs.finalize().unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The steady-state resident open of a mapped session allocates exactly
+/// what the returned dataset owns: the pin, the read and the release
+/// allocate nothing.
+#[test]
+fn a_resident_open_allocates_only_its_dataset() {
+    let fx = start_daemon_cfg("vfs-alloc", 1000, 4, false);
+    let client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    let mut vfs = VirtualFs::new(client, fx.driver.clone(), fx.storage.clone());
+    let name = fx.driver.filename_of(6);
+    for _ in 0..3 {
+        vfs.open(&name).unwrap();
+        vfs.close(&name).unwrap();
+    }
+    let bytes = fx.storage.read(&name).unwrap();
+    testalloc::reset();
+    let decoded = Dataset::decode(&bytes).unwrap();
+    let owned = testalloc::count();
+    drop(decoded);
+    assert!(owned > 0);
+    for i in 0..200 {
+        testalloc::reset();
+        let ds = vfs.open(&name).unwrap();
+        vfs.close(&name).unwrap();
+        assert_eq!(testalloc::count(), owned, "open {i} allocated beyond its dataset");
+        drop(ds);
+    }
+    vfs.finalize().unwrap();
+}
+
+/// Two acquires in flight on one session, waited in the reverse order
+/// of their completion: the first `Ready` arrives during the wait on
+/// the second request and must be kept for its own, not dropped (a
+/// dropped `Ready` is a pin the session never learns it holds).
+#[test]
+fn outstanding_acquires_waited_in_reverse_order_both_resolve() {
+    let fx = start_daemon_cfg("reverse-wait", 1000, 4, false);
+    let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    client.set_op_timeout(Some(Duration::from_secs(5)));
+    // One re-simulation of interval 5..=8 produces 5 before 6.
+    let mut first = client.acquire_nb(&[5]).unwrap();
+    let mut second = client.acquire_nb(&[6]).unwrap();
+    let status = client.wait(&mut second).unwrap();
+    assert_eq!(status.ready, vec![6]);
+    let status = client.wait(&mut first).unwrap();
+    assert_eq!(status.ready, vec![5], "{status:?}");
+    for key in [5, 6] {
+        client.release(key).unwrap();
+    }
+    client.status().unwrap();
+    assert_eq!(fx.server.stats().restarts, 1);
+    client.finalize().unwrap();
+}
+
 #[test]
 fn daemon_restart_reprimes_existing_files() {
     let fx = start_daemon("prime", 1000, 4);

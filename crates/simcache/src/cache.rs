@@ -251,6 +251,15 @@ impl CacheSim {
         self.evict_until_fits()
     }
 
+    /// A resident `key` was produced again in place (its file replaced
+    /// by rename): advances its residency epoch in the attached index,
+    /// so a session's proof of the old file no longer holds.
+    pub fn refresh(&mut self, key: u64) {
+        if let Some(idx) = &self.index {
+            idx.refresh(key);
+        }
+    }
+
     /// Pins `key` (reference count +1). Returns `false` if absent.
     pub fn pin(&mut self, key: u64) -> bool {
         match self.entries.get_mut(&key) {

@@ -18,6 +18,12 @@
 //! * `RESIDENT` — the key is materialized;
 //! * `RETIRING` — an eviction is deciding whether it may go;
 //! * `HOT` — the CLOCK reference bit of the daemon-side pins;
+//! * the **residency epoch** (bits 32–60): which production of the key
+//!   is resident. [`publish`](HitIndex::publish) of a non-resident key
+//!   and [`refresh`](HitIndex::refresh) of a resident one (its file
+//!   replaced in place by an overlapping production) advance it,
+//!   wrapping at 2^29; a retired word keeps its epoch bits, so a
+//!   re-publish always moves them;
 //! * the count of daemon-side pins (low 32 bits).
 //!
 //! # Two kinds of pin
@@ -32,7 +38,10 @@
 //!   not retiring — otherwise it clears the slot and asks the daemon.
 //!   It never writes the table: no client ever bumps a shared count, so
 //!   a session killed at any instruction strands nothing, and dropping
-//!   its slots ([`detach`](HitIndex::detach)) is its whole reclaim.
+//!   its slots ([`detach`](HitIndex::detach)) is its whole reclaim. A
+//!   slot pin returns the epoch of the word it pinned against: while
+//!   the epoch is unchanged, the file the session opened under that
+//!   epoch (or later) is still the key's resident production.
 //!
 //! # Eviction
 //!
@@ -55,7 +64,9 @@
 //! Membership writes ([`publish`](HitIndex::publish), `try_retire`,
 //! [`withdraw`](HitIndex::withdraw)) are the cache owner's job and are
 //! assumed to be serialized by the owner's own lock; the index adds
-//! concurrent *pinners*, not a second writer.
+//! concurrent *pinners*, not a second writer. `refresh` and the end of
+//! `try_retire` are read-modify-writes that keep every bit they do not
+//! own, so an epoch advance is never lost, even to a racing retirement.
 //!
 //! [`CacheSim`]: crate::CacheSim
 
@@ -98,7 +109,27 @@ pub const PAGE_WORDS: usize = 512;
 const RESIDENT: u64 = 1 << 63;
 const RETIRING: u64 = 1 << 62;
 const HOT: u64 = 1 << 61;
+const EPOCH_SHIFT: u32 = 32;
+/// Residency epoch: bits 32–60, wrapping at 2^29.
+const EPOCH: u64 = ((1 << 29) - 1) << EPOCH_SHIFT;
 const COUNT: u64 = u32::MAX as u64;
+
+/// `w`'s epoch bits advanced by one (wrapping within the field).
+fn next_epoch(w: u64) -> u64 {
+    (w & EPOCH).wrapping_add(1 << EPOCH_SHIFT) & EPOCH
+}
+
+fn epoch_of(w: u64) -> u32 {
+    ((w & EPOCH) >> EPOCH_SHIFT) as u32
+}
+
+/// The residency epoch of `key` in `table` (a table's words, as
+/// [`SessionPins::pin`] reads them), if the key is resident. Only a
+/// relaxed load: a mapped session's view of the table is read-only.
+pub fn resident_epoch(table: &[AtomicU64], key: u64) -> Option<u32> {
+    let w = table.get(usize::try_from(key).ok()?)?.load(Ordering::Relaxed);
+    (w & RESIDENT != 0).then(|| epoch_of(w))
+}
 
 fn heap_words(n: usize) -> Box<[AtomicU64]> {
     (0..n).map(|_| AtomicU64::new(0)).collect()
@@ -158,15 +189,31 @@ impl HitIndex {
         self.words().get(usize::try_from(key).ok()?)
     }
 
-    /// Registers `key` as resident (no pins, reference bit clear).
-    /// Idempotent: re-publishing a resident key resets nothing. A key
-    /// outside the table is not indexed — its hits take the locked path.
+    /// Registers `key` as resident (no pins, reference bit clear) under
+    /// a new residency epoch. Idempotent: re-publishing a resident key
+    /// resets nothing. A key outside the table is not indexed — its hits
+    /// take the locked path.
     pub fn publish(&self, key: u64) {
         if let Some(word) = self.word(key) {
-            if word.load(Ordering::Relaxed) & RESIDENT == 0 {
-                word.store(RESIDENT, Ordering::Release);
+            // No pinner writes a non-resident word.
+            let w = word.load(Ordering::Relaxed);
+            if w & RESIDENT == 0 {
+                word.store(RESIDENT | next_epoch(w), Ordering::Release);
             }
         }
+    }
+
+    /// Advances resident `key`'s epoch in place: its file was replaced
+    /// (a rename-over by an overlapping production) while it stayed
+    /// resident. Pins, `HOT` and `RETIRING` are kept; a key that is not
+    /// resident is left alone (`false`).
+    pub fn refresh(&self, key: u64) -> bool {
+        self.word(key).is_some_and(|word| {
+            word.fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
+                (w & RESIDENT != 0).then(|| (w & !EPOCH) | next_epoch(w))
+            })
+            .is_ok()
+        })
     }
 
     /// Is `key` resident right now? (Diagnostics and tests.)
@@ -279,24 +326,22 @@ impl HitIndex {
                 Retire::Retired
             }
         };
-        // Nothing else writes a retiring word: daemon-side pinners back
-        // off, and membership writes are the caller's, serialized.
-        word.store(
-            if verdict == Retire::Retired {
-                0
-            } else {
-                RESIDENT
-            },
-            Ordering::Release,
-        );
+        // Daemon-side pinners back off a retiring word; only a refresh
+        // may still move its epoch, which both outcomes keep.
+        if verdict == Retire::Retired {
+            word.fetch_and(EPOCH, Ordering::Release);
+        } else {
+            word.fetch_and(!RETIRING, Ordering::Release);
+        }
         verdict
     }
 
     /// Removes `key` unconditionally (teardown path): pins are *not*
-    /// honoured. The owner must have quiesced hit-path traffic.
+    /// honoured. The owner must have quiesced hit-path traffic. The
+    /// epoch bits stay, as on a retirement.
     pub fn withdraw(&self, key: u64) {
         if let Some(word) = self.word(key) {
-            word.store(0, Ordering::Release);
+            word.fetch_and(EPOCH, Ordering::Release);
         }
     }
 
@@ -393,17 +438,14 @@ impl SessionPins {
     }
 
     /// Pins `key` through one of this session's slots against `table`
-    /// (see the module docs, "Two kinds of pin"). `false` means take the
-    /// daemon's path: the key is not resident, is being retired, lies
-    /// outside the table, or every slot is busy. Only relaxed loads
+    /// (see the module docs, "Two kinds of pin") and returns the
+    /// residency epoch of the word it pinned against. `None` means take
+    /// the daemon's path: the key is not resident, is being retired,
+    /// lies outside the table, or every slot is busy. Only relaxed loads
     /// touch `table` — a mapped session's view of it is read-only.
-    pub fn pin(&self, table: &[AtomicU64], key: u64) -> bool {
-        let Ok(index) = usize::try_from(key) else {
-            return false;
-        };
-        let Some(word) = table.get(index).filter(|_| index < self.keys) else {
-            return false;
-        };
+    pub fn pin(&self, table: &[AtomicU64], key: u64) -> Option<u32> {
+        let index = usize::try_from(key).ok()?;
+        let word = table.get(index).filter(|_| index < self.keys)?;
         let region = self.region();
         let slots = &region[..Self::SLOTS];
         let mut free = None;
@@ -411,26 +453,26 @@ impl SessionPins {
             let v = slot.load(Ordering::Relaxed);
             if v != 0 && v >> SLOT_KEY_SHIFT == key && v & SLOT_COUNT < SLOT_COUNT {
                 // Already held: that pin keeps the key resident, so one
-                // more count needs no check of the word.
+                // more count needs no check of the word — only its epoch,
+                // which an in-place refresh may have moved.
                 slot.store(v + 1, Ordering::Relaxed);
                 self.count_hit(region, index);
-                return true;
+                return Some(epoch_of(word.load(Ordering::Relaxed)));
             }
             if v == 0 && free.is_none() {
                 free = Some(slot);
             }
         }
-        let Some(slot) = free else {
-            return false;
-        };
+        let slot = free?;
         slot.store(key << SLOT_KEY_SHIFT | 1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        if word.load(Ordering::Relaxed) & (RESIDENT | RETIRING) != RESIDENT {
+        let w = word.load(Ordering::Relaxed);
+        if w & (RESIDENT | RETIRING) != RESIDENT {
             slot.store(0, Ordering::Release);
-            return false;
+            return None;
         }
         self.count_hit(region, index);
-        true
+        Some(epoch_of(w))
     }
 
     fn count_hit(&self, region: &[AtomicU64], key: usize) {
@@ -549,13 +591,13 @@ mod tests {
         );
         idx.attach(Arc::clone(&a));
         idx.attach(Arc::clone(&b));
-        assert!(!a.pin(idx.words(), 5), "not resident yet");
+        assert!(a.pin(idx.words(), 5).is_none(), "not resident yet");
         assert!(!a.pinned(5), "a refused pin leaves its slot empty");
         idx.publish(5);
         idx.publish(6);
-        assert!(a.pin(idx.words(), 5));
-        assert!(a.pin(idx.words(), 5), "nested");
-        assert!(b.pin(idx.words(), 6));
+        assert!(a.pin(idx.words(), 5).is_some());
+        assert!(a.pin(idx.words(), 5).is_some(), "nested");
+        assert!(b.pin(idx.words(), 6).is_some());
         assert!(idx.is_pinned(5) && idx.is_pinned(6));
         assert_eq!(idx.try_retire(5), Retire::Pinned);
         assert!(
@@ -574,7 +616,7 @@ mod tests {
         // B's reference bit buys 6 one second chance, then it goes.
         assert_eq!(idx.try_retire(6), Retire::Hot);
         assert_eq!(idx.try_retire(6), Retire::Retired);
-        assert!(!b.pin(idx.words(), 6), "retired");
+        assert!(b.pin(idx.words(), 6).is_none(), "retired");
         // Hits: A's two and B's one, whether A is live or departed.
         assert_eq!(idx.shared_hits(), 3);
         assert_eq!(idx.fast_hits(), 0);
@@ -588,18 +630,18 @@ mod tests {
             idx.publish(key);
         }
         for key in 1..=SessionPins::SLOTS as u64 {
-            assert!(pins.pin(idx.words(), key));
+            assert!(pins.pin(idx.words(), key).is_some());
         }
         assert!(
-            !pins.pin(idx.words(), SessionPins::SLOTS as u64 + 1),
+            pins.pin(idx.words(), SessionPins::SLOTS as u64 + 1).is_none(),
             "no free slot"
         );
-        assert!(pins.pin(idx.words(), 1), "a held key still nests");
+        assert!(pins.pin(idx.words(), 1).is_some(), "a held key still nests");
         assert!(
-            !pins.pin(idx.words(), idx.keys() as u64),
+            pins.pin(idx.words(), idx.keys() as u64).is_none(),
             "outside the table"
         );
-        assert!(!pins.pin(idx.words(), u64::MAX));
+        assert!(pins.pin(idx.words(), u64::MAX).is_none());
         // A region must fit the memory it is laid over.
         let mem: Arc<dyn Words> = Arc::new(heap_words(SessionPins::region_words(64)));
         assert!(SessionPins::over(Arc::clone(&mem), 0, 64).is_some());
@@ -610,11 +652,14 @@ mod tests {
     fn concurrent_pinners_and_retirer_never_strand_a_pin() {
         // Daemon-side pinners (word counts) and mapped-session pinners
         // (slot protocol) hammer a few keys while a retirer evicts and
-        // revives them. Properties:
+        // revives them, and a refresher advances their epochs in place.
+        // Properties:
         // * a key with a successful pin is never `Retired` while held —
         //   each key's retirement generation does not move across a
         //   hold, and the word stays resident;
         // * every pin lands on a resident word or falls back;
+        // * no epoch advance is lost: each key's epoch is its publishes
+        //   plus its refreshes;
         // * at the end every slot is empty and every word consistent.
         const KEYS: u64 = 3;
         const ROUNDS: u64 = 10_000;
@@ -652,7 +697,7 @@ mod tests {
                 for i in 0..ROUNDS {
                     let key = 1 + (i + t) % KEYS;
                     let pinned = if t % 2 == 1 {
-                        pins.pin(idx.words(), key)
+                        pins.pin(idx.words(), key).is_some()
                     } else {
                         idx.try_hit_pin(key)
                     };
@@ -692,9 +737,24 @@ mod tests {
                 retired
             })
         };
+        let refresher = {
+            let (idx, stop) = (Arc::clone(&idx), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut refreshed = [0u64; KEYS as usize + 1];
+                while !stop.load(Ordering::Relaxed) {
+                    for key in 1..=KEYS {
+                        if idx.refresh(key) {
+                            refreshed[key as usize] += 1;
+                        }
+                    }
+                }
+                refreshed
+            })
+        };
         let landed: u64 = pinners.into_iter().map(|h| h.join().unwrap()).sum();
         stop.store(true, Ordering::Relaxed);
         let retired = retirer.join().unwrap();
+        let refreshed = refresher.join().unwrap();
         assert!(
             landed > 0 && retired > 0,
             "no race: {landed} pins, {retired} retirements"
@@ -709,10 +769,60 @@ mod tests {
             assert!(!idx.is_pinned(key), "all pins must have been released");
             let w = idx.words()[key as usize].load(Ordering::SeqCst);
             assert_eq!(
-                w & !HOT,
+                w & !(HOT | EPOCH),
                 RESIDENT,
                 "key {key}: word {w:#x} left inconsistent"
             );
+            let publishes = 1 + generations[key as usize].load(Ordering::SeqCst);
+            assert_eq!(
+                u64::from(epoch_of(w)),
+                (publishes + refreshed[key as usize]) % (1 << 29),
+                "key {key}: an epoch advance was lost"
+            );
         }
+        assert!(refreshed.iter().sum::<u64>() > 0, "no refresh raced");
+    }
+
+    #[test]
+    fn every_new_production_moves_the_epoch_and_retirement_keeps_it() {
+        let idx = HitIndex::new(8);
+        let pins = Arc::new(SessionPins::heap(idx.keys()));
+        idx.attach(Arc::clone(&pins));
+        let epoch = || resident_epoch(idx.words(), 3);
+        assert_eq!(epoch(), None, "not resident");
+        assert!(!idx.refresh(3), "a refresh needs a resident key");
+        idx.publish(3);
+        let first = epoch().unwrap();
+        idx.publish(3);
+        assert_eq!(epoch(), Some(first), "re-publishing a resident key moves nothing");
+        // A slot pin proves the epoch it pinned against, nested or not.
+        assert_eq!(pins.pin(idx.words(), 3), Some(first));
+        // An in-place refresh moves it under a held pin, keeping the
+        // daemon-side count and the pin's veto.
+        assert!(idx.try_hit_pin(3));
+        assert!(idx.refresh(3));
+        let second = epoch().unwrap();
+        assert_ne!(second, first);
+        assert_eq!(pins.pin(idx.words(), 3), Some(second));
+        assert!(pins.unpin(3) && pins.unpin(3));
+        assert_eq!(idx.try_retire(3), Retire::Pinned);
+        idx.unpin(3, 1);
+        assert_eq!(idx.try_retire(3), Retire::Hot);
+        assert_eq!(epoch(), Some(second), "a second chance keeps the epoch");
+        assert_eq!(idx.try_retire(3), Retire::Hot, "the session's reference bit");
+        assert_eq!(idx.try_retire(3), Retire::Retired);
+        // Retired: no proof, but the bits stay so a re-publish moves on.
+        assert_eq!(epoch(), None);
+        assert_eq!(epoch_of(idx.words()[3].load(Ordering::Relaxed)), second);
+        idx.publish(3);
+        let third = epoch().unwrap();
+        assert!(third != second && third != first);
+        idx.withdraw(3);
+        idx.publish(3);
+        assert_ne!(epoch(), Some(third), "a withdrawal keeps the epoch too");
+        // The field wraps at 2^29 instead of spilling into the flags.
+        let top = EPOCH | RESIDENT;
+        assert_eq!(next_epoch(top), 0);
+        assert_eq!(resident_epoch(&[AtomicU64::new(top)], 0), Some((1 << 29) - 1));
     }
 }

@@ -5,9 +5,10 @@
 //! allocation, a path walk, `openat`, `statx`, two `read`s and a
 //! `close`. An analysis rereads the same resident steps, so a
 //! [`StepReader`] keeps the open file of each step it reads again
-//! (keyed by step key) and serves every later read with one `fstat`
-//! and one `pread` into a buffer it reuses. A steady-state cached read
-//! allocates nothing.
+//! (keyed by step key) and serves every later read with one `pread`
+//! into a buffer it reuses — behind a proof of residency, nothing else;
+//! without one, after one `fstat`. A steady-state cached read allocates
+//! nothing.
 //!
 //! **Cache on the second read.** A step's first read goes by name and
 //! only marks the key; its next read caches the file. A scan, which
@@ -20,12 +21,30 @@
 //!
 //! **Reuse invariant.** A published step is never written in place:
 //! [`StorageArea::publish`] writes a temp file, fsyncs it and renames it
-//! over the name, and eviction unlinks it. So while a cached file's
-//! inode still has a link (`st_nlink > 0`) it is the file under that
-//! name. A re-publish (rename-over) or an eviction drops the old
-//! inode's link count to 0; the reader then drops the entry and opens
-//! the name again — exactly the by-name semantics, including
-//! `NotFound` for a step that is gone.
+//! over the name, and eviction unlinks it. A cached file is reused only
+//! while it is provably still the step's, proven by the pin's residency
+//! epoch where the session maps the table, by `fstat` elsewhere:
+//!
+//! * **Proven** ([`read_proven`](StepReader::read_proven)). The caller
+//!   pinned the step through a shared residency table and passes the
+//!   pin's *proof* (an opaque `u64`: which table, which epoch of the
+//!   key). The owner of the table advances a key's epoch whenever a new
+//!   production of it becomes resident, after its file was renamed into
+//!   place. Every entry is tagged with the proof it was opened or last
+//!   checked under, and an entry whose tag equals the read's proof is
+//!   read with one `pread` and no `fstat`: the file opened after the
+//!   epoch became visible is that production or a newer one. Any other
+//!   proof falls back to the `fstat` check below and re-tags the entry.
+//!   What changes for a file deleted behind the owner's back: a proven
+//!   read serves it from its open inode until the owner retires the
+//!   key (every byte it serves is still a verified production).
+//! * **By `fstat`** ([`read`](StepReader::read), and a read without a
+//!   proof). While a cached file's inode still has a link
+//!   (`st_nlink > 0`) it is the file under that name. A re-publish
+//!   (rename-over) or an eviction drops the old inode's link count to
+//!   0; the reader then drops the entry and opens the name again —
+//!   exactly the by-name semantics, including `NotFound` for a step
+//!   that is gone.
 //!
 //! **fd budget.** The cached files of every reader in the process
 //! together never exceed a quarter of the soft `RLIMIT_NOFILE`, read
@@ -35,11 +54,14 @@
 //!
 //! **Deleted inodes.** An entry whose step was evicted keeps its inode
 //! (and its disk space) alive until the entry is closed. Each read
-//! probes one other slot, round-robin, and closes it if it is
-//! unlinked, so an unlinked entry is closed within as many reads as the
-//! reader has slots (its peak entry count). At most `entries × step
-//! size` bytes of deleted steps are held at any time, and dropping the
-//! reader closes everything.
+//! probes one other slot, round-robin, and closes it if its step is
+//! gone: a tagged entry on a proven read is judged by the table (the
+//! key's proof now equals the tag → keep, otherwise close, no stat),
+//! any other entry by whether its file is unlinked. So a retired or
+//! unlinked entry is closed within as many reads as the reader has
+//! slots (its peak entry count). At most `entries × step size` bytes of
+//! deleted steps are held at any time, and dropping the reader closes
+//! everything.
 
 use crate::area::StorageArea;
 use std::collections::{HashMap, HashSet};
@@ -122,6 +144,10 @@ struct Cached {
     /// same key opens that name, as a by-name read would.
     name: Box<str>,
     file: File,
+    /// Its length (a published file never changes).
+    len: usize,
+    /// The residency proof it was opened or last checked under.
+    proof: Option<u64>,
     budget: &'static FdBudget,
 }
 
@@ -149,7 +175,13 @@ pub struct StepReader {
     sweep: usize,
     /// The last read's bytes (and whatever capacity earlier reads grew).
     buf: Vec<u8>,
+    /// `fstat` calls made: cached-file checks and sweep probes.
+    fstats: u64,
 }
+
+/// The proof a pin of a key would carry now (`None`: not resident), as
+/// the table a session pins against answers it.
+pub type ProofOf<'a> = &'a dyn Fn(u64) -> Option<u64>;
 
 impl StepReader {
     pub(crate) fn new(area: StorageArea) -> StepReader {
@@ -166,6 +198,7 @@ impl StepReader {
             seen: HashSet::new(),
             sweep: 0,
             buf: Vec::new(),
+            fstats: 0,
         }
     }
 
@@ -176,17 +209,38 @@ impl StepReader {
     /// What a by-name read of `name` would return: `NotFound` for a
     /// step that is not published, an invalid name, or an I/O error.
     pub fn read(&mut self, key: u64, name: &str) -> io::Result<&[u8]> {
-        self.sweep_one(key);
+        self.read_proven(key, name, None, &|_| None)
+    }
+
+    /// Reads step `key`, published as `name`, behind a pin of a shared
+    /// residency table (see the [module docs](self), "Reuse
+    /// invariant"): `proof` is the pin's proof (`None` for a pin taken
+    /// some other way), `table` answers the proof a pin of any key would
+    /// carry now, for the sweep. With no proof from either, this is
+    /// [`read`](Self::read), under which a tagged entry the sweep meets
+    /// has nothing to be judged by and is closed. The bytes are valid
+    /// until the next read.
+    ///
+    /// # Errors
+    /// As [`read`](Self::read).
+    pub fn read_proven(
+        &mut self,
+        key: u64,
+        name: &str,
+        proof: Option<u64>,
+        table: ProofOf<'_>,
+    ) -> io::Result<&[u8]> {
+        self.sweep_one(key, table);
         let mut cached = None;
         if let Some(&at) = self.index.get(&key) {
-            cached = self.read_cached(at, name);
+            cached = self.read_cached(at, name, proof);
             if cached.is_none() {
                 self.close(at);
             }
         }
         let len = match cached {
             Some(len) => len,
-            None => self.read_by_name(key, name)?,
+            None => self.read_by_name(key, name, proof)?,
         };
         Ok(&self.buf[..len])
     }
@@ -196,28 +250,42 @@ impl StepReader {
         self.index.len()
     }
 
+    /// `fstat` calls this reader has made on cached files (the reuse
+    /// check of an unproven read and the sweep's probe); a proven
+    /// steady-state read makes none.
+    pub fn fstats(&self) -> u64 {
+        self.fstats
+    }
+
     /// Reads the cached file at `at` into the buffer; `None` if it may
-    /// no longer be used (another name, unlinked, or an I/O error).
-    fn read_cached(&mut self, at: usize, name: &str) -> Option<usize> {
+    /// no longer be used (another name, unlinked, or an I/O error). An
+    /// entry tagged with `proof` is read as it is; any other is checked
+    /// on disk first and tagged with `proof`.
+    fn read_cached(&mut self, at: usize, name: &str, proof: Option<u64>) -> Option<usize> {
         let entry = self.slots[at]
-            .as_ref()
+            .as_mut()
             .expect("the index names only occupied slots");
         if &*entry.name != name {
             return None;
         }
-        let meta = entry.file.metadata().ok()?;
-        if meta.nlink() == 0 {
-            return None;
+        if proof.is_none() || entry.proof != proof {
+            self.fstats += 1;
+            let meta = entry.file.metadata().ok()?;
+            if meta.nlink() == 0 {
+                return None;
+            }
+            entry.len = usize::try_from(meta.len()).ok()?;
+            entry.proof = proof;
         }
-        let len = usize::try_from(meta.len()).ok()?;
-        fill(&entry.file, &mut self.buf, len).ok()?;
-        Some(len)
+        fill(&entry.file, &mut self.buf, entry.len).ok()?;
+        Some(entry.len)
     }
 
     /// A cold read: opens `name` and reads it. The file is cached if
-    /// the key was read before and the budget allows; a first read only
-    /// marks the key, so a scan that never comes back caches nothing.
-    fn read_by_name(&mut self, key: u64, name: &str) -> io::Result<usize> {
+    /// the key was read before and the budget allows, tagged with
+    /// `proof`; a first read only marks the key, so a scan that never
+    /// comes back caches nothing.
+    fn read_by_name(&mut self, key: u64, name: &str, proof: Option<u64>) -> io::Result<usize> {
         let file = File::open(self.area.path_for(name)?)?;
         let len = usize::try_from(file.metadata()?.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "step larger than memory"))?;
@@ -233,6 +301,8 @@ impl StepReader {
                 key,
                 name: name.into(),
                 file,
+                len,
+                proof,
                 budget: self.budget,
             };
             let at = match self.free.pop() {
@@ -250,21 +320,27 @@ impl StepReader {
         Ok(len)
     }
 
-    /// Probes the next slot round-robin and closes it if its step was
-    /// unlinked (the slot being read is checked by the read itself).
-    fn sweep_one(&mut self, reading: u64) {
+    /// Probes the next slot round-robin and closes it if its step is
+    /// gone (the slot being read is checked by the read itself): a
+    /// tagged entry when the `table`'s proof of its key moved on, any
+    /// other when its file was unlinked.
+    fn sweep_one(&mut self, reading: u64, table: ProofOf<'_>) {
         if self.slots.is_empty() {
             return;
         }
         let at = self.sweep % self.slots.len();
         self.sweep = at + 1;
-        let unlinked = match &self.slots[at] {
-            Some(entry) if entry.key != reading => {
-                entry.file.metadata().map_or(true, |m| m.nlink() == 0)
-            }
+        let gone = match &self.slots[at] {
+            Some(entry) if entry.key != reading => match entry.proof {
+                Some(tag) => table(entry.key) != Some(tag),
+                None => {
+                    self.fstats += 1;
+                    entry.file.metadata().map_or(true, |m| m.nlink() == 0)
+                }
+            },
             _ => false,
         };
-        if unlinked {
+        if gone {
             self.close(at);
         }
     }
@@ -482,6 +558,136 @@ mod tests {
             "the sweep missed an unlinked entry"
         );
         assert!(reader.index.keys().all(|k| k % 2 == 1));
+        fs::remove_dir_all(area.root()).unwrap();
+    }
+
+    /// A table of one epoch per key, as a session's pins would prove
+    /// it: `None` is a key that is not resident.
+    struct Table(std::cell::RefCell<HashMap<u64, u64>>);
+
+    impl Table {
+        fn new(keys: impl IntoIterator<Item = u64>) -> Table {
+            Table(std::cell::RefCell::new(keys.into_iter().map(|k| (k, 1)).collect()))
+        }
+        fn proof(&self, key: u64) -> Option<u64> {
+            self.0.borrow().get(&key).map(|epoch| key << 32 | epoch)
+        }
+        fn advance(&self, key: u64) {
+            *self.0.borrow_mut().entry(key).or_insert(0) += 1;
+        }
+        fn retire(&self, key: u64) {
+            self.0.borrow_mut().remove(&key);
+        }
+    }
+
+    /// A proven read of `key` (panics on an error).
+    fn proven(reader: &mut StepReader, table: &Table, key: u64, name: &str) -> Vec<u8> {
+        reader
+            .read_proven(key, name, table.proof(key), &|k| table.proof(k))
+            .unwrap()
+            .to_vec()
+    }
+
+    #[test]
+    fn a_proven_read_makes_no_fstat() {
+        let area = temp_area("proven");
+        area.publish("s1", b"one").unwrap();
+        area.publish("s2", b"two").unwrap();
+        let table = Table::new([1, 2]);
+        let mut reader = StepReader::with_budget(area.clone(), budget(8));
+        for _ in 0..50 {
+            assert_eq!(proven(&mut reader, &table, 1, "s1"), b"one");
+            assert_eq!(proven(&mut reader, &table, 2, "s2"), b"two");
+        }
+        assert_eq!(reader.cached(), 2);
+        assert_eq!(reader.fstats(), 0, "a proven read checked its file on disk");
+        // Without a proof a cached read checks its file on disk, and
+        // the sweep, with no table to judge it by, closes the other
+        // (tagged) entry.
+        reader.read(1, "s1").unwrap();
+        assert_eq!(reader.fstats(), 1);
+        assert_eq!(reader.cached(), 1);
+        fs::remove_dir_all(area.root()).unwrap();
+    }
+
+    /// A key evicted and re-produced between two opens: its epoch moved,
+    /// so the old file is never served.
+    #[test]
+    fn a_moved_epoch_is_never_served_from_the_old_file() {
+        let area = temp_area("reproduced");
+        area.publish("s1", b"before eviction").unwrap();
+        let table = Table::new([1]);
+        let mut reader = StepReader::with_budget(area.clone(), budget(8));
+        for _ in 0..2 {
+            assert_eq!(proven(&mut reader, &table, 1, "s1"), b"before eviction");
+        }
+        assert!(area.delete("s1").unwrap());
+        area.publish("s1", b"re-simulated").unwrap();
+        table.advance(1);
+        assert_eq!(proven(&mut reader, &table, 1, "s1"), b"re-simulated");
+        // Re-tagged: the new file is read proven from here on.
+        let fstats = reader.fstats();
+        assert_eq!(proven(&mut reader, &table, 1, "s1"), b"re-simulated");
+        assert_eq!(reader.fstats(), fstats);
+        assert_eq!(reader.cached(), 1);
+        fs::remove_dir_all(area.root()).unwrap();
+    }
+
+    /// An overlapping production renames a new file over a resident
+    /// step: the proven entry serves the old production until the
+    /// epoch moves, then the new one.
+    #[test]
+    fn a_rename_over_is_read_once_its_epoch_moves() {
+        let area = temp_area("overlap");
+        area.publish("s1", b"first production").unwrap();
+        let table = Table::new([1]);
+        let mut reader = StepReader::with_budget(area.clone(), budget(8));
+        for _ in 0..2 {
+            proven(&mut reader, &table, 1, "s1");
+        }
+        area.publish("s1", b"second production").unwrap();
+        assert_eq!(
+            proven(&mut reader, &table, 1, "s1"),
+            b"first production",
+            "not admitted yet: the proof still holds for the open inode"
+        );
+        table.advance(1);
+        assert_eq!(proven(&mut reader, &table, 1, "s1"), b"second production");
+        fs::remove_dir_all(area.root()).unwrap();
+    }
+
+    /// The sweep judges tagged entries by the table: a retired key's
+    /// entry is closed within one pass, with no stat, even though its
+    /// file is still linked.
+    #[test]
+    fn the_sweep_closes_a_retired_entry_within_one_pass_without_a_stat() {
+        let area = temp_area("retired");
+        const STEPS: u64 = 10;
+        for k in 0..STEPS {
+            area.publish(&format!("s{k}"), &[k as u8; 64]).unwrap();
+        }
+        let table = Table::new(0..STEPS);
+        let mut reader = StepReader::with_budget(area.clone(), budget(64));
+        for k in 0..STEPS {
+            for _ in 0..2 {
+                proven(&mut reader, &table, k, &format!("s{k}"));
+            }
+        }
+        assert_eq!(reader.cached(), STEPS as usize);
+        for k in (0..STEPS).step_by(2) {
+            table.retire(k);
+        }
+        let slots = reader.cached();
+        for _ in 0..slots {
+            proven(&mut reader, &table, 1, "s1");
+        }
+        assert_eq!(
+            reader.cached(),
+            STEPS as usize / 2,
+            "the sweep missed a retired entry"
+        );
+        assert!(reader.index.keys().all(|k| k % 2 == 1));
+        assert_eq!(reader.fstats(), 0);
         fs::remove_dir_all(area.root()).unwrap();
     }
 

@@ -45,9 +45,7 @@ use crate::checksum::xxh64;
 use bytes::{BufMut, Bytes};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
-use std::io::{self, Write};
-use std::path::Path;
+use std::io;
 
 const MAGIC: &[u8; 4] = b"SDF1";
 const VERSION: u32 = 2;
@@ -349,26 +347,6 @@ impl Dataset {
         })
     }
 
-    /// Writes the dataset to `path` atomically (temp file + rename), so
-    /// a concurrently opening reader never sees a partial step.
-    pub fn write_to(&self, path: &Path) -> Result<u64, SdfError> {
-        let bytes = self.encode();
-        let tmp = tmp_sibling(path);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Reads and validates a dataset from `path`.
-    pub fn read_from(path: &Path) -> Result<Dataset, SdfError> {
-        let bytes = fs::read(path)?;
-        Dataset::decode(&bytes)
-    }
-
     /// The footer value of the canonical encoding: equal datasets have
     /// equal digests. (What `SIMFS_Bitrep` records is the driver's
     /// whole-file checksum of the encoding, not this.)
@@ -555,15 +533,6 @@ fn put_elems<T: Copy, const N: usize>(
 /// The inverse of [`put_elems`]; `raw.len()` is a multiple of `N`.
 fn get_elems<T, const N: usize>(raw: &[u8], from_le: impl Fn([u8; N]) -> T) -> Vec<T> {
     raw.as_chunks::<N>().0.iter().map(|c| from_le(*c)).collect()
-}
-
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| ".sdf".into());
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 fn put_string(buf: &mut Vec<u8>, s: &str) {
@@ -790,24 +759,21 @@ mod tests {
         ));
     }
 
+    /// A dataset published to a storage area (temp file → fsync →
+    /// rename, the one publish path) reads back and decodes equal, and
+    /// leaves no temp file behind.
     #[test]
     fn file_roundtrip_is_atomic_and_valid() {
         let dir = std::env::temp_dir().join(format!("sdf-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("step-000042.sdf");
+        let _ = std::fs::remove_dir_all(&dir);
+        let area = crate::StorageArea::create(&dir, u64::MAX).unwrap();
         let ds = sample();
-        let written = ds.write_to(&path).unwrap();
+        let written = area.publish("step-000042.sdf", &ds.encode()).unwrap();
         assert_eq!(written, ds.encode().len() as u64);
-        let back = Dataset::read_from(&path).unwrap();
+        let back = Dataset::decode(&area.read("step-000042.sdf").unwrap()).unwrap();
         assert_eq!(ds, back);
-        // No temp file left behind.
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty());
-        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(area.list().unwrap(), vec!["step-000042.sdf"], "temp litter left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
