@@ -466,8 +466,9 @@ dv_stats! {
     /// Produced files rejected (and deleted) by the integrity gate.
     dv corrupt_outputs,
     /// Blocking effect jobs reactor shard threads handed to the effect
-    /// tier's helper pool instead of executing inline (daemon-side,
-    /// mirrored into snapshots; zero in inline compatibility mode).
+    /// tier's helper pool (daemon-side, mirrored into snapshots). A job
+    /// raised off the reactor — by the reaper, say — runs on its own
+    /// thread and is not counted.
     daemon effects_offloaded,
     /// Submissions that found their per-shard effect queue full and
     /// parked until a helper freed space (backpressure events, not
@@ -481,8 +482,8 @@ dv_stats! {
     daemon effect_spawn_ns,
     /// Job-control effect jobs executed.
     daemon effect_spawn_ops,
-    /// Helper-side nanoseconds executing WAL-only effect jobs (durable
-    /// outboxes, fast-pin windows, departures).
+    /// Helper-side nanoseconds executing WAL-only effect jobs (a
+    /// durable context's hello leases and departures).
     daemon effect_wal_ns,
     /// WAL-only effect jobs executed.
     daemon effect_wal_ops,

@@ -24,8 +24,9 @@
 //!    one [`WalRecord::Lease`] ([`MemberCore::lease`]), durable before
 //!    its greeting goes out — one record per session, none per pin. A
 //!    recovering member leases every client whose lease record is live,
-//!    pins or none, and every pin owner a journal written by an earlier
-//!    build still names ([`WalState::live_clients`]).
+//!    pins or none ([`WalState::leases`]). A journal written by an
+//!    earlier build names pins, not sessions; the daemon refuses to
+//!    recover from it.
 //! 2. **Recovery holds evictions until its leases settle.** While any
 //!    recovery lease is outstanding, no step that was resident at the
 //!    recovery is evicted ([`DataVirtualizer::hold_resident`]); the
@@ -127,13 +128,10 @@ impl MemberCore {
                 ..WalState::default()
             };
             if recover {
-                let leased = replayed.live_clients();
                 let deadline = now.saturating_add(lease_timeout);
-                for client in leased {
-                    state.leases.push(client);
-                    core.leases.insert(client, deadline);
-                    client_floor = client_floor.max(client + 1);
-                }
+                core.leases = replayed.leases.iter().map(|&client| (client, deadline)).collect();
+                client_floor = replayed.leases.last().map_or(0, |client| client + 1);
+                state.leases = replayed.leases;
                 if !core.leases.is_empty() {
                     // Rule 2.
                     let held = core.dv.hold_resident() as u64;
@@ -285,7 +283,8 @@ impl MemberCore {
 mod tests {
     use super::*;
     use crate::model::{ContextCfg, StepMath};
-    use simstore::walog::{encode_record, replay_bytes};
+    use simstore::walog::{encode_record, replay_bytes, RECORD_LEN};
+    use std::collections::BTreeSet;
 
     /// Δr = 4 over 40 steps: interval j holds keys 4j+1..=4j+4. Member
     /// `index` of `size` owns the intervals ≡ index (mod size).
@@ -311,11 +310,6 @@ mod tests {
         )
     }
 
-    /// A pin record, as an earlier build journaled one.
-    fn pin(client: u64, key: u64, epoch: u64) -> WalRecord {
-        WalRecord::PinAcquire { client, key, epoch }
-    }
-
     fn lease(client: u64, epoch: u64) -> WalRecord {
         WalRecord::Lease { client, epoch }
     }
@@ -326,7 +320,7 @@ mod tests {
 
     #[test]
     fn epoch_is_strictly_above_the_replayed_one_with_and_without_recover() {
-        let journal = [WalRecord::Epoch { epoch: 3 }, lease(7, 3), pin(7, 2, 4)];
+        let journal = [WalRecord::Epoch { epoch: 3 }, lease(7, 3), lease(8, 4), gone(8, 4)];
         for recover in [false, true] {
             let (core, rec) = core_with(0, 1, &[1, 2], Some(&journal), recover);
             assert_eq!(core.epoch(), 5, "recover = {recover}");
@@ -343,25 +337,21 @@ mod tests {
 
     #[test]
     fn only_resident_pins_are_restored_and_only_live_clients_are_leased() {
-        // Member 1 of 2 owns interval 1 (keys 5-8), not interval 0. An
-        // earlier build journaled the pins; this one leased 10 at hello.
-        let journal = [
-            pin(7, 5, 1),
-            pin(7, 5, 1),
-            pin(7, 6, 1), // not resident
-            pin(8, 6, 1), // not resident: 8 is leased all the same
-            pin(9, 5, 1),
-            gone(9, 1),
-            lease(10, 1), // a lease, no pin
-        ];
+        // Member 1 of 2 owns interval 1 (keys 5-8), not interval 0. 7
+        // held 5 twice and 6 (not resident), 8 only 6: 8 is leased all
+        // the same. 9 departed; 10 held nothing.
+        let journal = [lease(7, 1), lease(8, 1), lease(9, 1), gone(9, 1), lease(10, 1)];
         let (mut core, rec) = core_with(1, 2, &[1, 5], Some(&journal), true);
         assert!(core.dv.is_cached(5));
         assert!(!core.dv.is_cached(1), "a foreign resident step is not primed");
         assert_eq!(core.dv.pin_count(5), 0, "recovery pins nothing");
         assert_eq!(core.dv.stats().recovery_held_steps, 1, "key 5");
         let state = rec.state.expect("journal");
-        assert!(state.pins.is_empty(), "the snapshot journals no pin");
-        assert_eq!(state.leases, vec![7, 8, 10]);
+        assert_eq!(
+            state.snapshot(2),
+            vec![WalRecord::Epoch { epoch: 2 }, lease(7, 2), lease(8, 2), lease(10, 2)],
+            "the snapshot journals leases, no pin"
+        );
         assert_eq!(rec.client_floor, 11);
         assert_eq!(core.leases.keys().copied().collect::<Vec<_>>(), vec![7, 8, 10]);
         assert_eq!(core.next_due(SimTime::from_secs(10)), Some(SimTime::from_secs(15)));
@@ -522,14 +512,13 @@ mod tests {
 
     #[test]
     fn a_solo_member_leases_every_live_hello_lease_and_holds_evictions_until_the_last_settles() {
-        // 7 and 8 said hello; 8 also holds a pin an earlier build
-        // journaled; 9 said hello and departed.
-        let journal = [lease(7, 1), lease(8, 1), pin(8, 2, 1), lease(9, 1), gone(9, 1)];
+        // 7 and 8 said hello (8 held 2); 9 said hello and departed.
+        let journal = [lease(7, 1), lease(8, 1), lease(9, 1), gone(9, 1)];
         let (mut core, rec) = small_solo(&[1, 2], &journal);
         assert_eq!(core.leases.keys().copied().collect::<Vec<_>>(), vec![7, 8]);
         assert_eq!(rec.client_floor, 9);
         let state = rec.state.expect("journal");
-        assert_eq!(state.leases, vec![7, 8], "the snapshot keeps both leases");
+        assert_eq!(state.leases, BTreeSet::from([7, 8]), "the snapshot keeps both leases");
         assert_eq!(core.dv.stats().recovery_held_steps, 2);
         // Rule 2: interval 1 floods the two-step cache; 1 and 2 stay.
         let t = SimTime::from_secs(11);
@@ -573,79 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn a_journal_from_an_earlier_build_leases_every_pin_owner_and_holds_until_the_reasserts() {
-        // An earlier build journaled pins (a takeover grant under its
-        // own tag) and leased only its mapped sessions.
-        let journal = [
-            WalRecord::Epoch { epoch: 1 },
-            lease(7, 1),
-            pin(7, 1, 1),
-            pin(8, 2, 1), // a pin owner with no lease
-            WalRecord::TakeoverPin {
-                client: 9,
-                key: 1,
-                epoch: 1,
-            },
-            pin(10, 1, 1),
-            WalRecord::PinRelease {
-                client: 10,
-                key: 1,
-                epoch: 1,
-            },
-            gone(10, 1),
-            pin(11, 2, 1),
-            WalRecord::PinRelease {
-                client: 11,
-                key: 2,
-                epoch: 1,
-            },
-            lease(12, 1),
-            gone(12, 1),
-        ];
-        // The file decodes whole: no tag reads as a torn tail.
-        let mut bytes = Vec::new();
-        for r in &journal {
-            encode_record(r, &mut bytes);
-        }
-        let (decoded, report) = replay_bytes(&bytes);
-        assert!(!report.truncated, "{report:?}");
-        assert_eq!(decoded, journal);
-
-        // Rule 1: every live pin owner and every live lease holder.
-        let (mut core, rec) = small_solo(&[1, 2], &decoded);
-        assert_eq!(core.leases.keys().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
-        assert_eq!(rec.client_floor, 10);
-        let state = rec.state.expect("journal");
-        assert!(state.pins.is_empty());
-        assert_eq!(
-            state.snapshot(2),
-            vec![WalRecord::Epoch { epoch: 2 }, lease(7, 2), lease(8, 2), lease(9, 2)]
-        );
-        assert_eq!(core.dv.pin_count(1) + core.dv.pin_count(2), 0);
-        // Rule 2: the resident steps are held through a flood.
-        assert_eq!(core.dv.stats().recovery_held_steps, 2);
-        let t = SimTime::from_secs(11);
-        let evicted = produce_through(&mut core, t, 6);
-        assert!(!evicted.contains(&1) && !evicted.contains(&2), "{evicted:?}");
-        // Rule 3: each reassert restores its resident keys and journals
-        // only its departure.
-        let mut actions = Vec::new();
-        let mut restored = Vec::new();
-        for (prior, new, keys) in [(7, 20, vec![1]), (8, 21, vec![2]), (9, 22, vec![1, 3])] {
-            let out = core.reassert(t, new, prior, 1, &keys, &mut actions);
-            restored.extend(out.restored);
-        }
-        assert_eq!(restored, vec![1, 2, 1]);
-        assert_eq!(core.records, vec![gone(7, 2), gone(8, 2), gone(9, 2)]);
-        assert!(core.leases.is_empty());
-        assert_eq!((core.dv.pin_count(1), core.dv.pin_count(2)), (2, 1));
-        // The hold is gone; the pins still veto.
-        let evicted = produce_through(&mut core, t, 9);
-        assert!(!evicted.contains(&1) && !evicted.contains(&2), "{evicted:?}");
-        assert_eq!(core.dv.stats().leases_expired, 0);
-    }
-
-    #[test]
     fn a_lease_is_journaled_at_hello_only_with_a_journal() {
         let (mut core, _) = small_solo(&[], &[]);
         core.lease(4);
@@ -665,5 +581,139 @@ mod tests {
         let mut actions = Vec::new();
         core.depart(SimTime::ZERO, 3, &mut actions);
         assert!(core.records.is_empty());
+    }
+
+    mod crash_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step of a durable member's session history.
+        #[derive(Clone, Debug)]
+        enum Op {
+            /// A new session says hello.
+            Hello,
+            /// The live session at this index departs.
+            Bye(prop::sample::Index),
+            /// The daemon restarts, with or without `--recover`.
+            Restart(bool),
+            /// A pin record lands in the journal, as only the
+            /// benchmark's append probe writes one.
+            Pin(u64),
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                Just(Op::Hello),
+                Just(Op::Hello),
+                any::<prop::sample::Index>().prop_map(Op::Bye),
+                any::<bool>().prop_map(Op::Restart),
+                (1u64..40).prop_map(Op::Pin),
+            ]
+        }
+
+        fn encode(records: &[WalRecord]) -> Vec<u8> {
+            let mut bytes = Vec::new();
+            for r in records {
+                encode_record(r, &mut bytes);
+            }
+            bytes
+        }
+
+        fn start(journal: &[WalRecord], recover: bool) -> (MemberCore, Recovered) {
+            core_with(0, 1, &[1, 2], Some(journal), recover)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A scripted history of hellos, departures and restarts,
+            /// encoded as the daemon writes it and cut at every byte
+            /// boundary: each valid prefix recovers exactly its hellos
+            /// minus its departures (a pin record ends what is read),
+            /// under an epoch above every record's, and the recovered
+            /// snapshot recovers to the same leases.
+            #[test]
+            fn every_cut_of_a_lease_journal_recovers_its_live_sessions(
+                ops in prop::collection::vec(arb_op(), 0..32),
+            ) {
+                // The file's records, in the order they were written.
+                let (core, rec) = start(&[], true);
+                let mut epoch = core.epoch();
+                let mut written = rec.state.expect("a journal").snapshot(epoch);
+                let mut live: Vec<u64> = Vec::new();
+                let mut next_client = 1;
+                for op in ops {
+                    match op {
+                        Op::Hello => {
+                            written.push(WalRecord::Lease { client: next_client, epoch });
+                            live.push(next_client);
+                            next_client += 1;
+                        }
+                        Op::Bye(at) if !live.is_empty() => {
+                            let client = live.remove(at.index(live.len()));
+                            written.push(WalRecord::ClientGone { client, epoch });
+                        }
+                        Op::Bye(_) => {}
+                        Op::Restart(recover) => {
+                            let (records, _) = replay_bytes(&encode(&written));
+                            let (core, rec) = start(&records, recover);
+                            epoch = core.epoch();
+                            let state = rec.state.expect("a journal");
+                            live = state.leases.iter().copied().collect();
+                            next_client = next_client.max(rec.client_floor);
+                            written = state.snapshot(epoch);
+                        }
+                        Op::Pin(key) => {
+                            written.push(WalRecord::PinAcquire { client: next_client, key, epoch });
+                        }
+                    }
+                }
+                let bytes = encode(&written);
+                let readable = written
+                    .iter()
+                    .position(|r| matches!(r, WalRecord::PinAcquire { .. }))
+                    .unwrap_or(written.len());
+                for cut in 0..=bytes.len() {
+                    let whole = cut / RECORD_LEN;
+                    let (records, report) = replay_bytes(&bytes[..cut]);
+                    let replayed = whole.min(readable);
+                    prop_assert_eq!(&records[..], &written[..replayed]);
+                    prop_assert_eq!(report.truncated, replayed * RECORD_LEN != cut);
+                    prop_assert!(!report.earlier);
+                    if cut % RECORD_LEN != 0 && cut != bytes.len() {
+                        continue; // the same valid prefix as the last boundary
+                    }
+                    let mut hellos = BTreeSet::new();
+                    for r in &written[..replayed] {
+                        match *r {
+                            WalRecord::Lease { client, .. } => {
+                                hellos.insert(client);
+                            }
+                            WalRecord::ClientGone { client, .. } => {
+                                hellos.remove(&client);
+                            }
+                            _ => {}
+                        }
+                    }
+                    let (core, rec) = start(&records, true);
+                    let leased: BTreeSet<u64> = core.leases.keys().copied().collect();
+                    prop_assert_eq!(&leased, &hellos);
+                    prop_assert_eq!(rec.client_floor, hellos.last().map_or(0, |c| c + 1));
+                    prop_assert!(written[..whole].iter().all(|r| r.epoch() < core.epoch()));
+                    let state = rec.state.expect("a journal");
+                    prop_assert_eq!(&state.leases, &hellos);
+                    let (plain, _) = start(&records, false);
+                    prop_assert_eq!(plain.epoch(), core.epoch());
+                    prop_assert!(plain.leases.is_empty());
+                    // Recovering the recovered snapshot: the same leases,
+                    // one epoch on.
+                    let (again, _) = replay_bytes(&encode(&state.snapshot(core.epoch())));
+                    let (core2, rec2) = start(&again, true);
+                    prop_assert_eq!(core2.epoch(), core.epoch() + 1);
+                    prop_assert_eq!(&rec2.state.expect("a journal").leases, &state.leases);
+                    prop_assert_eq!(rec2.client_floor, rec.client_floor);
+                }
+            }
+        }
     }
 }

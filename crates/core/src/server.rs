@@ -159,17 +159,20 @@
 //!    the virtual fault harness drives too), kept beside the DV under
 //!    the DV lock. At start-up the WAL replays under a fresh epoch and,
 //!    with `recover`, every session whose lease is live is *leased* for
-//!    `lease_timeout` (rule 1) — as is every pin owner a journal
-//!    written by an earlier build still names. While any lease is out,
-//!    no step resident at the recovery is evicted — the storage area
-//!    overflows instead, for at most `lease_timeout` (rule 2). A
-//!    reassert under a live lease pins each claimed key that is still
-//!    resident for the new session (rule 3), so every pin the session
-//!    held comes back with no re-acquire and no gap in which it could
-//!    have been evicted. The lease ends in a `ClientGone` through the
-//!    core's one departure path: after a timely reassert, at a late one
-//!    (every key `gone`), or at the deadline itself; the last to end
-//!    lifts the hold. The reaper's one deadline source is the core's
+//!    `lease_timeout` (rule 1). A journal written by an earlier build
+//!    (its first record predates [`simstore::walog::JOURNAL_VERSION`])
+//!    names pins, not sessions: `recover` refuses it with
+//!    [`EarlierJournal`] and leaves it as it is, and a start without
+//!    `recover` takes an epoch above all of its and rewrites it. While
+//!    any lease is out, no step resident at the recovery is evicted —
+//!    the storage area overflows instead, for at most `lease_timeout`
+//!    (rule 2). A reassert under a live lease pins each claimed key
+//!    that is still resident for the new session (rule 3), so every
+//!    pin the session held comes back with no re-acquire and no gap in
+//!    which it could have been evicted. The lease ends in a
+//!    `ClientGone` through the core's one departure path: after a
+//!    timely reassert, at a late one (every key `gone`), or at the
+//!    deadline itself; the last to end lifts the hold. The reaper's one deadline source is the core's
 //!    `next_due` — the DV's supervision deadlines and the leases'.
 //! 2. **The DV lock.** Each context's [`DataVirtualizer`] — its cache
 //!    directory, waiter/launch/prefetch state and the request
@@ -243,10 +246,12 @@ use simkit::{Dur, SimTime};
 use simstore::walog::{self, WalRecord, WalState, WriteAheadLog};
 use simstore::StorageArea;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::io;
 use std::net::SocketAddr;
 use std::ops::RangeInclusive;
 use std::os::unix::io::OwnedFd;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
 use std::thread::JoinHandle;
@@ -307,6 +312,44 @@ impl DurabilityCfg {
         }
     }
 }
+
+/// Typed start-up error: the payload of an
+/// [`io::ErrorKind::InvalidData`] error returned by [`DvServer::start`]
+/// when a context asked to `recover` finds a journal written by an
+/// earlier build, whose sessions this build cannot read. The file is
+/// left byte-identical; started without `recover`, the daemon takes an
+/// epoch above all of the file's and rewrites it in the current format.
+/// Recover it from the error via [`EarlierJournal::from_io`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EarlierJournal {
+    /// The refused journal.
+    pub path: PathBuf,
+}
+
+impl EarlierJournal {
+    /// Downcasts an [`io::Error`] to the typed refusal, if that is
+    /// what it carries.
+    pub fn from_io(err: &io::Error) -> Option<&EarlierJournal> {
+        err.get_ref().and_then(|inner| inner.downcast_ref::<EarlierJournal>())
+    }
+
+    fn into_io(self) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, self)
+    }
+}
+
+impl fmt::Display for EarlierJournal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: journal written by an earlier build, whose sessions cannot be recovered; \
+             start without --recover to begin a new journal above its epochs",
+            self.path.display()
+        )
+    }
+}
+
+impl std::error::Error for EarlierJournal {}
 
 /// Daemon configuration for one simulation context.
 pub struct ServerConfig {
@@ -1961,7 +2004,10 @@ impl DvServer {
             // priming's `key_of` never mistakes it for an output step).
             let durability = config.durability;
             let wal_path = config.storage.root().join(format!("dv-member-{}.wal", cluster.index));
-            let opened = durability.wal.then(|| WriteAheadLog::open(wal_path)).transpose()?;
+            let opened = durability.wal.then(|| WriteAheadLog::open(&wal_path)).transpose()?;
+            if durability.recover && opened.as_ref().is_some_and(|(_, _, report)| report.earlier) {
+                return Err(EarlierJournal { path: wal_path }.into_io());
+            }
             // Recovery: everything already on disk is cached state —
             // on a shared storage area a cluster member primes only the
             // intervals it owns (the rest are another daemon's to budget

@@ -1682,7 +1682,7 @@ mod tests {
         assert_eq!(rep.pins_reasserted, 0);
         assert_eq!(rep.leases_expired, 1, "the unclaimed lease must expire");
         assert!(
-            WalState::replay(&rep.journals[1]).live_clients().is_empty(),
+            WalState::replay(&rep.journals[1]).leases.is_empty(),
             "the lapsed lease is journaled gone: {:?}",
             rep.journals[1]
         );
@@ -1821,7 +1821,7 @@ mod tests {
                 "ClientGone must run exactly once"
             );
             proptest::prop_assert!(
-                WalState::replay(&rep.journals[1]).live_clients().is_empty(),
+                WalState::replay(&rep.journals[1]).leases.is_empty(),
                 "no lease may outlive its expiry"
             );
         }

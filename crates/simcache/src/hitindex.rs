@@ -662,7 +662,7 @@ mod tests {
         //   plus its refreshes;
         // * at the end every slot is empty and every word consistent.
         const KEYS: u64 = 3;
-        const ROUNDS: u64 = 10_000;
+        const ROUNDS: u64 = 100_000;
         let idx = Arc::new(HitIndex::new(8));
         let generations: Arc<Vec<AtomicU64>> =
             Arc::new((0..=KEYS).map(|_| AtomicU64::new(0)).collect());
@@ -670,6 +670,9 @@ mod tests {
             idx.publish(key);
         }
         let stop = Arc::new(AtomicBool::new(false));
+        // Every thread starts its loop together: spawned one by one, a
+        // fast pinner could finish before the retirer begins.
+        let start = Arc::new(std::sync::Barrier::new(6));
         let hold = |idx: &HitIndex, gens: &[AtomicU64], key: u64| {
             let gen = gens[key as usize].load(Ordering::SeqCst);
             assert!(idx.is_resident(key), "pinned key {key} is not resident");
@@ -686,13 +689,15 @@ mod tests {
         let mut pinners = Vec::new();
         let mut sessions = Vec::new();
         for t in 0..4u64 {
-            let (idx, gens) = (Arc::clone(&idx), Arc::clone(&generations));
+            let (idx, gens, start) =
+                (Arc::clone(&idx), Arc::clone(&generations), Arc::clone(&start));
             let pins = Arc::new(SessionPins::heap(idx.keys()));
             if t % 2 == 1 {
                 idx.attach(Arc::clone(&pins));
                 sessions.push(Arc::clone(&pins));
             }
             pinners.push(std::thread::spawn(move || {
+                start.wait();
                 let (mut landed, mut fell_back) = (0u64, 0u64);
                 for i in 0..ROUNDS {
                     let key = 1 + (i + t) % KEYS;
@@ -718,12 +723,14 @@ mod tests {
             }));
         }
         let retirer = {
-            let (idx, gens, stop) = (
+            let (idx, gens, stop, start) = (
                 Arc::clone(&idx),
                 Arc::clone(&generations),
                 Arc::clone(&stop),
+                Arc::clone(&start),
             );
             std::thread::spawn(move || {
+                start.wait();
                 let mut retired = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     for key in 1..=KEYS {
@@ -740,6 +747,7 @@ mod tests {
         let refresher = {
             let (idx, stop) = (Arc::clone(&idx), Arc::clone(&stop));
             std::thread::spawn(move || {
+                start.wait();
                 let mut refreshed = [0u64; KEYS as usize + 1];
                 while !stop.load(Ordering::Relaxed) {
                     for key in 1..=KEYS {

@@ -9,13 +9,7 @@
 //! and a restarted daemon replays the log to learn which sessions to
 //! wait for under a fresh epoch. Pins themselves are not journaled: a
 //! recovering member holds its resident steps until the leased sessions
-//! re-assert what they held.
-//!
-//! Earlier builds also journaled every pin ([`WalRecord::PinAcquire`],
-//! [`WalRecord::PinRelease`], [`WalRecord::TakeoverPin`]). Those
-//! variants keep their tags and their fold, because a journal such a
-//! build left behind must still decode: an unknown tag reads as a torn
-//! tail, and everything after it would be truncated away.
+//! re-assert what they held. The journal is a lease table.
 //!
 //! Design points:
 //!
@@ -23,6 +17,16 @@
 //!   checksum over the first 32 bytes ([`crate::checksum`]). A record
 //!   either replays whole or not at all; there is no variable-length
 //!   framing to resynchronize.
+//! * **A versioned file, with no extra record.** Every journal begins
+//!   with the `Epoch` its compaction snapshot opens with, and that
+//!   record carries [`JOURNAL_VERSION`] in its padding. Earlier builds
+//!   wrote a zero there and journaled every pin besides; their pin
+//!   records do not decode here. A file whose first record passes its
+//!   checksum but is not a current `Epoch` is such an earlier journal:
+//!   [`replay_bytes`] marks it [`earlier`](ReplayReport::earlier) and
+//!   [`WriteAheadLog::open`] leaves it byte-identical. Its sessions
+//!   cannot be read, so the daemon refuses to recover from it and,
+//!   started without recovery, only picks an epoch above all of its.
 //! * **Torn tails are expected, not errors.** A crash mid-append leaves
 //!   a partial or corrupt last record; [`replay_bytes`] recovers the
 //!   longest valid prefix and [`WriteAheadLog::open`] truncates the
@@ -33,14 +37,14 @@
 //!   [`sync`](WriteAheadLog::sync) fsyncs, so the daemon batches
 //!   durability off its hot path (records ride the `Effects` outbox
 //!   and are flushed at the same drain points as access digests).
-//! * **Replay is pure.** [`WalState`] folds records into leases (and an
-//!   earlier build's pin counts) with no I/O, so the deterministic fault-injection harness
-//!   journals into in-memory buffers and replays them under virtual
-//!   time exactly as the daemon replays files.
+//! * **Replay is pure.** [`WalState`] folds records into the epoch and
+//!   the live leases with no I/O, so the deterministic fault-injection
+//!   harness journals into in-memory buffers and replays them under
+//!   virtual time exactly as the daemon replays files.
 
 use crate::checksum::fnv1a64;
 use simkit::lockrank;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -48,34 +52,31 @@ use std::path::{Path, PathBuf};
 /// Encoded size of every WAL record.
 pub const RECORD_LEN: usize = 40;
 
+/// The journal format this build writes: byte 1 of every `Epoch`
+/// record, the first record of every journal. Earlier builds left it
+/// zero.
+pub const JOURNAL_VERSION: u8 = 2;
+
 /// One durable control-plane fact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalRecord {
     /// A recovery epoch began (the first record of every compaction
-    /// snapshot, so one per daemon start).
+    /// snapshot, so one per daemon start). It carries the journal's
+    /// format version.
     Epoch {
         /// The new epoch (strictly increasing across restarts).
         epoch: u64,
     },
-    /// `client` pinned `key` (one count). Written by earlier builds,
-    /// and by [`WalState::snapshot`] for a state that folded such pins;
-    /// the daemon journals no pin.
+    /// Encode-only: exists solely for the benchmark probe that times
+    /// appends and group fsyncs with a fixed-size record. The daemon
+    /// journals no pin, and a journal holding this record replays only
+    /// up to it (it has no decode arm, no fold and no snapshot row).
     PinAcquire {
         /// Pinning client.
         client: u64,
         /// Pinned key.
         key: u64,
         /// Epoch the pin was taken under.
-        epoch: u64,
-    },
-    /// `client` released one pin count on `key`. Written only by
-    /// earlier builds.
-    PinRelease {
-        /// Releasing client.
-        client: u64,
-        /// Released key.
-        key: u64,
-        /// Epoch the release happened under.
         epoch: u64,
     },
     /// `client` said hello: a session whose pins a recovery waits for
@@ -89,45 +90,27 @@ pub enum WalRecord {
         epoch: u64,
     },
     /// `client` departed (hangup, lapsed recovery lease, or a prior
-    /// identity retired by its reassert): its lease and any pins an
-    /// earlier build journaled for it are void.
+    /// identity retired by its reassert): its lease is void.
     ClientGone {
         /// Departed client.
         client: u64,
         /// Epoch of the departure.
         epoch: u64,
     },
-    /// `client` pinned `key` (one count) on behalf of a *dead cluster
-    /// member* — a takeover pin. Written only by earlier builds, which
-    /// tagged takeover grants this way; it replays like
-    /// [`PinAcquire`](WalRecord::PinAcquire), and compaction snapshots
-    /// canonicalize it to one.
-    TakeoverPin {
-        /// Pinning client (at the taker).
-        client: u64,
-        /// Pinned foreign-interval key.
-        key: u64,
-        /// The *taker's* epoch the pin was taken under.
-        epoch: u64,
-    },
 }
 
 const TAG_EPOCH: u8 = 1;
 const TAG_PIN_ACQUIRE: u8 = 2;
-const TAG_PIN_RELEASE: u8 = 3;
 const TAG_LEASE: u8 = 4;
 const TAG_CLIENT_GONE: u8 = 5;
-const TAG_TAKEOVER_PIN: u8 = 6;
 
 impl WalRecord {
     fn parts(&self) -> (u8, u64, u64, u64) {
         match *self {
             WalRecord::Epoch { epoch } => (TAG_EPOCH, 0, 0, epoch),
             WalRecord::PinAcquire { client, key, epoch } => (TAG_PIN_ACQUIRE, client, key, epoch),
-            WalRecord::PinRelease { client, key, epoch } => (TAG_PIN_RELEASE, client, key, epoch),
             WalRecord::Lease { client, epoch } => (TAG_LEASE, client, 0, epoch),
             WalRecord::ClientGone { client, epoch } => (TAG_CLIENT_GONE, client, 0, epoch),
-            WalRecord::TakeoverPin { client, key, epoch } => (TAG_TAKEOVER_PIN, client, key, epoch),
         }
     }
 
@@ -137,12 +120,21 @@ impl WalRecord {
     }
 }
 
+/// Byte 1 of a record with `tag`: the format version on an `Epoch`,
+/// padding on every other record.
+fn version_byte(tag: u8) -> u8 {
+    if tag == TAG_EPOCH {
+        JOURNAL_VERSION
+    } else {
+        0
+    }
+}
+
 /// Appends the canonical encoding of `r` to `out`.
 pub fn encode_record(r: &WalRecord, out: &mut Vec<u8>) {
     let (tag, client, key, epoch) = r.parts();
     let start = out.len();
-    out.push(tag);
-    out.extend_from_slice(&[0u8; 7]);
+    out.extend_from_slice(&[tag, version_byte(tag), 0, 0, 0, 0, 0, 0]);
     out.extend_from_slice(&client.to_le_bytes());
     out.extend_from_slice(&key.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
@@ -151,29 +143,25 @@ pub fn encode_record(r: &WalRecord, out: &mut Vec<u8>) {
     debug_assert_eq!(out.len() - start, RECORD_LEN);
 }
 
+/// Whether `buf`'s first [`RECORD_LEN`] bytes pass their checksum.
+fn sum_ok(buf: &[u8]) -> bool {
+    buf.len() >= RECORD_LEN
+        && fnv1a64(&buf[..32]) == u64::from_le_bytes(buf[32..40].try_into().unwrap())
+}
+
 /// Decodes one record from a [`RECORD_LEN`]-byte buffer; `None` if the
-/// checksum or tag is invalid (a torn or corrupt record).
+/// checksum, the padding or the tag is invalid (a torn or corrupt
+/// record, or one this build does not read).
 pub fn decode_record(buf: &[u8]) -> Option<WalRecord> {
-    if buf.len() < RECORD_LEN {
-        return None;
-    }
-    let stored = u64::from_le_bytes(buf[32..40].try_into().unwrap());
-    if fnv1a64(&buf[..32]) != stored {
-        return None;
-    }
-    if buf[1..8].iter().any(|&b| b != 0) {
+    if !sum_ok(buf) || buf[1] != version_byte(buf[0]) || buf[2..8].iter().any(|&b| b != 0) {
         return None;
     }
     let client = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-    let key = u64::from_le_bytes(buf[16..24].try_into().unwrap());
     let epoch = u64::from_le_bytes(buf[24..32].try_into().unwrap());
     Some(match buf[0] {
         TAG_EPOCH => WalRecord::Epoch { epoch },
-        TAG_PIN_ACQUIRE => WalRecord::PinAcquire { client, key, epoch },
-        TAG_PIN_RELEASE => WalRecord::PinRelease { client, key, epoch },
         TAG_LEASE => WalRecord::Lease { client, epoch },
         TAG_CLIENT_GONE => WalRecord::ClientGone { client, epoch },
-        TAG_TAKEOVER_PIN => WalRecord::TakeoverPin { client, key, epoch },
         _ => return None,
     })
 }
@@ -181,18 +169,43 @@ pub fn decode_record(buf: &[u8]) -> Option<WalRecord> {
 /// What [`replay_bytes`] found.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// Bytes of the longest valid record prefix.
+    /// Bytes of the longest valid record prefix (the whole file for an
+    /// [`earlier`](Self::earlier) journal, which is kept as it is).
     pub valid_bytes: u64,
     /// Records in that prefix.
     pub records: u64,
     /// Whether bytes past the prefix were discarded (torn tail).
     pub truncated: bool,
+    /// The bytes are an earlier build's journal: the first record
+    /// passes its checksum but is not a current-format `Epoch`.
+    pub earlier: bool,
 }
 
 /// Decodes the longest valid record prefix of `bytes`. Replay stops at
-/// the first record that is short, checksum-corrupt, or has an unknown
-/// tag — everything before it is trusted, everything after discarded.
+/// the first record that is short, checksum-corrupt, or has a tag this
+/// build does not read — everything before it is trusted, everything
+/// after discarded.
+///
+/// An earlier build's journal is not decoded at all: it replays as one
+/// `Epoch` carrying the highest epoch field among its checksum-valid
+/// records (bytes 24..32 hold the epoch in every format), with
+/// [`ReplayReport::earlier`] set and nothing discarded.
 pub fn replay_bytes(bytes: &[u8]) -> (Vec<WalRecord>, ReplayReport) {
+    if sum_ok(bytes) && !matches!(decode_record(bytes), Some(WalRecord::Epoch { .. })) {
+        let epoch = bytes
+            .chunks_exact(RECORD_LEN)
+            .filter(|r| sum_ok(r))
+            .map(|r| u64::from_le_bytes(r[24..32].try_into().unwrap()))
+            .max()
+            .unwrap_or(0);
+        let report = ReplayReport {
+            valid_bytes: bytes.len() as u64,
+            records: 1,
+            truncated: false,
+            earlier: true,
+        };
+        return (vec![WalRecord::Epoch { epoch }], report);
+    }
     let mut records = Vec::new();
     let mut off = 0usize;
     while off + RECORD_LEN <= bytes.len() {
@@ -206,22 +219,19 @@ pub fn replay_bytes(bytes: &[u8]) -> (Vec<WalRecord>, ReplayReport) {
         valid_bytes: off as u64,
         records: records.len() as u64,
         truncated: off != bytes.len(),
+        earlier: false,
     };
     (records, report)
 }
 
-/// Pure fold of a record stream into recoverable state: per-client pin
-/// counts and live leases, plus the highest epoch seen.
-#[derive(Clone, Debug, Default)]
+/// Pure fold of a record stream into recoverable state: the live
+/// leases and the highest epoch seen.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WalState {
     /// Highest epoch recorded.
     pub epoch: u64,
-    /// `(client, key)` → pin count. Releases saturate at zero (a
-    /// release whose acquire fell past a torn tail must not underflow
-    /// into resurrecting someone else's pin).
-    pub pins: HashMap<(u64, u64), u32>,
-    /// Clients holding leases (registered and not gone).
-    pub leases: Vec<u64>,
+    /// Clients holding leases (said hello and not gone).
+    pub leases: BTreeSet<u64>,
 }
 
 impl WalState {
@@ -229,28 +239,13 @@ impl WalState {
     pub fn apply(&mut self, r: &WalRecord) {
         self.epoch = self.epoch.max(r.epoch());
         match *r {
-            WalRecord::Epoch { .. } => {}
-            WalRecord::PinAcquire { client, key, .. }
-            | WalRecord::TakeoverPin { client, key, .. } => {
-                *self.pins.entry((client, key)).or_insert(0) += 1;
-            }
-            WalRecord::PinRelease { client, key, .. } => {
-                if let Some(n) = self.pins.get_mut(&(client, key)) {
-                    *n -= 1;
-                    if *n == 0 {
-                        self.pins.remove(&(client, key));
-                    }
-                }
-            }
             WalRecord::Lease { client, .. } => {
-                if !self.leases.contains(&client) {
-                    self.leases.push(client);
-                }
+                self.leases.insert(client);
             }
             WalRecord::ClientGone { client, .. } => {
-                self.pins.retain(|&(c, _), _| c != client);
-                self.leases.retain(|&c| c != client);
+                self.leases.remove(&client);
             }
+            WalRecord::Epoch { .. } | WalRecord::PinAcquire { .. } => {}
         }
     }
 
@@ -263,45 +258,19 @@ impl WalState {
         state
     }
 
-    /// Clients that still matter after replay: every lease holder plus
-    /// every pin owner, deduplicated.
-    pub fn live_clients(&self) -> Vec<u64> {
-        let mut out = self.leases.clone();
-        for &(c, _) in self.pins.keys() {
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// The minimal record stream reproducing this state under `epoch`
-    /// (the compaction snapshot): one epoch record, the leases, then
-    /// the pins expanded to their counts.
+    /// (the compaction snapshot): one epoch record, then the leases.
     pub fn snapshot(&self, epoch: u64) -> Vec<WalRecord> {
-        let mut out = vec![WalRecord::Epoch { epoch }];
-        let mut leases = self.leases.clone();
-        leases.sort_unstable();
-        for client in leases {
-            out.push(WalRecord::Lease { client, epoch });
-        }
-        let mut pins: Vec<(&(u64, u64), &u32)> = self.pins.iter().collect();
-        pins.sort_unstable();
-        for (&(client, key), &count) in pins {
-            for _ in 0..count {
-                out.push(WalRecord::PinAcquire { client, key, epoch });
-            }
-        }
-        out
+        std::iter::once(WalRecord::Epoch { epoch })
+            .chain(self.leases.iter().map(|&client| WalRecord::Lease { client, epoch }))
+            .collect()
     }
 }
 
 /// Compact the log once it grows past this many bytes (checked at sync
-/// points; the snapshot is bounded by live pins + leases, so a busy but
+/// points; the snapshot is bounded by the live leases, so a busy but
 /// steady daemon's log stays small forever).
 pub const COMPACT_THRESHOLD: u64 = 64 * 1024;
-
 /// An append-only, torn-tail-tolerant record log backed by one file.
 #[derive(Debug)]
 pub struct WriteAheadLog {
@@ -324,7 +293,9 @@ impl WriteAheadLog {
     /// Opens (creating if missing) the log at `path`, replays its
     /// longest valid record prefix and truncates any torn tail away.
     /// Returns the log positioned for appends plus the replayed
-    /// records and a report of what was found.
+    /// records and a report of what was found. An
+    /// [`earlier`](ReplayReport::earlier) build's journal is left
+    /// byte-identical.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<(WriteAheadLog, Vec<WalRecord>, ReplayReport)> {
         let path = path.into();
         let mut file = OpenOptions::new()
@@ -462,12 +433,30 @@ mod tests {
         vec![
             WalRecord::Epoch { epoch: 3 },
             WalRecord::Lease { client: 7, epoch: 3 },
-            WalRecord::PinAcquire { client: 7, key: 11, epoch: 3 },
-            WalRecord::PinAcquire { client: 7, key: 11, epoch: 3 },
-            WalRecord::PinAcquire { client: 9, key: 12, epoch: 3 },
-            WalRecord::PinRelease { client: 7, key: 11, epoch: 3 },
+            WalRecord::Lease { client: 9, epoch: 3 },
             WalRecord::ClientGone { client: 9, epoch: 3 },
         ]
+    }
+
+    fn encode_all(records: &[WalRecord]) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(records.len() * RECORD_LEN);
+        for r in records {
+            encode_record(r, &mut bytes);
+        }
+        bytes
+    }
+
+    /// One record as builds before [`JOURNAL_VERSION`] encoded it: zero
+    /// padding after the tag (1 epoch, 2 pin, 3 release, 4 lease,
+    /// 5 departure, 6 takeover pin).
+    fn earlier_record(tag: u8, client: u64, key: u64, epoch: u64, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[tag, 0, 0, 0, 0, 0, 0, 0]);
+        for field in [client, key, epoch] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        let sum = fnv1a64(&out[start..]);
+        out.extend_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
@@ -478,12 +467,16 @@ mod tests {
             assert_eq!(buf.len(), RECORD_LEN);
             assert_eq!(decode_record(&buf), Some(r));
         }
+        let mut buf = Vec::new();
+        encode_record(&WalRecord::PinAcquire { client: 1, key: 2, epoch: 3 }, &mut buf);
+        assert_eq!(buf.len(), RECORD_LEN);
+        assert_eq!(decode_record(&buf), None, "a pin is encode-only");
     }
 
     #[test]
     fn corrupt_records_rejected() {
         let mut buf = Vec::new();
-        encode_record(&WalRecord::PinAcquire { client: 1, key: 2, epoch: 3 }, &mut buf);
+        encode_record(&WalRecord::Epoch { epoch: 3 }, &mut buf);
         for i in 0..RECORD_LEN {
             let mut bad = buf.clone();
             bad[i] ^= 0x40;
@@ -496,51 +489,17 @@ mod tests {
     fn replay_folds_pins_and_leases() {
         let state = WalState::replay(&sample_records());
         assert_eq!(state.epoch, 3);
-        assert_eq!(state.pins.get(&(7, 11)), Some(&1));
-        assert_eq!(state.pins.get(&(9, 12)), None, "ClientGone voids pins");
-        assert_eq!(state.leases, vec![7]);
-        assert_eq!(state.live_clients(), vec![7]);
-    }
-
-    #[test]
-    fn release_without_acquire_saturates() {
-        let mut state = WalState::default();
-        state.apply(&WalRecord::PinRelease { client: 1, key: 5, epoch: 1 });
-        assert!(state.pins.is_empty());
-        state.apply(&WalRecord::PinAcquire { client: 1, key: 5, epoch: 1 });
-        assert_eq!(state.pins.get(&(1, 5)), Some(&1));
-    }
-
-    #[test]
-    fn takeover_pin_replays_and_nets_like_acquire() {
-        let r = WalRecord::TakeoverPin { client: 4, key: 9, epoch: 2 };
-        let mut buf = Vec::new();
-        encode_record(&r, &mut buf);
-        assert_eq!(decode_record(&buf), Some(r));
-        // Replay: a takeover pin is a pin.
-        let state = WalState::replay(&[
-            r,
-            WalRecord::TakeoverPin { client: 4, key: 9, epoch: 2 },
-            WalRecord::PinRelease { client: 4, key: 9, epoch: 2 },
-        ]);
-        assert_eq!(state.pins.get(&(4, 9)), Some(&1));
-        // ClientGone voids takeover pins like native ones.
-        let mut state = state;
-        state.apply(&WalRecord::ClientGone { client: 4, epoch: 2 });
-        assert!(state.pins.is_empty());
-        // Compaction snapshots canonicalize to PinAcquire.
-        let state = WalState::replay(&[
-            WalRecord::TakeoverPin { client: 4, key: 9, epoch: 2 },
-            WalRecord::PinRelease { client: 4, key: 9, epoch: 2 },
-            WalRecord::TakeoverPin { client: 4, key: 10, epoch: 2 },
-        ]);
-        assert_eq!(
-            state.snapshot(3),
-            vec![
-                WalRecord::Epoch { epoch: 3 },
-                WalRecord::PinAcquire { client: 4, key: 10, epoch: 3 },
-            ]
-        );
+        assert_eq!(state.leases, BTreeSet::from([7]), "ClientGone voids the lease");
+        // A pin folds to nothing, and in a file it is a tag this build
+        // does not read: replay stops there.
+        let pin = WalRecord::PinAcquire { client: 8, key: 1, epoch: 4 };
+        let mut with_pin = sample_records();
+        with_pin.insert(2, pin);
+        let folded = WalState::replay(&with_pin);
+        assert_eq!(folded.leases, BTreeSet::from([7]));
+        let (replayed, report) = replay_bytes(&encode_all(&with_pin));
+        assert_eq!(replayed, sample_records()[..2]);
+        assert!(report.truncated && !report.earlier);
     }
 
     #[test]
@@ -551,14 +510,14 @@ mod tests {
             let (mut log, records, report) = WriteAheadLog::open(&path).unwrap();
             assert!(records.is_empty() && !report.truncated);
             log.append_all(&sample_records());
-            assert_eq!(log.appended(), 7);
+            assert_eq!(log.appended(), 4);
             log.sync().unwrap();
         }
         let (log, records, report) = WriteAheadLog::open(&path).unwrap();
         assert_eq!(records, sample_records());
         assert!(!report.truncated);
-        assert_eq!(report.records, 7);
-        assert_eq!(log.file_bytes(), 7 * RECORD_LEN as u64);
+        assert_eq!(report.records, 4);
+        assert_eq!(log.file_bytes(), 4 * RECORD_LEN as u64);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -566,22 +525,19 @@ mod tests {
     fn torn_tail_truncated_on_open() {
         let path = temp_path("torn");
         let _ = std::fs::remove_file(&path);
-        let mut bytes = Vec::new();
-        for r in sample_records() {
-            encode_record(&r, &mut bytes);
-        }
+        let mut bytes = encode_all(&sample_records());
         bytes.extend_from_slice(&[0xAB; 17]); // torn partial record
         std::fs::write(&path, &bytes).unwrap();
         let (mut log, records, report) = WriteAheadLog::open(&path).unwrap();
         assert_eq!(records, sample_records());
         assert!(report.truncated);
-        assert_eq!(log.file_bytes(), 7 * RECORD_LEN as u64);
+        assert_eq!(log.file_bytes(), 4 * RECORD_LEN as u64);
         // Appends after truncation land on the clean boundary.
-        log.append(&WalRecord::Epoch { epoch: 4 });
+        log.append(&WalRecord::Lease { client: 10, epoch: 3 });
         log.sync().unwrap();
         drop(log);
         let (_, records, report) = WriteAheadLog::open(&path).unwrap();
-        assert_eq!(records.len(), 8);
+        assert_eq!(records.len(), 5);
         assert!(!report.truncated);
         let _ = std::fs::remove_file(&path);
     }
@@ -595,57 +551,61 @@ mod tests {
         log.sync().unwrap();
         let state = WalState::replay(&sample_records());
         log.compact(&state.snapshot(4)).unwrap();
-        assert_eq!(log.file_bytes(), 3 * RECORD_LEN as u64);
+        assert_eq!(log.file_bytes(), 2 * RECORD_LEN as u64);
         drop(log);
         let (_, records, report) = WriteAheadLog::open(&path).unwrap();
         assert!(!report.truncated);
+        assert_eq!(
+            records,
+            vec![WalRecord::Epoch { epoch: 4 }, WalRecord::Lease { client: 7, epoch: 4 }]
+        );
         let replayed = WalState::replay(&records);
         assert_eq!(replayed.epoch, 4);
-        assert_eq!(replayed.pins.get(&(7, 11)), Some(&1));
-        assert_eq!(replayed.leases, vec![7]);
+        assert_eq!(replayed.leases, BTreeSet::from([7]));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn snapshot_expands_pin_counts() {
-        let mut state = WalState::default();
-        state.apply(&WalRecord::PinAcquire { client: 3, key: 8, epoch: 1 });
-        state.apply(&WalRecord::PinAcquire { client: 3, key: 8, epoch: 1 });
-        let snap = state.snapshot(2);
-        let replayed = WalState::replay(&snap);
-        assert_eq!(replayed.pins.get(&(3, 8)), Some(&2));
-        assert_eq!(replayed.epoch, 2);
+    fn an_earlier_journal_is_kept_whole_and_replays_as_its_highest_epoch() {
+        let path = temp_path("earlier");
+        let mut bytes = Vec::new();
+        earlier_record(1, 0, 0, 2, &mut bytes);
+        earlier_record(4, 7, 0, 2, &mut bytes);
+        earlier_record(2, 7, 11, 5, &mut bytes);
+        earlier_record(3, 7, 11, 4, &mut bytes);
+        bytes.extend_from_slice(&[0xAB; 17]); // a torn tail stays too
+        std::fs::write(&path, &bytes).unwrap();
+        let (log, records, report) = WriteAheadLog::open(&path).unwrap();
+        assert_eq!(records, vec![WalRecord::Epoch { epoch: 5 }]);
+        assert!(report.earlier && !report.truncated, "{report:?}");
+        assert_eq!(log.file_bytes(), bytes.len() as u64);
+        drop(log);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "never truncated");
+        let _ = std::fs::remove_file(&path);
     }
 
     mod torn_tail_props {
         use super::super::*;
+        use super::{earlier_record, encode_all, temp_path};
         use proptest::prelude::*;
 
-        fn arb_record() -> impl Strategy<Value = WalRecord> {
+        /// A current journal: an `Epoch` first, as every compaction
+        /// snapshot begins, then anything this build reads.
+        fn arb_journal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<WalRecord>> {
             let client = 1u64..4;
-            let key = 1u64..8;
             let epoch = 1u64..3;
-            prop_oneof![
+            let record = prop_oneof![
                 (1u64..5).prop_map(|epoch| WalRecord::Epoch { epoch }),
-                (client.clone(), key.clone(), epoch.clone())
-                    .prop_map(|(client, key, epoch)| WalRecord::PinAcquire { client, key, epoch }),
-                (client.clone(), key.clone(), epoch.clone())
-                    .prop_map(|(client, key, epoch)| WalRecord::PinRelease { client, key, epoch }),
-                (client.clone(), key, epoch.clone())
-                    .prop_map(|(client, key, epoch)| WalRecord::TakeoverPin { client, key, epoch }),
                 (client.clone(), epoch.clone())
                     .prop_map(|(client, epoch)| WalRecord::Lease { client, epoch }),
                 (client, epoch)
                     .prop_map(|(client, epoch)| WalRecord::ClientGone { client, epoch }),
-            ]
-        }
-
-        fn encode_all(records: &[WalRecord]) -> Vec<u8> {
-            let mut bytes = Vec::with_capacity(records.len() * RECORD_LEN);
-            for r in records {
-                encode_record(r, &mut bytes);
-            }
-            bytes
+            ];
+            (1u64..5, prop::collection::vec(record, len)).prop_map(|(epoch, rest)| {
+                let mut records = vec![WalRecord::Epoch { epoch }];
+                records.extend(rest);
+                records
+            })
         }
 
         proptest! {
@@ -656,7 +616,7 @@ mod tests {
             /// prefix — no panic, no partial record, no invention.
             #[test]
             fn truncation_recovers_longest_valid_prefix(
-                records in prop::collection::vec(arb_record(), 0..24),
+                records in arb_journal(0..24),
                 cut in any::<prop::sample::Index>(),
             ) {
                 let bytes = encode_all(&records);
@@ -666,66 +626,7 @@ mod tests {
                 prop_assert_eq!(&replayed[..], &records[..whole]);
                 prop_assert_eq!(report.valid_bytes, (whole * RECORD_LEN) as u64);
                 prop_assert_eq!(report.truncated, cut % RECORD_LEN != 0);
-            }
-
-            /// Truncated replay never resurrects a released pin: the
-            /// folded state is exactly the fold of the surviving record
-            /// prefix, so a release inside the prefix always lands and
-            /// pin counts never exceed the prefix's acquires.
-            #[test]
-            fn truncation_never_resurrects_released_pins(
-                records in prop::collection::vec(arb_record(), 0..24),
-                cut in any::<prop::sample::Index>(),
-            ) {
-                let bytes = encode_all(&records);
-                let cut = cut.index(bytes.len() + 1);
-                let (replayed, _) = replay_bytes(&bytes[..cut]);
-                let state = WalState::replay(&replayed);
-                let prefix = &records[..cut / RECORD_LEN];
-                // Independent saturating fold over the prefix: every
-                // release (of a held pin) and every ClientGone inside
-                // the valid prefix must land in the recovered state —
-                // truncation may forget pins, never un-release them.
-                let mut expect: std::collections::HashMap<(u64, u64), u32> =
-                    std::collections::HashMap::new();
-                for r in prefix {
-                    match *r {
-                        WalRecord::PinAcquire { client, key, .. }
-                        | WalRecord::TakeoverPin { client, key, .. } => {
-                            *expect.entry((client, key)).or_insert(0) += 1;
-                        }
-                        WalRecord::PinRelease { client, key, .. } => {
-                            if let Some(n) = expect.get_mut(&(client, key)) {
-                                *n -= 1;
-                                if *n == 0 {
-                                    expect.remove(&(client, key));
-                                }
-                            }
-                        }
-                        WalRecord::ClientGone { client, .. } => {
-                            expect.retain(|&(c, _), _| c != client);
-                        }
-                        _ => {}
-                    }
-                }
-                prop_assert_eq!(&state.pins, &expect);
-                for (&(client, key), &count) in &state.pins {
-                    let acquires = prefix
-                        .iter()
-                        .filter(|r| {
-                            matches!(
-                                **r,
-                                WalRecord::PinAcquire { client: c, key: k, .. }
-                                | WalRecord::TakeoverPin { client: c, key: k, .. }
-                                    if (c, k) == (client, key)
-                            )
-                        })
-                        .count() as u32;
-                    prop_assert!(
-                        count <= acquires,
-                        "pin ({client},{key})×{count} exceeds prefix acquires {acquires}"
-                    );
-                }
+                prop_assert!(!report.earlier);
             }
 
             /// Arbitrary single-byte corruption anywhere in the log is
@@ -733,7 +634,7 @@ mod tests {
             /// past the corruption point.
             #[test]
             fn corruption_is_contained(
-                records in prop::collection::vec(arb_record(), 1..16),
+                records in arb_journal(0..15),
                 pos in any::<prop::sample::Index>(),
                 flip in 1u8..=255,
             ) {
@@ -745,6 +646,57 @@ mod tests {
                 prop_assert!(replayed.len() <= hit);
                 prop_assert_eq!(&replayed[..], &records[..replayed.len()]);
                 prop_assert!(report.truncated);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// An earlier build's journal, cut or corrupted anywhere, is
+            /// either kept byte-identical (its first record passes the
+            /// checksum) and replays as the highest surviving epoch, or
+            /// reads as empty because that first record is torn. A
+            /// valid earlier first record is never truncated away.
+            #[test]
+            fn an_earlier_journal_is_kept_untouched_or_read_as_empty(
+                rest in prop::collection::vec((2u8..7, 1u64..4, 1u64..9, 1u64..9), 0..12),
+                first_epoch in 1u64..9,
+                at in any::<prop::sample::Index>(),
+                corrupt in any::<bool>(),
+                flip in 1u8..=255,
+            ) {
+                let mut epochs = vec![first_epoch];
+                let mut bytes = Vec::new();
+                earlier_record(1, 0, 0, first_epoch, &mut bytes);
+                for &(tag, client, key, epoch) in &rest {
+                    earlier_record(tag, client, key, epoch, &mut bytes);
+                    epochs.push(epoch);
+                }
+                let at = at.index(bytes.len());
+                // Cut at `at`, or flip one byte there; either way the
+                // record holding `at` no longer counts.
+                let (kept, lost) = if corrupt {
+                    bytes[at] ^= flip;
+                    (epochs.len(), at / RECORD_LEN)
+                } else {
+                    bytes.truncate(at);
+                    (at / RECORD_LEN, usize::MAX)
+                };
+                let path = temp_path("earlier-prop");
+                std::fs::write(&path, &bytes).unwrap();
+                let (log, records, report) = WriteAheadLog::open(&path).unwrap();
+                drop(log);
+                let after = std::fs::read(&path).unwrap();
+                let _ = std::fs::remove_file(&path);
+                if kept > 0 && lost != 0 {
+                    let high = (0..kept).filter(|&i| i != lost).map(|i| epochs[i]).max();
+                    prop_assert!(report.earlier, "{:?}", report);
+                    prop_assert_eq!(&after, &bytes);
+                    prop_assert_eq!(records, vec![WalRecord::Epoch { epoch: high.unwrap() }]);
+                } else {
+                    prop_assert!(!report.earlier && records.is_empty(), "{:?}", report);
+                    prop_assert!(after.is_empty());
+                }
             }
         }
     }
