@@ -91,7 +91,30 @@
 //! instead, and after a crash the recovered daemon holds what was
 //! resident until the session re-asserts, restoring any claimed key
 //! that is still resident (`member.rs`, "The crash rule").
+//!
+//! # Bitrep in the session
+//!
+//! The context table also carries the checksums the initial simulation
+//! recorded, and a fingerprint of the daemon's checksum function
+//! (`shm.rs`, "Recorded checksums"). A mapped session that knows the
+//! context's driver and storage area — every
+//! [`VirtualFs`](crate::intercept::VirtualFs) session — answers
+//! [`SimfsClient::bitrep`] of a resident key itself: it reads the file
+//! under its name, applies its driver's checksum and compares the sum
+//! with the recorded one, exactly the check the daemon's helper runs
+//! (`driver::bitrep_check`). No frame, reactor shard or effect job is
+//! involved, and nothing is cached: every call re-reads and re-hashes.
+//! It asks the daemon instead when the session has no mapping (TCP,
+//! clustered and takeover sessions), knows no driver (a bare
+//! `SimfsClient`), finds the table closed or the key not resident,
+//! cannot read the file, or checksums otherwise than the daemon (the
+//! fingerprints differ). So the daemon's answer and error stay the
+//! answer for everything the session cannot settle alone. A daemon
+//! killed outright leaves its table open: until the liveness poll finds
+//! it gone, the session still answers from the files as they are on
+//! disk, which is what the check reads either way.
 
+use crate::driver::{bitrep_check, checksum_fingerprint, SimDriver};
 use crate::dv::FailCode;
 use crate::model::StepMath;
 use crate::net::{self, Stream, Transport};
@@ -101,10 +124,12 @@ use crate::shm::ClientMap;
 use crate::sys;
 use crate::wire::{self, ClientKind, FrameBatch, FrameReader, Membership, Request, Response};
 use simcache::{u64_map, U64Map};
+use simstore::StorageArea;
 use std::collections::HashSet;
 use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Typed deadline error: the payload of an
@@ -376,6 +401,19 @@ pub struct SimfsClient {
     /// this session's slots with no frame (module docs, "The mapped hit
     /// path").
     shared: Option<Box<ClientMap>>,
+    /// What the session needs to answer `SIMFS_Bitrep` itself (module
+    /// docs, "Bitrep in the session"); set by
+    /// [`VirtualFs`](crate::intercept::VirtualFs).
+    bitrep: Option<Box<LocalBitrep>>,
+}
+
+/// The context's driver and storage area, as a session answering
+/// `SIMFS_Bitrep` itself reads and hashes with them, and the
+/// fingerprint of the driver's checksum.
+struct LocalBitrep {
+    driver: Arc<dyn SimDriver>,
+    storage: StorageArea,
+    fingerprint: u64,
 }
 
 impl SimfsClient {
@@ -417,6 +455,7 @@ impl SimfsClient {
             pins_reasserted: 0,
             recovering: false,
             shared,
+            bitrep: None,
         })
     }
 
@@ -1181,10 +1220,30 @@ impl SimfsClient {
         }
     }
 
+    /// Lets the session answer `SIMFS_Bitrep` itself while it maps its
+    /// context's table: `driver` and `storage` are the context's.
+    pub(crate) fn set_local_bitrep(&mut self, driver: Arc<dyn SimDriver>, storage: StorageArea) {
+        let fingerprint = checksum_fingerprint(&*driver);
+        self.bitrep = Some(Box::new(LocalBitrep { driver, storage, fingerprint }));
+    }
+
     /// `SIMFS_Bitrep`: checks the materialized file against the
     /// recorded checksum of the initial simulation. `Ok(None)` when no
     /// checksum was recorded for this key.
+    ///
+    /// A session that maps its context's table and knows its driver (a
+    /// [`VirtualFs`](crate::intercept::VirtualFs) session) answers a
+    /// resident key itself: it reads the file under its name, hashes it
+    /// and compares the sum with the checksum the table records — the
+    /// daemon's own check, with no frame. Anything else asks the
+    /// daemon: a TCP or clustered session, a bare `SimfsClient`, a
+    /// closed table, a key the table does not show resident, a file
+    /// that does not read, or a driver whose checksum is not the
+    /// daemon's (module docs, "Bitrep in the session").
     pub fn bitrep(&mut self, key: u64) -> io::Result<Option<bool>> {
+        if let Some(answer) = self.bitrep_mapped(key) {
+            return Ok(answer);
+        }
         let req_id = self.next_req;
         self.next_req += 1;
         self.call("bitrep", &Request::Bitrep { req_id, key }, |resp| match resp {
@@ -1200,6 +1259,17 @@ impl SimfsClient {
             Response::Error { message } => Err(io::Error::other(message)),
             other => Ok(CallStep::Stray(other)),
         })
+    }
+
+    /// `SIMFS_Bitrep` answered in the session; `None` leaves it to the
+    /// daemon (see [`bitrep`](Self::bitrep) for when).
+    fn bitrep_mapped(&self, key: u64) -> Option<Option<bool>> {
+        let (map, local) = (self.shared.as_ref()?, self.bitrep.as_ref()?);
+        map.proof_of(key)?;
+        if map.fingerprint() != local.fingerprint {
+            return None;
+        }
+        bitrep_check(&*local.driver, &local.storage, key, map.recorded(key)).ok()
     }
 
     /// Queries the context's runtime statistics (the profiling support

@@ -12,7 +12,8 @@
 //! §3 documents the LUA-to-trait substitution.
 
 use simbatch::{ParallelismMap, SpawnSpec};
-use simstore::fnv1a64;
+use simstore::{fnv1a64, StorageArea};
+use std::io;
 
 /// Simulator-specific knowledge the DV needs (§III-B).
 pub trait SimDriver: Send + Sync {
@@ -139,6 +140,33 @@ impl SimDriver for PatternDriver {
     fn parallelism(&self) -> ParallelismMap {
         self.parallelism
     }
+}
+
+/// What [`checksum_fingerprint`] hashes.
+const CHECKSUM_PROBE: &[u8] = b"SIMFS_Bitrep checksum fingerprint probe: 0123456789abcdef";
+
+/// A fingerprint of `driver`'s checksum function: its checksum of a
+/// fixed probe buffer. A session whose driver's fingerprint differs
+/// from the one the daemon published computes other checksums than the
+/// recorded ones, and leaves `SIMFS_Bitrep` to the daemon.
+pub(crate) fn checksum_fingerprint(driver: &dyn SimDriver) -> u64 {
+    driver.checksum(CHECKSUM_PROBE)
+}
+
+/// `SIMFS_Bitrep`'s check (§III-C), the one the daemon and a mapped
+/// session both run: reads step `key` under its name, applies the
+/// driver's checksum and compares it with `recorded`, the initial
+/// simulation's value. `Ok(None)` when nothing was recorded for the
+/// key; an error when the file cannot be read. Nothing is cached: every
+/// call re-reads and re-hashes.
+pub(crate) fn bitrep_check(
+    driver: &dyn SimDriver,
+    storage: &StorageArea,
+    key: u64,
+    recorded: Option<u64>,
+) -> io::Result<Option<bool>> {
+    let bytes = storage.read(&driver.filename_of(key))?;
+    Ok(recorded.map(|recorded| driver.checksum(&bytes) == recorded))
 }
 
 #[cfg(test)]

@@ -94,28 +94,38 @@ impl<J: Send + 'static> EffectPool<J> {
                 .map(|_| Queue { slots: Mutex::new(VecDeque::new()), space: Condvar::new() })
                 .collect(),
         );
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut wakeups = Vec::with_capacity(helpers);
-        let mut handles = Vec::with_capacity(helpers);
-        for h in 0..helpers {
-            let wake = Arc::new(SemaphoreFd::new()?);
-            wakeups.push(wake.clone());
-            let queues = queues.clone();
-            let shutdown = shutdown.clone();
-            let exec = exec.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("dv-effect-{h}"))
-                    .spawn(move || run_helper(h, helpers, &queues, &wake, &shutdown, &exec))?,
-            );
-        }
-        Ok(EffectPool {
+        let mut pool = EffectPool {
             queues,
-            wakeups,
-            helpers: Mutex::new(handles),
-            shutdown,
+            wakeups: Vec::with_capacity(helpers),
+            helpers: Mutex::new(Vec::with_capacity(helpers)),
+            shutdown: Arc::new(AtomicBool::new(false)),
             cap,
-        })
+        };
+        for h in 0..helpers {
+            if let Err(e) = pool.spawn_helper(h, helpers, &exec) {
+                // The helpers already started stop and join here.
+                pool.shutdown();
+                return Err(e);
+            }
+        }
+        Ok(pool)
+    }
+
+    fn spawn_helper(
+        &mut self,
+        h: usize,
+        helpers: usize,
+        exec: &Arc<dyn Fn(Vec<J>) + Send + Sync>,
+    ) -> std::io::Result<()> {
+        let wake = Arc::new(SemaphoreFd::new()?);
+        let (queues, shutdown, exec) = (self.queues.clone(), self.shutdown.clone(), exec.clone());
+        let thread_wake = wake.clone();
+        let handle = std::thread::Builder::new()
+            .name(format!("dv-effect-{h}"))
+            .spawn(move || run_helper(h, helpers, &queues, &thread_wake, &shutdown, &exec))?;
+        self.wakeups.push(wake);
+        self.helpers.get_mut().expect("no helper has run yet").push(handle);
+        Ok(())
     }
 
     /// Enqueues `job` on `queue` (a reactor shard index), parking until

@@ -40,6 +40,13 @@
 //! steps, each for at most `entries` further reads. A step file deleted
 //! behind the daemon's back is served from its open inode by a proven
 //! read until the daemon retires the key.
+//!
+//! `SIMFS_Bitrep` is not served from the step reader. A [`VirtualFs`]
+//! hands its session the driver and the storage area, and a mapped
+//! session answers `vfs.session().bitrep(key)` of a resident key itself
+//! by re-reading the file under its name and hashing it against the
+//! checksum its table records; every other session, and every key the
+//! session cannot settle, asks the daemon ([`SimfsClient::bitrep`]).
 
 use crate::client::SimfsClient;
 use crate::driver::SimDriver;
@@ -67,8 +74,11 @@ pub struct VirtualFs {
 
 impl VirtualFs {
     /// Wraps an analysis session with the context's naming convention
-    /// and storage area.
-    pub fn new(client: SimfsClient, driver: Arc<dyn SimDriver>, storage: StorageArea) -> VirtualFs {
+    /// and storage area. The session gets both too, so that, while it
+    /// maps the context's table, it answers `SIMFS_Bitrep` itself
+    /// ([`SimfsClient::bitrep`]).
+    pub fn new(mut client: SimfsClient, driver: Arc<dyn SimDriver>, storage: StorageArea) -> VirtualFs {
+        client.set_local_bitrep(Arc::clone(&driver), storage.clone());
         VirtualFs {
             client,
             driver,

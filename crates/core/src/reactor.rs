@@ -95,6 +95,7 @@ use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Hard cap on reactor shards (more shards than cores just adds
 /// contention on the DV locks behind them).
@@ -248,6 +249,8 @@ pub struct Reactor {
     registry: Vec<Mutex<HashMap<u64, ConnRef>>>,
     next_shard: AtomicUsize,
     shutdown: AtomicBool,
+    /// The shard threads, joined by [`shutdown`](Self::shutdown).
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Reactor {
@@ -277,15 +280,24 @@ impl Reactor {
                 .collect(),
             next_shard: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            threads: Mutex::new(Vec::with_capacity(shards)),
         });
         for (idx, epoll) in epolls.into_iter().enumerate() {
-            let reactor = Arc::clone(&reactor);
-            std::thread::Builder::new()
+            let shard = Arc::clone(&reactor);
+            let spawned = std::thread::Builder::new()
                 .name(format!("dv-reactor-{idx}"))
                 .spawn(move || {
                     lockrank::mark_thread_nonblocking();
-                    run_shard(&reactor, idx, &epoll)
-                })?;
+                    run_shard(&shard, idx, &epoll)
+                });
+            match spawned {
+                Ok(thread) => reactor.threads.lock().push(thread),
+                Err(e) => {
+                    // The shards already started stop and join here.
+                    reactor.shutdown();
+                    return Err(e);
+                }
+            }
         }
         Ok(reactor)
     }
@@ -378,12 +390,20 @@ impl Reactor {
         }
     }
 
-    /// Stops all shard threads; open connections are dropped without
-    /// `on_close` (the daemon is going away wholesale).
+    /// Stops all shard threads and joins them (all but the calling
+    /// thread, when a shard calls it); open connections are dropped
+    /// without `on_close` (the daemon is going away wholesale).
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for shard in &self.shards {
             shard.wake.signal();
+        }
+        let me = std::thread::current().id();
+        let threads = std::mem::take(&mut *self.threads.lock());
+        for thread in threads {
+            if thread.thread().id() != me {
+                let _ = thread.join();
+            }
         }
     }
 }

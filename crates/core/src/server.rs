@@ -224,7 +224,7 @@
 //! do, exactly as the paper separates control (TCP) from data (parallel
 //! file system).
 
-use crate::driver::SimDriver;
+use crate::driver::{bitrep_check, checksum_fingerprint, SimDriver};
 use crate::dv::{
     ClientId, DaemonCounters, DataVirtualizer, DvAction, DvEvent, DvStats, FailCode, SimId,
 };
@@ -688,6 +688,31 @@ impl Inner {
             return self.contexts.values().next();
         }
         None
+    }
+
+    /// Stops the machinery and joins `threads` (the accept loop and the
+    /// reaper): the accept loop exits, the reactor's shards stop and
+    /// join, the effect tier drains and joins, the reaper is released.
+    fn stop(&self, threads: Vec<JoinHandle<()>>) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.accept_wake.signal();
+        self.reactor.shutdown();
+        // Drain the effect tier: queued effects (WAL appends, pending
+        // replies, evictions) execute before the helpers join — the
+        // tier never drops work it accepted.
+        self.pool.shutdown();
+        // Release the reaper from its idle park.
+        {
+            let _rank = lockrank::held(lockrank::REAP_SIGNAL);
+            let mut stop = self.reap_signal.0.lock().unwrap();
+            *stop = true;
+        }
+        self.reap_signal.1.notify_all();
+        // A reaper in mid-pass finishes the step it is in — and takes no
+        // supervision step after it (`run_reaper`) — before this returns.
+        for thread in threads {
+            let _ = thread.join();
+        }
     }
 
     fn notify_reaper(&self) {
@@ -1679,26 +1704,20 @@ impl CtxRuntime {
     }
 
     /// Computes a `Bitrep` reply: read the materialized file, checksum
-    /// it, compare against the recorded reference. Blocking (storage
-    /// read) — runs on a helper.
+    /// it, compare against the recorded reference — the check a mapped
+    /// session runs itself ([`bitrep_check`]). Blocking (storage read)
+    /// — runs on a helper.
     fn bitrep_response(&self, req_id: u64, key: u64) -> Response {
         lockrank::assert_blocking_ok("bitrep-read");
-        let name = self.driver.filename_of(key);
-        let result = self.storage.read(&name).ok().map(|bytes| {
-            let sum = self.driver.checksum(&bytes);
-            match self.checksums.get(&key) {
-                Some(recorded) => (sum == *recorded, true),
-                None => (false, false),
-            }
-        });
-        match result {
-            Some((matches, known)) => Response::BitrepResult {
+        let recorded = self.checksums.get(&key).copied();
+        match bitrep_check(&*self.driver, &self.storage, key, recorded) {
+            Ok(answer) => Response::BitrepResult {
                 req_id,
                 key,
-                matches,
-                known,
+                matches: answer == Some(true),
+                known: answer.is_some(),
             },
-            None => Response::Failed {
+            Err(_) => Response::Failed {
                 req_id,
                 key,
                 code: FailCode::Other,
@@ -1910,6 +1929,36 @@ fn execute_effect_batch(mut jobs: Vec<EffectJob>) {
     }
 }
 
+/// What a start has set running so far. A start that fails part-way
+/// drops it, which stops and joins every thread it started; one that
+/// succeeds hands it to its [`DvServer`] ([`finish`](Self::finish)).
+struct Starting {
+    reactor: Option<Arc<Reactor>>,
+    /// Once built, the daemon owns the reactor and the effect tier.
+    inner: Option<Arc<Inner>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Starting {
+    fn finish(mut self) -> DvServer {
+        self.reactor = None;
+        DvServer {
+            inner: self.inner.take().expect("a finished start built its daemon"),
+            threads: StdMutex::new(std::mem::take(&mut self.threads)),
+        }
+    }
+}
+
+impl Drop for Starting {
+    fn drop(&mut self) {
+        if let Some(inner) = &self.inner {
+            inner.stop(std::mem::take(&mut self.threads));
+        } else if let Some(reactor) = &self.reactor {
+            reactor.shutdown();
+        }
+    }
+}
+
 /// A running DV daemon; dropping it (or calling
 /// [`shutdown`](DvServer::shutdown)) stops it.
 pub struct DvServer {
@@ -1970,6 +2019,12 @@ impl DvServer {
             .map(|n| n.get())
             .unwrap_or(1);
         let reactor = Reactor::start(cores)?;
+        // From here on, an error return stops what has started.
+        let mut starting = Starting {
+            reactor: Some(Arc::clone(&reactor)),
+            inner: None,
+            threads: Vec::new(),
+        };
         let accept_wake = EventFd::new()?;
         let clock_base = crate::sys::monotonic_ns();
 
@@ -1988,8 +2043,9 @@ impl DvServer {
             // one routes, so its table stays on the heap and every pin
             // goes through here.
             let max_key = config.ctx.steps.n_outputs();
+            let fingerprint = checksum_fingerprint(&*config.driver);
             let (table, fast) = match (!cluster.is_clustered())
-                .then(|| ContextTable::create(max_key, clock_base))
+                .then(|| ContextTable::create(max_key, clock_base, &config.checksums, fingerprint))
                 .and_then(Result::ok)
             {
                 Some((table, index)) => (Some(table), index),
@@ -2098,6 +2154,7 @@ impl DvServer {
             weak_self: weak_self.clone(),
             pool,
         });
+        starting.inner = Some(Arc::clone(&inner));
 
         // Delete whatever the priming evicted (storage shrunk between
         // runs).
@@ -2108,7 +2165,7 @@ impl DvServer {
             }
         }
 
-        let accept = Self::spawn_accept_loop(&inner, listener)?;
+        starting.threads.push(Self::spawn_accept_loop(&inner, listener)?);
 
         // Reaper: a launched job can die before it ever connects (bad
         // restart file, scheduler rejection). While jobs are in flight,
@@ -2116,14 +2173,11 @@ impl DvServer {
         // SimFailed/SimFinished so waiting analyses get an answer
         // instead of a hang; while nothing runs, park on the condvar —
         // an idle daemon makes zero syscalls.
-        let reap_inner = Arc::clone(&inner);
         let reaper = std::thread::Builder::new()
             .name("dv-reaper".into())
-            .spawn(move || run_reaper(&reap_inner))?;
-        Ok(DvServer {
-            inner,
-            threads: StdMutex::new(vec![accept, reaper]),
-        })
+            .spawn(move || run_reaper(&inner))?;
+        starting.threads.push(reaper);
+        Ok(starting.finish())
     }
 
     fn spawn_accept_loop(inner: &Arc<Inner>, listener: Listener) -> io::Result<JoinHandle<()>> {
@@ -2307,25 +2361,7 @@ impl DvServer {
                 table.close();
             }
         }
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.accept_wake.signal();
-        self.inner.reactor.shutdown();
-        // Drain the effect tier: queued effects (WAL appends, pending
-        // replies, evictions) execute before the helpers join — the
-        // tier never drops work it accepted.
-        self.inner.pool.shutdown();
-        // Release the reaper from its idle park.
-        {
-            let _rank = lockrank::held(lockrank::REAP_SIGNAL);
-            let mut stop = self.inner.reap_signal.0.lock().unwrap();
-            *stop = true;
-        }
-        self.inner.reap_signal.1.notify_all();
-        // A reaper in mid-pass finishes the step it is in — and takes no
-        // supervision step after it (`run_reaper`) — before this returns.
-        for thread in threads {
-            let _ = thread.join();
-        }
+        self.inner.stop(threads);
     }
 }
 

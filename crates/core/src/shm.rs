@@ -5,14 +5,16 @@
 //! # What is shared
 //!
 //! A solo context, durable or not, lays its [`HitIndex`] over one
-//! `memfd` ([`ContextTable`]): a header, then one word per key. At hello
+//! `memfd` ([`ContextTable`]): a header, one word per key, then the
+//! checksums the initial simulation recorded for `SIMFS_Bitrep`. At hello
 //! on the local transport the daemon hands the session two descriptors
 //! (`SCM_RIGHTS`, riding the `HelloOk` bytes — on a durable context
 //! only once the session's lease is fsynced, see `member.rs`, "The
 //! crash rule"):
 //!
 //! * the **context table**, sealed read-only — every session maps the
-//!   same words the daemon's evictions write;
+//!   same words the daemon's evictions write, and reads the recorded
+//!   checksums it answers `SIMFS_Bitrep` from;
 //! * a **session mapping** ([`SessionMap`] on the daemon's side,
 //!   [`ClientMap`] on the session's): the session's [`SessionPins`]
 //!   region (pin slots, hit counter, reference bits) and the SPSC access
@@ -30,13 +32,30 @@
 //! | 0 | magic |
 //! | 1 | clock base (the daemon's `CLOCK_MONOTONIC` origin) |
 //! | 2 | closed: set by a daemon that shuts down, before it drops its sessions |
-//! | 3–7 | reserved |
-//! | 8… | one [`HitIndex`] word per key |
+//! | 3 | `K`, the keys the table covers (whole pages of keys, as a heap [`HitIndex`]) |
+//! | 4 | checksum fingerprint: the daemon's driver checksum of a fixed probe |
+//! | 5–7 | reserved |
+//! | 8 … 8+K | one [`HitIndex`] word per key |
+//! | 8+K … 8+2K | per key, the checksum the initial simulation recorded |
+//! | 8+2K … | one presence bit per key: was a checksum recorded? |
 //!
 //! A slot pin refuses against a closed table, so a session never takes
 //! a proof from a daemon that has gone away in order: its open goes to
 //! the socket and finds the daemon gone (a daemon killed outright is
 //! found by the liveness poll, as before).
+//!
+//! # Recorded checksums
+//!
+//! The daemon writes the checksum region once, before any hello, from
+//! its [`ServerConfig::checksums`]; nothing writes it after. A session
+//! that knows the context's driver and storage area answers
+//! `SIMFS_Bitrep` from it itself (`client.rs`, "Bitrep in the
+//! session"): it re-reads the file under its name, hashes it and
+//! compares — the daemon's own check (`driver::bitrep_check`). The
+//! fingerprint word lets the session see that its driver checksums as
+//! the daemon's does; where it does not, the daemon answers.
+//!
+//! [`ServerConfig::checksums`]: crate::server::ServerConfig::checksums
 //!
 //! # Residency proofs
 //!
@@ -85,19 +104,23 @@
 use crate::prefetch::{ACCESS_LOG_CAPACITY, DIGEST_HIGH_WATER};
 use crate::sys::{self, Mapping};
 use simcache::{hitindex, HitIndex, SessionPins, Words};
+use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::OwnedFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Table header words: magic, clock base, closed, then reserved. The
-/// keys are the words after it.
+/// Table header words: magic, clock base, closed, key count,
+/// checksum fingerprint, then reserved. The keys are the words after
+/// it.
 const TABLE_HEADER: usize = 8;
-const TABLE_MAGIC: u64 = u64::from_le_bytes(*b"SIMFStb1");
+const TABLE_MAGIC: u64 = u64::from_le_bytes(*b"SIMFStb2");
 const T_MAGIC: usize = 0;
 const T_CLOCK_BASE: usize = 1;
 const T_CLOSED: usize = 2;
+const T_KEYS: usize = 3;
+const T_FINGERPRINT: usize = 4;
 
 /// Serials of the mappings this process adopted (see "Residency
 /// proofs").
@@ -136,41 +159,67 @@ impl Words for Mapping {
     }
 }
 
-/// A table's key words: its mapping past the header.
-struct Keys(Arc<Mapping>);
+/// Table geometry for `keys` keys (module docs, "The context
+/// table"): where the recorded checksums start, where their presence
+/// bits start, and the words the table spans.
+fn table_layout(keys: usize) -> (usize, usize, usize) {
+    let sums = TABLE_HEADER + keys;
+    let known = sums + keys;
+    (sums, known, (known + keys.div_ceil(64)).next_multiple_of(hitindex::PAGE_WORDS))
+}
+
+/// A table's key words: its mapping past the header, up to the
+/// recorded checksums.
+struct Keys {
+    map: Arc<Mapping>,
+    end: usize,
+}
 
 impl Words for Keys {
     fn words(&self) -> &[AtomicU64] {
-        &self.0.words()[TABLE_HEADER..]
+        &self.map.words()[TABLE_HEADER..self.end]
     }
 }
 
 /// The daemon's side of one context's shared table.
 pub(crate) struct ContextTable {
     map: Arc<Mapping>,
+    keys: usize,
     /// Sealed read-only; every mapped session receives a duplicate.
     fd: OwnedFd,
 }
 
 impl ContextTable {
     /// Creates the table for keys `0..=max_key` over a fresh `memfd`,
-    /// stamps the header, seals it read-only for everyone but this
-    /// mapping, and lays the context's [`HitIndex`] over its words.
-    pub(crate) fn create(max_key: u64, clock_base: u64) -> io::Result<(ContextTable, HitIndex)> {
-        let words =
-            (TABLE_HEADER + max_key as usize + 1).next_multiple_of(simcache::hitindex::PAGE_WORDS);
+    /// stamps the header, writes the `checksums` the initial simulation
+    /// recorded and the `fingerprint` of the driver's checksum, seals it
+    /// read-only for everyone but this mapping, and lays the context's
+    /// [`HitIndex`] over its key words.
+    pub(crate) fn create(
+        max_key: u64,
+        clock_base: u64,
+        checksums: &HashMap<u64, u64>,
+        fingerprint: u64,
+    ) -> io::Result<(ContextTable, HitIndex)> {
+        let keys = (max_key as usize + 1).next_multiple_of(hitindex::PAGE_WORDS);
+        let (sums, known, words) = table_layout(keys);
         let (map, fd) = Mapping::create(c"simfs-hit-table", words)?;
-        let header = map.words();
-        header[T_CLOCK_BASE].store(clock_base, Ordering::Relaxed);
-        header[T_MAGIC].store(TABLE_MAGIC, Ordering::Release);
+        let w = map.words();
+        for (&key, &sum) in checksums {
+            let Some(k) = usize::try_from(key).ok().filter(|&k| k < keys) else {
+                continue;
+            };
+            w[sums + k].store(sum, Ordering::Relaxed);
+            w[known + k / 64].fetch_or(1 << (k % 64), Ordering::Relaxed);
+        }
+        w[T_CLOCK_BASE].store(clock_base, Ordering::Relaxed);
+        w[T_KEYS].store(keys as u64, Ordering::Relaxed);
+        w[T_FINGERPRINT].store(fingerprint, Ordering::Relaxed);
+        w[T_MAGIC].store(TABLE_MAGIC, Ordering::Release);
         sys::seal(&fd, true)?;
         let map = Arc::new(map);
-        let index = HitIndex::over(Box::new(Keys(Arc::clone(&map))));
-        Ok((ContextTable { map, fd }, index))
-    }
-
-    fn keys(&self) -> usize {
-        self.map.words().len() - TABLE_HEADER
+        let index = HitIndex::over(Box::new(Keys { map: Arc::clone(&map), end: sums }));
+        Ok((ContextTable { map, keys, fd }, index))
     }
 
     /// A duplicate of the descriptor a session maps the table from.
@@ -212,7 +261,7 @@ impl SessionMap {
     /// when the context observes digests. Returns the descriptor to
     /// send (sealed against resizing; the client writes it).
     pub(crate) fn create(table: &ContextTable, ring: bool) -> io::Result<(SessionMap, OwnedFd)> {
-        let keys = table.keys();
+        let keys = table.keys;
         let capacity = if ring { RING_CAPACITY } else { 0 };
         let (ring_at, words) = layout(keys, capacity);
         let (map, fd) = Mapping::create(c"simfs-session", words)?;
@@ -323,6 +372,8 @@ impl SessionMap {
 /// mapping, plus the client-local state of the poll and nudge rules.
 pub(crate) struct ClientMap {
     table: Mapping,
+    /// Keys the table covers.
+    keys: usize,
     session: Arc<Mapping>,
     pins: SessionPins,
     /// This mapping's serial, the high half of every proof it gives.
@@ -352,7 +403,10 @@ impl ClientMap {
         if load(t, T_MAGIC)? != TABLE_MAGIC || load(s, S_MAGIC)? != SESSION_MAGIC {
             return None;
         }
-        let keys = t.len().checked_sub(TABLE_HEADER)?;
+        let keys = usize::try_from(load(t, T_KEYS)?).ok()?;
+        if keys > t.len() || table_layout(keys).2 > t.len() {
+            return None;
+        }
         let capacity = load(s, S_CAPACITY)?;
         if capacity > s.len() as u64 {
             return None;
@@ -365,6 +419,7 @@ impl ClientMap {
         let clock_base = load(t, T_CLOCK_BASE)?;
         Some(ClientMap {
             table,
+            keys,
             session,
             pins,
             serial: MAPPINGS.fetch_add(1, Ordering::Relaxed) + 1,
@@ -402,7 +457,23 @@ impl ClientMap {
     /// The table's key words, unless the daemon closed it.
     fn keys(&self) -> Option<&[AtomicU64]> {
         let table = self.table.words();
-        (table[T_CLOSED].load(Ordering::Acquire) == 0).then(|| &table[TABLE_HEADER..])
+        (table[T_CLOSED].load(Ordering::Acquire) == 0)
+            .then(|| &table[TABLE_HEADER..TABLE_HEADER + self.keys])
+    }
+
+    /// The checksum the initial simulation recorded for `key`, if any
+    /// (module docs, "Recorded checksums").
+    pub(crate) fn recorded(&self, key: u64) -> Option<u64> {
+        let k = usize::try_from(key).ok().filter(|&k| k < self.keys)?;
+        let (sums, known, _) = table_layout(self.keys);
+        let w = self.table.words();
+        (w[known + k / 64].load(Ordering::Relaxed) & 1 << (k % 64) != 0)
+            .then(|| w[sums + k].load(Ordering::Relaxed))
+    }
+
+    /// The fingerprint of the daemon's checksum function.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.table.words()[T_FINGERPRINT].load(Ordering::Relaxed)
     }
 
     /// Pins `key` through a slot if the table is open and shows it
@@ -485,7 +556,7 @@ mod tests {
 
     #[test]
     fn a_slot_pin_proves_its_mapping_and_epoch_and_a_closed_table_refuses() {
-        let (table, index) = ContextTable::create(16, 0).unwrap();
+        let (table, index) = ContextTable::create(16, 0, &HashMap::new(), 0).unwrap();
         let (a, b) = (mapped(&table, &index), mapped(&table, &index));
         assert_eq!(a.pin(5), None, "not resident");
         index.publish(5);
@@ -508,5 +579,23 @@ mod tests {
         assert_eq!(a.pin(6), None, "a held key refuses too");
         assert_eq!(a.proof_of(5), None);
         assert!(!a.unpin(5), "the refused pins took no slot");
+    }
+
+    #[test]
+    fn the_recorded_checksums_follow_the_key_words() {
+        let checksums = HashMap::from([(0, 7), (5, u64::MAX), (511, 0), (512, 9)]);
+        let (table, index) = ContextTable::create(16, 0, &checksums, 0xF1).unwrap();
+        // The index covers whole pages of keys, and ends where the
+        // checksums begin: publishing its last key writes no checksum.
+        assert_eq!(index.keys(), hitindex::PAGE_WORDS);
+        index.publish(511);
+        let map = mapped(&table, &index);
+        assert_eq!(map.fingerprint(), 0xF1);
+        assert_eq!(map.recorded(0), Some(7));
+        assert_eq!(map.recorded(5), Some(u64::MAX));
+        assert_eq!(map.recorded(511), Some(0), "a recorded zero is recorded");
+        assert_eq!(map.recorded(6), None);
+        assert_eq!(map.recorded(512), None, "past the table");
+        assert!(map.proof_of(511).is_some());
     }
 }

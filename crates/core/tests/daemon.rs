@@ -938,20 +938,26 @@ fn start_refuses_dv_shards_above_one_and_out_of_range_cluster_index() {
 fn hit_path_stress_races_acquires_against_evictions() {
     // The epoch-fallback scenario, stressed: a tiny cache (4 steps is
     // far less than the 16 keys in play) keeps evicting warm
-    // keys while several clients hammer hit-path acquires on them. A
-    // fast pin must always win or cleanly fall back — every acquire
-    // must succeed (possibly via a re-simulation), no response may be
-    // lost, and the counters must account for every request.
-    let fx = start_daemon_cfg("hitstress", 4, 8, false);
-    let addr = fx.server.addr();
+    // keys while several clients hammer hit-path acquires on them. Half
+    // the hammers map the table and pin through their slots; the other
+    // half ride TCP, where every pin is the daemon's. A pin must always
+    // win or cleanly fall back — every acquire must succeed (possibly
+    // via a re-simulation), a held key's file must stay on disk with
+    // its bytes, no response may be lost, and the counters must account
+    // for every request. Each hammer ends by hanging up on a held pin.
+    let (storage, dir) = fresh_area("hitstress");
+    let (server, driver) = serve(&storage, "0.0.0.0:0", 4, 8, false);
+    let port = server.addr().port();
     const HAMMERS: usize = 6;
     const HAMMER_ROUNDS: usize = 80;
     const FLOODS: usize = 2;
     const FLOOD_ROUNDS: usize = 30;
     const WARM: u64 = 8; // the hammered, mostly-resident zone
     const COLD_SPAN: u64 = 32; // flood walks 9..=40, forcing inserts
+    // Even hammers (and the floods) map the table; odd ones ride TCP.
+    let arm = |i: usize| std::net::SocketAddr::from(([127, 0, 0, 1 + (i % 2) as u8], port));
     {
-        let mut warm = SimfsClient::connect(addr, "test-ctx").unwrap();
+        let mut warm = SimfsClient::connect(arm(0), "test-ctx").unwrap();
         let keys: Vec<u64> = (1..=WARM).collect();
         let status = warm.acquire(&keys).unwrap();
         assert!(status.ok(), "warmup failed: {status:?}");
@@ -961,25 +967,58 @@ fn hit_path_stress_races_acquires_against_evictions() {
         warm.finalize().unwrap();
     }
     let barrier = Arc::new(std::sync::Barrier::new(HAMMERS + FLOODS));
+    // Hammers keep going until the floods are done, so their pins
+    // overlap every eviction the floods cause.
+    let floods_left = Arc::new(std::sync::atomic::AtomicUsize::new(FLOODS));
     let mut handles = Vec::new();
     for i in 0..HAMMERS {
         let barrier = Arc::clone(&barrier);
+        let floods_left = Arc::clone(&floods_left);
+        let (storage, driver) = (storage.clone(), driver.clone());
+        let addr = arm(i);
         handles.push(std::thread::spawn(move || {
             let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
+            let transport = if i % 2 == 0 { "Local" } else { "Tcp" };
+            assert_eq!(format!("{:?}", client.transport()), transport, "hammer {i}");
             barrier.wait();
             let mut key = 1 + (i as u64 * 3) % WARM;
-            for _ in 0..HAMMER_ROUNDS {
+            let mut rounds = 0;
+            while rounds < HAMMER_ROUNDS || floods_left.load(std::sync::atomic::Ordering::Relaxed) > 0 {
                 let status = client.acquire(&[key]).unwrap();
                 assert!(status.ok(), "hammer {i}: {status:?}");
                 assert_eq!(status.ready, vec![key]);
+                // Held: the step may not go anywhere, across the
+                // evictions the productions finishing meanwhile make
+                // (every fourth hold spans a few of them).
+                for check in 0..if rounds % 4 == 0 { 12 } else { 2 } {
+                    if check > 0 {
+                        std::thread::sleep(Duration::from_micros(250));
+                    }
+                    let bytes = storage.read(&driver.filename_of(key));
+                    assert!(
+                        bytes.as_deref().ok() == Some(&step_bytes(key)[..]),
+                        "hammer {i} ({transport}): held key {key} lost its file: {:?}",
+                        bytes.map(|b| b.len())
+                    );
+                }
                 client.release(key).unwrap();
                 key = 1 + key % WARM;
+                rounds += 1;
             }
-            client.finalize().unwrap();
+            // Hang up on held pins: the daemon must drop them. The
+            // first pin keeps the key resident, so the second is a hit
+            // — a slot pin on a mapped session, a fast pin over TCP.
+            for _ in 0..2 {
+                assert!(client.acquire(&[key]).unwrap().ok());
+            }
+            drop(client);
+            rounds + 2
         }));
     }
     for i in 0..FLOODS {
         let barrier = Arc::clone(&barrier);
+        let floods_left = Arc::clone(&floods_left);
+        let addr = arm(0);
         handles.push(std::thread::spawn(move || {
             let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
             barrier.wait();
@@ -991,31 +1030,39 @@ fn hit_path_stress_races_acquires_against_evictions() {
                 key = WARM + 1 + (key - WARM) % COLD_SPAN;
             }
             client.finalize().unwrap();
+            floods_left.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+            FLOOD_ROUNDS
         }));
     }
+    let mut acquires = WARM as usize;
     for (i, handle) in handles.into_iter().enumerate() {
-        handle.join().unwrap_or_else(|_| panic!("client {i} panicked"));
+        acquires += handle.join().unwrap_or_else(|_| panic!("client {i} panicked"));
     }
-    let stats = fx.server.stats();
-    let total = WARM + (HAMMERS * HAMMER_ROUNDS + FLOODS * FLOOD_ROUNDS) as u64;
+    let stats = server.stats();
+    let total = acquires as u64;
     assert_eq!(
         stats.hits + stats.misses,
         total,
         "every acquire must be accounted as hit or miss: {stats:?}"
     );
-    assert!(stats.acquired_fast > 0, "fast path never engaged: {stats:?}");
+    assert!(stats.acquired_fast > stats.shared_hits, "no TCP hit took the fast path: {stats:?}");
+    assert!(stats.shared_hits > 0, "no mapped hit: {stats:?}");
     assert!(
         stats.evictions > 0,
         "cache pressure must have evicted: {stats:?}"
     );
-    // Leak probe: every client is gone, so no fast pin may survive. A
-    // leaked pin makes its key unevictable (the index vetoes
-    // retirement), so flooding fresh intervals through the 4-step
-    // cache would leave leaked keys stranded on disk alongside the new
-    // residents. With clean accounting the area drains back to the
-    // budget's neighbourhood.
-    std::thread::sleep(Duration::from_millis(200));
-    let mut probe = SimfsClient::connect(addr, "test-ctx").unwrap();
+    // Leak probe: every client is gone, so no pin may survive — not a
+    // daemon-side fast pin a release or a hangup should have dropped,
+    // and not the slot of a departed session. A leaked pin makes its
+    // key unevictable (the index vetoes retirement).
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while let Some(k) = (1..=WARM + COLD_SPAN).find(|&k| server.fast_pinned("test-ctx", k) != Some(false)) {
+        assert!(std::time::Instant::now() < deadline, "key {k} is still pinned: {stats:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // So flooding fresh intervals through the 4-step cache drains the
+    // area back to the budget's neighbourhood.
+    let mut probe = SimfsClient::connect(arm(0), "test-ctx").unwrap();
     for key in [41u64, 45, 49, 53] {
         let status = probe.acquire(&[key]).unwrap();
         assert!(status.ok(), "probe acquire of {key}: {status:?}");
@@ -1023,12 +1070,14 @@ fn hit_path_stress_races_acquires_against_evictions() {
     }
     probe.finalize().unwrap();
     std::thread::sleep(Duration::from_millis(200));
-    let on_disk = fx.storage.list().unwrap();
+    let on_disk = storage.list().unwrap();
     assert!(
         on_disk.len() <= 8,
         "storage should drain near the 4-step budget once all pins are \
          released; leaked fast pins would strand keys: {on_disk:?}"
     );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -1949,5 +1998,214 @@ fn shutdown_joins_the_reaper_so_no_retry_launches_after_it() {
     server.shutdown();
     assert!(again.elapsed() < Duration::from_millis(100), "a second shutdown waits again");
     drop(client);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// SIMFS_Bitrep in a mapped session
+// ---------------------------------------------------------------------
+
+/// Waits until no re-simulation of the context is in flight.
+fn settle_sims(client: &mut SimfsClient) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while client.status().unwrap().active_sims != 0 {
+        assert!(std::time::Instant::now() < deadline, "sim never retired");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A daemon of [`serve`] bound to `0.0.0.0` over a fresh area: dialled
+/// at `127.0.0.1` a session maps its table, at `127.0.0.2` it rides TCP.
+fn serve_both_arms(tag: &str, cache_steps: u64, smax: u32) -> (DvServer, Arc<PatternDriver>, StorageArea, std::path::PathBuf) {
+    let (storage, dir) = fresh_area(tag);
+    let (server, driver) = serve(&storage, "0.0.0.0:0", cache_steps, smax, false);
+    (server, driver, storage, dir)
+}
+
+fn dial(server: &DvServer, ip: [u8; 4]) -> SimfsClient {
+    let addr = std::net::SocketAddr::from((ip, server.addr().port()));
+    SimfsClient::connect(addr, "test-ctx").unwrap()
+}
+
+/// One `SIMFS_Bitrep` script, run on a mapped `VirtualFs` session and on
+/// a TCP one: a reproduced step, a step re-published with a flipped
+/// byte, a step written in place, a step with no recorded checksum, a
+/// step that is not resident, and a call after the daemon shut down.
+/// Both arms give the same answers, and the mapped arm answers the
+/// resident keys without the daemon.
+#[test]
+fn bitrep_in_a_mapped_session_answers_as_the_daemon_does() {
+    let run = |tag: &str, ip: [u8; 4]| {
+        let (server, driver, storage, dir) = serve_both_arms(tag, 1000, 4);
+        let client = dial(&server, ip);
+        let transport = client.transport();
+        let mut vfs = VirtualFs::new(client, driver.clone(), storage.clone());
+        let name = |k: u64| driver.filename_of(k);
+        let mut log = Vec::new();
+        for k in [5, 20] {
+            vfs.open(&name(k)).unwrap();
+            vfs.close(&name(k)).unwrap();
+        }
+        settle_sims(vfs.session());
+        let offloaded = server.stats().effects_offloaded;
+
+        // Reproduced, held open while checked.
+        vfs.open(&name(5)).unwrap();
+        log.push(format!("reproduced {:?}", vfs.session().bitrep(5).unwrap()));
+        vfs.close(&name(5)).unwrap();
+        // Re-published under its name (a new inode) with a flipped byte.
+        let mut bytes = storage.read(&name(6)).unwrap();
+        bytes[10] ^= 0xFF;
+        storage.publish(&name(6), &bytes).unwrap();
+        log.push(format!("flipped {:?}", vfs.session().bitrep(6).unwrap()));
+        // Written in place at an offset: same inode, same residency.
+        log.push(format!("before in-place {:?}", vfs.session().bitrep(7).unwrap()));
+        let path = storage.path_for(&name(7)).unwrap();
+        let byte = std::fs::read(&path).unwrap()[40];
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        std::os::unix::fs::FileExt::write_all_at(&file, &[!byte], 40).unwrap();
+        drop(file);
+        log.push(format!("in-place {:?}", vfs.session().bitrep(7).unwrap()));
+        log.push(format!("unrecorded {:?}", vfs.session().bitrep(20).unwrap()));
+        let resident_offloads = server.stats().effects_offloaded - offloaded;
+        log.push(format!(
+            "not resident {:?}",
+            vfs.session().bitrep(40).map_err(|e| e.to_string())
+        ));
+
+        server.shutdown();
+        let after = vfs.session().bitrep(5);
+        assert!(!matches!(after, Ok(Some(true))), "{tag}: a closed table answered {after:?}");
+        log.push(format!("after shutdown is_err={}", after.is_err()));
+        drop(vfs);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+        (transport, log, resident_offloads)
+    };
+    let (mapped_arm, mapped_log, mapped_offloads) = run("bitrep-mapped", [127, 0, 0, 1]);
+    let (tcp_arm, tcp_log, tcp_offloads) = run("bitrep-tcp", [127, 0, 0, 2]);
+    use simfs_core::net::Transport;
+    assert_eq!((mapped_arm, tcp_arm), (Transport::Local, Transport::Tcp));
+    assert_eq!(mapped_log, tcp_log, "the arms answer differently");
+    assert_eq!(
+        mapped_log[..5],
+        [
+            "reproduced Some(true)",
+            "flipped Some(false)",
+            "before in-place Some(true)",
+            "in-place Some(false)",
+            "unrecorded None",
+        ],
+        "{mapped_log:#?}"
+    );
+    assert!(mapped_log[5].starts_with("not resident Err("), "{mapped_log:#?}");
+    assert_eq!(mapped_log[6], "after shutdown is_err=true");
+    assert_eq!((mapped_offloads, tcp_offloads), (0, 5), "who answered the resident keys");
+}
+
+/// A driver that names steps as the daemon's does but checksums them
+/// otherwise.
+struct OtherChecksum(PatternDriver);
+
+impl SimDriver for OtherChecksum {
+    fn key_of(&self, filename: &str) -> Option<u64> {
+        self.0.key_of(filename)
+    }
+    fn filename_of(&self, key: u64) -> String {
+        self.0.filename_of(key)
+    }
+    fn restart_filename(&self, j: u64) -> String {
+        self.0.restart_filename(j)
+    }
+    fn make_job(&self, start_key: u64, stop_key: u64, level: u32) -> simbatch::SpawnSpec {
+        self.0.make_job(start_key, stop_key, level)
+    }
+    fn parallelism(&self) -> ParallelismMap {
+        self.0.parallelism()
+    }
+    fn checksum(&self, bytes: &[u8]) -> u64 {
+        simstore::fnv1a64(bytes) ^ 1
+    }
+}
+
+/// A mapped session whose driver checksums otherwise than the daemon's
+/// cannot check against the recorded sums: it asks the daemon, and
+/// answers what the daemon answers.
+#[test]
+fn bitrep_with_a_mismatched_driver_asks_the_daemon() {
+    let fx = start_daemon_cfg("bitrep-driver", 1000, 4, false);
+    let client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    assert_eq!(client.transport(), simfs_core::net::Transport::Local);
+    let driver: Arc<dyn SimDriver> = Arc::new(OtherChecksum(PatternDriver::new("out-", ".sdf", 6)));
+    let mut vfs = VirtualFs::new(client, driver, fx.storage.clone());
+    let name = fx.driver.filename_of(5);
+    vfs.open(&name).unwrap();
+    settle_sims(vfs.session());
+    let offloaded = fx.server.stats().effects_offloaded;
+    assert_eq!(vfs.session().bitrep(5).unwrap(), Some(true), "the daemon's answer");
+    assert_eq!(fx.server.stats().effects_offloaded, offloaded + 1, "the daemon answered");
+    vfs.close(&name).unwrap();
+    vfs.finalize().unwrap();
+}
+
+/// Times the calling thread has blocked so far — its voluntary context
+/// switches (`/proc/thread-self/status`). A frame sent to the daemon is
+/// a wait for its reply; a socket write is not a write the kernel's
+/// per-thread I/O accounting counts, but this wait is.
+fn thread_waits() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("voluntary_ctxt_switches")
+}
+
+/// A mapped Bitrep reaches no daemon thread: it offloads no effect job
+/// and exchanges no frame, so it never waits. A bare mapped
+/// `SimfsClient` and a TCP session ask the daemon: one frame, one wait
+/// for the reply and one effect job per call.
+#[test]
+fn a_mapped_bitrep_offloads_nothing_and_writes_no_frame() {
+    let (server, driver, storage, dir) = serve_both_arms("bitrep-counts", 1000, 4);
+    let mut vfs = VirtualFs::new(dial(&server, [127, 0, 0, 1]), driver.clone(), storage.clone());
+    let mut bare = dial(&server, [127, 0, 0, 1]);
+    let mut tcp = VirtualFs::new(dial(&server, [127, 0, 0, 2]), driver.clone(), storage.clone());
+    use simfs_core::net::Transport;
+    assert_eq!(
+        [vfs.session().transport(), bare.transport(), tcp.session().transport()],
+        [Transport::Local, Transport::Local, Transport::Tcp]
+    );
+    let name = driver.filename_of(5);
+    vfs.open(&name).unwrap();
+    vfs.close(&name).unwrap();
+    settle_sims(vfs.session());
+    let offloaded = || server.stats().effects_offloaded;
+    const CALLS: u64 = 100;
+
+    let (jobs, waits) = (offloaded(), thread_waits());
+    for _ in 0..CALLS {
+        assert_eq!(vfs.session().bitrep(5).unwrap(), Some(true));
+    }
+    let waited = thread_waits() - waits;
+    assert!(waited < CALLS / 10, "{CALLS} mapped Bitreps waited {waited} times");
+    assert_eq!(offloaded(), jobs, "a mapped Bitrep reached the daemon");
+
+    let (jobs, waits) = (offloaded(), thread_waits());
+    for _ in 0..CALLS {
+        assert_eq!(bare.bitrep(5).unwrap(), Some(true));
+    }
+    let waited = thread_waits() - waits;
+    assert!(waited >= CALLS / 4, "{CALLS} daemon Bitreps waited only {waited} times");
+    assert_eq!(offloaded(), jobs + CALLS, "a bare session's Bitrep is one effect job");
+
+    let jobs = offloaded();
+    assert_eq!(tcp.session().bitrep(5).unwrap(), Some(true));
+    assert_eq!(offloaded(), jobs + 1, "a TCP Bitrep is one effect job");
+
+    vfs.finalize().unwrap();
+    bare.finalize().unwrap();
+    tcp.finalize().unwrap();
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1277,35 +1277,7 @@ fn durable_mapped_session_journals_its_lease_and_departure_and_no_pin() {
 #[test]
 fn a_journal_from_an_earlier_build_is_refused_by_recover_and_replaced_without_it() {
     let dir = fresh_dir("earlier-journal");
-    std::fs::create_dir_all(&dir).unwrap();
-    // (tag, client, key, epoch) as that build encoded them: 1 epoch,
-    // 2 pin, 3 release, 4 lease, 5 departure, 6 takeover pin; the
-    // padding after the tag is zero.
-    let mut bytes = Vec::new();
-    for (tag, client, key, epoch) in [
-        (1u8, 0u64, 0u64, 1u64),
-        (4, 7, 0, 1),
-        (2, 7, 1, 1),
-        (2, 8, 2, 1),
-        (6, 9, 1, 1),
-        (2, 10, 1, 1),
-        (3, 10, 1, 1),
-        (5, 10, 0, 1),
-        (2, 11, 2, 1),
-        (3, 11, 2, 1),
-        (4, 12, 0, 1),
-        (5, 12, 0, 1),
-    ] {
-        let start = bytes.len();
-        bytes.extend_from_slice(&[tag, 0, 0, 0, 0, 0, 0, 0]);
-        for field in [client, key, epoch] {
-            bytes.extend_from_slice(&field.to_le_bytes());
-        }
-        let sum = simstore::fnv1a64(&bytes[start..]);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-    }
-    let path = wal_path(&dir);
-    std::fs::write(&path, &bytes).unwrap();
+    let (path, bytes) = write_earlier_journal(&dir);
 
     let err = match start_daemon(&dir, "test-ctx", "127.0.0.1:0", DurabilityCfg::durable(true)) {
         Ok(_) => panic!("an earlier build's journal was recovered"),
@@ -1337,6 +1309,90 @@ fn a_journal_from_an_earlier_build_is_refused_by_recover_and_replaced_without_it
     client.finalize().unwrap();
     server.shutdown();
     drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writes the journal an earlier build left into `dir` — it journaled
+/// pins, a takeover grant under its own tag, and leases only for some
+/// sessions — and returns its path and bytes.
+fn write_earlier_journal(dir: &Path) -> (PathBuf, Vec<u8>) {
+    std::fs::create_dir_all(dir).unwrap();
+    // (tag, client, key, epoch) as that build encoded them: 1 epoch,
+    // 2 pin, 3 release, 4 lease, 5 departure, 6 takeover pin; the
+    // padding after the tag is zero.
+    let mut bytes = Vec::new();
+    for (tag, client, key, epoch) in [
+        (1u8, 0u64, 0u64, 1u64),
+        (4, 7, 0, 1),
+        (2, 7, 1, 1),
+        (2, 8, 2, 1),
+        (6, 9, 1, 1),
+        (2, 10, 1, 1),
+        (3, 10, 1, 1),
+        (5, 10, 0, 1),
+        (2, 11, 2, 1),
+        (3, 11, 2, 1),
+        (4, 12, 0, 1),
+        (5, 12, 0, 1),
+    ] {
+        let start = bytes.len();
+        bytes.extend_from_slice(&[tag, 0, 0, 0, 0, 0, 0, 0]);
+        for field in [client, key, epoch] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        let sum = simstore::fnv1a64(&bytes[start..]);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+    }
+    let path = wal_path(dir);
+    std::fs::write(&path, &bytes).unwrap();
+    (path, bytes)
+}
+
+/// Threads of this process (`/proc/self/task`).
+fn task_count() -> usize {
+    std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+/// Not a test on its own: the subprocess body of
+/// `a_refused_start_leaves_no_thread_behind`. With
+/// `SIMFS_TRANSPORT_REFUSE` naming a directory that holds an earlier
+/// build's journal, it starts a daemon over it with `--recover` — a
+/// start refused once the reactor's shards run — and checks that the
+/// process has as many threads after the refusal as before. Otherwise
+/// a no-op.
+#[test]
+fn refused_start_worker() {
+    let Ok(dir) = std::env::var("SIMFS_TRANSPORT_REFUSE") else {
+        return;
+    };
+    let before = task_count();
+    let Err(err) = start_daemon(Path::new(&dir), "test-ctx", "127.0.0.1:0", DurabilityCfg::durable(true))
+    else {
+        panic!("an earlier build's journal was recovered");
+    };
+    assert!(EarlierJournal::from_io(&err).is_some(), "{err}");
+    assert_eq!(task_count(), before, "the refused start left threads running");
+}
+
+/// A start that fails after it has started threads — `--recover`
+/// refusing an earlier build's journal — stops and joins every one of
+/// them. Counted in a child process, where no other test starts or
+/// ends threads meanwhile.
+#[test]
+fn a_refused_start_leaves_no_thread_behind() {
+    let dir = fresh_dir("refused-start");
+    write_earlier_journal(&dir);
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["refused_start_worker", "--exact"])
+        .env("SIMFS_TRANSPORT_REFUSE", &dir)
+        .output()
+        .expect("spawn the worker");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "worker: {stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
